@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage or configuration, 3 data, 4 numerical.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -305,17 +306,12 @@ def cmd_reduce(cfg: RunConfig) -> int:
     dropped_names = {ds.x_names[j] for j in report.dropped}
 
     # pass the original file through, minus the dropped fixed-effect columns
-    import csv as _csv
     with open(cfg["input"], newline="") as fh:
-        rows = list(_csv.reader(fh))
+        rows = list(csv.reader(fh))
     header = rows[0]
     keep_idx = [i for i, name in enumerate(header) if name not in dropped_names]
-    out_lines = [",".join(header[i] for i in keep_idx)]
-    for row in rows[1:]:
-        if row:
-            out_lines.append(",".join(row[i] for i in keep_idx))
-    from .fileio import atomic_write_text
-    atomic_write_text(cfg["output"], "\n".join(out_lines) + "\n")
+    write_csv(cfg["output"], [header[i] for i in keep_idx],
+              ([row[i] for i in keep_idx] for row in rows[1:] if row))
 
     report_dict = report.to_dict()
     report_dict["kept_names"] = [ds.x_names[j] for j in report.kept]
@@ -339,6 +335,9 @@ def _add_data_options(p: argparse.ArgumentParser):
     p.add_argument("--random",
                    help="comma-separated random-effect columns ('1' = intercept), "
                         "or 'intercept+<col>'")
+
+
+def _add_standardize_options(p: argparse.ArgumentParser):
     p.add_argument("--standardize", action="store_const", const=True, default=None,
                    help="center/scale X columns and the response")
     p.add_argument("--categorical",
@@ -360,7 +359,6 @@ def _add_common_options(p: argparse.ArgumentParser):
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p.add_argument("--pls-tol", dest="pls_tol", type=float, default=None)
     p.add_argument("--pls-max-sweeps", dest="pls_max_sweeps", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="penalized EM fit at one penalty level")
     _add_data_options(p)
+    _add_standardize_options(p)
     _add_common_options(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--output", required=True, help="fit report JSON")
@@ -378,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="sweep a grid, pick lambda by BIC, refit")
     _add_data_options(p)
+    _add_standardize_options(p)
     _add_common_options(p)
     p.add_argument("--grid", default=None,
                    help="start:stop:num (linear) or comma-separated values")
@@ -397,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-matrix", dest="d_matrix", choices=("low", "high"),
                    default=None, help="scenario 3 covariance preset")
     p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes for the replicates")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", default=None)
     p.add_argument("--output-prefix", dest="output_prefix", required=True)
@@ -404,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="subject-grouped k-fold cross-validation")
     _add_data_options(p)
+    _add_standardize_options(p)
     _add_common_options(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)

@@ -12,6 +12,16 @@ effective level 2 * lam * sigma2, then closed-form sigma2 and D.  The
 objective that ascends is the penalized observed-data log-likelihood
 loglik(beta, sigma2, D) - lam * penalty(beta).
 
+When the penalty has no l1 term (lam = 0, as in every unpenalized
+refit, or the ridge penalty) the beta update is the linear solve
+(X'X + lam1 * (1 - alpha) * I) beta = X'y_tilde, lam1 the effective level.
+X'X is fixed for a fit, so fit_em factors it once (eigendecomposition,
+which serves every shift lam1 takes) and solves each M-step and its
+initial pooled estimate exactly.  Coordinate descent remains the solver
+for penalties with an l1 term, and the fallback when X'X is not
+numerically positive definite (zero or linearly dependent columns); the
+fit then records a note in FitReport.warnings.
+
 Per-subject computations use the q x q cross products cached on the
 dataset, so one EM iteration touches the N-row data only through a
 single design-matrix product.
@@ -43,6 +53,7 @@ _D_COND_LIMIT = 1e12     # switch to the inversion-free Lambda form beyond this
 _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
 _SIGMA2_FLOOR = 1e-12
 _ABS_STOP = 1e-10        # absolute stopping rule, guards near-zero loglik
+_GRAM_COND_LIMIT = 1e12  # X'X beyond this condition number is solved by CD
 
 
 @dataclass
@@ -105,7 +116,6 @@ class EmControl:
     abs_eps: float = _ABS_STOP
     pls_tol: float = 1e-9
     pls_max_sweeps: int = 10000
-    legacy_sigma_update: bool = False
 
 
 @dataclass
@@ -270,26 +280,53 @@ def e_step(ds: LongitudinalDataset, params: LmmParams,
     return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde)
 
 
+def _gram_is_pd(w: np.ndarray) -> bool:
+    """Whether X'X, with ascending eigenvalues w, is numerically PD."""
+    return w.size == 0 or w[0] > w[-1] / _GRAM_COND_LIMIT
+
+
+def _solve_beta(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, lam: float,
+                ctrl: EmControl, gram: np.ndarray | None, gram_eig,
+                warm_start: np.ndarray | None = None):
+    """Minimize ||y - X beta||^2 + lam * penalty(beta), lam in raw units.
+
+    Solved exactly from gram_eig, the eigendecomposition of X'X, when the
+    penalty has no l1 term and X'X is numerically positive definite;
+    otherwise by coordinate descent.  Returns (beta, PlsSolution or None
+    when solved exactly).
+    """
+    if gram_eig is not None and lam * penalty.alpha == 0.0 and _gram_is_pd(gram_eig[0]):
+        w, V = gram_eig
+        shift = lam * (1.0 - penalty.alpha)
+        return V @ ((V.T @ (X.T @ y)) / (w + shift)), None
+    sol = solve_pls(X, y, penalty.with_lam(lam), warm_start=warm_start,
+                    tol=ctrl.pls_tol, max_sweeps=ctrl.pls_max_sweeps, gram=gram)
+    return sol.beta, sol
+
+
 def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParams,
            lam: float, penalty: PenaltySpec, ctrl: EmControl | None = None,
-           gram: np.ndarray | None = None, return_pls: bool = False):
+           gram: np.ndarray | None = None, gram_eig=None, return_pls: bool = False):
     """Conditional maximization given the E-step moments.
 
     beta solves the penalized least-squares problem on (X, y_tilde) at the
-    effective level 2 * lam * sigma2_prev, warm-started at the previous
-    beta; sigma2 and D then have closed forms.  lam is in raw units.
+    effective level 2 * lam * sigma2_prev: exactly when the penalty has no
+    l1 term and X'X is numerically positive definite, else by coordinate
+    descent warm-started at the previous beta.  sigma2 and D then have
+    closed forms.  lam is in raw units.  gram and gram_eig are X'X and its
+    np.linalg.eigh factorization, computed here when needed and not given.
+    With return_pls the coordinate-descent solution is returned as well
+    (None when beta was solved exactly).
     """
     ctrl = ctrl or EmControl()
     ztz = ds.block_moments[0]
     lam1 = 2.0 * lam * params_prev.sigma2
-    sol = solve_pls(ds.X, moments.y_tilde, penalty.with_lam(lam1),
-                    warm_start=params_prev.beta,
-                    tol=ctrl.pls_tol, max_sweeps=ctrl.pls_max_sweeps,
-                    gram=gram)
-    beta = sol.beta
+    if gram_eig is None and lam1 * penalty.alpha == 0.0:
+        gram_eig = np.linalg.eigh(ds.X.T @ ds.X if gram is None else gram)
+    beta, sol = _solve_beta(ds.X, moments.y_tilde, penalty, lam1, ctrl, gram,
+                            gram_eig, warm_start=params_prev.beta)
 
-    beta_for_sigma = params_prev.beta if ctrl.legacy_sigma_update else beta
-    resid = moments.y_tilde - ds.X @ beta_for_sigma
+    resid = moments.y_tilde - ds.X @ beta
     trace_term = float(np.einsum("nij,nij->", moments.Lambda, ztz))
     sigma2 = (float(resid @ resid) + trace_term) / ds.N
 
@@ -348,7 +385,8 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     identity (all overridden when init is given).  Iterates E- and M-steps
     until the relative change of the penalized log-likelihood falls below
     ctrl.eps, with an absolute fallback of 1e-10 where the ratio rule is
-    ill-conditioned near zero.
+    ill-conditioned near zero.  When the penalty has no l1 term, X'X is
+    factored once here and serves the initial and every M-step solve.
     """
     penalty = PenaltySpec.lasso(lam) if penalty is None else penalty
     ctrl = ctrl or EmControl()
@@ -358,13 +396,17 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     notes: list = []
 
     gram = ds.X.T @ ds.X if ds.p else np.zeros((0, 0))
+    gram_eig = None
+    if lam_raw * penalty.alpha == 0.0:
+        gram_eig = np.linalg.eigh(gram)
+        if not _gram_is_pd(gram_eig[0]):
+            notes.append("X'X is not numerically positive definite; "
+                         "beta solved by coordinate descent")
     if init is None:
-        sol0 = solve_pls(ds.X, ds.y, penalty.with_lam(lam_raw),
-                         tol=ctrl.pls_tol, max_sweeps=ctrl.pls_max_sweeps,
-                         gram=gram)
-        resid0 = ds.y - ds.X @ sol0.beta
+        beta0, _ = _solve_beta(ds.X, ds.y, penalty, lam_raw, ctrl, gram, gram_eig)
+        resid0 = ds.y - ds.X @ beta0
         sigma2_0 = max(float(resid0 @ resid0) / ds.N, _SIGMA2_FLOOR)
-        params = LmmParams(sol0.beta, sigma2_0, np.eye(ds.q))
+        params = LmmParams(beta0, sigma2_0, np.eye(ds.q))
     else:
         if init.beta.shape != (ds.p,) or init.D.shape != (ds.q, ds.q):
             raise ConfigurationError("fit_em: init has wrong shapes for this dataset")
@@ -381,10 +423,11 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
         try:
             moments = e_step(ds, guarded, _d_eig=d_eig, _validate=False)
             params_new, sol = m_step(ds, moments, guarded, lam_raw, penalty,
-                                     ctrl, gram=gram, return_pls=True)
+                                     ctrl, gram=gram, gram_eig=gram_eig,
+                                     return_pls=True)
         except NumericalError as e:
             raise NumericalError(f"fit_em: iteration {it}: {e}") from e
-        if not sol.converged:
+        if sol is not None and not sol.converged:
             notes.append(f"iteration {it}: coordinate descent hit its sweep budget")
         params_new.sigma2 = max(params_new.sigma2, _SIGMA2_FLOOR)
         guarded, d_eig, guard_changed = _guard_params(params_new)

@@ -7,6 +7,8 @@ and renamed into place, so failed runs leave no partial outputs.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -38,12 +40,18 @@ def atomic_write_text(path, text: str):
 
 
 def write_csv(path, header, rows):
-    """Write rows of mixed str/number cells; numbers get fmt17."""
-    out = [",".join(header)]
+    """Write rows of mixed str/number cells; numbers get fmt17.
+
+    Cells holding a comma, quote or newline are quoted, so the file
+    reads back through csv.reader with the same fields.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
-        out.append(",".join(cell if isinstance(cell, str) else fmt17(cell)
-                            for cell in row))
-    atomic_write_text(path, "\n".join(out) + "\n")
+        writer.writerow(cell if isinstance(cell, str) else fmt17(cell)
+                        for cell in row)
+    atomic_write_text(path, buf.getvalue())
 
 
 def write_json(path, obj):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -196,6 +197,55 @@ def test_cmd_reduce_drops_dependent_column(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["dropped_names"] == ["c"]
     assert report["dependency_sets"]["2"] == [0, 1]
+
+
+def test_cmd_reduce_keeps_quoted_cells_intact(tmp_path):
+    rng = np.random.default_rng(12)
+    lines = ["id,region,y,a,b,c,t"]
+    for i in range(8):
+        for t in range(3):
+            a, b = (float(v) for v in rng.normal(size=2))
+            lines.append(f'{i},"north, east",{float(rng.normal())!r},'
+                         f"{a!r},{b!r},{a + b!r},{t + 1}")
+    f = tmp_path / "quoted.csv"
+    f.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "reduced.csv"
+    rc = main(["reduce", "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", "a,b,c", "--random", "1,t",
+               "--output", str(out), "--report", str(tmp_path / "report.json")])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["id", "region", "y", "a", "b", "t"]
+    assert len(rows) == 25
+    assert all(len(row) == 6 and row[1] == "north, east" for row in rows[1:])
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("fit", ["--lambda", "0.1", "--output"]),
+    ("select", ["--output-prefix"]),
+    ("cv", ["--k", "2", "--seed", "1", "--output"]),
+])
+def test_threads_is_rejected_where_unused(tmp_path, small_csv, command, extra):
+    f, _ = small_csv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(f), *DATA_FLAGS, "--threads", "2",
+              *extra, str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [f]
+
+
+@pytest.mark.parametrize("flags", [["--standardize"], ["--categorical", "a"],
+                                   ["--no-scale-y"]])
+def test_reduce_rejects_standardization_flags(tmp_path, flags):
+    f = tmp_path / "in.csv"
+    f.write_text("id,y,a,t\ns0,1.0,2.0,1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--input", str(f), "--subject", "id", "--response", "y",
+              "--fixed", "a", "--random", "1,t", *flags,
+              "--output", str(tmp_path / "r.csv"), "--report", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [f]
 
 
 def test_config_file_provides_defaults_and_flags_override(tmp_path, small_csv):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lmmlasso import em_engine
 from lmmlasso.dataset import LongitudinalDataset, SubjectBlock
 from lmmlasso.em_engine import (
     EmControl,
@@ -15,7 +16,8 @@ from lmmlasso.em_engine import (
     penalized_loglik,
 )
 from lmmlasso.exceptions import NumericalError
-from lmmlasso.penalized_ls import PenaltySpec, lambda_max
+from lmmlasso.penalized_ls import PenaltySpec, lambda_max, solve_pls
+from lmmlasso.selector import refit_support
 
 from oracles import conditional_moments_dense, dense_marginal_loglik, direct_ml_lmm
 
@@ -193,18 +195,6 @@ def test_single_em_step_does_not_decrease_penalized_loglik():
     assert after >= before - 1e-8
 
 
-def test_m_step_legacy_sigma_update_uses_previous_beta():
-    ds = simulate_lmm(11)
-    params = LmmParams(np.array([0.5, 0.5, 0.5]), 1.0, np.eye(2))
-    mom = e_step(ds, params)
-    new = m_step(ds, mom, params, 0.0, PenaltySpec.lasso(0.0),
-                 EmControl(legacy_sigma_update=True))
-    resid = mom.y_tilde - ds.X @ params.beta
-    trace_term = sum(float(np.trace(b.Z @ mom.Lambda[i] @ b.Z.T))
-                     for i, b in enumerate(ds.blocks))
-    assert new.sigma2 == pytest.approx((resid @ resid + trace_term) / ds.N, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Observed-data log-likelihood
 # ---------------------------------------------------------------------------
@@ -325,3 +315,78 @@ def test_fit_report_serializes_to_json():
     assert back["lambda"] == 1.0
     assert len(back["params"]["beta"]) == 3
     assert back["converged"] is True
+
+
+# ---------------------------------------------------------------------------
+# Exact beta update when the penalty has no l1 term
+# ---------------------------------------------------------------------------
+
+
+# a fixed number of EM iterations, so both paths stop at the same step
+FIXED_ITERS = EmControl(eps=0.0, abs_eps=0.0, max_iter=300, pls_tol=1e-13)
+
+
+def _fit_vector(rep):
+    p = rep.params
+    return np.concatenate([p.beta, [p.sigma2], p.D.ravel()])
+
+
+@pytest.mark.parametrize("penalty", [PenaltySpec.lasso(0.0), PenaltySpec.ridge(8.0)],
+                         ids=["lambda0", "ridge"])
+def test_exact_m_step_fit_matches_coordinate_descent(penalty, monkeypatch):
+    ds = simulate_lmm(3, n=25, n_i=4)
+    exact = fit_em(ds, penalty.lam, penalty, ctrl=FIXED_ITERS)
+    monkeypatch.setattr(em_engine, "_GRAM_COND_LIMIT", 1.0)
+    cd = fit_em(ds, penalty.lam, penalty, ctrl=FIXED_ITERS)
+    np.testing.assert_allclose(_fit_vector(exact), _fit_vector(cd), rtol=0, atol=1e-10)
+    assert exact.final_loglik == pytest.approx(cd.final_loglik, abs=1e-9)
+    assert exact.warnings == []
+    assert any("not numerically positive definite" in w for w in cd.warnings)
+
+
+@pytest.mark.parametrize("penalty", [PenaltySpec.lasso(0.0), PenaltySpec.ridge(8.0)],
+                         ids=["lambda0", "ridge"])
+def test_exact_m_step_without_factor_matches_solve_pls(penalty):
+    ds = simulate_lmm(9, n=12, n_i=3)
+    params = LmmParams(np.array([0.4, -0.3, 0.2]), 1.7, D_UNIT)
+    mom = e_step(ds, params)
+    new = m_step(ds, mom, params, penalty.lam, penalty)
+    lam1 = 2.0 * penalty.lam * params.sigma2
+    ref = solve_pls(ds.X, mom.y_tilde, penalty.with_lam(lam1),
+                    warm_start=params.beta, tol=1e-13)
+    assert ref.converged
+    np.testing.assert_allclose(new.beta, ref.beta, rtol=0, atol=1e-12)
+
+
+def _with_duplicate_column(ds):
+    return LongitudinalDataset([
+        SubjectBlock(b.subject_id, b.y, np.column_stack([b.X, b.X[:, 0]]), b.Z)
+        for b in ds.blocks])
+
+
+def test_duplicated_column_falls_back_to_coordinate_descent(monkeypatch):
+    ds = _with_duplicate_column(simulate_lmm(13, n=20, n_i=4))
+    support = (0, 1, 2, 3)
+    rep = refit_support(ds, support)
+    assert sum("not numerically positive definite" in w for w in rep.warnings) == 1
+    assert rep.worst_trace_decrease() <= 1e-8
+    # reference values from coordinate descent at its default tolerance
+    np.testing.assert_allclose(
+        rep.params.beta, [0.7401817010390607, -1.0964718013258306,
+                          0.600589067990877, 0.061392872386730094], rtol=1e-9)
+    assert rep.params.sigma2 == pytest.approx(1.0355453860893138, rel=1e-9)
+    # every X'X treated as singular: the coordinate-descent path itself
+    monkeypatch.setattr(em_engine, "_GRAM_COND_LIMIT", 1.0)
+    forced = refit_support(ds, support)
+    np.testing.assert_array_equal(rep.params.beta, forced.params.beta)
+    assert rep.params.sigma2 == forced.params.sigma2
+    np.testing.assert_array_equal(rep.params.D, forced.params.D)
+    assert rep.iterations == forced.iterations
+
+
+def test_refit_trace_never_decreases_on_exact_path():
+    ds = simulate_lmm(19, n=30, n_i=5)
+    for support in ((0,), (0, 2), (0, 1, 2)):
+        rep = refit_support(ds, support)
+        assert rep.converged and rep.warnings == []
+        assert rep.worst_trace_decrease() == 0.0
