@@ -6,7 +6,11 @@ defaults; the defaults mirror the benchmark setup (stopping tolerance
 1e-6, linear grid 0.001..0.5 with 100 points interpreted in
 per-observation units, BIC criterion).  All artifacts are written
 atomically with 17-significant-digit numbers so reruns can be compared
-byte for byte.
+byte for byte.  A config file's keys are the subcommand's option names
+as argparse stores them (--max-iter as max_iter, --lambda as lam,
+--no-scale-y as scale_y); each value is checked like the flag's
+argument, and an unknown key or an ill-typed value is a configuration
+error.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 numerical.
 """
@@ -75,6 +79,31 @@ class RunConfig:
         return self.options.get(key, default)
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config-file value, checked and converted as its flag's argument is."""
+    if action.nargs == 0:  # a flag that stores a constant
+        if not isinstance(value, bool):
+            raise ConfigurationError(f"config key {key!r} must be true or false")
+        return value
+    if key == "grid" and isinstance(value, list):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in value):
+            raise ConfigurationError("config key 'grid' must be a string "
+                                     "or a list of numbers")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigurationError(
+            f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise ConfigurationError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigurationError(f"config key {key!r}: {value!r} is not one of "
+                                 f"{', '.join(map(str, action.choices))}")
+    return value
+
+
 def _merge_options(args: argparse.Namespace) -> RunConfig:
     file_cfg = {}
     if getattr(args, "config", None):
@@ -88,10 +117,16 @@ def _merge_options(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigurationError("config file must hold a JSON object")
 
+    unknown = sorted(set(file_cfg) - set(args.options))
+    if unknown:
+        raise ConfigurationError(f"config file has key(s) that {args.command} takes "
+                                 f"no option for: {', '.join(unknown)}")
+    file_cfg = {key: _config_value(args.options[key], key, value)
+                for key, value in file_cfg.items()}
+
     merged = {}
-    for key, value in vars(args).items():
-        if key in ("command", "config", "func"):
-            continue
+    for key in args.options:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
         elif key in file_cfg:
@@ -423,6 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="reduction report JSON")
     p.set_defaults(func=cmd_reduce)
 
+    # the options a --config file may set, by key (argparse dest)
+    for p in sub.choices.values():
+        p.set_defaults(options={a.dest: a for a in p._actions
+                                if a.dest not in ("help", "config")})
     return parser
 
 

@@ -12,15 +12,25 @@ effective level 2 * lam * sigma2, then closed-form sigma2 and D.  The
 objective that ascends is the penalized observed-data log-likelihood
 loglik(beta, sigma2, D) - lam * penalty(beta).
 
-When the penalty has no l1 term (lam = 0, as in every unpenalized
-refit, or the ridge penalty) the beta update is the linear solve
-(X'X + lam1 * (1 - alpha) * I) beta = X'y_tilde, lam1 the effective level.
-X'X is fixed for a fit, so fit_em factors it once (eigendecomposition,
-which serves every shift lam1 takes) and solves each M-step and its
-initial pooled estimate exactly.  Coordinate descent remains the solver
-for penalties with an l1 term, and the fallback when X'X is not
-numerically positive definite (zero or linearly dependent columns); the
-fit then records a note in FitReport.warnings.
+The beta M-step takes one of three routes (_solve_beta):
+
+- No l1 term (lam = 0, as in every unpenalized refit, or the ridge
+  penalty): the linear solve (X'X + lam1 * (1 - alpha) * I) beta =
+  X'y_tilde, lam1 the effective level.  X'X is fixed for a fit, so
+  fit_em factors it once (eigendecomposition, which serves every shift
+  lam1 takes) and solves each M-step and its initial pooled estimate
+  exactly.
+- An l1 term: on the support A and signs s of the warm start (the
+  previous beta) the stationarity conditions are linear too,
+  (X_A'X_A + lam1 * (1 - alpha) * I) b_A = X_A'y_tilde - (lam1 * alpha / 2) s,
+  solved from a small eigendecomposition.  The support rarely changes
+  between EM iterations; the result is accepted only when the KKT
+  conditions prove it optimal.
+- Otherwise coordinate descent (solve_pls) from the warm start: when the
+  support or a sign changes, for the pooled lasso start, and when the
+  matrix to factor is not numerically positive definite (zero or
+  linearly dependent columns); a fit without an l1 term then records a
+  note in FitReport.warnings.
 
 Per-subject computations use the q x q cross products cached on the
 dataset, so one EM iteration touches the N-row data only through a
@@ -285,22 +295,69 @@ def _gram_is_pd(w: np.ndarray) -> bool:
     return w.size == 0 or w[0] > w[-1] / _GRAM_COND_LIMIT
 
 
+def _eig_solve(eig, rhs: np.ndarray, shift: float) -> np.ndarray | None:
+    """(A + shift * I)^-1 rhs from eig = np.linalg.eigh(A); None unless A is PD."""
+    w, V = eig
+    if not _gram_is_pd(w):
+        return None
+    return V @ ((V.T @ rhs) / (w + shift))
+
+
+def _lasso_on_support(gram: np.ndarray, xty: np.ndarray, warm_start: np.ndarray,
+                      l1: float, shift: float) -> np.ndarray | None:
+    """The penalized least-squares minimizer with warm_start's support and signs.
+
+    On the support A with signs s the stationarity conditions are linear:
+    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X and c = X'y.
+    The solution is returned only when it is optimal: every b_A keeps its
+    sign in s, and every column j outside A meets the at-zero condition
+    |2 m_j| <= l1 of _kkt_residual, with m = c - G beta = X'(y - X beta).
+    Otherwise None.
+    """
+    active = np.flatnonzero(warm_start)
+    signs = np.sign(warm_start[active])
+    b_active = _eig_solve(np.linalg.eigh(gram[np.ix_(active, active)]),
+                          xty[active] - 0.5 * l1 * signs, shift)
+    if b_active is None or np.any(b_active * signs <= 0.0):
+        return None
+    m = xty - gram[:, active] @ b_active
+    if np.any(np.abs(2.0 * m[warm_start == 0.0]) > l1):
+        return None
+    beta = np.zeros(xty.size)
+    beta[active] = b_active
+    return beta
+
+
 def _solve_beta(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, lam: float,
                 ctrl: EmControl, gram: np.ndarray | None, gram_eig,
                 warm_start: np.ndarray | None = None):
     """Minimize ||y - X beta||^2 + lam * penalty(beta), lam in raw units.
 
-    Solved exactly from gram_eig, the eigendecomposition of X'X, when the
-    penalty has no l1 term and X'X is numerically positive definite;
-    otherwise by coordinate descent.  Returns (beta, PlsSolution or None
-    when solved exactly).
+    Three routes, tried in order:
+
+    - no l1 term: solved exactly from gram_eig, the eigendecomposition of
+      X'X, when X'X is numerically positive definite;
+    - an l1 term and a warm start: solved exactly on the warm start's
+      support and signs, when the KKT conditions prove that solution
+      optimal (_lasso_on_support);
+    - otherwise coordinate descent (solve_pls) from the warm start.
+
+    Returns (beta, PlsSolution or None when solved exactly).
     """
-    if gram_eig is not None and lam * penalty.alpha == 0.0 and _gram_is_pd(gram_eig[0]):
-        w, V = gram_eig
-        shift = lam * (1.0 - penalty.alpha)
-        return V @ ((V.T @ (X.T @ y)) / (w + shift)), None
+    l1 = lam * penalty.alpha
+    shift = lam * (1.0 - penalty.alpha)
+    xty = X.T @ y
+    beta = None
+    if l1 == 0.0:
+        beta = _eig_solve(gram_eig, xty, shift)
+    elif warm_start is not None:
+        gram = X.T @ X if gram is None else gram
+        beta = _lasso_on_support(gram, xty, warm_start, l1, shift)
+    if beta is not None:
+        return beta, None
     sol = solve_pls(X, y, penalty.with_lam(lam), warm_start=warm_start,
-                    tol=ctrl.pls_tol, max_sweeps=ctrl.pls_max_sweeps, gram=gram)
+                    tol=ctrl.pls_tol, max_sweeps=ctrl.pls_max_sweeps, gram=gram,
+                    xty=xty)
     return sol.beta, sol
 
 
@@ -310,13 +367,12 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParam
     """Conditional maximization given the E-step moments.
 
     beta solves the penalized least-squares problem on (X, y_tilde) at the
-    effective level 2 * lam * sigma2_prev: exactly when the penalty has no
-    l1 term and X'X is numerically positive definite, else by coordinate
-    descent warm-started at the previous beta.  sigma2 and D then have
-    closed forms.  lam is in raw units.  gram and gram_eig are X'X and its
-    np.linalg.eigh factorization, computed here when needed and not given.
-    With return_pls the coordinate-descent solution is returned as well
-    (None when beta was solved exactly).
+    effective level 2 * lam * sigma2_prev by _solve_beta, warm-started at
+    the previous beta: exactly when it can, else by coordinate descent.
+    sigma2 and D then have closed forms.  lam is in raw units.  gram and
+    gram_eig are X'X and its np.linalg.eigh factorization, computed here
+    when needed and not given.  With return_pls the coordinate-descent
+    solution is returned as well (None when beta was solved exactly).
     """
     ctrl = ctrl or EmControl()
     ztz = ds.block_moments[0]

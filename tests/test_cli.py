@@ -268,6 +268,49 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path, small_csv):
     assert len((tmp_path / "cfg2_path.csv").read_text().strip().split("\n")) == 3
 
 
+def _run_with_config(tmp_path, csv_path, config, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    out = tmp_path / "fit.json"
+    rc = main(["fit", "--input", str(csv_path), *DATA_FLAGS, "--lambda", "0.1",
+               "--config", str(conf), "--output", str(out)])
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert not out.exists()
+    return rc, error
+
+
+@pytest.mark.parametrize("key, value", [("threads", 4), ("standardise", True)])
+def test_config_key_without_option_is_rejected(tmp_path, small_csv, capsys, key, value):
+    rc, error = _run_with_config(tmp_path, small_csv[0], {key: value}, capsys)
+    assert rc == 2
+    assert error["type"] == "ConfigurationError" and key in error["message"]
+
+
+@pytest.mark.parametrize("config", [{"eps": "tiny"}, {"max_iter": 2.5},
+                                    {"standardize": "yes"}, {"fixed": ["x1"]},
+                                    {"lambda_scale": "per_subject"}],
+                         ids=["float", "int", "flag", "string", "choices"])
+def test_config_value_of_wrong_type_is_rejected(tmp_path, small_csv, capsys, config):
+    rc, error = _run_with_config(tmp_path, small_csv[0], config, capsys)
+    assert rc == 2
+    assert error["type"] == "ConfigurationError"
+    assert next(iter(config)) in error["message"]
+
+
+def test_config_grid_list_and_typed_values(tmp_path, small_csv):
+    f, _ = small_csv
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"grid": [0.05, 0.1], "eps": "1e-7",
+                                  "max_iter": 400, "standardize": True,
+                                  "scale_y": False}))
+    rc = main(["select", "--input", str(f), *DATA_FLAGS, "--config", str(config),
+               "--output-prefix", str(tmp_path / "typed")])
+    assert rc == 0
+    assert len((tmp_path / "typed_path.csv").read_text().strip().split("\n")) == 3
+    selection = json.loads((tmp_path / "typed_selection.json").read_text())
+    assert "refit_original_scale" in selection
+
+
 def test_same_runconfig_byte_identical_outputs(tmp_path, small_csv):
     f, _ = small_csv
     a, b = str(tmp_path / "runA"), str(tmp_path / "runB")

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmmlasso import em_engine
 from lmmlasso.dataset import LongitudinalDataset, SubjectBlock
@@ -16,10 +17,15 @@ from lmmlasso.em_engine import (
     penalized_loglik,
 )
 from lmmlasso.exceptions import NumericalError
-from lmmlasso.penalized_ls import PenaltySpec, lambda_max, solve_pls
+from lmmlasso.penalized_ls import PenaltySpec, kkt_check, lambda_max, solve_pls
 from lmmlasso.selector import refit_support
 
-from oracles import conditional_moments_dense, dense_marginal_loglik, direct_ml_lmm
+from oracles import (
+    conditional_moments_dense,
+    dense_marginal_loglik,
+    direct_ml_lmm,
+    lasso_best_by_enumeration,
+)
 
 D_UNIT = np.array([[1.0, 0.25], [0.25, 1.0]])
 
@@ -318,12 +324,19 @@ def test_fit_report_serializes_to_json():
 
 
 # ---------------------------------------------------------------------------
-# Exact beta update when the penalty has no l1 term
+# Exact beta update: no l1 term, or an l1 term on a KKT-verified support
 # ---------------------------------------------------------------------------
 
 
 # a fixed number of EM iterations, so both paths stop at the same step
 FIXED_ITERS = EmControl(eps=0.0, abs_eps=0.0, max_iter=300, pls_tol=1e-13)
+
+# the lasso and elastic-net levels leave the third coefficient at zero in
+# the single M-step below
+EXACT_PENALTIES = [PenaltySpec.lasso(0.0), PenaltySpec.ridge(8.0),
+                   PenaltySpec.lasso(20.0), PenaltySpec.elastic_net(0.5, 40.0)]
+EXACT_IDS = ["lambda0", "ridge", "lasso", "elastic_net"]
+L1_PENALTIES = EXACT_PENALTIES[2:]
 
 
 def _fit_vector(rep):
@@ -331,31 +344,100 @@ def _fit_vector(rep):
     return np.concatenate([p.beta, [p.sigma2], p.D.ravel()])
 
 
-@pytest.mark.parametrize("penalty", [PenaltySpec.lasso(0.0), PenaltySpec.ridge(8.0)],
-                         ids=["lambda0", "ridge"])
+def _count_solve_pls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve_pls(*args, **kwargs)
+
+    monkeypatch.setattr(em_engine, "solve_pls", counted)
+    return calls
+
+
+@pytest.mark.parametrize("penalty", EXACT_PENALTIES, ids=EXACT_IDS)
 def test_exact_m_step_fit_matches_coordinate_descent(penalty, monkeypatch):
     ds = simulate_lmm(3, n=25, n_i=4)
+    calls = _count_solve_pls(monkeypatch)
     exact = fit_em(ds, penalty.lam, penalty, ctrl=FIXED_ITERS)
+    exact_calls = len(calls)
+    # every X'X and X_A'X_A treated as singular: the coordinate-descent path
     monkeypatch.setattr(em_engine, "_GRAM_COND_LIMIT", 1.0)
     cd = fit_em(ds, penalty.lam, penalty, ctrl=FIXED_ITERS)
     np.testing.assert_allclose(_fit_vector(exact), _fit_vector(cd), rtol=0, atol=1e-10)
     assert exact.final_loglik == pytest.approx(cd.final_loglik, abs=1e-9)
+    # coordinate descent ran in a few M-steps of the exact fit and in every
+    # M-step of the forced fit (an empty support needs no factor)
+    assert exact_calls <= FIXED_ITERS.max_iter // 50
+    assert len(calls) - exact_calls >= FIXED_ITERS.max_iter
     assert exact.warnings == []
-    assert any("not numerically positive definite" in w for w in cd.warnings)
+    if penalty.lam * penalty.alpha == 0.0:
+        assert any("not numerically positive definite" in w for w in cd.warnings)
 
 
-@pytest.mark.parametrize("penalty", [PenaltySpec.lasso(0.0), PenaltySpec.ridge(8.0)],
-                         ids=["lambda0", "ridge"])
+@pytest.mark.parametrize("penalty", EXACT_PENALTIES, ids=EXACT_IDS)
 def test_exact_m_step_without_factor_matches_solve_pls(penalty):
     ds = simulate_lmm(9, n=12, n_i=3)
-    params = LmmParams(np.array([0.4, -0.3, 0.2]), 1.7, D_UNIT)
+    params = LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT)
     mom = e_step(ds, params)
-    new = m_step(ds, mom, params, penalty.lam, penalty)
+    new, sol = m_step(ds, mom, params, penalty.lam, penalty, return_pls=True)
+    assert sol is None
     lam1 = 2.0 * penalty.lam * params.sigma2
     ref = solve_pls(ds.X, mom.y_tilde, penalty.with_lam(lam1),
                     warm_start=params.beta, tol=1e-13)
     assert ref.converged
     np.testing.assert_allclose(new.beta, ref.beta, rtol=0, atol=1e-12)
+    assert kkt_check(ds.X, mom.y_tilde, penalty.with_lam(lam1), new.beta) <= 1e-10
+
+
+@pytest.mark.parametrize("warm_start", [[0.4, -0.3, 0.2], [0.4, 0.0, 0.0],
+                                        [0.4, 0.3, 0.0]],
+                         ids=["extra_column", "missing_column", "wrong_sign"])
+@pytest.mark.parametrize("penalty", L1_PENALTIES, ids=EXACT_IDS[2:])
+def test_exact_m_step_rejected_support_falls_back_to_solve_pls(penalty, warm_start):
+    # the E-step of the test above, whose M-step optimum has support {0, 1}
+    ds = simulate_lmm(9, n=12, n_i=3)
+    mom = e_step(ds, LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT))
+    params = LmmParams(np.array(warm_start), 1.7, D_UNIT)
+    ctrl = EmControl()
+    new, sol = m_step(ds, mom, params, penalty.lam, penalty, ctrl, return_pls=True)
+    assert sol is not None
+    ref = solve_pls(ds.X, mom.y_tilde, penalty.with_lam(2.0 * penalty.lam * params.sigma2),
+                    warm_start=params.beta, tol=ctrl.pls_tol,
+                    max_sweeps=ctrl.pls_max_sweeps)
+    np.testing.assert_array_equal(new.beta, ref.beta)
+    assert sol.iterations == ref.iterations
+
+
+@st.composite
+def _lasso_problems(draw):
+    """A small design, a penalty level and a warm start for the lasso M-step."""
+    p = draw(st.integers(1, 5))
+    n_obs = draw(st.integers(p, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n_obs, p))
+    y = X @ rng.normal(size=p) + rng.normal(size=n_obs)
+    lam = draw(st.floats(0.01, 1.2)) * lambda_max(X, y)
+    warm = draw(st.sampled_from(["optimum_support", "random"]))
+    if warm == "optimum_support":
+        beta_opt, _ = lasso_best_by_enumeration(X, y, lam)
+        warm_start = beta_opt * rng.uniform(0.5, 1.5, size=p)
+    else:
+        warm_start = rng.normal(size=p) * (rng.uniform(size=p) < 0.5)
+    return X, y, lam, warm_start
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_lasso_problems())
+def test_solve_beta_matches_enumeration_oracle(problem):
+    X, y, lam, warm_start = problem
+    beta, _ = em_engine._solve_beta(X, y, PenaltySpec.lasso(0.0), lam, EmControl(),
+                                    X.T @ X, None, warm_start=warm_start)
+    _, best = lasso_best_by_enumeration(X, y, lam)
+    resid = y - X @ beta
+    objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
+    assert objective == pytest.approx(best, rel=1e-9, abs=0.0)
+    assert kkt_check(X, y, PenaltySpec.lasso(lam), beta) <= 1e-7
 
 
 def _with_duplicate_column(ds):
