@@ -50,9 +50,7 @@ from .penalized_ls import (
 from .selector import (
     RegularizationPath,
     SelectionResult,
-    aic_score,
     auto_log_grid,
-    bic_score,
     default_grid,
     refit_support,
     select,

@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,21 +61,13 @@ _DEFAULTS = {
     "standardize": False,
     "scale_y": True,
     "categorical": "",
+    "n": 30,
+    "n_i": 5,
+    "p": 50,
+    "p_star": 5,
+    "d_matrix": "low",
+    "replicates": 100,
 }
-
-
-@dataclass
-class RunConfig:
-    """Merged options for one CLI invocation."""
-
-    command: str
-    options: dict
-
-    def __getitem__(self, key):
-        return self.options[key]
-
-    def get(self, key, default=None):
-        return self.options.get(key, default)
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -104,7 +95,8 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _merge_options(args: argparse.Namespace) -> RunConfig:
+def _merge_options(args: argparse.Namespace) -> dict:
+    """Each option's value: its flag, else the config file, else _DEFAULTS, else None."""
     file_cfg = {}
     if getattr(args, "config", None):
         try:
@@ -135,7 +127,7 @@ def _merge_options(args: argparse.Namespace) -> RunConfig:
             merged[key] = _DEFAULTS[key]
         else:
             merged[key] = None
-    return RunConfig(args.command, merged)
+    return merged
 
 
 def _parse_grid(spec) -> np.ndarray:
@@ -169,7 +161,7 @@ def _parse_grid(spec) -> np.ndarray:
     return values
 
 
-def _roles_from(cfg: RunConfig) -> ColumnRoles:
+def _roles_from(cfg: dict) -> ColumnRoles:
     for key in ("subject", "response", "fixed", "random"):
         if not cfg.get(key):
             raise ConfigurationError(f"missing required column mapping --{key}")
@@ -185,27 +177,26 @@ def _roles_from(cfg: RunConfig) -> ColumnRoles:
     })
 
 
-def _load_dataset(cfg: RunConfig):
+def _load_dataset(cfg: dict):
     roles = _roles_from(cfg)
     ds = ingest_long_csv(cfg["input"], roles)
-    if cfg.get("standardize"):
-        cat_names = [c.strip() for c in str(cfg.get("categorical") or "").split(",")
-                     if c.strip()]
+    if cfg["standardize"]:
+        cat_names = [c.strip() for c in str(cfg["categorical"]).split(",") if c.strip()]
         unknown = [c for c in cat_names if c not in ds.x_names]
         if unknown:
             raise ConfigurationError(f"categorical column(s) not in fixed set: {unknown}")
         ds = standardize(ds, categorical=[ds.x_names.index(c) for c in cat_names],
-                         scale_y=bool(cfg.get("scale_y", True)))
+                         scale_y=cfg["scale_y"])
     return ds
 
 
-def _ctrl_from(cfg: RunConfig) -> EmControl:
+def _ctrl_from(cfg: dict) -> EmControl:
     return EmControl(eps=float(cfg["eps"]), max_iter=int(cfg["max_iter"]),
                      pls_tol=float(cfg["pls_tol"]),
                      pls_max_sweeps=int(cfg["pls_max_sweeps"]))
 
 
-def _penalty_from(cfg: RunConfig):
+def _penalty_from(cfg: dict):
     family = cfg["penalty"]
     if family == "lasso":
         return PenaltySpec.lasso(0.0)
@@ -214,12 +205,18 @@ def _penalty_from(cfg: RunConfig):
     raise ConfigurationError(f"unknown penalty family {family!r}")
 
 
-def _resolve_grid(cfg: RunConfig, ds):
+def _resolve_grid(cfg: dict, ds):
     if cfg.get("grid_log"):
-        parts = str(cfg["grid_log"]).split(":")
-        if len(parts) != 2:
-            raise ConfigurationError("--grid-log must be num:ratio")
-        num, ratio = int(parts[0]), float(parts[1])
+        spec = cfg["grid_log"]
+        try:
+            num, ratio = spec.split(":")
+            num, ratio = int(num), float(ratio)
+        except ValueError:
+            raise ConfigurationError(f"--grid-log {spec!r} must be num:ratio") from None
+        if num < 1:
+            raise ConfigurationError("grid length must be >= 1")
+        if not 0.0 < ratio < np.inf:
+            raise ConfigurationError("--grid-log ratio must be finite and > 0")
         return auto_log_grid(ds, num=num, ratio=ratio,
                              lambda_scale=cfg["lambda_scale"])
     return _parse_grid(cfg["grid"])
@@ -230,7 +227,7 @@ def _resolve_grid(cfg: RunConfig, ds):
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(cfg: RunConfig) -> int:
+def cmd_fit(cfg: dict) -> int:
     if cfg.get("lam") is None:
         raise ConfigurationError("fit requires --lambda")
     ds = _load_dataset(cfg)
@@ -246,7 +243,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_select(cfg: RunConfig) -> int:
+def cmd_select(cfg: dict) -> int:
     ds = _load_dataset(cfg)
     grid = _resolve_grid(cfg, ds)
     res = select(ds, grid, penalty=_penalty_from(cfg), ctrl=_ctrl_from(cfg),
@@ -282,12 +279,9 @@ def cmd_select(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise ConfigurationError("simulate requires --seed")
-    d_choice = str(cfg.get("d_matrix") or "low")
-    if d_choice not in ("low", "high"):
-        raise ConfigurationError("--d-matrix must be 'low' or 'high'")
     kw = dict(n=int(cfg["n"]), n_i=int(cfg["n_i"]), seed=int(cfg["seed"]))
     scenario = int(cfg["scenario"])
     if scenario == 1:
@@ -296,7 +290,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         sc = ScenarioConfig.scenario2(**kw)
     elif scenario == 3:
         sc = ScenarioConfig.scenario3(p=int(cfg["p"]), p_star=int(cfg["p_star"]),
-                                      D_true=D_LOW if d_choice == "low" else D_HIGH,
+                                      D_true=D_LOW if cfg["d_matrix"] == "low" else D_HIGH,
                                       **kw)
     else:
         raise ConfigurationError("--scenario must be 1, 2, or 3")
@@ -319,7 +313,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cv(cfg: RunConfig) -> int:
+def cmd_cv(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise ConfigurationError("cv requires --seed")
     ds = _load_dataset(cfg)
@@ -334,7 +328,7 @@ def cmd_cv(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
+def cmd_reduce(cfg: dict) -> int:
     roles = _roles_from(cfg)
     ds = ingest_long_csv(cfg["input"], roles)
     _, report = remove_linear_combos(ds, rank_tol=float(cfg["rank_tol"]))
@@ -424,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo benchmark scenarios")
     _add_common_options(p)
     p.add_argument("--scenario", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--n-i", dest="n_i", type=int, default=5)
-    p.add_argument("--p", type=int, default=50, help="scenario 3 only")
-    p.add_argument("--p-star", dest="p_star", type=int, default=5,
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n-i", dest="n_i", type=int, default=None)
+    p.add_argument("--p", type=int, default=None, help="scenario 3 only")
+    p.add_argument("--p-star", dest="p_star", type=int, default=None,
                    help="scenario 3 only")
     p.add_argument("--d-matrix", dest="d_matrix", choices=("low", "high"),
                    default=None, help="scenario 3 covariance preset")
-    p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes for the replicates")
     p.add_argument("--seed", type=int, default=None)

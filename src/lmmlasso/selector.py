@@ -1,18 +1,16 @@
 """Penalty-level selection: grid sweep, information criteria, refit.
 
-The sweep fits the EM at every grid value (largest first, warm-starting
-each fit's beta from the previous solution) and scores each grid entry
-with BIC = -2 loglik + log(n) df, where df counts the entry's nonzero
-fixed effects plus q(q+1)/2 covariance parameters plus one for the
-residual variance, and n is the number of subjects.  The log-likelihood
-is evaluated at the unpenalized refit of the entry's support (cached by
-support), so the criterion compares model sizes free of shrinkage bias;
-scoring the shrunk estimates themselves systematically favors denser
-models and does not reproduce the benchmark selection rates.  The
-minimizer wins, ties breaking toward the larger penalty (the sparser
-model).
-
-bic_score / aic_score score a single fit from its own parameters.
+The sweep fits the EM at every grid value, largest first, initializing
+each fit from the previous solution's (beta, sigma2, D), and scores each
+grid entry with BIC = -2 loglik + log(n) df (or AIC = -2 loglik + 2 df),
+where df counts the entry's nonzero fixed effects plus q(q+1)/2
+covariance parameters plus one for the residual variance, and n is the
+number of subjects.  The log-likelihood is evaluated at the unpenalized
+refit of the entry's support (cached by support), so the criterion
+compares model sizes free of shrinkage bias; scoring the shrunk
+estimates themselves systematically favors denser models and does not
+reproduce the benchmark selection rates.  The minimizer wins, ties
+breaking toward the larger penalty (the sparser model).
 """
 
 from __future__ import annotations
@@ -29,16 +27,12 @@ from .penalized_ls import PenaltySpec
 __all__ = [
     "RegularizationPath",
     "SelectionResult",
-    "bic_score",
-    "aic_score",
     "sweep",
     "refit_support",
     "select",
     "default_grid",
     "auto_log_grid",
 ]
-
-_SIGMA2_INIT_FLOOR = 1e-12
 
 
 def default_grid(num: int = 100, low: float = 0.001, high: float = 0.5) -> np.ndarray:
@@ -65,20 +59,6 @@ def auto_log_grid(ds: LongitudinalDataset, num: int = 100, ratio: float = 1e-3,
 
 def _degrees_of_freedom(beta: np.ndarray, q: int) -> int:
     return int(np.count_nonzero(beta)) + q * (q + 1) // 2 + 1
-
-
-def bic_score(fit: FitReport, ds: LongitudinalDataset):
-    """(BIC, df) of a fit: -2 loglik + log(n) df, n the number of subjects."""
-    df = _degrees_of_freedom(fit.params.beta, ds.q)
-    loglik = observed_loglik(ds, fit.params)
-    return -2.0 * loglik + np.log(ds.n) * df, df
-
-
-def aic_score(fit: FitReport, ds: LongitudinalDataset):
-    """(AIC, df) of a fit: -2 loglik + 2 df."""
-    df = _degrees_of_freedom(fit.params.beta, ds.q)
-    loglik = observed_loglik(ds, fit.params)
-    return -2.0 * loglik + 2.0 * df, df
 
 
 @dataclass
@@ -186,16 +166,14 @@ def _as_penalty_template(penalty) -> PenaltySpec:
 
 def sweep(ds: LongitudinalDataset, grid, penalty="lasso",
           ctrl: EmControl | None = None, lambda_scale: str = "raw",
-          warm_start="beta", criterion: str = "bic") -> RegularizationPath:
+          criterion: str = "bic") -> RegularizationPath:
     """Fit the EM over a penalty grid and select by information criterion.
 
-    The grid is processed in decreasing order.  warm_start controls how
-    each fit is initialized from the previous (larger-penalty) solution:
-    "beta" (default) carries beta only, re-deriving sigma2 and D as in a
-    cold start; "full" carries beta, sigma2, and D, which converges in far
-    fewer iterations; False cold-starts every fit.  Individual fit
-    failures are recorded per entry and skipped by the selection; a sweep
-    where every entry failed raises.
+    The grid is processed in decreasing order; the first fit starts cold
+    and each later one starts from the last successful fit's (beta,
+    sigma2, D).  Each entry is scored by the criterion at the unpenalized
+    refit of its support.  Individual fit failures are recorded per entry
+    and skipped by the selection; a sweep where every entry failed raises.
     """
     grid = np.sort(np.asarray(grid, dtype=float))[::-1].copy()
     if grid.size == 0:
@@ -204,10 +182,6 @@ def sweep(ds: LongitudinalDataset, grid, penalty="lasso",
         raise ConfigurationError("sweep: grid values must be finite and >= 0")
     if criterion not in ("bic", "aic"):
         raise ConfigurationError(f"unknown criterion {criterion!r}")
-    if warm_start is True:
-        warm_start = "beta"
-    if warm_start not in ("beta", "full", False, None):
-        raise ConfigurationError("warm_start must be 'beta', 'full', or False")
     template = _as_penalty_template(penalty)
     ctrl = ctrl or EmControl()
 
@@ -223,16 +197,9 @@ def sweep(ds: LongitudinalDataset, grid, penalty="lasso",
     refit_cache: dict = {}
     prev = None
     for i, lam in enumerate(grid):
-        init = None
-        if prev is not None and warm_start == "beta":
-            resid = ds.y - ds.X @ prev.beta
-            sigma2_init = max(float(resid @ resid) / ds.N, _SIGMA2_INIT_FLOOR)
-            init = LmmParams(prev.beta, sigma2_init, np.eye(ds.q))
-        elif prev is not None and warm_start == "full":
-            init = prev
         try:
             fit = fit_em(ds, float(lam), template.with_lam(float(lam)),
-                         init=init, ctrl=ctrl, lambda_scale=lambda_scale)
+                         init=prev, ctrl=ctrl, lambda_scale=lambda_scale)
             support = tuple(int(j) for j in np.flatnonzero(fit.params.beta))
             if support not in refit_cache:
                 refit = refit_support(ds, support, ctrl=ctrl)
@@ -305,10 +272,10 @@ def refit_support(ds: LongitudinalDataset, support, ctrl: EmControl | None = Non
 
 def select(ds: LongitudinalDataset, grid, penalty="lasso",
            ctrl: EmControl | None = None, lambda_scale: str = "raw",
-           warm_start="beta", criterion: str = "bic") -> SelectionResult:
+           criterion: str = "bic") -> SelectionResult:
     """Sweep the grid, pick the optimal penalty, and report its refit."""
     path = sweep(ds, grid, penalty=penalty, ctrl=ctrl, lambda_scale=lambda_scale,
-                 warm_start=warm_start, criterion=criterion)
+                 criterion=criterion)
     support = tuple(int(j) for j in np.flatnonzero(path.selected_fit.params.beta))
     return SelectionResult(
         selected_lambda=path.selected_lambda,

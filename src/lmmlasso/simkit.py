@@ -227,12 +227,12 @@ class McSummary:
 
 
 def _run_replicate(args) -> ReplicateRecord:
-    (cfg, index, child_seed, grid, ctrl, lambda_scale, criterion, warm_start) = args
+    (cfg, index, child_seed, grid, ctrl, lambda_scale, criterion) = args
     rng = np.random.default_rng(child_seed)
     try:
         ds, truth = generate_scenario(cfg, rng)
         path = sweep(ds, grid, ctrl=ctrl, lambda_scale=lambda_scale,
-                     criterion=criterion, warm_start=warm_start)
+                     criterion=criterion)
     except LmmLassoError as e:
         return ReplicateRecord(index=index, failed=True, error=str(e))
 
@@ -270,8 +270,7 @@ def _run_replicate(args) -> ReplicateRecord:
 
 def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
                     ctrl: EmControl | None = None, lambda_scale: str = "per_obs",
-                    criterion: str = "bic", warm_start="full",
-                    n_jobs: int = 1) -> McSummary:
+                    criterion: str = "bic", n_jobs: int = 1) -> McSummary:
     """Run seeded replicates of generate -> sweep -> select and aggregate.
 
     Child seeds are spawned from cfg.seed per replicate, and records are
@@ -283,7 +282,7 @@ def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     ctrl = ctrl or EmControl()
     children = np.random.SeedSequence(cfg.seed).spawn(replicates)
-    tasks = [(cfg, r, children[r], grid, ctrl, lambda_scale, criterion, warm_start)
+    tasks = [(cfg, r, children[r], grid, ctrl, lambda_scale, criterion)
              for r in range(replicates)]
     if n_jobs <= 1:
         records = [_run_replicate(t) for t in tasks]
@@ -340,7 +339,7 @@ class FoldResult:
 
 def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty="lasso",
              ctrl: EmControl | None = None, lambda_scale: str = "per_obs",
-             criterion: str = "bic", warm_start="full", seed: int = 0):
+             criterion: str = "bic", seed: int = 0):
     """Subject-grouped k-fold cross-validation of the selection pipeline.
 
     Folds partition subjects, never rows.  Each fold runs selection and
@@ -361,8 +360,7 @@ def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty="lasso",
         train_idx = [i for i in range(ds.n) if i not in test_set]
         train_ds = ds.subset_subjects(train_idx)
         res = select(train_ds, grid, penalty=penalty, ctrl=ctrl,
-                     lambda_scale=lambda_scale, criterion=criterion,
-                     warm_start=warm_start)
+                     lambda_scale=lambda_scale, criterion=criterion)
         beta = res.refit.params.beta
         sse = 0.0
         n_obs = 0

@@ -311,6 +311,31 @@ def test_config_grid_list_and_typed_values(tmp_path, small_csv):
     assert "refit_original_scale" in selection
 
 
+def test_config_sets_simulate_design_options(tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"n": 12, "n_i": 3, "p": 8, "p_star": 2,
+                                  "d_matrix": "high", "replicates": 1}))
+    prefix = str(tmp_path / "sim")
+    rc = main(["simulate", "--scenario", "3", "--seed", "1", "--grid", "0.05,0.2",
+               "--config", str(config), "--output-prefix", prefix])
+    assert rc == 0
+    with open(f"{prefix}_summary.csv", newline="") as fh:
+        summary = dict(list(csv.reader(fh))[1:])
+    assert {k: summary[k] for k in ("n", "n_i", "p", "p_star", "replicates")} == {
+        "n": "12", "n_i": "3", "p": "8", "p_star": "2", "replicates": "1"}
+
+
+@pytest.mark.parametrize("spec", ["a:b", "10:0.1:3", "0:0.01", "10:0"])
+def test_malformed_grid_log_is_usage_error(tmp_path, small_csv, capsys, spec):
+    f, _ = small_csv
+    rc = main(["select", "--input", str(f), *DATA_FLAGS, "--grid-log", spec,
+               "--output-prefix", str(tmp_path / "g")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"]["type"] == "ConfigurationError"
+    assert list(tmp_path.iterdir()) == [f]
+
+
 def test_same_runconfig_byte_identical_outputs(tmp_path, small_csv):
     f, _ = small_csv
     a, b = str(tmp_path / "runA"), str(tmp_path / "runB")

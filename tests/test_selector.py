@@ -7,9 +7,7 @@ from lmmlasso.em_engine import EmControl, fit_em, observed_loglik
 from lmmlasso.exceptions import ConfigurationError, NumericalError
 from lmmlasso.selector import (
     _argmin_prefer_larger,
-    aic_score,
     auto_log_grid,
-    bic_score,
     default_grid,
     refit_support,
     select,
@@ -51,30 +49,35 @@ def small_dataset(seed=4, n=8, n_i=3, p=2):
     return LongitudinalDataset(blocks)
 
 
+def assert_scores_match_dense_oracle(ds, path):
+    """Each entry's BIC/AIC equals the dense-covariance loglik at its refit."""
+    blocks = [(b.y, b.X, b.Z) for b in ds.blocks]
+    for i, refit in enumerate(path.refit_fits):
+        prm = refit.params
+        ll = dense_marginal_loglik(blocks, prm.beta, prm.sigma2, prm.D)
+        assert path.bic[i] == pytest.approx(-2.0 * ll + np.log(ds.n) * path.df[i],
+                                            rel=1e-10)
+        assert path.aic[i] == pytest.approx(-2.0 * ll + 2.0 * path.df[i], rel=1e-10)
+
+
 def test_bic_df_counting():
     ds = small_dataset()
-    fit0 = fit_em(ds, 1e6)  # huge raw penalty: all-zero beta
-    assert np.all(fit0.params.beta == 0.0)
-    _, df0 = bic_score(fit0, ds)
-    assert df0 == 0 + 3 + 1
-
-    fit2 = fit_em(ds, 0.0)
-    nnz = int(np.count_nonzero(fit2.params.beta))
-    assert nnz == 2
-    _, df2 = bic_score(fit2, ds)
-    assert df2 == 2 + 3 + 1
+    path = sweep(ds, [0.0, 1e6])  # huge raw penalty: all-zero beta
+    assert path.nnz.tolist() == [0, 2]
+    assert path.df.tolist() == [0 + 3 + 1, 2 + 3 + 1]
+    assert_scores_match_dense_oracle(ds, path)
 
 
 def test_bic_against_dense_loglik_oracle():
     ds = small_dataset(seed=9)
-    fit = fit_em(ds, 0.0, ctrl=EmControl(eps=1e-10, max_iter=5000))
-    bic, df = bic_score(fit, ds)
-    ll = dense_marginal_loglik([(b.y, b.X, b.Z) for b in ds.blocks],
-                               fit.params.beta, fit.params.sigma2, fit.params.D)
-    assert df == ds.p + 3 + 1
-    assert bic == pytest.approx(-2.0 * ll + np.log(ds.n) * df, rel=1e-10)
-    aic, _ = aic_score(fit, ds)
-    assert aic == pytest.approx(-2.0 * ll + 2.0 * df, rel=1e-10)
+    res = select(ds, [0.0, 5.0, 1e6], ctrl=EmControl(eps=1e-10, max_iter=5000),
+                 criterion="aic")
+    path = res.path
+    assert path.df[-1] == ds.p + 3 + 1
+    assert len(set(path.nnz.tolist())) == 3
+    assert_scores_match_dense_oracle(ds, path)
+    assert path.selected_index == int(np.argmin(path.aic))
+    assert res.refit is path.refit_fits[path.selected_index]
 
 
 def test_default_grid_matches_convention():
@@ -119,8 +122,7 @@ def test_argmin_prefers_larger_lambda_on_ties():
 
 def test_sweep_tie_break_with_duplicate_grid_values():
     ds = small_dataset(seed=6)
-    # cold starts make the two fits bitwise identical, forcing a true tie
-    path = sweep(ds, [0.2, 0.2], lambda_scale="per_obs", warm_start=False)
+    path = sweep(ds, [0.2, 0.2], lambda_scale="per_obs")
     assert path.bic[0] == path.bic[1]
     assert path.selected_index == 0
 
@@ -128,12 +130,16 @@ def test_sweep_tie_break_with_duplicate_grid_values():
 def test_warm_and_cold_sweeps_agree():
     ds = scenario1_like(31, n=20, n_i=4)
     grid = np.linspace(0.01, 0.4, 15)
-    warm = sweep(ds, grid, lambda_scale="per_obs", warm_start=True)
-    cold = sweep(ds, grid, lambda_scale="per_obs", warm_start=False)
-    assert warm.selected_index == cold.selected_index
-    w_support = np.flatnonzero(warm.selected_fit.params.beta)
-    c_support = np.flatnonzero(cold.selected_fit.params.beta)
-    np.testing.assert_array_equal(w_support, c_support)
+    warm = sweep(ds, grid, lambda_scale="per_obs")
+    bic = np.empty(grid.size)
+    for i, lam in enumerate(warm.grid):
+        cold = fit_em(ds, float(lam), lambda_scale="per_obs")
+        support = np.flatnonzero(cold.params.beta)
+        np.testing.assert_array_equal(np.flatnonzero(warm.fits[i].params.beta), support)
+        refit = refit_support(ds, support)
+        df = support.size + 3 + 1
+        bic[i] = -2.0 * observed_loglik(ds, refit.params) + np.log(ds.n) * df
+    assert warm.selected_index == _argmin_prefer_larger(bic, np.ones(grid.size, bool))
 
 
 def test_support_empty_at_large_grid_top():
