@@ -10,7 +10,8 @@ byte for byte.  A config file's keys are the subcommand's option names
 as argparse stores them (--max-iter as max_iter, --lambda as lam,
 --no-scale-y as scale_y); each value is checked like the flag's
 argument, and an unknown key or an ill-typed value is a configuration
-error.
+error.  Required options are checked after the merge, so a config file
+can supply them too.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 numerical.
 """
@@ -96,7 +97,10 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    """Each option's value: its flag, else the config file, else _DEFAULTS, else None."""
+    """Each option's value: its flag, else the config file, else _DEFAULTS, else None.
+
+    An option in args.required that ends up None (or empty) is an error.
+    """
     file_cfg = {}
     if getattr(args, "config", None):
         try:
@@ -127,6 +131,11 @@ def _merge_options(args: argparse.Namespace) -> dict:
             merged[key] = _DEFAULTS[key]
         else:
             merged[key] = None
+    missing = [args.options[key].option_strings[0] for key in args.required
+               if merged[key] in (None, "")]
+    if missing:
+        raise ConfigurationError(f"{args.command} requires {', '.join(missing)} "
+                                 "(as a flag or a --config key)")
     return merged
 
 
@@ -162,9 +171,6 @@ def _parse_grid(spec) -> np.ndarray:
 
 
 def _roles_from(cfg: dict) -> ColumnRoles:
-    for key in ("subject", "response", "fixed", "random"):
-        if not cfg.get(key):
-            raise ConfigurationError(f"missing required column mapping --{key}")
     fixed = [c.strip() for c in str(cfg["fixed"]).split(",") if c.strip()]
     random = str(cfg["random"])
     if random.startswith("intercept+"):
@@ -228,8 +234,6 @@ def _resolve_grid(cfg: dict, ds):
 
 
 def cmd_fit(cfg: dict) -> int:
-    if cfg.get("lam") is None:
-        raise ConfigurationError("fit requires --lambda")
     ds = _load_dataset(cfg)
     rep = fit_em(ds, float(cfg["lam"]), penalty=_penalty_from(cfg),
                  ctrl=_ctrl_from(cfg), lambda_scale=cfg["lambda_scale"])
@@ -280,8 +284,6 @@ def cmd_select(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    if cfg.get("seed") is None:
-        raise ConfigurationError("simulate requires --seed")
     kw = dict(n=int(cfg["n"]), n_i=int(cfg["n_i"]), seed=int(cfg["seed"]))
     scenario = int(cfg["scenario"])
     if scenario == 1:
@@ -314,8 +316,6 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_cv(cfg: dict) -> int:
-    if cfg.get("seed") is None:
-        raise ConfigurationError("cv requires --seed")
     ds = _load_dataset(cfg)
     results = kfold_cv(ds, int(cfg["k"]), grid=_resolve_grid(cfg, ds),
                        penalty=_penalty_from(cfg), ctrl=_ctrl_from(cfg),
@@ -356,8 +356,11 @@ def cmd_reduce(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+_DATA_KEYS = ("input", "subject", "response", "fixed", "random")
+
+
 def _add_data_options(p: argparse.ArgumentParser):
-    p.add_argument("--input", required=True, help="long-format CSV with header")
+    p.add_argument("--input", help="long-format CSV with header")
     p.add_argument("--subject", help="subject-id column")
     p.add_argument("--response", help="response column")
     p.add_argument("--fixed", help="comma-separated fixed-effect columns")
@@ -400,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p)
     _add_standardize_options(p)
     _add_common_options(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--output", required=True, help="fit report JSON")
-    p.set_defaults(func=cmd_fit)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--output", help="fit report JSON")
+    p.set_defaults(func=cmd_fit, required=_DATA_KEYS + ("lam", "output"))
 
     p = sub.add_parser("select", help="sweep a grid, pick lambda by BIC, refit")
     _add_data_options(p)
@@ -412,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start:stop:num (linear) or comma-separated values")
     p.add_argument("--grid-log", dest="grid_log", default=None,
                    help="num:ratio log grid anchored at the data lambda_max")
-    p.add_argument("--output-prefix", dest="output_prefix", required=True)
-    p.set_defaults(func=cmd_select)
+    p.add_argument("--output-prefix", dest="output_prefix")
+    p.set_defaults(func=cmd_select, required=_DATA_KEYS + ("output_prefix",))
 
     p = sub.add_parser("simulate", help="Monte Carlo benchmark scenarios")
     _add_common_options(p)
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--scenario", type=int, choices=(1, 2, 3))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-i", dest="n_i", type=int, default=None)
     p.add_argument("--p", type=int, default=None, help="scenario 3 only")
@@ -430,29 +433,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the replicates")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", default=None)
-    p.add_argument("--output-prefix", dest="output_prefix", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--output-prefix", dest="output_prefix")
+    p.set_defaults(func=cmd_simulate, required=("scenario", "seed", "output_prefix"))
 
     p = sub.add_parser("cv", help="subject-grouped k-fold cross-validation")
     _add_data_options(p)
     _add_standardize_options(p)
     _add_common_options(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", default=None)
     p.add_argument("--grid-log", dest="grid_log", default=None)
-    p.add_argument("--output", required=True, help="per-fold CSV")
-    p.set_defaults(func=cmd_cv)
+    p.add_argument("--output", help="per-fold CSV")
+    p.set_defaults(func=cmd_cv, required=_DATA_KEYS + ("k", "seed", "output"))
 
     p = sub.add_parser("reduce", help="drop linearly dependent fixed-effect columns")
     _add_data_options(p)
     p.add_argument("--config", help="JSON config file (flags take precedence)")
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
-    p.add_argument("--output", required=True, help="reduced CSV")
-    p.add_argument("--report", required=True, help="reduction report JSON")
-    p.set_defaults(func=cmd_reduce)
+    p.add_argument("--output", help="reduced CSV")
+    p.add_argument("--report", help="reduction report JSON")
+    p.set_defaults(func=cmd_reduce, required=_DATA_KEYS + ("output", "report"))
 
-    # the options a --config file may set, by key (argparse dest)
+    # the options a --config file may set, by key (argparse dest); each
+    # subcommand's required keys are checked after the merge (_merge_options)
     for p in sub.choices.values():
         p.set_defaults(options={a.dest: a for a in p._actions
                                 if a.dest not in ("help", "config")})

@@ -212,7 +212,8 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
 
     Rows are grouped by the subject column preserving within-subject file
     order; subjects are ordered by first appearance.  No standardization
-    is applied.
+    is applied.  A column given a role must appear exactly once in the
+    header.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -226,6 +227,8 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
         for name in needed:
             if name not in col_index:
                 raise ConfigurationError(f"{path}: column {name!r} not found in header")
+            if header.count(name) > 1:
+                raise DataError(f"{path}: column {name!r} appears more than once in header")
 
         sub_i = col_index[roles.subject]
         numeric_cols = [col_index[c] for c in needed[1:]]

@@ -12,6 +12,13 @@ effective level 2 * lam * sigma2, then closed-form sigma2 and D.  The
 objective that ascends is the penalized observed-data log-likelihood
 loglik(beta, sigma2, D) - lam * penalty(beta).
 
+The E-step conditions every subject through one q x q positive definite
+matrix, K_i = sigma2 I + S Z_i'Z_i S with S the symmetric square root of
+D, for any positive semidefinite D (no D^-1 is formed).  The same
+inverse and log determinant of K_i give the marginal log-likelihood, so
+e_step returns it with the moments and each EM iteration factors the
+subjects once.
+
 The beta M-step takes one of three routes (_solve_beta):
 
 - No l1 term (lam = 0, as in every unpenalized refit, or the ridge
@@ -33,8 +40,8 @@ The beta M-step takes one of three routes (_solve_beta):
   note in FitReport.warnings.
 
 Per-subject computations use the q x q cross products cached on the
-dataset, so one EM iteration touches the N-row data only through a
-single design-matrix product.
+dataset, so one EM iteration touches the N-row data only through
+design-matrix products.
 """
 
 from __future__ import annotations
@@ -59,7 +66,6 @@ __all__ = [
     "fit_em",
 ]
 
-_D_COND_LIMIT = 1e12     # switch to the inversion-free Lambda form beyond this
 _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
 _SIGMA2_FLOOR = 1e-12
 _ABS_STOP = 1e-10        # absolute stopping rule, guards near-zero loglik
@@ -103,13 +109,15 @@ class LmmParams:
 class EStepMoments:
     """Conditional random-effect moments, one row per subject.
 
-    b_hat[i] is E[b_i | y_i], Lambda[i] is Cov[b_i | y_i], and y_tilde is
-    the stacked y - Z b_hat.
+    b_hat[i] is E[b_i | y_i], Lambda[i] is Cov[b_i | y_i], y_tilde is the
+    stacked y - Z b_hat, and loglik is the marginal log-likelihood at the
+    parameters the moments were computed at.
     """
 
     b_hat: np.ndarray   # (n, q)
     Lambda: np.ndarray  # (n, q, q)
     y_tilde: np.ndarray  # (N,)
+    loglik: float = float("nan")
 
 
 @dataclass
@@ -165,129 +173,82 @@ class FitReport:
         return out
 
 
-def _psd_sqrt(D: np.ndarray, eig=None) -> np.ndarray:
+def _psd_sqrt(D: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root, clipping tiny negative eigenvalues."""
-    w, V = np.linalg.eigh(D) if eig is None else eig
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
+    w, V = np.linalg.eigh(D)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def _guard_params(params: LmmParams):
-    """Clamp D eigenvalues and sigma2 away from zero before an E-step.
-
-    Returns (guarded params, eigendecomposition of the guarded D, changed)
-    so the EM loop factors D only once per iteration and can reuse the
-    factorization whenever no clamping occurred.
-    """
+def _guard_params(params: LmmParams) -> LmmParams:
+    """Clamp D's eigenvalues and sigma2 away from zero before an E-step."""
     D = 0.5 * (params.D + params.D.T)
     w, V = np.linalg.eigh(D)
-    changed = False
     if w.min() < _D_EIG_FLOOR:
-        w = np.clip(w, _D_EIG_FLOOR, None)
-        D = (V * w) @ V.T
-        changed = True
-    sigma2 = params.sigma2
-    if sigma2 < _SIGMA2_FLOOR:
-        sigma2 = _SIGMA2_FLOOR
-        changed = True
-    return LmmParams(params.beta, sigma2, D), (w, V), changed
+        D = (V * np.clip(w, _D_EIG_FLOOR, None)) @ V.T
+    return LmmParams(params.beta, max(params.sigma2, _SIGMA2_FLOOR), D)
 
 
-def _batched_spd_inv(K: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of small SPD matrices.
+def _spd_inv_logdet(K: np.ndarray):
+    """Inverses and log determinants of a stack of small SPD matrices.
 
     Closed forms for the 1x1 and 2x2 cases avoid per-call LAPACK dispatch
-    in the EM hot loop; larger blocks fall back to numpy.
+    in the EM hot loop (numpy's batched inv and slogdet are several times
+    slower on 2x2 stacks, see ROADMAP item 4); larger blocks fall back to
+    numpy.  Raises NumericalError unless every block is positive definite.
     """
     q = K.shape[-1]
-    if q == 1:
-        return 1.0 / K
-    if q == 2:
-        a = K[:, 0, 0]
-        b = K[:, 0, 1]
-        c = K[:, 1, 1]
-        det = a * c - b * b
-        if np.any(det <= 0.0) or np.any(a <= 0.0):
-            raise np.linalg.LinAlgError("2x2 block not positive definite")
-        out = np.empty_like(K)
-        out[:, 0, 0] = c
-        out[:, 1, 1] = a
-        out[:, 0, 1] = -b
-        out[:, 1, 0] = -b
-        out /= det[:, None, None]
-        return out
-    return np.linalg.inv(K)
-
-
-def _batched_spd_logdet(K: np.ndarray) -> np.ndarray:
-    """log det of a stack of small SPD matrices (raises when not PD)."""
-    q = K.shape[-1]
-    if q == 1:
-        d = K[:, 0, 0]
-        if np.any(d <= 0.0):
-            raise NumericalError("subject covariance is not positive definite")
-        return np.log(d)
-    if q == 2:
-        a = K[:, 0, 0]
-        det = a * K[:, 1, 1] - K[:, 0, 1] * K[:, 1, 0]
-        if np.any(det <= 0.0) or np.any(a <= 0.0):
-            raise NumericalError("subject covariance is not positive definite")
-        return np.log(det)
-    sign, logdet = np.linalg.slogdet(K)
-    if np.any(sign <= 0):
+    if q > 2:
+        sign, logdet = np.linalg.slogdet(K)
+        pd = sign > 0.0
+    else:
+        det = K[:, 0, 0] if q == 1 else K[:, 0, 0] * K[:, 1, 1] - K[:, 0, 1] ** 2
+        pd = (K[:, 0, 0] > 0.0) & (det > 0.0)
+    if not np.all(pd):
         raise NumericalError("subject covariance is not positive definite")
-    return logdet
+    if q > 2:
+        return np.linalg.inv(K), logdet
+    if q == 1:
+        return 1.0 / K, np.log(det)
+    inv = np.empty_like(K)
+    inv[:, 0, 0], inv[:, 1, 1] = K[:, 1, 1], K[:, 0, 0]
+    inv[:, 0, 1] = inv[:, 1, 0] = -K[:, 0, 1]
+    inv /= det[:, None, None]
+    return inv, np.log(det)
 
 
-def e_step(ds: LongitudinalDataset, params: LmmParams,
-           _d_eig=None, _validate: bool = True) -> EStepMoments:
-    """Conditional moments of the random effects at the given parameters.
+def e_step(ds: LongitudinalDataset, params: LmmParams) -> EStepMoments:
+    """Conditional random-effect moments and the marginal log-likelihood.
 
-    Lambda_i = (D^-1 + Z_i'Z_i / sigma2)^-1 and
-    b_hat_i = Lambda_i Z_i'(y_i - X_i beta) / sigma2.  When D is close to
-    singular the algebraically equivalent form
-    Lambda_i = D - D Z_i' (Z_i D Z_i' + sigma2 I)^-1 Z_i D is used, which
-    needs no D^-1.
+    With S the symmetric square root of D, r_i = y_i - X_i beta and the
+    q x q matrix K_i = sigma2 I + S Z_i'Z_i S (positive definite for any
+    PSD D):
 
-    _d_eig and _validate are internal fast-path hooks used by fit_em,
-    which guards and factors D once per iteration.
+        Lambda_i = sigma2 S K_i^-1 S    (= (D^-1 + Z_i'Z_i / sigma2)^-1),
+        b_hat_i  = S K_i^-1 S Z_i'r_i.
+
+    The same K_i gives the marginal density of y_i, whose covariance is
+    V_i = Z_i D Z_i' + sigma2 I: log det V_i = (n_i - q) log sigma2 +
+    log det K_i, and r_i'V_i^-1 r_i = (r_i'r_i - w_i'K_i^-1 w_i) / sigma2
+    with w_i = S Z_i'r_i.  No D^-1 is formed, so a singular D needs no
+    special case.
     """
-    if _validate:
-        params.validate()
+    params.validate()
     ztz, ztx, zty = ds.block_moments
     sigma2 = params.sigma2
-    D = params.D
+    S = _psd_sqrt(params.D)
+    Kinv, logdet_K = _spd_inv_logdet(sigma2 * np.eye(ds.q) + S @ ztz @ S)
 
-    u = zty - ztx @ params.beta  # (n, q): Z_i'(y_i - X_i beta)
-
-    w, V = np.linalg.eigh(D) if _d_eig is None else _d_eig
-    well_conditioned = w.min() > 0.0 and w.max() <= _D_COND_LIMIT * w.min()
-    try:
-        if well_conditioned:
-            d_inv = (V / w) @ V.T
-            M = d_inv[None, :, :] + ztz / sigma2
-            Lambda = _batched_spd_inv(M)
-            b_hat = np.einsum("nij,nj->ni", Lambda, u) / sigma2
-        else:
-            S = _psd_sqrt(D, eig=(w, V))
-            A = np.einsum("ij,njk,kl->nil", S, ztz, S)  # S Z'Z S
-            K = sigma2 * np.eye(ds.q)[None, :, :] + A
-            Kinv = _batched_spd_inv(K)
-            DZtZ = np.einsum("ij,njk->nik", D, ztz)
-            DZtZS = DZtZ @ S
-            Lambda = D[None, :, :] - (
-                np.einsum("nij,jk->nik", DZtZ, D)
-                - np.einsum("nij,njk,nkl->nil", DZtZS, Kinv,
-                            np.transpose(DZtZS, (0, 2, 1)))
-            ) / sigma2
-            Du = u @ D  # (n, q): D Z_i' r_i
-            Su = u @ S
-            b_hat = (Du - np.einsum("nij,njk,nk->ni", DZtZS, Kinv, Su)) / sigma2
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"E-step failed to invert conditional covariance: {e}") from e
-
+    w = (zty - ztx @ params.beta) @ S   # (n, q): S Z_i'r_i, since S is symmetric
+    Kinv_w = np.einsum("nij,nj->ni", Kinv, w)
+    b_hat = Kinv_w @ S
+    Lambda = sigma2 * (S @ Kinv @ S)
     y_tilde = ds.y - np.einsum("nq,nq->n", ds.Z, np.repeat(b_hat, ds.counts, axis=0))
-    return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde)
+
+    r = ds.y - ds.X @ params.beta
+    quad = (np.add.reduceat(r * r, ds.starts) - np.einsum("nq,nq->n", w, Kinv_w)) / sigma2
+    logdet = (ds.counts - ds.q) * np.log(sigma2) + logdet_K
+    loglik = -0.5 * float(np.sum(ds.counts * np.log(2.0 * np.pi) + logdet + quad))
+    return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde, loglik=loglik)
 
 
 def _gram_is_pd(w: np.ndarray) -> bool:
@@ -393,36 +354,13 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParam
     return (params, sol) if return_pls else params
 
 
-def observed_loglik(ds: LongitudinalDataset, params: LmmParams,
-                    _d_eig=None, _validate: bool = True) -> float:
+def observed_loglik(ds: LongitudinalDataset, params: LmmParams) -> float:
     """Marginal log-likelihood with per-subject covariance Z D Z' + sigma2 I.
 
-    Each subject's determinant and quadratic form are reduced to the q x q
-    symmetric positive definite matrix sigma2 I + S Z'Z S (S the symmetric
-    square root of D), factored per subject.
+    Computed by e_step, which conditions each subject on the same q x q
+    factorization.
     """
-    if _validate:
-        params.validate()
-    ztz, ztx, zty = ds.block_moments
-    sigma2 = params.sigma2
-    q = ds.q
-
-    S = _psd_sqrt(params.D, eig=_d_eig)
-    K = sigma2 * np.eye(q)[None, :, :] + np.einsum("ij,njk,kl->nil", S, ztz, S)
-    logdet_K = _batched_spd_logdet(K)
-
-    r = ds.y - ds.X @ params.beta
-    rss = np.add.reduceat(r * r, ds.starts)
-    u = zty - ztx @ params.beta       # Z_i' r_i
-    w = u @ S                         # (S Z_i' r_i), since S is symmetric
-    try:
-        Kinv_w = np.einsum("nij,nj->ni", _batched_spd_inv(K), w)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"failed to factor subject covariance: {e}") from e
-    quad = (rss - np.einsum("nq,nq->n", w, Kinv_w)) / sigma2
-
-    logdet = (ds.counts - q) * np.log(sigma2) + logdet_K
-    return float(-0.5 * np.sum(ds.counts * np.log(2.0 * np.pi) + logdet + quad))
+    return e_step(ds, params).loglik
 
 
 def penalized_loglik(ds: LongitudinalDataset, params: LmmParams, lam: float,
@@ -443,6 +381,11 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     ctrl.eps, with an absolute fallback of 1e-10 where the ratio rule is
     ill-conditioned near zero.  When the penalty has no l1 term, X'X is
     factored once here and serves the initial and every M-step solve.
+
+    Each iteration guards the parameters (_guard_params), runs one E-step,
+    which also gives the trace entry for the stopping rule, and then an
+    M-step.  The returned params and final_loglik are the last guarded
+    iterate.
     """
     penalty = PenaltySpec.lasso(lam) if penalty is None else penalty
     ctrl = ctrl or EmControl()
@@ -461,42 +404,33 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     if init is None:
         beta0, _ = _solve_beta(ds.X, ds.y, penalty, lam_raw, ctrl, gram, gram_eig)
         resid0 = ds.y - ds.X @ beta0
-        sigma2_0 = max(float(resid0 @ resid0) / ds.N, _SIGMA2_FLOOR)
-        params = LmmParams(beta0, sigma2_0, np.eye(ds.q))
+        params = LmmParams(beta0, float(resid0 @ resid0) / ds.N, np.eye(ds.q))
     else:
         if init.beta.shape != (ds.p,) or init.D.shape != (ds.q, ds.q):
             raise ConfigurationError("fit_em: init has wrong shapes for this dataset")
         params = LmmParams(init.beta.copy(), init.sigma2, init.D.copy())
 
-    guarded, d_eig, _ = _guard_params(params)
-    lp = penalized_loglik(ds, guarded, lam_raw, penalty)
+    params = _guard_params(params)
+    moments = e_step(ds, params)
+    lp = moments.loglik - lam_raw * penalty_value(penalty, params.beta)
     trace = [lp]
     converged = False
     iterations = 0
-    loglik = None
-    for it in range(1, ctrl.max_iter + 1):
-        iterations = it
+    while iterations < ctrl.max_iter and not converged:
+        iterations += 1
         try:
-            moments = e_step(ds, guarded, _d_eig=d_eig, _validate=False)
-            params_new, sol = m_step(ds, moments, guarded, lam_raw, penalty,
-                                     ctrl, gram=gram, gram_eig=gram_eig,
-                                     return_pls=True)
+            params, sol = m_step(ds, moments, params, lam_raw, penalty, ctrl,
+                                 gram=gram, gram_eig=gram_eig, return_pls=True)
+            params = _guard_params(params)
+            moments = e_step(ds, params)
         except NumericalError as e:
-            raise NumericalError(f"fit_em: iteration {it}: {e}") from e
+            raise NumericalError(f"fit_em: iteration {iterations}: {e}") from e
         if sol is not None and not sol.converged:
-            notes.append(f"iteration {it}: coordinate descent hit its sweep budget")
-        params_new.sigma2 = max(params_new.sigma2, _SIGMA2_FLOOR)
-        guarded, d_eig, guard_changed = _guard_params(params_new)
-        loglik = observed_loglik(ds, params_new, _validate=False,
-                                 _d_eig=None if guard_changed else d_eig)
-        lp_new = loglik - lam_raw * penalty_value(penalty, params_new.beta)
+            notes.append(f"iteration {iterations}: coordinate descent hit its sweep budget")
+        lp_new = moments.loglik - lam_raw * penalty_value(penalty, params.beta)
         trace.append(lp_new)
-        params = params_new
         ratio_ok = lp != 0.0 and abs(lp_new / lp - 1.0) < ctrl.eps
-        if ratio_ok or abs(lp_new - lp) < ctrl.abs_eps:
-            converged = True
-            lp = lp_new
-            break
+        converged = ratio_ok or abs(lp_new - lp) < ctrl.abs_eps
         lp = lp_new
 
     return FitReport(
@@ -504,7 +438,7 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
         iterations=iterations,
         converged=converged,
         penalized_loglik_trace=np.asarray(trace),
-        final_loglik=float(loglik) if loglik is not None else float("nan"),
+        final_loglik=moments.loglik,
         lam=float(lam),
         lambda_scale=lambda_scale,
         warnings=notes,

@@ -325,6 +325,50 @@ def test_config_sets_simulate_design_options(tmp_path):
         "n": "12", "n_i": "3", "p": "8", "p_star": "2", "replicates": "1"}
 
 
+def test_config_supplies_required_options(tmp_path, small_csv, capsys):
+    f, _ = small_csv
+    out = tmp_path / "fit.json"
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"input": str(f), "lam": 0.1, "output": str(out)}))
+    rc = main(["fit", *DATA_FLAGS, "--config", str(config)])
+    assert rc == 0
+    assert json.loads(out.read_text())["lambda"] == 0.1
+    assert "fit:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, argv, missing", [
+    ("fit", ["--lambda", "0.1"], ["--input", "--output"]),
+    ("select", [], ["--input", "--output-prefix"]),
+    ("simulate", ["--seed", "1"], ["--scenario", "--output-prefix"]),
+    ("cv", ["--seed", "1", *DATA_FLAGS], ["--input", "--k", "--output"]),
+    ("reduce", ["--output", "r.csv"], ["--input", "--report"]),
+], ids=["fit", "select", "simulate", "cv", "reduce"])
+def test_required_option_missing_from_flags_and_config(tmp_path, capsys, command,
+                                                       argv, missing):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"subject": "id"} if command != "simulate" else {}))
+    rc = main([command, *argv, "--config", str(config)])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError"
+    assert all(flag in error["message"] for flag in missing)
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_duplicate_role_column_is_data_error(tmp_path, capsys):
+    f = tmp_path / "dup.csv"
+    f.write_text("id,y,x,x,t\n" + "".join(
+        f"s{i},{i % 3}.5,{i}.0,{(7 * i) % 5}.0,{i % 4}\n" for i in range(12)))
+    out = tmp_path / "fit.json"
+    rc = main(["fit", "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", "x", "--random", "1,t", "--lambda", "0",
+               "--output", str(out)])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError" and "'x'" in error["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["a:b", "10:0.1:3", "0:0.01", "10:0"])
 def test_malformed_grid_log_is_usage_error(tmp_path, small_csv, capsys, spec):
     f, _ = small_csv

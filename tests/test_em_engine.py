@@ -17,7 +17,13 @@ from lmmlasso.em_engine import (
     penalized_loglik,
 )
 from lmmlasso.exceptions import NumericalError
-from lmmlasso.penalized_ls import PenaltySpec, kkt_check, lambda_max, solve_pls
+from lmmlasso.penalized_ls import (
+    PenaltySpec,
+    kkt_check,
+    lambda_max,
+    penalty_value,
+    solve_pls,
+)
 from lmmlasso.selector import refit_support
 
 from oracles import (
@@ -107,19 +113,27 @@ def test_e_step_matches_dense_conditioning_oracle():
         np.testing.assert_allclose(mom.y_tilde, y - Z @ b_ref, atol=1e-10)
 
 
-def test_e_step_inversion_free_route_for_near_singular_D():
+SINGULAR_DS = [np.outer([1.0, 0.5], [1.0, 0.5]) + 1e-14 * np.eye(2),  # cond ~ 1e14
+               np.outer([1.0, 0.5], [1.0, 0.5]),                      # rank one
+               np.zeros((2, 2))]
+
+
+@pytest.mark.parametrize("D", SINGULAR_DS, ids=["cond_1e14", "rank_one", "zero"])
+def test_e_step_inversion_free_route_for_near_singular_D(D):
     rng = np.random.default_rng(7)
-    v = np.array([1.0, 0.5])
-    D = np.outer(v, v) + 1e-14 * np.eye(2)  # condition number ~ 1e14
     beta = rng.normal(size=2)
     X = rng.normal(size=(3, 2))
     Z = rng.normal(size=(3, 2))
     y = rng.normal(size=3)
     ds = LongitudinalDataset([SubjectBlock(0, y, X, Z)])
-    mom = e_step(ds, LmmParams(beta, 1.0, D))
+    params = LmmParams(beta, 1.0, D)
+    mom = e_step(ds, params)
     b_ref, cov_ref = conditional_moments_dense(y, X, Z, beta, 1.0, D)
     np.testing.assert_allclose(mom.b_hat[0], b_ref, atol=1e-10)
     np.testing.assert_allclose(mom.Lambda[0], cov_ref, atol=1e-10)
+    ref = dense_marginal_loglik([(y, X, Z)], beta, 1.0, D)
+    np.testing.assert_allclose(observed_loglik(ds, params), ref, rtol=1e-12)
+    assert mom.loglik == observed_loglik(ds, params)
 
 
 def test_e_step_and_loglik_with_three_random_effects():
@@ -154,6 +168,48 @@ def test_e_step_rejects_invalid_params():
         e_step(ds, LmmParams(np.zeros(3), -1.0, D_UNIT))
     with pytest.raises(NumericalError):
         e_step(ds, LmmParams(np.zeros(3), 1.0, np.array([[1.0, 0.5], [0.0, 1.0]])))
+
+
+@st.composite
+def _small_lmms(draw):
+    """A small mixed-model dataset, parameters with a PSD D of any rank, and lam.
+
+    Subjects have 1 to 4 observations, so single-observation subjects with
+    q >= 2 are common; N exceeds p + 1 so the M-step's sigma2 stays positive.
+    """
+    q = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    counts[0] += max(0, p + 2 - sum(counts))
+    rank = draw(st.integers(0, q))
+    sigma2 = draw(st.floats(0.2, 3.0))
+    lam = draw(st.sampled_from([0.0, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(q, rank))
+    D = A @ A.T
+    blocks = [SubjectBlock(i, rng.normal(size=c), rng.normal(size=(c, p)),
+                           rng.normal(size=(c, q))) for i, c in enumerate(counts)]
+    params = LmmParams(rng.normal(size=p), sigma2, 0.5 * (D + D.T))
+    return LongitudinalDataset(blocks), params, lam
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_small_lmms())
+def test_e_step_matches_dense_oracles_and_em_step_ascends(problem):
+    ds, params, lam = problem
+    mom = e_step(ds, params)
+    for i, b in enumerate(ds.blocks):
+        b_ref, cov_ref = conditional_moments_dense(b.y, b.X, b.Z, params.beta,
+                                                   params.sigma2, params.D)
+        np.testing.assert_allclose(mom.b_hat[i], b_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(mom.Lambda[i], cov_ref, rtol=0, atol=1e-9)
+    ref = dense_marginal_loglik(as_triples(ds), params.beta, params.sigma2, params.D)
+    assert mom.loglik == pytest.approx(ref, rel=0, abs=1e-9)
+
+    pen = PenaltySpec.lasso(0.0)
+    before = mom.loglik - lam * penalty_value(pen, params.beta)
+    after = penalized_loglik(ds, m_step(ds, mom, params, lam, pen), lam, pen)
+    assert after >= before - 1e-9 * (1.0 + abs(before))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +349,20 @@ def test_fit_em_score_equations_at_unpenalized_optimum():
         dn[k] -= h
         grad[k] = (loglik_at(up) - loglik_at(dn)) / (2.0 * h)
     assert np.all(np.abs(grad) <= 1e-4)
+
+
+def test_fit_em_from_singular_D_returns_the_guarded_iterate():
+    ds = simulate_lmm(47, n=15, n_i=4)
+    pen = PenaltySpec.lasso(0.0)
+    lam = 10.0
+    init = LmmParams(np.zeros(3), 1.0, np.outer([1.0, 0.5], [1.0, 0.5]))
+    rep = fit_em(ds, lam, pen, init=init, ctrl=EmControl(max_iter=40))
+    rep.params.validate()
+    assert np.linalg.eigvalsh(rep.params.D).min() >= 1e-10
+    assert rep.final_loglik == pytest.approx(observed_loglik(ds, rep.params), rel=1e-12)
+    last = rep.final_loglik - lam * penalty_value(pen, rep.params.beta)
+    assert rep.penalized_loglik_trace[-1] == last
+    assert rep.worst_trace_decrease() <= 1e-8
 
 
 def test_fit_em_warm_init_reaches_same_solution():
