@@ -1,7 +1,8 @@
 """Grouped longitudinal data: ingestion, standardization, rank screening.
 
-A dataset is an ordered collection of per-subject blocks (y_i, X_i, Z_i)
-sharing the fixed-effect dimension p and random-effect dimension q.
+A dataset is held as stacked arrays: the response y and the designs X
+(p fixed-effect columns) and Z (q random-effect columns), rows grouped
+by subject, with per-subject cross products computed by grouped sums.
 Values are immutable after construction, so datasets can be shared
 read-only across concurrent fits.
 """
@@ -9,6 +10,7 @@ read-only across concurrent fits.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +31,19 @@ __all__ = [
 ]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _frozen(a, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True)
 class SubjectBlock:
-    """One subject's response, fixed-effect design, and random-effect design."""
+    """One subject's response, fixed-effect design, and random-effect design.
+
+    The constructor's input format and the type of LongitudinalDataset.blocks;
+    the dataset checks that the values are finite.
+    """
 
     subject_id: object
     y: np.ndarray
@@ -52,9 +58,6 @@ class SubjectBlock:
             raise DataError(f"subject {self.subject_id!r}: y must be a nonempty vector")
         if X.shape[0] != y.shape[0] or Z.shape[0] != y.shape[0]:
             raise DataError(f"subject {self.subject_id!r}: row counts of y, X, Z differ")
-        for name, arr in (("y", y), ("X", X), ("Z", Z)):
-            if arr.size and not np.isfinite(arr).all():
-                raise DataError(f"subject {self.subject_id!r}: non-finite values in {name}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Z", Z)
@@ -77,9 +80,7 @@ class StandardizationRecord:
     def __post_init__(self):
         object.__setattr__(self, "x_center", _frozen(self.x_center))
         object.__setattr__(self, "x_scale", _frozen(self.x_scale))
-        mask = np.ascontiguousarray(self.x_exempt, dtype=bool)
-        mask.setflags(write=False)
-        object.__setattr__(self, "x_exempt", mask)
+        object.__setattr__(self, "x_exempt", _frozen(self.x_exempt, bool))
 
     def subset(self, cols) -> "StandardizationRecord":
         cols = np.asarray(cols, dtype=int)
@@ -88,75 +89,119 @@ class StandardizationRecord:
 
 
 class LongitudinalDataset:
-    """Immutable grouped dataset with cached stacked views and block moments."""
+    """Immutable grouped dataset held as stacked arrays.
+
+    Subject i, with id subject_ids[i], owns the counts[i] rows of y (N,),
+    X (N, p) and Z (N, q) from starts[i].  The constructor takes
+    SubjectBlocks; every derived dataset is built from arrays by
+    _from_arrays, and blocks is a view.
+    """
+
+    _FIELDS = ("subject_ids", "counts", "y", "X", "Z", "x_names", "y_name", "z_names",
+               "standardization")
 
     def __init__(self, blocks, x_names=None, y_name="y", z_names=None,
                  standardization: StandardizationRecord | None = None):
         blocks = tuple(blocks)
         if not blocks:
             raise DataError("dataset needs at least one subject")
-        p = blocks[0].X.shape[1]
-        q = blocks[0].Z.shape[1]
+        p, q = blocks[0].X.shape[1], blocks[0].Z.shape[1]
         for b in blocks:
             if b.X.shape[1] != p:
                 raise DataError(f"subject {b.subject_id!r}: expected {p} fixed-effect columns")
             if b.Z.shape[1] != q:
                 raise DataError(f"subject {b.subject_id!r}: expected {q} random-effect columns")
-        if q < 1:
+        ids = np.fromiter((b.subject_id for b in blocks), dtype=object, count=len(blocks))
+        self._setup(ids, [b.n_obs for b in blocks], np.concatenate([b.y for b in blocks]),
+                    np.vstack([b.X for b in blocks]), np.vstack([b.Z for b in blocks]),
+                    x_names, y_name, z_names, standardization)
+
+    @classmethod
+    def _from_arrays(cls, *fields, **named) -> "LongitudinalDataset":
+        """A dataset from stacked arrays whose rows are grouped by subject (see _setup)."""
+        ds = cls.__new__(cls)
+        ds._setup(*fields, **named)
+        return ds
+
+    def _setup(self, subject_ids, counts, y, X, Z, x_names=None, y_name="y", z_names=None,
+               standardization=None):
+        """Store and check the arrays; the one path every dataset is built by."""
+        self.counts = _frozen(counts, int)
+        self.n = self.counts.size
+        if not self.n:
+            raise DataError("dataset needs at least one subject")
+        self.N = int(self.counts.sum())
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.subject_ids = _frozen(subject_ids, object)
+        self.y, self.X, self.Z = _frozen(y), _frozen(X), _frozen(Z)
+        self.p, self.q = self.X.shape[1], self.Z.shape[1]
+        if self.q < 1:
             raise DataError("random-effect design must have at least one column")
-        self.blocks = blocks
-        self.n = len(blocks)
-        self.p = p
-        self.q = q
-        counts = np.array([b.n_obs for b in blocks])
-        self.N = int(counts.sum())
-        self.starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(int)
-        self.counts = counts
-        self.X = _frozen(np.vstack([b.X for b in blocks]) if p else np.zeros((self.N, 0)))
-        self.y = _frozen(np.concatenate([b.y for b in blocks]))
-        self.Z = _frozen(np.vstack([b.Z for b in blocks]))
-        self.x_names = list(x_names) if x_names is not None else [f"x{j + 1}" for j in range(p)]
-        if len(self.x_names) != p:
+        for name, a in (("y", self.y[:, None]), ("X", self.X), ("Z", self.Z)):
+            bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+            if bad.size:
+                i = np.searchsorted(self.starts, bad[0], side="right") - 1
+                raise DataError(f"subject {self.subject_ids[i]!r}: non-finite values in {name}")
+        self.x_names = list(x_names) if x_names is not None else [f"x{j + 1}" for j in range(self.p)]
+        if len(self.x_names) != self.p:
             raise DataError("x_names length does not match p")
         self.y_name = y_name
-        self.z_names = list(z_names) if z_names is not None else [f"z{j + 1}" for j in range(q)]
+        self.z_names = list(z_names) if z_names is not None else [f"z{j + 1}" for j in range(self.q)]
         self.standardization = standardization
         self._moments = None
+        self._blocks = None
+
+    def _derive(self, **changes) -> "LongitudinalDataset":
+        """This dataset with some of _setup's arguments (_FIELDS) replaced."""
+        return self._from_arrays(**{k: changes.get(k, getattr(self, k)) for k in self._FIELDS})
 
     def slices(self):
         for start, count in zip(self.starts, self.counts):
             yield slice(int(start), int(start + count))
 
     @property
+    def blocks(self) -> tuple:
+        """Read-only per-subject SubjectBlock views, built on first access."""
+        if self._blocks is None:
+            self._blocks = tuple(SubjectBlock(i, self.y[s], self.X[s], self.Z[s])
+                                 for i, s in zip(self.subject_ids, self.slices()))
+        return self._blocks
+
+    @property
     def block_moments(self):
         """Batched per-subject cross products (Z'Z, Z'X, Z'y).
 
-        Shapes (n, q, q), (n, q, p), (n, q); computed once and cached.
+        Shapes (n, q, q), (n, q, p), (n, q); grouped sums (np.add.reduceat)
+        of row products, one column of Z at a time.  Computed once and cached.
         """
         if self._moments is None:
             n, q, p = self.n, self.q, self.p
             ztz = np.empty((n, q, q))
             ztx = np.empty((n, q, p))
             zty = np.empty((n, q))
-            for i, b in enumerate(self.blocks):
-                ztz[i] = b.Z.T @ b.Z
-                ztx[i] = b.Z.T @ b.X
-                zty[i] = b.Z.T @ b.y
+            for k in range(q):
+                z = self.Z[:, k, None]
+                ztz[:, k] = np.add.reduceat(z * self.Z, self.starts)
+                ztx[:, k] = np.add.reduceat(z * self.X, self.starts)
+                zty[:, k] = np.add.reduceat(z[:, 0] * self.y, self.starts)
             self._moments = (_frozen(ztz), _frozen(ztx), _frozen(zty))
         return self._moments
 
     def select_columns(self, cols) -> "LongitudinalDataset":
         """Dataset with X restricted to the given column indices (in order)."""
         cols = list(cols)
-        blocks = [SubjectBlock(b.subject_id, b.y, b.X[:, cols], b.Z) for b in self.blocks]
         record = self.standardization.subset(cols) if self.standardization else None
-        return LongitudinalDataset(blocks, [self.x_names[j] for j in cols],
-                                   self.y_name, self.z_names, record)
+        return self._derive(X=self.X[:, cols], x_names=[self.x_names[j] for j in cols],
+                            standardization=record)
 
     def subset_subjects(self, indices) -> "LongitudinalDataset":
-        blocks = [self.blocks[i] for i in indices]
-        return LongitudinalDataset(blocks, self.x_names, self.y_name,
-                                   self.z_names, self.standardization)
+        """Dataset of the given subjects (indices into subject order), in that order."""
+        idx = np.asarray(indices, dtype=int)
+        counts = self.counts[idx]
+        offsets = self.starts[idx] - (np.cumsum(counts) - counts)
+        rows = np.arange(counts.sum()) + np.repeat(offsets, counts)
+        return self._derive(subject_ids=self.subject_ids[idx], counts=counts,
+                            y=self.y[rows], X=self.X[rows], Z=self.Z[rows])
 
 
 @dataclass(frozen=True)
@@ -213,7 +258,8 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     Rows are grouped by the subject column preserving within-subject file
     order; subjects are ordered by first appearance.  No standardization
     is applied.  A column given a role must appear exactly once in the
-    header.
+    header.  Role columns are parsed into float buffers, and rows grouped
+    by a stable sort of the subjects' first-appearance codes.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -231,45 +277,37 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
                 raise DataError(f"{path}: column {name!r} appears more than once in header")
 
         sub_i = col_index[roles.subject]
-        numeric_cols = [col_index[c] for c in needed[1:]]
-        groups: dict = {}
+        columns = {col_index[c]: array("d") for c in needed[1:]}
+        codes = array("q")
+        first_seen: dict = {}
         for rownum, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise DataError(f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
-            values = {}
-            for ci in numeric_cols:
-                cell = row[ci]
-                try:
-                    values[ci] = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {rownum}: non-numeric value {cell!r} "
-                        f"in column {header[ci]!r}") from None
-            groups.setdefault(row[sub_i], []).append(values)
+            codes.append(first_seen.setdefault(row[sub_i], len(first_seen)))
+            try:
+                for ci, buf in columns.items():
+                    buf.append(float(row[ci]))
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {rownum}: non-numeric value {row[ci]!r} "
+                    f"in column {header[ci]!r}") from None
 
-    if not groups:
+    if not codes:
         raise DataError(f"{path}: no data rows")
+    codes = np.frombuffer(codes, dtype=np.int64)
+    order = np.argsort(codes, kind="stable")
+    values = {ci: np.frombuffer(buf)[order] for ci, buf in columns.items()}
 
-    y_i = col_index[roles.response]
-    x_is = [col_index[c] for c in roles.fixed]
-    blocks = []
-    for subject_id, rows in groups.items():
-        y = np.array([r[y_i] for r in rows])
-        X = np.array([[r[ci] for ci in x_is] for r in rows]).reshape(len(rows), len(x_is))
-        zcols = []
-        for c in roles.random:
-            if c == "1":
-                zcols.append(np.ones(len(rows)))
-            else:
-                ci = col_index[c]
-                zcols.append(np.array([r[ci] for r in rows]))
-        Z = np.column_stack(zcols)
-        blocks.append(SubjectBlock(subject_id, y, X, Z))
+    def stack(cols):
+        return np.column_stack(cols) if cols else np.empty((codes.size, 0))
 
-    z_names = ["1" if c == "1" else c for c in roles.random]
-    return LongitudinalDataset(blocks, list(roles.fixed), roles.response, z_names)
+    X = stack([values[col_index[c]] for c in roles.fixed])
+    Z = stack([np.ones(codes.size) if c == "1" else values[col_index[c]] for c in roles.random])
+    return LongitudinalDataset._from_arrays(
+        list(first_seen), np.bincount(codes), values[col_index[roles.response]], X, Z,
+        roles.fixed, roles.response, roles.random)
 
 
 def standardize(ds: LongitudinalDataset, categorical=(), center_categorical=False,
@@ -285,8 +323,7 @@ def standardize(ds: LongitudinalDataset, categorical=(), center_categorical=Fals
     if ds.standardization is not None:
         raise ConfigurationError("dataset is already standardized")
     exempt = np.zeros(ds.p, dtype=bool)
-    for j in categorical:
-        exempt[j] = True
+    exempt[list(categorical)] = True
 
     center = ds.X.mean(axis=0) if ds.p else np.zeros(0)
     scale = ds.X.std(axis=0, ddof=1) if ds.N > 1 else np.zeros(ds.p)
@@ -304,12 +341,8 @@ def standardize(ds: LongitudinalDataset, categorical=(), center_categorical=Fals
         raise DataError("response has zero variance")
 
     record = StandardizationRecord(center, scale, exempt, y_center, y_scale)
-    blocks = [
-        SubjectBlock(b.subject_id, (b.y - y_center) / y_scale,
-                     (b.X - center) / scale, b.Z)
-        for b in ds.blocks
-    ]
-    return LongitudinalDataset(blocks, ds.x_names, ds.y_name, ds.z_names, record)
+    return ds._derive(y=(ds.y - y_center) / y_scale, X=(ds.X - center) / scale,
+                      standardization=record)
 
 
 def destandardize(ds: LongitudinalDataset) -> LongitudinalDataset:
@@ -317,12 +350,8 @@ def destandardize(ds: LongitudinalDataset) -> LongitudinalDataset:
     rec = ds.standardization
     if rec is None:
         raise ConfigurationError("dataset carries no standardization record")
-    blocks = [
-        SubjectBlock(b.subject_id, b.y * rec.y_scale + rec.y_center,
-                     b.X * rec.x_scale + rec.x_center, b.Z)
-        for b in ds.blocks
-    ]
-    return LongitudinalDataset(blocks, ds.x_names, ds.y_name, ds.z_names, None)
+    return ds._derive(y=ds.y * rec.y_scale + rec.y_center,
+                      X=ds.X * rec.x_scale + rec.x_center, standardization=None)
 
 
 def beta_original_scale(record: StandardizationRecord, beta: np.ndarray):
@@ -348,8 +377,8 @@ def remove_linear_combos(ds: LongitudinalDataset, rank_tol: float = 1e-7):
     Returns (reduced dataset, ColumnReductionReport); dependency_sets maps
     each dropped column to the kept columns that reproduce it.
     """
-    if rank_tol <= 0:
-        raise ConfigurationError("rank_tol must be > 0")
+    if not 0.0 < rank_tol < np.inf:
+        raise ConfigurationError("rank_tol must be finite and > 0")
     X = ds.X
     p = ds.p
     kept: list = []

@@ -86,15 +86,21 @@ class LmmParams:
         self.sigma2 = float(self.sigma2)
 
     def validate(self):
+        self._checked_eigh()
+        return self
+
+    def _checked_eigh(self):
+        """validate()'s checks; returns np.linalg.eigh(D) for the caller to reuse."""
         if not np.isfinite(self.sigma2) or self.sigma2 <= 0.0:
             raise NumericalError(f"sigma2 must be positive, got {self.sigma2}")
         if self.D.ndim != 2 or self.D.shape[0] != self.D.shape[1]:
             raise NumericalError("D must be square")
         if float(np.max(np.abs(self.D - self.D.T), initial=0.0)) > 1e-12:
             raise NumericalError("D is not symmetric")
-        if float(np.linalg.eigvalsh(self.D).min()) < -_D_EIG_FLOOR:
+        w, V = np.linalg.eigh(self.D)
+        if float(w.min()) < -_D_EIG_FLOOR:
             raise NumericalError("D has eigenvalues below -1e-10")
-        return self
+        return w, V
 
     def to_dict(self) -> dict:
         return {"beta": self.beta.tolist(), "sigma2": self.sigma2,
@@ -126,7 +132,7 @@ class EmControl:
 
     eps is the relative stopping threshold on the penalized log-likelihood;
     abs_eps is the absolute fallback that guards the ratio rule when the
-    objective is near zero.
+    objective is near zero.  Both may be 0 (run max_iter iterations).
     """
 
     eps: float = 1e-6
@@ -134,6 +140,16 @@ class EmControl:
     abs_eps: float = _ABS_STOP
     pls_tol: float = 1e-9
     pls_max_sweeps: int = 10000
+
+    def __post_init__(self):
+        for name in ("eps", "abs_eps"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError(f"EmControl: {name} must be finite and >= 0")
+        if not 0.0 < self.pls_tol < np.inf:
+            raise ConfigurationError("EmControl: pls_tol must be finite and > 0")
+        for name in ("max_iter", "pls_max_sweeps"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"EmControl: {name} must be >= 1")
 
 
 @dataclass
@@ -173,9 +189,8 @@ class FitReport:
         return out
 
 
-def _psd_sqrt(D: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root, clipping tiny negative eigenvalues."""
-    w, V = np.linalg.eigh(D)
+def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root from eigh's (w, V), clipping tiny negative eigenvalues."""
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
@@ -232,10 +247,9 @@ def e_step(ds: LongitudinalDataset, params: LmmParams) -> EStepMoments:
     with w_i = S Z_i'r_i.  No D^-1 is formed, so a singular D needs no
     special case.
     """
-    params.validate()
+    S = _psd_sqrt(*params._checked_eigh())
     ztz, ztx, zty = ds.block_moments
     sigma2 = params.sigma2
-    S = _psd_sqrt(params.D)
     Kinv, logdet_K = _spd_inv_logdet(sigma2 * np.eye(ds.q) + S @ ztz @ S)
 
     w = (zty - ztx @ params.beta) @ S   # (n, q): S Z_i'r_i, since S is symmetric
@@ -387,10 +401,8 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     M-step.  The returned params and final_loglik are the last guarded
     iterate.
     """
-    penalty = PenaltySpec.lasso(lam) if penalty is None else penalty
+    penalty = PenaltySpec.lasso(lam) if penalty is None else penalty.with_lam(lam)
     ctrl = ctrl or EmControl()
-    if ctrl.max_iter < 1:
-        raise ConfigurationError("fit_em: max_iter must be >= 1")
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
     notes: list = []
 

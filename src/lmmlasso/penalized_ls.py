@@ -58,8 +58,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigurationError(f"unknown penalty family {self.family!r}")
-        if self.lam < 0:
-            raise ConfigurationError("penalty level lam must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigurationError(f"penalty level lam must be finite and >= 0, got {self.lam}")
         if self.family == "lasso" and self.alpha != 1.0:
             raise ConfigurationError("lasso requires alpha = 1")
         if self.family == "ridge" and self.alpha != 0.0:
@@ -204,8 +204,8 @@ def solve_pls(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec,
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise DataError("solve_pls: X must be (N, p) and y (N,) with matching N")
-    if tol <= 0:
-        raise ConfigurationError("solve_pls: tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ConfigurationError("solve_pls: tol must be finite and > 0")
     if max_sweeps < 1:
         raise ConfigurationError("solve_pls: max_sweeps must be >= 1")
     n_obs, p = X.shape

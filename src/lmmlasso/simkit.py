@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LongitudinalDataset, SubjectBlock
-from .em_engine import EmControl
+from .dataset import LongitudinalDataset
+from .em_engine import EmControl, _psd_sqrt
 from .exceptions import ConfigurationError, LmmLassoError
 from .fileio import write_csv
 from .selector import default_grid, select, sweep
@@ -119,11 +119,6 @@ class ScenarioConfig:
         }
 
 
-def _psd_factor(D: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(D)
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-
-
 def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator | None = None):
     """Draw one dataset from the scenario's generative model.
 
@@ -147,12 +142,12 @@ def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator | None = Non
     if cfg.scenario == 2:
         X[:, 0] = (rng.uniform(size=N) < 0.5).astype(float)
 
-    S = _psd_factor(cfg.D_true)
+    S = _psd_sqrt(*np.linalg.eigh(cfg.D_true))
     b = rng.normal(size=(n, 2)) @ S  # S symmetric, so rows are S @ z_i
     eps = rng.normal(scale=np.sqrt(cfg.sigma2_true), size=N)
 
-    z_template = np.column_stack([np.ones(n_i), np.arange(1.0, n_i + 1.0)])
-    Zb = (np.repeat(b, n_i, axis=0) * np.tile(z_template, (n, 1))).sum(axis=1)
+    Z = np.tile(np.column_stack([np.ones(n_i), np.arange(1.0, n_i + 1.0)]), (n, 1))
+    Zb = (np.repeat(b, n_i, axis=0) * Z).sum(axis=1)
     y = X @ cfg.beta_true + Zb + eps
 
     x_center = X.mean(axis=0)
@@ -165,14 +160,9 @@ def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator | None = Non
         X = X - x_center
     y = y - y.mean()
 
-    blocks = [
-        SubjectBlock(i, y[i * n_i:(i + 1) * n_i], X[i * n_i:(i + 1) * n_i],
-                     z_template)
-        for i in range(n)
-    ]
     truth = {"beta_true": cfg.beta_true.copy(), "b": b, "x_center": x_center,
              "config": cfg}
-    return LongitudinalDataset(blocks), truth
+    return LongitudinalDataset._from_arrays(np.arange(n), np.full(n, n_i), y, X, Z), truth
 
 
 @dataclass
@@ -356,25 +346,19 @@ def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty="lasso",
 
     results = []
     for f, test_idx in enumerate(folds):
-        test_set = set(int(i) for i in test_idx)
-        train_idx = [i for i in range(ds.n) if i not in test_set]
-        train_ds = ds.subset_subjects(train_idx)
+        test_idx = np.sort(test_idx)
+        train_ds = ds.subset_subjects(np.setdiff1d(np.arange(ds.n), test_idx))
         res = select(train_ds, grid, penalty=penalty, ctrl=ctrl,
                      lambda_scale=lambda_scale, criterion=criterion)
-        beta = res.refit.params.beta
-        sse = 0.0
-        n_obs = 0
-        for i in sorted(test_set):
-            blk = ds.blocks[i]
-            resid = blk.y - blk.X @ beta
-            sse += float(resid @ resid)
-            n_obs += blk.n_obs
+        test_ds = ds.subset_subjects(test_idx)
+        resid = test_ds.y - test_ds.X @ res.refit.params.beta
+        sse = float(resid @ resid)
         results.append(FoldResult(
             fold=f,
-            test_subjects=tuple(ds.blocks[i].subject_id for i in sorted(test_set)),
-            n_test_obs=n_obs,
+            test_subjects=tuple(test_ds.subject_ids),
+            n_test_obs=test_ds.N,
             sse=sse,
-            mse_per_obs=sse / n_obs,
+            mse_per_obs=sse / test_ds.N,
             selected_lambda=res.selected_lambda,
             support=res.support,
         ))

@@ -499,3 +499,75 @@ def test_standardize_flags_reach_selection(tmp_path, small_csv):
     assert rc == 0
     selection = json.loads((tmp_path / "std_selection.json").read_text())
     assert "refit_original_scale" in selection
+
+
+def _interleaved_csv(path, bad=None):
+    """Six subjects of three rows each, the rows interleaved across subjects.
+
+    bad = (column, cell) replaces that column's cell in the last row of
+    subject s3.
+    """
+    lines = ["id,y,x1,x2,t"]
+    for t in range(3):
+        for i in range(6):
+            cells = {"id": f"s{i}", "y": f"{(7 * i + 3 * t) % 5}.25", "x1": f"{i}.5",
+                     "x2": f"{(i * t) % 4}.0", "t": str(t)}
+            if bad and i == 3 and t == 2:
+                cells[bad[0]] = bad[1]
+            lines.append(",".join(cells.values()))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column,role", [("y", "y"), ("x2", "X"), ("t", "Z")])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_cell_is_data_error_naming_the_subject(tmp_path, capsys, column,
+                                                          role, cell):
+    f = tmp_path / "bad.csv"
+    _interleaved_csv(f, bad=(column, cell))
+    rc = main(["fit", "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", "x1,x2", "--random", "1,t", "--lambda", "0",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == f"subject 's3': non-finite values in {role}"
+    assert list(tmp_path.iterdir()) == [f]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("fit", ["--lambda", "nan"]),
+    ("fit", ["--lambda", "inf"]),
+    ("fit", ["--lambda", "0", "--eps", "nan"]),
+    ("fit", ["--lambda", "0", "--eps", "-1"]),
+    ("fit", ["--lambda", "0", "--eps", "inf"]),
+    ("fit", ["--lambda", "0", "--pls-tol", "nan"]),
+    ("fit", ["--lambda", "0", "--pls-tol", "inf"]),
+    ("fit", ["--lambda", "0", "--pls-max-sweeps", "0"]),
+    ("reduce", ["--rank-tol", "nan"]),
+    ("reduce", ["--rank-tol", "inf"]),
+], ids=lambda v: v if isinstance(v, str) else "=".join(v[-2:]).lstrip("-"))
+def test_non_finite_or_out_of_range_option_is_usage_error(tmp_path, capsys, command,
+                                                          flags):
+    f = tmp_path / "in.csv"
+    _interleaved_csv(f)
+    outputs = {"fit": ["--output", str(tmp_path / "fit.json")],
+               "reduce": ["--output", str(tmp_path / "r.csv"),
+                          "--report", str(tmp_path / "r.json")]}[command]
+    rc = main([command, "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", "x1,x2", "--random", "1,t", *flags, *outputs])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError"
+    assert list(tmp_path.iterdir()) == [f]
+
+
+def test_random_role_without_columns_is_data_error(tmp_path, capsys):
+    f = tmp_path / "in.csv"
+    _interleaved_csv(f)
+    rc = main(["fit", "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", "x1", "--random", ",", "--lambda", "0",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError" and "random-effect" in error["message"]
+    assert list(tmp_path.iterdir()) == [f]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmmlasso.dataset import (
     ColumnRoles,
@@ -12,6 +13,7 @@ from lmmlasso.dataset import (
     standardize,
 )
 from lmmlasso.exceptions import ConfigurationError, DataError
+from lmmlasso.fileio import write_csv
 
 ROLES = ColumnRoles(subject="id", response="chol", fixed=("sex", "age", "time"),
                     random=("1", "time"))
@@ -219,3 +221,136 @@ def test_dataset_arrays_are_readonly():
         ds.X[0, 0] = 99.0
     with pytest.raises(ValueError):
         ds.blocks[0].y[0] = 99.0
+
+
+def test_blocks_view_is_built_once():
+    ds = _toy_dataset(seed=4, n=5)
+    assert ds.blocks is ds.blocks
+    assert [b.subject_id for b in ds.blocks] == list(ds.subject_ids)
+    for b, sl in zip(ds.blocks, ds.slices()):
+        np.testing.assert_array_equal(b.X, ds.X[sl])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty file"),
+    ("id,y,x1,t\n", "no data rows"),
+    ("id,y,x1,t\n\n\n", "no data rows"),
+    ("id,y,x1,t\nA,1,2,1\nA,1,2\n", "row 3 has 3 fields, expected 4"),
+])
+def test_ingest_rejects_malformed_file(tmp_path, text, message):
+    f = tmp_path / "in.csv"
+    f.write_text(text)
+    with pytest.raises(DataError, match=message):
+        ingest_long_csv(f, ColumnRoles("id", "y", ("x1",), ("1", "t")))
+
+
+# Round trips of the stacked representation against plain per-subject loops.
+
+_AWKWARD_IDS = ["s0", "s1", 'quote"d', "com,ma", "new\nline", "7", " pad "]
+
+
+@st.composite
+def _datasets(draw, min_rows=1):
+    """A small dataset from SubjectBlocks: 1-6 subjects of 1-4 rows, p in 0..3, q in 1..3."""
+    p = draw(st.integers(0, 3))
+    q = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    counts[0] += max(0, min_rows - sum(counts))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [SubjectBlock(f"s{i}", rng.normal(6.0, 1.0, size=c),
+                           rng.normal(6.0, 1.0, size=(c, p)), rng.normal(size=(c, q)))
+              for i, c in enumerate(counts)]
+    return LongitudinalDataset(blocks)
+
+
+def _assert_same_dataset(a, b):
+    for name in ("y", "X", "Z", "counts", "starts"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    assert list(a.subject_ids) == list(b.subject_ids)
+    assert (a.x_names, a.y_name, a.z_names) == (b.x_names, b.y_name, b.z_names)
+    for ma, mb in zip(a.block_moments, b.block_moments):
+        np.testing.assert_array_equal(ma, mb)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_ingest_round_trips_written_csv(tmp_path_factory, data):
+    n = data.draw(st.integers(1, len(_AWKWARD_IDS)))
+    ids = data.draw(st.permutations(_AWKWARD_IDS))[:n]
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    p = data.draw(st.integers(0, 3))
+    random = data.draw(st.sampled_from([("1",), ("t",), ("1", "t"), ("t", "1", "x1")]))
+    if "x1" in random and p == 0:
+        random = ("1", "t")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # rows in file order: (subject, y, x..., t), subjects interleaved
+    order = data.draw(st.permutations([i for i, c in enumerate(counts) for _ in range(c)]))
+    rows = [(ids[i], rng.normal(), *rng.normal(size=p), float(rng.integers(0, 5)))
+            for i in order]
+    x_names = [f"x{j + 1}" for j in range(p)]
+    f = tmp_path_factory.mktemp("csv") / "long.csv"
+    write_csv(f, ["id", "y", *x_names, "t"], rows)
+
+    ds = ingest_long_csv(f, ColumnRoles("id", "y", tuple(x_names), random))
+
+    by_subject = {}
+    for row in rows:
+        by_subject.setdefault(row[0], []).append(row)
+    col = {"y": 1, "t": 2 + p, **{name: 2 + j for j, name in enumerate(x_names)}}
+    assert list(ds.subject_ids) == list(by_subject)
+    assert ds.counts.tolist() == [len(r) for r in by_subject.values()]
+    for (sid, sub_rows), block in zip(by_subject.items(), ds.blocks):
+        assert block.subject_id == sid
+        np.testing.assert_array_equal(block.y, [r[1] for r in sub_rows])
+        np.testing.assert_array_equal(
+            block.X, np.array([r[2:2 + p] for r in sub_rows]).reshape(len(sub_rows), p))
+        np.testing.assert_array_equal(
+            block.Z, [[1.0 if c == "1" else r[col[c]] for c in random] for r in sub_rows])
+    assert ds.z_names == list(random)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_datasets())
+def test_block_moments_match_per_subject_products(ds):
+    ztz, ztx, zty = ds.block_moments
+    assert ztx.shape == (ds.n, ds.q, ds.p)
+    for i, b in enumerate(ds.blocks):
+        np.testing.assert_allclose(ztz[i], b.Z.T @ b.Z, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ztx[i], b.Z.T @ b.X, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(zty[i], b.Z.T @ b.y, rtol=1e-12, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_datasets(min_rows=2), st.booleans(), st.booleans())
+def test_destandardize_inverts_standardize(ds, center_categorical, scale_y):
+    categorical = [j for j in range(ds.p) if j % 2]
+    std = standardize(ds, categorical=categorical, center_categorical=center_categorical,
+                      scale_y=scale_y)
+    back = destandardize(std)
+    np.testing.assert_allclose(back.X, ds.X, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(back.y, ds.y, rtol=1e-12, atol=0.0)
+    assert back.standardization is None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_select_columns_and_subset_subjects_match_rebuilt_datasets(data):
+    ds = data.draw(_datasets(min_rows=2))
+    if data.draw(st.booleans()):
+        ds = standardize(ds)
+    cols = data.draw(st.lists(st.integers(0, max(ds.p - 1, 0)), max_size=ds.p, unique=True))
+    sub = ds.select_columns(cols)
+    rebuilt = LongitudinalDataset(
+        [SubjectBlock(b.subject_id, b.y, b.X[:, cols], b.Z) for b in ds.blocks],
+        [ds.x_names[j] for j in cols], ds.y_name, ds.z_names)
+    _assert_same_dataset(sub, rebuilt)
+    if ds.standardization is not None:
+        np.testing.assert_array_equal(sub.standardization.x_scale,
+                                      ds.standardization.x_scale[cols])
+
+    idx = data.draw(st.lists(st.integers(0, ds.n - 1), min_size=1, max_size=ds.n,
+                             unique=True))
+    part = ds.subset_subjects(idx)
+    _assert_same_dataset(part, LongitudinalDataset([ds.blocks[i] for i in idx], ds.x_names,
+                                                   ds.y_name, ds.z_names))
+    assert part.standardization is ds.standardization
