@@ -1,17 +1,17 @@
 """Command-line front end.
 
-Subcommands: fit, select, simulate, cv, reduce.  Option precedence is
-command-line flags over a JSON config file (--config) over built-in
-defaults; the defaults mirror the benchmark setup (stopping tolerance
-1e-6, linear grid 0.001..0.5 with 100 points interpreted in
-per-observation units, BIC criterion).  All artifacts are written
-atomically with 17-significant-digit numbers so reruns can be compared
-byte for byte.  A config file's keys are the subcommand's option names
-as argparse stores them (--max-iter as max_iter, --lambda as lam,
---no-scale-y as scale_y); each value is checked like the flag's
-argument, and an unknown key or an ill-typed value is a configuration
-error.  Required options are checked after the merge, so a config file
-can supply them too.
+Subcommands: fit, select, simulate, cv, reduce.  Each option is declared
+once, in _OPTIONS, and each subcommand's options in _COMMANDS; argparse,
+the config merge and the required check read only these tables.  Flags
+take precedence over a JSON config file (--config), and the file over
+the CLI's own defaults, which exist only where the library's default
+differs or is missing: per_obs lambda units, the lasso penalty, no
+standardization, 100 replicates.  An option left unset is not passed
+on, so the library's default applies.  Config keys are the argparse
+dests (--lambda as lam, --no-scale-y as scale_y), checked like the
+flags; required options are checked after the merge.  Artifacts are
+written atomically with 17-significant-digit numbers, so reruns can be
+compared byte for byte.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 numerical.
 """
@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .em_engine import EmControl, fit_em
 from .penalized_ls import PenaltySpec
 from .exceptions import ConfigurationError, LmmLassoError
 from .fileio import write_csv, write_json
-from .selector import auto_log_grid, select
+from .selector import auto_log_grid, default_grid, select
 from .simkit import (
     D_HIGH,
     D_LOW,
@@ -47,33 +48,60 @@ from .simkit import (
     write_mc_summary_csv,
 )
 
-_DEFAULTS = {
-    "lambda_scale": "per_obs",
-    "criterion": "bic",
-    "penalty": "lasso",
-    "alpha": 1.0,
-    "eps": 1e-6,
-    "max_iter": 500,
-    "pls_tol": 1e-9,
-    "pls_max_sweeps": 10000,
-    "grid": "0.001:0.5:100",
-    "threads": 1,
-    "rank_tol": 1e-7,
-    "standardize": False,
-    "scale_y": True,
-    "categorical": "",
-    "n": 30,
-    "n_i": 5,
-    "p": 50,
-    "p_star": 5,
-    "d_matrix": "low",
-    "replicates": 100,
+
+# One row per option, keyed by its config name (the argparse dest): its flag,
+# its argparse keywords and, only where the library's default differs or is
+# missing, the CLI's own default.
+_OPTIONS = {
+    "config": dict(flag="--config", help="JSON config file (flags take precedence)"),
+    "input": dict(flag="--input", help="long-format CSV with header"),
+    "subject": dict(flag="--subject", help="subject-id column"),
+    "response": dict(flag="--response", help="response column"),
+    "fixed": dict(flag="--fixed", help="comma-separated fixed-effect columns"),
+    "random": dict(flag="--random", help="comma-separated random-effect columns "
+                                         "('1' = intercept), or 'intercept+<col>'"),
+    "standardize": dict(flag="--standardize", default=False, action="store_const",
+                        const=True, help="center/scale X columns and the response"),
+    "categorical": dict(flag="--categorical",
+                        help="comma-separated columns exempt from standardization"),
+    "scale_y": dict(flag="--no-scale-y", action="store_const", const=False,
+                    help="center the response only"),
+    "lambda_scale": dict(flag="--lambda-scale", default="per_obs",
+                         choices=("raw", "per_obs")),
+    "penalty": dict(flag="--penalty", default="lasso", choices=("lasso", "elastic_net")),
+    "alpha": dict(flag="--alpha", type=float, help="elastic-net mixing weight in (0, 1)"),
+    "criterion": dict(flag="--criterion", choices=("bic", "aic")),
+    "eps": dict(flag="--eps", type=float, help="EM relative stopping tolerance"),
+    "max_iter": dict(flag="--max-iter", type=int),
+    "pls_tol": dict(flag="--pls-tol", type=float),
+    "pls_max_sweeps": dict(flag="--pls-max-sweeps", type=int),
+    "lam": dict(flag="--lambda", type=float),
+    "grid": dict(flag="--grid", help="start:stop:num (linear) or comma-separated values"),
+    "grid_log": dict(flag="--grid-log",
+                     help="num:ratio log grid anchored at the data lambda_max"),
+    "scenario": dict(flag="--scenario", type=int, choices=(1, 2, 3)),
+    "n": dict(flag="--n", type=int),
+    "n_i": dict(flag="--n-i", type=int),
+    "p": dict(flag="--p", type=int),
+    "p_star": dict(flag="--p-star", type=int),
+    "d_matrix": dict(flag="--d-matrix", choices=("low", "high"),
+                     help="random-effect covariance preset"),
+    "replicates": dict(flag="--replicates", default=100, type=int),
+    "threads": dict(flag="--threads", type=int, help="worker processes for the replicates"),
+    "seed": dict(flag="--seed", type=int),
+    "k": dict(flag="--k", type=int),
+    "rank_tol": dict(flag="--rank-tol", type=float),
+    "output": dict(flag="--output", help="output file (fit: report JSON, "
+                                         "cv: per-fold CSV, reduce: reduced CSV)"),
+    "output_prefix": dict(flag="--output-prefix", help="prefix of the artifact files"),
+    "report": dict(flag="--report", help="reduction report JSON"),
 }
 
 
-def _config_value(action: argparse.Action, key: str, value):
+def _config_value(key: str, value):
     """A config-file value, checked and converted as its flag's argument is."""
-    if action.nargs == 0:  # a flag that stores a constant
+    row = _OPTIONS[key]
+    if "const" in row:  # a flag that stores a constant
         if not isinstance(value, bool):
             raise ConfigurationError(f"config key {key!r} must be true or false")
         return value
@@ -87,22 +115,25 @@ def _config_value(action: argparse.Action, key: str, value):
         raise ConfigurationError(
             f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
     try:
-        value = (action.type or str)(str(value))
+        value = row.get("type", str)(str(value))
     except ValueError:
         raise ConfigurationError(f"config key {key!r}: invalid value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
+    choices = row.get("choices")
+    if choices is not None and value not in choices:
         raise ConfigurationError(f"config key {key!r}: {value!r} is not one of "
-                                 f"{', '.join(map(str, action.choices))}")
+                                 f"{', '.join(map(str, choices))}")
     return value
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    """Each option's value: its flag, else the config file, else _DEFAULTS, else None.
+    """The options that are set: each from its flag, else the config file, else
+    its CLI default.  An option set by none of these is left out.
 
-    An option in args.required that ends up None (or empty) is an error.
+    A required option of the subcommand that is left out (or empty) is an error.
     """
+    command = _COMMANDS[args.command]
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
@@ -113,37 +144,42 @@ def _merge_options(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigurationError("config file must hold a JSON object")
 
-    unknown = sorted(set(file_cfg) - set(args.options))
+    unknown = sorted(set(file_cfg) - set(command.options))
     if unknown:
         raise ConfigurationError(f"config file has key(s) that {args.command} takes "
                                  f"no option for: {', '.join(unknown)}")
-    file_cfg = {key: _config_value(args.options[key], key, value)
-                for key, value in file_cfg.items()}
+    file_cfg = {key: _config_value(key, value) for key, value in file_cfg.items()}
 
     merged = {}
-    for key in args.options:
+    for key in command.options:
         value = getattr(args, key)
+        if value is None:
+            value = file_cfg.get(key, _OPTIONS[key].get("default"))
         if value is not None:
             merged[key] = value
-        elif key in file_cfg:
-            merged[key] = file_cfg[key]
-        elif key in _DEFAULTS:
-            merged[key] = _DEFAULTS[key]
-        else:
-            merged[key] = None
-    missing = [args.options[key].option_strings[0] for key in args.required
-               if merged[key] in (None, "")]
+    missing = [_OPTIONS[key]["flag"] for key in command.required
+               if merged.get(key, "") == ""]
     if missing:
         raise ConfigurationError(f"{args.command} requires {', '.join(missing)} "
                                  "(as a flag or a --config key)")
     return merged
 
 
+def _given(cfg: dict, *keys, **renamed) -> dict:
+    """Keyword arguments for the options that are set; renamed maps argument to key."""
+    names = dict(zip(keys, keys), **renamed)
+    return {arg: cfg[key] for arg, key in names.items() if key in cfg}
+
+
+def _names(text: str) -> list:
+    return [c.strip() for c in text.split(",") if c.strip()]
+
+
 def _parse_grid(spec) -> np.ndarray:
     if isinstance(spec, (list, tuple)):
         values = np.asarray([float(v) for v in spec], dtype=float)
     else:
-        spec = str(spec).strip()
+        spec = spec.strip()
         if not spec:
             raise ConfigurationError("empty grid specification")
         if ":" in spec:
@@ -171,48 +207,42 @@ def _parse_grid(spec) -> np.ndarray:
 
 
 def _roles_from(cfg: dict) -> ColumnRoles:
-    fixed = [c.strip() for c in str(cfg["fixed"]).split(",") if c.strip()]
-    random = str(cfg["random"])
-    if random.startswith("intercept+"):
-        roles_random = random
-    else:
-        roles_random = [c.strip() for c in random.split(",") if c.strip()]
+    random = cfg["random"]
     return ColumnRoles.from_mapping({
         "subject": cfg["subject"], "response": cfg["response"],
-        "fixed": fixed, "random": roles_random,
+        "fixed": _names(cfg["fixed"]),
+        "random": random if random.startswith("intercept+") else _names(random),
     })
 
 
 def _load_dataset(cfg: dict):
-    roles = _roles_from(cfg)
-    ds = ingest_long_csv(cfg["input"], roles)
-    if cfg["standardize"]:
-        cat_names = [c.strip() for c in str(cfg["categorical"]).split(",") if c.strip()]
-        unknown = [c for c in cat_names if c not in ds.x_names]
-        if unknown:
-            raise ConfigurationError(f"categorical column(s) not in fixed set: {unknown}")
-        ds = standardize(ds, categorical=[ds.x_names.index(c) for c in cat_names],
-                         scale_y=cfg["scale_y"])
-    return ds
+    ds = ingest_long_csv(cfg["input"], _roles_from(cfg))
+    if not cfg["standardize"]:
+        for key in ("categorical", "scale_y"):
+            if key in cfg:
+                flag = _OPTIONS[key]["flag"]
+                raise ConfigurationError(f"{flag} has no effect without --standardize")
+        return ds
+    cat_names = _names(cfg.get("categorical", ""))
+    unknown = [c for c in cat_names if c not in ds.x_names]
+    if unknown:
+        raise ConfigurationError(f"categorical column(s) not in fixed set: {unknown}")
+    return standardize(ds, categorical=[ds.x_names.index(c) for c in cat_names],
+                       **_given(cfg, "scale_y"))
 
 
 def _ctrl_from(cfg: dict) -> EmControl:
-    return EmControl(eps=float(cfg["eps"]), max_iter=int(cfg["max_iter"]),
-                     pls_tol=float(cfg["pls_tol"]),
-                     pls_max_sweeps=int(cfg["pls_max_sweeps"]))
+    return EmControl(**_given(cfg, "eps", "max_iter", "pls_tol", "pls_max_sweeps"))
 
 
-def _penalty_from(cfg: dict):
-    family = cfg["penalty"]
-    if family == "lasso":
-        return PenaltySpec.lasso(0.0)
-    if family == "elastic_net":
-        return PenaltySpec.elastic_net(float(cfg["alpha"]), 0.0)
-    raise ConfigurationError(f"unknown penalty family {family!r}")
+def _penalty_from(cfg: dict) -> PenaltySpec:
+    return PenaltySpec(cfg["penalty"], **_given(cfg, "alpha"))
 
 
-def _resolve_grid(cfg: dict, ds):
-    if cfg.get("grid_log"):
+def _resolve_grid(cfg: dict, ds=None) -> np.ndarray:
+    if "grid" in cfg and "grid_log" in cfg:
+        raise ConfigurationError("--grid and --grid-log exclude each other")
+    if "grid_log" in cfg:
         spec = cfg["grid_log"]
         try:
             num, ratio = spec.split(":")
@@ -225,7 +255,9 @@ def _resolve_grid(cfg: dict, ds):
             raise ConfigurationError("--grid-log ratio must be finite and > 0")
         return auto_log_grid(ds, num=num, ratio=ratio,
                              lambda_scale=cfg["lambda_scale"])
-    return _parse_grid(cfg["grid"])
+    if "grid" in cfg:
+        return _parse_grid(cfg["grid"])
+    return default_grid()
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +267,10 @@ def _resolve_grid(cfg: dict, ds):
 
 def cmd_fit(cfg: dict) -> int:
     ds = _load_dataset(cfg)
-    rep = fit_em(ds, float(cfg["lam"]), penalty=_penalty_from(cfg),
+    rep = fit_em(ds, cfg["lam"], penalty=_penalty_from(cfg),
                  ctrl=_ctrl_from(cfg), lambda_scale=cfg["lambda_scale"])
-    out = rep.to_dict()
-    out["x_names"] = ds.x_names
-    out["n_subjects"] = ds.n
-    out["n_obs"] = ds.N
-    write_json(cfg["output"], out)
+    write_json(cfg["output"], {**rep.to_dict(), "x_names": ds.x_names,
+                               "n_subjects": ds.n, "n_obs": ds.N})
     print(f"fit: lambda={cfg['lam']} converged={rep.converged} "
           f"iterations={rep.iterations} loglik={rep.final_loglik:.6f}")
     return 0
@@ -249,20 +278,18 @@ def cmd_fit(cfg: dict) -> int:
 
 def cmd_select(cfg: dict) -> int:
     ds = _load_dataset(cfg)
-    grid = _resolve_grid(cfg, ds)
-    res = select(ds, grid, penalty=_penalty_from(cfg), ctrl=_ctrl_from(cfg),
-                 lambda_scale=cfg["lambda_scale"], criterion=cfg["criterion"])
+    res = select(ds, _resolve_grid(cfg, ds), penalty=_penalty_from(cfg),
+                 ctrl=_ctrl_from(cfg), lambda_scale=cfg["lambda_scale"],
+                 **_given(cfg, "criterion"))
 
     prefix = cfg["output_prefix"]
-    write_csv(f"{prefix}_path.csv",
-              ("lambda", "bic", "aic", "df", "nnz", "converged"),
-              [(lam, b, a, d, nz, str(c))
-               for (lam, b, a, d, nz, c) in res.path.csv_rows()])
+    write_csv(f"{prefix}_path.csv", ("lambda", "bic", "aic", "df", "nnz", "converged"),
+              res.path.csv_rows())
 
     selection = {
         "selected_lambda": res.selected_lambda,
         "lambda_scale": cfg["lambda_scale"],
-        "criterion": cfg["criterion"],
+        "criterion": res.path.criterion,
         "support": list(res.support),
         "support_names": [ds.x_names[j] for j in res.support],
         "penalized_estimates": res.penalized.params.to_dict(),
@@ -284,31 +311,21 @@ def cmd_select(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    kw = dict(n=int(cfg["n"]), n_i=int(cfg["n_i"]), seed=int(cfg["seed"]))
-    scenario = int(cfg["scenario"])
-    if scenario == 1:
-        sc = ScenarioConfig.scenario1(**kw)
-    elif scenario == 2:
-        sc = ScenarioConfig.scenario2(**kw)
-    elif scenario == 3:
-        sc = ScenarioConfig.scenario3(p=int(cfg["p"]), p_star=int(cfg["p_star"]),
-                                      D_true=D_LOW if cfg["d_matrix"] == "low" else D_HIGH,
-                                      **kw)
-    else:
-        raise ConfigurationError("--scenario must be 1, 2, or 3")
+    design = _given(cfg, "n", "n_i", "p", "p_star", "seed")
+    if "d_matrix" in cfg:
+        design["D_true"] = {"low": D_LOW, "high": D_HIGH}[cfg["d_matrix"]]
+    sc = getattr(ScenarioConfig, f"scenario{cfg['scenario']}")(**design)
 
-    summary = run_monte_carlo(sc, int(cfg["replicates"]),
-                              grid=_parse_grid(cfg["grid"]),
+    summary = run_monte_carlo(sc, cfg["replicates"], grid=_resolve_grid(cfg),
                               ctrl=_ctrl_from(cfg),
                               lambda_scale=cfg["lambda_scale"],
-                              criterion=cfg["criterion"],
-                              n_jobs=int(cfg["threads"]))
+                              **_given(cfg, "criterion", n_jobs="threads"))
     prefix = cfg["output_prefix"]
     write_mc_summary_csv(summary, sc, f"{prefix}_summary.csv")
     write_mc_detail_csv(summary, f"{prefix}_detail.csv")
     sens = "NA" if summary.sensitivity is None else f"{summary.sensitivity:.3f}"
     spec = "NA" if summary.specificity is None else f"{summary.specificity:.3f}"
-    print(f"scenario {scenario}: replicates={summary.replicates} "
+    print(f"scenario {sc.scenario}: replicates={summary.replicates} "
           f"failures={summary.failures} rmse={summary.rmse:.4f} "
           f"sensitivity={sens} specificity={spec}")
     print(f"artifacts: {prefix}_summary.csv {prefix}_detail.csv")
@@ -317,10 +334,10 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_cv(cfg: dict) -> int:
     ds = _load_dataset(cfg)
-    results = kfold_cv(ds, int(cfg["k"]), grid=_resolve_grid(cfg, ds),
+    results = kfold_cv(ds, cfg["k"], grid=_resolve_grid(cfg, ds),
                        penalty=_penalty_from(cfg), ctrl=_ctrl_from(cfg),
-                       lambda_scale=cfg["lambda_scale"],
-                       criterion=cfg["criterion"], seed=int(cfg["seed"]))
+                       lambda_scale=cfg["lambda_scale"], seed=cfg["seed"],
+                       **_given(cfg, "criterion"))
     write_cv_csv(results, cfg["output"])
     mean_sse = float(np.mean([r.sse for r in results]))
     print(f"cv: k={len(results)} mean held-out SSE={mean_sse:.6f}")
@@ -329,18 +346,17 @@ def cmd_cv(cfg: dict) -> int:
 
 
 def cmd_reduce(cfg: dict) -> int:
-    roles = _roles_from(cfg)
-    ds = ingest_long_csv(cfg["input"], roles)
-    _, report = remove_linear_combos(ds, rank_tol=float(cfg["rank_tol"]))
+    ds = ingest_long_csv(cfg["input"], _roles_from(cfg))
+    _, report = remove_linear_combos(ds, **_given(cfg, "rank_tol"))
     dropped_names = {ds.x_names[j] for j in report.dropped}
 
-    # pass the original file through, minus the dropped fixed-effect columns
+    # stream the original file through, minus the dropped fixed-effect columns
     with open(cfg["input"], newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    keep_idx = [i for i, name in enumerate(header) if name not in dropped_names]
-    write_csv(cfg["output"], [header[i] for i in keep_idx],
-              ([row[i] for i in keep_idx] for row in rows[1:] if row))
+        rows = csv.reader(fh)
+        header = next(rows)
+        keep_idx = [i for i, name in enumerate(header) if name not in dropped_names]
+        write_csv(cfg["output"], [header[i] for i in keep_idx],
+                  ([row[i] for i in keep_idx] for row in rows if row))
 
     report_dict = report.to_dict()
     report_dict["kept_names"] = [ds.x_names[j] for j in report.kept]
@@ -356,41 +372,37 @@ def cmd_reduce(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-_DATA_KEYS = ("input", "subject", "response", "fixed", "random")
+class _Command(NamedTuple):
+    handler: Callable[[dict], int]
+    help: str
+    options: tuple   # config keys of its options besides --config, in --help order
+    required: tuple
 
 
-def _add_data_options(p: argparse.ArgumentParser):
-    p.add_argument("--input", help="long-format CSV with header")
-    p.add_argument("--subject", help="subject-id column")
-    p.add_argument("--response", help="response column")
-    p.add_argument("--fixed", help="comma-separated fixed-effect columns")
-    p.add_argument("--random",
-                   help="comma-separated random-effect columns ('1' = intercept), "
-                        "or 'intercept+<col>'")
+_DATA = ("input", "subject", "response", "fixed", "random")
+_MODEL = ("lambda_scale", "penalty", "alpha", "criterion",
+          "eps", "max_iter", "pls_tol", "pls_max_sweeps")
+_DATA_MODEL = _DATA + ("standardize", "categorical", "scale_y") + _MODEL
 
-
-def _add_standardize_options(p: argparse.ArgumentParser):
-    p.add_argument("--standardize", action="store_const", const=True, default=None,
-                   help="center/scale X columns and the response")
-    p.add_argument("--categorical",
-                   help="comma-separated columns exempt from standardization")
-    p.add_argument("--no-scale-y", dest="scale_y", action="store_const",
-                   const=False, default=None, help="center the response only")
-
-
-def _add_common_options(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
-    p.add_argument("--lambda-scale", dest="lambda_scale",
-                   choices=("raw", "per_obs"), default=None)
-    p.add_argument("--penalty", choices=("lasso", "elastic_net"), default=None)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="elastic-net mixing weight in (0, 1)")
-    p.add_argument("--criterion", choices=("bic", "aic"), default=None)
-    p.add_argument("--eps", type=float, default=None,
-                   help="EM relative stopping tolerance")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--pls-tol", dest="pls_tol", type=float, default=None)
-    p.add_argument("--pls-max-sweeps", dest="pls_max_sweeps", type=int, default=None)
+# one row per subcommand
+_COMMANDS = {
+    "fit": _Command(cmd_fit, "penalized EM fit at one penalty level",
+                    _DATA_MODEL + ("lam", "output"), _DATA + ("lam", "output")),
+    "select": _Command(cmd_select, "sweep a grid, pick lambda by BIC, refit",
+                       _DATA_MODEL + ("grid", "grid_log", "output_prefix"),
+                       _DATA + ("output_prefix",)),
+    "simulate": _Command(cmd_simulate, "Monte Carlo benchmark scenarios",
+                         _MODEL + ("scenario", "n", "n_i", "p", "p_star", "d_matrix",
+                                   "replicates", "threads", "seed", "grid",
+                                   "output_prefix"),
+                         ("scenario", "seed", "output_prefix")),
+    "cv": _Command(cmd_cv, "subject-grouped k-fold cross-validation",
+                   _DATA_MODEL + ("k", "seed", "grid", "grid_log", "output"),
+                   _DATA + ("k", "seed", "output")),
+    "reduce": _Command(cmd_reduce, "drop linearly dependent fixed-effect columns",
+                       _DATA + ("rank_tol", "output", "report"),
+                       _DATA + ("output", "report")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,83 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lmmlasso",
         description="Lasso selection of fixed effects in linear mixed models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="penalized EM fit at one penalty level")
-    _add_data_options(p)
-    _add_standardize_options(p)
-    _add_common_options(p)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--output", help="fit report JSON")
-    p.set_defaults(func=cmd_fit, required=_DATA_KEYS + ("lam", "output"))
-
-    p = sub.add_parser("select", help="sweep a grid, pick lambda by BIC, refit")
-    _add_data_options(p)
-    _add_standardize_options(p)
-    _add_common_options(p)
-    p.add_argument("--grid", default=None,
-                   help="start:stop:num (linear) or comma-separated values")
-    p.add_argument("--grid-log", dest="grid_log", default=None,
-                   help="num:ratio log grid anchored at the data lambda_max")
-    p.add_argument("--output-prefix", dest="output_prefix")
-    p.set_defaults(func=cmd_select, required=_DATA_KEYS + ("output_prefix",))
-
-    p = sub.add_parser("simulate", help="Monte Carlo benchmark scenarios")
-    _add_common_options(p)
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-i", dest="n_i", type=int, default=None)
-    p.add_argument("--p", type=int, default=None, help="scenario 3 only")
-    p.add_argument("--p-star", dest="p_star", type=int, default=None,
-                   help="scenario 3 only")
-    p.add_argument("--d-matrix", dest="d_matrix", choices=("low", "high"),
-                   default=None, help="scenario 3 covariance preset")
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes for the replicates")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid", default=None)
-    p.add_argument("--output-prefix", dest="output_prefix")
-    p.set_defaults(func=cmd_simulate, required=("scenario", "seed", "output_prefix"))
-
-    p = sub.add_parser("cv", help="subject-grouped k-fold cross-validation")
-    _add_data_options(p)
-    _add_standardize_options(p)
-    _add_common_options(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid", default=None)
-    p.add_argument("--grid-log", dest="grid_log", default=None)
-    p.add_argument("--output", help="per-fold CSV")
-    p.set_defaults(func=cmd_cv, required=_DATA_KEYS + ("k", "seed", "output"))
-
-    p = sub.add_parser("reduce", help="drop linearly dependent fixed-effect columns")
-    _add_data_options(p)
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
-    p.add_argument("--output", help="reduced CSV")
-    p.add_argument("--report", help="reduction report JSON")
-    p.set_defaults(func=cmd_reduce, required=_DATA_KEYS + ("output", "report"))
-
-    # the options a --config file may set, by key (argparse dest); each
-    # subcommand's required keys are checked after the merge (_merge_options)
-    for p in sub.choices.values():
-        p.set_defaults(options={a.dest: a for a in p._actions
-                                if a.dest not in ("help", "config")})
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in ("config", *command.options):
+            kw = {k: v for k, v in _OPTIONS[key].items() if k not in ("flag", "default")}
+            p.add_argument(_OPTIONS[key]["flag"], dest=key, **kw)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _merge_options(args)
-        return args.func(cfg)
+        return _COMMANDS[args.command].handler(_merge_options(args))
     except LmmLassoError as e:
-        print(json.dumps({"error": {
-            "type": type(e).__name__,
-            "message": str(e),
-            "exit_code": e.exit_code,
-        }}))
+        print(json.dumps({"error": {"type": type(e).__name__, "message": str(e),
+                                    "exit_code": e.exit_code}}))
         return e.exit_code
 
 

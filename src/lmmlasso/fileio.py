@@ -8,10 +8,10 @@ and renamed into place, so failed runs leave no partial outputs.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 __all__ = ["fmt17", "atomic_write_text", "write_csv", "write_json"]
 
@@ -25,13 +25,18 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path, text: str):
+@contextmanager
+def _atomic_open(path):
+    """A text file on a temporary sibling of path, renamed onto path on success.
+
+    If the body raises, the sibling is removed and path is left untouched.
+    """
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -39,19 +44,25 @@ def atomic_write_text(path, text: str):
         raise
 
 
+def atomic_write_text(path, text: str):
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def write_csv(path, header, rows):
     """Write rows of mixed str/number cells; numbers get fmt17.
 
-    Cells holding a comma, quote or newline are quoted, so the file
-    reads back through csv.reader with the same fields.
+    Rows may be any iterable; they are written as they come, so a
+    generator over a large input is never held in memory.  Cells holding
+    a comma, quote or newline are quoted, so the file reads back through
+    csv.reader with the same fields.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(cell if isinstance(cell, str) else fmt17(cell)
-                        for cell in row)
-    atomic_write_text(path, buf.getvalue())
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(cell if isinstance(cell, str) else fmt17(cell)
+                            for cell in row)
 
 
 def write_json(path, obj):

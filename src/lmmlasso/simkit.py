@@ -266,9 +266,13 @@ def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
     Child seeds are spawned from cfg.seed per replicate, and records are
     aggregated in replicate order, so the summary is identical for any
     n_jobs.  Failed replicates are counted and excluded from the metrics.
+    At most one worker process per replicate is started.
     """
     if replicates < 1:
         raise ConfigurationError("replicates must be >= 1")
+    if n_jobs < 1:
+        raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
+    n_jobs = min(n_jobs, replicates)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     ctrl = ctrl or EmControl()
     children = np.random.SeedSequence(cfg.seed).spawn(replicates)

@@ -1,10 +1,15 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+from lmmlasso import cli
 from lmmlasso.cli import main
+from lmmlasso.em_engine import EmControl, fit_em
+from lmmlasso.penalized_ls import PenaltySpec
+from lmmlasso.selector import default_grid
 from lmmlasso.simkit import ScenarioConfig, generate_scenario
 
 from oracles import direct_ml_lmm
@@ -571,3 +576,114 @@ def test_random_role_without_columns_is_data_error(tmp_path, capsys):
     error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
     assert error["type"] == "DataError" and "random-effect" in error["message"]
     assert list(tmp_path.iterdir()) == [f]
+
+
+_DATA_OPTIONS = ["--input", "--subject", "--response", "--fixed", "--random"]
+_STANDARDIZE_OPTIONS = ["--standardize", "--categorical", "--no-scale-y"]
+_MODEL_OPTIONS = ["--config", "--lambda-scale", "--penalty", "--alpha", "--criterion",
+                  "--eps", "--max-iter", "--pls-tol", "--pls-max-sweeps"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fit", [*_DATA_OPTIONS, *_STANDARDIZE_OPTIONS, *_MODEL_OPTIONS,
+             "--lambda", "--output"]),
+    ("select", [*_DATA_OPTIONS, *_STANDARDIZE_OPTIONS, *_MODEL_OPTIONS,
+                "--grid", "--grid-log", "--output-prefix"]),
+    ("simulate", [*_MODEL_OPTIONS, "--scenario", "--n", "--n-i", "--p", "--p-star",
+                  "--d-matrix", "--replicates", "--threads", "--seed", "--grid",
+                  "--output-prefix"]),
+    ("cv", [*_DATA_OPTIONS, *_STANDARDIZE_OPTIONS, *_MODEL_OPTIONS,
+            "--k", "--seed", "--grid", "--grid-log", "--output"]),
+    ("reduce", [*_DATA_OPTIONS, "--config", "--rank-tol", "--output", "--report"]),
+])
+def test_each_subcommand_accepts_exactly_its_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set()
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  -"):
+            listed.update(re.findall(r"--?[\w-]+", line.split("  ")[1]))
+    assert listed == {"-h", "--help", *flags}
+
+
+def test_unset_fit_options_take_the_library_defaults(tmp_path, small_csv, monkeypatch):
+    seen = {}
+
+    def recording_fit_em(ds, lam, **kw):
+        seen.update(kw)
+        return fit_em(ds, lam, **kw)
+
+    monkeypatch.setattr(cli, "fit_em", recording_fit_em)
+    rc = main(["fit", "--input", str(small_csv[0]), *DATA_FLAGS, "--lambda", "0.1",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 0
+    assert seen == {"penalty": PenaltySpec(), "ctrl": EmControl(),
+                    "lambda_scale": "per_obs"}
+
+
+def test_unset_select_options_take_the_library_defaults(tmp_path, small_csv):
+    prefix = str(tmp_path / "d")
+    rc = main(["select", "--input", str(small_csv[0]), *DATA_FLAGS,
+               "--output-prefix", prefix])
+    assert rc == 0
+    with open(f"{prefix}_path.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert sorted(float(r[0]) for r in rows) == list(default_grid())
+    selection = json.loads((tmp_path / "d_selection.json").read_text())
+    assert (selection["criterion"], selection["lambda_scale"]) == ("bic", "per_obs")
+
+
+def _simulate_summary(tmp_path, *flags):
+    prefix = str(tmp_path / "sim")
+    rc = main(["simulate", *flags, "--seed", "1", "--replicates", "1",
+               "--grid", "0.1,0.3", "--output-prefix", prefix])
+    assert rc == 0
+    with open(f"{prefix}_summary.csv", newline="") as fh:
+        return dict(list(csv.reader(fh))[1:])
+
+
+def test_unset_simulate_design_takes_the_scenario_defaults(tmp_path):
+    summary = _simulate_summary(tmp_path, "--scenario", "3")
+    assert {k: summary[k] for k in ("n", "n_i", "p", "p_star")} == {
+        "n": "30", "n_i": "5", "p": "50", "p_star": "5"}
+
+
+def test_simulate_design_options_apply_to_every_scenario(tmp_path):
+    summary = _simulate_summary(tmp_path, "--scenario", "1", "--p", "4", "--p-star", "1")
+    assert (summary["p"], summary["p_star"]) == ("4", "1")
+    assert sum(k.startswith("zero_proportion_beta") for k in summary) == 4
+
+
+@pytest.mark.parametrize("command, flags, config", [
+    ("fit", ["--alpha", "0.5"], {}),
+    ("select", ["--grid", "0.1", "--grid-log", "5:0.1"], {}),
+    ("select", ["--grid", "0.1"], {"grid_log": "5:0.1"}),
+    ("cv", ["--grid-log", "5:0.1"], {"grid": "0.1"}),
+    ("fit", ["--categorical", "x1"], {}),
+    ("fit", ["--no-scale-y"], {}),
+    ("fit", [], {"scale_y": False}),
+    ("simulate", ["--threads", "0"], {}),
+    ("simulate", ["--threads", "-3"], {}),
+], ids=["alpha-with-lasso", "grid-and-grid-log", "grid-and-config-grid-log",
+        "config-grid-and-grid-log", "categorical-unstandardized",
+        "no-scale-y-unstandardized", "config-scale-y-unstandardized",
+        "threads-0", "threads-negative"])
+def test_option_that_would_be_ignored_is_usage_error(tmp_path, small_csv, capsys,
+                                                     command, flags, config):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    out = str(tmp_path / "out")
+    tail = {"fit": ["--lambda", "0.1", "--output", out],
+            "select": ["--output-prefix", out],
+            "cv": ["--k", "2", "--seed", "1", "--output", out]}
+    if command == "simulate":
+        argv = ["--scenario", "1", "--seed", "1", "--replicates", "2",
+                "--grid", "0.1", "--output-prefix", out]
+    else:
+        argv = ["--input", str(small_csv[0]), *DATA_FLAGS, *tail[command]]
+    rc = main([command, *argv, *flags, "--config", str(conf)])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "data.csv"]

@@ -260,6 +260,29 @@ def test_refit_reports_original_scale_for_standardized_data():
         rep.params.sigma2 * rec.y_scale ** 2)
 
 
+def test_original_scale_refit_matches_a_fit_on_the_raw_data():
+    # X columns and y are centered beforehand, so standardizing only rescales
+    # them and the refit mapped back must be the raw data's own ML fit.  Both
+    # fits stop on a 1e-12 relative change of the log-likelihood, which pins
+    # the parameters only to about its square root, hence the 1e-4 tolerance
+    # (a wrong scale factor would be off by O(1)).
+    base = scenario1_like(55, n=12, n_i=4, p=3)
+    raw = LongitudinalDataset([SubjectBlock(b.subject_id, b.y - base.y.mean(), b.X, b.Z)
+                               for b in base.blocks])
+    ctrl = EmControl(eps=1e-12, max_iter=30000)
+    support = [0, 2]
+    direct = fit_em(raw.select_columns(support), 0.0, ctrl=ctrl)
+    rep = refit_support(standardize(raw), support, ctrl=ctrl)
+    assert direct.converged and rep.converged
+    beta = np.zeros(raw.p)
+    beta[support] = direct.params.beta
+    orig = rep.original_scale
+    np.testing.assert_allclose(orig["beta"], beta, rtol=1e-4, atol=1e-6)
+    assert orig["intercept"] == pytest.approx(0.0, abs=1e-12)
+    assert orig["sigma2"] == pytest.approx(direct.params.sigma2, rel=1e-4)
+    np.testing.assert_allclose(orig["D"], direct.params.D, rtol=1e-4, atol=1e-6)
+
+
 def test_selection_result_shape_and_serialization():
     ds = small_dataset(seed=33)
     res = select(ds, np.linspace(0.02, 0.3, 6), lambda_scale="per_obs")

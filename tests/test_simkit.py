@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lmmlasso.simkit as simkit
 from lmmlasso.exceptions import ConfigurationError
 from lmmlasso.simkit import (
     D_HIGH,
@@ -208,3 +209,40 @@ def test_csv_writers_round_trip(tmp_path):
     cv_path = tmp_path / "cv.csv"
     write_cv_csv(kfold_cv(ds, k=5, grid=TINY_GRID, seed=5), cv_path)
     assert len(cv_path.read_text().strip().split("\n")) == 6
+
+
+def test_worker_count_is_capped_at_the_replicate_count(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records the worker count asked for and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simkit, "ProcessPoolExecutor", InlinePool)
+    cfg = ScenarioConfig.scenario1(n=10, n_i=4, seed=11)
+    capped = run_monte_carlo(cfg, 2, grid=TINY_GRID, n_jobs=64)
+    assert started == [2]
+    serial = run_monte_carlo(cfg, 2, grid=TINY_GRID, n_jobs=1)
+    assert started == [2]  # the serial run starts no pool
+    np.testing.assert_array_equal(capped.zero_proportion, serial.zero_proportion)
+    assert capped.rmse == serial.rmse
+    run_monte_carlo(cfg, 1, grid=TINY_GRID, n_jobs=8)
+    assert started == [2]  # one replicate runs in this process
+
+
+@pytest.mark.parametrize("n_jobs", [0, -3])
+def test_non_positive_worker_count_is_rejected(n_jobs):
+    cfg = ScenarioConfig.scenario1(n=10, n_i=4, seed=11)
+    with pytest.raises(ConfigurationError, match="n_jobs"):
+        run_monte_carlo(cfg, 2, grid=TINY_GRID, n_jobs=n_jobs)
