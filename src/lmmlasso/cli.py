@@ -380,24 +380,23 @@ class _Command(NamedTuple):
 
 
 _DATA = ("input", "subject", "response", "fixed", "random")
-_MODEL = ("lambda_scale", "penalty", "alpha", "criterion",
-          "eps", "max_iter", "pls_tol", "pls_max_sweeps")
-_DATA_MODEL = _DATA + ("standardize", "categorical", "scale_y") + _MODEL
+_EM = ("lambda_scale", "eps", "max_iter", "pls_tol", "pls_max_sweeps")
+_FILE_FIT = _DATA + ("standardize", "categorical", "scale_y", "penalty", "alpha") + _EM
 
 # one row per subcommand
 _COMMANDS = {
     "fit": _Command(cmd_fit, "penalized EM fit at one penalty level",
-                    _DATA_MODEL + ("lam", "output"), _DATA + ("lam", "output")),
+                    _FILE_FIT + ("lam", "output"), _DATA + ("lam", "output")),
     "select": _Command(cmd_select, "sweep a grid, pick lambda by BIC, refit",
-                       _DATA_MODEL + ("grid", "grid_log", "output_prefix"),
+                       _FILE_FIT + ("criterion", "grid", "grid_log", "output_prefix"),
                        _DATA + ("output_prefix",)),
     "simulate": _Command(cmd_simulate, "Monte Carlo benchmark scenarios",
-                         _MODEL + ("scenario", "n", "n_i", "p", "p_star", "d_matrix",
-                                   "replicates", "threads", "seed", "grid",
-                                   "output_prefix"),
+                         _EM + ("criterion", "scenario", "n", "n_i", "p", "p_star",
+                                "d_matrix", "replicates", "threads", "seed", "grid",
+                                "output_prefix"),
                          ("scenario", "seed", "output_prefix")),
     "cv": _Command(cmd_cv, "subject-grouped k-fold cross-validation",
-                   _DATA_MODEL + ("k", "seed", "grid", "grid_log", "output"),
+                   _FILE_FIT + ("criterion", "k", "seed", "grid", "grid_log", "output"),
                    _DATA + ("k", "seed", "output")),
     "reduce": _Command(cmd_reduce, "drop linearly dependent fixed-effect columns",
                        _DATA + ("rank_tol", "output", "report"),

@@ -3,6 +3,7 @@
 A dataset is held as stacked arrays: the response y and the designs X
 (p fixed-effect columns) and Z (q random-effect columns), rows grouped
 by subject, with per-subject cross products computed by grouped sums.
+The dataset also caches X'X and the eigendecompositions of its blocks.
 Values are immutable after construction, so datasets can be shared
 read-only across concurrent fits.
 """
@@ -150,6 +151,8 @@ class LongitudinalDataset:
         self.standardization = standardization
         self._moments = None
         self._blocks = None
+        self._gram = None
+        self._gram_factors = {}
 
     def _derive(self, **changes) -> "LongitudinalDataset":
         """This dataset with some of _setup's arguments (_FIELDS) replaced."""
@@ -186,6 +189,21 @@ class LongitudinalDataset:
                 zty[:, k] = np.add.reduceat(z[:, 0] * self.y, self.starts)
             self._moments = (_frozen(ztz), _frozen(ztx), _frozen(zty))
         return self._moments
+
+    @property
+    def gram(self) -> np.ndarray:
+        """X'X, (p, p).  Computed once and cached read-only."""
+        if self._gram is None:
+            self._gram = _frozen(self.X.T @ self.X)
+        return self._gram
+
+    def gram_factor(self, cols):
+        """np.linalg.eigh of the cols x cols block of X'X, cached read-only per column tuple."""
+        cols = tuple(cols)
+        if cols not in self._gram_factors:
+            self._gram_factors[cols] = tuple(
+                map(_frozen, np.linalg.eigh(self.gram[np.ix_(cols, cols)])))
+        return self._gram_factors[cols]
 
     def select_columns(self, cols) -> "LongitudinalDataset":
         """Dataset with X restricted to the given column indices (in order)."""

@@ -19,20 +19,16 @@ inverse and log determinant of K_i give the marginal log-likelihood, so
 e_step returns it with the moments and each EM iteration factors the
 subjects once.
 
-The beta M-step takes one of three routes (_solve_beta):
+The beta M-step takes one of two routes (_solve_beta):
 
-- No l1 term (lam = 0, as in every unpenalized refit, or the ridge
-  penalty): the linear solve (X'X + lam1 * (1 - alpha) * I) beta =
-  X'y_tilde, lam1 the effective level.  X'X is fixed for a fit, so
-  fit_em factors it once (eigendecomposition, which serves every shift
-  lam1 takes) and solves each M-step and its initial pooled estimate
-  exactly.
-- An l1 term: on the support A and signs s of the warm start (the
-  previous beta) the stationarity conditions are linear too,
+- One linear solve (_exact_beta): on a support A with signs s,
   (X_A'X_A + lam1 * (1 - alpha) * I) b_A = X_A'y_tilde - (lam1 * alpha / 2) s,
-  solved from a small eigendecomposition.  The support rarely changes
-  between EM iterations; the result is accepted only when the KKT
-  conditions prove it optimal.
+  lam1 the effective level.  Without an l1 term (lam = 0, as in every
+  unpenalized refit, or the ridge penalty) A is every column; with one,
+  A and s are the warm start's (the previous beta), and the solution is
+  kept only when the KKT conditions prove it optimal.  The dataset owns
+  X'X and caches the eigendecomposition of each X_A'X_A (ds.gram,
+  ds.gram_factor), so a support is factored once per dataset.
 - Otherwise coordinate descent (solve_pls) from the warm start: when the
   support or a sign changes, for the pooled lasso start, and when the
   matrix to factor is not numerically positive definite (zero or
@@ -105,10 +101,6 @@ class LmmParams:
     def to_dict(self) -> dict:
         return {"beta": self.beta.tolist(), "sigma2": self.sigma2,
                 "D": self.D.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LmmParams":
-        return cls(np.asarray(d["beta"]), d["sigma2"], np.asarray(d["D"]))
 
 
 @dataclass
@@ -270,30 +262,32 @@ def _gram_is_pd(w: np.ndarray) -> bool:
     return w.size == 0 or w[0] > w[-1] / _GRAM_COND_LIMIT
 
 
-def _eig_solve(eig, rhs: np.ndarray, shift: float) -> np.ndarray | None:
-    """(A + shift * I)^-1 rhs from eig = np.linalg.eigh(A); None unless A is PD."""
-    w, V = eig
-    if not _gram_is_pd(w):
-        return None
-    return V @ ((V.T @ rhs) / (w + shift))
+def _exact_beta(gram: np.ndarray, xty: np.ndarray, factor, l1: float, shift: float,
+                warm_start: np.ndarray | None) -> np.ndarray | None:
+    """The penalized least-squares minimizer from one linear solve, or None.
 
-
-def _lasso_on_support(gram: np.ndarray, xty: np.ndarray, warm_start: np.ndarray,
-                      l1: float, shift: float) -> np.ndarray | None:
-    """The penalized least-squares minimizer with warm_start's support and signs.
-
-    On the support A with signs s the stationarity conditions are linear:
-    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X and c = X'y.
-    The solution is returned only when it is optimal: every b_A keeps its
+    On a support A with signs s the stationarity conditions are linear:
+    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X, c = X'y and
+    G_AA factored by factor(A), or directly when factor is None.  Without
+    an l1 term A is every column.  With one, A and s are warm_start's, and
+    the solution is returned only when it is optimal: every b_A keeps its
     sign in s, and every column j outside A meets the at-zero condition
     |2 m_j| <= l1 of _kkt_residual, with m = c - G beta = X'(y - X beta).
-    Otherwise None.
+    None as well when G_AA is not numerically positive definite.
     """
-    active = np.flatnonzero(warm_start)
-    signs = np.sign(warm_start[active])
-    b_active = _eig_solve(np.linalg.eigh(gram[np.ix_(active, active)]),
-                          xty[active] - 0.5 * l1 * signs, shift)
-    if b_active is None or np.any(b_active * signs <= 0.0):
+    if l1 == 0.0:
+        active, rhs = np.arange(xty.size), xty
+    else:
+        active = np.flatnonzero(warm_start)
+        signs = np.sign(warm_start[active])
+        rhs = xty[active] - 0.5 * l1 * signs
+    w, V = factor(active) if factor else np.linalg.eigh(gram[np.ix_(active, active)])
+    if not _gram_is_pd(w):
+        return None
+    b_active = V @ ((V.T @ rhs) / (w + shift))
+    if l1 == 0.0:
+        return b_active
+    if np.any(b_active * signs <= 0.0):
         return None
     m = xty - gram[:, active] @ b_active
     if np.any(np.abs(2.0 * m[warm_start == 0.0]) > l1):
@@ -304,18 +298,15 @@ def _lasso_on_support(gram: np.ndarray, xty: np.ndarray, warm_start: np.ndarray,
 
 
 def _solve_beta(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, lam: float,
-                ctrl: EmControl, gram: np.ndarray | None, gram_eig,
+                ctrl: EmControl, gram: np.ndarray, factor,
                 warm_start: np.ndarray | None = None):
     """Minimize ||y - X beta||^2 + lam * penalty(beta), lam in raw units.
 
-    Three routes, tried in order:
-
-    - no l1 term: solved exactly from gram_eig, the eigendecomposition of
-      X'X, when X'X is numerically positive definite;
-    - an l1 term and a warm start: solved exactly on the warm start's
-      support and signs, when the KKT conditions prove that solution
-      optimal (_lasso_on_support);
-    - otherwise coordinate descent (solve_pls) from the warm start.
+    gram is X'X and factor(cols) the np.linalg.eigh factorization of its
+    cols block (LongitudinalDataset.gram_factor), or None.  Solved by
+    _exact_beta when there is no l1 term or there is a warm start and that
+    solve succeeds; otherwise by coordinate descent (solve_pls) from the
+    warm start.
 
     Returns (beta, PlsSolution or None when solved exactly).
     """
@@ -323,11 +314,8 @@ def _solve_beta(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, lam: float,
     shift = lam * (1.0 - penalty.alpha)
     xty = X.T @ y
     beta = None
-    if l1 == 0.0:
-        beta = _eig_solve(gram_eig, xty, shift)
-    elif warm_start is not None:
-        gram = X.T @ X if gram is None else gram
-        beta = _lasso_on_support(gram, xty, warm_start, l1, shift)
+    if l1 == 0.0 or warm_start is not None:
+        beta = _exact_beta(gram, xty, factor, l1, shift, warm_start)
     if beta is not None:
         return beta, None
     sol = solve_pls(X, y, penalty.with_lam(lam), warm_start=warm_start,
@@ -338,24 +326,22 @@ def _solve_beta(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, lam: float,
 
 def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParams,
            lam: float, penalty: PenaltySpec, ctrl: EmControl | None = None,
-           gram: np.ndarray | None = None, gram_eig=None, return_pls: bool = False):
+           return_pls: bool = False):
     """Conditional maximization given the E-step moments.
 
     beta solves the penalized least-squares problem on (X, y_tilde) at the
     effective level 2 * lam * sigma2_prev by _solve_beta, warm-started at
-    the previous beta: exactly when it can, else by coordinate descent.
-    sigma2 and D then have closed forms.  lam is in raw units.  gram and
-    gram_eig are X'X and its np.linalg.eigh factorization, computed here
-    when needed and not given.  With return_pls the coordinate-descent
-    solution is returned as well (None when beta was solved exactly).
+    the previous beta: exactly when it can, from the dataset's cached X'X
+    and its factors, else by coordinate descent.  sigma2 and D then have
+    closed forms.  lam is in raw units.  With return_pls the
+    coordinate-descent solution is returned as well (None when beta was
+    solved exactly).
     """
     ctrl = ctrl or EmControl()
     ztz = ds.block_moments[0]
     lam1 = 2.0 * lam * params_prev.sigma2
-    if gram_eig is None and lam1 * penalty.alpha == 0.0:
-        gram_eig = np.linalg.eigh(ds.X.T @ ds.X if gram is None else gram)
-    beta, sol = _solve_beta(ds.X, moments.y_tilde, penalty, lam1, ctrl, gram,
-                            gram_eig, warm_start=params_prev.beta)
+    beta, sol = _solve_beta(ds.X, moments.y_tilde, penalty, lam1, ctrl, ds.gram,
+                            ds.gram_factor, warm_start=params_prev.beta)
 
     resid = moments.y_tilde - ds.X @ beta
     trace_term = float(np.einsum("nij,nij->", moments.Lambda, ztz))
@@ -393,8 +379,8 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     identity (all overridden when init is given).  Iterates E- and M-steps
     until the relative change of the penalized log-likelihood falls below
     ctrl.eps, with an absolute fallback of 1e-10 where the ratio rule is
-    ill-conditioned near zero.  When the penalty has no l1 term, X'X is
-    factored once here and serves the initial and every M-step solve.
+    ill-conditioned near zero.  Every exact solve reads X'X and its
+    factors from the dataset, which computes each once.
 
     Each iteration guards the parameters (_guard_params), runs one E-step,
     which also gives the trace entry for the stopping rule, and then an
@@ -406,15 +392,11 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
     notes: list = []
 
-    gram = ds.X.T @ ds.X if ds.p else np.zeros((0, 0))
-    gram_eig = None
-    if lam_raw * penalty.alpha == 0.0:
-        gram_eig = np.linalg.eigh(gram)
-        if not _gram_is_pd(gram_eig[0]):
-            notes.append("X'X is not numerically positive definite; "
-                         "beta solved by coordinate descent")
+    if lam_raw * penalty.alpha == 0.0 and not _gram_is_pd(ds.gram_factor(range(ds.p))[0]):
+        notes.append("X'X is not numerically positive definite; "
+                     "beta solved by coordinate descent")
     if init is None:
-        beta0, _ = _solve_beta(ds.X, ds.y, penalty, lam_raw, ctrl, gram, gram_eig)
+        beta0, _ = _solve_beta(ds.X, ds.y, penalty, lam_raw, ctrl, ds.gram, ds.gram_factor)
         resid0 = ds.y - ds.X @ beta0
         params = LmmParams(beta0, float(resid0 @ resid0) / ds.N, np.eye(ds.q))
     else:
@@ -432,7 +414,7 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
         iterations += 1
         try:
             params, sol = m_step(ds, moments, params, lam_raw, penalty, ctrl,
-                                 gram=gram, gram_eig=gram_eig, return_pls=True)
+                                 return_pls=True)
             params = _guard_params(params)
             moments = e_step(ds, params)
         except NumericalError as e:

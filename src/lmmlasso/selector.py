@@ -15,7 +15,7 @@ breaking toward the larger penalty (the sparser model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -257,17 +257,7 @@ def refit_support(ds: LongitudinalDataset, support, ctrl: EmControl | None = Non
             "D": (rep.params.D * rec.y_scale ** 2).tolist(),
         }
 
-    return FitReport(
-        params=params,
-        iterations=rep.iterations,
-        converged=rep.converged,
-        penalized_loglik_trace=rep.penalized_loglik_trace,
-        final_loglik=rep.final_loglik,
-        lam=0.0,
-        lambda_scale=rep.lambda_scale,
-        warnings=rep.warnings,
-        original_scale=original,
-    )
+    return replace(rep, params=params, original_scale=original)
 
 
 def select(ds: LongitudinalDataset, grid, penalty="lasso",

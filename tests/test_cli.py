@@ -580,20 +580,21 @@ def test_random_role_without_columns_is_data_error(tmp_path, capsys):
 
 _DATA_OPTIONS = ["--input", "--subject", "--response", "--fixed", "--random"]
 _STANDARDIZE_OPTIONS = ["--standardize", "--categorical", "--no-scale-y"]
-_MODEL_OPTIONS = ["--config", "--lambda-scale", "--penalty", "--alpha", "--criterion",
-                  "--eps", "--max-iter", "--pls-tol", "--pls-max-sweeps"]
+_EM_OPTIONS = ["--config", "--lambda-scale", "--eps", "--max-iter", "--pls-tol",
+               "--pls-max-sweeps"]
+_PENALTY_OPTIONS = ["--penalty", "--alpha"]
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("fit", [*_DATA_OPTIONS, *_STANDARDIZE_OPTIONS, *_MODEL_OPTIONS,
+    ("fit", [*_DATA_OPTIONS, *_STANDARDIZE_OPTIONS, *_EM_OPTIONS, *_PENALTY_OPTIONS,
              "--lambda", "--output"]),
-    ("select", [*_DATA_OPTIONS, *_STANDARDIZE_OPTIONS, *_MODEL_OPTIONS,
-                "--grid", "--grid-log", "--output-prefix"]),
-    ("simulate", [*_MODEL_OPTIONS, "--scenario", "--n", "--n-i", "--p", "--p-star",
-                  "--d-matrix", "--replicates", "--threads", "--seed", "--grid",
-                  "--output-prefix"]),
-    ("cv", [*_DATA_OPTIONS, *_STANDARDIZE_OPTIONS, *_MODEL_OPTIONS,
-            "--k", "--seed", "--grid", "--grid-log", "--output"]),
+    ("select", [*_DATA_OPTIONS, *_STANDARDIZE_OPTIONS, *_EM_OPTIONS, *_PENALTY_OPTIONS,
+                "--criterion", "--grid", "--grid-log", "--output-prefix"]),
+    ("simulate", [*_EM_OPTIONS, "--criterion", "--scenario", "--n", "--n-i", "--p",
+                  "--p-star", "--d-matrix", "--replicates", "--threads", "--seed",
+                  "--grid", "--output-prefix"]),
+    ("cv", [*_DATA_OPTIONS, *_STANDARDIZE_OPTIONS, *_EM_OPTIONS, *_PENALTY_OPTIONS,
+            "--criterion", "--k", "--seed", "--grid", "--grid-log", "--output"]),
     ("reduce", [*_DATA_OPTIONS, "--config", "--rank-tol", "--output", "--report"]),
 ])
 def test_each_subcommand_accepts_exactly_its_flags(capsys, command, flags):
@@ -605,6 +606,36 @@ def test_each_subcommand_accepts_exactly_its_flags(capsys, command, flags):
         if line.startswith("  -"):
             listed.update(re.findall(r"--?[\w-]+", line.split("  ")[1]))
     assert listed == {"-h", "--help", *flags}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("fit", "criterion", "aic"),
+    ("simulate", "penalty", "elastic_net"),
+    ("simulate", "alpha", 0.5),
+])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_subcommand_rejects_option_it_would_ignore(tmp_path, small_csv, command, option,
+                                                   value, via):
+    # fit selects no penalty level; simulate's scenarios are lasso sweeps
+    out = str(tmp_path / "out")
+    if command == "fit":
+        argv = ["fit", "--input", str(small_csv[0]), *DATA_FLAGS, "--lambda", "0.1",
+                "--output", out]
+    else:
+        argv = ["simulate", "--scenario", "1", "--seed", "1", "--replicates", "1",
+                "--grid", "0.1", "--output-prefix", out]
+    if via == "flag":
+        argv += [f"--{option}", str(value)]
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({option: value}))
+        argv += ["--config", str(conf)]
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse rejects an unknown flag
+        rc = e.code
+    assert rc == 2
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
 def test_unset_fit_options_take_the_library_defaults(tmp_path, small_csv, monkeypatch):

@@ -231,6 +231,20 @@ def test_blocks_view_is_built_once():
         np.testing.assert_array_equal(b.X, ds.X[sl])
 
 
+def test_gram_is_cached_read_only():
+    ds = _toy_dataset(seed=6, n=5)
+    gram = ds.gram
+    assert ds.gram is gram
+    np.testing.assert_array_equal(gram, ds.X.T @ ds.X)
+    with pytest.raises(ValueError):
+        gram[0, 0] = 99.0
+    w, V = ds.gram_factor((0, 2))
+    assert ds.gram_factor([0, 2])[1] is V
+    np.testing.assert_allclose((V * w) @ V.T, gram[np.ix_([0, 2], [0, 2])], atol=1e-10)
+    with pytest.raises(ValueError):
+        w[0] = 99.0
+
+
 @pytest.mark.parametrize("text,message", [
     ("", "empty file"),
     ("id,y,x1,t\n", "no data rows"),

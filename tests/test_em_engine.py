@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from lmmlasso.penalized_ls import (
     penalty_value,
     solve_pls,
 )
-from lmmlasso.selector import refit_support
+from lmmlasso.selector import default_grid, refit_support, sweep
+from lmmlasso.simkit import ScenarioConfig, generate_scenario
 
 from oracles import (
     conditional_moments_dense,
@@ -542,3 +544,55 @@ def test_refit_trace_never_decreases_on_exact_path():
         rep = refit_support(ds, support)
         assert rep.converged and rep.warnings == []
         assert rep.worst_trace_decrease() == 0.0
+
+
+def test_sweep_factors_each_support_once_per_dataset(monkeypatch):
+    ds, _ = generate_scenario(ScenarioConfig.scenario3(seed=3))
+    eigh = np.linalg.eigh
+    callers = []  # (module, function) of every eigh call
+
+    def counted(a, *args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return eigh(a, *args, **kwargs)
+
+    requests = []  # (dataset, columns) of every factor request; keeps each dataset alive
+    gram_factor = LongitudinalDataset.gram_factor
+
+    def recorded(self, cols):
+        requests.append((self, tuple(int(j) for j in cols)))
+        return gram_factor(self, cols)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(LongitudinalDataset, "gram_factor", recorded)
+    sweep(ds, default_grid(), lambda_scale="per_obs")
+
+    distinct = {(id(d), cols) for d, cols in requests}
+    from_dataset = [c for c in callers if c[0] == "lmmlasso.dataset"]
+    assert len(from_dataset) == len(distinct)
+    assert len(requests) > 5 * len(distinct)
+    # every other eigh in the engine is of the q x q covariance D
+    assert {f for m, f in callers if m == "lmmlasso.em_engine"} <= {
+        "_guard_params", "_checked_eigh"}
+
+
+@pytest.mark.parametrize("penalty", [PenaltySpec.lasso(0.0), PenaltySpec.lasso(20.0)],
+                         ids=["lambda0", "lasso"])
+def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeypatch):
+    ds = simulate_lmm(3, n=25, n_i=4)
+    ctrl = EmControl(eps=0.0, abs_eps=0.0, max_iter=20)
+    calls = _count_solve_pls(monkeypatch)
+    exact = fit_em(ds, penalty.lam, penalty, ctrl=ctrl)
+    assert exact.warnings == [] and len(calls) <= ctrl.max_iter // 4
+    support = np.flatnonzero(exact.params.beta)
+    factor = ds.gram_factor(support)
+    # the cached factor is reused, but treated as singular on every use
+    monkeypatch.setattr(em_engine, "_GRAM_COND_LIMIT", 1.0)
+    exact_calls = len(calls)
+    forced = fit_em(ds, penalty.lam, penalty, ctrl=ctrl)
+    assert ds.gram_factor(support) is factor
+    # coordinate descent in every M-step (an empty support needs no factor)
+    assert len(calls) - exact_calls >= ctrl.max_iter
+    notes = sum("not numerically positive definite" in w for w in forced.warnings)
+    assert notes == (penalty.lam == 0.0)
+    np.testing.assert_allclose(forced.params.beta, exact.params.beta, rtol=0, atol=1e-6)
