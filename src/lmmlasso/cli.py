@@ -5,7 +5,7 @@ once, in _OPTIONS, and each subcommand's options in _COMMANDS; argparse,
 the config merge and the required check read only these tables.  Flags
 take precedence over a JSON config file (--config), and the file over
 the CLI's own defaults, which exist only where the library's default
-differs or is missing: per_obs lambda units, the lasso penalty, no
+differs or is missing: per-observation lambda units, the lasso penalty, no
 standardization, 100 replicates.  An option left unset is not passed
 on, so the library's default applies.  Config keys are the argparse
 dests (--lambda as lam, --no-scale-y as scale_y), checked like the
@@ -33,7 +33,7 @@ from .dataset import (
     standardize,
 )
 from .em_engine import EmControl, fit_em
-from .penalized_ls import PenaltySpec
+from .penalized_ls import LAMBDA_SCALES, PER_OBS, PenaltySpec
 from .exceptions import ConfigurationError, LmmLassoError
 from .fileio import write_csv, write_json
 from .selector import auto_log_grid, default_grid, select
@@ -66,8 +66,7 @@ _OPTIONS = {
                         help="comma-separated columns exempt from standardization"),
     "scale_y": dict(flag="--no-scale-y", action="store_const", const=False,
                     help="center the response only"),
-    "lambda_scale": dict(flag="--lambda-scale", default="per_obs",
-                         choices=("raw", "per_obs")),
+    "lambda_scale": dict(flag="--lambda-scale", default=PER_OBS, choices=LAMBDA_SCALES),
     "penalty": dict(flag="--penalty", default="lasso", choices=("lasso", "elastic_net")),
     "alpha": dict(flag="--alpha", type=float, help="elastic-net mixing weight in (0, 1)"),
     "criterion": dict(flag="--criterion", choices=("bic", "aic")),
@@ -176,34 +175,26 @@ def _names(text: str) -> list:
 
 
 def _parse_grid(spec) -> np.ndarray:
+    """The grid values of a --grid spec or config list, unchecked (sweep checks them)."""
     if isinstance(spec, (list, tuple)):
-        values = np.asarray([float(v) for v in spec], dtype=float)
-    else:
-        spec = spec.strip()
-        if not spec:
-            raise ConfigurationError("empty grid specification")
-        if ":" in spec:
-            parts = spec.split(":")
-            if len(parts) != 3:
-                raise ConfigurationError(
-                    f"grid {spec!r} must be start:stop:num or a comma list")
-            try:
-                lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
-            except ValueError:
-                raise ConfigurationError(f"malformed grid {spec!r}") from None
-            if num < 1:
-                raise ConfigurationError("grid length must be >= 1")
-            values = np.linspace(lo, hi, num)
-        else:
-            try:
-                values = np.asarray([float(v) for v in spec.split(",") if v != ""])
-            except ValueError:
-                raise ConfigurationError(f"malformed grid {spec!r}") from None
-    if values.size == 0:
-        raise ConfigurationError("empty grid specification")
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
-        raise ConfigurationError("grid values must be finite and >= 0")
-    return values
+        return np.asarray([float(v) for v in spec], dtype=float)
+    spec = spec.strip()
+    if ":" in spec:
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise ConfigurationError(
+                f"grid {spec!r} must be start:stop:num or a comma list")
+        try:
+            lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ConfigurationError(f"malformed grid {spec!r}") from None
+        if num < 1:
+            raise ConfigurationError("grid length must be >= 1")
+        return np.linspace(lo, hi, num)
+    try:
+        return np.asarray([float(v) for v in spec.split(",") if v != ""])
+    except ValueError:
+        raise ConfigurationError(f"malformed grid {spec!r}") from None
 
 
 def _roles_from(cfg: dict) -> ColumnRoles:
@@ -249,10 +240,6 @@ def _resolve_grid(cfg: dict, ds=None) -> np.ndarray:
             num, ratio = int(num), float(ratio)
         except ValueError:
             raise ConfigurationError(f"--grid-log {spec!r} must be num:ratio") from None
-        if num < 1:
-            raise ConfigurationError("grid length must be >= 1")
-        if not 0.0 < ratio < np.inf:
-            raise ConfigurationError("--grid-log ratio must be finite and > 0")
         return auto_log_grid(ds, num=num, ratio=ratio,
                              lambda_scale=cfg["lambda_scale"])
     if "grid" in cfg:

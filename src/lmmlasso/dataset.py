@@ -43,7 +43,8 @@ class SubjectBlock:
     """One subject's response, fixed-effect design, and random-effect design.
 
     The constructor's input format and the type of LongitudinalDataset.blocks;
-    the dataset checks that the values are finite.
+    the dataset checks that the values are finite.  The block holds read-only
+    copies, so the caller's arrays stay writeable.
     """
 
     subject_id: object
@@ -52,9 +53,9 @@ class SubjectBlock:
     Z: np.ndarray
 
     def __post_init__(self):
-        y = _frozen(np.atleast_1d(self.y))
-        X = _frozen(np.atleast_2d(self.X))
-        Z = _frozen(np.atleast_2d(self.Z))
+        y = _frozen(np.array(self.y, dtype=float, ndmin=1))
+        X = _frozen(np.array(self.X, dtype=float, ndmin=2))
+        Z = _frozen(np.array(self.Z, dtype=float, ndmin=2))
         if y.ndim != 1 or y.shape[0] < 1:
             raise DataError(f"subject {self.subject_id!r}: y must be a nonempty vector")
         if X.shape[0] != y.shape[0] or Z.shape[0] != y.shape[0]:
@@ -164,7 +165,7 @@ class LongitudinalDataset:
 
     @property
     def blocks(self) -> tuple:
-        """Read-only per-subject SubjectBlock views, built on first access."""
+        """Read-only per-subject SubjectBlocks, built on first access."""
         if self._blocks is None:
             self._blocks = tuple(SubjectBlock(i, self.y[s], self.X[s], self.Z[s])
                                  for i, s in zip(self.subject_ids, self.slices()))
@@ -228,13 +229,27 @@ class ColumnRoles:
 
     random entries may name file columns or use the literal "1" for a
     synthesized all-ones (intercept) column.  The shorthand string
-    "intercept+<col>" expands to ["1", "<col>"].
+    "intercept+<col>" expands to ["1", "<col>"].  A column may be both fixed
+    and random; any other column named twice is a ConfigurationError.
     """
 
     subject: str
     response: str
     fixed: tuple
     random: tuple
+
+    def __post_init__(self):
+        if self.subject == self.response:
+            raise ConfigurationError(f"column {self.subject!r} is both subject and response")
+        for role in ("subject", "response"):
+            name = getattr(self, role)
+            if name in self.fixed or name in self.random:
+                raise ConfigurationError(
+                    f"{role} column {name!r} is also named as a fixed or random column")
+        for role in ("fixed", "random"):
+            names = getattr(self, role)
+            if len(set(names)) != len(names):
+                raise ConfigurationError(f"{role} columns {list(names)} name a column twice")
 
     @classmethod
     def from_mapping(cls, d: dict) -> "ColumnRoles":

@@ -48,7 +48,7 @@ import numpy as np
 
 from .dataset import LongitudinalDataset
 from .exceptions import ConfigurationError, NumericalError
-from .penalized_ls import PenaltySpec, effective_lambda, penalty_value, solve_pls
+from .penalized_ls import RAW, PenaltySpec, effective_lambda, penalty_value, solve_pls
 
 __all__ = [
     "LmmParams",
@@ -154,7 +154,7 @@ class FitReport:
     penalized_loglik_trace: np.ndarray
     final_loglik: float
     lam: float
-    lambda_scale: str = "raw"
+    lambda_scale: str = RAW
     warnings: list = field(default_factory=list)
     original_scale: dict | None = None  # populated by post-selection refits
 
@@ -192,6 +192,7 @@ def _guard_params(params: LmmParams) -> LmmParams:
     w, V = np.linalg.eigh(D)
     if w.min() < _D_EIG_FLOOR:
         D = (V * np.clip(w, _D_EIG_FLOOR, None)) @ V.T
+        D = 0.5 * (D + D.T)
     return LmmParams(params.beta, max(params.sigma2, _SIGMA2_FLOOR), D)
 
 
@@ -262,18 +263,18 @@ def _gram_is_pd(w: np.ndarray) -> bool:
     return w.size == 0 or w[0] > w[-1] / _GRAM_COND_LIMIT
 
 
-def _exact_beta(gram: np.ndarray, xty: np.ndarray, factor, l1: float, shift: float,
+def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: float,
                 warm_start: np.ndarray | None) -> np.ndarray | None:
     """The penalized least-squares minimizer from one linear solve, or None.
 
     On a support A with signs s the stationarity conditions are linear:
-    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X, c = X'y and
-    G_AA factored by factor(A), or directly when factor is None.  Without
-    an l1 term A is every column.  With one, A and s are warm_start's, and
-    the solution is returned only when it is optimal: every b_A keeps its
-    sign in s, and every column j outside A meets the at-zero condition
-    |2 m_j| <= l1 of _kkt_residual, with m = c - G beta = X'(y - X beta).
-    None as well when G_AA is not numerically positive definite.
+    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X (ds.gram),
+    c = X'y and G_AA factored by ds.gram_factor(A).  Without an l1 term A
+    is every column.  With one, A and s are warm_start's, and the solution
+    is returned only when it is optimal: every b_A keeps its sign in s, and
+    every column j outside A meets the at-zero condition |2 m_j| <= l1 of
+    _kkt_residual, with m = c - G beta = X'(y - X beta).  None as well when
+    G_AA is not numerically positive definite.
     """
     if l1 == 0.0:
         active, rhs = np.arange(xty.size), xty
@@ -281,7 +282,7 @@ def _exact_beta(gram: np.ndarray, xty: np.ndarray, factor, l1: float, shift: flo
         active = np.flatnonzero(warm_start)
         signs = np.sign(warm_start[active])
         rhs = xty[active] - 0.5 * l1 * signs
-    w, V = factor(active) if factor else np.linalg.eigh(gram[np.ix_(active, active)])
+    w, V = ds.gram_factor(active)
     if not _gram_is_pd(w):
         return None
     b_active = V @ ((V.T @ rhs) / (w + shift))
@@ -289,7 +290,7 @@ def _exact_beta(gram: np.ndarray, xty: np.ndarray, factor, l1: float, shift: flo
         return b_active
     if np.any(b_active * signs <= 0.0):
         return None
-    m = xty - gram[:, active] @ b_active
+    m = xty - ds.gram[:, active] @ b_active
     if np.any(np.abs(2.0 * m[warm_start == 0.0]) > l1):
         return None
     beta = np.zeros(xty.size)
@@ -297,29 +298,26 @@ def _exact_beta(gram: np.ndarray, xty: np.ndarray, factor, l1: float, shift: flo
     return beta
 
 
-def _solve_beta(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, lam: float,
-                ctrl: EmControl, gram: np.ndarray, factor,
-                warm_start: np.ndarray | None = None):
-    """Minimize ||y - X beta||^2 + lam * penalty(beta), lam in raw units.
+def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, lam: float,
+                ctrl: EmControl, warm_start: np.ndarray | None = None):
+    """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, lam in raw units.
 
-    gram is X'X and factor(cols) the np.linalg.eigh factorization of its
-    cols block (LongitudinalDataset.gram_factor), or None.  Solved by
-    _exact_beta when there is no l1 term or there is a warm start and that
-    solve succeeds; otherwise by coordinate descent (solve_pls) from the
-    warm start.
+    Solved by _exact_beta, from the dataset's X'X and its factors, when
+    there is no l1 term or there is a warm start and that solve succeeds;
+    otherwise by coordinate descent (solve_pls) from the warm start.
 
     Returns (beta, PlsSolution or None when solved exactly).
     """
     l1 = lam * penalty.alpha
     shift = lam * (1.0 - penalty.alpha)
-    xty = X.T @ y
+    xty = ds.X.T @ y
     beta = None
     if l1 == 0.0 or warm_start is not None:
-        beta = _exact_beta(gram, xty, factor, l1, shift, warm_start)
+        beta = _exact_beta(ds, xty, l1, shift, warm_start)
     if beta is not None:
         return beta, None
-    sol = solve_pls(X, y, penalty.with_lam(lam), warm_start=warm_start,
-                    tol=ctrl.pls_tol, max_sweeps=ctrl.pls_max_sweeps, gram=gram,
+    sol = solve_pls(ds.X, y, penalty.with_lam(lam), warm_start=warm_start,
+                    tol=ctrl.pls_tol, max_sweeps=ctrl.pls_max_sweeps, gram=ds.gram,
                     xty=xty)
     return sol.beta, sol
 
@@ -340,8 +338,8 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParam
     ctrl = ctrl or EmControl()
     ztz = ds.block_moments[0]
     lam1 = 2.0 * lam * params_prev.sigma2
-    beta, sol = _solve_beta(ds.X, moments.y_tilde, penalty, lam1, ctrl, ds.gram,
-                            ds.gram_factor, warm_start=params_prev.beta)
+    beta, sol = _solve_beta(ds, moments.y_tilde, penalty, lam1, ctrl,
+                            warm_start=params_prev.beta)
 
     resid = moments.y_tilde - ds.X @ beta
     trace_term = float(np.einsum("nij,nij->", moments.Lambda, ztz))
@@ -371,7 +369,7 @@ def penalized_loglik(ds: LongitudinalDataset, params: LmmParams, lam: float,
 
 def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = None,
            init: LmmParams | None = None, ctrl: EmControl | None = None,
-           lambda_scale: str = "raw") -> FitReport:
+           lambda_scale: str = RAW) -> FitReport:
     """Penalized ML fit at a fixed penalty level.
 
     Initialization: beta from the pooled penalized least-squares problem
@@ -396,7 +394,7 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
         notes.append("X'X is not numerically positive definite; "
                      "beta solved by coordinate descent")
     if init is None:
-        beta0, _ = _solve_beta(ds.X, ds.y, penalty, lam_raw, ctrl, ds.gram, ds.gram_factor)
+        beta0, _ = _solve_beta(ds, ds.y, penalty, lam_raw, ctrl)
         resid0 = ds.y - ds.X @ beta0
         params = LmmParams(beta0, float(resid0 @ resid0) / ds.N, np.eye(ds.q))
     else:

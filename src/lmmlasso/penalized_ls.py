@@ -7,10 +7,11 @@ Solves
 
 for lasso (alpha = 1), ridge (alpha = 0), and elastic-net (0 < alpha < 1)
 penalties.  The penalty level ``lam`` multiplies the raw residual sum of
-squares; no 1/(2N) rescaling is applied.  Callers that think in
-per-observation units (the convention of popular GLM-net style solvers,
-whose lambda multiplies RSS/(2N)) can pass ``lambda_scale="per_obs"``,
-which multiplies lam by 2N internally.
+squares; no 1/(2N) rescaling is applied.  The per-observation convention
+of GLM-net style solvers (lambda multiplies RSS/(2N)) lives at the fit and
+selection layer: fit_em, sweep, select, run_monte_carlo and kfold_cv take
+a lambda_scale, one of LAMBDA_SCALES, and effective_lambda, the only unit
+conversion, maps it onto the raw level.
 
 The solver maintains the gradient vector m = X'y - X'X beta, so each
 coordinate update costs O(p) independent of the number of rows.  After a
@@ -30,6 +31,7 @@ import numpy as np
 from .exceptions import ConfigurationError, DataError
 
 __all__ = [
+    "LAMBDA_SCALES",
     "PenaltySpec",
     "PlsSolution",
     "soft_threshold",
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 _FAMILIES = ("lasso", "ridge", "elastic_net")
+RAW, PER_OBS = LAMBDA_SCALES = ("raw", "per_obs")  # the lambda units effective_lambda knows
 
 
 @dataclass(frozen=True)
@@ -122,9 +125,9 @@ def effective_lambda(lam: float, lambda_scale: str, n_obs: int) -> float:
     the per-observation convention lambda * (RSS/(2N) + penalty) onto the
     raw objective used here.
     """
-    if lambda_scale == "raw":
+    if lambda_scale == RAW:
         return float(lam)
-    if lambda_scale == "per_obs":
+    if lambda_scale == PER_OBS:
         return float(lam) * 2.0 * n_obs
     raise ConfigurationError(f"unknown lambda_scale {lambda_scale!r}")
 
@@ -161,23 +164,20 @@ def _kkt_residual(grad_half: np.ndarray, beta: np.ndarray, lam: float, alpha: fl
     return float(np.max(np.where(beta == 0.0, at_zero, off_zero)))
 
 
-def kkt_check(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, beta: np.ndarray,
-              lambda_scale: str = "raw") -> float:
+def kkt_check(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, beta: np.ndarray) -> float:
     """Recompute the stationarity residual of beta from scratch."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if X.shape[0] != y.shape[0] or X.shape[1] != beta.shape[0]:
         raise DataError("kkt_check: shapes of X, y, beta do not agree")
-    lam = effective_lambda(penalty.lam, lambda_scale, X.shape[0])
     grad_half = X.T @ (y - X @ beta)
-    return _kkt_residual(grad_half, beta, lam, penalty.alpha)
+    return _kkt_residual(grad_half, beta, penalty.lam, penalty.alpha)
 
 
 def solve_pls(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec,
               warm_start: np.ndarray | None = None,
               tol: float = 1e-9, max_sweeps: int = 10000,
-              lambda_scale: str = "raw",
               gram: np.ndarray | None = None,
               xty: np.ndarray | None = None,
               yty: float | None = None) -> PlsSolution:
@@ -186,13 +186,12 @@ def solve_pls(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec,
     Args:
         X: (N, p) design matrix.
         y: (N,) response.
-        penalty: family, mixing weight, and level.
+        penalty: family, mixing weight, and level (raw units).
         warm_start: optional initial beta (copied, not modified).
         tol: convergence threshold on the maximum absolute coefficient
             change over a full sweep.
         max_sweeps: sweep budget; when exhausted the best (last) iterate
             is returned with converged=False.
-        lambda_scale: "raw" or "per_obs" (see effective_lambda).
         gram, xty, yty: optional precomputed X'X, X'y, y'y.  Callers that
             re-solve on a fixed design (the EM loop) pass these to avoid
             touching the N-row data.
@@ -208,8 +207,8 @@ def solve_pls(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec,
         raise ConfigurationError("solve_pls: tol must be finite and > 0")
     if max_sweeps < 1:
         raise ConfigurationError("solve_pls: max_sweeps must be >= 1")
-    n_obs, p = X.shape
-    lam = effective_lambda(penalty.lam, lambda_scale, n_obs)
+    p = X.shape[1]
+    lam = float(penalty.lam)
     alpha = penalty.alpha
 
     y_ss = float(y @ y) if yty is None else float(yty)

@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import LongitudinalDataset, beta_original_scale
 from .em_engine import EmControl, FitReport, LmmParams, fit_em, observed_loglik
 from .exceptions import ConfigurationError, LmmLassoError, NumericalError
-from .penalized_ls import PenaltySpec
+from .penalized_ls import RAW, PenaltySpec, effective_lambda, lambda_max
 
 __all__ = [
     "RegularizationPath",
@@ -41,17 +41,18 @@ def default_grid(num: int = 100, low: float = 0.001, high: float = 0.5) -> np.nd
 
 
 def auto_log_grid(ds: LongitudinalDataset, num: int = 100, ratio: float = 1e-3,
-                  lambda_scale: str = "raw") -> np.ndarray:
+                  lambda_scale: str = RAW) -> np.ndarray:
     """Log-spaced grid anchored at the level that zeroes all coefficients.
 
     The anchor is max_j |2 x_j'y| on the pooled data, converted to the
-    requested lambda_scale; the grid spans [ratio * anchor, anchor].
+    requested lambda_scale; the grid spans [ratio * anchor, anchor] with
+    num >= 1 points and a finite ratio > 0.
     """
-    from .penalized_ls import lambda_max
-
-    anchor = lambda_max(ds.X, ds.y)
-    if lambda_scale == "per_obs":
-        anchor /= 2.0 * ds.N
+    if num < 1:
+        raise ConfigurationError(f"auto_log_grid: num must be >= 1, got {num}")
+    if not 0.0 < ratio < np.inf:
+        raise ConfigurationError(f"auto_log_grid: ratio must be finite and > 0, got {ratio}")
+    anchor = lambda_max(ds.X, ds.y) / effective_lambda(1.0, lambda_scale, ds.N)
     if anchor <= 0.0:
         raise ConfigurationError("auto_log_grid: design has no signal (lambda_max = 0)")
     return np.geomspace(anchor * ratio, anchor, num)
@@ -78,7 +79,7 @@ class RegularizationPath:
     selected_index: int
     refit_fits: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    lambda_scale: str = "raw"
+    lambda_scale: str = RAW
     criterion: str = "bic"
 
     @property
@@ -154,18 +155,32 @@ def _argmin_prefer_larger(values: np.ndarray, valid: np.ndarray) -> int:
     return best
 
 
-def _as_penalty_template(penalty) -> PenaltySpec:
+def _selection_settings(grid, lambda_scale: str, criterion: str, penalty="lasso"):
+    """Check a selection run's settings before any fit; raise ConfigurationError.
+
+    Returns the grid in decreasing order and the penalty template.  Every
+    entry point that sweeps a grid calls this first, so a bad setting fails
+    before any fit runs or any worker starts.
+    """
+    grid = np.sort(np.asarray(grid, dtype=float))[::-1].copy()
+    if grid.size == 0:
+        raise ConfigurationError("sweep: empty grid")
+    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
+        raise ConfigurationError("sweep: grid values must be finite and >= 0")
+    effective_lambda(0.0, lambda_scale, 0)  # raises on an unknown unit name
+    if criterion not in ("bic", "aic"):
+        raise ConfigurationError(f"unknown criterion {criterion!r}")
     if isinstance(penalty, PenaltySpec):
-        return penalty
+        return grid, penalty
     if penalty == "lasso":
-        return PenaltySpec.lasso(0.0)
+        return grid, PenaltySpec.lasso(0.0)
     if penalty == "ridge":
         raise ConfigurationError("ridge has no sparse path to select over")
     raise ConfigurationError(f"unknown penalty {penalty!r}")
 
 
 def sweep(ds: LongitudinalDataset, grid, penalty="lasso",
-          ctrl: EmControl | None = None, lambda_scale: str = "raw",
+          ctrl: EmControl | None = None, lambda_scale: str = RAW,
           criterion: str = "bic") -> RegularizationPath:
     """Fit the EM over a penalty grid and select by information criterion.
 
@@ -175,14 +190,7 @@ def sweep(ds: LongitudinalDataset, grid, penalty="lasso",
     refit of its support.  Individual fit failures are recorded per entry
     and skipped by the selection; a sweep where every entry failed raises.
     """
-    grid = np.sort(np.asarray(grid, dtype=float))[::-1].copy()
-    if grid.size == 0:
-        raise ConfigurationError("sweep: empty grid")
-    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise ConfigurationError("sweep: grid values must be finite and >= 0")
-    if criterion not in ("bic", "aic"):
-        raise ConfigurationError(f"unknown criterion {criterion!r}")
-    template = _as_penalty_template(penalty)
+    grid, template = _selection_settings(grid, lambda_scale, criterion, penalty)
     ctrl = ctrl or EmControl()
 
     m = grid.size
@@ -261,7 +269,7 @@ def refit_support(ds: LongitudinalDataset, support, ctrl: EmControl | None = Non
 
 
 def select(ds: LongitudinalDataset, grid, penalty="lasso",
-           ctrl: EmControl | None = None, lambda_scale: str = "raw",
+           ctrl: EmControl | None = None, lambda_scale: str = RAW,
            criterion: str = "bic") -> SelectionResult:
     """Sweep the grid, pick the optimal penalty, and report its refit."""
     path = sweep(ds, grid, penalty=penalty, ctrl=ctrl, lambda_scale=lambda_scale,

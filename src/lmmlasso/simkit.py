@@ -20,7 +20,8 @@ from .dataset import LongitudinalDataset
 from .em_engine import EmControl, _psd_sqrt
 from .exceptions import ConfigurationError, LmmLassoError
 from .fileio import write_csv
-from .selector import default_grid, select, sweep
+from .penalized_ls import PER_OBS
+from .selector import _selection_settings, default_grid, select, sweep
 
 __all__ = [
     "ScenarioConfig",
@@ -259,7 +260,7 @@ def _run_replicate(args) -> ReplicateRecord:
 
 
 def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
-                    ctrl: EmControl | None = None, lambda_scale: str = "per_obs",
+                    ctrl: EmControl | None = None, lambda_scale: str = PER_OBS,
                     criterion: str = "bic", n_jobs: int = 1) -> McSummary:
     """Run seeded replicates of generate -> sweep -> select and aggregate.
 
@@ -273,7 +274,8 @@ def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
     if n_jobs < 1:
         raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
     n_jobs = min(n_jobs, replicates)
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid, _ = _selection_settings(default_grid() if grid is None else grid,
+                                  lambda_scale, criterion)
     ctrl = ctrl or EmControl()
     children = np.random.SeedSequence(cfg.seed).spawn(replicates)
     tasks = [(cfg, r, children[r], grid, ctrl, lambda_scale, criterion)
@@ -332,7 +334,7 @@ class FoldResult:
 
 
 def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty="lasso",
-             ctrl: EmControl | None = None, lambda_scale: str = "per_obs",
+             ctrl: EmControl | None = None, lambda_scale: str = PER_OBS,
              criterion: str = "bic", seed: int = 0):
     """Subject-grouped k-fold cross-validation of the selection pipeline.
 
@@ -343,7 +345,8 @@ def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty="lasso",
     """
     if not 2 <= k <= ds.n:
         raise ConfigurationError(f"k must be in [2, n]; got k={k}, n={ds.n}")
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid, _ = _selection_settings(default_grid() if grid is None else grid,
+                                  lambda_scale, criterion, penalty)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ds.n)
     folds = np.array_split(perm, k)

@@ -374,6 +374,29 @@ def test_duplicate_role_column_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subject, response, fixed, random", [
+    ("id", "x1", "x1,x2", "1,t"),
+    ("id", "t", "x1,x2", "1,t"),
+    ("id", "y", "id,x1", "1,t"),
+    ("id", "y", "x1", "id,t"),
+    ("id", "id", "x1,x2", "1,t"),
+    ("id", "y", "x1,x1", "1,t"),
+    ("id", "y", "x1,x2", "1,1"),
+    ("id", "y", "x1,x2", "t,t"),
+], ids=["response_fixed", "response_random", "subject_fixed", "subject_random",
+        "subject_response", "fixed_twice", "intercept_twice", "random_twice"])
+def test_conflicting_column_roles_are_usage_error(tmp_path, small_csv, capsys, subject,
+                                                  response, fixed, random):
+    f, _ = small_csv
+    rc = main(["fit", "--input", str(f), "--subject", subject, "--response", response,
+               "--fixed", fixed, "--random", random, "--lambda", "0.1",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError"
+    assert list(tmp_path.iterdir()) == [f]
+
+
 @pytest.mark.parametrize("spec", ["a:b", "10:0.1:3", "0:0.01", "10:0"])
 def test_malformed_grid_log_is_usage_error(tmp_path, small_csv, capsys, spec):
     f, _ = small_csv

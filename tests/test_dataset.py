@@ -368,3 +368,13 @@ def test_select_columns_and_subset_subjects_match_rebuilt_datasets(data):
     _assert_same_dataset(part, LongitudinalDataset([ds.blocks[i] for i in idx], ds.x_names,
                                                    ds.y_name, ds.z_names))
     assert part.standardization is ds.standardization
+
+
+def test_subject_block_copies_and_leaves_callers_arrays_writeable():
+    y, X, Z = np.arange(3.0), np.ones((3, 2)), np.ones((3, 1))
+    block = SubjectBlock(0, y, X, Z)
+    assert y.flags.writeable and X.flags.writeable and Z.flags.writeable
+    y[0] = 7.0
+    assert block.y[0] == 0.0
+    assert not (block.y.flags.writeable or block.X.flags.writeable
+                or block.Z.flags.writeable)

@@ -367,6 +367,23 @@ def test_fit_em_from_singular_D_returns_the_guarded_iterate():
     assert rep.worst_trace_decrease() <= 1e-8
 
 
+def test_fit_em_on_noise_free_data_returns_symmetric_D():
+    # y = X beta exactly: sigma2 and D collapse onto their floors, so the
+    # guard clamps D's eigenvalues on every iteration
+    rng = np.random.default_rng(0)
+    Z = np.column_stack([np.ones(4), np.arange(1.0, 5.0)])
+    blocks = []
+    for i in range(10):
+        X = rng.normal(size=(4, 3))
+        blocks.append(SubjectBlock(i, X @ np.array([1.0, -1.0, 0.5]), X, Z))
+    ds = LongitudinalDataset(blocks)
+    for lam in (0.0, 0.1):
+        rep = fit_em(ds, lam)
+        assert rep.converged
+        assert np.linalg.eigvalsh(rep.params.D).min() == pytest.approx(1e-10)
+        np.testing.assert_array_equal(rep.params.D, rep.params.D.T)
+
+
 def test_fit_em_warm_init_reaches_same_solution():
     ds = simulate_lmm(37)
     cold = fit_em(ds, 0.0, ctrl=EmControl(eps=1e-12, max_iter=20000))
@@ -503,8 +520,9 @@ def _lasso_problems(draw):
 @given(_lasso_problems())
 def test_solve_beta_matches_enumeration_oracle(problem):
     X, y, lam, warm_start = problem
-    beta, _ = em_engine._solve_beta(X, y, PenaltySpec.lasso(0.0), lam, EmControl(),
-                                    X.T @ X, None, warm_start=warm_start)
+    ds = LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
+    beta, _ = em_engine._solve_beta(ds, y, PenaltySpec.lasso(0.0), lam, EmControl(),
+                                    warm_start=warm_start)
     _, best = lasso_best_by_enumeration(X, y, lam)
     resid = y - X @ beta
     objective = float(resid @ resid) + lam * float(np.abs(beta).sum())

@@ -143,15 +143,6 @@ def test_zero_column_pinned_with_warning():
     assert sol.converged
 
 
-def test_per_obs_scale_matches_raw_times_2n():
-    rng = np.random.default_rng(37)
-    X = rng.normal(size=(35, 5))
-    y = rng.normal(size=35)
-    a = solve_pls(X, y, PenaltySpec.lasso(0.05), lambda_scale="per_obs", tol=1e-12)
-    b = solve_pls(X, y, PenaltySpec.lasso(0.05 * 2 * 35), lambda_scale="raw", tol=1e-12)
-    np.testing.assert_allclose(a.beta, b.beta, atol=1e-12)
-
-
 def test_ridge_closed_form():
     rng = np.random.default_rng(41)
     X = rng.normal(size=(30, 5))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lmmlasso.selector as selector_mod
+import lmmlasso.simkit as simkit
 from lmmlasso.dataset import LongitudinalDataset, SubjectBlock, standardize
 from lmmlasso.em_engine import EmControl, fit_em, observed_loglik
 from lmmlasso.exceptions import ConfigurationError, NumericalError
@@ -13,6 +14,8 @@ from lmmlasso.selector import (
     select,
     sweep,
 )
+
+from lmmlasso.simkit import ScenarioConfig, kfold_cv, run_monte_carlo
 
 from oracles import dense_marginal_loglik
 
@@ -294,3 +297,48 @@ def test_selection_result_shape_and_serialization():
     assert len(d["path"]["grid"]) == 6
     rows = list(res.path.csv_rows())
     assert len(rows) == 6 and len(rows[0]) == 6
+
+
+def _monte_carlo(n_jobs):
+    return lambda ds, **kw: run_monte_carlo(ScenarioConfig.scenario1(n=6, n_i=3), 2,
+                                            n_jobs=n_jobs, **kw)
+
+
+_SELECTION_RUNS = {"sweep": sweep, "select": select,
+                   "kfold_cv": lambda ds, **kw: kfold_cv(ds, 2, **kw),
+                   "monte_carlo_1": _monte_carlo(1), "monte_carlo_2": _monte_carlo(2)}
+_BAD_SELECTION = {"lambda_scale": dict(lambda_scale="perobs"),
+                  "criterion": dict(criterion="bic2"),
+                  "empty_grid": dict(grid=[]),
+                  "negative_grid": dict(grid=[0.1, -0.1]),
+                  "nan_grid": dict(grid=[0.1, np.nan])}
+_BAD_LOG_GRID = {"lambda_scale": dict(lambda_scale="perobs"),
+                 "ratio_0": dict(ratio=0.0), "ratio_-1": dict(ratio=-1.0),
+                 "ratio_nan": dict(ratio=np.nan), "num_0": dict(num=0),
+                 "num_-3": dict(num=-3)}
+_BAD_SETTINGS = {f"{name}-{case}": (run, {"grid": [0.1, 0.2], **bad})
+                 for name, run in _SELECTION_RUNS.items()
+                 for case, bad in _BAD_SELECTION.items()}
+_BAD_SETTINGS.update({f"auto_log_grid-{case}": (auto_log_grid, bad)
+                      for case, bad in _BAD_LOG_GRID.items()})
+
+
+@pytest.mark.parametrize("case", _BAD_SETTINGS)
+def test_bad_selection_setting_fails_before_any_fit(monkeypatch, case):
+    run, settings = _BAD_SETTINGS[case]
+    started = []
+
+    def no_fit(*args, **kwargs):
+        started.append("fit_em")
+        raise AssertionError("a fit ran")
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            started.append("ProcessPoolExecutor")
+            raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(selector_mod, "fit_em", no_fit)
+    monkeypatch.setattr(simkit, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(ConfigurationError):
+        run(small_dataset(), **settings)
+    assert started == []
