@@ -17,7 +17,11 @@ matrix, K_i = sigma2 I + S Z_i'Z_i S with S the symmetric square root of
 D, for any positive semidefinite D (no D^-1 is formed).  The same
 inverse and log determinant of K_i give the marginal log-likelihood, so
 e_step returns it with the moments and each EM iteration factors the
-subjects once.
+subjects once.  Each iteration eigendecomposes D once: fit_em's guard
+(_guard_params) takes eigh(D) and hands it to e_step, which builds S
+from it.  The products S A_i S over all subjects are two flat
+(n*q, q) @ S products (_sandwich), and the log-likelihood is formed
+from totals over subjects.
 
 The beta M-step takes one of two routes (_solve_beta):
 
@@ -42,6 +46,7 @@ design-matrix products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,9 +90,18 @@ class LmmParams:
         self._checked_eigh()
         return self
 
+    def _check_finite(self):
+        """Raise NumericalError naming the first of beta, sigma2, D with a NaN or inf."""
+        for name, finite in (("beta", np.isfinite(self.beta).all()),
+                             ("sigma2", math.isfinite(self.sigma2)),
+                             ("D", np.isfinite(self.D).all())):
+            if not finite:
+                raise NumericalError(f"{name} must be finite")
+
     def _checked_eigh(self):
         """validate()'s checks; returns np.linalg.eigh(D) for the caller to reuse."""
-        if not np.isfinite(self.sigma2) or self.sigma2 <= 0.0:
+        self._check_finite()
+        if self.sigma2 <= 0.0:
             raise NumericalError(f"sigma2 must be positive, got {self.sigma2}")
         if self.D.ndim != 2 or self.D.shape[0] != self.D.shape[1]:
             raise NumericalError("D must be square")
@@ -186,14 +200,22 @@ def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def _guard_params(params: LmmParams) -> LmmParams:
-    """Clamp D's eigenvalues and sigma2 away from zero before an E-step."""
+def _guard_params(params: LmmParams):
+    """Clamp D's eigenvalues and sigma2 away from zero before an E-step.
+
+    Returns the guarded params and np.linalg.eigh of their D, which e_step
+    takes in place of its own checks: the guarded D is exactly symmetric
+    with eigenvalues above -1e-10 and sigma2 is positive, so after the
+    shared finiteness check nothing validate() refuses can get through.
+    """
+    params._check_finite()
     D = 0.5 * (params.D + params.D.T)
     w, V = np.linalg.eigh(D)
     if w.min() < _D_EIG_FLOOR:
         D = (V * np.clip(w, _D_EIG_FLOOR, None)) @ V.T
         D = 0.5 * (D + D.T)
-    return LmmParams(params.beta, max(params.sigma2, _SIGMA2_FLOOR), D)
+        w, V = np.linalg.eigh(D)
+    return LmmParams(params.beta, max(params.sigma2, _SIGMA2_FLOOR), D), (w, V)
 
 
 def _spd_inv_logdet(K: np.ndarray):
@@ -224,7 +246,19 @@ def _spd_inv_logdet(K: np.ndarray):
     return inv, np.log(det)
 
 
-def e_step(ds: LongitudinalDataset, params: LmmParams) -> EStepMoments:
+def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """S A_i S for every symmetric q x q block A_i of the (n, q, q) stack A.
+
+    Two flat (n*q, q) @ S products: the first gives the blocks A_i S,
+    whose transposes are S A_i.  numpy's stacked matmul would dispatch
+    once per block.
+    """
+    n, q, _ = A.shape
+    AS = (A.reshape(n * q, q) @ S).reshape(n, q, q)
+    return (AS.transpose(0, 2, 1).reshape(n * q, q) @ S).reshape(n, q, q)
+
+
+def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMoments:
     """Conditional random-effect moments and the marginal log-likelihood.
 
     With S the symmetric square root of D, r_i = y_i - X_i beta and the
@@ -238,24 +272,32 @@ def e_step(ds: LongitudinalDataset, params: LmmParams) -> EStepMoments:
     V_i = Z_i D Z_i' + sigma2 I: log det V_i = (n_i - q) log sigma2 +
     log det K_i, and r_i'V_i^-1 r_i = (r_i'r_i - w_i'K_i^-1 w_i) / sigma2
     with w_i = S Z_i'r_i.  No D^-1 is formed, so a singular D needs no
-    special case.
-    """
-    S = _psd_sqrt(*params._checked_eigh())
-    ztz, ztx, zty = ds.block_moments
-    sigma2 = params.sigma2
-    Kinv, logdet_K = _spd_inv_logdet(sigma2 * np.eye(ds.q) + S @ ztz @ S)
+    special case.  The log-likelihood needs only totals over subjects:
+    sum_i r_i'r_i = r'r and sum_i log det V_i = (N - n q) log sigma2 +
+    sum_i log det K_i.
 
-    w = (zty - ztx @ params.beta) @ S   # (n, q): S Z_i'r_i, since S is symmetric
+    eig, when given, is np.linalg.eigh(params.D) from a caller that has
+    already checked params (fit_em's _guard_params); otherwise params are
+    validated here and D is decomposed.
+    """
+    S = _psd_sqrt(*(params._checked_eigh() if eig is None else eig))
+    ztz, ztx, zty = ds.block_moments
+    n, q = ds.n, ds.q
+    sigma2 = params.sigma2
+    Kinv, logdet_K = _spd_inv_logdet(sigma2 * np.eye(q) + _sandwich(S, ztz))
+
+    ztr = zty - (ztx.reshape(n * q, ds.p) @ params.beta).reshape(n, q)
+    w = ztr @ S   # (n, q): S Z_i'r_i, since S is symmetric
     Kinv_w = np.einsum("nij,nj->ni", Kinv, w)
     b_hat = Kinv_w @ S
-    Lambda = sigma2 * (S @ Kinv @ S)
+    Lambda = sigma2 * _sandwich(S, Kinv)
     y_tilde = ds.y - np.einsum("nq,nq->n", ds.Z, np.repeat(b_hat, ds.counts, axis=0))
 
     r = ds.y - ds.X @ params.beta
-    quad = (np.add.reduceat(r * r, ds.starts) - np.einsum("nq,nq->n", w, Kinv_w)) / sigma2
-    logdet = (ds.counts - ds.q) * np.log(sigma2) + logdet_K
-    loglik = -0.5 * float(np.sum(ds.counts * np.log(2.0 * np.pi) + logdet + quad))
-    return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde, loglik=loglik)
+    quad = (float(r @ r) - float(np.einsum("nq,nq->", w, Kinv_w))) / sigma2
+    logdet = (ds.N - n * q) * math.log(sigma2) + float(logdet_K.sum())
+    loglik = -0.5 * (ds.N * math.log(2.0 * math.pi) + logdet + quad)
+    return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde, loglik=float(loglik))
 
 
 def _gram_is_pd(w: np.ndarray) -> bool:
@@ -380,10 +422,10 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     ill-conditioned near zero.  Every exact solve reads X'X and its
     factors from the dataset, which computes each once.
 
-    Each iteration guards the parameters (_guard_params), runs one E-step,
-    which also gives the trace entry for the stopping rule, and then an
-    M-step.  The returned params and final_loglik are the last guarded
-    iterate.
+    Each iteration guards the parameters (_guard_params), runs one E-step
+    on the guard's eigendecomposition of D, which also gives the trace
+    entry for the stopping rule, and then an M-step.  The returned params
+    and final_loglik are the last guarded iterate.
     """
     penalty = PenaltySpec.lasso(lam) if penalty is None else penalty.with_lam(lam)
     ctrl = ctrl or EmControl()
@@ -402,8 +444,8 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
             raise ConfigurationError("fit_em: init has wrong shapes for this dataset")
         params = LmmParams(init.beta.copy(), init.sigma2, init.D.copy())
 
-    params = _guard_params(params)
-    moments = e_step(ds, params)
+    params, eig = _guard_params(params)
+    moments = e_step(ds, params, eig=eig)
     lp = moments.loglik - lam_raw * penalty_value(penalty, params.beta)
     trace = [lp]
     converged = False
@@ -413,8 +455,8 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
         try:
             params, sol = m_step(ds, moments, params, lam_raw, penalty, ctrl,
                                  return_pls=True)
-            params = _guard_params(params)
-            moments = e_step(ds, params)
+            params, eig = _guard_params(params)
+            moments = e_step(ds, params, eig=eig)
         except NumericalError as e:
             raise NumericalError(f"fit_em: iteration {iterations}: {e}") from e
         if sol is not None and not sol.converged:

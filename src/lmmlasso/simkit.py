@@ -65,6 +65,10 @@ class ScenarioConfig:
         if not 0 <= self.p_star <= self.p:
             raise ConfigurationError(f"p_star={self.p_star} must lie in [0, p={self.p}]")
         D = np.asarray(self.D_true, dtype=float)
+        for name, value in (("D_true", D), ("sigma2_true", self.sigma2_true),
+                            ("covariate_mean", self.covariate_mean)):
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{name} must be finite")
         if D.shape != (2, 2) or np.abs(D - D.T).max() > 1e-12:
             raise ConfigurationError("D_true must be a symmetric 2x2 matrix")
         if np.linalg.eigvalsh(D).min() < -1e-12:
@@ -81,6 +85,8 @@ class ScenarioConfig:
         beta = np.asarray(beta, dtype=float).copy()
         if beta.shape != (self.p,):
             raise ConfigurationError("beta_true must have length p")
+        if not np.all(np.isfinite(beta)):
+            raise ConfigurationError("beta_true must be finite")
         beta.setflags(write=False)
         object.__setattr__(self, "beta_true", beta)
 

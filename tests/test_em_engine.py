@@ -172,6 +172,22 @@ def test_e_step_rejects_invalid_params():
         e_step(ds, LmmParams(np.zeros(3), 1.0, np.array([[1.0, 0.5], [0.0, 1.0]])))
 
 
+@pytest.mark.parametrize("name, params", [
+    ("beta", LmmParams([np.nan, 0.0, 0.0], 1.0, D_UNIT)),
+    ("sigma2", LmmParams(np.zeros(3), np.nan, D_UNIT)),
+    ("sigma2", LmmParams(np.zeros(3), np.inf, D_UNIT)),
+    ("D", LmmParams(np.zeros(3), 1.0, [[1.0, np.nan], [np.nan, 1.0]])),
+    ("D", LmmParams(np.zeros(3), 1.0, [[np.inf, 0.0], [0.0, 1.0]])),
+], ids=["beta_nan", "sigma2_nan", "sigma2_inf", "D_nan", "D_inf"])
+def test_non_finite_params_are_refused_naming_the_parameter(name, params):
+    # validate(), the public E-step and fit_em's guarded path share one check
+    ds = simulate_lmm(1, n=4)
+    for call in (params.validate, lambda: e_step(ds, params),
+                 lambda: fit_em(ds, 0.0, init=params)):
+        with pytest.raises(NumericalError, match=f"^{name} must be finite"):
+            call()
+
+
 @st.composite
 def _small_lmms(draw):
     """A small mixed-model dataset, parameters with a PSD D of any rank, and lam.
@@ -365,6 +381,38 @@ def test_fit_em_from_singular_D_returns_the_guarded_iterate():
     last = rep.final_loglik - lam * penalty_value(pen, rep.params.beta)
     assert rep.penalized_loglik_trace[-1] == last
     assert rep.worst_trace_decrease() <= 1e-8
+
+
+def test_fit_em_takes_one_eigh_of_D_per_iteration(monkeypatch):
+    ds = simulate_lmm(5, n=15, n_i=4)
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    k = 7
+    rep = fit_em(ds, 0.0, ctrl=EmControl(eps=0.0, abs_eps=0.0, max_iter=k))
+    assert rep.iterations == k
+    # the guard's eigh before the first E-step and after each M-step; the
+    # E-step reuses it
+    assert shapes.count((ds.q, ds.q)) == k + 1
+
+
+@pytest.mark.parametrize("lam", [0.0, 5.0])
+def test_guarded_e_step_agrees_with_public_path_bit_for_bit(lam):
+    ds = simulate_lmm(6, n=15, n_i=4)
+    rep = fit_em(ds, lam, ctrl=EmControl(max_iter=30))
+    assert np.linalg.eigvalsh(rep.params.D).min() > 1e-10  # the guard did not clamp
+    assert rep.final_loglik == observed_loglik(ds, rep.params)
+    assert type(rep.final_loglik) is float and type(rep.converged) is bool
+    guarded = e_step(ds, rep.params, eig=np.linalg.eigh(rep.params.D))
+    public = e_step(ds, rep.params)
+    for a, b in ((guarded.b_hat, public.b_hat), (guarded.Lambda, public.Lambda),
+                 (guarded.y_tilde, public.y_tilde)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_fit_em_on_noise_free_data_returns_symmetric_D():

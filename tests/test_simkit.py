@@ -28,6 +28,16 @@ def test_scenario_config_validation():
                        sigma2_true=1.0, covariate_mean=6.0, seed=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sigma2_true", np.nan), ("sigma2_true", np.inf), ("covariate_mean", np.nan),
+    ("D_true", np.array([[1.0, np.nan], [np.nan, 1.0]])), ("D_true", np.diag([np.inf, 1.0])),
+    ("beta_true", np.r_[np.nan, np.zeros(8)]),
+], ids=["sigma2_nan", "sigma2_inf", "mean_nan", "D_nan", "D_inf", "beta_nan"])
+def test_scenario_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        ScenarioConfig.scenario1(n=10, n_i=4, **{field: value})
+
+
 def test_scenario1_shapes_and_design():
     cfg = ScenarioConfig.scenario1(n=30, n_i=5, seed=1)
     np.testing.assert_array_equal(cfg.D_true, [[1.0, 0.25], [0.25, 1.0]])
