@@ -273,23 +273,11 @@ def cmd_select(cfg: dict) -> int:
     write_csv(f"{prefix}_path.csv", ("lambda", "bic", "aic", "df", "nnz", "converged"),
               res.path.csv_rows())
 
-    selection = {
-        "selected_lambda": res.selected_lambda,
-        "lambda_scale": cfg["lambda_scale"],
-        "criterion": res.path.criterion,
-        "support": list(res.support),
-        "support_names": [ds.x_names[j] for j in res.support],
-        "penalized_estimates": res.penalized.params.to_dict(),
-        "refit_estimates": res.refit.params.to_dict(),
-        "refit_converged": res.refit.converged,
-    }
-    if res.refit.original_scale is not None:
-        selection["refit_original_scale"] = res.refit.original_scale
-    write_json(f"{prefix}_selection.json", selection)
+    names = [ds.x_names[j] for j in res.support]
+    write_json(f"{prefix}_selection.json", {**res.to_dict(), "support_names": names})
 
     print(f"selected lambda: {res.selected_lambda}")
-    print(f"support ({len(res.support)} of {ds.p}): "
-          + (", ".join(selection["support_names"]) or "(empty)"))
+    print(f"support ({len(res.support)} of {ds.p}): " + (", ".join(names) or "(empty)"))
     beta = res.refit.params.beta
     for j in res.support:
         print(f"  {ds.x_names[j]}: {beta[j]:+.6f}")

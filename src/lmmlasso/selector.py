@@ -11,6 +11,10 @@ compares model sizes free of shrinkage bias; scoring the shrunk
 estimates themselves systematically favors denser models and does not
 reproduce the benchmark selection rates.  The minimizer wins, ties
 breaking toward the larger penalty (the sparser model).
+
+A SelectionResult is a view of its path at the selected entry: the
+penalty, support, penalized fit and refit are all read off the path,
+and SelectionResult.to_dict() is the selection JSON.
 """
 
 from __future__ import annotations
@@ -58,10 +62,6 @@ def auto_log_grid(ds: LongitudinalDataset, num: int = 100, ratio: float = 1e-3,
     return np.geomspace(anchor * ratio, anchor, num)
 
 
-def _degrees_of_freedom(beta: np.ndarray, q: int) -> int:
-    return int(np.count_nonzero(beta)) + q * (q + 1) // 2 + 1
-
-
 @dataclass
 class RegularizationPath:
     """Per-grid-value fits and scores, ordered by decreasing penalty.
@@ -102,43 +102,44 @@ class RegularizationPath:
                    int(self.df[i]), int(self.nnz[i]),
                    bool(fit.converged) if fit is not None else False)
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "bic": self.bic.tolist(),
-            "aic": self.aic.tolist(),
-            "df": self.df.tolist(),
-            "nnz": self.nnz.tolist(),
-            "selected_index": self.selected_index,
-            "selected_lambda": self.selected_lambda,
-            "errors": list(self.errors),
-            "lambda_scale": self.lambda_scale,
-            "criterion": self.criterion,
-            "fits": [f.to_dict() if f is not None else None for f in self.fits],
-        }
-
 
 @dataclass
 class SelectionResult:
-    """Selected penalty level, its support, and the unpenalized refit."""
+    """A view of a path at its selected entry: the penalty, support and refit."""
 
-    selected_lambda: float
-    support: tuple
-    refit: FitReport
     path: RegularizationPath
+
+    @property
+    def selected_lambda(self) -> float:
+        return self.path.selected_lambda
 
     @property
     def penalized(self) -> FitReport:
         return self.path.selected_fit
 
+    @property
+    def support(self) -> tuple:
+        return tuple(int(j) for j in np.flatnonzero(self.penalized.params.beta))
+
+    @property
+    def refit(self) -> FitReport:
+        return self.path.selected_refit
+
     def to_dict(self) -> dict:
-        return {
+        """The selection JSON; column names are the dataset's to add."""
+        refit = self.refit
+        out = {
             "selected_lambda": self.selected_lambda,
+            "lambda_scale": self.path.lambda_scale,
+            "criterion": self.path.criterion,
             "support": list(self.support),
-            "penalized": self.penalized.to_dict(),
-            "refit": self.refit.to_dict(),
-            "path": self.path.to_dict(),
+            "penalized_estimates": self.penalized.params.to_dict(),
+            "refit_estimates": refit.params.to_dict(),
+            "refit_converged": refit.converged,
         }
+        if refit.original_scale is not None:
+            out["refit_original_scale"] = refit.original_scale
+        return out
 
 
 def _argmin_prefer_larger(values: np.ndarray, valid: np.ndarray) -> int:
@@ -191,23 +192,19 @@ def sweep(ds: LongitudinalDataset, grid, penalty="lasso",
     and skipped by the selection; a sweep where every entry failed raises.
     """
     grid, template = _selection_settings(grid, lambda_scale, criterion, penalty)
-    ctrl = ctrl or EmControl()
-
     m = grid.size
     fits: list = [None] * m
     refits: list = [None] * m
     errors: list = [None] * m
-    bic = np.full(m, np.nan)
-    aic = np.full(m, np.nan)
-    df = np.zeros(m, dtype=int)
+    loglik = np.full(m, np.nan)
     nnz = np.zeros(m, dtype=int)
 
     refit_cache: dict = {}
     prev = None
     for i, lam in enumerate(grid):
         try:
-            fit = fit_em(ds, float(lam), template.with_lam(float(lam)),
-                         init=prev, ctrl=ctrl, lambda_scale=lambda_scale)
+            fit = fit_em(ds, float(lam), template, init=prev, ctrl=ctrl,
+                         lambda_scale=lambda_scale)
             support = tuple(int(j) for j in np.flatnonzero(fit.params.beta))
             if support not in refit_cache:
                 refit = refit_support(ds, support, ctrl=ctrl)
@@ -218,17 +215,17 @@ def sweep(ds: LongitudinalDataset, grid, penalty="lasso",
             errors[i] = str(e)
             continue
         fits[i] = fit
-        refits[i], loglik = refit_cache[support]
-        df[i] = _degrees_of_freedom(fit.params.beta, ds.q)
-        bic[i] = -2.0 * loglik + np.log(ds.n) * df[i]
-        aic[i] = -2.0 * loglik + 2.0 * df[i]
-        nnz[i] = int(np.count_nonzero(fit.params.beta))
+        refits[i], loglik[i] = refit_cache[support]
+        nnz[i] = len(support)
         prev = fit.params
 
     valid = np.array([f is not None for f in fits])
     if not valid.any():
         raise NumericalError("sweep: every fit on the grid failed; "
                              f"first error: {errors[0]}")
+    df = np.where(valid, nnz + ds.q * (ds.q + 1) // 2 + 1, 0)
+    bic = -2.0 * loglik + np.log(ds.n) * df
+    aic = -2.0 * loglik + 2.0 * df
     scores = bic if criterion == "bic" else aic
     selected = _argmin_prefer_larger(scores, valid)
     return RegularizationPath(grid=grid, fits=fits, bic=bic, aic=aic, df=df,
@@ -272,12 +269,5 @@ def select(ds: LongitudinalDataset, grid, penalty="lasso",
            ctrl: EmControl | None = None, lambda_scale: str = RAW,
            criterion: str = "bic") -> SelectionResult:
     """Sweep the grid, pick the optimal penalty, and report its refit."""
-    path = sweep(ds, grid, penalty=penalty, ctrl=ctrl, lambda_scale=lambda_scale,
-                 criterion=criterion)
-    support = tuple(int(j) for j in np.flatnonzero(path.selected_fit.params.beta))
-    return SelectionResult(
-        selected_lambda=path.selected_lambda,
-        support=support,
-        refit=path.selected_refit,
-        path=path,
-    )
+    return SelectionResult(sweep(ds, grid, penalty=penalty, ctrl=ctrl,
+                                 lambda_scale=lambda_scale, criterion=criterion))

@@ -60,8 +60,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in (1, 2, 3):
             raise ConfigurationError(f"scenario must be 1, 2, or 3, got {self.scenario}")
-        if self.n < 1 or self.n_i < 1:
-            raise ConfigurationError("n and n_i must be >= 1")
+        if self.n < 1 or self.n_i < 1 or self.p < 1:
+            raise ConfigurationError("n, n_i and p must be >= 1")
         if not 0 <= self.p_star <= self.p:
             raise ConfigurationError(f"p_star={self.p_star} must lie in [0, p={self.p}]")
         D = np.asarray(self.D_true, dtype=float)
@@ -114,16 +114,6 @@ class ScenarioConfig:
         kw.setdefault("covariate_mean", 6.0)
         return cls(scenario=3, n=n, n_i=n_i, p=p, p_star=p_star,
                    D_true=D_true, seed=seed, **kw)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario, "n": self.n, "n_i": self.n_i,
-            "p": self.p, "p_star": self.p_star,
-            "beta_true": self.beta_true.tolist(),
-            "D_true": self.D_true.tolist(),
-            "sigma2_true": self.sigma2_true,
-            "covariate_mean": self.covariate_mean, "seed": self.seed,
-        }
 
 
 def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator | None = None):

@@ -74,6 +74,35 @@ def test_cmd_select_writes_path_and_selection(tmp_path, small_csv, capsys):
     assert "selected lambda" in out
 
 
+_SELECTION_KEYS = {"selected_lambda", "lambda_scale", "criterion", "support",
+                   "support_names", "penalized_estimates", "refit_estimates",
+                   "refit_converged"}
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+def test_cmd_select_artifact_is_the_selection_to_dict(tmp_path, small_csv, monkeypatch,
+                                                      standardize):
+    f, ds = small_csv
+    results = []
+    cli_select = cli.select
+
+    def recording_select(*args, **kwargs):
+        results.append(cli_select(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "select", recording_select)
+    flags = ["--standardize"] if standardize else []
+    rc = main(["select", "--input", str(f), *DATA_FLAGS, "--grid", "0.01:0.3:8",
+               *flags, "--output-prefix", str(tmp_path / "sel")])
+    assert rc == 0
+    (res,) = results
+    selection = json.loads((tmp_path / "sel_selection.json").read_text())
+    names = [ds.x_names[j] for j in res.support]
+    assert selection == {**res.to_dict(), "support_names": names}
+    assert set(selection) == _SELECTION_KEYS | ({"refit_original_scale"} if standardize else set())
+    assert res.support == tuple(np.flatnonzero(res.path.selected_fit.params.beta))
+
+
 def test_cmd_select_grid_zero_gives_full_support(tmp_path, small_csv):
     f, ds = small_csv
     prefix = str(tmp_path / "z")
@@ -146,6 +175,19 @@ def test_cmd_simulate_rejects_pstar_above_p(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert err["error"]["type"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("scenario", ["2", "3"])
+def test_cmd_simulate_rejects_scenario_without_covariates(tmp_path, capsys, scenario):
+    # p = 0 leaves nothing to select: a usage error, not a traceback or an RMSE of nan
+    prefix = tmp_path / "x"
+    rc = main(["simulate", "--scenario", scenario, "--n", "10", "--n-i", "4",
+               "--p", "0", "--p-star", "0", "--replicates", "1",
+               "--seed", "1", "--output-prefix", str(prefix)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"]["type"] == "ConfigurationError"
+    assert not (tmp_path / "x_summary.csv").exists()
 
 
 def test_cmd_cv_requires_seed(tmp_path, small_csv, capsys):
