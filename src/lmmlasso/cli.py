@@ -9,8 +9,10 @@ differs or is missing: per-observation lambda units, the lasso penalty, no
 standardization, 100 replicates.  An option left unset is not passed
 on, so the library's default applies.  Config keys are the argparse
 dests (--lambda as lam, --no-scale-y as scale_y), checked like the
-flags; required options are checked after the merge.  Artifacts are
-written atomically with 17-significant-digit numbers, so reruns can be
+flags; required options are checked after the merge.  Choices of a
+named setting are read from the module that owns it.  Artifacts are
+written atomically, CSV numbers with 17 significant digits and JSON
+numbers as Python's shortest round-trip repr, so reruns can be
 compared byte for byte.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 numerical.
@@ -29,6 +31,7 @@ import numpy as np
 from .dataset import (
     ColumnRoles,
     ingest_long_csv,
+    name_list,
     remove_linear_combos,
     standardize,
 )
@@ -36,10 +39,10 @@ from .em_engine import EmControl, fit_em
 from .penalized_ls import LAMBDA_SCALES, PER_OBS, PenaltySpec
 from .exceptions import ConfigurationError, LmmLassoError
 from .fileio import write_csv, write_json
-from .selector import auto_log_grid, default_grid, select
+from .selector import CRITERIA, auto_log_grid, select
 from .simkit import (
-    D_HIGH,
-    D_LOW,
+    D_PRESETS,
+    SCENARIO_DESIGNS,
     ScenarioConfig,
     kfold_cv,
     run_monte_carlo,
@@ -69,7 +72,7 @@ _OPTIONS = {
     "lambda_scale": dict(flag="--lambda-scale", default=PER_OBS, choices=LAMBDA_SCALES),
     "penalty": dict(flag="--penalty", default="lasso", choices=("lasso", "elastic_net")),
     "alpha": dict(flag="--alpha", type=float, help="elastic-net mixing weight in (0, 1)"),
-    "criterion": dict(flag="--criterion", choices=("bic", "aic")),
+    "criterion": dict(flag="--criterion", choices=tuple(CRITERIA)),
     "eps": dict(flag="--eps", type=float, help="EM relative stopping tolerance"),
     "max_iter": dict(flag="--max-iter", type=int),
     "pls_tol": dict(flag="--pls-tol", type=float),
@@ -78,12 +81,12 @@ _OPTIONS = {
     "grid": dict(flag="--grid", help="start:stop:num (linear) or comma-separated values"),
     "grid_log": dict(flag="--grid-log",
                      help="num:ratio log grid anchored at the data lambda_max"),
-    "scenario": dict(flag="--scenario", type=int, choices=(1, 2, 3)),
+    "scenario": dict(flag="--scenario", type=int, choices=tuple(SCENARIO_DESIGNS)),
     "n": dict(flag="--n", type=int),
     "n_i": dict(flag="--n-i", type=int),
     "p": dict(flag="--p", type=int),
     "p_star": dict(flag="--p-star", type=int),
-    "d_matrix": dict(flag="--d-matrix", choices=("low", "high"),
+    "d_matrix": dict(flag="--d-matrix", choices=tuple(D_PRESETS),
                      help="random-effect covariance preset"),
     "replicates": dict(flag="--replicates", default=100, type=int),
     "threads": dict(flag="--threads", type=int, help="worker processes for the replicates"),
@@ -170,10 +173,6 @@ def _given(cfg: dict, *keys, **renamed) -> dict:
     return {arg: cfg[key] for arg, key in names.items() if key in cfg}
 
 
-def _names(text: str) -> list:
-    return [c.strip() for c in text.split(",") if c.strip()]
-
-
 def _parse_grid(spec) -> np.ndarray:
     """The grid values of a --grid spec or config list, unchecked (sweep checks them)."""
     if isinstance(spec, (list, tuple)):
@@ -197,24 +196,15 @@ def _parse_grid(spec) -> np.ndarray:
         raise ConfigurationError(f"malformed grid {spec!r}") from None
 
 
-def _roles_from(cfg: dict) -> ColumnRoles:
-    random = cfg["random"]
-    return ColumnRoles.from_mapping({
-        "subject": cfg["subject"], "response": cfg["response"],
-        "fixed": _names(cfg["fixed"]),
-        "random": random if random.startswith("intercept+") else _names(random),
-    })
-
-
 def _load_dataset(cfg: dict):
-    ds = ingest_long_csv(cfg["input"], _roles_from(cfg))
+    ds = ingest_long_csv(cfg["input"], ColumnRoles.from_mapping(cfg))
     if not cfg["standardize"]:
         for key in ("categorical", "scale_y"):
             if key in cfg:
                 flag = _OPTIONS[key]["flag"]
                 raise ConfigurationError(f"{flag} has no effect without --standardize")
         return ds
-    cat_names = _names(cfg.get("categorical", ""))
+    cat_names = name_list(cfg.get("categorical", ""))
     unknown = [c for c in cat_names if c not in ds.x_names]
     if unknown:
         raise ConfigurationError(f"categorical column(s) not in fixed set: {unknown}")
@@ -227,10 +217,12 @@ def _ctrl_from(cfg: dict) -> EmControl:
 
 
 def _penalty_from(cfg: dict) -> PenaltySpec:
+    if cfg["penalty"] == "lasso" and "alpha" in cfg:
+        raise ConfigurationError("--alpha has no effect with the lasso")
     return PenaltySpec(cfg["penalty"], **_given(cfg, "alpha"))
 
 
-def _resolve_grid(cfg: dict, ds=None) -> np.ndarray:
+def _resolve_grid(cfg: dict, ds=None) -> np.ndarray | None:
     if "grid" in cfg and "grid_log" in cfg:
         raise ConfigurationError("--grid and --grid-log exclude each other")
     if "grid_log" in cfg:
@@ -244,7 +236,7 @@ def _resolve_grid(cfg: dict, ds=None) -> np.ndarray:
                              lambda_scale=cfg["lambda_scale"])
     if "grid" in cfg:
         return _parse_grid(cfg["grid"])
-    return default_grid()
+    return None  # the selector's default grid
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +280,8 @@ def cmd_select(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     design = _given(cfg, "n", "n_i", "p", "p_star", "seed")
     if "d_matrix" in cfg:
-        design["D_true"] = {"low": D_LOW, "high": D_HIGH}[cfg["d_matrix"]]
-    sc = getattr(ScenarioConfig, f"scenario{cfg['scenario']}")(**design)
+        design["D_true"] = D_PRESETS[cfg["d_matrix"]]
+    sc = ScenarioConfig(cfg["scenario"], **design)
 
     summary = run_monte_carlo(sc, cfg["replicates"], grid=_resolve_grid(cfg),
                               ctrl=_ctrl_from(cfg),
@@ -321,7 +313,7 @@ def cmd_cv(cfg: dict) -> int:
 
 
 def cmd_reduce(cfg: dict) -> int:
-    ds = ingest_long_csv(cfg["input"], _roles_from(cfg))
+    ds = ingest_long_csv(cfg["input"], ColumnRoles.from_mapping(cfg))
     _, report = remove_linear_combos(ds, **_given(cfg, "rank_tol"))
     dropped_names = {ds.x_names[j] for j in report.dropped}
 

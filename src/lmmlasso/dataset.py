@@ -23,6 +23,7 @@ __all__ = [
     "LongitudinalDataset",
     "StandardizationRecord",
     "ColumnRoles",
+    "name_list",
     "ColumnReductionReport",
     "ingest_long_csv",
     "standardize",
@@ -75,19 +76,17 @@ class StandardizationRecord:
 
     x_center: np.ndarray
     x_scale: np.ndarray
-    x_exempt: np.ndarray  # boolean mask of columns left unscaled
     y_center: float
     y_scale: float
 
     def __post_init__(self):
         object.__setattr__(self, "x_center", _frozen(self.x_center))
         object.__setattr__(self, "x_scale", _frozen(self.x_scale))
-        object.__setattr__(self, "x_exempt", _frozen(self.x_exempt, bool))
 
     def subset(self, cols) -> "StandardizationRecord":
         cols = np.asarray(cols, dtype=int)
         return StandardizationRecord(self.x_center[cols], self.x_scale[cols],
-                                     self.x_exempt[cols], self.y_center, self.y_scale)
+                                     self.y_center, self.y_scale)
 
 
 class LongitudinalDataset:
@@ -223,6 +222,13 @@ class LongitudinalDataset:
                             y=self.y[rows], X=self.X[rows], Z=self.Z[rows])
 
 
+def name_list(names) -> tuple:
+    """A comma-separated string's nonblank names, stripped, or a sequence's items."""
+    if isinstance(names, str):
+        return tuple(c.strip() for c in names.split(",") if c.strip())
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class ColumnRoles:
     """Mapping of CSV columns onto model roles.
@@ -253,20 +259,15 @@ class ColumnRoles:
 
     @classmethod
     def from_mapping(cls, d: dict) -> "ColumnRoles":
+        """Roles from a mapping whose fixed and random may be comma lists (name_list)."""
         try:
-            subject = d["subject"]
-            response = d["response"]
-            fixed = tuple(d["fixed"])
-            random = d["random"]
+            subject, response, fixed, random = (
+                d[key] for key in ("subject", "response", "fixed", "random"))
         except KeyError as e:
             raise ConfigurationError(f"column-role mapping is missing {e.args[0]!r}") from None
-        if isinstance(random, str):
-            if random.startswith("intercept+"):
-                random = ("1", random.split("+", 1)[1])
-            else:
-                raise ConfigurationError(
-                    "random must be a list of columns or 'intercept+<col>'")
-        return cls(subject, response, fixed, tuple(random))
+        if isinstance(random, str) and random.startswith("intercept+"):
+            random = "1," + random.split("+", 1)[1]  # shorthand for "1,<col>"
+        return cls(subject, response, name_list(fixed), name_list(random))
 
 
 @dataclass(frozen=True)
@@ -373,7 +374,7 @@ def standardize(ds: LongitudinalDataset, categorical=(), center_categorical=Fals
     if scale_y and y_scale == 0.0:
         raise DataError("response has zero variance")
 
-    record = StandardizationRecord(center, scale, exempt, y_center, y_scale)
+    record = StandardizationRecord(center, scale, y_center, y_scale)
     return ds._derive(y=(ds.y - y_center) / y_scale, X=(ds.X - center) / scale,
                       standardization=record)
 

@@ -436,7 +436,9 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
         notes.append("X'X is not numerically positive definite; "
                      "beta solved by coordinate descent")
     if init is None:
-        beta0, _ = _solve_beta(ds, ds.y, penalty, lam_raw, ctrl)
+        beta0, sol = _solve_beta(ds, ds.y, penalty, lam_raw, ctrl)
+        if sol is not None and not sol.converged:
+            notes.append("cold start: coordinate descent hit its sweep budget")
         resid0 = ds.y - ds.X @ beta0
         params = LmmParams(beta0, float(resid0 @ resid0) / ds.N, np.eye(ds.q))
     else:

@@ -1,6 +1,7 @@
 """Deterministic artifact writing shared by the CLI and the simulation kit.
 
-Numbers are serialized with 17 significant digits so that repeated runs
+CSV numbers are serialized with 17 significant digits and JSON numbers
+as Python's shortest round-trip repr, both exact, so that repeated runs
 can be compared byte for byte; files are written to a temporary sibling
 and renamed into place, so failed runs leave no partial outputs.
 """

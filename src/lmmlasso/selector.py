@@ -29,6 +29,7 @@ from .exceptions import ConfigurationError, LmmLassoError, NumericalError
 from .penalized_ls import RAW, PenaltySpec, effective_lambda, lambda_max
 
 __all__ = [
+    "CRITERIA",
     "RegularizationPath",
     "SelectionResult",
     "sweep",
@@ -37,6 +38,9 @@ __all__ = [
     "default_grid",
     "auto_log_grid",
 ]
+
+# each information criterion's cost per degree of freedom, given n subjects
+CRITERIA = {"bic": np.log, "aic": lambda n: 2.0}
 
 
 def default_grid(num: int = 100, low: float = 0.001, high: float = 0.5) -> np.ndarray:
@@ -156,37 +160,38 @@ def _argmin_prefer_larger(values: np.ndarray, valid: np.ndarray) -> int:
     return best
 
 
-def _selection_settings(grid, lambda_scale: str, criterion: str, penalty="lasso"):
+def _selection_settings(grid, lambda_scale: str, criterion: str, penalty=None):
     """Check a selection run's settings before any fit; raise ConfigurationError.
 
-    Returns the grid in decreasing order and the penalty template.  Every
-    entry point that sweeps a grid calls this first, so a bad setting fails
-    before any fit runs or any worker starts.
+    Returns the grid in decreasing order (default_grid() when None) and the
+    penalty template (the lasso when None).  Every entry point that sweeps
+    a grid calls this first, so a bad setting fails before any fit runs or
+    any worker starts.
     """
-    grid = np.sort(np.asarray(grid, dtype=float))[::-1].copy()
+    grid = np.sort(np.asarray(default_grid() if grid is None else grid, float))[::-1].copy()
     if grid.size == 0:
         raise ConfigurationError("sweep: empty grid")
     if np.any(grid < 0) or not np.all(np.isfinite(grid)):
         raise ConfigurationError("sweep: grid values must be finite and >= 0")
     effective_lambda(0.0, lambda_scale, 0)  # raises on an unknown unit name
-    if criterion not in ("bic", "aic"):
+    if criterion not in CRITERIA:
         raise ConfigurationError(f"unknown criterion {criterion!r}")
-    if isinstance(penalty, PenaltySpec):
-        return grid, penalty
-    if penalty == "lasso":
-        return grid, PenaltySpec.lasso(0.0)
-    if penalty == "ridge":
+    penalty = PenaltySpec.lasso(0.0) if penalty is None else penalty
+    if not isinstance(penalty, PenaltySpec):
+        raise ConfigurationError(f"penalty must be a PenaltySpec or None, got {penalty!r}")
+    if penalty.alpha == 0.0:
         raise ConfigurationError("ridge has no sparse path to select over")
-    raise ConfigurationError(f"unknown penalty {penalty!r}")
+    return grid, penalty
 
 
-def sweep(ds: LongitudinalDataset, grid, penalty="lasso",
+def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None,
           ctrl: EmControl | None = None, lambda_scale: str = RAW,
           criterion: str = "bic") -> RegularizationPath:
     """Fit the EM over a penalty grid and select by information criterion.
 
-    The grid is processed in decreasing order; the first fit starts cold
-    and each later one starts from the last successful fit's (beta,
+    The grid (default_grid() when None) is processed in decreasing order
+    under the penalty template (the lasso when None).  The first fit starts
+    cold and each later one starts from the last successful fit's (beta,
     sigma2, D).  Each entry is scored by the criterion at the unpenalized
     refit of its support.  Individual fit failures are recorded per entry
     and skipped by the selection; a sweep where every entry failed raises.
@@ -224,12 +229,10 @@ def sweep(ds: LongitudinalDataset, grid, penalty="lasso",
         raise NumericalError("sweep: every fit on the grid failed; "
                              f"first error: {errors[0]}")
     df = np.where(valid, nnz + ds.q * (ds.q + 1) // 2 + 1, 0)
-    bic = -2.0 * loglik + np.log(ds.n) * df
-    aic = -2.0 * loglik + 2.0 * df
-    scores = bic if criterion == "bic" else aic
-    selected = _argmin_prefer_larger(scores, valid)
-    return RegularizationPath(grid=grid, fits=fits, bic=bic, aic=aic, df=df,
-                              nnz=nnz, selected_index=selected,
+    scores = {name: -2.0 * loglik + cost(ds.n) * df for name, cost in CRITERIA.items()}
+    selected = _argmin_prefer_larger(scores[criterion], valid)
+    return RegularizationPath(grid=grid, fits=fits, bic=scores["bic"], aic=scores["aic"],
+                              df=df, nnz=nnz, selected_index=selected,
                               refit_fits=refits, errors=errors,
                               lambda_scale=lambda_scale, criterion=criterion)
 
@@ -265,7 +268,7 @@ def refit_support(ds: LongitudinalDataset, support, ctrl: EmControl | None = Non
     return replace(rep, params=params, original_scale=original)
 
 
-def select(ds: LongitudinalDataset, grid, penalty="lasso",
+def select(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None,
            ctrl: EmControl | None = None, lambda_scale: str = RAW,
            criterion: str = "bic") -> SelectionResult:
     """Sweep the grid, pick the optimal penalty, and report its refit."""

@@ -20,10 +20,12 @@ from .dataset import LongitudinalDataset
 from .em_engine import EmControl, _psd_sqrt
 from .exceptions import ConfigurationError, LmmLassoError
 from .fileio import write_csv
-from .penalized_ls import PER_OBS
-from .selector import _selection_settings, default_grid, select, sweep
+from .penalized_ls import PER_OBS, PenaltySpec
+from .selector import _selection_settings, select, sweep
 
 __all__ = [
+    "D_PRESETS",
+    "SCENARIO_DESIGNS",
     "ScenarioConfig",
     "McSummary",
     "ReplicateRecord",
@@ -36,35 +38,41 @@ __all__ = [
     "write_cv_csv",
 ]
 
-D_LOW = np.array([[1.0, 0.25], [0.25, 1.0]])
-D_HIGH = np.array([[9.0, 4.8], [4.8, 4.0]])
+# the random-effect covariance presets, and each scenario's default (p, p_star)
+D_PRESETS = {"low": np.array([[1.0, 0.25], [0.25, 1.0]]),
+             "high": np.array([[9.0, 4.8], [4.8, 4.0]])}
+D_LOW, D_HIGH = D_PRESETS["low"], D_PRESETS["high"]
+SCENARIO_DESIGNS = {1: (9, 2), 2: (9, 2), 3: (50, 5)}
 
 _TRACE_SLACK = 1e-8  # ascent tolerance when counting trace violations
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Settings for one Monte Carlo scenario."""
+    """Settings for one Monte Carlo scenario; a None takes the default noted."""
 
     scenario: int
-    n: int
-    n_i: int
-    p: int
-    p_star: int
-    D_true: np.ndarray
-    sigma2_true: float
-    covariate_mean: float
-    seed: int
-    beta_true: np.ndarray = None
+    n: int = 30
+    n_i: int = 5
+    p: int = None               # SCENARIO_DESIGNS[scenario]
+    p_star: int = None          # SCENARIO_DESIGNS[scenario]
+    D_true: np.ndarray = None   # D_LOW
+    sigma2_true: float = 1.0
+    covariate_mean: float = 6.0
+    seed: int = 0
+    beta_true: np.ndarray = None  # ones on the first p_star coefficients
 
     def __post_init__(self):
-        if self.scenario not in (1, 2, 3):
-            raise ConfigurationError(f"scenario must be 1, 2, or 3, got {self.scenario}")
-        if self.n < 1 or self.n_i < 1 or self.p < 1:
-            raise ConfigurationError("n, n_i and p must be >= 1")
+        if self.scenario not in SCENARIO_DESIGNS:
+            raise ConfigurationError(f"scenario {self.scenario} not in {list(SCENARIO_DESIGNS)}")
+        for name, default in zip(("p", "p_star"), SCENARIO_DESIGNS[self.scenario]):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        if self.n < 1 or self.p < 1 or self.n_i < 2:
+            raise ConfigurationError("n and p must be >= 1, and n_i >= 2 for the random slope")
         if not 0 <= self.p_star <= self.p:
             raise ConfigurationError(f"p_star={self.p_star} must lie in [0, p={self.p}]")
-        D = np.asarray(self.D_true, dtype=float)
+        D = np.asarray(D_LOW if self.D_true is None else self.D_true, dtype=float)
         for name, value in (("D_true", D), ("sigma2_true", self.sigma2_true),
                             ("covariate_mean", self.covariate_mean)):
             if not np.all(np.isfinite(value)):
@@ -90,30 +98,9 @@ class ScenarioConfig:
         beta.setflags(write=False)
         object.__setattr__(self, "beta_true", beta)
 
-    @classmethod
-    def scenario1(cls, n=30, n_i=5, seed=0, **kw):
-        kw.setdefault("p", 9)
-        kw.setdefault("p_star", 2)
-        kw.setdefault("D_true", D_LOW)
-        kw.setdefault("sigma2_true", 1.0)
-        kw.setdefault("covariate_mean", 6.0)
-        return cls(scenario=1, n=n, n_i=n_i, seed=seed, **kw)
-
-    @classmethod
-    def scenario2(cls, n=30, n_i=5, seed=0, **kw):
-        kw.setdefault("p", 9)
-        kw.setdefault("p_star", 2)
-        kw.setdefault("D_true", D_LOW)
-        kw.setdefault("sigma2_true", 1.0)
-        kw.setdefault("covariate_mean", 6.0)
-        return cls(scenario=2, n=n, n_i=n_i, seed=seed, **kw)
-
-    @classmethod
-    def scenario3(cls, n=30, n_i=5, p=50, p_star=5, D_true=D_LOW, seed=0, **kw):
-        kw.setdefault("sigma2_true", 1.0)
-        kw.setdefault("covariate_mean", 6.0)
-        return cls(scenario=3, n=n, n_i=n_i, p=p, p_star=p_star,
-                   D_true=D_true, seed=seed, **kw)
+    scenario1 = classmethod(lambda cls, **kw: cls(1, **kw))
+    scenario2 = classmethod(lambda cls, **kw: cls(2, **kw))
+    scenario3 = classmethod(lambda cls, **kw: cls(3, **kw))
 
 
 def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator | None = None):
@@ -167,8 +154,8 @@ class ReplicateRecord:
     """Outcome of one Monte Carlo replicate.
 
     beta_hat holds the penalized estimates at the selected penalty level
-    (these define the zero pattern); beta_refit the unpenalized refit of
-    that support, which feeds the headline error metric.
+    (these define the zero pattern); sq_err is the squared error of the
+    unpenalized refit of that support, the headline error metric.
     """
 
     index: int
@@ -176,7 +163,6 @@ class ReplicateRecord:
     error: str = ""
     selected_lambda: float = np.nan
     beta_hat: np.ndarray = None
-    beta_refit: np.ndarray = None
     nnz: int = 0
     converged: bool = False
     sq_err: float = np.nan            # refit estimates vs truth
@@ -225,8 +211,7 @@ def _run_replicate(args) -> ReplicateRecord:
 
     beta_true = truth["beta_true"]
     beta_hat = path.selected_fit.params.beta
-    beta_refit = path.selected_refit.params.beta
-    err_refit = beta_refit - beta_true
+    err_refit = path.selected_refit.params.beta - beta_true
     err_pen = beta_hat - beta_true
     nz_hat = beta_hat != 0.0
     p_star = int(np.count_nonzero(beta_true))
@@ -234,16 +219,15 @@ def _run_replicate(args) -> ReplicateRecord:
     sens = float(np.count_nonzero(nz_hat[beta_true != 0.0])) / p_star if p_star else np.nan
     spec = (float(np.count_nonzero(~nz_hat[beta_true == 0.0])) / (p - p_star)
             if p - p_star else np.nan)
-    fits_seen = [f for f in path.fits if f is not None]
-    fits_seen += [f for f in path.refit_fits if f is not None]
-    decreases = [f.worst_trace_decrease() for f in fits_seen]
+    # entries with one support share their refit object; count each fit once
+    fits_seen = {id(f): f for f in path.fits + path.refit_fits if f is not None}
+    decreases = [f.worst_trace_decrease() for f in fits_seen.values()]
     worst = max(decreases, default=0.0)
     return ReplicateRecord(
         index=index,
         failed=False,
         selected_lambda=path.selected_lambda,
         beta_hat=beta_hat.copy(),
-        beta_refit=beta_refit.copy(),
         nnz=int(np.count_nonzero(beta_hat)),
         converged=bool(path.selected_fit.converged),
         sq_err=float(err_refit @ err_refit),
@@ -270,8 +254,7 @@ def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
     if n_jobs < 1:
         raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
     n_jobs = min(n_jobs, replicates)
-    grid, _ = _selection_settings(default_grid() if grid is None else grid,
-                                  lambda_scale, criterion)
+    grid, _ = _selection_settings(grid, lambda_scale, criterion)
     ctrl = ctrl or EmControl()
     children = np.random.SeedSequence(cfg.seed).spawn(replicates)
     tasks = [(cfg, r, children[r], grid, ctrl, lambda_scale, criterion)
@@ -329,7 +312,7 @@ class FoldResult:
     support: tuple
 
 
-def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty="lasso",
+def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty: PenaltySpec | None = None,
              ctrl: EmControl | None = None, lambda_scale: str = PER_OBS,
              criterion: str = "bic", seed: int = 0):
     """Subject-grouped k-fold cross-validation of the selection pipeline.
@@ -341,8 +324,6 @@ def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty="lasso",
     """
     if not 2 <= k <= ds.n:
         raise ConfigurationError(f"k must be in [2, n]; got k={k}, n={ds.n}")
-    grid, _ = _selection_settings(default_grid() if grid is None else grid,
-                                  lambda_scale, criterion, penalty)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ds.n)
     folds = np.array_split(perm, k)

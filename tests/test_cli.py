@@ -761,10 +761,14 @@ def test_simulate_design_options_apply_to_every_scenario(tmp_path):
     ("fit", [], {"scale_y": False}),
     ("simulate", ["--threads", "0"], {}),
     ("simulate", ["--threads", "-3"], {}),
+    ("select", ["--alpha", "1"], {}),
+    ("select", [], {"alpha": 1}),
+    ("simulate", ["--n-i", "1"], {}),
 ], ids=["alpha-with-lasso", "grid-and-grid-log", "grid-and-config-grid-log",
         "config-grid-and-grid-log", "categorical-unstandardized",
         "no-scale-y-unstandardized", "config-scale-y-unstandardized",
-        "threads-0", "threads-negative"])
+        "threads-0", "threads-negative", "alpha-1-with-lasso",
+        "config-alpha-1-with-lasso", "one-time-point"])
 def test_option_that_would_be_ignored_is_usage_error(tmp_path, small_csv, capsys,
                                                      command, flags, config):
     conf = tmp_path / "conf.json"

@@ -378,3 +378,14 @@ def test_subject_block_copies_and_leaves_callers_arrays_writeable():
     assert block.y[0] == 0.0
     assert not (block.y.flags.writeable or block.X.flags.writeable
                 or block.Z.flags.writeable)
+
+
+@pytest.mark.parametrize("fixed, random, expected", [
+    ("a, b,,c", "1, time", (("a", "b", "c"), ("1", "time"))),
+    (["a"], "intercept+ time", (("a",), ("1", "time"))),
+    (("a",), ["1", "time"], (("a",), ("1", "time"))),
+], ids=["comma-lists", "shorthand-spaced", "sequences"])
+def test_roles_from_mapping_parses_comma_lists(fixed, random, expected):
+    roles = ColumnRoles.from_mapping(
+        {"subject": "id", "response": "y", "fixed": fixed, "random": random})
+    assert (roles.fixed, roles.random) == expected

@@ -662,3 +662,16 @@ def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeyp
     notes = sum("not numerically positive definite" in w for w in forced.warnings)
     assert notes == (penalty.lam == 0.0)
     np.testing.assert_allclose(forced.params.beta, exact.params.beta, rtol=0, atol=1e-6)
+
+
+def test_coordinate_descent_budget_hits_are_noted():
+    ds, _ = generate_scenario(ScenarioConfig.scenario3(seed=3))
+    tight = fit_em(ds, 0.05, ctrl=EmControl(pls_max_sweeps=1, max_iter=5),
+                   lambda_scale="per_obs")
+    assert tight.warnings[0] == "cold start: coordinate descent hit its sweep budget"
+    assert "iteration 1: coordinate descent hit its sweep budget" in tight.warnings
+    assert fit_em(ds, 0.05, ctrl=EmControl(max_iter=5), lambda_scale="per_obs").warnings == []
+    # a warm start skips the pooled cold start, and with it the cold-start note
+    warm = fit_em(ds, 0.05, init=tight.params, ctrl=EmControl(pls_max_sweeps=1, max_iter=5),
+                  lambda_scale="per_obs")
+    assert not any(w.startswith("cold start") for w in warm.warnings)

@@ -6,6 +6,7 @@ import lmmlasso.simkit as simkit
 from lmmlasso.dataset import LongitudinalDataset, SubjectBlock, standardize
 from lmmlasso.em_engine import EmControl, fit_em, observed_loglik
 from lmmlasso.exceptions import ConfigurationError, NumericalError
+from lmmlasso.penalized_ls import PenaltySpec
 from lmmlasso.selector import (
     _argmin_prefer_larger,
     auto_log_grid,
@@ -318,6 +319,12 @@ _BAD_LOG_GRID = {"lambda_scale": dict(lambda_scale="perobs"),
 _BAD_SETTINGS = {f"{name}-{case}": (run, {"grid": [0.1, 0.2], **bad})
                  for name, run in _SELECTION_RUNS.items()
                  for case, bad in _BAD_SELECTION.items()}
+# run_monte_carlo always sweeps the lasso, so only these take a penalty
+_BAD_PENALTY = {"ridge": dict(penalty=PenaltySpec.ridge(0.0)),
+                "string": dict(penalty="lasso")}
+_BAD_SETTINGS.update({f"{name}-{case}": (_SELECTION_RUNS[name], {"grid": [0.1, 0.2], **bad})
+                      for name in ("sweep", "select", "kfold_cv")
+                      for case, bad in _BAD_PENALTY.items()})
 _BAD_SETTINGS.update({f"auto_log_grid-{case}": (auto_log_grid, bad)
                       for case, bad in _BAD_LOG_GRID.items()})
 

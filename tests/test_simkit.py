@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import lmmlasso.selector as selector_mod
 import lmmlasso.simkit as simkit
 from lmmlasso.exceptions import ConfigurationError
 from lmmlasso.simkit import (
@@ -256,3 +259,39 @@ def test_non_positive_worker_count_is_rejected(n_jobs):
     cfg = ScenarioConfig.scenario1(n=10, n_i=4, seed=11)
     with pytest.raises(ConfigurationError, match="n_jobs"):
         run_monte_carlo(cfg, 2, grid=TINY_GRID, n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("n_i", [1, 0])
+def test_scenario_config_rejects_fewer_than_two_time_points(n_i):
+    # Z = [1, time] has rank 1 when every subject has one time point
+    with pytest.raises(ConfigurationError, match="n_i >= 2"):
+        ScenarioConfig.scenario1(n=10, n_i=n_i)
+
+
+@pytest.mark.parametrize("scenario", sorted(simkit.SCENARIO_DESIGNS))
+def test_scenario_aliases_take_the_design_table_defaults(scenario):
+    cfg = getattr(ScenarioConfig, f"scenario{scenario}")(seed=3)
+    assert repr(cfg) == repr(ScenarioConfig(scenario, seed=3))
+    assert (cfg.scenario, cfg.p, cfg.p_star) == (scenario, *simkit.SCENARIO_DESIGNS[scenario])
+    assert (cfg.n, cfg.n_i, cfg.sigma2_true, cfg.covariate_mean) == (30, 5, 1.0, 6.0)
+    np.testing.assert_array_equal(cfg.D_true, simkit.D_PRESETS["low"])
+    assert not cfg.D_true.flags.writeable
+
+
+def test_ascent_count_counts_each_shared_refit_once(monkeypatch):
+    refits = []
+    refit_support = selector_mod.refit_support
+
+    def decreasing_refit(ds, support, ctrl=None):
+        rep = replace(refit_support(ds, support, ctrl=ctrl),
+                      penalized_loglik_trace=np.array([0.0, -1.0]))
+        refits.append(rep)
+        return rep
+
+    monkeypatch.setattr(selector_mod, "refit_support", decreasing_refit)
+    grid = np.linspace(0.01, 0.5, 10)
+    cfg = ScenarioConfig.scenario1(n=10, n_i=4, seed=11)
+    summary = run_monte_carlo(cfg, 1, grid=grid)
+    assert 0 < len(refits) < grid.size  # some entries share a refit
+    assert summary.monotonicity_violations == len(refits)
+    assert summary.worst_trace_decrease == 1.0
