@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -131,7 +132,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
     """The options that are set: each from its flag, else the config file, else
     its CLI default.  An option set by none of these is left out.
 
-    A required option of the subcommand that is left out (or empty) is an error.
+    A required option of the subcommand that is left out (or empty) is an
+    error, and so is an output path whose directory does not exist.
     """
     command = _COMMANDS[args.command]
     file_cfg = {}
@@ -164,6 +166,11 @@ def _merge_options(args: argparse.Namespace) -> dict:
     if missing:
         raise ConfigurationError(f"{args.command} requires {', '.join(missing)} "
                                  "(as a flag or a --config key)")
+    for key in ("output", "output_prefix", "report"):
+        folder = os.path.dirname(merged.get(key, "")) or "."
+        if not os.path.isdir(folder):
+            raise ConfigurationError(f"{_OPTIONS[key]['flag']} {merged[key]!r}: "
+                                     f"no directory {folder!r} to write into")
     return merged
 
 

@@ -11,6 +11,7 @@ read-only across concurrent fits.
 from __future__ import annotations
 
 import csv
+import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -286,53 +287,111 @@ class ColumnReductionReport:
         }
 
 
+# ASCII file, group, record and unit separators: numpy's float parser skips
+# them as whitespace around a number, and float() refuses them
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _lines_without_separators(fh):
+    """fh's lines, in blocks checked for _SEPARATORS (ValueError if found)."""
+    for lines in iter(lambda: fh.readlines(1 << 16), []):
+        block = "".join(lines)
+        if any(c in block for c in _SEPARATORS):
+            raise ValueError("an ASCII separator character in the input")
+        yield from lines
+
+
+def _parse_table(fh, width, sub_i, value_cols):
+    """The rows left in fh, in one np.loadtxt pass: the subject cells and a
+    float column per index in value_cols.  Raises ValueError on any input the
+    row loop (_parse_rows) might read differently; blank lines are skipped,
+    as csv.reader does."""
+    dtype = [(f"f{i}", "f8" if i in value_cols else "O" if i == sub_i else "S1")
+             for i in range(width)]
+    with warnings.catch_warnings():
+        # a file with no data rows is a DataError, raised by the caller
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(_lines_without_separators(fh), dtype=dtype, delimiter=",",
+                           quotechar='"', comments=None, ndmin=1)
+    return table[f"f{sub_i}"], {ci: table[f"f{ci}"] for ci in value_cols}
+
+
+def _parse_rows(path, reader, header, sub_i, value_cols):
+    """_parse_table's result from a loop over the rows left in a csv.reader,
+    raising the DataError for the first row it cannot read."""
+    subjects = []
+    columns = {ci: array("d") for ci in value_cols}
+    for rownum, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
+        subjects.append(row[sub_i])
+        try:
+            for ci, buf in columns.items():
+                buf.append(float(row[ci]))
+        except ValueError:
+            raise DataError(
+                f"{path}: row {rownum}: non-numeric value {row[ci]!r} "
+                f"in column {header[ci]!r}") from None
+    return subjects, columns
+
+
 def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     """Read a long-format CSV (one row per observation, header required).
 
     Rows are grouped by the subject column preserving within-subject file
     order; subjects are ordered by first appearance.  No standardization
     is applied.  A column given a role must appear exactly once in the
-    header.  Role columns are parsed into float buffers, and rows grouped
-    by a stable sort of the subjects' first-appearance codes.
+    header.  After csv.reader has read and checked the header, the rows
+    are parsed in one C pass (np.loadtxt): role columns as floats, the
+    subject column as strings, and any other column only counted.  The
+    error path is a csv.reader row loop, run on an input the C pass refuses
+    or might read differently, and on one that cannot be reread (a pipe).
+    It raises the DataError naming the row, cell and column, or reads the
+    cells float() takes and numpy does not (such as "1_0").  Rows are
+    grouped by a stable sort of the subjects' first-appearance codes.  A
+    missing, unreadable or undecodable file is a DataError.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        col_index = {name: i for i, name in enumerate(header)}
-        needed = [roles.subject, roles.response, *roles.fixed]
-        needed += [c for c in roles.random if c != "1"]
-        for name in needed:
-            if name not in col_index:
-                raise ConfigurationError(f"{path}: column {name!r} not found in header")
-            if header.count(name) > 1:
-                raise DataError(f"{path}: column {name!r} appears more than once in header")
-
-        sub_i = col_index[roles.subject]
-        columns = {col_index[c]: array("d") for c in needed[1:]}
-        codes = array("q")
-        first_seen: dict = {}
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
-            codes.append(first_seen.setdefault(row[sub_i], len(first_seen)))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                for ci, buf in columns.items():
-                    buf.append(float(row[ci]))
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {rownum}: non-numeric value {row[ci]!r} "
-                    f"in column {header[ci]!r}") from None
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            col_index = {name: i for i, name in enumerate(header)}
+            needed = [roles.subject, roles.response, *roles.fixed]
+            needed += [c for c in roles.random if c != "1"]
+            for name in needed:
+                if name not in col_index:
+                    raise ConfigurationError(f"{path}: column {name!r} not found in header")
+                if header.count(name) > 1:
+                    raise DataError(f"{path}: column {name!r} appears more than once in header")
 
-    if not codes:
+            sub_i = col_index[roles.subject]
+            value_cols = list(dict.fromkeys(col_index[c] for c in needed[1:]))
+            parsed = None
+            if fh.seekable():  # else the row loop could not read the rows again
+                try:
+                    parsed = _parse_table(fh, len(header), sub_i, value_cols)
+                except ValueError:
+                    fh.seek(0)
+                    reader = csv.reader(fh)
+                    next(reader)  # the header, read and checked above
+            subjects, columns = parsed or _parse_rows(path, reader, header, sub_i, value_cols)
+    except OSError as e:
+        raise DataError(f"{path}: cannot read input: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: input is not {e.encoding} text: {e.reason}") from None
+
+    first_seen: dict = {}
+    codes = np.fromiter((first_seen.setdefault(s, len(first_seen)) for s in subjects),
+                        dtype=np.int64, count=len(subjects))
+    if not codes.size:
         raise DataError(f"{path}: no data rows")
-    codes = np.frombuffer(codes, dtype=np.int64)
     order = np.argsort(codes, kind="stable")
-    values = {ci: np.frombuffer(buf)[order] for ci, buf in columns.items()}
+    values = {ci: np.asarray(col, dtype=float)[order] for ci, col in columns.items()}
 
     def stack(cols):
         return np.column_stack(cols) if cols else np.empty((codes.size, 0))

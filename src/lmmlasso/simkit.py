@@ -65,13 +65,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIO_DESIGNS:
             raise ConfigurationError(f"scenario {self.scenario} not in {list(SCENARIO_DESIGNS)}")
+        p_star_given = self.p_star is not None
         for name, default in zip(("p", "p_star"), SCENARIO_DESIGNS[self.scenario]):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
         if self.n < 1 or self.p < 1 or self.n_i < 2:
             raise ConfigurationError("n and p must be >= 1, and n_i >= 2 for the random slope")
         if not 0 <= self.p_star <= self.p:
-            raise ConfigurationError(f"p_star={self.p_star} must lie in [0, p={self.p}]")
+            note = "" if p_star_given else (f" (scenario {self.scenario}'s default; "
+                                            "set p_star, --p-star on the CLI, to change it)")
+            raise ConfigurationError(f"p_star={self.p_star}{note} must lie in [0, p={self.p}]")
         D = np.asarray(D_LOW if self.D_true is None else self.D_true, dtype=float)
         for name, value in (("D_true", D), ("sigma2_true", self.sigma2_true),
                             ("covariate_mean", self.covariate_mean)):

@@ -787,3 +787,65 @@ def test_option_that_would_be_ignored_is_usage_error(tmp_path, small_csv, capsys
     error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
     assert error["type"] == "ConfigurationError"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "data.csv"]
+
+
+def _unreadable_input(tmp_path, case):
+    if case == "missing":
+        return tmp_path / "no_such.csv"
+    if case == "directory":
+        return tmp_path
+    f = tmp_path / "latin1.csv"
+    f.write_bytes("id,y,x1,x2,x3,t\nMüller,1,2,3,4,1\n".encode("latin-1"))
+    return f
+
+
+@pytest.mark.parametrize("command", ["fit", "select", "cv", "reduce"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_unreadable_input_is_data_error_naming_the_path(tmp_path, capsys, case, command):
+    path = _unreadable_input(tmp_path, case)
+    out = str(tmp_path / "out")
+    tail = {"fit": ["--lambda", "0.1", "--output", out],
+            "select": ["--output-prefix", out],
+            "cv": ["--k", "2", "--seed", "1", "--output", out],
+            "reduce": ["--output", out, "--report", out + ".json"]}
+    rc = main([command, "--input", str(path), *DATA_FLAGS, *tail[command]])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError" and str(path) in error["message"]
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, tail", [
+    ("fit", ["--lambda", "0.1", "--output", "{gone}/fit.json"]),
+    ("select", ["--output-prefix", "{gone}/sel"]),
+    ("cv", ["--k", "2", "--seed", "1", "--output", "{gone}/cv.csv"]),
+    ("reduce", ["--output", "{here}/r.csv", "--report", "{gone}/r.json"]),
+    ("simulate", ["--output-prefix", "{gone}/sim"]),
+])
+def test_missing_output_directory_is_usage_error_before_any_fit(tmp_path, small_csv, capsys,
+                                                                monkeypatch, command, tail):
+    calls = []
+    for name in ("ingest_long_csv", "fit_em", "select", "kfold_cv", "run_monte_carlo"):
+        def record(*args, _name=name, _real=getattr(cli, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(cli, name, record)
+    paths = {"gone": str(tmp_path / "no_such_dir"), "here": str(tmp_path)}
+    argv = ["--scenario", "1", "--seed", "1", "--replicates", "1", "--grid", "0.1"] \
+        if command == "simulate" else ["--input", str(small_csv[0]), *DATA_FLAGS]
+    rc = main([command, *argv, *(arg.format(**paths) for arg in tail)])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError" and "no_such_dir" in error["message"]
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_default_p_star_above_p_names_its_source(tmp_path, capsys):
+    rc = main(["simulate", "--scenario", "3", "--p", "3", "--seed", "1",
+               "--replicates", "1", "--output-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError"
+    assert "scenario 3's default" in error["message"] and "--p-star" in error["message"]
+    assert list(tmp_path.iterdir()) == []

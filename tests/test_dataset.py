@@ -1,7 +1,11 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmmlasso import dataset
 from lmmlasso.dataset import (
     ColumnRoles,
     LongitudinalDataset,
@@ -389,3 +393,84 @@ def test_roles_from_mapping_parses_comma_lists(fixed, random, expected):
     roles = ColumnRoles.from_mapping(
         {"subject": "id", "response": "y", "fixed": fixed, "random": random})
     assert (roles.fixed, roles.random) == expected
+
+
+
+# Both ingest routes on hand-written files: the one np.loadtxt pass, and the
+# csv.reader row loop it falls back to.  c_route says whether the file is read
+# without the row loop.
+_HEAD = "id,y,x1,t,note\n"
+_ROUTE_CASES = {
+    "blank_lines": (_HEAD + "A,1,2,1,a\n\nB,2,3,1,b\n\n\nA,3,4,2,c\n", True),
+    "blank_lines_only": (_HEAD + "\n\n\n", True),
+    "crlf": (_HEAD.replace("\n", "\r\n") + "A,1,2,1,a\r\nB,2,3,1,b\r\nA,3,4,2,c\r\n", True),
+    "quoted_ids": (_HEAD + '"a,b",1,2,1,x\n"q""d",2,3,1,y\n"new\nline",3,4,2,z\n'
+                   '"a,b",4,5,2,w\n', True),
+    "hash_in_id": (_HEAD + "#7,1,2,1,a\nB#,2,3,1,b\n", True),
+    "underscore_cell": (_HEAD + "A,1,2,1,a\nA,1_0,3,2,b\n", False),
+    "unused_free_text": (_HEAD + 'A,1,2,1,"free text, quoted"\nB,2,3,1,some words\n', True),
+    "trailing_comma": (_HEAD + "A,1,2,1,a\nA,2,3,2,b,\n", False),
+    "short_row": (_HEAD + "A,1,2,1,a\nA,2,3,2\n", False),
+    "long_row": (_HEAD + "A,1,2,1,a\nA,2,3,2,b,c\n", False),
+    "oops_in_row_3": (_HEAD + "A,1,2,1,a\nA,oops,3,2,b\n", False),
+    "separator_padded_cell": (_HEAD + "A,1,2,1,a\nA,\x1c2,3,2,b\n", False),
+}
+
+
+def _ingest_outcome(path):
+    try:
+        ds = ingest_long_csv(path, ColumnRoles("id", "y", ("x1",), ("1", "t")))
+    except DataError as e:
+        return type(e), str(e)
+    return ([getattr(ds, name).tobytes() for name in ("y", "X", "Z", "counts")],
+            list(ds.subject_ids))
+
+
+@pytest.mark.parametrize("case", list(_ROUTE_CASES))
+def test_ingest_routes_agree(tmp_path, monkeypatch, case):
+    text, c_route = _ROUTE_CASES[case]
+    f = tmp_path / "in.csv"
+    f.write_bytes(text.encode())
+    row_loops = []
+    parse_rows = dataset._parse_rows
+    monkeypatch.setattr(dataset, "_parse_rows",
+                        lambda *a: row_loops.append(1) or parse_rows(*a))
+    fast = _ingest_outcome(f)
+    assert row_loops == ([] if c_route else [1])
+
+    def refuse(*a):
+        raise ValueError("forced onto the row loop")
+
+    monkeypatch.setattr(dataset, "_parse_table", refuse)
+    assert _ingest_outcome(f) == fast
+
+
+def test_valid_file_is_read_by_one_loadtxt_call_and_no_row_loop(tmp_path, monkeypatch):
+    f = tmp_path / "chol.csv"
+    _write_cholesterol_style_csv(f)
+    f.write_text("\n".join(line + ",free text" for line in f.read_text().splitlines()) + "\n")
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+    monkeypatch.setattr(dataset, "_parse_rows", lambda *a: pytest.fail("row loop ran"))
+    ds = ingest_long_csv(f, ROLES)
+    assert calls == [1]
+    assert (ds.n, ds.N, ds.p, ds.q) == (200, 600, 3, 2)
+
+
+
+def test_pipe_that_needs_the_row_loop_is_read_once(tmp_path):
+    # a pipe cannot be reread, so it goes straight to the row loop, which
+    # reads the "1_0" cell that the C pass refuses
+    f = tmp_path / "in.csv"
+    f.write_text(_HEAD + "A,1,2,1,a\nB,1_0,3,1,b\nA,3,4,2,c\n")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(f.read_bytes()))
+    writer.start()
+    try:
+        piped = _ingest_outcome(fifo)
+    finally:
+        writer.join()
+    assert piped == _ingest_outcome(f)
+    assert piped[1] == ["A", "B"]
