@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import os
+import stat
 import sys
 from typing import Callable, NamedTuple
 
@@ -38,7 +39,7 @@ from .dataset import (
 )
 from .em_engine import EmControl, fit_em
 from .penalized_ls import LAMBDA_SCALES, PER_OBS, PenaltySpec
-from .exceptions import ConfigurationError, LmmLassoError
+from .exceptions import ConfigurationError, DataError, LmmLassoError
 from .fileio import write_csv, write_json
 from .selector import CRITERIA, auto_log_grid, select
 from .simkit import (
@@ -320,6 +321,12 @@ def cmd_cv(cfg: dict) -> int:
 
 
 def cmd_reduce(cfg: dict) -> int:
+    # the input is read twice, so a pipe would block the second read; a
+    # missing file or a directory gets ingest's own error
+    mode = os.stat(cfg["input"]).st_mode if os.path.exists(cfg["input"]) else stat.S_IFREG
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        raise DataError(f"{cfg['input']}: reduce reads its input twice; "
+                        "it must be a regular file, not a pipe or device")
     ds = ingest_long_csv(cfg["input"], ColumnRoles.from_mapping(cfg))
     _, report = remove_linear_combos(ds, **_given(cfg, "rank_tol"))
     dropped_names = {ds.x_names[j] for j in report.dropped}
@@ -327,10 +334,13 @@ def cmd_reduce(cfg: dict) -> int:
     # stream the original file through, minus the dropped fixed-effect columns
     with open(cfg["input"], newline="") as fh:
         rows = csv.reader(fh)
-        header = next(rows)
-        keep_idx = [i for i, name in enumerate(header) if name not in dropped_names]
-        write_csv(cfg["output"], [header[i] for i in keep_idx],
-                  ([row[i] for i in keep_idx] for row in rows if row))
+        try:
+            header = next(rows)
+            keep_idx = [i for i, name in enumerate(header) if name not in dropped_names]
+            write_csv(cfg["output"], [header[i] for i in keep_idx],
+                      ([row[i] for i in keep_idx] for row in rows if row))
+        except csv.Error as e:  # a field the C pass of ingest read, over csv's size limit
+            raise DataError(f"{cfg['input']}: line {rows.line_num}: {e}") from None
 
     report_dict = report.to_dict()
     report_dict["kept_names"] = [ds.x_names[j] for j in report.kept]

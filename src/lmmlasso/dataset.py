@@ -351,7 +351,9 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     It raises the DataError naming the row, cell and column, or reads the
     cells float() takes and numpy does not (such as "1_0").  Rows are
     grouped by a stable sort of the subjects' first-appearance codes.  A
-    missing, unreadable or undecodable file is a DataError.
+    missing, unreadable or undecodable file is a DataError, and so is a
+    header or row csv.reader refuses (a field over its size limit), named
+    by the line it ends on.
     """
     try:
         with open(path, newline="") as fh:
@@ -384,6 +386,8 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
         raise DataError(f"{path}: cannot read input: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: input is not {e.encoding} text: {e.reason}") from None
+    except csv.Error as e:  # from the header read or the row loop
+        raise DataError(f"{path}: line {reader.line_num}: {e}") from None
 
     first_seen: dict = {}
     codes = np.fromiter((first_seen.setdefault(s, len(first_seen)) for s in subjects),

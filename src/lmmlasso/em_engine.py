@@ -23,21 +23,20 @@ from it.  The products S A_i S over all subjects are two flat
 (n*q, q) @ S products (_sandwich), and the log-likelihood is formed
 from totals over subjects.
 
-The beta M-step takes one of two routes (_solve_beta):
-
-- One linear solve (_exact_beta): on a support A with signs s,
-  (X_A'X_A + lam1 * (1 - alpha) * I) b_A = X_A'y_tilde - (lam1 * alpha / 2) s,
-  lam1 the effective level.  Without an l1 term (lam = 0, as in every
-  unpenalized refit, or the ridge penalty) A is every column; with one,
-  A and s are the warm start's (the previous beta), and the solution is
-  kept only when the KKT conditions prove it optimal.  The dataset owns
-  X'X and caches the eigendecomposition of each X_A'X_A (ds.gram,
-  ds.gram_factor), so a support is factored once per dataset.
-- Otherwise coordinate descent (solve_pls) from the warm start: when the
-  support or a sign changes, for the pooled lasso start, and when the
-  matrix to factor is not numerically positive definite (zero or
-  linearly dependent columns); a fit without an l1 term then records a
-  note in FitReport.warnings.
+Every beta M-step, the pooled start included, first tries one linear
+solve (_exact_beta, the one place that decides the route): on a support
+A with signs s, (X_A'X_A + shift * I) b_A = X_A'y_tilde - (l1 / 2) s,
+with l1 = lam1 * alpha, shift = lam1 * (1 - alpha), lam1 the effective
+level.  Without an l1 term (lam = 0, as in every unpenalized refit, or
+the ridge penalty) A is every column; with one, A and s are the warm
+start's (the previous beta, zero for the pooled start), and the solution
+is kept only when the KKT conditions prove it optimal.  The dataset owns
+X'X and caches the eigendecomposition of each X_A'X_A (ds.gram,
+ds.gram_factor), so a support is factored once per dataset.  Coordinate
+descent (solve_pls) from the warm start runs instead when the support or
+a sign changes, or when X_A'X_A + shift * I is not numerically positive
+definite (in practice zero or dependent columns and shift = 0); a fit
+without an l1 term then records a note in FitReport.warnings.
 
 Per-subject computations use the q x q cross products cached on the
 dataset, so one EM iteration touches the N-row data only through
@@ -70,7 +69,8 @@ __all__ = [
 _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
 _SIGMA2_FLOOR = 1e-12
 _ABS_STOP = 1e-10        # absolute stopping rule, guards near-zero loglik
-_GRAM_COND_LIMIT = 1e12  # X'X beyond this condition number is solved by CD
+_GRAM_COND_LIMIT = 1e12  # G_AA + shift I beyond this condition number goes to CD
+_CD_NOTE = "X'X is not numerically positive definite; beta solved by coordinate descent"
 
 
 @dataclass
@@ -222,8 +222,8 @@ def _spd_inv_logdet(K: np.ndarray):
     """Inverses and log determinants of a stack of small SPD matrices.
 
     Closed forms for the 1x1 and 2x2 cases avoid per-call LAPACK dispatch
-    in the EM hot loop (numpy's batched inv and slogdet are several times
-    slower on 2x2 stacks, see ROADMAP item 4); larger blocks fall back to
+    in the EM hot loop (on 2x2 stacks numpy's batched inv and slogdet took
+    1.6x as long at 30 subjects, 16x at 10,000); larger blocks fall back to
     numpy.  Raises NumericalError unless every block is positive definite.
     """
     q = K.shape[-1]
@@ -300,13 +300,8 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMome
     return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde, loglik=float(loglik))
 
 
-def _gram_is_pd(w: np.ndarray) -> bool:
-    """Whether X'X, with ascending eigenvalues w, is numerically PD."""
-    return w.size == 0 or w[0] > w[-1] / _GRAM_COND_LIMIT
-
-
 def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: float,
-                warm_start: np.ndarray | None) -> np.ndarray | None:
+                warm_start: np.ndarray) -> np.ndarray | None:
     """The penalized least-squares minimizer from one linear solve, or None.
 
     On a support A with signs s the stationarity conditions are linear:
@@ -316,7 +311,7 @@ def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: floa
     is returned only when it is optimal: every b_A keeps its sign in s, and
     every column j outside A meets the at-zero condition |2 m_j| <= l1 of
     _kkt_residual, with m = c - G beta = X'(y - X beta).  None as well when
-    G_AA is not numerically positive definite.
+    the matrix solved, G_AA + shift * I, is not numerically positive definite.
     """
     if l1 == 0.0:
         active, rhs = np.arange(xty.size), xty
@@ -325,9 +320,10 @@ def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: floa
         signs = np.sign(warm_start[active])
         rhs = xty[active] - 0.5 * l1 * signs
     w, V = ds.gram_factor(active)
-    if not _gram_is_pd(w):
+    w = w + shift  # the eigenvalues of G_AA + shift * I
+    if w.size and not w[0] > w[-1] / _GRAM_COND_LIMIT:
         return None
-    b_active = V @ ((V.T @ rhs) / (w + shift))
+    b_active = V @ ((V.T @ rhs) / w)
     if l1 == 0.0:
         return b_active
     if np.any(b_active * signs <= 0.0):
@@ -341,21 +337,19 @@ def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: floa
 
 
 def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, lam: float,
-                ctrl: EmControl, warm_start: np.ndarray | None = None):
+                ctrl: EmControl, warm_start: np.ndarray):
     """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, lam in raw units.
 
-    Solved by _exact_beta, from the dataset's X'X and its factors, when
-    there is no l1 term or there is a warm start and that solve succeeds;
-    otherwise by coordinate descent (solve_pls) from the warm start.
+    Tried first by _exact_beta, from the dataset's X'X and its factors (a
+    cold start's zero warm_start settles any level at or above lambda_max);
+    coordinate descent (solve_pls) from warm_start when that solve fails.
 
     Returns (beta, PlsSolution or None when solved exactly).
     """
     l1 = lam * penalty.alpha
     shift = lam * (1.0 - penalty.alpha)
     xty = ds.X.T @ y
-    beta = None
-    if l1 == 0.0 or warm_start is not None:
-        beta = _exact_beta(ds, xty, l1, shift, warm_start)
+    beta = _exact_beta(ds, xty, l1, shift, warm_start)
     if beta is not None:
         return beta, None
     sol = solve_pls(ds.X, y, penalty.with_lam(lam), warm_start=warm_start,
@@ -432,13 +426,16 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
     notes: list = []
 
-    if lam_raw * penalty.alpha == 0.0 and not _gram_is_pd(ds.gram_factor(range(ds.p))[0]):
-        notes.append("X'X is not numerically positive definite; "
-                     "beta solved by coordinate descent")
-    if init is None:
-        beta0, sol = _solve_beta(ds, ds.y, penalty, lam_raw, ctrl)
+    def note_cd(sol, where: str):
+        """Notes on a coordinate-descent M-step; sol is None when beta was solved exactly."""
+        if sol is not None and lam_raw * penalty.alpha == 0.0 and _CD_NOTE not in notes:
+            notes.append(_CD_NOTE)
         if sol is not None and not sol.converged:
-            notes.append("cold start: coordinate descent hit its sweep budget")
+            notes.append(f"{where}: coordinate descent hit its sweep budget")
+
+    if init is None:
+        beta0, sol = _solve_beta(ds, ds.y, penalty, lam_raw, ctrl, warm_start=np.zeros(ds.p))
+        note_cd(sol, "cold start")
         resid0 = ds.y - ds.X @ beta0
         params = LmmParams(beta0, float(resid0 @ resid0) / ds.N, np.eye(ds.q))
     else:
@@ -461,8 +458,7 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
             moments = e_step(ds, params, eig=eig)
         except NumericalError as e:
             raise NumericalError(f"fit_em: iteration {iterations}: {e}") from e
-        if sol is not None and not sol.converged:
-            notes.append(f"iteration {iterations}: coordinate descent hit its sweep budget")
+        note_cd(sol, f"iteration {iterations}")
         lp_new = moments.loglik - lam_raw * penalty_value(penalty, params.beta)
         trace.append(lp_new)
         ratio_ok = lp != 0.0 and abs(lp_new / lp - 1.0) < ctrl.eps

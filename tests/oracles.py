@@ -11,14 +11,16 @@ import numpy as np
 import scipy.optimize
 
 
-def lasso_best_by_enumeration(X, y, lam):
-    """Global lasso minimizer via sign-support enumeration.
+def lasso_best_by_enumeration(X, y, lam, shift=0.0):
+    """Global lasso (or elastic-net) minimizer via sign-support enumeration.
 
-    For each support S and sign pattern s on S the stationarity condition
-    2 X_S'X_S b = 2 X_S'y - lam * s has a closed-form solution; candidates
-    whose solution matches the assumed signs are compared on the exact
-    objective ||y - X b||^2 + lam ||b||_1.  beta = 0 is always a candidate.
-    Only feasible for small p.
+    The objective is ||y - X b||^2 + lam ||b||_1 + shift ||b||^2; shift > 0
+    gives the elastic net, and lam = 0 with shift > 0 the ridge.  For each
+    support S and sign pattern s on S the stationarity condition
+    2 (X_S'X_S + shift I) b = 2 X_S'y - lam * s has a closed-form solution;
+    candidates whose solution matches the assumed signs are compared on the
+    exact objective.  beta = 0 is always a candidate.  Only feasible for
+    small p.
     """
     X = np.asarray(X, float)
     y = np.asarray(y, float)
@@ -28,7 +30,7 @@ def lasso_best_by_enumeration(X, y, lam):
     for size in range(1, p + 1):
         for support in itertools.combinations(range(p), size):
             Xs = X[:, support]
-            A = Xs.T @ Xs
+            A = Xs.T @ Xs + shift * np.eye(size)
             rhs0 = Xs.T @ y
             for signs in itertools.product((-1.0, 1.0), repeat=size):
                 s = np.asarray(signs)
@@ -39,7 +41,8 @@ def lasso_best_by_enumeration(X, y, lam):
                 if np.any(bs * s <= 0.0):
                     continue
                 resid = y - Xs @ bs
-                obj = float(resid @ resid) + lam * float(np.abs(bs).sum())
+                obj = float(resid @ resid) + lam * float(np.abs(bs).sum()) \
+                    + shift * float(bs @ bs)
                 if obj < best_obj:
                     best_obj = obj
                     best_beta = np.zeros(p)

@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -812,6 +817,63 @@ def test_unreadable_input_is_data_error_naming_the_path(tmp_path, capsys, case, 
     assert rc == 3
     error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
     assert error["type"] == "DataError" and str(path) in error["message"]
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+_BIG_FIELD = "x" * 200_000  # above csv's default field size limit of 131072
+
+
+@pytest.mark.parametrize("command, text, line", [
+    ("fit", f"id,y,x1,x2,x3,t,note\nA,1,2,3,4,1,{_BIG_FIELD}\nA,oops,2,3,4,2,b\n", 2),
+    ("fit", f"id,y,x1,x2,x3,t,{_BIG_FIELD}\nA,1,2,3,4,1,a\n", 1),
+    ("reduce", f"id,y,x1,x2,x3,t,note\nA,1,2,3,4,1,{_BIG_FIELD}\nA,2,3,4,5,2,b\n", 2),
+], ids=["cell", "header", "reduce_stream"])
+def test_oversized_csv_field_is_data_error_naming_the_line(tmp_path, capsys, command, text,
+                                                           line):
+    # "cell" has an "oops" cell, so the row loop reads it after the C pass;
+    # "reduce_stream" is read by the C pass, then again by reduce's own reader
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    out = str(tmp_path / "out")
+    tail = {"fit": ["--lambda", "0.1", "--output", out],
+            "reduce": ["--output", out, "--report", out + ".json"]}
+    rc = main([command, "--input", str(path), *DATA_FLAGS, *tail[command]])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError"
+    assert error["message"].startswith(f"{path}: line {line}: field larger than field limit")
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+def test_reduce_refuses_a_pipe_without_reading_it(tmp_path, small_csv):
+    # reduce reads its input twice; a pipe would leave the second read waiting
+    # for a writer that never comes, so the pipe is refused before ingest
+    f, _ = small_csv
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(f.read_bytes()), daemon=True)
+    writer.start()
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lmmlasso.cli", "reduce", "--input", str(fifo),
+             *DATA_FLAGS, "--output", str(tmp_path / "out.csv"),
+             "--report", str(tmp_path / "out.json")],
+            env=env, capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("reduce on a pipe did not return within 30 s")
+    finally:
+        # release the writer whether or not reduce opened the pipe
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join(timeout=10)
+        os.close(reader)
+    assert not writer.is_alive()
+    assert done.returncode == 3, done.stderr
+    error = json.loads(done.stdout.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError" and str(fifo) in error["message"]
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 

@@ -578,6 +578,46 @@ def test_solve_beta_matches_enumeration_oracle(problem):
     assert kkt_check(X, y, PenaltySpec.lasso(lam), beta) <= 1e-7
 
 
+@st.composite
+def _elastic_net_problems(draw):
+    """A small design, an l2-carrying penalty, its level and a warm start.
+
+    alpha = 0 is the ridge.  Some draws duplicate a column, which leaves
+    X'X singular but X'X + shift I positive definite.
+    """
+    p = draw(st.integers(1, 5))
+    n_obs = draw(st.integers(p, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n_obs, p))
+    if p > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    y = X @ rng.normal(size=p) + rng.normal(size=n_obs)
+    alpha = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    penalty = PenaltySpec.ridge(0.0) if alpha == 0.0 else PenaltySpec.elastic_net(alpha, 0.0)
+    lam = draw(st.floats(0.01, 1.2)) * lambda_max(X, y)
+    warm = draw(st.sampled_from(["optimum_support", "random"]))
+    if warm == "optimum_support":
+        beta_opt, _ = lasso_best_by_enumeration(X, y, lam * alpha, lam * (1.0 - alpha))
+        warm_start = beta_opt * rng.uniform(0.5, 1.5, size=p)
+    else:
+        warm_start = rng.normal(size=p) * (rng.uniform(size=p) < 0.5)
+    return X, y, penalty, lam, warm_start
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_elastic_net_problems())
+def test_solve_beta_with_l2_term_matches_enumeration_oracle(problem):
+    X, y, penalty, lam, warm_start = problem
+    ds = LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
+    beta, _ = em_engine._solve_beta(ds, y, penalty, lam, EmControl(), warm_start=warm_start)
+    l1, shift = lam * penalty.alpha, lam * (1.0 - penalty.alpha)
+    _, best = lasso_best_by_enumeration(X, y, l1, shift)
+    resid = y - X @ beta
+    objective = float(resid @ resid) + l1 * float(np.abs(beta).sum()) + shift * float(beta @ beta)
+    assert objective == pytest.approx(best, rel=1e-9, abs=0.0)
+    assert kkt_check(X, y, penalty.with_lam(lam), beta) <= 1e-7
+
+
 def _with_duplicate_column(ds):
     return LongitudinalDataset([
         SubjectBlock(b.subject_id, b.y, np.column_stack([b.X, b.X[:, 0]]), b.Z)
@@ -602,6 +642,28 @@ def test_duplicated_column_falls_back_to_coordinate_descent(monkeypatch):
     assert rep.params.sigma2 == forced.params.sigma2
     np.testing.assert_array_equal(rep.params.D, forced.params.D)
     assert rep.iterations == forced.iterations
+
+
+def test_ridge_on_duplicated_column_is_solved_exactly(monkeypatch):
+    # X'X is singular, X'X + shift I is not: no M-step needs coordinate descent
+    ds = _with_duplicate_column(simulate_lmm(13, n=20, n_i=4))
+    calls = _count_solve_pls(monkeypatch)
+    rep = fit_em(ds, 0.05, PenaltySpec.ridge(0.05), lambda_scale="per_obs")
+    assert rep.converged
+    assert calls == [] and rep.warnings == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+@pytest.mark.parametrize("alpha", [1.0, 0.5], ids=["lasso", "elastic_net"])
+def test_cold_start_at_or_above_lambda_max_is_solved_exactly(scale, alpha, monkeypatch):
+    # the pooled start's zero warm start settles it by the empty-support KKT check
+    ds = simulate_lmm(3, n=25, n_i=4)
+    lam = scale * lambda_max(ds.X, ds.y, alpha)
+    penalty = PenaltySpec.lasso(lam) if alpha == 1.0 else PenaltySpec.elastic_net(alpha, lam)
+    calls = _count_solve_pls(monkeypatch)
+    rep = fit_em(ds, lam, penalty)
+    assert calls == []
+    np.testing.assert_array_equal(rep.params.beta, 0.0)
 
 
 def test_refit_trace_never_decreases_on_exact_path():
