@@ -29,6 +29,7 @@ from .em_engine import (
     LmmParams,
     e_step,
     fit_em,
+    fit_em_supports,
     m_step,
     observed_loglik,
     penalized_loglik,
@@ -55,6 +56,7 @@ from .selector import (
     auto_log_grid,
     default_grid,
     refit_support,
+    refit_supports,
     select,
     sweep,
 )

@@ -331,16 +331,21 @@ def cmd_reduce(cfg: dict) -> int:
     _, report = remove_linear_combos(ds, **_given(cfg, "rank_tol"))
     dropped_names = {ds.x_names[j] for j in report.dropped}
 
-    # stream the original file through, minus the dropped fixed-effect columns
-    with open(cfg["input"], newline="") as fh:
-        rows = csv.reader(fh)
-        try:
-            header = next(rows)
-            keep_idx = [i for i, name in enumerate(header) if name not in dropped_names]
-            write_csv(cfg["output"], [header[i] for i in keep_idx],
-                      ([row[i] for i in keep_idx] for row in rows if row))
-        except csv.Error as e:  # a field the C pass of ingest read, over csv's size limit
-            raise DataError(f"{cfg['input']}: line {rows.line_num}: {e}") from None
+    # stream the original file through, minus the dropped fixed-effect columns;
+    # ingest's C pass reads fields of any size, so this pass lifts csv's limit
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        with open(cfg["input"], newline="") as fh:
+            rows = csv.reader(fh)
+            try:
+                header = next(rows)
+                keep_idx = [i for i, name in enumerate(header) if name not in dropped_names]
+                write_csv(cfg["output"], [header[i] for i in keep_idx],
+                          ([row[i] for i in keep_idx] for row in rows if row))
+            except csv.Error as e:
+                raise DataError(f"{cfg['input']}: line {rows.line_num}: {e}") from None
+    finally:
+        csv.field_size_limit(limit)
 
     report_dict = report.to_dict()
     report_dict["kept_names"] = [ds.x_names[j] for j in report.kept]

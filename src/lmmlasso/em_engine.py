@@ -24,7 +24,8 @@ from it.  The products S A_i S over all subjects are two flat
 from totals over subjects.
 
 Every beta M-step, the pooled start included, first tries one linear
-solve (_exact_beta, the one place that decides the route): on a support
+solve (_exact_beta, the one place that decides the route, by
+_exact_factor's positive-definiteness rule): on a support
 A with signs s, (X_A'X_A + shift * I) b_A = X_A'y_tilde - (l1 / 2) s,
 with l1 = lam1 * alpha, shift = lam1 * (1 - alpha), lam1 the effective
 level.  Without an l1 term (lam = 0, as in every unpenalized refit, or
@@ -41,17 +42,25 @@ without an l1 term then records a note in FitReport.warnings.
 Per-subject computations use the q x q cross products cached on the
 dataset, so one EM iteration touches the N-row data only through
 design-matrix products.
+
+fit_em_supports runs the unpenalized fits of many supports (a sweep's
+refits) as one EM over their stacked parameters on the parent dataset:
+one _guard_params, one _e_step_stack and one batched beta solve per
+iteration for all of them, on the same cached moments and X'X factors.
+At 30 subjects an iteration costs mostly numpy dispatch, so R fits in
+lock-step cost far less than R fits one by one; a single fit stays on
+e_step, which is faster at R = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import LongitudinalDataset
-from .exceptions import ConfigurationError, NumericalError
+from .exceptions import ConfigurationError, LmmLassoError, NumericalError
 from .penalized_ls import RAW, PenaltySpec, effective_lambda, penalty_value, solve_pls
 
 __all__ = [
@@ -64,6 +73,7 @@ __all__ = [
     "observed_loglik",
     "penalized_loglik",
     "fit_em",
+    "fit_em_supports",
 ]
 
 _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
@@ -196,8 +206,26 @@ class FitReport:
 
 
 def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root from eigh's (w, V), clipping tiny negative eigenvalues."""
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    """Symmetric PSD square root from eigh's (w, V), clipping tiny negative eigenvalues.
+
+    Stacks of decompositions, w (R, q) and V (R, q, q), give (R, q, q).
+    """
+    return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ V.swapaxes(-1, -2)
+
+
+@dataclass
+class _ParamStack:
+    """The parameters of R members on a leading axis: beta (R, p), sigma2 (R,), D (R, q, q)."""
+
+    beta: np.ndarray
+    sigma2: np.ndarray
+    D: np.ndarray
+
+    def _check_finite(self):
+        """LmmParams._check_finite over the whole stack."""
+        for name in ("beta", "sigma2", "D"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NumericalError(f"{name} must be finite")
 
 
 def _guard_params(params: LmmParams):
@@ -207,19 +235,22 @@ def _guard_params(params: LmmParams):
     takes in place of its own checks: the guarded D is exactly symmetric
     with eigenvalues above -1e-10 and sigma2 is positive, so after the
     shared finiteness check nothing validate() refuses can get through.
+    A _ParamStack is guarded member by member in one pass, and raises if
+    any member is not finite.
     """
     params._check_finite()
-    D = 0.5 * (params.D + params.D.T)
+    D = 0.5 * (params.D + params.D.swapaxes(-1, -2))
     w, V = np.linalg.eigh(D)
     if w.min() < _D_EIG_FLOOR:
-        D = (V * np.clip(w, _D_EIG_FLOOR, None)) @ V.T
-        D = 0.5 * (D + D.T)
+        low = w.min(axis=-1)[..., None, None] < _D_EIG_FLOOR  # the members to clamp
+        C = (V * np.clip(w, _D_EIG_FLOOR, None)[..., None, :]) @ V.swapaxes(-1, -2)
+        D = np.where(low, 0.5 * (C + C.swapaxes(-1, -2)), D)
         w, V = np.linalg.eigh(D)
-    return LmmParams(params.beta, max(params.sigma2, _SIGMA2_FLOOR), D), (w, V)
+    return type(params)(params.beta, np.maximum(params.sigma2, _SIGMA2_FLOOR), D), (w, V)
 
 
 def _spd_inv_logdet(K: np.ndarray):
-    """Inverses and log determinants of a stack of small SPD matrices.
+    """Inverses and log determinants of a stack (..., q, q) of small SPD matrices.
 
     Closed forms for the 1x1 and 2x2 cases avoid per-call LAPACK dispatch
     in the EM hot loop (on 2x2 stacks numpy's batched inv and slogdet took
@@ -231,8 +262,8 @@ def _spd_inv_logdet(K: np.ndarray):
         sign, logdet = np.linalg.slogdet(K)
         pd = sign > 0.0
     else:
-        det = K[:, 0, 0] if q == 1 else K[:, 0, 0] * K[:, 1, 1] - K[:, 0, 1] ** 2
-        pd = (K[:, 0, 0] > 0.0) & (det > 0.0)
+        det = K[..., 0, 0] if q == 1 else K[..., 0, 0] * K[..., 1, 1] - K[..., 0, 1] ** 2
+        pd = (K[..., 0, 0] > 0.0) & (det > 0.0)
     if not np.all(pd):
         raise NumericalError("subject covariance is not positive definite")
     if q > 2:
@@ -240,9 +271,9 @@ def _spd_inv_logdet(K: np.ndarray):
     if q == 1:
         return 1.0 / K, np.log(det)
     inv = np.empty_like(K)
-    inv[:, 0, 0], inv[:, 1, 1] = K[:, 1, 1], K[:, 0, 0]
-    inv[:, 0, 1] = inv[:, 1, 0] = -K[:, 0, 1]
-    inv /= det[:, None, None]
+    inv[..., 0, 0], inv[..., 1, 1] = K[..., 1, 1], K[..., 0, 0]
+    inv[..., 0, 1] = inv[..., 1, 0] = -K[..., 0, 1]
+    inv /= det[..., None, None]
     return inv, np.log(det)
 
 
@@ -251,11 +282,13 @@ def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
 
     Two flat (n*q, q) @ S products: the first gives the blocks A_i S,
     whose transposes are S A_i.  numpy's stacked matmul would dispatch
-    once per block.
+    once per block.  A leading axis of R members is allowed on S (R, q, q),
+    on A (R, n, q, q) or on both; the result is then (R, n, q, q).
     """
-    n, q, _ = A.shape
-    AS = (A.reshape(n * q, q) @ S).reshape(n, q, q)
-    return (AS.transpose(0, 2, 1).reshape(n * q, q) @ S).reshape(n, q, q)
+    n, q = A.shape[-3:-1]
+    lead = A.shape[:-3] or S.shape[:-2]
+    AS = (A.reshape(*A.shape[:-3], n * q, q) @ S).reshape(*lead, n, q, q)
+    return (AS.swapaxes(-1, -2).reshape(*lead, n * q, q) @ S).reshape(*lead, n, q, q)
 
 
 def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMoments:
@@ -300,6 +333,20 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMome
     return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde, loglik=float(loglik))
 
 
+def _exact_factor(ds: LongitudinalDataset, active, shift: float):
+    """Eigendecomposition (w, V) of G_AA + shift * I, or None when it is not
+    numerically positive definite (condition number beyond _GRAM_COND_LIMIT).
+
+    G_AA is the block of X'X on the columns active, factored once per
+    dataset by ds.gram_factor.
+    """
+    w, V = ds.gram_factor(active)
+    w = w + shift
+    if w.size and not w[0] > w[-1] / _GRAM_COND_LIMIT:
+        return None
+    return w, V
+
+
 def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: float,
                 warm_start: np.ndarray) -> np.ndarray | None:
     """The penalized least-squares minimizer from one linear solve, or None.
@@ -311,7 +358,8 @@ def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: floa
     is returned only when it is optimal: every b_A keeps its sign in s, and
     every column j outside A meets the at-zero condition |2 m_j| <= l1 of
     _kkt_residual, with m = c - G beta = X'(y - X beta).  None as well when
-    the matrix solved, G_AA + shift * I, is not numerically positive definite.
+    the matrix solved, G_AA + shift * I, is not numerically positive definite
+    (_exact_factor).
     """
     if l1 == 0.0:
         active, rhs = np.arange(xty.size), xty
@@ -319,10 +367,10 @@ def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: floa
         active = np.flatnonzero(warm_start)
         signs = np.sign(warm_start[active])
         rhs = xty[active] - 0.5 * l1 * signs
-    w, V = ds.gram_factor(active)
-    w = w + shift  # the eigenvalues of G_AA + shift * I
-    if w.size and not w[0] > w[-1] / _GRAM_COND_LIMIT:
+    factor = _exact_factor(ds, active, shift)
+    if factor is None:
         return None
+    w, V = factor
     b_active = V @ ((V.T @ rhs) / w)
     if l1 == 0.0:
         return b_active
@@ -475,3 +523,161 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
         lambda_scale=lambda_scale,
         warnings=notes,
     )
+
+
+def _row_sums_of_squares(a: np.ndarray) -> np.ndarray:
+    """sum_n a[r, n]^2 for each row r of an (R, N) stack."""
+    return np.einsum("rn,rn->r", a, a)
+
+
+def _e_step_stack(ds: LongitudinalDataset, beta: np.ndarray, sigma2: np.ndarray,
+                  S: np.ndarray):
+    """e_step for R parameter sets at once, on one dataset.
+
+    beta (R, p), sigma2 (R,) and S (R, q, q), the square roots of the D's.
+    Returns b_hat (R, n, q), Lambda (R, n, q, q), y_tilde (R, N) and
+    loglik (R,): each member's e_step results, summed in another order.
+    Raises NumericalError when any member's K_i is not positive definite.
+    """
+    ztz, ztx, zty = ds.block_moments
+    R, n, q = beta.shape[0], ds.n, ds.q
+    s2 = sigma2[:, None, None, None]
+    Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
+
+    ztr = zty - (ztx.reshape(n * q, ds.p) @ beta.T).T.reshape(R, n, q)
+    w = ztr @ S
+    Kinv_w = np.einsum("rnij,rnj->rni", Kinv, w)
+    b_hat = Kinv_w @ S
+    Lambda = s2 * _sandwich(S, Kinv)
+
+    # the (R, N) arrays dominate the stack's memory, so each is dropped
+    # before the next is made
+    rr = _row_sums_of_squares(ds.y - beta @ ds.X.T)
+    quad = (rr - np.einsum("rnq,rnq->r", w, Kinv_w)) / sigma2
+    logdet = (ds.N - n * q) * np.log(sigma2) + logdet_K.sum(axis=1)
+    loglik = -0.5 * (ds.N * math.log(2.0 * math.pi) + logdet + quad)
+    y_tilde = ds.y - np.einsum("nq,rnq->rn", ds.Z, np.repeat(b_hat, ds.counts, axis=1))
+    return b_hat, Lambda, y_tilde, loglik
+
+
+def _lockstep_refits(ds: LongitudinalDataset, supports, factors, ctrl: EmControl) -> list:
+    """fit_em(ds.select_columns(A), 0.0, ctrl=ctrl) for every support A at once.
+
+    factors[r] is _exact_factor(ds, supports[r], 0.0).  The R members run one
+    EM on ds itself, their parameters stacked on a leading axis: one
+    _guard_params and one _e_step_stack per iteration, on the dataset's
+    cached block moments, and each beta solved on its own cached factor
+    and embedded in a p-vector, so no restricted dataset or moment is
+    built.  (Padding the factors into one (R, |A|max, |A|max) stack
+    solved faster but raised the peak memory of a scenario-3 run.)  Each
+    member leaves the stack on fit_em's stopping rule; one whose guard or
+    E-step raises leaves it alone, with fit_em's message.  Returns a
+    FitReport or NumericalError per support.
+    """
+    ztz = ds.block_moments[0]
+    R, q, N = len(supports), ds.q, ds.N
+    solves = [(list(A), w_A, V_A) for A, (w_A, V_A) in zip(supports, factors)]
+    live = np.arange(R)  # the members still iterating, in stack order
+
+    def exact_beta(y_tilde):
+        """_exact_beta without l1 for each live member, embedded in a p-vector."""
+        xty = y_tilde @ ds.X
+        beta = np.zeros_like(xty)
+        for r, k in enumerate(live):
+            A, w_A, V_A = solves[k]
+            beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
+        return beta
+
+    def guarded_e_step(beta, sigma2, D):
+        params, eig = _guard_params(_ParamStack(beta, sigma2, D))
+        return (params.sigma2, params.D) + _e_step_stack(ds, beta, params.sigma2,
+                                                         _psd_sqrt(*eig))
+
+    def m_step(b_hat, Lambda, y_tilde):
+        """m_step without penalty for each live member."""
+        beta = exact_beta(y_tilde)
+        trace_term = np.einsum("rnij,nij->r", Lambda, ztz)
+        sigma2 = (_row_sums_of_squares(y_tilde - beta @ ds.X.T) + trace_term) / N
+        D = (b_hat.swapaxes(1, 2) @ b_hat + Lambda.sum(axis=1)) / ds.n
+        return beta, sigma2, 0.5 * (D + D.swapaxes(1, 2))
+
+    out: list = [None] * R
+    traces = [[] for _ in range(R)]
+    beta = exact_beta(np.broadcast_to(ds.y, (R, N)))
+    sigma2 = _row_sums_of_squares(ds.y - beta @ ds.X.T) / N
+    D = np.broadcast_to(np.eye(q), (R, q, q))
+    lp = np.zeros(R)
+    iteration = 0
+    while True:
+        try:
+            sigma2, D, b_hat, Lambda, y_tilde, loglik = guarded_e_step(beta, sigma2, D)
+        except NumericalError:
+            # the members that raise alone leave the stack; the rest go on
+            ok = np.ones(live.size, dtype=bool)
+            for r in range(live.size):
+                try:
+                    guarded_e_step(beta[r:r + 1], sigma2[r:r + 1], D[r:r + 1])
+                except NumericalError as e:
+                    where = f"fit_em: iteration {iteration}: " if iteration else ""
+                    out[live[r]], ok[r] = NumericalError(f"{where}{e}"), False
+            live, lp, beta, sigma2, D = (a[ok] for a in (live, lp, beta, sigma2, D))
+            if not live.size:
+                break
+            sigma2, D, b_hat, Lambda, y_tilde, loglik = guarded_e_step(beta, sigma2, D)
+
+        going = np.ones(live.size, dtype=bool)
+        for r, k in enumerate(live):
+            lp_prev, lp_new = float(lp[r]), float(loglik[r])
+            traces[k].append(lp_new)
+            if not iteration:
+                continue
+            ratio_ok = lp_prev != 0.0 and abs(lp_new / lp_prev - 1.0) < ctrl.eps
+            converged = ratio_ok or abs(lp_new - lp_prev) < ctrl.abs_eps
+            if converged or iteration >= ctrl.max_iter:
+                out[k] = FitReport(LmmParams(beta[r].copy(), sigma2[r], D[r].copy()),
+                                   iteration, converged, np.asarray(traces[k]), lp_new, 0.0)
+                going[r] = False
+        lp = loglik
+        if not going.all():
+            live, lp, b_hat, Lambda, y_tilde = (
+                a[going] for a in (live, lp, b_hat, Lambda, y_tilde))
+            if not live.size:
+                break
+
+        iteration += 1
+        beta, sigma2, D = m_step(b_hat, Lambda, y_tilde)
+        del b_hat, Lambda, y_tilde  # not held through the next E-step
+    return out
+
+
+def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = None) -> list:
+    """Unpenalized fits with X restricted to each support, beta embedded in a p-vector.
+
+    The supports (tuples of column indices) whose X_A'X_A passes
+    _exact_beta's rule are fitted together by _lockstep_refits on ds; each
+    of the rest by fit_em(ds.select_columns(A), 0.0, ctrl=ctrl), whose
+    M-steps fall back to coordinate descent.  Returns one entry per
+    support: the FitReport, or the LmmLassoError its fit raised, so one
+    failure leaves the other fits standing.
+    """
+    ctrl = ctrl or EmControl()
+    out: list = [None] * len(supports)
+    exact = []
+    for k, support in enumerate(supports):
+        factor = _exact_factor(ds, support, 0.0)
+        if factor is not None:
+            exact.append((k, support, factor))
+            continue
+        try:
+            rep = fit_em(ds.select_columns(support), 0.0, ctrl=ctrl)
+        except LmmLassoError as e:
+            out[k] = e
+            continue
+        beta = np.zeros(ds.p)
+        beta[list(support)] = rep.params.beta
+        out[k] = replace(rep, params=LmmParams(beta, rep.params.sigma2, rep.params.D))
+    if exact:
+        slots, members, factors = zip(*exact)
+        for k, rep in zip(slots, _lockstep_refits(ds, members, factors, ctrl)):
+            out[k] = rep
+    return out

@@ -1,16 +1,19 @@
 """Penalty-level selection: grid sweep, information criteria, refit.
 
-The sweep fits the EM at every grid value, largest first, initializing
-each fit from the previous solution's (beta, sigma2, D), and scores each
-grid entry with BIC = -2 loglik + log(n) df (or AIC = -2 loglik + 2 df),
-where df counts the entry's nonzero fixed effects plus q(q+1)/2
-covariance parameters plus one for the residual variance, and n is the
-number of subjects.  The log-likelihood is evaluated at the unpenalized
-refit of the entry's support (cached by support), so the criterion
-compares model sizes free of shrinkage bias; scoring the shrunk
-estimates themselves systematically favors denser models and does not
-reproduce the benchmark selection rates.  The minimizer wins, ties
-breaking toward the larger penalty (the sparser model).
+The sweep runs in two passes.  The grid pass fits the EM at every grid
+value, largest first, initializing each fit from the previous penalized
+fit's (beta, sigma2, D).  The refit pass then fits every distinct
+support of the path without penalty, all of them in one lock-step EM on
+the parent dataset (refit_supports), and scores each grid entry with
+BIC = -2 loglik + log(n) df (or AIC = -2 loglik + 2 df), where df counts
+the entry's nonzero fixed effects plus q(q+1)/2 covariance parameters
+plus one for the residual variance, and n is the number of subjects.
+The log-likelihood is evaluated at the unpenalized refit of the entry's
+support, so the criterion compares model sizes free of shrinkage bias;
+scoring the shrunk estimates themselves systematically favors denser
+models and does not reproduce the benchmark selection rates.  The
+minimizer wins, ties breaking toward the larger penalty (the sparser
+model).
 
 A SelectionResult is a view of its path at the selected entry: the
 penalty, support, penalized fit and refit are all read off the path,
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import LongitudinalDataset, beta_original_scale
-from .em_engine import EmControl, FitReport, LmmParams, fit_em, observed_loglik
+from .em_engine import (EmControl, FitReport, LmmParams, fit_em, fit_em_supports,
+                        observed_loglik)
 from .exceptions import ConfigurationError, LmmLassoError, NumericalError
 from .penalized_ls import RAW, PenaltySpec, effective_lambda, lambda_max
 
@@ -34,6 +38,7 @@ __all__ = [
     "SelectionResult",
     "sweep",
     "refit_support",
+    "refit_supports",
     "select",
     "default_grid",
     "auto_log_grid",
@@ -71,7 +76,8 @@ class RegularizationPath:
     """Per-grid-value fits and scores, ordered by decreasing penalty.
 
     refit_fits holds the unpenalized refit backing each entry's score;
-    entries with identical supports share one refit object.
+    entries with identical supports share one refit object.  errors holds
+    the message of each entry whose grid fit or refit raised.
     """
 
     grid: np.ndarray
@@ -191,10 +197,12 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
 
     The grid (default_grid() when None) is processed in decreasing order
     under the penalty template (the lasso when None).  The first fit starts
-    cold and each later one starts from the last successful fit's (beta,
-    sigma2, D).  Each entry is scored by the criterion at the unpenalized
-    refit of its support.  Individual fit failures are recorded per entry
-    and skipped by the selection; a sweep where every entry failed raises.
+    cold and each later one starts from the last penalized fit that did not
+    raise (beta, sigma2, D).  Each entry is then scored by the criterion at
+    the unpenalized refit of its support, every distinct support refitted
+    once, together (refit_supports).  A failed grid fit or refit fails its
+    entries, which are recorded in errors and skipped by the selection; a
+    sweep where every entry failed raises.
     """
     grid, template = _selection_settings(grid, lambda_scale, criterion, penalty)
     m = grid.size
@@ -204,25 +212,38 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
     loglik = np.full(m, np.nan)
     nnz = np.zeros(m, dtype=int)
 
-    refit_cache: dict = {}
+    supports: list = [None] * m
     prev = None
     for i, lam in enumerate(grid):
         try:
             fit = fit_em(ds, float(lam), template, init=prev, ctrl=ctrl,
                          lambda_scale=lambda_scale)
-            support = tuple(int(j) for j in np.flatnonzero(fit.params.beta))
-            if support not in refit_cache:
-                refit = refit_support(ds, support, ctrl=ctrl)
-                # embedded-parameter loglik on the full design, so scores
-                # are exactly reproducible from the stored refit params
-                refit_cache[support] = (refit, observed_loglik(ds, refit.params))
         except LmmLassoError as e:
             errors[i] = str(e)
             continue
-        fits[i] = fit
-        refits[i], loglik[i] = refit_cache[support]
+        fits[i], prev = fit, fit.params
+        supports[i] = tuple(int(j) for j in np.flatnonzero(fit.params.beta))
+
+    # the refit pass: every distinct support in one lock-step EM
+    distinct = list(dict.fromkeys(s for s in supports if s is not None))
+    scored = {}  # support: (refit, loglik), or the message of the error that failed it
+    for support, refit in zip(distinct, refit_supports(ds, distinct, ctrl=ctrl)):
+        try:
+            if isinstance(refit, LmmLassoError):
+                raise refit
+            # embedded-parameter loglik on the full design, so scores
+            # are exactly reproducible from the stored refit params
+            scored[support] = (refit, observed_loglik(ds, refit.params))
+        except LmmLassoError as e:
+            scored[support] = str(e)
+    for i, support in enumerate(supports):
+        if support is None:
+            continue
+        if isinstance(scored[support], str):
+            fits[i], errors[i] = None, scored[support]
+            continue
+        refits[i], loglik[i] = scored[support]
         nnz[i] = len(support)
-        prev = fit.params
 
     valid = np.array([f is not None for f in fits])
     if not valid.any():
@@ -237,35 +258,48 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
                               lambda_scale=lambda_scale, criterion=criterion)
 
 
+def refit_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = None) -> list:
+    """Unpenalized fits with X restricted to each support, run together.
+
+    One entry per support, in order: the FitReport refit_support gives for
+    it, or the LmmLassoError its fit raised (the other fits go on).  The
+    supports are fitted in one lock-step EM on ds (em_engine.fit_em_supports).
+    """
+    supports = [tuple(sorted(int(j) for j in s)) for s in supports]
+    if any(j < 0 or j >= ds.p for s in supports for j in s):
+        raise ConfigurationError("refit_support: support indices out of range")
+    reports = fit_em_supports(ds, supports, ctrl=ctrl)
+    rec = ds.standardization
+    if rec is None:
+        return reports
+    return [rep if isinstance(rep, LmmLassoError)
+            else replace(rep, original_scale=_original_scale(rec, rep.params))
+            for rep in reports]
+
+
+def _original_scale(rec, params: LmmParams) -> dict:
+    """A standardized refit's estimates on the original scale."""
+    beta_orig, intercept = beta_original_scale(rec, params.beta)
+    return {
+        "beta": beta_orig.tolist(),
+        "intercept": intercept,
+        "sigma2": params.sigma2 * rec.y_scale ** 2,
+        "D": (params.D * rec.y_scale ** 2).tolist(),
+    }
+
+
 def refit_support(ds: LongitudinalDataset, support, ctrl: EmControl | None = None) -> FitReport:
     """Unpenalized fit with X restricted to the support columns.
 
     The returned report carries beta embedded back into a full p-vector
     (zeros off support).  When the dataset was standardized, estimates on
-    the original scale are attached under original_scale.
+    the original scale are attached under original_scale.  The one-support
+    call of refit_supports.
     """
-    support = tuple(sorted(int(j) for j in support))
-    if any(j < 0 or j >= ds.p for j in support):
-        raise ConfigurationError("refit_support: support indices out of range")
-    restricted = ds.select_columns(list(support))
-    rep = fit_em(restricted, 0.0, ctrl=ctrl)
-
-    beta_full = np.zeros(ds.p)
-    beta_full[list(support)] = rep.params.beta
-    params = LmmParams(beta_full, rep.params.sigma2, rep.params.D)
-
-    original = None
-    rec = ds.standardization
-    if rec is not None:
-        beta_orig, intercept = beta_original_scale(rec, beta_full)
-        original = {
-            "beta": beta_orig.tolist(),
-            "intercept": intercept,
-            "sigma2": rep.params.sigma2 * rec.y_scale ** 2,
-            "D": (rep.params.D * rec.y_scale ** 2).tolist(),
-        }
-
-    return replace(rep, params=params, original_scale=original)
+    rep, = refit_supports(ds, [support], ctrl=ctrl)
+    if isinstance(rep, LmmLassoError):
+        raise rep
+    return rep
 
 
 def select(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None,

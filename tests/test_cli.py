@@ -826,23 +826,33 @@ _BIG_FIELD = "x" * 200_000  # above csv's default field size limit of 131072
 @pytest.mark.parametrize("command, text, line", [
     ("fit", f"id,y,x1,x2,x3,t,note\nA,1,2,3,4,1,{_BIG_FIELD}\nA,oops,2,3,4,2,b\n", 2),
     ("fit", f"id,y,x1,x2,x3,t,{_BIG_FIELD}\nA,1,2,3,4,1,a\n", 1),
-    ("reduce", f"id,y,x1,x2,x3,t,note\nA,1,2,3,4,1,{_BIG_FIELD}\nA,2,3,4,5,2,b\n", 2),
-], ids=["cell", "header", "reduce_stream"])
+], ids=["cell", "header"])
 def test_oversized_csv_field_is_data_error_naming_the_line(tmp_path, capsys, command, text,
                                                            line):
-    # "cell" has an "oops" cell, so the row loop reads it after the C pass;
-    # "reduce_stream" is read by the C pass, then again by reduce's own reader
+    # "cell" has an "oops" cell, so the row loop reads it after the C pass
     path = tmp_path / "big.csv"
     path.write_text(text)
     out = str(tmp_path / "out")
-    tail = {"fit": ["--lambda", "0.1", "--output", out],
-            "reduce": ["--output", out, "--report", out + ".json"]}
-    rc = main([command, "--input", str(path), *DATA_FLAGS, *tail[command]])
+    rc = main([command, "--input", str(path), *DATA_FLAGS, "--lambda", "0.1", "--output", out])
     assert rc == 3
     error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
     assert error["type"] == "DataError"
     assert error["message"].startswith(f"{path}: line {line}: field larger than field limit")
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+def test_reduce_copies_an_oversized_field_byte_for_byte(tmp_path):
+    # ingest's C pass reads the cell; reduce's own second pass must read it too
+    path = tmp_path / "big.csv"
+    path.write_text(f"id,y,x1,x2,x3,t,note\nA,1,2,3,4,1,{_BIG_FIELD}\nA,2,3,4,5,2,b\n")
+    out = tmp_path / "out.csv"
+    limit = csv.field_size_limit()
+    rc = main(["reduce", "--input", str(path), *DATA_FLAGS, "--output", str(out),
+               "--report", str(tmp_path / "report.json")])
+    assert rc == 0
+    assert csv.field_size_limit() == limit
+    lines = out.read_text().splitlines()
+    assert lines[0].endswith(",note") and lines[1].endswith(f",{_BIG_FIELD}")
 
 
 def test_reduce_refuses_a_pipe_without_reading_it(tmp_path, small_csv):

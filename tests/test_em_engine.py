@@ -704,6 +704,31 @@ def test_sweep_factors_each_support_once_per_dataset(monkeypatch):
         "_guard_params", "_checked_eigh"}
 
 
+def test_sweep_refits_on_the_parent_dataset(monkeypatch):
+    # every support of this design is positive definite, so every refit runs
+    # in the lock-step EM: no restricted dataset, no second set of moments
+    ds, _ = generate_scenario(ScenarioConfig.scenario3(seed=3))
+    selected, computed = [], []
+    select_columns = LongitudinalDataset.select_columns
+    block_moments = LongitudinalDataset.block_moments.fget
+
+    def counted_select(self, cols):
+        selected.append(cols)
+        return select_columns(self, cols)
+
+    def counted_moments(self):
+        if self._moments is None:
+            computed.append(self)
+        return block_moments(self)
+
+    monkeypatch.setattr(LongitudinalDataset, "select_columns", counted_select)
+    monkeypatch.setattr(LongitudinalDataset, "block_moments", property(counted_moments))
+    path = sweep(ds, default_grid(), lambda_scale="per_obs")
+    assert all(e is None for e in path.errors)
+    assert selected == []
+    assert len(computed) == 1 and computed[0] is ds
+
+
 @pytest.mark.parametrize("penalty", [PenaltySpec.lasso(0.0), PenaltySpec.lasso(20.0)],
                          ids=["lambda0", "lasso"])
 def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeypatch):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import lmmlasso.selector as selector_mod
+from lmmlasso import em_engine
 import lmmlasso.simkit as simkit
-from lmmlasso.dataset import LongitudinalDataset, SubjectBlock, standardize
+from lmmlasso.dataset import (LongitudinalDataset, SubjectBlock, beta_original_scale,
+                              standardize)
 from lmmlasso.em_engine import EmControl, fit_em, observed_loglik
 from lmmlasso.exceptions import ConfigurationError, NumericalError
 from lmmlasso.penalized_ls import PenaltySpec
@@ -348,3 +350,144 @@ def test_bad_selection_setting_fails_before_any_fit(monkeypatch, case):
     with pytest.raises(ConfigurationError):
         run(small_dataset(), **settings)
     assert started == []
+
+
+def _scenario3(seed):
+    return simkit.generate_scenario(ScenarioConfig.scenario3(seed=seed))[0]
+
+
+def _chol_shaped_study(seed, n=200, visits=5):
+    """Standardized study of the cholesterol shape of the CLI tests: sex,
+    age, time, products with centred age, three decoys; age, time and
+    sex x time act."""
+    rng = np.random.default_rng(seed)
+    t = (2.0 * np.arange(visits) - 5.0) / 10.0
+    blocks = []
+    for i in range(n):
+        sex, age = float(rng.integers(0, 2)), rng.uniform(31, 62)
+        b = 0.2 * rng.normal(size=2)
+        z = rng.normal(size=2)
+        age_c = age - 46.5
+        X = np.column_stack([np.full(visits, sex), np.full(visits, age), t,
+                             np.full(visits, sex * age_c), sex * t, age_c * t,
+                             sex * age_c * t, np.full(visits, float(rng.uniform() < 0.5)),
+                             np.full(visits, z[0]),
+                             np.full(visits, 0.5 * z[0] + np.sqrt(0.75) * z[1])])
+        Z = np.column_stack([np.ones(visits), t])
+        y = 0.02 * age + 0.3 * t + 0.25 * sex * t + Z @ b + 0.15 * rng.normal(size=visits)
+        blocks.append(SubjectBlock(i, y, X, Z))
+    return standardize(LongitudinalDataset(blocks), categorical=(0, 7))
+
+
+def _path_supports(path):
+    return [tuple(int(j) for j in np.flatnonzero(f.params.beta)) if f is not None else None
+            for f in path.fits]
+
+
+def _assert_close(actual, expected, what):
+    actual, expected = np.asarray(actual, float), np.asarray(expected, float)
+    bound = 1e-12 * max(float(np.max(np.abs(expected), initial=0.0)), 1e-300)
+    assert np.max(np.abs(actual - expected), initial=0.0) <= bound, what
+
+
+def test_refit_supports_match_restricted_fits():
+    # the lock-step EM on the parent dataset against fit_em on the restricted
+    # dataset: the same iterations, and floats that differ only in the order
+    # of summation
+    studies = [_scenario3(seed) for seed in (0, 1, 2)]
+    studies.append(_chol_shaped_study(5))
+    for ds in studies:
+        path = sweep(ds, default_grid(40), lambda_scale="per_obs")
+        supports = list(dict.fromkeys(s for s in _path_supports(path) if s is not None))
+        supports += [(), tuple(range(ds.p))]
+        reps = selector_mod.refit_supports(ds, supports)
+        for support, rep in zip(supports, reps):
+            ref = fit_em(ds.select_columns(support), 0.0)
+            assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
+            assert rep.penalized_loglik_trace.size == ref.penalized_loglik_trace.size
+            beta = np.zeros(ds.p)
+            beta[list(support)] = ref.params.beta
+            _assert_close(rep.params.beta, beta, "beta")
+            _assert_close(rep.params.sigma2, ref.params.sigma2, "sigma2")
+            _assert_close(rep.params.D, ref.params.D, "D")
+            _assert_close(rep.final_loglik, ref.final_loglik, "final_loglik")
+            _assert_close(rep.penalized_loglik_trace, ref.penalized_loglik_trace, "trace")
+            rec = ds.standardization
+            if rec is None:
+                assert rep.original_scale is None
+                continue
+            beta_orig, intercept = beta_original_scale(rec, beta)
+            orig = rep.original_scale
+            _assert_close(orig["beta"], beta_orig, "original beta")
+            _assert_close(orig["intercept"], intercept, "original intercept")
+            _assert_close(orig["sigma2"], ref.params.sigma2 * rec.y_scale ** 2, "original sigma2")
+            _assert_close(orig["D"], ref.params.D * rec.y_scale ** 2, "original D")
+
+
+def _fail_in_refits(monkeypatch, target, call, where):
+    """Make the lock-step refit of support target raise on its call-th pass
+    through where, "_guard_params" or "_e_step_stack"; grid fits are untouched."""
+    refitting, calls = [], []
+    lockstep, step = em_engine._lockstep_refits, getattr(em_engine, where)
+
+    def flagged(*args):
+        refitting.append(True)
+        try:
+            return lockstep(*args)
+        finally:
+            refitting.pop()
+
+    def failing(*args):
+        beta = args[0].beta if where == "_guard_params" else args[1]
+        if refitting and any(tuple(np.flatnonzero(b)) == target for b in beta):
+            calls.append(None)
+            if len(calls) >= call:
+                raise NumericalError("injected failure")
+        return step(*args)
+
+    monkeypatch.setattr(em_engine, "_lockstep_refits", flagged)
+    monkeypatch.setattr(em_engine, where, failing)
+
+
+def test_failed_refit_fails_only_its_entries_and_the_warm_starts_go_on(monkeypatch):
+    ds = _scenario3(3)
+    grid = default_grid(40)
+    clean = sweep(ds, grid, lambda_scale="per_obs")
+    supports = _path_supports(clean)
+    shared = [s for s in dict.fromkeys(supports) if supports.count(s) > 1
+              and s != supports[clean.selected_index]]
+    target = shared[len(shared) // 2]
+    _fail_in_refits(monkeypatch, target, 3, "_guard_params")
+    path = sweep(ds, grid, lambda_scale="per_obs")
+    hit = [s == target for s in supports]
+    assert [e is not None for e in path.errors] == hit
+    assert {path.errors[i] for i in np.flatnonzero(hit)} == {
+        "fit_em: iteration 2: injected failure"}
+    assert path.selected_index == clean.selected_index
+    for i, fit in enumerate(path.fits):
+        if hit[i]:
+            assert fit is None and path.refit_fits[i] is None
+            continue
+        # the grid fit after a failed entry still starts from that entry's fit
+        np.testing.assert_array_equal(fit.params.beta, clean.fits[i].params.beta)
+        assert fit.params.sigma2 == clean.fits[i].params.sigma2
+        np.testing.assert_array_equal(fit.params.D, clean.fits[i].params.D)
+        assert fit.iterations == clean.fits[i].iterations
+        # the refits left in the stack are summed in another order
+        _assert_close(path.bic[i], clean.bic[i], "bic")
+        _assert_close(path.aic[i], clean.aic[i], "aic")
+        assert path.refit_fits[i].iterations == clean.refit_fits[i].iterations
+
+
+def test_refit_supports_isolates_a_failing_e_step(monkeypatch):
+    ds = _scenario3(1)
+    supports = [(0,), (0, 1, 2), (0, 1, 2, 3, 4), ()]
+    clean = selector_mod.refit_supports(ds, supports)
+    _fail_in_refits(monkeypatch, (0, 1, 2), 4, "_e_step_stack")
+    reps = selector_mod.refit_supports(ds, supports)
+    assert isinstance(reps[1], NumericalError)
+    assert str(reps[1]) == "fit_em: iteration 3: injected failure"
+    for k in (0, 2, 3):
+        assert reps[k].iterations == clean[k].iterations
+        _assert_close(reps[k].params.beta, clean[k].params.beta, "beta")
+        _assert_close(reps[k].final_loglik, clean[k].final_loglik, "final_loglik")

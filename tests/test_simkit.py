@@ -280,15 +280,15 @@ def test_scenario_aliases_take_the_design_table_defaults(scenario):
 
 def test_ascent_count_counts_each_shared_refit_once(monkeypatch):
     refits = []
-    refit_support = selector_mod.refit_support
+    refit_supports = selector_mod.refit_supports
 
-    def decreasing_refit(ds, support, ctrl=None):
-        rep = replace(refit_support(ds, support, ctrl=ctrl),
-                      penalized_loglik_trace=np.array([0.0, -1.0]))
-        refits.append(rep)
-        return rep
+    def decreasing_refits(ds, supports, ctrl=None):
+        reps = [replace(rep, penalized_loglik_trace=np.array([0.0, -1.0]))
+                for rep in refit_supports(ds, supports, ctrl=ctrl)]
+        refits.extend(reps)
+        return reps
 
-    monkeypatch.setattr(selector_mod, "refit_support", decreasing_refit)
+    monkeypatch.setattr(selector_mod, "refit_supports", decreasing_refits)
     grid = np.linspace(0.01, 0.5, 10)
     cfg = ScenarioConfig.scenario1(n=10, n_i=4, seed=11)
     summary = run_monte_carlo(cfg, 1, grid=grid)
