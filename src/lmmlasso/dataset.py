@@ -415,27 +415,34 @@ def standardize(ds: LongitudinalDataset, categorical=(), center_categorical=Fals
     and, unless center_categorical is set, from centering too.  The
     response is always centered and scaled when scale_y.  Sample standard
     deviations use the n-1 convention.  A non-exempt constant column is a
-    data error.
+    data error, and so is a column or response whose standard deviation is
+    not finite (its squares overflow double precision).
     """
     if ds.standardization is not None:
         raise ConfigurationError("dataset is already standardized")
     exempt = np.zeros(ds.p, dtype=bool)
     exempt[list(categorical)] = True
 
-    center = ds.X.mean(axis=0) if ds.p else np.zeros(0)
-    scale = ds.X.std(axis=0, ddof=1) if ds.N > 1 else np.zeros(ds.p)
-    for j in range(ds.p):
-        if not exempt[j] and scale[j] == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        center = ds.X.mean(axis=0) if ds.p else np.zeros(0)
+        scale = ds.X.std(axis=0, ddof=1) if ds.N > 1 else np.zeros(ds.p)
+        y_center = float(ds.y.mean())
+        y_scale = float(ds.y.std(ddof=1)) if scale_y else 1.0
+    for j in np.flatnonzero(~exempt):
+        if scale[j] == 0.0:
             raise DataError(f"column {ds.x_names[j]!r} has zero variance; "
                             "flag it categorical or drop it")
+        if not np.isfinite(scale[j]):
+            raise DataError(f"column {ds.x_names[j]!r} has a non-finite standard "
+                            "deviation; rescale it")
     if not center_categorical:
         center = np.where(exempt, 0.0, center)
     scale = np.where(exempt, 1.0, np.where(scale == 0.0, 1.0, scale))
 
-    y_center = float(ds.y.mean())
-    y_scale = float(ds.y.std(ddof=1)) if scale_y else 1.0
     if scale_y and y_scale == 0.0:
         raise DataError("response has zero variance")
+    if not np.isfinite(y_scale):
+        raise DataError("response has a non-finite standard deviation; rescale it")
 
     record = StandardizationRecord(center, scale, y_center, y_scale)
     return ds._derive(y=(ds.y - y_center) / y_scale, X=(ds.X - center) / scale,

@@ -43,19 +43,22 @@ Per-subject computations use the q x q cross products cached on the
 dataset, so one EM iteration touches the N-row data only through
 design-matrix products.
 
-fit_em_supports runs the unpenalized fits of many supports (a sweep's
-refits) as one EM over their stacked parameters on the parent dataset:
-one _guard_params, one _e_step_stack and one batched beta solve per
-iteration for all of them, on the same cached moments and X'X factors.
-At 30 subjects an iteration costs mostly numpy dispatch, so R fits in
-lock-step cost far less than R fits one by one; a single fit stays on
-e_step, which is faster at R = 1.
+fit_em and fit_em_supports run one EM driver (_run_em) over members
+whose parameters sit on a leading axis: fit_em one member, and
+fit_em_supports the unpenalized fits of many supports (a sweep's refits)
+on the parent dataset.  Each iteration takes one _guard_params, one e_step
+and one closed-form sigma2 and D update for all members, on the same
+cached moments; only the beta solve is per member.  At 30 subjects an
+iteration costs mostly numpy dispatch, so R fits in lock-step cost far
+less than R fits one by one.  A lone member, a single fit or the last
+refit still iterating, runs without the member axis, on the kernels of a
+single fit, which are the faster ones at R = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -102,22 +105,23 @@ class LmmParams:
 
     def _check_finite(self):
         """Raise NumericalError naming the first of beta, sigma2, D with a NaN or inf."""
-        for name, finite in (("beta", np.isfinite(self.beta).all()),
-                             ("sigma2", math.isfinite(self.sigma2)),
-                             ("D", np.isfinite(self.D).all())):
-            if not finite:
+        for name in ("beta", "sigma2", "D"):
+            value = getattr(self, name)
+            # math.isfinite for one member's float, on which np.isfinite is slow
+            if not (math.isfinite(value) if type(value) is float else np.isfinite(value).all()):
                 raise NumericalError(f"{name} must be finite")
 
     def _checked_eigh(self):
         """validate()'s checks; returns np.linalg.eigh(D) for the caller to reuse."""
         self._check_finite()
-        if self.sigma2 <= 0.0:
+        if np.any(self.sigma2 <= 0.0):
             raise NumericalError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.D.ndim != 2 or self.D.shape[0] != self.D.shape[1]:
+        D = self.D
+        if D.ndim != self.beta.ndim + 1 or D.shape[-1:] != D.shape[-2:-1]:
             raise NumericalError("D must be square")
-        if float(np.max(np.abs(self.D - self.D.T), initial=0.0)) > 1e-12:
+        if float(np.max(np.abs(D - D.swapaxes(-1, -2)), initial=0.0)) > 1e-12:
             raise NumericalError("D is not symmetric")
-        w, V = np.linalg.eigh(self.D)
+        w, V = np.linalg.eigh(D)
         if float(w.min()) < -_D_EIG_FLOOR:
             raise NumericalError("D has eigenvalues below -1e-10")
         return w, V
@@ -210,22 +214,29 @@ def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 
     Stacks of decompositions, w (R, q) and V (R, q, q), give (R, q, q).
     """
-    return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ V.swapaxes(-1, -2)
+    return (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ V.swapaxes(-1, -2)
 
 
 @dataclass
-class _ParamStack:
+class _ParamStack(LmmParams):
     """The parameters of R members on a leading axis: beta (R, p), sigma2 (R,), D (R, q, q)."""
 
-    beta: np.ndarray
-    sigma2: np.ndarray
-    D: np.ndarray
+    def __post_init__(self):
+        self.beta, self.sigma2, self.D = (np.asarray(a, dtype=float)
+                                          for a in (self.beta, self.sigma2, self.D))
 
-    def _check_finite(self):
-        """LmmParams._check_finite over the whole stack."""
-        for name in ("beta", "sigma2", "D"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise NumericalError(f"{name} must be finite")
+
+def _params(beta: np.ndarray, sigma2, D: np.ndarray) -> LmmParams:
+    """LmmParams of one member (beta of shape (p,)), else a _ParamStack."""
+    return (LmmParams if beta.ndim == 1 else _ParamStack)(beta, sigma2, D)
+
+
+def _take(stack, keep: list):
+    """A _ParamStack or stacked EStepMoments at the member positions keep;
+    a lone member drops the member axis."""
+    sel = keep[0] if len(keep) == 1 else keep
+    parts = [getattr(stack, f.name)[sel] for f in fields(stack)]
+    return EStepMoments(*parts) if isinstance(stack, EStepMoments) else _params(*parts)
 
 
 def _guard_params(params: LmmParams):
@@ -243,7 +254,7 @@ def _guard_params(params: LmmParams):
     w, V = np.linalg.eigh(D)
     if w.min() < _D_EIG_FLOOR:
         low = w.min(axis=-1)[..., None, None] < _D_EIG_FLOOR  # the members to clamp
-        C = (V * np.clip(w, _D_EIG_FLOOR, None)[..., None, :]) @ V.swapaxes(-1, -2)
+        C = (V * np.maximum(w, _D_EIG_FLOOR)[..., None, :]) @ V.swapaxes(-1, -2)
         D = np.where(low, 0.5 * (C + C.swapaxes(-1, -2)), D)
         w, V = np.linalg.eigh(D)
     return type(params)(params.beta, np.maximum(params.sigma2, _SIGMA2_FLOOR), D), (w, V)
@@ -264,7 +275,7 @@ def _spd_inv_logdet(K: np.ndarray):
     else:
         det = K[..., 0, 0] if q == 1 else K[..., 0, 0] * K[..., 1, 1] - K[..., 0, 1] ** 2
         pd = (K[..., 0, 0] > 0.0) & (det > 0.0)
-    if not np.all(pd):
+    if not pd.all():
         raise NumericalError("subject covariance is not positive definite")
     if q > 2:
         return np.linalg.inv(K), logdet
@@ -291,6 +302,12 @@ def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (AS.swapaxes(-1, -2).reshape(*lead, n * q, q) @ S).reshape(*lead, n, q, q)
 
 
+def _sum_of_squares(r: np.ndarray):
+    """r'r over the last axis of r, one member's (N,) or a stack's (R, N), as
+    one dot product per member: r @ r's form for one."""
+    return r @ r if r.ndim == 1 else (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
 def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMoments:
     """Conditional random-effect moments and the marginal log-likelihood.
 
@@ -309,28 +326,39 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMome
     sum_i r_i'r_i = r'r and sum_i log det V_i = (N - n q) log sigma2 +
     sum_i log det K_i.
 
+    params may be a _ParamStack of R members; the moments then carry the
+    member axis first: b_hat (R, n, q), Lambda (R, n, q, q), y_tilde (R, N)
+    and loglik (R,).  Raises NumericalError when any member's K_i is not
+    positive definite.
+
     eig, when given, is np.linalg.eigh(params.D) from a caller that has
-    already checked params (fit_em's _guard_params); otherwise params are
-    validated here and D is decomposed.
+    already checked params (the EM driver's _guard_params); otherwise params
+    are validated here and D is decomposed.
     """
     S = _psd_sqrt(*(params._checked_eigh() if eig is None else eig))
     ztz, ztx, zty = ds.block_moments
     n, q = ds.n, ds.q
+    lead = params.beta.shape[:-1]
     sigma2 = params.sigma2
-    Kinv, logdet_K = _spd_inv_logdet(sigma2 * np.eye(q) + _sandwich(S, ztz))
+    s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (n, q, q) blocks
+    Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
 
-    ztr = zty - (ztx.reshape(n * q, ds.p) @ params.beta).reshape(n, q)
-    w = ztr @ S   # (n, q): S Z_i'r_i, since S is symmetric
-    Kinv_w = np.einsum("nij,nj->ni", Kinv, w)
+    ztr = zty - (params.beta @ ztx.reshape(n * q, ds.p).T).reshape(*lead, n, q)
+    w = ztr @ S   # S Z_i'r_i, since S is symmetric
+    Kinv_w = np.einsum("...nij,...nj->...ni", Kinv, w)
     b_hat = Kinv_w @ S
-    Lambda = sigma2 * _sandwich(S, Kinv)
-    y_tilde = ds.y - np.einsum("nq,nq->n", ds.Z, np.repeat(b_hat, ds.counts, axis=0))
+    Lambda = s2 * _sandwich(S, Kinv)
 
-    r = ds.y - ds.X @ params.beta
-    quad = (float(r @ r) - float(np.einsum("nq,nq->", w, Kinv_w))) / sigma2
-    logdet = (ds.N - n * q) * math.log(sigma2) + float(logdet_K.sum())
+    # a stack's (R, N) residual is dropped before its (R, N) y_tilde is made
+    rr = _sum_of_squares(ds.y - params.beta @ ds.X.T)
+    quad = (rr - np.einsum("...nq,...nq->...", w, Kinv_w)) / sigma2
+    # math.log for one member: np.log differs from it in the last bit on some inputs
+    log_sigma2 = np.log(sigma2) if lead else math.log(sigma2)
+    logdet = (ds.N - n * q) * log_sigma2 + logdet_K.sum(axis=-1)
     loglik = -0.5 * (ds.N * math.log(2.0 * math.pi) + logdet + quad)
-    return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde, loglik=float(loglik))
+    y_tilde = ds.y - np.einsum("nq,...nq->...n", ds.Z, b_hat.repeat(ds.counts, axis=-2))
+    return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde,
+                        loglik=loglik if lead else float(loglik))
 
 
 def _exact_factor(ds: LongitudinalDataset, active, shift: float):
@@ -374,10 +402,10 @@ def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: floa
     b_active = V @ ((V.T @ rhs) / w)
     if l1 == 0.0:
         return b_active
-    if np.any(b_active * signs <= 0.0):
+    if (b_active * signs <= 0.0).any():
         return None
     m = xty - ds.gram[:, active] @ b_active
-    if np.any(np.abs(2.0 * m[warm_start == 0.0]) > l1):
+    if (np.abs(2.0 * m[warm_start == 0.0]) > l1).any():
         return None
     beta = np.zeros(xty.size)
     beta[active] = b_active
@@ -406,6 +434,20 @@ def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, la
     return sol.beta, sol
 
 
+def _variance_update(ds: LongitudinalDataset, moments: EStepMoments, beta: np.ndarray):
+    """The M-step's closed forms: sigma2 and D given the E-step moments and the new beta.
+
+    A member axis leading moments and beta leads sigma2 and D too.
+    """
+    ztz = ds.block_moments[0]
+    resid = moments.y_tilde - beta @ ds.X.T
+    trace_term = np.einsum("...nij,nij->...", moments.Lambda, ztz)
+    sigma2 = (_sum_of_squares(resid) + trace_term) / ds.N
+    b_hat = moments.b_hat
+    D = (b_hat.swapaxes(-1, -2) @ b_hat + moments.Lambda.sum(axis=-3)) / ds.n
+    return sigma2, 0.5 * (D + D.swapaxes(-1, -2))
+
+
 def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParams,
            lam: float, penalty: PenaltySpec, ctrl: EmControl | None = None,
            return_pls: bool = False):
@@ -415,24 +457,14 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParam
     effective level 2 * lam * sigma2_prev by _solve_beta, warm-started at
     the previous beta: exactly when it can, from the dataset's cached X'X
     and its factors, else by coordinate descent.  sigma2 and D then have
-    closed forms.  lam is in raw units.  With return_pls the
-    coordinate-descent solution is returned as well (None when beta was
+    closed forms (_variance_update).  lam is in raw units.  With return_pls
+    the coordinate-descent solution is returned as well (None when beta was
     solved exactly).
     """
     ctrl = ctrl or EmControl()
-    ztz = ds.block_moments[0]
-    lam1 = 2.0 * lam * params_prev.sigma2
-    beta, sol = _solve_beta(ds, moments.y_tilde, penalty, lam1, ctrl,
-                            warm_start=params_prev.beta)
-
-    resid = moments.y_tilde - ds.X @ beta
-    trace_term = float(np.einsum("nij,nij->", moments.Lambda, ztz))
-    sigma2 = (float(resid @ resid) + trace_term) / ds.N
-
-    D = (moments.b_hat.T @ moments.b_hat + moments.Lambda.sum(axis=0)) / ds.n
-    D = 0.5 * (D + D.T)
-
-    params = LmmParams(beta, sigma2, D)
+    beta, sol = _solve_beta(ds, moments.y_tilde, penalty, 2.0 * lam * params_prev.sigma2,
+                            ctrl, warm_start=params_prev.beta)
+    params = LmmParams(beta, *_variance_update(ds, moments, beta))
     return (params, sol) if return_pls else params
 
 
@@ -451,6 +483,116 @@ def penalized_loglik(ds: LongitudinalDataset, params: LmmParams, lam: float,
     return observed_loglik(ds, params) - lam * penalty_value(penalty, params.beta)
 
 
+def _guarded_e_step(ds: LongitudinalDataset, params: LmmParams):
+    """_guard_params, then e_step on its eigendecomposition of D: (guarded params, moments)."""
+    params, eig = _guard_params(params)
+    return params, e_step(ds, params, eig=eig)
+
+
+def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
+            lam: float = 0.0, penalty: PenaltySpec | None = None,
+            init: LmmParams | None = None) -> list:
+    """EM for `members` fits on ds at once, at raw penalty level lam.
+
+    The members' parameters sit on a leading axis (a _ParamStack); a lone
+    member, the only one or the last one still iterating, drops it.  The
+    per-member step is solve_beta(live, y, lam1, warm_start): beta of the
+    live members (indices, in stack order) on responses y at raw level
+    lam1, and the PlsSolution of a coordinate-descent solve (else None).
+    It gives the pooled start from y at level lam (sigma2 then the mean
+    squared residual, D the identity; init replaces the start) and each
+    M-step's beta from y_tilde at level 2 * lam * sigma2.
+
+    Each iteration guards the parameters, runs one E-step on the guard's
+    eigh of D, which gives each member's trace entry for the stopping rule,
+    and then one M-step.  A member leaves on the stopping rule or at
+    ctrl.max_iter with its last guarded iterate; one whose guard or E-step
+    raises leaves alone, with its error.  Returns a FitReport (at lam 0) or
+    a NumericalError per member.
+    """
+    lead = () if members == 1 else (members,)
+    live = list(range(members))  # the members still iterating, in stack order
+    traces = [[] for _ in range(members)]
+    notes = [[] for _ in range(members)]
+    out: list = [None] * members
+
+    def note(sol, where: str):
+        """Notes on a coordinate-descent beta solve, which runs for a lone member."""
+        if sol is None:
+            return
+        member_notes = notes[live[0]]
+        if lam * penalty.alpha == 0.0 and _CD_NOTE not in member_notes:
+            member_notes.append(_CD_NOTE)
+        if not sol.converged:
+            member_notes.append(f"{where}: coordinate descent hit its sweep budget")
+
+    if init is None:
+        beta, sol = solve_beta(live, np.broadcast_to(ds.y, (*lead, ds.N)), lam,
+                               np.zeros((*lead, ds.p)))
+        note(sol, "cold start")
+        sigma2 = _sum_of_squares(ds.y - beta @ ds.X.T) / ds.N
+        params = _params(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
+    else:
+        params = init
+    iteration = 0
+    while True:
+        try:
+            guarded, moments = _guarded_e_step(ds, params)
+        except NumericalError as e:
+            # a stack reruns member by member: those that raise alone leave it
+            failed = {}
+            for r in (range(len(live)) if len(live) > 1 else ()):
+                try:
+                    _guarded_e_step(ds, _take(params, [r]))
+                except NumericalError as e_r:
+                    failed[r] = e_r
+            for r, err in (failed or dict.fromkeys(range(len(live)), e)).items():
+                if iteration:
+                    cause, err = err, NumericalError(f"fit_em: iteration {iteration}: {err}")
+                    err.__cause__ = cause
+                out[live[r]] = err
+            keep = [r for r in range(len(live)) if failed and r not in failed]
+            if not keep:
+                break
+            live, params = [live[r] for r in keep], _take(params, keep)
+            continue
+
+        params = guarded
+        lp = moments.loglik
+        if lam:
+            lp = lp - lam * penalty_value(penalty, params.beta)
+        stacked = len(live) > 1
+        lps = lp.tolist() if stacked else [lp]
+        logliks = moments.loglik.tolist() if stacked else [moments.loglik]
+        done = []
+        for r, k in enumerate(live):
+            trace = traces[k]
+            trace.append(lps[r])
+            if not iteration:
+                continue
+            lp_prev, lp_new = trace[-2:]
+            ratio_ok = lp_prev != 0.0 and abs(lp_new / lp_prev - 1.0) < ctrl.eps
+            converged = ratio_ok or abs(lp_new - lp_prev) < ctrl.abs_eps
+            if converged or iteration >= ctrl.max_iter:
+                out[k] = FitReport(_take(params, [r]) if stacked else params, iteration,
+                                   converged, np.asarray(trace), logliks[r], 0.0,
+                                   warnings=notes[k])
+                done.append(r)
+        if done:
+            keep = [r for r in range(len(live)) if r not in done]
+            if not keep:
+                break
+            live, params, moments = ([live[r] for r in keep], _take(params, keep),
+                                     _take(moments, keep))
+
+        iteration += 1
+        beta, sol = solve_beta(live, moments.y_tilde, 2.0 * lam * params.sigma2, params.beta)
+        note(sol, f"iteration {iteration}")
+        params = _params(beta, *_variance_update(ds, moments, beta))
+        del moments  # not held through the next E-step
+    return out
+
+
 def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = None,
            init: LmmParams | None = None, ctrl: EmControl | None = None,
            lambda_scale: str = RAW) -> FitReport:
@@ -464,209 +606,48 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     ill-conditioned near zero.  Every exact solve reads X'X and its
     factors from the dataset, which computes each once.
 
-    Each iteration guards the parameters (_guard_params), runs one E-step
-    on the guard's eigendecomposition of D, which also gives the trace
-    entry for the stopping rule, and then an M-step.  The returned params
+    The EM driver (_run_em) with one member, whose beta M-step is
+    _solve_beta warm-started at the previous beta.  The returned params
     and final_loglik are the last guarded iterate.
     """
     penalty = PenaltySpec.lasso(lam) if penalty is None else penalty.with_lam(lam)
     ctrl = ctrl or EmControl()
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
-    notes: list = []
-
-    def note_cd(sol, where: str):
-        """Notes on a coordinate-descent M-step; sol is None when beta was solved exactly."""
-        if sol is not None and lam_raw * penalty.alpha == 0.0 and _CD_NOTE not in notes:
-            notes.append(_CD_NOTE)
-        if sol is not None and not sol.converged:
-            notes.append(f"{where}: coordinate descent hit its sweep budget")
-
-    if init is None:
-        beta0, sol = _solve_beta(ds, ds.y, penalty, lam_raw, ctrl, warm_start=np.zeros(ds.p))
-        note_cd(sol, "cold start")
-        resid0 = ds.y - ds.X @ beta0
-        params = LmmParams(beta0, float(resid0 @ resid0) / ds.N, np.eye(ds.q))
-    else:
+    if init is not None:
         if init.beta.shape != (ds.p,) or init.D.shape != (ds.q, ds.q):
             raise ConfigurationError("fit_em: init has wrong shapes for this dataset")
-        params = LmmParams(init.beta.copy(), init.sigma2, init.D.copy())
+        init = LmmParams(init.beta.copy(), init.sigma2, init.D.copy())
 
-    params, eig = _guard_params(params)
-    moments = e_step(ds, params, eig=eig)
-    lp = moments.loglik - lam_raw * penalty_value(penalty, params.beta)
-    trace = [lp]
-    converged = False
-    iterations = 0
-    while iterations < ctrl.max_iter and not converged:
-        iterations += 1
-        try:
-            params, sol = m_step(ds, moments, params, lam_raw, penalty, ctrl,
-                                 return_pls=True)
-            params, eig = _guard_params(params)
-            moments = e_step(ds, params, eig=eig)
-        except NumericalError as e:
-            raise NumericalError(f"fit_em: iteration {iterations}: {e}") from e
-        note_cd(sol, f"iteration {iterations}")
-        lp_new = moments.loglik - lam_raw * penalty_value(penalty, params.beta)
-        trace.append(lp_new)
-        ratio_ok = lp != 0.0 and abs(lp_new / lp - 1.0) < ctrl.eps
-        converged = ratio_ok or abs(lp_new - lp) < ctrl.abs_eps
-        lp = lp_new
+    def solve_beta(live, y, lam1, warm_start):
+        return _solve_beta(ds, y, penalty, lam1, ctrl, warm_start)
 
-    return FitReport(
-        params=params,
-        iterations=iterations,
-        converged=converged,
-        penalized_loglik_trace=np.asarray(trace),
-        final_loglik=moments.loglik,
-        lam=float(lam),
-        lambda_scale=lambda_scale,
-        warnings=notes,
-    )
-
-
-def _row_sums_of_squares(a: np.ndarray) -> np.ndarray:
-    """sum_n a[r, n]^2 for each row r of an (R, N) stack."""
-    return np.einsum("rn,rn->r", a, a)
-
-
-def _e_step_stack(ds: LongitudinalDataset, beta: np.ndarray, sigma2: np.ndarray,
-                  S: np.ndarray):
-    """e_step for R parameter sets at once, on one dataset.
-
-    beta (R, p), sigma2 (R,) and S (R, q, q), the square roots of the D's.
-    Returns b_hat (R, n, q), Lambda (R, n, q, q), y_tilde (R, N) and
-    loglik (R,): each member's e_step results, summed in another order.
-    Raises NumericalError when any member's K_i is not positive definite.
-    """
-    ztz, ztx, zty = ds.block_moments
-    R, n, q = beta.shape[0], ds.n, ds.q
-    s2 = sigma2[:, None, None, None]
-    Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
-
-    ztr = zty - (ztx.reshape(n * q, ds.p) @ beta.T).T.reshape(R, n, q)
-    w = ztr @ S
-    Kinv_w = np.einsum("rnij,rnj->rni", Kinv, w)
-    b_hat = Kinv_w @ S
-    Lambda = s2 * _sandwich(S, Kinv)
-
-    # the (R, N) arrays dominate the stack's memory, so each is dropped
-    # before the next is made
-    rr = _row_sums_of_squares(ds.y - beta @ ds.X.T)
-    quad = (rr - np.einsum("rnq,rnq->r", w, Kinv_w)) / sigma2
-    logdet = (ds.N - n * q) * np.log(sigma2) + logdet_K.sum(axis=1)
-    loglik = -0.5 * (ds.N * math.log(2.0 * math.pi) + logdet + quad)
-    y_tilde = ds.y - np.einsum("nq,rnq->rn", ds.Z, np.repeat(b_hat, ds.counts, axis=1))
-    return b_hat, Lambda, y_tilde, loglik
-
-
-def _lockstep_refits(ds: LongitudinalDataset, supports, factors, ctrl: EmControl) -> list:
-    """fit_em(ds.select_columns(A), 0.0, ctrl=ctrl) for every support A at once.
-
-    factors[r] is _exact_factor(ds, supports[r], 0.0).  The R members run one
-    EM on ds itself, their parameters stacked on a leading axis: one
-    _guard_params and one _e_step_stack per iteration, on the dataset's
-    cached block moments, and each beta solved on its own cached factor
-    and embedded in a p-vector, so no restricted dataset or moment is
-    built.  (Padding the factors into one (R, |A|max, |A|max) stack
-    solved faster but raised the peak memory of a scenario-3 run.)  Each
-    member leaves the stack on fit_em's stopping rule; one whose guard or
-    E-step raises leaves it alone, with fit_em's message.  Returns a
-    FitReport or NumericalError per support.
-    """
-    ztz = ds.block_moments[0]
-    R, q, N = len(supports), ds.q, ds.N
-    solves = [(list(A), w_A, V_A) for A, (w_A, V_A) in zip(supports, factors)]
-    live = np.arange(R)  # the members still iterating, in stack order
-
-    def exact_beta(y_tilde):
-        """_exact_beta without l1 for each live member, embedded in a p-vector."""
-        xty = y_tilde @ ds.X
-        beta = np.zeros_like(xty)
-        for r, k in enumerate(live):
-            A, w_A, V_A = solves[k]
-            beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
-        return beta
-
-    def guarded_e_step(beta, sigma2, D):
-        params, eig = _guard_params(_ParamStack(beta, sigma2, D))
-        return (params.sigma2, params.D) + _e_step_stack(ds, beta, params.sigma2,
-                                                         _psd_sqrt(*eig))
-
-    def m_step(b_hat, Lambda, y_tilde):
-        """m_step without penalty for each live member."""
-        beta = exact_beta(y_tilde)
-        trace_term = np.einsum("rnij,nij->r", Lambda, ztz)
-        sigma2 = (_row_sums_of_squares(y_tilde - beta @ ds.X.T) + trace_term) / N
-        D = (b_hat.swapaxes(1, 2) @ b_hat + Lambda.sum(axis=1)) / ds.n
-        return beta, sigma2, 0.5 * (D + D.swapaxes(1, 2))
-
-    out: list = [None] * R
-    traces = [[] for _ in range(R)]
-    beta = exact_beta(np.broadcast_to(ds.y, (R, N)))
-    sigma2 = _row_sums_of_squares(ds.y - beta @ ds.X.T) / N
-    D = np.broadcast_to(np.eye(q), (R, q, q))
-    lp = np.zeros(R)
-    iteration = 0
-    while True:
-        try:
-            sigma2, D, b_hat, Lambda, y_tilde, loglik = guarded_e_step(beta, sigma2, D)
-        except NumericalError:
-            # the members that raise alone leave the stack; the rest go on
-            ok = np.ones(live.size, dtype=bool)
-            for r in range(live.size):
-                try:
-                    guarded_e_step(beta[r:r + 1], sigma2[r:r + 1], D[r:r + 1])
-                except NumericalError as e:
-                    where = f"fit_em: iteration {iteration}: " if iteration else ""
-                    out[live[r]], ok[r] = NumericalError(f"{where}{e}"), False
-            live, lp, beta, sigma2, D = (a[ok] for a in (live, lp, beta, sigma2, D))
-            if not live.size:
-                break
-            sigma2, D, b_hat, Lambda, y_tilde, loglik = guarded_e_step(beta, sigma2, D)
-
-        going = np.ones(live.size, dtype=bool)
-        for r, k in enumerate(live):
-            lp_prev, lp_new = float(lp[r]), float(loglik[r])
-            traces[k].append(lp_new)
-            if not iteration:
-                continue
-            ratio_ok = lp_prev != 0.0 and abs(lp_new / lp_prev - 1.0) < ctrl.eps
-            converged = ratio_ok or abs(lp_new - lp_prev) < ctrl.abs_eps
-            if converged or iteration >= ctrl.max_iter:
-                out[k] = FitReport(LmmParams(beta[r].copy(), sigma2[r], D[r].copy()),
-                                   iteration, converged, np.asarray(traces[k]), lp_new, 0.0)
-                going[r] = False
-        lp = loglik
-        if not going.all():
-            live, lp, b_hat, Lambda, y_tilde = (
-                a[going] for a in (live, lp, b_hat, Lambda, y_tilde))
-            if not live.size:
-                break
-
-        iteration += 1
-        beta, sigma2, D = m_step(b_hat, Lambda, y_tilde)
-        del b_hat, Lambda, y_tilde  # not held through the next E-step
-    return out
+    rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, penalty, init)
+    if isinstance(rep, NumericalError):
+        raise rep
+    return replace(rep, lam=float(lam), lambda_scale=lambda_scale)
 
 
 def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = None) -> list:
     """Unpenalized fits with X restricted to each support, beta embedded in a p-vector.
 
     The supports (tuples of column indices) whose X_A'X_A passes
-    _exact_beta's rule are fitted together by _lockstep_refits on ds; each
-    of the rest by fit_em(ds.select_columns(A), 0.0, ctrl=ctrl), whose
-    M-steps fall back to coordinate descent.  Returns one entry per
-    support: the FitReport, or the LmmLassoError its fit raised, so one
-    failure leaves the other fits standing.
+    _exact_beta's rule are fitted together by the EM driver on ds, each
+    member's beta solved on its support's cached factor and embedded in a
+    p-vector, so no restricted dataset or moment is built.  (Padding the
+    factors into one (R, |A|max, |A|max) stack solved faster but raised the
+    peak memory of a scenario-3 run.)  Each of the rest is fitted by
+    fit_em(ds.select_columns(A), 0.0, ctrl=ctrl), whose M-steps fall back
+    to coordinate descent.  Returns one entry per support: the FitReport,
+    or the LmmLassoError its fit raised, so one failure leaves the other
+    fits standing.
     """
     ctrl = ctrl or EmControl()
     out: list = [None] * len(supports)
-    exact = []
+    exact = []  # (slot, columns, w, V): the supports solved on their cached factor
     for k, support in enumerate(supports):
         factor = _exact_factor(ds, support, 0.0)
         if factor is not None:
-            exact.append((k, support, factor))
+            exact.append((k, list(support), *factor))
             continue
         try:
             rep = fit_em(ds.select_columns(support), 0.0, ctrl=ctrl)
@@ -676,8 +657,17 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
         beta = np.zeros(ds.p)
         beta[list(support)] = rep.params.beta
         out[k] = replace(rep, params=LmmParams(beta, rep.params.sigma2, rep.params.D))
+
+    def solve_beta(live, y, lam1, warm_start):
+        """The unpenalized solve of each live member, on y_tilde @ X for all of them."""
+        xty = (y @ ds.X).reshape(-1, ds.p)
+        beta = np.zeros_like(xty)
+        for r, k in enumerate(live):
+            _, A, w_A, V_A = exact[k]
+            beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
+        return beta.reshape(y.shape[:-1] + (ds.p,)), None
+
     if exact:
-        slots, members, factors = zip(*exact)
-        for k, rep in zip(slots, _lockstep_refits(ds, members, factors, ctrl)):
+        for (k, *_), rep in zip(exact, _run_em(ds, len(exact), solve_beta, ctrl)):
             out[k] = rep
     return out

@@ -648,6 +648,40 @@ def test_random_role_without_columns_is_data_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [f]
 
 
+def test_random_effect_column_of_zeros_is_data_error(tmp_path, capsys):
+    # with t = 0 in every row nothing moves D[1, 1] from its start
+    f = tmp_path / "in.csv"
+    _interleaved_csv(f)
+    header, *rows = f.read_text().splitlines()
+    f.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",0" for row in rows]) + "\n")
+    rc = main(["fit", "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", "x1,x2", "--random", "1,t", "--lambda", "0",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == f"{f}: random-effect column 't' is zero in every row"
+    assert list(tmp_path.iterdir()) == [f]
+
+
+def test_standardize_refuses_a_scale_that_overflows(tmp_path, small_csv, capsys):
+    # y and x1 near 1e200: at the parent the scales came out inf, the data
+    # all zero, and the fit a floor fit that exited 0
+    f, _ = small_csv
+    header, *rows = f.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    for c in cells:
+        c[1], c[2] = (repr(1e200 * float(v)) for v in c[1:3])
+    f.write_text("\n".join([header] + [",".join(c) for c in cells]) + "\n")
+    rc = main(["fit", "--input", str(f), *DATA_FLAGS, "--standardize", "--lambda", "0.05",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == "column 'x1' has a non-finite standard deviation; rescale it"
+    assert list(tmp_path.iterdir()) == [f]
+
+
 _DATA_OPTIONS = ["--input", "--subject", "--response", "--fixed", "--random"]
 _STANDARDIZE_OPTIONS = ["--standardize", "--categorical", "--no-scale-y"]
 _EM_OPTIONS = ["--config", "--lambda-scale", "--eps", "--max-iter", "--pls-tol",

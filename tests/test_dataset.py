@@ -132,6 +132,21 @@ def test_standardize_rejects_constant_column():
         standardize(LongitudinalDataset(blocks))
 
 
+@pytest.mark.parametrize("x1_scale, message", [
+    (1e200, "column 'x1' has a non-finite standard deviation; rescale it"),
+    (1.0, "response has a non-finite standard deviation; rescale it"),
+], ids=["x1", "response"])
+def test_standardize_rejects_a_scale_that_overflows(x1_scale, message):
+    # squares of values near 1e200 overflow, so the sample standard
+    # deviation is inf; the check itself must not warn
+    base = _toy_dataset()
+    blocks = [SubjectBlock(b.subject_id, 1e200 * b.y, b.X * [x1_scale, 1.0, 1.0], b.Z)
+              for b in base.blocks]
+    with pytest.raises(DataError) as err:
+        standardize(LongitudinalDataset(blocks))
+    assert str(err.value) == message
+
+
 def test_destandardize_round_trip():
     ds = _toy_dataset(seed=9)
     back = destandardize(standardize(ds))

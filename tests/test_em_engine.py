@@ -230,6 +230,30 @@ def test_e_step_matches_dense_oracles_and_em_step_ascends(problem):
     assert after >= before - 1e-9 * (1.0 + abs(before))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_small_lmms(), st.integers(2, 4))
+def test_e_step_on_a_stack_equals_one_call_per_member(problem, R):
+    ds, params, _ = problem
+    rng = np.random.default_rng(R)
+    members = [LmmParams(rng.normal() * params.beta, rng.uniform(0.5, 2.0) * params.sigma2,
+                         rng.uniform(0.0, 2.0) * params.D) for _ in range(R)]
+    stack = em_engine._ParamStack(*(np.stack([getattr(m, name) for m in members])
+                                    for name in ("beta", "sigma2", "D")))
+    mom = e_step(ds, stack)
+    for r, member in enumerate(members):
+        one = e_step(ds, member)
+        for name in ("b_hat", "Lambda", "y_tilde", "loglik"):
+            got, want = getattr(mom, name)[r], getattr(one, name)
+            bound = 1e-12 * max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+            assert np.max(np.abs(got - want), initial=0.0) <= bound, name
+
+    # one member whose K_i is not positive definite fails the whole stack
+    bad = em_engine._ParamStack(np.stack([params.beta] * 2), np.array([params.sigma2, -1.0]),
+                                np.stack([params.D, np.zeros_like(params.D)]))
+    with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
+        e_step(ds, bad, eig=np.linalg.eigh(bad.D))
+
+
 # ---------------------------------------------------------------------------
 # M-step
 # ---------------------------------------------------------------------------

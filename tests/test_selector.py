@@ -393,59 +393,61 @@ def _assert_close(actual, expected, what):
 def test_refit_supports_match_restricted_fits():
     # the lock-step EM on the parent dataset against fit_em on the restricted
     # dataset: the same iterations, and floats that differ only in the order
-    # of summation
+    # of summation; the second ctrl stops every member at the cap
     studies = [_scenario3(seed) for seed in (0, 1, 2)]
     studies.append(_chol_shaped_study(5))
     for ds in studies:
         path = sweep(ds, default_grid(40), lambda_scale="per_obs")
         supports = list(dict.fromkeys(s for s in _path_supports(path) if s is not None))
         supports += [(), tuple(range(ds.p))]
-        reps = selector_mod.refit_supports(ds, supports)
-        for support, rep in zip(supports, reps):
-            ref = fit_em(ds.select_columns(support), 0.0)
-            assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
-            assert rep.penalized_loglik_trace.size == ref.penalized_loglik_trace.size
-            beta = np.zeros(ds.p)
-            beta[list(support)] = ref.params.beta
-            _assert_close(rep.params.beta, beta, "beta")
-            _assert_close(rep.params.sigma2, ref.params.sigma2, "sigma2")
-            _assert_close(rep.params.D, ref.params.D, "D")
-            _assert_close(rep.final_loglik, ref.final_loglik, "final_loglik")
-            _assert_close(rep.penalized_loglik_trace, ref.penalized_loglik_trace, "trace")
-            rec = ds.standardization
-            if rec is None:
-                assert rep.original_scale is None
-                continue
-            beta_orig, intercept = beta_original_scale(rec, beta)
-            orig = rep.original_scale
-            _assert_close(orig["beta"], beta_orig, "original beta")
-            _assert_close(orig["intercept"], intercept, "original intercept")
-            _assert_close(orig["sigma2"], ref.params.sigma2 * rec.y_scale ** 2, "original sigma2")
-            _assert_close(orig["D"], ref.params.D * rec.y_scale ** 2, "original D")
+        for ctrl in (None, EmControl(eps=0, abs_eps=0, max_iter=7)):
+            reps = selector_mod.refit_supports(ds, supports, ctrl=ctrl)
+            for support, rep in zip(supports, reps):
+                ref = fit_em(ds.select_columns(support), 0.0, ctrl=ctrl)
+                assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
+                assert rep.penalized_loglik_trace.size == ref.penalized_loglik_trace.size
+                beta = np.zeros(ds.p)
+                beta[list(support)] = ref.params.beta
+                _assert_close(rep.params.beta, beta, "beta")
+                _assert_close(rep.params.sigma2, ref.params.sigma2, "sigma2")
+                _assert_close(rep.params.D, ref.params.D, "D")
+                _assert_close(rep.final_loglik, ref.final_loglik, "final_loglik")
+                _assert_close(rep.penalized_loglik_trace, ref.penalized_loglik_trace, "trace")
+                rec = ds.standardization
+                if rec is None:
+                    assert rep.original_scale is None
+                    continue
+                beta_orig, intercept = beta_original_scale(rec, beta)
+                orig = rep.original_scale
+                _assert_close(orig["beta"], beta_orig, "original beta")
+                _assert_close(orig["intercept"], intercept, "original intercept")
+                _assert_close(orig["sigma2"], ref.params.sigma2 * rec.y_scale ** 2,
+                              "original sigma2")
+                _assert_close(orig["D"], ref.params.D * rec.y_scale ** 2, "original D")
 
 
 def _fail_in_refits(monkeypatch, target, call, where):
     """Make the lock-step refit of support target raise on its call-th pass
-    through where, "_guard_params" or "_e_step_stack"; grid fits are untouched."""
+    through where, "_guard_params" or "e_step"; grid fits are untouched."""
     refitting, calls = [], []
-    lockstep, step = em_engine._lockstep_refits, getattr(em_engine, where)
+    lockstep, step = selector_mod.fit_em_supports, getattr(em_engine, where)
 
-    def flagged(*args):
+    def flagged(*args, **kwargs):
         refitting.append(True)
         try:
-            return lockstep(*args)
+            return lockstep(*args, **kwargs)
         finally:
             refitting.pop()
 
-    def failing(*args):
-        beta = args[0].beta if where == "_guard_params" else args[1]
-        if refitting and any(tuple(np.flatnonzero(b)) == target for b in beta):
+    def failing(*args, **kwargs):
+        beta = (args[0] if where == "_guard_params" else args[1]).beta
+        if refitting and any(tuple(np.flatnonzero(b)) == target for b in np.atleast_2d(beta)):
             calls.append(None)
             if len(calls) >= call:
                 raise NumericalError("injected failure")
-        return step(*args)
+        return step(*args, **kwargs)
 
-    monkeypatch.setattr(em_engine, "_lockstep_refits", flagged)
+    monkeypatch.setattr(selector_mod, "fit_em_supports", flagged)
     monkeypatch.setattr(em_engine, where, failing)
 
 
@@ -483,7 +485,7 @@ def test_refit_supports_isolates_a_failing_e_step(monkeypatch):
     ds = _scenario3(1)
     supports = [(0,), (0, 1, 2), (0, 1, 2, 3, 4), ()]
     clean = selector_mod.refit_supports(ds, supports)
-    _fail_in_refits(monkeypatch, (0, 1, 2), 4, "_e_step_stack")
+    _fail_in_refits(monkeypatch, (0, 1, 2), 4, "e_step")
     reps = selector_mod.refit_supports(ds, supports)
     assert isinstance(reps[1], NumericalError)
     assert str(reps[1]) == "fit_em: iteration 3: injected failure"
