@@ -127,7 +127,11 @@ class LongitudinalDataset:
 
     def _setup(self, subject_ids, counts, y, X, Z, x_names=None, y_name="y", z_names=None,
                standardization=None):
-        """Store and check the arrays; the one path every dataset is built by."""
+        """Store and check the arrays; the one path every dataset is built by.
+
+        Refuses non-finite cells, and columns of y, X or Z whose sum of
+        squares overflows double precision (no fit could form X'X or r'r).
+        """
         self.counts = _frozen(counts, int)
         self.n = self.counts.size
         if not self.n:
@@ -149,6 +153,14 @@ class LongitudinalDataset:
             raise DataError("x_names length does not match p")
         self.y_name = y_name
         self.z_names = list(z_names) if z_names is not None else [f"z{j + 1}" for j in range(self.q)]
+        with np.errstate(over="ignore"):  # refused below, by name
+            squares = np.concatenate([[self.y @ self.y], np.einsum("ij,ij->j", self.X, self.X),
+                                      np.einsum("ij,ij->j", self.Z, self.Z)])
+        bad = [repr(name) for name, s in zip([y_name, *self.x_names, *self.z_names], squares)
+               if not np.isfinite(s)]
+        if bad:
+            raise DataError(f"column{'s' * (len(bad) > 1)} {', '.join(bad)}: sum of squares "
+                            "overflows double precision; rescale")
         self.standardization = standardization
         self._moments = None
         self._blocks = None

@@ -23,21 +23,21 @@ from it.  The products S A_i S over all subjects are two flat
 (n*q, q) @ S products (_sandwich), and the log-likelihood is formed
 from totals over subjects.
 
-Every beta M-step, the pooled start included, first tries one linear
-solve (_exact_beta, the one place that decides the route, by
-_exact_factor's positive-definiteness rule): on a support
-A with signs s, (X_A'X_A + shift * I) b_A = X_A'y_tilde - (l1 / 2) s,
-with l1 = lam1 * alpha, shift = lam1 * (1 - alpha), lam1 the effective
-level.  Without an l1 term (lam = 0, as in every unpenalized refit, or
-the ridge penalty) A is every column; with one, A and s are the warm
-start's (the previous beta, zero for the pooled start), and the solution
-is kept only when the KKT conditions prove it optimal.  The dataset owns
-X'X and caches the eigendecomposition of each X_A'X_A (ds.gram,
-ds.gram_factor), so a support is factored once per dataset.  Coordinate
-descent (solve_pls) from the warm start runs instead when the support or
-a sign changes, or when X_A'X_A + shift * I is not numerically positive
-definite (in practice zero or dependent columns and shift = 0); a fit
-without an l1 term then records a note in FitReport.warnings.
+Every beta M-step, the pooled start included, is solved by linear solves
+(_exact_beta, the one place that decides the route): on a support A with
+signs s, (X_A'X_A + shift * I) b_A = X_A'y_tilde - (l1 / 2) s, with
+l1 = lam1 * alpha, shift = lam1 * (1 - alpha), lam1 the effective level.
+Without an l1 term (lam = 0, as in every unpenalized refit, or the ridge
+penalty) A is every column; with one, an active-set loop pivots from the
+warm start's support and signs (the previous beta, zero for the pooled
+start) until the KKT conditions prove the solution optimal.  The dataset
+owns X'X and caches the eigendecomposition of each X_A'X_A (ds.gram,
+ds.gram_factor) that an M-step starts from, so such a support is factored
+once per dataset.  Coordinate descent (solve_pls) from the warm start
+runs instead only when a matrix solved is not numerically positive
+definite (in practice zero or dependent columns and shift = 0) or the
+loop reaches _MAX_PIVOTS passes; a fit without an l1 term then records a
+note in FitReport.warnings.
 
 Per-subject computations use the q x q cross products cached on the
 dataset, so one EM iteration touches the N-row data only through
@@ -83,6 +83,7 @@ _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
 _SIGMA2_FLOOR = 1e-12
 _ABS_STOP = 1e-10        # absolute stopping rule, guards near-zero loglik
 _GRAM_COND_LIMIT = 1e12  # G_AA + shift I beyond this condition number goes to CD
+_MAX_PIVOTS = 200        # active-set passes of one beta M-step before it goes to CD
 _CD_NOTE = "X'X is not numerically positive definite; beta solved by coordinate descent"
 
 
@@ -361,14 +362,15 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMome
                         loglik=loglik if lead else float(loglik))
 
 
-def _exact_factor(ds: LongitudinalDataset, active, shift: float):
+def _exact_factor(ds: LongitudinalDataset, active, shift: float, cache: bool = True):
     """Eigendecomposition (w, V) of G_AA + shift * I, or None when it is not
     numerically positive definite (condition number beyond _GRAM_COND_LIMIT).
 
-    G_AA is the block of X'X on the columns active, factored once per
-    dataset by ds.gram_factor.
+    G_AA is the block of X'X on the columns active.  With cache its factor
+    is ds.gram_factor's, computed once per dataset; without, it is computed
+    here and dropped, for the supports _exact_beta's loop pivots through.
     """
-    w, V = ds.gram_factor(active)
+    w, V = ds.gram_factor(active) if cache else np.linalg.eigh(ds.gram[np.ix_(active, active)])
     w = w + shift
     if w.size and not w[0] > w[-1] / _GRAM_COND_LIMIT:
         return None
@@ -377,48 +379,85 @@ def _exact_factor(ds: LongitudinalDataset, active, shift: float):
 
 def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: float,
                 warm_start: np.ndarray) -> np.ndarray | None:
-    """The penalized least-squares minimizer from one linear solve, or None.
+    """The penalized least-squares minimizer by linear solves, or None.
 
     On a support A with signs s the stationarity conditions are linear:
-    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X (ds.gram),
-    c = X'y and G_AA factored by ds.gram_factor(A).  Without an l1 term A
-    is every column.  With one, A and s are warm_start's, and the solution
-    is returned only when it is optimal: every b_A keeps its sign in s, and
-    every column j outside A meets the at-zero condition |2 m_j| <= l1 of
-    _kkt_residual, with m = c - G beta = X'(y - X beta).  None as well when
-    the matrix solved, G_AA + shift * I, is not numerically positive definite
-    (_exact_factor).
+    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X (ds.gram) and
+    c = X'y.  Without an l1 term A is every column and one solve is the
+    minimizer.  With one, the solves run an active-set loop, feature-sign
+    search (Lee, Battle, Raina & Ng 2007), from warm_start's support and
+    signs.  In each pass, when every b_A keeps its sign in s, the at-zero
+    condition |2 m_j| <= l1 of _kkt_residual (m = c - G beta = X'(y - X
+    beta)) is tested on the columns outside A: if it holds, beta is optimal;
+    if not, the column with the largest violation joins A with the sign of
+    m_j.  When a sign flips, a line search on the segment from the current
+    point to b_A takes the lowest objective among b_A and the zero
+    crossings, and the columns that reached zero leave A.  Every pass lowers
+    the objective, so in exact arithmetic no (A, s) repeats and the loop
+    ends; _MAX_PIVOTS bounds it in floating point.  From a zero warm_start
+    it is LARS-lasso.
+
+    The first pass solves on warm_start's support, the one the previous
+    M-step returned, by its cached factor; the supports pivoted to are
+    factored uncached (_exact_factor).  None when a matrix solved is not
+    numerically positive definite, or after _MAX_PIVOTS passes.
     """
     if l1 == 0.0:
         active, rhs = np.arange(xty.size), xty
     else:
         active = np.flatnonzero(warm_start)
-        signs = np.sign(warm_start[active])
+        x = warm_start[active]  # the current point on A
+        signs = np.sign(x)
         rhs = xty[active] - 0.5 * l1 * signs
     factor = _exact_factor(ds, active, shift)
-    if factor is None:
-        return None
-    w, V = factor
-    b_active = V @ ((V.T @ rhs) / w)
-    if l1 == 0.0:
-        return b_active
-    if (b_active * signs <= 0.0).any():
-        return None
-    m = xty - ds.gram[:, active] @ b_active
-    if (np.abs(2.0 * m[warm_start == 0.0]) > l1).any():
-        return None
-    beta = np.zeros(xty.size)
-    beta[active] = b_active
-    return beta
+    for _ in range(_MAX_PIVOTS):
+        if factor is None:
+            return None
+        w, V = factor
+        b = V @ ((V.T @ rhs) / w)
+        if l1 == 0.0:
+            return b
+        flipped = b * signs <= 0.0
+        if not flipped.any():
+            m = xty - ds.gram[:, active] @ b
+            excess = np.abs(2.0 * m) - l1
+            excess[active] = 0.0
+            if not (excess > 0.0).any():
+                beta = np.zeros(xty.size)
+                beta[active] = b
+                return beta
+            j = int(np.argmax(excess))
+            x, active = np.append(b, 0.0), np.append(active, j)
+            signs = np.append(signs, np.sign(m[j]))
+        else:
+            # the crossings of the columns that flip, where they are exactly zero
+            cross = flipped & (x != 0.0)
+            t_cross = np.full(x.size, np.nan)
+            t_cross[cross] = x[cross] / (x[cross] - b[cross])
+            t = np.append(t_cross[cross], 1.0)
+            points = x + t[:, None] * (b - x)
+            points[t[:, None] == t_cross] = 0.0
+            M = ds.gram[np.ix_(active, active)] + shift * np.eye(active.size)
+            objective = (np.einsum("ij,ij->i", points @ M, points)
+                         - 2.0 * points @ xty[active] + l1 * np.abs(points).sum(axis=1))
+            x = points[np.argmin(objective)]
+            keep = x != 0.0
+            active, x = active[keep], x[keep]
+            signs = np.sign(x)
+        rhs = xty[active] - 0.5 * l1 * signs
+        factor = _exact_factor(ds, active, shift, cache=False)
+    return None
 
 
 def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, lam: float,
                 ctrl: EmControl, warm_start: np.ndarray):
     """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, lam in raw units.
 
-    Tried first by _exact_beta, from the dataset's X'X and its factors (a
-    cold start's zero warm_start settles any level at or above lambda_max);
-    coordinate descent (solve_pls) from warm_start when that solve fails.
+    By _exact_beta's linear solves on the dataset's X'X (a cold start's zero
+    warm_start settles any level at or above lambda_max with no solve);
+    coordinate descent (solve_pls) from warm_start only when _exact_beta
+    gives up (a matrix that is not numerically positive definite, or the
+    pivot cap).
 
     Returns (beta, PlsSolution or None when solved exactly).
     """
@@ -449,23 +488,17 @@ def _variance_update(ds: LongitudinalDataset, moments: EStepMoments, beta: np.nd
 
 
 def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParams,
-           lam: float, penalty: PenaltySpec, ctrl: EmControl | None = None,
-           return_pls: bool = False):
+           lam: float, penalty: PenaltySpec, ctrl: EmControl | None = None) -> LmmParams:
     """Conditional maximization given the E-step moments.
 
     beta solves the penalized least-squares problem on (X, y_tilde) at the
     effective level 2 * lam * sigma2_prev by _solve_beta, warm-started at
-    the previous beta: exactly when it can, from the dataset's cached X'X
-    and its factors, else by coordinate descent.  sigma2 and D then have
-    closed forms (_variance_update).  lam is in raw units.  With return_pls
-    the coordinate-descent solution is returned as well (None when beta was
-    solved exactly).
+    the previous beta.  sigma2 and D then have closed forms
+    (_variance_update).  lam is in raw units.
     """
-    ctrl = ctrl or EmControl()
-    beta, sol = _solve_beta(ds, moments.y_tilde, penalty, 2.0 * lam * params_prev.sigma2,
-                            ctrl, warm_start=params_prev.beta)
-    params = LmmParams(beta, *_variance_update(ds, moments, beta))
-    return (params, sol) if return_pls else params
+    beta, _ = _solve_beta(ds, moments.y_tilde, penalty, 2.0 * lam * params_prev.sigma2,
+                          ctrl or EmControl(), warm_start=params_prev.beta)
+    return LmmParams(beta, *_variance_update(ds, moments, beta))
 
 
 def observed_loglik(ds: LongitudinalDataset, params: LmmParams) -> float:

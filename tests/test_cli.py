@@ -665,8 +665,9 @@ def test_random_effect_column_of_zeros_is_data_error(tmp_path, capsys):
 
 
 def test_standardize_refuses_a_scale_that_overflows(tmp_path, small_csv, capsys):
-    # y and x1 near 1e200: at the parent the scales came out inf, the data
-    # all zero, and the fit a floor fit that exited 0
+    # y and x1 near 1e200: the scales would come out inf, the data all zero,
+    # and the fit a floor fit that exited 0; the ingested dataset is refused
+    # before standardize runs
     f, _ = small_csv
     header, *rows = f.read_text().splitlines()
     cells = [row.split(",") for row in rows]
@@ -678,7 +679,27 @@ def test_standardize_refuses_a_scale_that_overflows(tmp_path, small_csv, capsys)
     assert rc == 3
     error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
     assert error["type"] == "DataError"
-    assert error["message"] == "column 'x1' has a non-finite standard deviation; rescale it"
+    assert error["message"] == ("columns 'y', 'x1': sum of squares overflows double "
+                                "precision; rescale")
+    assert list(tmp_path.iterdir()) == [f]
+
+
+def test_column_whose_squares_overflow_is_data_error(tmp_path, small_csv, capsys):
+    # y and x1 near 1e200, no --standardize: the fit overflowed in a matmul
+    # (a RuntimeWarning) and exited 4 with "sigma2 must be finite"
+    f, _ = small_csv
+    header, *rows = f.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    for c in cells:
+        c[1], c[2] = (repr(1e200 * float(v)) for v in c[1:3])
+    f.write_text("\n".join([header] + [",".join(c) for c in cells]) + "\n")
+    rc = main(["fit", "--input", str(f), *DATA_FLAGS, "--lambda", "0.05",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == ("columns 'y', 'x1': sum of squares overflows double "
+                                "precision; rescale")
     assert list(tmp_path.iterdir()) == [f]
 
 

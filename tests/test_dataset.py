@@ -133,18 +133,42 @@ def test_standardize_rejects_constant_column():
 
 
 @pytest.mark.parametrize("x1_scale, message", [
-    (1e200, "column 'x1' has a non-finite standard deviation; rescale it"),
-    (1.0, "response has a non-finite standard deviation; rescale it"),
+    (1e200, "columns 'y', 'x1': sum of squares overflows double precision; rescale"),
+    (1.0, "column 'y': sum of squares overflows double precision; rescale"),
 ], ids=["x1", "response"])
 def test_standardize_rejects_a_scale_that_overflows(x1_scale, message):
     # squares of values near 1e200 overflow, so the sample standard
-    # deviation is inf; the check itself must not warn
+    # deviation would be inf: the dataset is refused when it is built,
+    # before standardize runs; the check itself must not warn
     base = _toy_dataset()
     blocks = [SubjectBlock(b.subject_id, 1e200 * b.y, b.X * [x1_scale, 1.0, 1.0], b.Z)
               for b in base.blocks]
     with pytest.raises(DataError) as err:
         standardize(LongitudinalDataset(blocks))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("scales, message", [
+    ((1.0, [1e200, 1.0, 1.0], [1.0, 1.0]),
+     "column 'x1': sum of squares overflows double precision; rescale"),
+    ((1.0, [1.0, 1.0, 1.0], [1.0, 1e160]),
+     "column 'z2': sum of squares overflows double precision; rescale"),
+    ((1e155, [1.0, 1.0, 1e155], [1.0, 1.0]),
+     "columns 'y', 'x3': sum of squares overflows double precision; rescale"),
+], ids=["x1", "z2", "y_and_x3"])
+def test_dataset_refuses_a_column_whose_squares_overflow(scales, message):
+    # every cell is finite, but no fit could form X'X or r'r: a fit on such a
+    # dataset overflowed in a matmul and failed with a NumericalError
+    y_scale, x_scale, z_scale = scales
+    base = _toy_dataset()
+    blocks = [SubjectBlock(b.subject_id, y_scale * b.y, b.X * x_scale, b.Z * z_scale)
+              for b in base.blocks]
+    with pytest.raises(DataError) as err:
+        LongitudinalDataset(blocks)
+    assert str(err.value) == message
+    # the arrays path every derived dataset takes checks the same
+    with pytest.raises(DataError, match="sum of squares overflows"):
+        base._derive(y=y_scale * base.y, X=base.X * x_scale, Z=base.Z * z_scale)
 
 
 def test_destandardize_round_trip():

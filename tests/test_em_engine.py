@@ -537,12 +537,13 @@ def test_exact_m_step_fit_matches_coordinate_descent(penalty, monkeypatch):
 
 
 @pytest.mark.parametrize("penalty", EXACT_PENALTIES, ids=EXACT_IDS)
-def test_exact_m_step_without_factor_matches_solve_pls(penalty):
+def test_exact_m_step_without_factor_matches_solve_pls(penalty, monkeypatch):
     ds = simulate_lmm(9, n=12, n_i=3)
     params = LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT)
     mom = e_step(ds, params)
-    new, sol = m_step(ds, mom, params, penalty.lam, penalty, return_pls=True)
-    assert sol is None
+    calls = _count_solve_pls(monkeypatch)
+    new = m_step(ds, mom, params, penalty.lam, penalty)
+    assert calls == []
     lam1 = 2.0 * penalty.lam * params.sigma2
     ref = solve_pls(ds.X, mom.y_tilde, penalty.with_lam(lam1),
                     warm_start=params.beta, tol=1e-13)
@@ -555,19 +556,21 @@ def test_exact_m_step_without_factor_matches_solve_pls(penalty):
                                         [0.4, 0.3, 0.0]],
                          ids=["extra_column", "missing_column", "wrong_sign"])
 @pytest.mark.parametrize("penalty", L1_PENALTIES, ids=EXACT_IDS[2:])
-def test_exact_m_step_rejected_support_falls_back_to_solve_pls(penalty, warm_start):
-    # the E-step of the test above, whose M-step optimum has support {0, 1}
+def test_exact_m_step_pivots_to_the_optimum(penalty, warm_start, monkeypatch):
+    # the E-step of the test above, whose M-step optimum has support {0, 1}:
+    # the active-set loop drops the extra column, adds the missing one or
+    # flips the wrong sign, with no coordinate descent
     ds = simulate_lmm(9, n=12, n_i=3)
     mom = e_step(ds, LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT))
     params = LmmParams(np.array(warm_start), 1.7, D_UNIT)
-    ctrl = EmControl()
-    new, sol = m_step(ds, mom, params, penalty.lam, penalty, ctrl, return_pls=True)
-    assert sol is not None
-    ref = solve_pls(ds.X, mom.y_tilde, penalty.with_lam(2.0 * penalty.lam * params.sigma2),
-                    warm_start=params.beta, tol=ctrl.pls_tol,
-                    max_sweeps=ctrl.pls_max_sweeps)
-    np.testing.assert_array_equal(new.beta, ref.beta)
-    assert sol.iterations == ref.iterations
+    calls = _count_solve_pls(monkeypatch)
+    new = m_step(ds, mom, params, penalty.lam, penalty)
+    assert calls == []
+    lam1 = penalty.with_lam(2.0 * penalty.lam * params.sigma2)
+    ref = solve_pls(ds.X, mom.y_tilde, lam1, warm_start=params.beta, tol=1e-13)
+    assert ref.converged
+    np.testing.assert_allclose(new.beta, ref.beta, rtol=0, atol=1e-12)
+    assert kkt_check(ds.X, mom.y_tilde, lam1, new.beta) <= 1e-10
 
 
 @st.composite
@@ -588,18 +591,58 @@ def _lasso_problems(draw):
     return X, y, lam, warm_start
 
 
+def _one_subject(X, y):
+    return LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
+
+
+def _solve_beta_counted(ds, y, penalty, lam, warm_start):
+    """em_engine._solve_beta's beta, and the number of solve_pls calls it made."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_solve_pls(mp)
+        beta, _ = em_engine._solve_beta(ds, y, penalty, lam, EmControl(), warm_start=warm_start)
+    return beta, len(calls)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_lasso_problems())
 def test_solve_beta_matches_enumeration_oracle(problem):
     X, y, lam, warm_start = problem
-    ds = LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
-    beta, _ = em_engine._solve_beta(ds, y, PenaltySpec.lasso(0.0), lam, EmControl(),
-                                    warm_start=warm_start)
+    beta, cd_calls = _solve_beta_counted(_one_subject(X, y), y, PenaltySpec.lasso(0.0), lam,
+                                         warm_start)
     _, best = lasso_best_by_enumeration(X, y, lam)
     resid = y - X @ beta
     objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
     assert objective == pytest.approx(best, rel=1e-9, abs=0.0)
     assert kkt_check(X, y, PenaltySpec.lasso(lam), beta) <= 1e-7
+    # X has full column rank, so the active-set loop needs no coordinate descent
+    assert cd_calls == 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_lasso_problems(), st.sampled_from([0.2, 0.5, 0.9]))
+def test_elastic_net_solve_beta_matches_tight_solve_pls(problem, alpha):
+    X, y, lam, warm_start = problem
+    penalty = PenaltySpec.elastic_net(alpha, lam)
+    beta, cd_calls = _solve_beta_counted(_one_subject(X, y), y, penalty, lam, warm_start)
+    ref = solve_pls(X, y, penalty, warm_start=warm_start, tol=1e-13)
+    assert ref.converged
+    np.testing.assert_allclose(beta, ref.beta, rtol=0, atol=1e-10)
+    assert kkt_check(X, y, penalty, beta) <= 1e-7
+    assert cd_calls == 0
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_lasso_problems())
+def test_lasso_solve_beta_on_a_duplicated_column_falls_back_to_solve_pls(problem):
+    # the warm start holds column 0 and its copy: X_A'X_A is singular
+    X, y, lam, warm_start = problem
+    X = np.column_stack([X, X[:, 0]])
+    warm_start = np.append(warm_start, 0.5)
+    warm_start[0] = warm_start[0] or -0.5
+    beta, cd_calls = _solve_beta_counted(_one_subject(X, y), y, PenaltySpec.lasso(0.0), lam,
+                                         warm_start)
+    assert cd_calls == 1
+    assert kkt_check(X, y, PenaltySpec.lasso(lam), beta) <= 1e-8
 
 
 @st.composite
@@ -632,8 +675,8 @@ def _elastic_net_problems(draw):
 @given(_elastic_net_problems())
 def test_solve_beta_with_l2_term_matches_enumeration_oracle(problem):
     X, y, penalty, lam, warm_start = problem
-    ds = LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
-    beta, _ = em_engine._solve_beta(ds, y, penalty, lam, EmControl(), warm_start=warm_start)
+    beta, _ = em_engine._solve_beta(_one_subject(X, y), y, penalty, lam, EmControl(),
+                                    warm_start=warm_start)
     l1, shift = lam * penalty.alpha, lam * (1.0 - penalty.alpha)
     _, best = lasso_best_by_enumeration(X, y, l1, shift)
     resid = y - X @ beta
@@ -723,9 +766,10 @@ def test_sweep_factors_each_support_once_per_dataset(monkeypatch):
     from_dataset = [c for c in callers if c[0] == "lmmlasso.dataset"]
     assert len(from_dataset) == len(distinct)
     assert len(requests) > 5 * len(distinct)
-    # every other eigh in the engine is of the q x q covariance D
+    # every other eigh in the engine is of the q x q covariance D, or the
+    # uncached factor of a support the lasso M-step's active-set loop pivots to
     assert {f for m, f in callers if m == "lmmlasso.em_engine"} <= {
-        "_guard_params", "_checked_eigh"}
+        "_guard_params", "_checked_eigh", "_exact_factor"}
 
 
 def test_sweep_refits_on_the_parent_dataset(monkeypatch):
@@ -775,8 +819,10 @@ def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeyp
     np.testing.assert_allclose(forced.params.beta, exact.params.beta, rtol=0, atol=1e-6)
 
 
-def test_coordinate_descent_budget_hits_are_noted():
+def test_coordinate_descent_budget_hits_are_noted(monkeypatch):
     ds, _ = generate_scenario(ScenarioConfig.scenario3(seed=3))
+    # every X_A'X_A treated as singular: the coordinate-descent path
+    monkeypatch.setattr(em_engine, "_GRAM_COND_LIMIT", 1.0)
     tight = fit_em(ds, 0.05, ctrl=EmControl(pls_max_sweeps=1, max_iter=5),
                    lambda_scale="per_obs")
     assert tight.warnings[0] == "cold start: coordinate descent hit its sweep budget"

@@ -493,3 +493,22 @@ def test_refit_supports_isolates_a_failing_e_step(monkeypatch):
         assert reps[k].iterations == clean[k].iterations
         _assert_close(reps[k].params.beta, clean[k].params.beta, "beta")
         _assert_close(reps[k].final_loglik, clean[k].final_loglik, "final_loglik")
+
+
+def test_scenario3_sweep_runs_no_coordinate_descent(monkeypatch):
+    # a work-count guard: every beta M-step of a full-rank design, the pooled
+    # start included, is settled by the active-set loop (38 solve_pls calls
+    # here when a rejected warm support went to coordinate descent)
+    ds = _scenario3(3)
+    assert (ds.n, ds.N, ds.p) == (30, 150, 50)
+    calls = []
+    solve_pls = em_engine.solve_pls
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve_pls(*args, **kwargs)
+
+    monkeypatch.setattr(em_engine, "solve_pls", counted)
+    path = sweep(ds, default_grid(), lambda_scale="per_obs")
+    assert all(e is None for e in path.errors)
+    assert calls == []
