@@ -3,9 +3,9 @@
 The package fits the mixed model y_i = X_i beta + Z_i b_i + eps_i by
 penalized maximum likelihood: an EM algorithm whose E-step returns the
 random-effect moments together with the marginal log-likelihood and whose
-M-step solves an l1-penalized least-squares problem (exactly, by an
-active-set loop of linear solves; by coordinate descent only where a
-solved matrix is not numerically positive definite), a
+M-step solves an l1-penalized least-squares problem (exactly: by one
+minimum-norm solve without an l1 term, else by an active-set loop of
+linear solves, with coordinate descent where its matrix is singular), a
 BIC-driven sweep over the penalty grid, and an unpenalized refit of the
 selected support.  A simulation kit regenerates the benchmark scenarios, and a
 small CLI wires everything into reproducible batch runs.

@@ -77,8 +77,10 @@ _OPTIONS = {
     "criterion": dict(flag="--criterion", choices=tuple(CRITERIA)),
     "eps": dict(flag="--eps", type=float, help="EM relative stopping tolerance"),
     "max_iter": dict(flag="--max-iter", type=int),
-    "pls_tol": dict(flag="--pls-tol", type=float),
-    "pls_max_sweeps": dict(flag="--pls-max-sweeps", type=int),
+    "pls_tol": dict(flag="--pls-tol", type=float,
+                    help="tolerance of the lasso/elastic-net coordinate-descent fallback"),
+    "pls_max_sweeps": dict(flag="--pls-max-sweeps", type=int,
+                           help="sweep budget of that coordinate-descent fallback"),
     "lam": dict(flag="--lambda", type=float),
     "grid": dict(flag="--grid", help="start:stop:num (linear) or comma-separated values"),
     "grid_log": dict(flag="--grid-log",

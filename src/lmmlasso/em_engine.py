@@ -24,20 +24,20 @@ from it.  The products S A_i S over all subjects are two flat
 from totals over subjects.
 
 Every beta M-step, the pooled start included, is solved by linear solves
-(_exact_beta, the one place that decides the route): on a support A with
-signs s, (X_A'X_A + shift * I) b_A = X_A'y_tilde - (l1 / 2) s, with
-l1 = lam1 * alpha, shift = lam1 * (1 - alpha), lam1 the effective level.
-Without an l1 term (lam = 0, as in every unpenalized refit, or the ridge
-penalty) A is every column; with one, an active-set loop pivots from the
-warm start's support and signs (the previous beta, zero for the pooled
-start) until the KKT conditions prove the solution optimal.  The dataset
-owns X'X and caches the eigendecomposition of each X_A'X_A (ds.gram,
-ds.gram_factor) that an M-step starts from, so such a support is factored
-once per dataset.  Coordinate descent (solve_pls) from the warm start
-runs instead only when a matrix solved is not numerically positive
-definite (in practice zero or dependent columns and shift = 0) or the
-loop reaches _MAX_PIVOTS passes; a fit without an l1 term then records a
-note in FitReport.warnings.
+on the eigenpairs of X_A'X_A + shift * I: on a support A with signs s,
+(X_A'X_A + shift * I) b_A = X_A'y_tilde - (l1 / 2) s, with l1 = lam1 *
+alpha, shift = lam1 * (1 - alpha), lam1 the effective level.  Without an
+l1 term (lam = 0, as in every unpenalized refit, or ridge) A is every
+column; where that matrix is not numerically positive definite the solve
+is the minimum-norm one (_exact_factor), which has the X beta, EM path and
+log-likelihood of any least-squares solution, and the fit records a note.
+With an l1 term an active-set loop pivots from the warm start's support
+and signs (the previous beta, zero for the pooled start) until the KKT
+conditions prove the solution optimal, and hands a matrix that is not
+numerically positive definite, or its _MAX_PIVOTS-th pass, to coordinate
+descent (solve_pls).  The dataset owns X'X and caches the
+eigendecomposition of each X_A'X_A (ds.gram, ds.gram_factor) that an
+M-step starts from, so such a support is factored once per dataset.
 
 Per-subject computations use the q x q cross products cached on the
 dataset, so one EM iteration touches the N-row data only through
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .dataset import LongitudinalDataset
-from .exceptions import ConfigurationError, LmmLassoError, NumericalError
+from .exceptions import ConfigurationError, NumericalError
 from .penalized_ls import RAW, PenaltySpec, effective_lambda, penalty_value, solve_pls
 
 __all__ = [
@@ -82,9 +82,10 @@ __all__ = [
 _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
 _SIGMA2_FLOOR = 1e-12
 _ABS_STOP = 1e-10        # absolute stopping rule, guards near-zero loglik
-_GRAM_COND_LIMIT = 1e12  # G_AA + shift I beyond this condition number goes to CD
+_GRAM_COND_LIMIT = 1e12  # eigenvalues of G_AA + shift I at or below w_max / this are dropped
 _MAX_PIVOTS = 200        # active-set passes of one beta M-step before it goes to CD
-_CD_NOTE = "X'X is not numerically positive definite; beta solved by coordinate descent"
+_MIN_NORM_NOTE = ("X'X is not numerically positive definite; "
+                  "beta is the minimum-norm least-squares solution")
 
 
 @dataclass
@@ -154,6 +155,8 @@ class EmControl:
     eps is the relative stopping threshold on the penalized log-likelihood;
     abs_eps is the absolute fallback that guards the ratio rule when the
     objective is near zero.  Both may be 0 (run max_iter iterations).
+    pls_tol and pls_max_sweeps apply only to the coordinate-descent
+    fallback of lasso and elastic-net M-steps.
     """
 
     eps: float = 1e-6
@@ -363,8 +366,9 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMome
 
 
 def _exact_factor(ds: LongitudinalDataset, active, shift: float, cache: bool = True):
-    """Eigendecomposition (w, V) of G_AA + shift * I, or None when it is not
-    numerically positive definite (condition number beyond _GRAM_COND_LIMIT).
+    """Eigenpairs (w, V) of G_AA + shift * I, less those at or below
+    w_max / _GRAM_COND_LIMIT: V @ ((V.T @ rhs) / w) is the minimum-norm
+    least-squares solve, and w.size < len(active) when any were dropped.
 
     G_AA is the block of X'X on the columns active.  With cache its factor
     is ds.gram_factor's, computed once per dataset; without, it is computed
@@ -373,50 +377,50 @@ def _exact_factor(ds: LongitudinalDataset, active, shift: float, cache: bool = T
     w, V = ds.gram_factor(active) if cache else np.linalg.eigh(ds.gram[np.ix_(active, active)])
     w = w + shift
     if w.size and not w[0] > w[-1] / _GRAM_COND_LIMIT:
-        return None
+        keep = w > w[-1] / _GRAM_COND_LIMIT
+        w, V = w[keep], V[:, keep]
     return w, V
 
 
 def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: float,
-                warm_start: np.ndarray) -> np.ndarray | None:
+                warm_start: np.ndarray) -> tuple | None:
     """The penalized least-squares minimizer by linear solves, or None.
 
     On a support A with signs s the stationarity conditions are linear:
     (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X (ds.gram) and
-    c = X'y.  Without an l1 term A is every column and one solve is the
-    minimizer.  With one, the solves run an active-set loop, feature-sign
-    search (Lee, Battle, Raina & Ng 2007), from warm_start's support and
-    signs.  In each pass, when every b_A keeps its sign in s, the at-zero
-    condition |2 m_j| <= l1 of _kkt_residual (m = c - G beta = X'(y - X
-    beta)) is tested on the columns outside A: if it holds, beta is optimal;
-    if not, the column with the largest violation joins A with the sign of
-    m_j.  When a sign flips, a line search on the segment from the current
-    point to b_A takes the lowest objective among b_A and the zero
-    crossings, and the columns that reached zero leave A.  Every pass lowers
-    the objective, so in exact arithmetic no (A, s) repeats and the loop
-    ends; _MAX_PIVOTS bounds it in floating point.  From a zero warm_start
-    it is LARS-lasso.
+    c = X'y.  Without an l1 term A is every column and one solve on
+    _exact_factor's eigenpairs is the minimizer, the minimum-norm one when
+    eigenpairs were dropped.  With one, the solves run an active-set loop,
+    feature-sign search (Lee, Battle, Raina & Ng 2007), from warm_start's
+    support and signs.  In each pass, when every b_A keeps its sign in s,
+    the at-zero condition |2 m_j| <= l1 of _kkt_residual (m = c - G beta =
+    X'(y - X beta)) is tested on the columns outside A: if it holds, beta
+    is optimal; if not, the column with the largest violation joins A with
+    the sign of m_j.  When a sign flips, a line search on the segment from
+    the current point to b_A takes the lowest objective among b_A and the
+    zero crossings, and the columns that reached zero leave A.  Every pass
+    lowers the objective, so in exact arithmetic no (A, s) repeats and the
+    loop ends; _MAX_PIVOTS bounds it in floating point.  From a zero
+    warm_start it is LARS-lasso.
 
     The first pass solves on warm_start's support, the one the previous
     M-step returned, by its cached factor; the supports pivoted to are
-    factored uncached (_exact_factor).  None when a matrix solved is not
-    numerically positive definite, or after _MAX_PIVOTS passes.
+    factored uncached.  Returns (beta, whether eigenpairs were dropped), or
+    None when the loop solves a matrix that is not numerically positive
+    definite, or after _MAX_PIVOTS passes.
     """
     if l1 == 0.0:
-        active, rhs = np.arange(xty.size), xty
-    else:
-        active = np.flatnonzero(warm_start)
-        x = warm_start[active]  # the current point on A
-        signs = np.sign(x)
-        rhs = xty[active] - 0.5 * l1 * signs
-    factor = _exact_factor(ds, active, shift)
+        w, V = _exact_factor(ds, np.arange(xty.size), shift)
+        return V @ ((V.T @ xty) / w), w.size < xty.size
+    active = np.flatnonzero(warm_start)
+    x = warm_start[active]  # the current point on A
+    signs = np.sign(x)
+    rhs = xty[active] - 0.5 * l1 * signs
+    w, V = _exact_factor(ds, active, shift)
     for _ in range(_MAX_PIVOTS):
-        if factor is None:
+        if w.size < active.size:
             return None
-        w, V = factor
         b = V @ ((V.T @ rhs) / w)
-        if l1 == 0.0:
-            return b
         flipped = b * signs <= 0.0
         if not flipped.any():
             m = xty - ds.gram[:, active] @ b
@@ -425,7 +429,7 @@ def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: floa
             if not (excess > 0.0).any():
                 beta = np.zeros(xty.size)
                 beta[active] = b
-                return beta
+                return beta, False
             j = int(np.argmax(excess))
             x, active = np.append(b, 0.0), np.append(active, j)
             signs = np.append(signs, np.sign(m[j]))
@@ -445,7 +449,7 @@ def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: floa
             active, x = active[keep], x[keep]
             signs = np.sign(x)
         rhs = xty[active] - 0.5 * l1 * signs
-        factor = _exact_factor(ds, active, shift, cache=False)
+        w, V = _exact_factor(ds, active, shift, cache=False)
     return None
 
 
@@ -453,24 +457,25 @@ def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, la
                 ctrl: EmControl, warm_start: np.ndarray):
     """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, lam in raw units.
 
-    By _exact_beta's linear solves on the dataset's X'X (a cold start's zero
-    warm_start settles any level at or above lambda_max with no solve);
-    coordinate descent (solve_pls) from warm_start only when _exact_beta
-    gives up (a matrix that is not numerically positive definite, or the
-    pivot cap).
+    By _exact_beta's linear solves on the dataset's X'X (a cold start's
+    zero warm_start settles any level at or above lambda_max with no
+    solve); coordinate descent (solve_pls) from warm_start only when the
+    lasso or elastic-net loop gives up (a matrix that is not numerically
+    positive definite, or the pivot cap).
 
-    Returns (beta, PlsSolution or None when solved exactly).
+    Returns (beta, whether eigenpairs were dropped, PlsSolution or None
+    when solved exactly).
     """
     l1 = lam * penalty.alpha
     shift = lam * (1.0 - penalty.alpha)
     xty = ds.X.T @ y
-    beta = _exact_beta(ds, xty, l1, shift, warm_start)
-    if beta is not None:
-        return beta, None
+    exact = _exact_beta(ds, xty, l1, shift, warm_start)
+    if exact is not None:
+        return (*exact, None)
     sol = solve_pls(ds.X, y, penalty.with_lam(lam), warm_start=warm_start,
                     tol=ctrl.pls_tol, max_sweeps=ctrl.pls_max_sweeps, gram=ds.gram,
                     xty=xty)
-    return sol.beta, sol
+    return sol.beta, False, sol
 
 
 def _variance_update(ds: LongitudinalDataset, moments: EStepMoments, beta: np.ndarray):
@@ -496,8 +501,8 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParam
     the previous beta.  sigma2 and D then have closed forms
     (_variance_update).  lam is in raw units.
     """
-    beta, _ = _solve_beta(ds, moments.y_tilde, penalty, 2.0 * lam * params_prev.sigma2,
-                          ctrl or EmControl(), warm_start=params_prev.beta)
+    beta, *_ = _solve_beta(ds, moments.y_tilde, penalty, 2.0 * lam * params_prev.sigma2,
+                           ctrl or EmControl(), warm_start=params_prev.beta)
     return LmmParams(beta, *_variance_update(ds, moments, beta))
 
 
@@ -531,10 +536,12 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     member, the only one or the last one still iterating, drops it.  The
     per-member step is solve_beta(live, y, lam1, warm_start): beta of the
     live members (indices, in stack order) on responses y at raw level
-    lam1, and the PlsSolution of a coordinate-descent solve (else None).
-    It gives the pooled start from y at level lam (sigma2 then the mean
-    squared residual, D the identity; init replaces the start) and each
-    M-step's beta from y_tilde at level 2 * lam * sigma2.
+    lam1; per live member, whether its solve dropped eigenpairs (noted
+    once per fit); and the PlsSolution of a coordinate-descent solve, which
+    runs only for a lone member (else None).  It gives the pooled start
+    from y at level lam (sigma2 then the mean squared residual, D the
+    identity; init replaces the start) and each M-step's beta from y_tilde
+    at level 2 * lam * sigma2.
 
     Each iteration guards the parameters, runs one E-step on the guard's
     eigh of D, which gives each member's trace entry for the stopping rule,
@@ -549,20 +556,18 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     notes = [[] for _ in range(members)]
     out: list = [None] * members
 
-    def note(sol, where: str):
-        """Notes on a coordinate-descent beta solve, which runs for a lone member."""
-        if sol is None:
-            return
-        member_notes = notes[live[0]]
-        if lam * penalty.alpha == 0.0 and _CD_NOTE not in member_notes:
-            member_notes.append(_CD_NOTE)
-        if not sol.converged:
-            member_notes.append(f"{where}: coordinate descent hit its sweep budget")
+    def note(min_norm, sol, where: str):
+        """Notes on the live members' beta solves, as solve_beta reports them."""
+        for k, cut in zip(live, min_norm):
+            if cut and _MIN_NORM_NOTE not in notes[k]:
+                notes[k].append(_MIN_NORM_NOTE)
+        if sol is not None and not sol.converged:
+            notes[live[0]].append(f"{where}: coordinate descent hit its sweep budget")
 
     if init is None:
-        beta, sol = solve_beta(live, np.broadcast_to(ds.y, (*lead, ds.N)), lam,
-                               np.zeros((*lead, ds.p)))
-        note(sol, "cold start")
+        beta, *solved = solve_beta(live, np.broadcast_to(ds.y, (*lead, ds.N)), lam,
+                                   np.zeros((*lead, ds.p)))
+        note(*solved, "cold start")
         sigma2 = _sum_of_squares(ds.y - beta @ ds.X.T) / ds.N
         params = _params(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
     else:
@@ -619,8 +624,9 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
                                      _take(moments, keep))
 
         iteration += 1
-        beta, sol = solve_beta(live, moments.y_tilde, 2.0 * lam * params.sigma2, params.beta)
-        note(sol, f"iteration {iteration}")
+        beta, *solved = solve_beta(live, moments.y_tilde, 2.0 * lam * params.sigma2,
+                                   params.beta)
+        note(*solved, f"iteration {iteration}")
         params = _params(beta, *_variance_update(ds, moments, beta))
         del moments  # not held through the next E-step
     return out
@@ -635,8 +641,8 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     at level lam, sigma2 from its residual sum of squares over N, D the
     identity (all overridden when init is given).  Iterates E- and M-steps
     until the relative change of the penalized log-likelihood falls below
-    ctrl.eps, with an absolute fallback of 1e-10 where the ratio rule is
-    ill-conditioned near zero.  Every exact solve reads X'X and its
+    ctrl.eps, with an absolute fallback of ctrl.abs_eps where the ratio
+    rule is ill-conditioned near zero.  Every exact solve reads X'X and its
     factors from the dataset, which computes each once.
 
     The EM driver (_run_em) with one member, whose beta M-step is
@@ -652,7 +658,8 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
         init = LmmParams(init.beta.copy(), init.sigma2, init.D.copy())
 
     def solve_beta(live, y, lam1, warm_start):
-        return _solve_beta(ds, y, penalty, lam1, ctrl, warm_start)
+        beta, cut, sol = _solve_beta(ds, y, penalty, lam1, ctrl, warm_start)
+        return beta, [cut], sol
 
     rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, penalty, init)
     if isinstance(rep, NumericalError):
@@ -663,44 +670,28 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
 def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = None) -> list:
     """Unpenalized fits with X restricted to each support, beta embedded in a p-vector.
 
-    The supports (tuples of column indices) whose X_A'X_A passes
-    _exact_beta's rule are fitted together by the EM driver on ds, each
-    member's beta solved on its support's cached factor and embedded in a
-    p-vector, so no restricted dataset or moment is built.  (Padding the
-    factors into one (R, |A|max, |A|max) stack solved faster but raised the
-    peak memory of a scenario-3 run.)  Each of the rest is fitted by
-    fit_em(ds.select_columns(A), 0.0, ctrl=ctrl), whose M-steps fall back
-    to coordinate descent.  Returns one entry per support: the FitReport,
-    or the LmmLassoError its fit raised, so one failure leaves the other
-    fits standing.
+    Every support (a tuple of column indices) is a member of one EM driver
+    run on ds.  A member's beta is solved on its support's cached factor
+    by _exact_factor's rule (the minimum-norm solution, and a note, where
+    X_A'X_A is not numerically positive definite) and embedded in a
+    p-vector, so no restricted dataset or moment is built.  (Padding the factors into one
+    (R, |A|max, |A|max) stack solved faster but raised the peak memory of
+    a scenario-3 run.)  Returns one entry per support: the FitReport, or
+    the NumericalError its fit raised, so one failure leaves the other fits
+    standing.
     """
-    ctrl = ctrl or EmControl()
-    out: list = [None] * len(supports)
-    exact = []  # (slot, columns, w, V): the supports solved on their cached factor
-    for k, support in enumerate(supports):
-        factor = _exact_factor(ds, support, 0.0)
-        if factor is not None:
-            exact.append((k, list(support), *factor))
-            continue
-        try:
-            rep = fit_em(ds.select_columns(support), 0.0, ctrl=ctrl)
-        except LmmLassoError as e:
-            out[k] = e
-            continue
-        beta = np.zeros(ds.p)
-        beta[list(support)] = rep.params.beta
-        out[k] = replace(rep, params=LmmParams(beta, rep.params.sigma2, rep.params.D))
+    if not supports:
+        return []
+    factors = [(list(A), *_exact_factor(ds, A, 0.0)) for A in supports]
+    cut = [w_A.size < len(A) for A, w_A, _ in factors]
 
     def solve_beta(live, y, lam1, warm_start):
         """The unpenalized solve of each live member, on y_tilde @ X for all of them."""
         xty = (y @ ds.X).reshape(-1, ds.p)
         beta = np.zeros_like(xty)
         for r, k in enumerate(live):
-            _, A, w_A, V_A = exact[k]
+            A, w_A, V_A = factors[k]
             beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
-        return beta.reshape(y.shape[:-1] + (ds.p,)), None
+        return beta.reshape(y.shape[:-1] + (ds.p,)), [cut[k] for k in live], None
 
-    if exact:
-        for (k, *_), rep in zip(exact, _run_em(ds, len(exact), solve_beta, ctrl)):
-            out[k] = rep
-    return out
+    return _run_em(ds, len(supports), solve_beta, ctrl or EmControl())

@@ -25,7 +25,7 @@ from lmmlasso.penalized_ls import (
     penalty_value,
     solve_pls,
 )
-from lmmlasso.selector import default_grid, refit_support, sweep
+from lmmlasso.selector import default_grid, refit_support, refit_supports, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario
 
 from oracles import (
@@ -522,18 +522,16 @@ def test_exact_m_step_fit_matches_coordinate_descent(penalty, monkeypatch):
     calls = _count_solve_pls(monkeypatch)
     exact = fit_em(ds, penalty.lam, penalty, ctrl=FIXED_ITERS)
     exact_calls = len(calls)
-    # every X'X and X_A'X_A treated as singular: the coordinate-descent path
-    monkeypatch.setattr(em_engine, "_GRAM_COND_LIMIT", 1.0)
+    # every exact solve refused: the coordinate-descent path
+    monkeypatch.setattr(em_engine, "_exact_beta", lambda *args: None)
     cd = fit_em(ds, penalty.lam, penalty, ctrl=FIXED_ITERS)
     np.testing.assert_allclose(_fit_vector(exact), _fit_vector(cd), rtol=0, atol=1e-10)
     assert exact.final_loglik == pytest.approx(cd.final_loglik, abs=1e-9)
     # coordinate descent ran in a few M-steps of the exact fit and in every
-    # M-step of the forced fit (an empty support needs no factor)
+    # M-step of the forced fit
     assert exact_calls <= FIXED_ITERS.max_iter // 50
     assert len(calls) - exact_calls >= FIXED_ITERS.max_iter
     assert exact.warnings == []
-    if penalty.lam * penalty.alpha == 0.0:
-        assert any("not numerically positive definite" in w for w in cd.warnings)
 
 
 @pytest.mark.parametrize("penalty", EXACT_PENALTIES, ids=EXACT_IDS)
@@ -599,7 +597,8 @@ def _solve_beta_counted(ds, y, penalty, lam, warm_start):
     """em_engine._solve_beta's beta, and the number of solve_pls calls it made."""
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_solve_pls(mp)
-        beta, _ = em_engine._solve_beta(ds, y, penalty, lam, EmControl(), warm_start=warm_start)
+        beta, *_ = em_engine._solve_beta(ds, y, penalty, lam, EmControl(),
+                                         warm_start=warm_start)
     return beta, len(calls)
 
 
@@ -675,8 +674,8 @@ def _elastic_net_problems(draw):
 @given(_elastic_net_problems())
 def test_solve_beta_with_l2_term_matches_enumeration_oracle(problem):
     X, y, penalty, lam, warm_start = problem
-    beta, _ = em_engine._solve_beta(_one_subject(X, y), y, penalty, lam, EmControl(),
-                                    warm_start=warm_start)
+    beta, *_ = em_engine._solve_beta(_one_subject(X, y), y, penalty, lam, EmControl(),
+                                     warm_start=warm_start)
     l1, shift = lam * penalty.alpha, lam * (1.0 - penalty.alpha)
     _, best = lasso_best_by_enumeration(X, y, l1, shift)
     resid = y - X @ beta
@@ -691,24 +690,57 @@ def _with_duplicate_column(ds):
         for b in ds.blocks])
 
 
-def test_duplicated_column_falls_back_to_coordinate_descent(monkeypatch):
-    ds = _with_duplicate_column(simulate_lmm(13, n=20, n_i=4))
-    support = (0, 1, 2, 3)
-    rep = refit_support(ds, support)
-    assert sum("not numerically positive definite" in w for w in rep.warnings) == 1
+def _assert_same_refit(ds, rep, ref_ds, ref, rtol):
+    """Two refits agree in X beta, sigma2, D and the final log-likelihood."""
+    fitted, ref_fitted = ds.X @ rep.params.beta, ref_ds.X @ ref.params.beta
+    assert np.max(np.abs(fitted - ref_fitted)) <= rtol * np.max(np.abs(ref_fitted))
+    assert rep.params.sigma2 == pytest.approx(ref.params.sigma2, rel=rtol, abs=0.0)
+    np.testing.assert_allclose(rep.params.D, ref.params.D, rtol=rtol, atol=0)
+    assert rep.final_loglik == pytest.approx(ref.final_loglik, rel=rtol, abs=0.0)
+
+
+def test_duplicated_column_refit_is_the_minimum_norm_solution(monkeypatch):
+    # every least-squares beta gives the same X beta, so the refit on a
+    # column and its copy follows the refit without the copy; the
+    # minimum-norm solution splits the weight evenly between the two
+    base = simulate_lmm(13, n=20, n_i=4)
+    ds = _with_duplicate_column(base)
+    calls = _count_solve_pls(monkeypatch)
+    rep = refit_support(ds, (0, 1, 2, 3))
+    ref = refit_support(base, (0, 1, 2))
+    assert calls == []
+    _assert_same_refit(ds, rep, base, ref, rtol=1e-12)
+    assert rep.params.beta[0] == pytest.approx(rep.params.beta[3], rel=1e-12, abs=0.0)
+    assert rep.warnings == [em_engine._MIN_NORM_NOTE]
     assert rep.worst_trace_decrease() <= 1e-8
-    # reference values from coordinate descent at its default tolerance
-    np.testing.assert_allclose(
-        rep.params.beta, [0.7401817010390607, -1.0964718013258306,
-                          0.600589067990877, 0.061392872386730094], rtol=1e-9)
-    assert rep.params.sigma2 == pytest.approx(1.0355453860893138, rel=1e-9)
-    # every X'X treated as singular: the coordinate-descent path itself
-    monkeypatch.setattr(em_engine, "_GRAM_COND_LIMIT", 1.0)
-    forced = refit_support(ds, support)
-    np.testing.assert_array_equal(rep.params.beta, forced.params.beta)
-    assert rep.params.sigma2 == forced.params.sigma2
-    np.testing.assert_array_equal(rep.params.D, forced.params.D)
-    assert rep.iterations == forced.iterations
+
+
+def test_near_duplicate_column_refit_needs_no_coordinate_descent(monkeypatch):
+    # the copy differs by 1e-7 sin(...): X'X has condition number 1.4e15
+    base = simulate_lmm(13, n=20, n_i=4)
+    ds = LongitudinalDataset([
+        SubjectBlock(b.subject_id, b.y, np.column_stack(
+            [b.X, b.X[:, 0] + 1e-7 * np.sin(7.0 * b.X[:, 1] + b.X[:, 2])]), b.Z)
+        for b in base.blocks])
+    calls = _count_solve_pls(monkeypatch)
+    rep = refit_support(ds, (0, 1, 2, 3))
+    ref = refit_support(base, (0, 1, 2))
+    assert calls == []
+    assert rep.converged and rep.warnings == [em_engine._MIN_NORM_NOTE]
+    assert rep.final_loglik == pytest.approx(ref.final_loglik, rel=1e-11, abs=0.0)
+
+
+def test_refit_stack_notes_only_its_singular_member():
+    ds = _with_duplicate_column(simulate_lmm(13, n=20, n_i=4))
+    supports = [(0, 1), (0, 1, 2, 3), (1, 2)]
+    reps = refit_supports(ds, supports)
+    assert [rep.warnings for rep in reps] == [[], [em_engine._MIN_NORM_NOTE], []]
+    for support, rep in zip(supports, reps):
+        lone = refit_support(ds, support)
+        np.testing.assert_allclose(rep.params.beta, lone.params.beta, rtol=1e-12, atol=0)
+        _assert_same_refit(ds, rep, ds, lone, rtol=1e-12)
+        assert rep.warnings == lone.warnings
+    assert refit_supports(ds, []) == []
 
 
 def test_ridge_on_duplicated_column_is_solved_exactly(monkeypatch):
@@ -773,8 +805,8 @@ def test_sweep_factors_each_support_once_per_dataset(monkeypatch):
 
 
 def test_sweep_refits_on_the_parent_dataset(monkeypatch):
-    # every support of this design is positive definite, so every refit runs
-    # in the lock-step EM: no restricted dataset, no second set of moments
+    # every refit runs in the lock-step EM: no restricted dataset, no second
+    # set of moments
     ds, _ = generate_scenario(ScenarioConfig.scenario3(seed=3))
     selected, computed = [], []
     select_columns = LongitudinalDataset.select_columns
@@ -807,16 +839,20 @@ def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeyp
     assert exact.warnings == [] and len(calls) <= ctrl.max_iter // 4
     support = np.flatnonzero(exact.params.beta)
     factor = ds.gram_factor(support)
-    # the cached factor is reused, but treated as singular on every use
+    # the cached factor is reused, but tested for definiteness on every use
     monkeypatch.setattr(em_engine, "_GRAM_COND_LIMIT", 1.0)
     exact_calls = len(calls)
     forced = fit_em(ds, penalty.lam, penalty, ctrl=ctrl)
     assert ds.gram_factor(support) is factor
-    # coordinate descent in every M-step (an empty support needs no factor)
-    assert len(calls) - exact_calls >= ctrl.max_iter
     notes = sum("not numerically positive definite" in w for w in forced.warnings)
-    assert notes == (penalty.lam == 0.0)
-    np.testing.assert_allclose(forced.params.beta, exact.params.beta, rtol=0, atol=1e-6)
+    if penalty.lam == 0.0:
+        # every eigenpair dropped: the minimum-norm solution is zero
+        assert len(calls) == exact_calls and notes == 1
+        np.testing.assert_array_equal(forced.params.beta, 0.0)
+    else:
+        # coordinate descent in every M-step (an empty support needs no factor)
+        assert len(calls) - exact_calls >= ctrl.max_iter and notes == 0
+        np.testing.assert_allclose(forced.params.beta, exact.params.beta, rtol=0, atol=1e-6)
 
 
 def test_coordinate_descent_budget_hits_are_noted(monkeypatch):
