@@ -5,7 +5,7 @@ penalized maximum likelihood: an EM algorithm whose E-step returns the
 random-effect moments together with the marginal log-likelihood and whose
 M-step solves an l1-penalized least-squares problem (exactly: by one
 minimum-norm solve without an l1 term, else by an active-set loop of
-linear solves, with coordinate descent where its matrix is singular), a
+linear solves that leaves a singular support along its null space), a
 BIC-driven sweep over the penalty grid, and an unpenalized refit of the
 selected support.  A simulation kit regenerates the benchmark scenarios, and a
 small CLI wires everything into reproducible batch runs.

@@ -77,14 +77,10 @@ _OPTIONS = {
     "criterion": dict(flag="--criterion", choices=tuple(CRITERIA)),
     "eps": dict(flag="--eps", type=float, help="EM relative stopping tolerance"),
     "max_iter": dict(flag="--max-iter", type=int),
-    "pls_tol": dict(flag="--pls-tol", type=float,
-                    help="tolerance of the lasso/elastic-net coordinate-descent fallback"),
-    "pls_max_sweeps": dict(flag="--pls-max-sweeps", type=int,
-                           help="sweep budget of that coordinate-descent fallback"),
     "lam": dict(flag="--lambda", type=float),
     "grid": dict(flag="--grid", help="start:stop:num (linear) or comma-separated values"),
     "grid_log": dict(flag="--grid-log",
-                     help="num:ratio log grid anchored at the data lambda_max"),
+                     help="num:ratio log grid anchored at the penalty's lambda_max"),
     "scenario": dict(flag="--scenario", type=int, choices=tuple(SCENARIO_DESIGNS)),
     "n": dict(flag="--n", type=int),
     "n_i": dict(flag="--n-i", type=int),
@@ -227,7 +223,7 @@ def _load_dataset(cfg: dict):
 
 
 def _ctrl_from(cfg: dict) -> EmControl:
-    return EmControl(**_given(cfg, "eps", "max_iter", "pls_tol", "pls_max_sweeps"))
+    return EmControl(**_given(cfg, "eps", "max_iter"))
 
 
 def _penalty_from(cfg: dict) -> PenaltySpec:
@@ -246,7 +242,7 @@ def _resolve_grid(cfg: dict, ds=None) -> np.ndarray | None:
             num, ratio = int(num), float(ratio)
         except ValueError:
             raise ConfigurationError(f"--grid-log {spec!r} must be num:ratio") from None
-        return auto_log_grid(ds, num=num, ratio=ratio,
+        return auto_log_grid(ds, num=num, ratio=ratio, alpha=_penalty_from(cfg).alpha,
                              lambda_scale=cfg["lambda_scale"])
     if "grid" in cfg:
         return _parse_grid(cfg["grid"])
@@ -375,7 +371,7 @@ class _Command(NamedTuple):
 
 
 _DATA = ("input", "subject", "response", "fixed", "random")
-_EM = ("lambda_scale", "eps", "max_iter", "pls_tol", "pls_max_sweeps")
+_EM = ("lambda_scale", "eps", "max_iter")
 _FILE_FIT = _DATA + ("standardize", "categorical", "scale_y", "penalty", "alpha") + _EM
 
 # one row per subcommand

@@ -33,11 +33,12 @@ is the minimum-norm one (_exact_factor), which has the X beta, EM path and
 log-likelihood of any least-squares solution, and the fit records a note.
 With an l1 term an active-set loop pivots from the warm start's support
 and signs (the previous beta, zero for the pooled start) until the KKT
-conditions prove the solution optimal, and hands a matrix that is not
-numerically positive definite, or its _MAX_PIVOTS-th pass, to coordinate
-descent (solve_pls).  The dataset owns X'X and caches the
-eigendecomposition of each X_A'X_A (ds.gram, ds.gram_factor) that an
-M-step starts from, so such a support is factored once per dataset.
+conditions prove the solution optimal; on a support whose matrix is not
+numerically positive definite it steps along the null space of X_A to a
+zero crossing, and past _MAX_PIVOTS passes it raises.  The dataset owns
+X'X and caches the eigendecomposition of each X_A'X_A (ds.gram,
+ds.gram_factor) that an M-step starts from, so such a support is factored
+once per dataset.
 
 Per-subject computations use the q x q cross products cached on the
 dataset, so one EM iteration touches the N-row data only through
@@ -64,6 +65,8 @@ import numpy as np
 
 from .dataset import LongitudinalDataset
 from .exceptions import ConfigurationError, NumericalError
+# solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
+# this module's binding of it, so the name stays until the tracer drops it
 from .penalized_ls import RAW, PenaltySpec, effective_lambda, penalty_value, solve_pls
 
 __all__ = [
@@ -83,9 +86,9 @@ _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
 _SIGMA2_FLOOR = 1e-12
 _ABS_STOP = 1e-10        # absolute stopping rule, guards near-zero loglik
 _GRAM_COND_LIMIT = 1e12  # eigenvalues of G_AA + shift I at or below w_max / this are dropped
-_MAX_PIVOTS = 200        # active-set passes of one beta M-step before it goes to CD
+_MAX_PIVOTS = 200        # active-set passes of one beta M-step before it raises
 _MIN_NORM_NOTE = ("X'X is not numerically positive definite; "
-                  "beta is the minimum-norm least-squares solution")
+                  "beta is a minimum-norm solution on its support")
 
 
 @dataclass
@@ -150,30 +153,24 @@ class EStepMoments:
 
 @dataclass
 class EmControl:
-    """Stopping rule and inner-solver settings for fit_em.
+    """Stopping rule for fit_em.
 
     eps is the relative stopping threshold on the penalized log-likelihood;
     abs_eps is the absolute fallback that guards the ratio rule when the
-    objective is near zero.  Both may be 0 (run max_iter iterations).
-    pls_tol and pls_max_sweeps apply only to the coordinate-descent
-    fallback of lasso and elastic-net M-steps.
+    objective is near zero.  Both may be 0 (run max_iter iterations).  The
+    beta M-step is exact, so it has no setting of its own.
     """
 
     eps: float = 1e-6
     max_iter: int = 500
     abs_eps: float = _ABS_STOP
-    pls_tol: float = 1e-9
-    pls_max_sweeps: int = 10000
 
     def __post_init__(self):
         for name in ("eps", "abs_eps"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigurationError(f"EmControl: {name} must be finite and >= 0")
-        if not 0.0 < self.pls_tol < np.inf:
-            raise ConfigurationError("EmControl: pls_tol must be finite and > 0")
-        for name in ("max_iter", "pls_max_sweeps"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"EmControl: {name} must be >= 1")
+        if self.max_iter < 1:
+            raise ConfigurationError("EmControl: max_iter must be >= 1")
 
 
 @dataclass
@@ -372,7 +369,7 @@ def _exact_factor(ds: LongitudinalDataset, active, shift: float, cache: bool = T
 
     G_AA is the block of X'X on the columns active.  With cache its factor
     is ds.gram_factor's, computed once per dataset; without, it is computed
-    here and dropped, for the supports _exact_beta's loop pivots through.
+    here and dropped, for the supports _solve_beta's loop pivots through.
     """
     w, V = ds.gram_factor(active) if cache else np.linalg.eigh(ds.gram[np.ix_(active, active)])
     w = w + shift
@@ -382,33 +379,41 @@ def _exact_factor(ds: LongitudinalDataset, active, shift: float, cache: bool = T
     return w, V
 
 
-def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: float,
-                warm_start: np.ndarray) -> tuple | None:
-    """The penalized least-squares minimizer by linear solves, or None.
+def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, lam: float,
+                warm_start: np.ndarray):
+    """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, lam in raw
+    units, by linear solves on the dataset's X'X.
 
     On a support A with signs s the stationarity conditions are linear:
-    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X (ds.gram) and
-    c = X'y.  Without an l1 term A is every column and one solve on
-    _exact_factor's eigenpairs is the minimizer, the minimum-norm one when
-    eigenpairs were dropped.  With one, the solves run an active-set loop,
-    feature-sign search (Lee, Battle, Raina & Ng 2007), from warm_start's
-    support and signs.  In each pass, when every b_A keeps its sign in s,
-    the at-zero condition |2 m_j| <= l1 of _kkt_residual (m = c - G beta =
-    X'(y - X beta)) is tested on the columns outside A: if it holds, beta
-    is optimal; if not, the column with the largest violation joins A with
-    the sign of m_j.  When a sign flips, a line search on the segment from
-    the current point to b_A takes the lowest objective among b_A and the
-    zero crossings, and the columns that reached zero leave A.  Every pass
-    lowers the objective, so in exact arithmetic no (A, s) repeats and the
-    loop ends; _MAX_PIVOTS bounds it in floating point.  From a zero
-    warm_start it is LARS-lasso.
+    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X (ds.gram),
+    c = X'y, l1 = lam * alpha and shift = lam * (1 - alpha).  Without an l1
+    term A is every column and one solve on _exact_factor's eigenpairs is the
+    minimizer, the minimum-norm one when eigenpairs were dropped.  With one,
+    an active-set loop, feature-sign search (Lee, Battle, Raina & Ng 2007),
+    runs from warm_start's support and signs.  In each pass, when every b_A
+    keeps its sign in s, the at-zero condition |2 m_j| <= l1 of
+    _kkt_residual (m = c - G beta) is tested on the columns outside A: if it
+    holds, beta is optimal; if not, the column with the largest violation
+    joins A with the sign of m_j.  When a sign flips, a line search on the
+    segment from the current point to b_A takes the lowest objective among
+    b_A and the zero crossings, and the columns that reached zero leave A.
+    Where the factor of A dropped eigenpairs, u, the part of s outside the
+    kept eigenspace, is a null direction of X_A; unless u is negligible the
+    pass is a null step instead: along -u, X_A b stays put and the l1 term
+    falls, to the first zero crossing, whose column leaves A (a lasso
+    problem has a solution on linearly independent columns).
 
-    The first pass solves on warm_start's support, the one the previous
-    M-step returned, by its cached factor; the supports pivoted to are
-    factored uncached.  Returns (beta, whether eigenpairs were dropped), or
-    None when the loop solves a matrix that is not numerically positive
-    definite, or after _MAX_PIVOTS passes.
+    Every pass lowers the objective, so in exact arithmetic no (A, s)
+    repeats and the loop ends; _MAX_PIVOTS bounds it in floating point.
+    From a zero warm_start it is LARS-lasso.  The first pass solves on
+    warm_start's support, the previous M-step's, by its cached factor; the
+    supports pivoted to are factored uncached.  Returns (beta, whether its
+    solve dropped eigenpairs).  Raises NumericalError when a null step does
+    not lower the objective, and after _MAX_PIVOTS passes.
     """
+    l1 = lam * penalty.alpha
+    shift = lam * (1.0 - penalty.alpha)
+    xty = ds.X.T @ y
     if l1 == 0.0:
         w, V = _exact_factor(ds, np.arange(xty.size), shift)
         return V @ ((V.T @ xty) / w), w.size < xty.size
@@ -417,65 +422,57 @@ def _exact_beta(ds: LongitudinalDataset, xty: np.ndarray, l1: float, shift: floa
     signs = np.sign(x)
     rhs = xty[active] - 0.5 * l1 * signs
     w, V = _exact_factor(ds, active, shift)
+
+    def objective(points):
+        """The objective at each row of points, a point on the current A."""
+        M = ds.gram[np.ix_(active, active)] + shift * np.eye(active.size)
+        return (np.einsum("ij,ij->i", points @ M, points)
+                - 2.0 * points @ xty[active] + l1 * np.abs(points).sum(axis=1))
+
     for _ in range(_MAX_PIVOTS):
-        if w.size < active.size:
-            return None
-        b = V @ ((V.T @ rhs) / w)
-        flipped = b * signs <= 0.0
-        if not flipped.any():
-            m = xty - ds.gram[:, active] @ b
-            excess = np.abs(2.0 * m) - l1
-            excess[active] = 0.0
-            if not (excess > 0.0).any():
-                beta = np.zeros(xty.size)
-                beta[active] = b
-                return beta, False
-            j = int(np.argmax(excess))
-            x, active = np.append(b, 0.0), np.append(active, j)
-            signs = np.append(signs, np.sign(m[j]))
-        else:
-            # the crossings of the columns that flip, where they are exactly zero
-            cross = flipped & (x != 0.0)
-            t_cross = np.full(x.size, np.nan)
-            t_cross[cross] = x[cross] / (x[cross] - b[cross])
-            t = np.append(t_cross[cross], 1.0)
-            points = x + t[:, None] * (b - x)
-            points[t[:, None] == t_cross] = 0.0
-            M = ds.gram[np.ix_(active, active)] + shift * np.eye(active.size)
-            objective = (np.einsum("ij,ij->i", points @ M, points)
-                         - 2.0 * points @ xty[active] + l1 * np.abs(points).sum(axis=1))
-            x = points[np.argmin(objective)]
-            keep = x != 0.0
-            active, x = active[keep], x[keep]
+        u = signs - V @ (V.T @ signs) if w.size < active.size else None
+        if u is not None and u @ u * _GRAM_COND_LIMIT > active.size:
+            # the null step; t is the first zero crossing, if any
+            cross = np.flatnonzero(x * u > 0.0)
+            t_cross = x[cross] / u[cross]
+            t = min(t_cross, default=0.0)
+            point = x - t * u
+            point[cross[t_cross == t]] = 0.0
+            new, old = objective(np.stack([point, x]))
+            if not new < old:
+                raise NumericalError("beta M-step: a step along the null space of X_A "
+                                     "did not lower the objective")
+            x = point
             signs = np.sign(x)
+        else:
+            b = V @ ((V.T @ rhs) / w)
+            flipped = b * signs <= 0.0
+            if not flipped.any():
+                m = xty - ds.gram[:, active] @ b
+                excess = np.abs(2.0 * m) - l1
+                excess[active] = 0.0
+                if not (excess > 0.0).any():
+                    beta = np.zeros(xty.size)
+                    beta[active] = b
+                    return beta, w.size < active.size
+                j = int(np.argmax(excess))
+                x, active = np.append(b, 0.0), np.append(active, j)
+                signs = np.append(signs, np.sign(m[j]))
+            else:
+                # the crossings of the columns that flip, where they are exactly zero
+                cross = flipped & (x != 0.0)
+                t_cross = np.full(x.size, np.nan)
+                t_cross[cross] = x[cross] / (x[cross] - b[cross])
+                t = np.append(t_cross[cross], 1.0)
+                points = x + t[:, None] * (b - x)
+                points[t[:, None] == t_cross] = 0.0
+                x = points[np.argmin(objective(points))]
+                signs = np.sign(x)
+        keep = signs != 0.0  # the columns a step set to zero leave A
+        active, x, signs = active[keep], x[keep], signs[keep]
         rhs = xty[active] - 0.5 * l1 * signs
         w, V = _exact_factor(ds, active, shift, cache=False)
-    return None
-
-
-def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, lam: float,
-                ctrl: EmControl, warm_start: np.ndarray):
-    """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, lam in raw units.
-
-    By _exact_beta's linear solves on the dataset's X'X (a cold start's
-    zero warm_start settles any level at or above lambda_max with no
-    solve); coordinate descent (solve_pls) from warm_start only when the
-    lasso or elastic-net loop gives up (a matrix that is not numerically
-    positive definite, or the pivot cap).
-
-    Returns (beta, whether eigenpairs were dropped, PlsSolution or None
-    when solved exactly).
-    """
-    l1 = lam * penalty.alpha
-    shift = lam * (1.0 - penalty.alpha)
-    xty = ds.X.T @ y
-    exact = _exact_beta(ds, xty, l1, shift, warm_start)
-    if exact is not None:
-        return (*exact, None)
-    sol = solve_pls(ds.X, y, penalty.with_lam(lam), warm_start=warm_start,
-                    tol=ctrl.pls_tol, max_sweeps=ctrl.pls_max_sweeps, gram=ds.gram,
-                    xty=xty)
-    return sol.beta, False, sol
+    raise NumericalError(f"beta M-step: no optimum after {_MAX_PIVOTS} active-set passes")
 
 
 def _variance_update(ds: LongitudinalDataset, moments: EStepMoments, beta: np.ndarray):
@@ -493,16 +490,16 @@ def _variance_update(ds: LongitudinalDataset, moments: EStepMoments, beta: np.nd
 
 
 def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParams,
-           lam: float, penalty: PenaltySpec, ctrl: EmControl | None = None) -> LmmParams:
+           lam: float, penalty: PenaltySpec) -> LmmParams:
     """Conditional maximization given the E-step moments.
 
     beta solves the penalized least-squares problem on (X, y_tilde) at the
-    effective level 2 * lam * sigma2_prev by _solve_beta, warm-started at
-    the previous beta.  sigma2 and D then have closed forms
+    effective level 2 * lam * sigma2_prev by _solve_beta's linear solves,
+    warm-started at the previous beta.  sigma2 and D then have closed forms
     (_variance_update).  lam is in raw units.
     """
-    beta, *_ = _solve_beta(ds, moments.y_tilde, penalty, 2.0 * lam * params_prev.sigma2,
-                           ctrl or EmControl(), warm_start=params_prev.beta)
+    beta, _ = _solve_beta(ds, moments.y_tilde, penalty, 2.0 * lam * params_prev.sigma2,
+                          warm_start=params_prev.beta)
     return LmmParams(beta, *_variance_update(ds, moments, beta))
 
 
@@ -536,12 +533,10 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     member, the only one or the last one still iterating, drops it.  The
     per-member step is solve_beta(live, y, lam1, warm_start): beta of the
     live members (indices, in stack order) on responses y at raw level
-    lam1; per live member, whether its solve dropped eigenpairs (noted
-    once per fit); and the PlsSolution of a coordinate-descent solve, which
-    runs only for a lone member (else None).  It gives the pooled start
-    from y at level lam (sigma2 then the mean squared residual, D the
-    identity; init replaces the start) and each M-step's beta from y_tilde
-    at level 2 * lam * sigma2.
+    lam1, and per live member whether its solve dropped eigenpairs (noted
+    once per fit).  It gives the pooled start from y at level lam (sigma2
+    then the mean squared residual, D the identity; init replaces the
+    start) and each M-step's beta from y_tilde at level 2 * lam * sigma2.
 
     Each iteration guards the parameters, runs one E-step on the guard's
     eigh of D, which gives each member's trace entry for the stopping rule,
@@ -556,18 +551,16 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     notes = [[] for _ in range(members)]
     out: list = [None] * members
 
-    def note(min_norm, sol, where: str):
-        """Notes on the live members' beta solves, as solve_beta reports them."""
+    def note(min_norm):
+        """The note on each live member whose beta solve dropped eigenpairs."""
         for k, cut in zip(live, min_norm):
             if cut and _MIN_NORM_NOTE not in notes[k]:
                 notes[k].append(_MIN_NORM_NOTE)
-        if sol is not None and not sol.converged:
-            notes[live[0]].append(f"{where}: coordinate descent hit its sweep budget")
 
     if init is None:
-        beta, *solved = solve_beta(live, np.broadcast_to(ds.y, (*lead, ds.N)), lam,
-                                   np.zeros((*lead, ds.p)))
-        note(*solved, "cold start")
+        beta, cut = solve_beta(live, np.broadcast_to(ds.y, (*lead, ds.N)), lam,
+                               np.zeros((*lead, ds.p)))
+        note(cut)
         sigma2 = _sum_of_squares(ds.y - beta @ ds.X.T) / ds.N
         params = _params(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
     else:
@@ -624,9 +617,8 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
                                      _take(moments, keep))
 
         iteration += 1
-        beta, *solved = solve_beta(live, moments.y_tilde, 2.0 * lam * params.sigma2,
-                                   params.beta)
-        note(*solved, f"iteration {iteration}")
+        beta, cut = solve_beta(live, moments.y_tilde, 2.0 * lam * params.sigma2, params.beta)
+        note(cut)
         params = _params(beta, *_variance_update(ds, moments, beta))
         del moments  # not held through the next E-step
     return out
@@ -647,7 +639,8 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
 
     The EM driver (_run_em) with one member, whose beta M-step is
     _solve_beta warm-started at the previous beta.  The returned params
-    and final_loglik are the last guarded iterate.
+    and final_loglik are the last guarded iterate; a NumericalError of an
+    E-step or of a beta M-step is raised.
     """
     penalty = PenaltySpec.lasso(lam) if penalty is None else penalty.with_lam(lam)
     ctrl = ctrl or EmControl()
@@ -658,8 +651,8 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
         init = LmmParams(init.beta.copy(), init.sigma2, init.D.copy())
 
     def solve_beta(live, y, lam1, warm_start):
-        beta, cut, sol = _solve_beta(ds, y, penalty, lam1, ctrl, warm_start)
-        return beta, [cut], sol
+        beta, cut = _solve_beta(ds, y, penalty, lam1, warm_start)
+        return beta, [cut]
 
     rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, penalty, init)
     if isinstance(rep, NumericalError):
@@ -692,6 +685,6 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
         for r, k in enumerate(live):
             A, w_A, V_A = factors[k]
             beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
-        return beta.reshape(y.shape[:-1] + (ds.p,)), [cut[k] for k in live], None
+        return beta.reshape(y.shape[:-1] + (ds.p,)), [cut[k] for k in live]
 
     return _run_em(ds, len(supports), solve_beta, ctrl or EmControl())

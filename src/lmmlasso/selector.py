@@ -54,18 +54,19 @@ def default_grid(num: int = 100, low: float = 0.001, high: float = 0.5) -> np.nd
 
 
 def auto_log_grid(ds: LongitudinalDataset, num: int = 100, ratio: float = 1e-3,
-                  lambda_scale: str = RAW) -> np.ndarray:
+                  lambda_scale: str = RAW, alpha: float = 1.0) -> np.ndarray:
     """Log-spaced grid anchored at the level that zeroes all coefficients.
 
-    The anchor is max_j |2 x_j'y| on the pooled data, converted to the
-    requested lambda_scale; the grid spans [ratio * anchor, anchor] with
-    num >= 1 points and a finite ratio > 0.
+    The anchor is lambda_max of the pooled data, max_j |2 x_j'y| / alpha
+    for a penalty of mixing weight alpha (1 for the lasso), converted to
+    the requested lambda_scale; the grid spans [ratio * anchor, anchor]
+    with num >= 1 points and a finite ratio > 0.
     """
     if num < 1:
         raise ConfigurationError(f"auto_log_grid: num must be >= 1, got {num}")
     if not 0.0 < ratio < np.inf:
         raise ConfigurationError(f"auto_log_grid: ratio must be finite and > 0, got {ratio}")
-    anchor = lambda_max(ds.X, ds.y) / effective_lambda(1.0, lambda_scale, ds.N)
+    anchor = lambda_max(ds.X, ds.y, alpha) / effective_lambda(1.0, lambda_scale, ds.N)
     if anchor <= 0.0:
         raise ConfigurationError("auto_log_grid: design has no signal (lambda_max = 0)")
     return np.geomspace(anchor * ratio, anchor, num)

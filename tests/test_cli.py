@@ -455,6 +455,20 @@ def test_malformed_grid_log_is_usage_error(tmp_path, small_csv, capsys, spec):
     assert list(tmp_path.iterdir()) == [f]
 
 
+def test_grid_log_is_anchored_at_the_elastic_net_lambda_max(tmp_path, small_csv):
+    f, ds = small_csv
+    prefix = str(tmp_path / "en")
+    rc = main(["select", "--input", str(f), *DATA_FLAGS, "--penalty", "elastic_net",
+               "--alpha", "0.5", "--grid-log", "3:0.5", "--output-prefix", prefix])
+    assert rc == 0
+    with open(prefix + "_path.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # per-observation units: raw lambda_max over 2 N
+    top = float(np.max(np.abs(2 * ds.X.T @ ds.y))) / 0.5 / (2 * ds.N)
+    assert float(rows[0]["lambda"]) == pytest.approx(top, rel=1e-12)
+    assert rows[0]["nnz"] == "0"
+
+
 def test_same_runconfig_byte_identical_outputs(tmp_path, small_csv):
     f, _ = small_csv
     a, b = str(tmp_path / "runA"), str(tmp_path / "runB")
@@ -544,7 +558,7 @@ def test_cmd_cv_gene_expression_shape(tmp_path):
                "--response", "ribo", "--fixed", ",".join(names),
                "--random", "1,gtime", "--k", "4", "--seed", "9",
                "--grid", "0.1,0.18,0.26,0.35", "--max-iter", "100",
-               "--eps", "1e-5", "--pls-tol", "1e-7",
+               "--eps", "1e-5",
                "--output", str(out)])
     assert rc == 0
     lines_out = out.read_text().strip().split("\n")
@@ -616,9 +630,6 @@ def test_non_finite_cell_is_data_error_naming_the_subject(tmp_path, capsys, colu
     ("fit", ["--lambda", "0", "--eps", "nan"]),
     ("fit", ["--lambda", "0", "--eps", "-1"]),
     ("fit", ["--lambda", "0", "--eps", "inf"]),
-    ("fit", ["--lambda", "0", "--pls-tol", "nan"]),
-    ("fit", ["--lambda", "0", "--pls-tol", "inf"]),
-    ("fit", ["--lambda", "0", "--pls-max-sweeps", "0"]),
     ("reduce", ["--rank-tol", "nan"]),
     ("reduce", ["--rank-tol", "inf"]),
 ], ids=lambda v: v if isinstance(v, str) else "=".join(v[-2:]).lstrip("-"))
@@ -706,8 +717,7 @@ def test_column_whose_squares_overflow_is_data_error(tmp_path, small_csv, capsys
 
 _DATA_OPTIONS = ["--input", "--subject", "--response", "--fixed", "--random"]
 _STANDARDIZE_OPTIONS = ["--standardize", "--categorical", "--no-scale-y"]
-_EM_OPTIONS = ["--config", "--lambda-scale", "--eps", "--max-iter", "--pls-tol",
-               "--pls-max-sweeps"]
+_EM_OPTIONS = ["--config", "--lambda-scale", "--eps", "--max-iter"]
 _PENALTY_OPTIONS = ["--penalty", "--alpha"]
 
 

@@ -101,6 +101,14 @@ def test_auto_log_grid_anchored_at_lambda_max():
     assert g[0] == pytest.approx(g[-1] * 1e-2)
 
 
+def test_auto_log_grid_anchors_the_elastic_net_at_its_lambda_max():
+    # the elastic net zeroes every coefficient only from max_j |2 x_j'y| / alpha
+    ds = small_dataset(seed=2)
+    g = auto_log_grid(ds, num=10, ratio=1e-2, alpha=0.5)
+    assert g[-1] == pytest.approx(float(np.max(np.abs(2 * ds.X.T @ ds.y))) / 0.5)
+    assert g[0] == pytest.approx(g[-1] * 1e-2)
+
+
 def test_sweep_single_value_grid():
     ds = small_dataset()
     path = sweep(ds, [0.07], lambda_scale="per_obs")
