@@ -35,7 +35,7 @@ With an l1 term an active-set loop pivots from the warm start's support
 and signs (the previous beta, zero for the pooled start) until the KKT
 conditions prove the solution optimal; on a support whose matrix is not
 numerically positive definite it steps along the null space of X_A to a
-zero crossing, and past _MAX_PIVOTS passes it raises.  The dataset owns
+zero crossing, and past _MAX_PIVOTS + 2p passes it raises.  The dataset owns
 X'X and caches the eigendecomposition of each X_A'X_A (ds.gram,
 ds.gram_factor) that an M-step starts from, so such a support is factored
 once per dataset.
@@ -86,7 +86,7 @@ _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
 _SIGMA2_FLOOR = 1e-12
 _ABS_STOP = 1e-10        # absolute stopping rule, guards near-zero loglik
 _GRAM_COND_LIMIT = 1e12  # eigenvalues of G_AA + shift I at or below w_max / this are dropped
-_MAX_PIVOTS = 200        # active-set passes of one beta M-step before it raises
+_MAX_PIVOTS = 200        # with 2p, the active-set passes of one beta M-step before it raises
 _MIN_NORM_NOTE = ("X'X is not numerically positive definite; "
                   "beta is a minimum-norm solution on its support")
 
@@ -404,12 +404,13 @@ def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, la
     problem has a solution on linearly independent columns).
 
     Every pass lowers the objective, so in exact arithmetic no (A, s)
-    repeats and the loop ends; _MAX_PIVOTS bounds it in floating point.
+    repeats and the loop ends; _MAX_PIVOTS + 2p passes bound it in floating
+    point (a cold start whose optimum has k nonzeros takes k + 1).
     From a zero warm_start it is LARS-lasso.  The first pass solves on
     warm_start's support, the previous M-step's, by its cached factor; the
     supports pivoted to are factored uncached.  Returns (beta, whether its
-    solve dropped eigenpairs).  Raises NumericalError when a null step does
-    not lower the objective, and after _MAX_PIVOTS passes.
+    solve dropped eigenpairs).  Raises NumericalError when a null step raises
+    the objective by more than rounding, and after _MAX_PIVOTS + 2p passes.
     """
     l1 = lam * penalty.alpha
     shift = lam * (1.0 - penalty.alpha)
@@ -429,7 +430,8 @@ def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, la
         return (np.einsum("ij,ij->i", points @ M, points)
                 - 2.0 * points @ xty[active] + l1 * np.abs(points).sum(axis=1))
 
-    for _ in range(_MAX_PIVOTS):
+    max_passes = _MAX_PIVOTS + 2 * xty.size
+    for _ in range(max_passes):
         u = signs - V @ (V.T @ signs) if w.size < active.size else None
         if u is not None and u @ u * _GRAM_COND_LIMIT > active.size:
             # the null step; t is the first zero crossing, if any
@@ -439,7 +441,7 @@ def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, la
             point = x - t * u
             point[cross[t_cross == t]] = 0.0
             new, old = objective(np.stack([point, x]))
-            if not new < old:
+            if new > old + 8.0 * np.finfo(float).eps * abs(old):
                 raise NumericalError("beta M-step: a step along the null space of X_A "
                                      "did not lower the objective")
             x = point
@@ -472,7 +474,7 @@ def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, la
         active, x, signs = active[keep], x[keep], signs[keep]
         rhs = xty[active] - 0.5 * l1 * signs
         w, V = _exact_factor(ds, active, shift, cache=False)
-    raise NumericalError(f"beta M-step: no optimum after {_MAX_PIVOTS} active-set passes")
+    raise NumericalError(f"beta M-step: no optimum after {max_passes} active-set passes")
 
 
 def _variance_update(ds: LongitudinalDataset, moments: EStepMoments, beta: np.ndarray):

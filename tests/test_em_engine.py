@@ -641,7 +641,10 @@ def _singular_problems(draw):
 
     The dependent column is a copy of column 0, its negation or the sum of
     columns 0 and 1, or the design has fewer rows than columns.  A full
-    warm start holds every column, so its support is singular.
+    warm start holds every column, so its support is singular; a near-zero
+    one also holds the dependent (last) column at a rounding-size entry, so
+    a null step's first crossing lowers the objective by less than its
+    rounding.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["duplicate", "negated", "sum", "wide"]))
@@ -658,8 +661,9 @@ def _singular_problems(draw):
     penalty = PenaltySpec.lasso(0.0) if alpha == 1.0 else PenaltySpec.elastic_net(alpha, 0.0)
     lam = draw(st.floats(0.01, 1.2)) * lambda_max(X, y, alpha)
     warm_start = {"zero": np.zeros(p), "full": rng.normal(size=p),
-                  "random": rng.normal(size=p) * (rng.uniform(size=p) < 0.5)}[
-        draw(st.sampled_from(["zero", "full", "random"]))]
+                  "random": rng.normal(size=p) * (rng.uniform(size=p) < 0.5),
+                  "near_zero": rng.normal(size=p) * np.append(np.ones(p - 1), 1e-16)}[
+        draw(st.sampled_from(["zero", "full", "random", "near_zero"]))]
     return X, y, penalty, lam, warm_start
 
 
@@ -906,8 +910,9 @@ def test_active_set_pass_cap_raises_and_sweep_records_it(monkeypatch):
     lmax = lambda_max(ds.X, ds.y)
     assert fit_em(ds, 0.5 * lmax).converged
     # from a zero warm start the loop needs one pass to add a column and
-    # another to prove the optimum; at or above lambda_max one pass settles it
-    monkeypatch.setattr(em_engine, "_MAX_PIVOTS", 1)
+    # another to prove the optimum; at or above lambda_max one pass settles
+    # it.  The cap is _MAX_PIVOTS + 2p passes: here 1
+    monkeypatch.setattr(em_engine, "_MAX_PIVOTS", 1 - 2 * ds.p)
     message = "beta M-step: no optimum after 1 active-set passes"
     with pytest.raises(NumericalError, match=f"^{message}$"):
         fit_em(ds, 0.5 * lmax)
@@ -915,3 +920,13 @@ def test_active_set_pass_cap_raises_and_sweep_records_it(monkeypatch):
     path = sweep(ds, [2.0 * lmax, 0.01 * lmax])
     assert path.errors == [None, message]
     assert path.fits[1] is None and path.selected_index == 0
+
+
+def test_cold_start_with_more_nonzeros_than_the_pivot_constant_converges(monkeypatch):
+    # each pass from the zero pooled start adds one column, so an optimum
+    # with k nonzeros takes k + 1 passes; the cap grows with p to allow them
+    ds = simulate_lmm(5, n=50, n_i=8, p=250, beta=np.append(np.ones(5), np.zeros(245)))
+    calls = _count_solve_pls(monkeypatch)
+    rep = fit_em(ds, 1e-3 * lambda_max(ds.X, ds.y))
+    assert rep.converged and calls == []
+    assert np.count_nonzero(rep.params.beta) > em_engine._MAX_PIVOTS
