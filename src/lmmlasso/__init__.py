@@ -3,12 +3,13 @@
 The package fits the mixed model y_i = X_i beta + Z_i b_i + eps_i by
 penalized maximum likelihood: an EM algorithm whose E-step returns the
 random-effect moments together with the marginal log-likelihood and whose
-M-step solves an l1-penalized least-squares problem (exactly: by one
-minimum-norm solve without an l1 term, else by an active-set loop of
-linear solves that leaves a singular support along its null space), a
-BIC-driven sweep over the penalty grid, and an unpenalized refit of the
-selected support.  A simulation kit regenerates the benchmark scenarios, and a
-small CLI wires everything into reproducible batch runs.
+M-step solves an l1-penalized least-squares problem with the package's
+one lasso solver (exact: one minimum-norm solve without an l1 term, else
+an active-set loop of linear solves on X'X that leaves a singular support
+along its null space; solve_pls is its public form), a BIC-driven sweep
+over the penalty grid, and an unpenalized refit of the selected support.
+A simulation kit regenerates the benchmark scenarios, and a small CLI
+wires everything into reproducible batch runs.
 """
 
 from .dataset import (
@@ -48,7 +49,6 @@ from .penalized_ls import (
     kkt_check,
     lambda_max,
     penalty_value,
-    soft_threshold,
     solve_pls,
 )
 from .selector import (

@@ -34,6 +34,7 @@ from .dataset import (
     ColumnRoles,
     ingest_long_csv,
     name_list,
+    read_header,
     remove_linear_combos,
     standardize,
 )
@@ -132,7 +133,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
     its CLI default.  An option set by none of these is left out.
 
     A required option of the subcommand that is left out (or empty) is an
-    error, and so is an output path whose directory does not exist.
+    error, and so is an output path whose directory does not exist or an
+    output file path that names a directory.
     """
     command = _COMMANDS[args.command]
     file_cfg = {}
@@ -166,10 +168,14 @@ def _merge_options(args: argparse.Namespace) -> dict:
         raise ConfigurationError(f"{args.command} requires {', '.join(missing)} "
                                  "(as a flag or a --config key)")
     for key in ("output", "output_prefix", "report"):
-        folder = os.path.dirname(merged.get(key, "")) or "."
+        path = merged.get(key, "")
+        folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
-            raise ConfigurationError(f"{_OPTIONS[key]['flag']} {merged[key]!r}: "
+            raise ConfigurationError(f"{_OPTIONS[key]['flag']} {path!r}: "
                                      f"no directory {folder!r} to write into")
+        if key != "output_prefix" and os.path.isdir(path):
+            raise ConfigurationError(f"{_OPTIONS[key]['flag']} {path!r} is a directory, "
+                                     "not a file to write")
     return merged
 
 
@@ -340,7 +346,7 @@ def cmd_reduce(cfg: dict) -> int:
         with open(cfg["input"], newline="") as fh:
             rows = csv.reader(fh)
             try:
-                header = next(rows)
+                header = read_header(rows)
                 keep_idx = [i for i, name in enumerate(header) if name not in dropped_names]
                 write_csv(cfg["output"], [header[i] for i in keep_idx],
                           ([row[i] for i in keep_idx] for row in rows if row))

@@ -3,9 +3,9 @@
 A dataset is held as stacked arrays: the response y and the designs X
 (p fixed-effect columns) and Z (q random-effect columns), rows grouped
 by subject, with per-subject cross products computed by grouped sums.
-The dataset also caches X'X and the eigendecompositions of its blocks.
-Values are immutable after construction, so datasets can be shared
-read-only across concurrent fits.
+The dataset also caches X'X and the eigendecomposition of the last block
+of it asked for.  Values are immutable after construction, so datasets
+can be shared read-only across concurrent fits.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class LongitudinalDataset:
         self._moments = None
         self._blocks = None
         self._gram = None
-        self._gram_factors = {}
+        self._gram_factor = None  # (cols, (w, V)) of the last block factored
 
     def _derive(self, **changes) -> "LongitudinalDataset":
         """This dataset with some of _setup's arguments (_FIELDS) replaced."""
@@ -211,12 +211,19 @@ class LongitudinalDataset:
         return self._gram
 
     def gram_factor(self, cols):
-        """np.linalg.eigh of the cols x cols block of X'X, cached read-only per column tuple."""
+        """np.linalg.eigh of the cols x cols block of X'X, read-only.
+
+        The dataset holds one factor, the last one asked for: a request for
+        the same columns in the same order reuses it, any other replaces
+        it.  The slot is read once per call, so callers on other threads
+        cannot mix one request's columns with another's factor.
+        """
         cols = tuple(cols)
-        if cols not in self._gram_factors:
-            self._gram_factors[cols] = tuple(
-                map(_frozen, np.linalg.eigh(self.gram[np.ix_(cols, cols)])))
-        return self._gram_factors[cols]
+        slot = self._gram_factor
+        if slot is None or slot[0] != cols:
+            slot = cols, tuple(map(_frozen, np.linalg.eigh(self.gram[np.ix_(cols, cols)])))
+            self._gram_factor = slot
+        return slot[1]
 
     def select_columns(self, cols) -> "LongitudinalDataset":
         """Dataset with X restricted to the given column indices (in order)."""
@@ -313,6 +320,16 @@ def _lines_without_separators(fh):
         yield from lines
 
 
+def read_header(reader) -> list:
+    """The next row of a csv.reader, the header, less a UTF-8 byte-order mark
+    before its first cell (spreadsheets write one when saving "CSV UTF-8").
+    Raises StopIteration on an empty file."""
+    header = next(reader)
+    if header and header[0].startswith("\ufeff"):
+        header[0] = header[0][1:]
+    return header
+
+
 def _parse_table(fh, width, sub_i, value_cols):
     """The rows left in fh, in one np.loadtxt pass: the subject cells and a
     float column per index in value_cols.  Raises ValueError on any input the
@@ -355,7 +372,8 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     Rows are grouped by the subject column preserving within-subject file
     order; subjects are ordered by first appearance.  No standardization
     is applied.  A column given a role must appear exactly once in the
-    header.  After csv.reader has read and checked the header, the rows
+    header, which is read by read_header (a byte-order mark before it is
+    dropped).  After csv.reader has read and checked the header, the rows
     are parsed in one C pass (np.loadtxt): role columns as floats, the
     subject column as strings, and any other column only counted.  The
     error path is a csv.reader row loop, run on an input the C pass refuses
@@ -371,7 +389,7 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = read_header(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             col_index = {name: i for i, name in enumerate(header)}

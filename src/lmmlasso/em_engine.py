@@ -23,22 +23,17 @@ from it.  The products S A_i S over all subjects are two flat
 (n*q, q) @ S products (_sandwich), and the log-likelihood is formed
 from totals over subjects.
 
-Every beta M-step, the pooled start included, is solved by linear solves
-on the eigenpairs of X_A'X_A + shift * I: on a support A with signs s,
-(X_A'X_A + shift * I) b_A = X_A'y_tilde - (l1 / 2) s, with l1 = lam1 *
-alpha, shift = lam1 * (1 - alpha), lam1 the effective level.  Without an
-l1 term (lam = 0, as in every unpenalized refit, or ridge) A is every
-column; where that matrix is not numerically positive definite the solve
-is the minimum-norm one (_exact_factor), which has the X beta, EM path and
-log-likelihood of any least-squares solution, and the fit records a note.
-With an l1 term an active-set loop pivots from the warm start's support
-and signs (the previous beta, zero for the pooled start) until the KKT
-conditions prove the solution optimal; on a support whose matrix is not
-numerically positive definite it steps along the null space of X_A to a
-zero crossing, and past _MAX_PIVOTS + 2p passes it raises.  The dataset owns
-X'X and caches the eigendecomposition of each X_A'X_A (ds.gram,
-ds.gram_factor) that an M-step starts from, so such a support is factored
-once per dataset.
+Every beta M-step, the pooled start included, is penalized_ls's one lasso
+solver, _solve_gram, called on the dataset's X'X (ds.gram), X'y_tilde and
+the dataset's cached factor (ds.gram_factor, which holds the
+eigendecomposition of the last block of X'X asked for): linear solves on
+the eigenpairs of X_A'X_A + shift * I for a support A, an active-set loop
+from the previous beta's support and signs when there is an l1 term.  An
+M-step whose warm support is the last one factored computes no
+eigendecomposition.  Where a solve drops eigenpairs (X_A'X_A + shift * I
+is not numerically positive definite) its beta is the minimum-norm one,
+which has the X beta, EM path and log-likelihood of any least-squares
+solution, and the fit records a note.
 
 Per-subject computations use the q x q cross products cached on the
 dataset, so one EM iteration touches the N-row data only through
@@ -67,7 +62,8 @@ from .dataset import LongitudinalDataset
 from .exceptions import ConfigurationError, NumericalError
 # solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
 # this module's binding of it, so the name stays until the tracer drops it
-from .penalized_ls import RAW, PenaltySpec, effective_lambda, penalty_value, solve_pls
+from .penalized_ls import (RAW, PenaltySpec, _solve_gram, _truncate, effective_lambda,
+                           penalty_value, solve_pls)
 
 __all__ = [
     "LmmParams",
@@ -85,8 +81,6 @@ __all__ = [
 _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
 _SIGMA2_FLOOR = 1e-12
 _ABS_STOP = 1e-10        # absolute stopping rule, guards near-zero loglik
-_GRAM_COND_LIMIT = 1e12  # eigenvalues of G_AA + shift I at or below w_max / this are dropped
-_MAX_PIVOTS = 200        # with 2p, the active-set passes of one beta M-step before it raises
 _MIN_NORM_NOTE = ("X'X is not numerically positive definite; "
                   "beta is a minimum-norm solution on its support")
 
@@ -362,119 +356,16 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMome
                         loglik=loglik if lead else float(loglik))
 
 
-def _exact_factor(ds: LongitudinalDataset, active, shift: float, cache: bool = True):
-    """Eigenpairs (w, V) of G_AA + shift * I, less those at or below
-    w_max / _GRAM_COND_LIMIT: V @ ((V.T @ rhs) / w) is the minimum-norm
-    least-squares solve, and w.size < len(active) when any were dropped.
-
-    G_AA is the block of X'X on the columns active.  With cache its factor
-    is ds.gram_factor's, computed once per dataset; without, it is computed
-    here and dropped, for the supports _solve_beta's loop pivots through.
-    """
-    w, V = ds.gram_factor(active) if cache else np.linalg.eigh(ds.gram[np.ix_(active, active)])
-    w = w + shift
-    if w.size and not w[0] > w[-1] / _GRAM_COND_LIMIT:
-        keep = w > w[-1] / _GRAM_COND_LIMIT
-        w, V = w[keep], V[:, keep]
-    return w, V
-
-
 def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, lam: float,
                 warm_start: np.ndarray):
     """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, lam in raw
-    units, by linear solves on the dataset's X'X.
-
-    On a support A with signs s the stationarity conditions are linear:
-    (G_AA + shift * I) b_A = c_A - (l1 / 2) s, with G = X'X (ds.gram),
-    c = X'y, l1 = lam * alpha and shift = lam * (1 - alpha).  Without an l1
-    term A is every column and one solve on _exact_factor's eigenpairs is the
-    minimizer, the minimum-norm one when eigenpairs were dropped.  With one,
-    an active-set loop, feature-sign search (Lee, Battle, Raina & Ng 2007),
-    runs from warm_start's support and signs.  In each pass, when every b_A
-    keeps its sign in s, the at-zero condition |2 m_j| <= l1 of
-    _kkt_residual (m = c - G beta) is tested on the columns outside A: if it
-    holds, beta is optimal; if not, the column with the largest violation
-    joins A with the sign of m_j.  When a sign flips, a line search on the
-    segment from the current point to b_A takes the lowest objective among
-    b_A and the zero crossings, and the columns that reached zero leave A.
-    Where the factor of A dropped eigenpairs, u, the part of s outside the
-    kept eigenspace, is a null direction of X_A; unless u is negligible the
-    pass is a null step instead: along -u, X_A b stays put and the l1 term
-    falls, to the first zero crossing, whose column leaves A (a lasso
-    problem has a solution on linearly independent columns).
-
-    Every pass lowers the objective, so in exact arithmetic no (A, s)
-    repeats and the loop ends; _MAX_PIVOTS + 2p passes bound it in floating
-    point (a cold start whose optimum has k nonzeros takes k + 1).
-    From a zero warm_start it is LARS-lasso.  The first pass solves on
-    warm_start's support, the previous M-step's, by its cached factor; the
-    supports pivoted to are factored uncached.  Returns (beta, whether its
-    solve dropped eigenpairs).  Raises NumericalError when a null step raises
-    the objective by more than rounding, and after _MAX_PIVOTS + 2p passes.
+    units: _solve_gram on the dataset's X'X and cached factor, from
+    warm_start's support and signs.  Returns (beta, whether its solve dropped
+    eigenpairs).
     """
-    l1 = lam * penalty.alpha
-    shift = lam * (1.0 - penalty.alpha)
-    xty = ds.X.T @ y
-    if l1 == 0.0:
-        w, V = _exact_factor(ds, np.arange(xty.size), shift)
-        return V @ ((V.T @ xty) / w), w.size < xty.size
-    active = np.flatnonzero(warm_start)
-    x = warm_start[active]  # the current point on A
-    signs = np.sign(x)
-    rhs = xty[active] - 0.5 * l1 * signs
-    w, V = _exact_factor(ds, active, shift)
-
-    def objective(points):
-        """The objective at each row of points, a point on the current A."""
-        M = ds.gram[np.ix_(active, active)] + shift * np.eye(active.size)
-        return (np.einsum("ij,ij->i", points @ M, points)
-                - 2.0 * points @ xty[active] + l1 * np.abs(points).sum(axis=1))
-
-    max_passes = _MAX_PIVOTS + 2 * xty.size
-    for _ in range(max_passes):
-        u = signs - V @ (V.T @ signs) if w.size < active.size else None
-        if u is not None and u @ u * _GRAM_COND_LIMIT > active.size:
-            # the null step; t is the first zero crossing, if any
-            cross = np.flatnonzero(x * u > 0.0)
-            t_cross = x[cross] / u[cross]
-            t = min(t_cross, default=0.0)
-            point = x - t * u
-            point[cross[t_cross == t]] = 0.0
-            new, old = objective(np.stack([point, x]))
-            if new > old + 8.0 * np.finfo(float).eps * abs(old):
-                raise NumericalError("beta M-step: a step along the null space of X_A "
-                                     "did not lower the objective")
-            x = point
-            signs = np.sign(x)
-        else:
-            b = V @ ((V.T @ rhs) / w)
-            flipped = b * signs <= 0.0
-            if not flipped.any():
-                m = xty - ds.gram[:, active] @ b
-                excess = np.abs(2.0 * m) - l1
-                excess[active] = 0.0
-                if not (excess > 0.0).any():
-                    beta = np.zeros(xty.size)
-                    beta[active] = b
-                    return beta, w.size < active.size
-                j = int(np.argmax(excess))
-                x, active = np.append(b, 0.0), np.append(active, j)
-                signs = np.append(signs, np.sign(m[j]))
-            else:
-                # the crossings of the columns that flip, where they are exactly zero
-                cross = flipped & (x != 0.0)
-                t_cross = np.full(x.size, np.nan)
-                t_cross[cross] = x[cross] / (x[cross] - b[cross])
-                t = np.append(t_cross[cross], 1.0)
-                points = x + t[:, None] * (b - x)
-                points[t[:, None] == t_cross] = 0.0
-                x = points[np.argmin(objective(points))]
-                signs = np.sign(x)
-        keep = signs != 0.0  # the columns a step set to zero leave A
-        active, x, signs = active[keep], x[keep], signs[keep]
-        rhs = xty[active] - 0.5 * l1 * signs
-        w, V = _exact_factor(ds, active, shift, cache=False)
-    raise NumericalError(f"beta M-step: no optimum after {max_passes} active-set passes")
+    beta, cut, _ = _solve_gram(ds.gram, ds.X.T @ y, lam * penalty.alpha,
+                               lam * (1.0 - penalty.alpha), warm_start, ds.gram_factor)
+    return beta, cut
 
 
 def _variance_update(ds: LongitudinalDataset, moments: EStepMoments, beta: np.ndarray):
@@ -636,8 +527,9 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     identity (all overridden when init is given).  Iterates E- and M-steps
     until the relative change of the penalized log-likelihood falls below
     ctrl.eps, with an absolute fallback of ctrl.abs_eps where the ratio
-    rule is ill-conditioned near zero.  Every exact solve reads X'X and its
-    factors from the dataset, which computes each once.
+    rule is ill-conditioned near zero.  Every solve reads X'X and its
+    factors from the dataset, which computes X'X once and holds the last
+    factor.
 
     The EM driver (_run_em) with one member, whose beta M-step is
     _solve_beta warm-started at the previous beta.  The returned params
@@ -666,18 +558,19 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
     """Unpenalized fits with X restricted to each support, beta embedded in a p-vector.
 
     Every support (a tuple of column indices) is a member of one EM driver
-    run on ds.  A member's beta is solved on its support's cached factor
-    by _exact_factor's rule (the minimum-norm solution, and a note, where
-    X_A'X_A is not numerically positive definite) and embedded in a
-    p-vector, so no restricted dataset or moment is built.  (Padding the factors into one
-    (R, |A|max, |A|max) stack solved faster but raised the peak memory of
-    a scenario-3 run.)  Returns one entry per support: the FitReport, or
+    run on ds.  Each support is factored once, before the first
+    iteration, by ds.gram_factor and truncated by the lasso solver's rule
+    (_truncate: the minimum-norm solution, and a note, where X_A'X_A is not
+    numerically positive definite); a member's beta is solved on that
+    factor and embedded in a p-vector, so no restricted dataset or moment
+    is built.  (Padding the factors into one (R, |A|max, |A|max) stack
+    solved faster but raised the peak memory of a scenario-3 run.)  Returns one entry per support: the FitReport, or
     the NumericalError its fit raised, so one failure leaves the other fits
     standing.
     """
     if not supports:
         return []
-    factors = [(list(A), *_exact_factor(ds, A, 0.0)) for A in supports]
+    factors = [(list(A), *_truncate(ds.gram_factor(A), 0.0)) for A in supports]
     cut = [w_A.size < len(A) for A, w_A, _ in factors]
 
     def solve_beta(live, y, lam1, warm_start):

@@ -1,4 +1,4 @@
-"""Penalized least squares by cyclic coordinate descent.
+"""Penalized least squares by an active-set method on the Gram matrix.
 
 Solves
 
@@ -13,28 +13,26 @@ selection layer: fit_em, sweep, select, run_monte_carlo and kfold_cv take
 a lambda_scale, one of LAMBDA_SCALES, and effective_lambda, the only unit
 conversion, maps it onto the raw level.
 
-The solver maintains the gradient vector m = X'y - X'X beta, so each
-coordinate update costs O(p) independent of the number of rows.  After a
-full sweep it iterates over the current nonzero set until stable, then
-runs another full sweep to confirm; convergence is declared when a full
-sweep changes no coefficient by more than ``tol``.
+There is one solver, _solve_gram, which works on G = X'X and c = X'y
+alone and is exact: without an l1 term one minimum-norm solve, with one a
+feature-sign active-set loop (Lee, Battle, Raina & Ng 2007) of linear
+solves on the blocks of G.  The EM's beta M-step calls it on the dataset's
+X'X and cached factor; solve_pls is its public form on (X, y).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DataError
+from .exceptions import ConfigurationError, DataError, NumericalError
 
 __all__ = [
     "LAMBDA_SCALES",
     "PenaltySpec",
     "PlsSolution",
-    "soft_threshold",
     "solve_pls",
     "kkt_check",
     "lambda_max",
@@ -44,6 +42,8 @@ __all__ = [
 
 _FAMILIES = ("lasso", "ridge", "elastic_net")
 RAW, PER_OBS = LAMBDA_SCALES = ("raw", "per_obs")  # the lambda units effective_lambda knows
+_GRAM_COND_LIMIT = 1e12  # eigenvalues of G_AA + shift I at or below w_max / this are dropped
+_MAX_PIVOTS = 200        # with 2p, the active-set passes of one solve before it raises
 
 
 @dataclass(frozen=True)
@@ -90,25 +90,15 @@ class PenaltySpec:
 class PlsSolution:
     """Result of a penalized least-squares solve.
 
-    iterations counts coordinate sweeps (full and active-set combined).
+    iterations counts the solver's passes (one without an l1 term).
     kkt_residual is the maximum stationarity violation at the returned
-    beta, computed from the solver's maintained gradient.
+    beta.
     """
 
     beta: np.ndarray
     objective: float
     iterations: int
     kkt_residual: float
-    converged: bool
-    objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def soft_threshold(z: float, gamma: float) -> float:
-    """Return sign(z) * max(|z| - gamma, 0) for gamma >= 0."""
-    t = abs(z) - gamma
-    if t <= 0.0:
-        return 0.0
-    return math.copysign(t, z)
 
 
 def penalty_value(penalty: PenaltySpec, beta: np.ndarray) -> float:
@@ -175,127 +165,150 @@ def kkt_check(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, beta: np.ndarr
     return _kkt_residual(grad_half, beta, penalty.lam, penalty.alpha)
 
 
+def _truncate(factor, shift: float):
+    """Eigenpairs (w, V) of G_AA + shift * I from factor, np.linalg.eigh of
+    G_AA, less those at or below w_max / _GRAM_COND_LIMIT: V @ ((V.T @ rhs) / w)
+    is the minimum-norm least-squares solve, and w is shorter than the
+    factor's when any were dropped.
+    """
+    w, V = factor
+    w = w + shift
+    if w.size and not w[0] > w[-1] / _GRAM_COND_LIMIT:
+        keep = w > w[-1] / _GRAM_COND_LIMIT
+        w, V = w[keep], V[:, keep]
+    return w, V
+
+
+def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
+                warm_start: np.ndarray, factor):
+    """Minimize beta'G beta - 2 c'beta + l1 ||beta||_1 + shift ||beta||^2,
+    the objective of solve_pls less y'y with G = X'X and c = X'y, by linear
+    solves on the blocks of G.
+
+    factor(A) is np.linalg.eigh of G_AA for an index array A; a caller that
+    solves on one G many times passes a cached one.  On a support A with
+    signs s the stationarity conditions are linear:
+    (G_AA + shift * I) b_A = c_A - (l1 / 2) s.  Without an l1 term A is
+    every column and one solve on _truncate's eigenpairs is the minimizer,
+    the minimum-norm one when eigenpairs were dropped.  With one, an
+    active-set loop, feature-sign search (Lee, Battle, Raina & Ng 2007),
+    runs from warm_start's support and signs.  In each pass, when every b_A
+    keeps its sign in s, the at-zero condition |2 m_j| <= l1 of
+    _kkt_residual (m = c - G beta) is tested on the columns outside A: if it
+    holds, beta is optimal; if not, the column with the largest violation
+    joins A with the sign of m_j.  When a sign flips, a line search on the
+    segment from the current point to b_A takes the lowest objective among
+    b_A and the zero crossings, and the columns that reached zero leave A.
+    Where the factor of A dropped eigenpairs, u, the part of s outside the
+    kept eigenspace, is a null direction of X_A; unless u is negligible the
+    pass is a null step instead: along -u, X_A b stays put and the l1 term
+    falls, to the first zero crossing, whose column leaves A (a lasso
+    problem has a solution on linearly independent columns).
+
+    Every pass lowers the objective, so in exact arithmetic no (A, s)
+    repeats and the loop ends; _MAX_PIVOTS + 2p passes bound it in floating
+    point (a cold start whose optimum has k nonzeros takes k + 1).  From a
+    zero warm_start it is LARS-lasso.  Returns (beta, whether its solve
+    dropped eigenpairs, passes).  Raises NumericalError when a null step
+    raises the objective by more than rounding, and after _MAX_PIVOTS + 2p
+    passes.
+    """
+    if l1 == 0.0:
+        w, V = _truncate(factor(np.arange(c.size)), shift)
+        return V @ ((V.T @ c) / w), w.size < c.size, 1
+    active = np.flatnonzero(warm_start)
+    x = warm_start[active]  # the current point on A
+    signs = np.sign(x)
+    rhs = c[active] - 0.5 * l1 * signs
+    w, V = _truncate(factor(active), shift)
+
+    def objective(points):
+        """The objective at each row of points, a point on the current A."""
+        M = G[np.ix_(active, active)] + shift * np.eye(active.size)
+        return (np.einsum("ij,ij->i", points @ M, points)
+                - 2.0 * points @ c[active] + l1 * np.abs(points).sum(axis=1))
+
+    max_passes = _MAX_PIVOTS + 2 * c.size
+    for passes in range(1, max_passes + 1):
+        u = signs - V @ (V.T @ signs) if w.size < active.size else None
+        if u is not None and u @ u * _GRAM_COND_LIMIT > active.size:
+            # the null step; t is the first zero crossing, if any
+            cross = np.flatnonzero(x * u > 0.0)
+            t_cross = x[cross] / u[cross]
+            t = min(t_cross, default=0.0)
+            point = x - t * u
+            point[cross[t_cross == t]] = 0.0
+            new, old = objective(np.stack([point, x]))
+            if new > old + 8.0 * np.finfo(float).eps * abs(old):
+                raise NumericalError("beta M-step: a step along the null space of X_A "
+                                     "did not lower the objective")
+            x = point
+            signs = np.sign(x)
+        else:
+            b = V @ ((V.T @ rhs) / w)
+            flipped = b * signs <= 0.0
+            if not flipped.any():
+                m = c - G[:, active] @ b
+                excess = np.abs(2.0 * m) - l1
+                excess[active] = 0.0
+                if not (excess > 0.0).any():
+                    beta = np.zeros(c.size)
+                    beta[active] = b
+                    return beta, w.size < active.size, passes
+                j = int(np.argmax(excess))
+                x, active = np.append(b, 0.0), np.append(active, j)
+                signs = np.append(signs, np.sign(m[j]))
+            else:
+                # the crossings of the columns that flip, where they are exactly zero
+                cross = flipped & (x != 0.0)
+                t_cross = np.full(x.size, np.nan)
+                t_cross[cross] = x[cross] / (x[cross] - b[cross])
+                t = np.append(t_cross[cross], 1.0)
+                points = x + t[:, None] * (b - x)
+                points[t[:, None] == t_cross] = 0.0
+                x = points[np.argmin(objective(points))]
+                signs = np.sign(x)
+        keep = signs != 0.0  # the columns a step set to zero leave A
+        active, x, signs = active[keep], x[keep], signs[keep]
+        rhs = c[active] - 0.5 * l1 * signs
+        w, V = _truncate(factor(active), shift)
+    raise NumericalError(f"beta M-step: no optimum after {max_passes} active-set passes")
+
+
 def solve_pls(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec,
               warm_start: np.ndarray | None = None,
-              tol: float = 1e-9, max_sweeps: int = 10000,
               gram: np.ndarray | None = None,
               xty: np.ndarray | None = None,
               yty: float | None = None) -> PlsSolution:
-    """Minimize the penalized residual sum of squares by coordinate descent.
+    """Minimize the penalized residual sum of squares exactly (_solve_gram).
 
     Args:
         X: (N, p) design matrix.
         y: (N,) response.
         penalty: family, mixing weight, and level (raw units).
-        warm_start: optional initial beta (copied, not modified).
-        tol: convergence threshold on the maximum absolute coefficient
-            change over a full sweep.
-        max_sweeps: sweep budget; when exhausted the best (last) iterate
-            is returned with converged=False.
-        gram, xty, yty: optional precomputed X'X, X'y, y'y.  Callers that
-            re-solve on a fixed design (the EM loop) pass these to avoid
-            touching the N-row data.
+        warm_start: optional initial beta, whose support and signs the
+            active-set loop starts from (zero when not given).
+        gram, xty, yty: optional precomputed X'X, X'y, y'y, so that
+            re-solves on a fixed design need not touch the N-row data.
 
-    Identically-zero columns get beta_j = 0 with a warning instead of a
-    division by zero.
+    Without an l1 term and with X'X not numerically positive definite, beta
+    is the minimum-norm solution.  Raises NumericalError where _solve_gram
+    does.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise DataError("solve_pls: X must be (N, p) and y (N,) with matching N")
-    if not 0.0 < tol < math.inf:
-        raise ConfigurationError("solve_pls: tol must be finite and > 0")
-    if max_sweeps < 1:
-        raise ConfigurationError("solve_pls: max_sweeps must be >= 1")
     p = X.shape[1]
-    lam = float(penalty.lam)
-    alpha = penalty.alpha
-
-    y_ss = float(y @ y) if yty is None else float(yty)
-    if p == 0:
-        return PlsSolution(np.zeros(0), y_ss, 0, 0.0, True, np.array([y_ss]))
-
     G = X.T @ X if gram is None else np.asarray(gram, dtype=float)
     c = X.T @ y if xty is None else np.asarray(xty, dtype=float)
-    diag = np.ascontiguousarray(np.diagonal(G))
-
-    dead = diag <= 0.0
-    if dead.any():
-        warnings.warn(
-            f"solve_pls: {int(dead.sum())} zero column(s) pinned at beta=0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    if warm_start is None:
-        beta = np.zeros(p)
-    else:
-        beta = np.array(warm_start, dtype=float, copy=True)
-        if beta.shape != (p,):
-            raise DataError("solve_pls: warm_start has wrong length")
-        beta[dead] = 0.0
-
-    m = c - G @ beta  # X'(y - X beta), maintained incrementally
-    gamma = lam * alpha
-    denom = 2.0 * diag + 2.0 * lam * (1.0 - alpha)
-    live = np.flatnonzero(~dead)
-    pen_l2 = lam * (1.0 - alpha)
-
-    # hot-loop locals: plain-float lists for scalar reads, a preallocated
-    # buffer for the rank-one gradient update (same arithmetic, no numpy
-    # scalar overhead)
-    beta_l = beta.tolist()
-    diag_l = diag.tolist()
-    denom_l = denom.tolist()
-    G_rows = list(G)
-    buf = np.empty(p)
-    m_item = m.item
-
-    def objective() -> float:
-        val = y_ss - float(beta @ (c + m))
-        val += gamma * float(np.abs(beta).sum()) + pen_l2 * float(beta @ beta)
-        return val
-
-    def cycle(indices: np.ndarray) -> float:
-        biggest = 0.0
-        for j in indices:
-            b_old = beta_l[j]
-            z = 2.0 * (m_item(j) + diag_l[j] * b_old)
-            t = abs(z) - gamma
-            b_new = math.copysign(t, z) / denom_l[j] if t > 0.0 else 0.0
-            if b_new != b_old:
-                np.multiply(G_rows[j], b_new - b_old, out=buf)
-                np.subtract(m, buf, out=m)
-                beta_l[j] = b_new
-                beta[j] = b_new
-                change = abs(b_new - b_old)
-                if change > biggest:
-                    biggest = change
-        return biggest
-
-    trace = [objective()]
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
-        delta = cycle(live)
-        sweeps += 1
-        trace.append(objective())
-        if delta < tol:
-            converged = True
-            break
-        active = np.flatnonzero(beta)
-        while active.size and sweeps < max_sweeps:
-            delta = cycle(active)
-            sweeps += 1
-            trace.append(objective())
-            if delta < tol:
-                break
-
-    return PlsSolution(
-        beta=beta,
-        objective=trace[-1],
-        iterations=sweeps,
-        kkt_residual=_kkt_residual(m, beta, lam, alpha),
-        converged=converged,
-        objective_trace=np.asarray(trace),
-    )
+    beta = np.zeros(p) if warm_start is None else np.asarray(warm_start, dtype=float)
+    if beta.shape != (p,):
+        raise DataError("solve_pls: warm_start has wrong length")
+    lam, alpha = float(penalty.lam), penalty.alpha
+    beta, _, passes = _solve_gram(G, c, lam * alpha, lam * (1.0 - alpha), beta,
+                                  lambda cols: np.linalg.eigh(G[np.ix_(cols, cols)]))
+    m = c - G @ beta  # X'(y - X beta)
+    y_ss = float(y @ y) if yty is None else float(yty)
+    objective = y_ss - float(beta @ (c + m)) + lam * penalty_value(penalty, beta)
+    return PlsSolution(beta, objective, passes, _kkt_residual(m, beta, lam, alpha))

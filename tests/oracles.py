@@ -1,11 +1,13 @@
 """Independent reference implementations used to check the package.
 
-Everything here is deliberately brute force: exhaustive enumeration,
-explicit inverses and determinants, and generic black-box optimization.
+Everything here is deliberately brute force or textbook: exhaustive
+enumeration, coordinate descent, explicit inverses and determinants, and
+generic black-box optimization.
 Nothing imports from the solver code paths being tested.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.optimize
@@ -48,6 +50,72 @@ def lasso_best_by_enumeration(X, y, lam, shift=0.0):
                     best_beta = np.zeros(p)
                     best_beta[list(support)] = bs
     return best_beta, best_obj
+
+
+def lasso_by_coordinate_descent(X, y, penalty, warm_start=None, tol=1e-13, max_sweeps=10000):
+    """Elastic-net minimizer by cyclic coordinate descent.
+
+    The objective is ||y - X b||^2 + lam * [alpha ||b||_1 + (1 - alpha) ||b||^2]
+    with lam and alpha read from penalty.  The gradient m = X'y - X'X b is
+    maintained, so each coordinate update costs O(p).  After a full sweep
+    the nonzero set is iterated until stable, then another full sweep
+    confirms; convergence is declared when a full sweep changes no
+    coefficient by more than tol.  Identically-zero columns stay at zero.
+    Returns (beta, converged).
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = X.shape[1]
+    lam = float(penalty.lam)
+    alpha = penalty.alpha
+    G = X.T @ X
+    c = X.T @ y
+    diag = np.ascontiguousarray(np.diagonal(G))
+    dead = diag <= 0.0
+    beta = np.zeros(p) if warm_start is None else np.array(warm_start, dtype=float)
+    beta[dead] = 0.0
+
+    m = c - G @ beta  # X'(y - X beta), maintained incrementally
+    gamma = lam * alpha
+    denom = 2.0 * diag + 2.0 * lam * (1.0 - alpha)
+    live = np.flatnonzero(~dead)
+    beta_l = beta.tolist()
+    diag_l = diag.tolist()
+    denom_l = denom.tolist()
+    G_rows = list(G)
+    buf = np.empty(p)
+    m_item = m.item
+
+    def cycle(indices):
+        biggest = 0.0
+        for j in indices:
+            b_old = beta_l[j]
+            z = 2.0 * (m_item(j) + diag_l[j] * b_old)
+            t = abs(z) - gamma
+            b_new = math.copysign(t, z) / denom_l[j] if t > 0.0 else 0.0
+            if b_new != b_old:
+                np.multiply(G_rows[j], b_new - b_old, out=buf)
+                np.subtract(m, buf, out=m)
+                beta_l[j] = b_new
+                beta[j] = b_new
+                change = abs(b_new - b_old)
+                if change > biggest:
+                    biggest = change
+        return biggest
+
+    sweeps = 0
+    while sweeps < max_sweeps:
+        delta = cycle(live)
+        sweeps += 1
+        if delta < tol:
+            return beta, True
+        active = np.flatnonzero(beta)
+        while active.size and sweeps < max_sweeps:
+            delta = cycle(active)
+            sweeps += 1
+            if delta < tol:
+                break
+    return beta, False
 
 
 def dense_marginal_loglik(blocks, beta, sigma2, D):

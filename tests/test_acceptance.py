@@ -100,7 +100,7 @@ def test_criterion_1_lasso_core_oracle_equivalence():
         y = X @ beta_true + rng.normal(size=N)
         lam = float(rng.uniform(0.1, 2.0) * N / 10.0)
         pen = PenaltySpec.lasso(lam)
-        sol = solve_pls(X, y, pen, tol=1e-13)
+        sol = solve_pls(X, y, pen)
         beta_ref, obj_ref = lasso_best_by_enumeration(X, y, lam)
         worst_beta = max(worst_beta, float(np.abs(sol.beta - beta_ref).max()))
         worst_obj = max(worst_obj, abs(sol.objective - obj_ref))

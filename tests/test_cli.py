@@ -987,3 +987,70 @@ def test_default_p_star_above_p_names_its_source(tmp_path, capsys):
     assert error["type"] == "ConfigurationError"
     assert "scenario 3's default" in error["message"] and "--p-star" in error["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, tail", [
+    ("fit", ["--lambda", "0.1", "--output", "{here}"]),
+    ("cv", ["--k", "2", "--seed", "1", "--output", "{here}"]),
+    ("reduce", ["--output", "{here}", "--report", "{here}/r.json"]),
+    ("reduce", ["--output", "{here}/r.csv", "--report", "{here}"]),
+], ids=["fit", "cv", "reduce-output", "reduce-report"])
+def test_output_path_naming_a_directory_is_usage_error_before_any_fit(tmp_path, small_csv,
+                                                                      capsys, monkeypatch,
+                                                                      command, tail):
+    calls = []
+    for name in ("ingest_long_csv", "fit_em", "kfold_cv"):
+        def record(*args, _name=name, _real=getattr(cli, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(cli, name, record)
+    argv = ["--input", str(small_csv[0]), *DATA_FLAGS]
+    rc = main([command, *argv, *(arg.format(here=tmp_path) for arg in tail)])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError" and "is a directory" in error["message"]
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+@pytest.mark.parametrize("command, tail", [
+    ("fit", ["--lambda", "0.1", "--output", "{out}/fit.json"]),
+    ("select", ["--grid", "0.05,0.1", "--output-prefix", "{out}/sel"]),
+    ("cv", ["--k", "2", "--seed", "1", "--grid", "0.05,0.1", "--output", "{out}/cv.csv"]),
+    ("reduce", ["--output", "{out}/reduced.csv", "--report", "{out}/r.json"]),
+], ids=["fit", "select", "cv", "reduce"])
+def test_byte_order_mark_before_the_header_is_dropped(tmp_path, small_csv, command, tail):
+    # a spreadsheet's "CSV UTF-8" starts the file with U+FEFF; the first
+    # column, here the subject id, keeps its name, and the run writes what
+    # it writes for the file without the mark
+    plain = small_csv[0]
+    marked = tmp_path / "marked.csv"
+    marked.write_text("\ufeff" + plain.read_text(), encoding="utf-8")
+    for name, f in (("plain", plain), ("marked", marked)):
+        (tmp_path / name).mkdir()
+        rc = main([command, "--input", str(f), *DATA_FLAGS,
+                   *(arg.format(out=tmp_path / name) for arg in tail)])
+        assert rc == 0
+    outputs = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert outputs == sorted(p.name for p in (tmp_path / "marked").iterdir())
+    for name in outputs:
+        assert (tmp_path / "marked" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+
+
+def test_reduce_drops_a_first_column_after_a_byte_order_mark(tmp_path):
+    # the dropped column is the first one, so its header cell holds the mark
+    rng = np.random.default_rng(11)
+    lines = ["\ufeffc,id,y,a,b,t"]
+    for i in range(8):
+        for t in range(3):
+            a, b = (float(v) for v in rng.normal(size=2))
+            lines.append(f"{a + b!r},s{i},{a - b + float(rng.normal())!r},{a!r},{b!r},{t + 1}")
+    f = tmp_path / "dep.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "reduced.csv"
+    rc = main(["reduce", "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", "a,b,c", "--random", "1,t",
+               "--output", str(out), "--report", str(tmp_path / "report.json")])
+    assert rc == 0
+    assert out.read_text(encoding="utf-8").split("\n")[0] == "id,y,a,b,t"

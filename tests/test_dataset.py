@@ -286,6 +286,11 @@ def test_gram_is_cached_read_only():
     np.testing.assert_allclose((V * w) @ V.T, gram[np.ix_([0, 2], [0, 2])], atol=1e-10)
     with pytest.raises(ValueError):
         w[0] = 99.0
+    # the dataset holds one factor: another request replaces it
+    ds.gram_factor((1,))
+    w2, V2 = ds.gram_factor((0, 2))
+    assert V2 is not V
+    np.testing.assert_array_equal(V2, V)
 
 
 @pytest.mark.parametrize("text,message", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmmlasso import em_engine
+from lmmlasso import em_engine, penalized_ls
 from lmmlasso.dataset import LongitudinalDataset, SubjectBlock
 from lmmlasso.em_engine import (
     EmControl,
@@ -34,6 +34,7 @@ from oracles import (
     dense_marginal_loglik,
     direct_ml_lmm,
     lasso_best_by_enumeration,
+    lasso_by_coordinate_descent,
 )
 
 D_UNIT = np.array([[1.0, 0.25], [0.25, 1.0]])
@@ -506,6 +507,8 @@ def _fit_vector(rep):
 
 
 def _count_solve_pls(monkeypatch):
+    """Calls through em_engine's binding of the public solve_pls, which the
+    benchmark tracer wraps: the engine calls the solver's core directly."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -527,8 +530,8 @@ def test_exact_m_step_fit_matches_coordinate_descent(penalty, monkeypatch):
     def cd_solve_beta(ds, y, penalty, lam, warm_start):
         """The beta M-step by coordinate descent, warm-started like _solve_beta."""
         cd_calls.append(None)
-        sol = solve_pls(ds.X, y, penalty.with_lam(lam), warm_start=warm_start, tol=1e-13)
-        return sol.beta, False
+        beta, _ = lasso_by_coordinate_descent(ds.X, y, penalty.with_lam(lam), warm_start)
+        return beta, False
 
     # the reference fit: every beta M-step, the pooled start included, by
     # coordinate descent
@@ -547,11 +550,10 @@ def test_exact_m_step_without_factor_matches_solve_pls(penalty, monkeypatch):
     calls = _count_solve_pls(monkeypatch)
     new = m_step(ds, mom, params, penalty.lam, penalty)
     assert calls == []
+    # the M-step and the public solver are one solver: equal bit for bit
     lam1 = 2.0 * penalty.lam * params.sigma2
-    ref = solve_pls(ds.X, mom.y_tilde, penalty.with_lam(lam1),
-                    warm_start=params.beta, tol=1e-13)
-    assert ref.converged
-    np.testing.assert_allclose(new.beta, ref.beta, rtol=0, atol=1e-12)
+    ref = solve_pls(ds.X, mom.y_tilde, penalty.with_lam(lam1), warm_start=params.beta)
+    np.testing.assert_array_equal(new.beta, ref.beta)
     assert kkt_check(ds.X, mom.y_tilde, penalty.with_lam(lam1), new.beta) <= 1e-10
 
 
@@ -562,7 +564,7 @@ def test_exact_m_step_without_factor_matches_solve_pls(penalty, monkeypatch):
 def test_exact_m_step_pivots_to_the_optimum(penalty, warm_start, monkeypatch):
     # the E-step of the test above, whose M-step optimum has support {0, 1}:
     # the active-set loop drops the extra column, adds the missing one or
-    # flips the wrong sign, with no coordinate descent
+    # flips the wrong sign
     ds = simulate_lmm(9, n=12, n_i=3)
     mom = e_step(ds, LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT))
     params = LmmParams(np.array(warm_start), 1.7, D_UNIT)
@@ -570,9 +572,9 @@ def test_exact_m_step_pivots_to_the_optimum(penalty, warm_start, monkeypatch):
     new = m_step(ds, mom, params, penalty.lam, penalty)
     assert calls == []
     lam1 = penalty.with_lam(2.0 * penalty.lam * params.sigma2)
-    ref = solve_pls(ds.X, mom.y_tilde, lam1, warm_start=params.beta, tol=1e-13)
-    assert ref.converged
-    np.testing.assert_allclose(new.beta, ref.beta, rtol=0, atol=1e-12)
+    ref, _ = lasso_best_by_enumeration(ds.X, mom.y_tilde, lam1.lam * lam1.alpha,
+                                       lam1.lam * (1.0 - lam1.alpha))
+    np.testing.assert_allclose(new.beta, ref, rtol=0, atol=1e-12)
     assert kkt_check(ds.X, mom.y_tilde, lam1, new.beta) <= 1e-10
 
 
@@ -598,40 +600,29 @@ def _one_subject(X, y):
     return LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
 
 
-def _solve_beta_counted(ds, y, penalty, lam, warm_start):
-    """em_engine._solve_beta's beta, and the number of solve_pls calls it made."""
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _count_solve_pls(mp)
-        beta, _ = em_engine._solve_beta(ds, y, penalty, lam, warm_start=warm_start)
-    return beta, len(calls)
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_lasso_problems())
 def test_solve_beta_matches_enumeration_oracle(problem):
     X, y, lam, warm_start = problem
-    beta, cd_calls = _solve_beta_counted(_one_subject(X, y), y, PenaltySpec.lasso(0.0), lam,
-                                         warm_start)
+    beta, _ = em_engine._solve_beta(_one_subject(X, y), y, PenaltySpec.lasso(0.0), lam,
+                                    warm_start)
     _, best = lasso_best_by_enumeration(X, y, lam)
     resid = y - X @ beta
     objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
     assert objective == pytest.approx(best, rel=1e-9, abs=0.0)
     assert kkt_check(X, y, PenaltySpec.lasso(lam), beta) <= 1e-7
-    # the active-set loop settles it with no coordinate descent
-    assert cd_calls == 0
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_lasso_problems(), st.sampled_from([0.2, 0.5, 0.9]))
-def test_elastic_net_solve_beta_matches_tight_solve_pls(problem, alpha):
+def test_elastic_net_solve_beta_matches_coordinate_descent_oracle(problem, alpha):
     X, y, lam, warm_start = problem
     penalty = PenaltySpec.elastic_net(alpha, lam)
-    beta, cd_calls = _solve_beta_counted(_one_subject(X, y), y, penalty, lam, warm_start)
-    ref = solve_pls(X, y, penalty, warm_start=warm_start, tol=1e-13)
-    assert ref.converged
-    np.testing.assert_allclose(beta, ref.beta, rtol=0, atol=1e-10)
+    beta, _ = em_engine._solve_beta(_one_subject(X, y), y, penalty, lam, warm_start)
+    ref, converged = lasso_by_coordinate_descent(X, y, penalty, warm_start)
+    assert converged
+    np.testing.assert_allclose(beta, ref, rtol=0, atol=1e-10)
     assert kkt_check(X, y, penalty, beta) <= 1e-7
-    assert cd_calls == 0
 
 
 @st.composite
@@ -670,17 +661,15 @@ def _singular_problems(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_singular_problems())
 def test_solve_beta_on_singular_designs_matches_enumeration_oracle(problem):
-    # supports whose X_A'X_A is singular are left by null steps, with no
-    # coordinate descent
+    # supports whose X_A'X_A is singular are left by null steps
     X, y, penalty, lam, warm_start = problem
-    beta, cd_calls = _solve_beta_counted(_one_subject(X, y), y, penalty, lam, warm_start)
+    beta, _ = em_engine._solve_beta(_one_subject(X, y), y, penalty, lam, warm_start)
     l1, shift = lam * penalty.alpha, lam * (1.0 - penalty.alpha)
     _, best = lasso_best_by_enumeration(X, y, l1, shift)
     resid = y - X @ beta
     objective = float(resid @ resid) + l1 * float(np.abs(beta).sum()) + shift * float(beta @ beta)
     assert objective == pytest.approx(best, rel=1e-9, abs=0.0)
     assert kkt_check(X, y, penalty.with_lam(lam), beta) <= 1e-8
-    assert cd_calls == 0
 
 
 @st.composite
@@ -783,7 +772,7 @@ def test_refit_stack_notes_only_its_singular_member():
 
 
 def test_ridge_on_duplicated_column_is_solved_exactly(monkeypatch):
-    # X'X is singular, X'X + shift I is not: no M-step needs coordinate descent
+    # X'X is singular, X'X + shift I is not: no M-step drops an eigenpair
     ds = _with_duplicate_column(simulate_lmm(13, n=20, n_i=4))
     calls = _count_solve_pls(monkeypatch)
     rep = fit_em(ds, 0.05, PenaltySpec.ridge(0.05), lambda_scale="per_obs")
@@ -812,35 +801,48 @@ def test_refit_trace_never_decreases_on_exact_path():
         assert rep.worst_trace_decrease() == 0.0
 
 
-def test_sweep_factors_each_support_once_per_dataset(monkeypatch):
-    ds, _ = generate_scenario(ScenarioConfig.scenario3(seed=3))
+def _record_factor_requests(monkeypatch):
+    """(dataset eighs, requests): the (module, function) of every np.linalg.eigh
+    call, and the (dataset, columns, eighs it ran) of every gram_factor request."""
     eigh = np.linalg.eigh
-    callers = []  # (module, function) of every eigh call
+    callers = []
 
     def counted(a, *args, **kwargs):
         frame = sys._getframe(1)
         callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
         return eigh(a, *args, **kwargs)
 
-    requests = []  # (dataset, columns) of every factor request; keeps each dataset alive
+    requests = []  # keeps each dataset alive
     gram_factor = LongitudinalDataset.gram_factor
 
     def recorded(self, cols):
-        requests.append((self, tuple(int(j) for j in cols)))
-        return gram_factor(self, cols)
+        before = len(callers)
+        out = gram_factor(self, cols)
+        requests.append((self, tuple(int(j) for j in cols), len(callers) - before))
+        return out
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(LongitudinalDataset, "gram_factor", recorded)
+    return callers, requests
+
+
+def test_sweep_factors_a_support_only_when_it_changes(monkeypatch):
+    ds, _ = generate_scenario(ScenarioConfig.scenario3(seed=3))
+    callers, requests = _record_factor_requests(monkeypatch)
     sweep(ds, default_grid(), lambda_scale="per_obs")
 
-    distinct = {(id(d), cols) for d, cols in requests}
+    # the dataset holds one factor: a request for the columns of the one
+    # before it (an M-step whose warm support is the last one factored)
+    # runs no eigh, and any other request runs one
+    previous = None
+    for d, cols, eighs in requests:
+        assert d is ds and eighs == (0 if cols == previous else 1)
+        previous = cols
     from_dataset = [c for c in callers if c[0] == "lmmlasso.dataset"]
-    assert len(from_dataset) == len(distinct)
-    assert len(requests) > 5 * len(distinct)
-    # every other eigh in the engine is of the q x q covariance D, or the
-    # uncached factor of a support the lasso M-step's active-set loop pivots to
-    assert {f for m, f in callers if m == "lmmlasso.em_engine"} <= {
-        "_guard_params", "_checked_eigh", "_exact_factor"}
+    assert len(requests) > 5 * len(from_dataset)
+    # every other eigh in the package is of the q x q covariance D
+    assert {f for m, f in callers if m != "lmmlasso.dataset"} <= {
+        "_guard_params", "_checked_eigh"}
 
 
 def test_sweep_refits_on_the_parent_dataset(monkeypatch):
@@ -879,9 +881,13 @@ def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeyp
     if penalty.lam == 0.0:
         support = np.flatnonzero(exact.params.beta)
         factor = ds.gram_factor(support)
-        # the cached factor is reused, but tested for definiteness on every use
-        monkeypatch.setattr(em_engine, "_GRAM_COND_LIMIT", 1.0)
+        # the held factor is reused, with no eigh, but tested for
+        # definiteness on every use
+        monkeypatch.setattr(penalized_ls, "_GRAM_COND_LIMIT", 1.0)
+        _, requests = _record_factor_requests(monkeypatch)
         forced = fit_em(ds, penalty.lam, penalty, ctrl=ctrl)
+        assert len(requests) == ctrl.max_iter + 1
+        assert all(eighs == 0 for _, _, eighs in requests)
         assert ds.gram_factor(support) is factor
         notes = sum("not numerically positive definite" in w for w in forced.warnings)
         # every eigenpair dropped: the minimum-norm solution is zero
@@ -889,18 +895,19 @@ def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeyp
         np.testing.assert_array_equal(forced.params.beta, 0.0)
     else:
         # the warm start holds column 0 and its copy with opposite signs: the
-        # cached factor of that support drops an eigenpair when the first
-        # M-step uses it, and the null step moves onto the point without the
-        # copy, so the fit follows the one on the design without it
+        # held factor of that support, taken with no new eigh, drops an
+        # eigenpair when the first M-step uses it, and the null step moves
+        # onto the point without the copy, so the fit follows the one on the
+        # design without it
         dup = _with_duplicate_column(ds)
         support = (0, 1, 2, 3)
         assert np.all(exact.params.beta != 0.0)
-        factor = dup.gram_factor(support)
-        assert factor[0].size == len(support)
+        assert dup.gram_factor(support)[0].size == len(support)
         init = replace(exact.params, beta=np.append(exact.params.beta + [0.5, 0.0, 0.0], -0.5))
+        _, requests = _record_factor_requests(monkeypatch)
         rep = fit_em(dup, penalty.lam, penalty, init=init, ctrl=ctrl)
         ref = fit_em(ds, penalty.lam, penalty, init=exact.params, ctrl=ctrl)
-        assert dup.gram_factor(support) is factor and calls == []
+        assert requests[0][1:] == (support, 0) and calls == []
         _assert_same_refit(dup, rep, ds, ref, rtol=1e-12)
         assert rep.worst_trace_decrease() <= 1e-8
 
@@ -912,7 +919,7 @@ def test_active_set_pass_cap_raises_and_sweep_records_it(monkeypatch):
     # from a zero warm start the loop needs one pass to add a column and
     # another to prove the optimum; at or above lambda_max one pass settles
     # it.  The cap is _MAX_PIVOTS + 2p passes: here 1
-    monkeypatch.setattr(em_engine, "_MAX_PIVOTS", 1 - 2 * ds.p)
+    monkeypatch.setattr(penalized_ls, "_MAX_PIVOTS", 1 - 2 * ds.p)
     message = "beta M-step: no optimum after 1 active-set passes"
     with pytest.raises(NumericalError, match=f"^{message}$"):
         fit_em(ds, 0.5 * lmax)
@@ -929,4 +936,4 @@ def test_cold_start_with_more_nonzeros_than_the_pivot_constant_converges(monkeyp
     calls = _count_solve_pls(monkeypatch)
     rep = fit_em(ds, 1e-3 * lambda_max(ds.X, ds.y))
     assert rep.converged and calls == []
-    assert np.count_nonzero(rep.params.beta) > em_engine._MAX_PIVOTS
+    assert np.count_nonzero(rep.params.beta) > penalized_ls._MAX_PIVOTS

@@ -6,7 +6,6 @@ from lmmlasso.penalized_ls import (
     PenaltySpec,
     kkt_check,
     lambda_max,
-    soft_threshold,
     solve_pls,
 )
 
@@ -27,13 +26,6 @@ def _oracle_instance():
     return X, y
 
 
-def test_soft_threshold_values():
-    assert soft_threshold(5.0, 2.0) == 3.0
-    assert soft_threshold(-1.0, 2.0) == 0.0
-    for z in (-3.7, 0.0, 0.2, 11.0):
-        assert soft_threshold(z, 0.0) == z
-
-
 def test_penalty_spec_validation():
     with pytest.raises(ConfigurationError):
         PenaltySpec("lasso", alpha=0.5, lam=1.0)
@@ -52,10 +44,9 @@ def test_lambda_zero_recovers_ols():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 6))
     y = rng.normal(size=40)
-    sol = solve_pls(X, y, PenaltySpec.lasso(0.0), tol=1e-12)
+    sol = solve_pls(X, y, PenaltySpec.lasso(0.0))
     ols = np.linalg.solve(X.T @ X, X.T @ y)
     np.testing.assert_allclose(sol.beta, ols, atol=1e-8)
-    assert sol.converged
     assert kkt_check(X, y, PenaltySpec.lasso(0.0), sol.beta) <= 1e-8
 
 
@@ -74,7 +65,7 @@ def test_lambda_at_or_above_lambda_max_gives_exact_zero():
 
 def test_matches_signsupport_oracle_frozen_instance():
     X, y = _oracle_instance()
-    sol = solve_pls(X, y, PenaltySpec.lasso(3.0), tol=1e-13)
+    sol = solve_pls(X, y, PenaltySpec.lasso(3.0))
     np.testing.assert_allclose(sol.beta, ORACLE_BETA, atol=1e-6)
     assert abs(sol.objective - ORACLE_OBJ) <= 1e-8
     assert sol.kkt_residual <= 1e-8
@@ -93,24 +84,13 @@ def test_kkt_residual_of_ols_is_tiny():
     assert kkt_check(X, y, PenaltySpec.lasso(0.0), ols) <= 1e-10
 
 
-def test_objective_trace_is_monotone_decreasing():
-    rng = np.random.default_rng(19)
-    X = rng.normal(size=(50, 12))
-    y = X @ rng.normal(size=12) + rng.normal(size=50)
-    for lam in (0.0, 1.0, 25.0):
-        sol = solve_pls(X, y, PenaltySpec.lasso(lam))
-        tr = sol.objective_trace
-        slack = 1e-12 * np.abs(tr[:-1])
-        assert np.all(np.diff(tr) <= slack)
-
-
 def test_warm_start_matches_cold_start_when_strictly_convex():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(60, 8))
     y = X @ rng.normal(size=8) + rng.normal(size=60)
     pen = PenaltySpec.elastic_net(0.6, 4.0)
-    cold = solve_pls(X, y, pen, tol=1e-12)
-    warm = solve_pls(X, y, pen, warm_start=rng.normal(size=8), tol=1e-12)
+    cold = solve_pls(X, y, pen)
+    warm = solve_pls(X, y, pen, warm_start=rng.normal(size=8))
     np.testing.assert_allclose(cold.beta, warm.beta, atol=1e-9)
 
 
@@ -119,28 +99,27 @@ def test_optimal_objective_nondecreasing_in_lambda():
     X = rng.normal(size=(30, 6))
     y = X @ rng.normal(size=6) + rng.normal(size=30)
     lams = [0.0, 0.5, 2.0, 8.0, 32.0, 128.0]
-    objs = [solve_pls(X, y, PenaltySpec.lasso(lam), tol=1e-12).objective
+    objs = [solve_pls(X, y, PenaltySpec.lasso(lam)).objective
             for lam in lams]
     assert np.all(np.diff(objs) >= -1e-10)
 
 
 def test_scaling_homogeneity_lasso():
     X, y = _oracle_instance()
-    base = solve_pls(X, y, PenaltySpec.lasso(3.0), tol=1e-13)
+    base = solve_pls(X, y, PenaltySpec.lasso(3.0))
     for c in (0.5, 2.0, 7.3):
-        scaled = solve_pls(X, c * y, PenaltySpec.lasso(3.0 * c), tol=1e-13)
+        scaled = solve_pls(X, c * y, PenaltySpec.lasso(3.0 * c))
         np.testing.assert_allclose(scaled.beta, c * base.beta, atol=1e-8)
 
 
-def test_zero_column_pinned_with_warning():
+def test_zero_column_gets_zero_beta():
+    # warnings are errors in this suite, so the solve also warns of nothing
     rng = np.random.default_rng(31)
     X = rng.normal(size=(20, 4))
     X[:, 2] = 0.0
     y = rng.normal(size=20)
-    with pytest.warns(RuntimeWarning, match="zero column"):
-        sol = solve_pls(X, y, PenaltySpec.lasso(1.0))
+    sol = solve_pls(X, y, PenaltySpec.lasso(1.0))
     assert sol.beta[2] == 0.0
-    assert sol.converged
 
 
 def test_ridge_closed_form():
@@ -148,7 +127,7 @@ def test_ridge_closed_form():
     X = rng.normal(size=(30, 5))
     y = rng.normal(size=30)
     lam = 3.5
-    sol = solve_pls(X, y, PenaltySpec.ridge(lam), tol=1e-13)
+    sol = solve_pls(X, y, PenaltySpec.ridge(lam))
     ref = np.linalg.solve(X.T @ X + lam * np.eye(5), X.T @ y)
     np.testing.assert_allclose(sol.beta, ref, atol=1e-9)
 
@@ -158,25 +137,14 @@ def test_gram_precomputation_matches_plain_call():
     X = rng.normal(size=(25, 6))
     y = rng.normal(size=25)
     pen = PenaltySpec.lasso(2.0)
-    ref = solve_pls(X, y, pen, tol=1e-12)
-    via_gram = solve_pls(X, y, pen, tol=1e-12,
-                         gram=X.T @ X, xty=X.T @ y, yty=float(y @ y))
+    ref = solve_pls(X, y, pen)
+    via_gram = solve_pls(X, y, pen, gram=X.T @ X, xty=X.T @ y, yty=float(y @ y))
     np.testing.assert_allclose(ref.beta, via_gram.beta, atol=0.0)
     assert ref.objective == via_gram.objective
-
-
-def test_max_sweeps_exhaustion_reports_nonconvergence():
-    rng = np.random.default_rng(47)
-    X = rng.normal(size=(40, 10))
-    y = X @ rng.normal(size=10) + rng.normal(size=40)
-    sol = solve_pls(X, y, PenaltySpec.lasso(0.0), tol=1e-14, max_sweeps=2)
-    assert not sol.converged
-    assert sol.iterations == 2
 
 
 def test_empty_design_returns_empty_beta():
     y = np.array([1.0, -2.0, 0.5])
     sol = solve_pls(np.zeros((3, 0)), y, PenaltySpec.lasso(1.0))
     assert sol.beta.shape == (0,)
-    assert sol.converged
     assert sol.objective == pytest.approx(float(y @ y))

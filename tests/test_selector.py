@@ -505,8 +505,9 @@ def test_refit_supports_isolates_a_failing_e_step(monkeypatch):
 
 def test_scenario3_sweep_runs_no_coordinate_descent(monkeypatch):
     # a work-count guard: every beta M-step of a full-rank design, the pooled
-    # start included, is settled by the active-set loop (38 solve_pls calls
-    # here when a rejected warm support went to coordinate descent)
+    # start included, calls the solver's core directly, not the public
+    # solve_pls that the benchmark tracer wraps (38 calls here when a
+    # rejected warm support went to coordinate descent)
     ds = _scenario3(3)
     assert (ds.n, ds.N, ds.p) == (30, 150, 50)
     calls = []
