@@ -3,11 +3,13 @@
 The package fits the mixed model y_i = X_i beta + Z_i b_i + eps_i by
 penalized maximum likelihood: an EM algorithm whose E-step returns the
 random-effect moments together with the marginal log-likelihood and whose
-M-step solves an l1-penalized least-squares problem with the package's
-one lasso solver (exact: one minimum-norm solve without an l1 term, else
-an active-set loop of linear solves on X'X that leaves a singular support
+M-step solves a penalized least-squares problem with the package's one
+lasso solver (exact: one minimum-norm solve without an l1 term, else an
+active-set loop of linear solves on X'X that leaves a singular support
 along its null space; solve_pls is its public form), a BIC-driven sweep
-over the penalty grid, and an unpenalized refit of the selected support.
+over the penalty grid, and unpenalized refits of the supports it finds
+(fit_em_supports, the one refit entry point, which checks its supports).
+A penalty is PenaltySpec(alpha, lam), glmnet's mixing weight and level.
 A simulation kit regenerates the benchmark scenarios, and a small CLI
 wires everything into reproducible batch runs.
 """
@@ -34,7 +36,6 @@ from .em_engine import (
     fit_em_supports,
     m_step,
     observed_loglik,
-    penalized_loglik,
 )
 from .exceptions import (
     ConfigurationError,
@@ -57,7 +58,6 @@ from .selector import (
     auto_log_grid,
     default_grid,
     refit_support,
-    refit_supports,
     select,
     sweep,
 )

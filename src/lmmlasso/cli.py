@@ -32,9 +32,9 @@ import numpy as np
 
 from .dataset import (
     ColumnRoles,
+    csv_reader,
     ingest_long_csv,
     name_list,
-    read_header,
     remove_linear_combos,
     standardize,
 )
@@ -233,9 +233,13 @@ def _ctrl_from(cfg: dict) -> EmControl:
 
 
 def _penalty_from(cfg: dict) -> PenaltySpec:
-    if cfg["penalty"] == "lasso" and "alpha" in cfg:
-        raise ConfigurationError("--alpha has no effect with the lasso")
-    return PenaltySpec(cfg["penalty"], **_given(cfg, "alpha"))
+    if cfg["penalty"] == "lasso":
+        if "alpha" in cfg:
+            raise ConfigurationError("--alpha has no effect with the lasso")
+        return PenaltySpec.lasso(0.0)
+    if "alpha" not in cfg:
+        raise ConfigurationError("elastic_net requires --alpha in (0, 1)")
+    return PenaltySpec.elastic_net(cfg["alpha"], 0.0)
 
 
 def _resolve_grid(cfg: dict, ds=None) -> np.ndarray | None:
@@ -344,9 +348,9 @@ def cmd_reduce(cfg: dict) -> int:
     limit = csv.field_size_limit(sys.maxsize)
     try:
         with open(cfg["input"], newline="") as fh:
-            rows = csv.reader(fh)
+            rows = csv_reader(fh)
             try:
-                header = read_header(rows)
+                header = next(rows)
                 keep_idx = [i for i, name in enumerate(header) if name not in dropped_names]
                 write_csv(cfg["output"], [header[i] for i in keep_idx],
                           ([row[i] for i in keep_idx] for row in rows if row))

@@ -11,6 +11,7 @@ can be shared read-only across concurrent fits.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -320,14 +321,13 @@ def _lines_without_separators(fh):
         yield from lines
 
 
-def read_header(reader) -> list:
-    """The next row of a csv.reader, the header, less a UTF-8 byte-order mark
-    before its first cell (spreadsheets write one when saving "CSV UTF-8").
-    Raises StopIteration on an empty file."""
-    header = next(reader)
-    if header and header[0].startswith("\ufeff"):
-        header[0] = header[0][1:]
-    return header
+def csv_reader(fh):
+    """A csv.reader over the text file fh, less a UTF-8 byte-order mark at
+    its start (spreadsheets write one when saving "CSV UTF-8").  The mark is
+    dropped before csv parses the header, so a quoted first cell stays
+    quoted; fh is read one line at a time, so a pipe works too."""
+    first = fh.readline().removeprefix("\ufeff")
+    return csv.reader(itertools.chain([first] if first else [], fh))
 
 
 def _parse_table(fh, width, sub_i, value_cols):
@@ -372,7 +372,7 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     Rows are grouped by the subject column preserving within-subject file
     order; subjects are ordered by first appearance.  No standardization
     is applied.  A column given a role must appear exactly once in the
-    header, which is read by read_header (a byte-order mark before it is
+    header, which is read by csv_reader (a byte-order mark before it is
     dropped).  After csv.reader has read and checked the header, the rows
     are parsed in one C pass (np.loadtxt): role columns as floats, the
     subject column as strings, and any other column only counted.  The
@@ -387,9 +387,9 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     """
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            reader = csv_reader(fh)
             try:
-                header = read_header(reader)
+                header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             col_index = {name: i for i, name in enumerate(header)}
@@ -409,7 +409,7 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
                     parsed = _parse_table(fh, len(header), sub_i, value_cols)
                 except ValueError:
                     fh.seek(0)
-                    reader = csv.reader(fh)
+                    reader = csv_reader(fh)
                     next(reader)  # the header, read and checked above
             subjects, columns = parsed or _parse_rows(path, reader, header, sub_i, value_cols)
     except OSError as e:
@@ -437,16 +437,15 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
         roles.fixed, roles.response, roles.random)
 
 
-def standardize(ds: LongitudinalDataset, categorical=(), center_categorical=False,
-                scale_y=True) -> LongitudinalDataset:
+def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> LongitudinalDataset:
     """Center and scale pooled X columns and the response.
 
-    Columns listed in ``categorical`` (indices) are exempt from scaling
-    and, unless center_categorical is set, from centering too.  The
-    response is always centered and scaled when scale_y.  Sample standard
-    deviations use the n-1 convention.  A non-exempt constant column is a
-    data error, and so is a column or response whose standard deviation is
-    not finite (its squares overflow double precision).
+    Columns listed in ``categorical`` (indices) are exempt from centering
+    and scaling.  The response is always centered, and scaled when
+    scale_y.  Sample standard deviations use the n-1 convention.  A
+    non-exempt constant column is a data error, and so is a column or
+    response whose standard deviation is not finite (its squares overflow
+    double precision).
     """
     if ds.standardization is not None:
         raise ConfigurationError("dataset is already standardized")
@@ -465,8 +464,7 @@ def standardize(ds: LongitudinalDataset, categorical=(), center_categorical=Fals
         if not np.isfinite(scale[j]):
             raise DataError(f"column {ds.x_names[j]!r} has a non-finite standard "
                             "deviation; rescale it")
-    if not center_categorical:
-        center = np.where(exempt, 0.0, center)
+    center = np.where(exempt, 0.0, center)
     scale = np.where(exempt, 1.0, np.where(scale == 0.0, 1.0, scale))
 
     if scale_y and y_scale == 0.0:

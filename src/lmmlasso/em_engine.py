@@ -40,9 +40,10 @@ dataset, so one EM iteration touches the N-row data only through
 design-matrix products.
 
 fit_em and fit_em_supports run one EM driver (_run_em) over members
-whose parameters sit on a leading axis: fit_em one member, and
-fit_em_supports the unpenalized fits of many supports (a sweep's refits)
-on the parent dataset.  Each iteration takes one _guard_params, one e_step
+whose parameters sit on a leading axis of one LmmParams: fit_em one
+member, and fit_em_supports, the package's one refit entry point, the
+unpenalized fits of many checked supports (a sweep's refits) on the
+parent dataset.  Each iteration takes one _guard_params, one e_step
 and one closed-form sigma2 and D update for all members, on the same
 cached moments; only the beta solve is per member.  At 30 subjects an
 iteration costs mostly numpy dispatch, so R fits in lock-step cost far
@@ -54,11 +55,12 @@ single fit, which are the faster ones at R = 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import LongitudinalDataset
+from .dataset import LongitudinalDataset, beta_original_scale
 from .exceptions import ConfigurationError, NumericalError
 # solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
 # this module's binding of it, so the name stays until the tracer drops it
@@ -73,7 +75,6 @@ __all__ = [
     "e_step",
     "m_step",
     "observed_loglik",
-    "penalized_loglik",
     "fit_em",
     "fit_em_supports",
 ]
@@ -87,16 +88,22 @@ _MIN_NORM_NOTE = ("X'X is not numerically positive definite; "
 
 @dataclass
 class LmmParams:
-    """Parameters (beta, sigma2, D) of the mixed model."""
+    """Parameters (beta, sigma2, D) of the mixed model.
+
+    One member has beta (p,), a float sigma2 and D (q, q).  The EM loop
+    (_run_em) also holds R members on a leading axis: beta (R, p),
+    sigma2 (R,) and D (R, q, q).
+    """
 
     beta: np.ndarray
-    sigma2: float
+    sigma2: float | np.ndarray
     D: np.ndarray
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
         self.D = np.asarray(self.D, dtype=float)
-        self.sigma2 = float(self.sigma2)
+        self.sigma2 = (float(self.sigma2) if self.beta.ndim == 1
+                       else np.asarray(self.sigma2, dtype=float))
 
     def validate(self):
         self._checked_eigh()
@@ -212,26 +219,11 @@ def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ V.swapaxes(-1, -2)
 
 
-@dataclass
-class _ParamStack(LmmParams):
-    """The parameters of R members on a leading axis: beta (R, p), sigma2 (R,), D (R, q, q)."""
-
-    def __post_init__(self):
-        self.beta, self.sigma2, self.D = (np.asarray(a, dtype=float)
-                                          for a in (self.beta, self.sigma2, self.D))
-
-
-def _params(beta: np.ndarray, sigma2, D: np.ndarray) -> LmmParams:
-    """LmmParams of one member (beta of shape (p,)), else a _ParamStack."""
-    return (LmmParams if beta.ndim == 1 else _ParamStack)(beta, sigma2, D)
-
-
 def _take(stack, keep: list):
-    """A _ParamStack or stacked EStepMoments at the member positions keep;
-    a lone member drops the member axis."""
+    """Stacked LmmParams or EStepMoments at the member positions keep; a lone
+    member drops the member axis."""
     sel = keep[0] if len(keep) == 1 else keep
-    parts = [getattr(stack, f.name)[sel] for f in fields(stack)]
-    return EStepMoments(*parts) if isinstance(stack, EStepMoments) else _params(*parts)
+    return type(stack)(*(getattr(stack, f.name)[sel] for f in fields(stack)))
 
 
 def _guard_params(params: LmmParams):
@@ -241,7 +233,7 @@ def _guard_params(params: LmmParams):
     takes in place of its own checks: the guarded D is exactly symmetric
     with eigenvalues above -1e-10 and sigma2 is positive, so after the
     shared finiteness check nothing validate() refuses can get through.
-    A _ParamStack is guarded member by member in one pass, and raises if
+    Stacked params are guarded member by member in one pass, and raise if
     any member is not finite.
     """
     params._check_finite()
@@ -252,7 +244,7 @@ def _guard_params(params: LmmParams):
         C = (V * np.maximum(w, _D_EIG_FLOOR)[..., None, :]) @ V.swapaxes(-1, -2)
         D = np.where(low, 0.5 * (C + C.swapaxes(-1, -2)), D)
         w, V = np.linalg.eigh(D)
-    return type(params)(params.beta, np.maximum(params.sigma2, _SIGMA2_FLOOR), D), (w, V)
+    return LmmParams(params.beta, np.maximum(params.sigma2, _SIGMA2_FLOOR), D), (w, V)
 
 
 def _spd_inv_logdet(K: np.ndarray):
@@ -321,7 +313,7 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMome
     sum_i r_i'r_i = r'r and sum_i log det V_i = (N - n q) log sigma2 +
     sum_i log det K_i.
 
-    params may be a _ParamStack of R members; the moments then carry the
+    params may hold R members on a leading axis; the moments then carry the
     member axis first: b_hat (R, n, q), Lambda (R, n, q, q), y_tilde (R, N)
     and loglik (R,).  Raises NumericalError when any member's K_i is not
     positive definite.
@@ -405,12 +397,6 @@ def observed_loglik(ds: LongitudinalDataset, params: LmmParams) -> float:
     return e_step(ds, params).loglik
 
 
-def penalized_loglik(ds: LongitudinalDataset, params: LmmParams, lam: float,
-                     penalty: PenaltySpec) -> float:
-    """observed_loglik minus lam * penalty(beta), lam in raw units."""
-    return observed_loglik(ds, params) - lam * penalty_value(penalty, params.beta)
-
-
 def _guarded_e_step(ds: LongitudinalDataset, params: LmmParams):
     """_guard_params, then e_step on its eigendecomposition of D: (guarded params, moments)."""
     params, eig = _guard_params(params)
@@ -422,7 +408,7 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
             init: LmmParams | None = None) -> list:
     """EM for `members` fits on ds at once, at raw penalty level lam.
 
-    The members' parameters sit on a leading axis (a _ParamStack); a lone
+    The members' parameters sit on a leading axis of one LmmParams; a lone
     member, the only one or the last one still iterating, drops it.  The
     per-member step is solve_beta(live, y, lam1, warm_start): beta of the
     live members (indices, in stack order) on responses y at raw level
@@ -455,7 +441,7 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
                                np.zeros((*lead, ds.p)))
         note(cut)
         sigma2 = _sum_of_squares(ds.y - beta @ ds.X.T) / ds.N
-        params = _params(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
+        params = LmmParams(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
     else:
         params = init
     iteration = 0
@@ -512,7 +498,7 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
         iteration += 1
         beta, cut = solve_beta(live, moments.y_tilde, 2.0 * lam * params.sigma2, params.beta)
         note(cut)
-        params = _params(beta, *_variance_update(ds, moments, beta))
+        params = LmmParams(beta, *_variance_update(ds, moments, beta))
         del moments  # not held through the next E-step
     return out
 
@@ -554,20 +540,55 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     return replace(rep, lam=float(lam), lambda_scale=lambda_scale)
 
 
+def _checked_supports(supports, p: int) -> list:
+    """Each support as a sorted tuple of column indices; ConfigurationError
+    unless every index is an integer in [0, p), none of them repeated."""
+    out = []
+    for support in supports:
+        try:
+            A = tuple(sorted(operator.index(j) for j in support))
+        except TypeError:
+            raise ConfigurationError(f"fit_em_supports: support {support!r} is not a "
+                                     "collection of integer column indices") from None
+        if A and not (0 <= A[0] and A[-1] < p):
+            raise ConfigurationError(
+                f"fit_em_supports: support {support!r} has an index outside [0, {p})")
+        if len(set(A)) < len(A):
+            raise ConfigurationError(f"fit_em_supports: support {support!r} repeats an index")
+        out.append(A)
+    return out
+
+
+def _original_scale(rec, params: LmmParams) -> dict:
+    """A standardized refit's estimates on the original scale."""
+    beta_orig, intercept = beta_original_scale(rec, params.beta)
+    return {
+        "beta": beta_orig.tolist(),
+        "intercept": intercept,
+        "sigma2": params.sigma2 * rec.y_scale ** 2,
+        "D": (params.D * rec.y_scale ** 2).tolist(),
+    }
+
+
 def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = None) -> list:
     """Unpenalized fits with X restricted to each support, beta embedded in a p-vector.
 
-    Every support (a tuple of column indices) is a member of one EM driver
-    run on ds.  Each support is factored once, before the first
-    iteration, by ds.gram_factor and truncated by the lasso solver's rule
-    (_truncate: the minimum-norm solution, and a note, where X_A'X_A is not
-    numerically positive definite); a member's beta is solved on that
-    factor and embedded in a p-vector, so no restricted dataset or moment
-    is built.  (Padding the factors into one (R, |A|max, |A|max) stack
-    solved faster but raised the peak memory of a scenario-3 run.)  Returns one entry per support: the FitReport, or
-    the NumericalError its fit raised, so one failure leaves the other fits
-    standing.
+    Every support, an iterable of column indices, is sorted and checked
+    before any fit runs: an index that is not an integer, lies outside
+    [0, p) or repeats raises ConfigurationError.  Each support is then a
+    member of one _run_em call on ds.  It is factored once, before the
+    first iteration, by ds.gram_factor and truncated by the lasso solver's
+    rule (_truncate: the minimum-norm solution, and a note, where X_A'X_A
+    is not numerically positive definite); a member's beta is solved on
+    that factor and embedded in a p-vector, so no restricted dataset or
+    moment is built.  (Padding the factors into one (R, |A|max, |A|max)
+    stack solved faster but raised the peak memory of a scenario-3 run.)
+    When ds was standardized, each report carries its estimates on the
+    original scale under original_scale.  Returns one entry per support:
+    the FitReport, or the NumericalError its fit raised, so one failure
+    leaves the other fits standing.
     """
+    supports = _checked_supports(supports, ds.p)
     if not supports:
         return []
     factors = [(list(A), *_truncate(ds.gram_factor(A), 0.0)) for A in supports]
@@ -582,4 +603,10 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
             beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
         return beta.reshape(y.shape[:-1] + (ds.p,)), [cut[k] for k in live]
 
-    return _run_em(ds, len(supports), solve_beta, ctrl or EmControl())
+    reports = _run_em(ds, len(supports), solve_beta, ctrl or EmControl())
+    rec = ds.standardization
+    if rec is None:
+        return reports
+    return [rep if isinstance(rep, NumericalError)
+            else replace(rep, original_scale=_original_scale(rec, rep.params))
+            for rep in reports]

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: configuration problems exit with 2,
 data problems with 3, and numerical failures with 4.
 """
 
+__all__ = ["LmmLassoError", "ConfigurationError", "DataError", "NumericalError"]
+
 
 class LmmLassoError(Exception):
     """Base class for all package errors."""

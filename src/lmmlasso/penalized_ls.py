@@ -40,7 +40,6 @@ __all__ = [
     "penalty_value",
 ]
 
-_FAMILIES = ("lasso", "ridge", "elastic_net")
 RAW, PER_OBS = LAMBDA_SCALES = ("raw", "per_obs")  # the lambda units effective_lambda knows
 _GRAM_COND_LIMIT = 1e12  # eigenvalues of G_AA + shift I at or below w_max / this are dropped
 _MAX_PIVOTS = 200        # with 2p, the active-set passes of one solve before it raises
@@ -48,39 +47,35 @@ _MAX_PIVOTS = 200        # with 2p, the active-set passes of one solve before it
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty family, mixing weight, and regularization level.
+    """Mixing weight and regularization level of the penalty.
 
     alpha = 1 is the pure l1 (lasso) penalty, alpha = 0 the squared-l2
-    (ridge) penalty; intermediate values interpolate.
+    (ridge) penalty; intermediate values are the elastic net.
     """
 
-    family: str = "lasso"
     alpha: float = 1.0
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ConfigurationError(f"unknown penalty family {self.family!r}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigurationError(
+                f"penalty mixing weight alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.lam < math.inf:
             raise ConfigurationError(f"penalty level lam must be finite and >= 0, got {self.lam}")
-        if self.family == "lasso" and self.alpha != 1.0:
-            raise ConfigurationError("lasso requires alpha = 1")
-        if self.family == "ridge" and self.alpha != 0.0:
-            raise ConfigurationError("ridge requires alpha = 0")
-        if self.family == "elastic_net" and not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("elastic_net requires 0 < alpha < 1")
 
     @classmethod
     def lasso(cls, lam: float) -> "PenaltySpec":
-        return cls("lasso", 1.0, lam)
+        return cls(1.0, lam)
 
     @classmethod
     def ridge(cls, lam: float) -> "PenaltySpec":
-        return cls("ridge", 0.0, lam)
+        return cls(0.0, lam)
 
     @classmethod
     def elastic_net(cls, alpha: float, lam: float) -> "PenaltySpec":
-        return cls("elastic_net", alpha, lam)
+        if not 0.0 < alpha < 1.0:
+            raise ConfigurationError("elastic_net requires 0 < alpha < 1")
+        return cls(alpha, lam)
 
     def with_lam(self, lam: float) -> "PenaltySpec":
         return replace(self, lam=lam)
@@ -276,39 +271,36 @@ def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
 
 
 def solve_pls(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec,
-              warm_start: np.ndarray | None = None,
-              gram: np.ndarray | None = None,
-              xty: np.ndarray | None = None,
-              yty: float | None = None) -> PlsSolution:
+              warm_start: np.ndarray | None = None) -> PlsSolution:
     """Minimize the penalized residual sum of squares exactly (_solve_gram).
 
     Args:
         X: (N, p) design matrix.
         y: (N,) response.
-        penalty: family, mixing weight, and level (raw units).
+        penalty: mixing weight and level (raw units).
         warm_start: optional initial beta, whose support and signs the
             active-set loop starts from (zero when not given).
-        gram, xty, yty: optional precomputed X'X, X'y, y'y, so that
-            re-solves on a fixed design need not touch the N-row data.
 
     Without an l1 term and with X'X not numerically positive definite, beta
-    is the minimum-norm solution.  Raises NumericalError where _solve_gram
-    does.
+    is the minimum-norm solution.  Raises DataError when the shapes do not
+    agree, or naming X, y or warm_start when it holds a NaN or inf, and
+    NumericalError where _solve_gram does.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise DataError("solve_pls: X must be (N, p) and y (N,) with matching N")
     p = X.shape[1]
-    G = X.T @ X if gram is None else np.asarray(gram, dtype=float)
-    c = X.T @ y if xty is None else np.asarray(xty, dtype=float)
     beta = np.zeros(p) if warm_start is None else np.asarray(warm_start, dtype=float)
     if beta.shape != (p,):
         raise DataError("solve_pls: warm_start has wrong length")
+    for name, a in (("X", X), ("y", y), ("warm_start", beta)):
+        if not np.isfinite(a).all():
+            raise DataError(f"solve_pls: {name} holds a NaN or inf")
+    G, c = X.T @ X, X.T @ y
     lam, alpha = float(penalty.lam), penalty.alpha
     beta, _, passes = _solve_gram(G, c, lam * alpha, lam * (1.0 - alpha), beta,
                                   lambda cols: np.linalg.eigh(G[np.ix_(cols, cols)]))
     m = c - G @ beta  # X'(y - X beta)
-    y_ss = float(y @ y) if yty is None else float(yty)
-    objective = y_ss - float(beta @ (c + m)) + lam * penalty_value(penalty, beta)
+    objective = float(y @ y) - float(beta @ (c + m)) + lam * penalty_value(penalty, beta)
     return PlsSolution(beta, objective, passes, _kkt_residual(m, beta, lam, alpha))

@@ -4,8 +4,9 @@ The sweep runs in two passes.  The grid pass fits the EM at every grid
 value, largest first, initializing each fit from the previous penalized
 fit's (beta, sigma2, D).  The refit pass then fits every distinct
 support of the path without penalty, all of them in one lock-step EM on
-the parent dataset (refit_supports), and scores each grid entry with
-BIC = -2 loglik + log(n) df (or AIC = -2 loglik + 2 df), where df counts
+the parent dataset (em_engine.fit_em_supports, the one refit entry
+point), and scores each grid entry with BIC = -2 loglik + log(n) df
+(or AIC = -2 loglik + 2 df), where df counts
 the entry's nonzero fixed effects plus q(q+1)/2 covariance parameters
 plus one for the residual variance, and n is the number of subjects.
 The log-likelihood is evaluated at the unpenalized refit of the entry's
@@ -22,13 +23,12 @@ and SelectionResult.to_dict() is the selection JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LongitudinalDataset, beta_original_scale
-from .em_engine import (EmControl, FitReport, LmmParams, fit_em, fit_em_supports,
-                        observed_loglik)
+from .dataset import LongitudinalDataset
+from .em_engine import EmControl, FitReport, fit_em, fit_em_supports, observed_loglik
 from .exceptions import ConfigurationError, LmmLassoError, NumericalError
 from .penalized_ls import RAW, PenaltySpec, effective_lambda, lambda_max
 
@@ -38,7 +38,6 @@ __all__ = [
     "SelectionResult",
     "sweep",
     "refit_support",
-    "refit_supports",
     "select",
     "default_grid",
     "auto_log_grid",
@@ -201,9 +200,9 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
     cold and each later one starts from the last penalized fit that did not
     raise (beta, sigma2, D).  Each entry is then scored by the criterion at
     the unpenalized refit of its support, every distinct support refitted
-    once, together (refit_supports).  A failed grid fit or refit fails its
-    entries, which are recorded in errors and skipped by the selection; a
-    sweep where every entry failed raises.
+    once, together (em_engine.fit_em_supports).  A failed grid fit or
+    refit fails its entries, which are recorded in errors and skipped by
+    the selection; a sweep where every entry failed raises.
     """
     grid, template = _selection_settings(grid, lambda_scale, criterion, penalty)
     m = grid.size
@@ -228,7 +227,7 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
     # the refit pass: every distinct support in one lock-step EM
     distinct = list(dict.fromkeys(s for s in supports if s is not None))
     scored = {}  # support: (refit, loglik), or the message of the error that failed it
-    for support, refit in zip(distinct, refit_supports(ds, distinct, ctrl=ctrl)):
+    for support, refit in zip(distinct, fit_em_supports(ds, distinct, ctrl=ctrl)):
         try:
             if isinstance(refit, LmmLassoError):
                 raise refit
@@ -259,45 +258,16 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
                               lambda_scale=lambda_scale, criterion=criterion)
 
 
-def refit_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = None) -> list:
-    """Unpenalized fits with X restricted to each support, run together.
-
-    One entry per support, in order: the FitReport refit_support gives for
-    it, or the LmmLassoError its fit raised (the other fits go on).  The
-    supports are fitted in one lock-step EM on ds (em_engine.fit_em_supports).
-    """
-    supports = [tuple(sorted(int(j) for j in s)) for s in supports]
-    if any(j < 0 or j >= ds.p for s in supports for j in s):
-        raise ConfigurationError("refit_support: support indices out of range")
-    reports = fit_em_supports(ds, supports, ctrl=ctrl)
-    rec = ds.standardization
-    if rec is None:
-        return reports
-    return [rep if isinstance(rep, LmmLassoError)
-            else replace(rep, original_scale=_original_scale(rec, rep.params))
-            for rep in reports]
-
-
-def _original_scale(rec, params: LmmParams) -> dict:
-    """A standardized refit's estimates on the original scale."""
-    beta_orig, intercept = beta_original_scale(rec, params.beta)
-    return {
-        "beta": beta_orig.tolist(),
-        "intercept": intercept,
-        "sigma2": params.sigma2 * rec.y_scale ** 2,
-        "D": (params.D * rec.y_scale ** 2).tolist(),
-    }
-
-
 def refit_support(ds: LongitudinalDataset, support, ctrl: EmControl | None = None) -> FitReport:
     """Unpenalized fit with X restricted to the support columns.
 
     The returned report carries beta embedded back into a full p-vector
     (zeros off support).  When the dataset was standardized, estimates on
     the original scale are attached under original_scale.  The one-support
-    call of refit_supports.
+    call of em_engine.fit_em_supports, which checks the support and raises
+    ConfigurationError for a bad one.
     """
-    rep, = refit_supports(ds, [support], ctrl=ctrl)
+    rep, = fit_em_supports(ds, [support], ctrl=ctrl)
     if isinstance(rep, LmmLassoError):
         raise rep
     return rep

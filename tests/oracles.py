@@ -137,6 +137,16 @@ def dense_marginal_loglik(blocks, beta, sigma2, D):
     return total
 
 
+def penalized_loglik(ds, params, lam, penalty):
+    """The objective the penalized EM ascends: dense_marginal_loglik at params
+    minus lam * (alpha ||beta||_1 + (1 - alpha) ||beta||_2^2), lam in raw
+    units.  Reads only ds.blocks and the fields of params and penalty."""
+    beta = params.beta
+    value = penalty.alpha * np.abs(beta).sum() + (1.0 - penalty.alpha) * (beta @ beta)
+    blocks = [(b.y, b.X, b.Z) for b in ds.blocks]
+    return dense_marginal_loglik(blocks, beta, params.sigma2, params.D) - lam * value
+
+
 def conditional_moments_dense(y_i, X_i, Z_i, beta, sigma2, D):
     """E[b|y] and Cov[b|y] from the joint normal of (y_i, b_i).
 

@@ -573,12 +573,12 @@ def test_elastic_net_penalty_flags(tmp_path, small_csv, capsys):
     assert rc == 0
     assert (tmp_path / "en_selection.json").exists()
     capsys.readouterr()
-    rc = main(["select", "--input", str(f), *DATA_FLAGS,
-               "--penalty", "elastic_net", "--alpha", "1.5",
-               "--grid", "0.05", "--output-prefix", str(tmp_path / "en2")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
-    assert err["error"]["type"] == "ConfigurationError"
+    for alpha in (["--alpha", "1.5"], []):  # outside (0, 1), or not given
+        rc = main(["select", "--input", str(f), *DATA_FLAGS, "--penalty", "elastic_net",
+                   *alpha, "--grid", "0.05", "--output-prefix", str(tmp_path / "en2")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert err["error"]["type"] == "ConfigurationError"
 
 
 def test_standardize_flags_reach_selection(tmp_path, small_csv):
@@ -1013,19 +1013,29 @@ def test_output_path_naming_a_directory_is_usage_error_before_any_fit(tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
-@pytest.mark.parametrize("command, tail", [
-    ("fit", ["--lambda", "0.1", "--output", "{out}/fit.json"]),
-    ("select", ["--grid", "0.05,0.1", "--output-prefix", "{out}/sel"]),
-    ("cv", ["--k", "2", "--seed", "1", "--grid", "0.05,0.1", "--output", "{out}/cv.csv"]),
-    ("reduce", ["--output", "{out}/reduced.csv", "--report", "{out}/r.json"]),
-], ids=["fit", "select", "cv", "reduce"])
-def test_byte_order_mark_before_the_header_is_dropped(tmp_path, small_csv, command, tail):
+_BOM_RUNS = {
+    "fit": ["--lambda", "0.1", "--output", "{out}/fit.json"],
+    "select": ["--grid", "0.05,0.1", "--output-prefix", "{out}/sel"],
+    "cv": ["--k", "2", "--seed", "1", "--grid", "0.05,0.1", "--output", "{out}/cv.csv"],
+    "reduce": ["--output", "{out}/reduced.csv", "--report", "{out}/r.json"],
+}
+
+
+@pytest.mark.parametrize("command, tail, first_cell", [
+    *((command, tail, "id") for command, tail in _BOM_RUNS.items()),
+    *((command, tail, '"id"') for command, tail in _BOM_RUNS.items()),
+], ids=[*_BOM_RUNS, *(f"quoted-{command}" for command in _BOM_RUNS)])
+def test_byte_order_mark_before_the_header_is_dropped(tmp_path, small_csv, command, tail,
+                                                      first_cell):
     # a spreadsheet's "CSV UTF-8" starts the file with U+FEFF; the first
     # column, here the subject id, keeps its name, and the run writes what
-    # it writes for the file without the mark
+    # it writes for the file without the mark.  csv reads a quoted cell
+    # after the mark as \ufeff"id", so the mark goes before csv parses it
     plain = small_csv[0]
+    text = plain.read_text()
+    assert text.startswith("id,")
     marked = tmp_path / "marked.csv"
-    marked.write_text("\ufeff" + plain.read_text(), encoding="utf-8")
+    marked.write_text("\ufeff" + first_cell + text[2:], encoding="utf-8")
     for name, f in (("plain", plain), ("marked", marked)):
         (tmp_path / name).mkdir()
         rc = main([command, "--input", str(f), *DATA_FLAGS,

@@ -383,11 +383,10 @@ def test_block_moments_match_per_subject_products(ds):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_datasets(min_rows=2), st.booleans(), st.booleans())
-def test_destandardize_inverts_standardize(ds, center_categorical, scale_y):
+@given(_datasets(min_rows=2), st.booleans())
+def test_destandardize_inverts_standardize(ds, scale_y):
     categorical = [j for j in range(ds.p) if j % 2]
-    std = standardize(ds, categorical=categorical, center_categorical=center_categorical,
-                      scale_y=scale_y)
+    std = standardize(ds, categorical=categorical, scale_y=scale_y)
     back = destandardize(std)
     np.testing.assert_allclose(back.X, ds.X, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(back.y, ds.y, rtol=1e-12, atol=0.0)
@@ -517,4 +516,27 @@ def test_pipe_that_needs_the_row_loop_is_read_once(tmp_path):
     finally:
         writer.join()
     assert piped == _ingest_outcome(f)
+    assert piped[1] == ["A", "B"]
+
+
+@pytest.mark.parametrize("rows", ["A,1,2,1,a\nB,2,3,1,b\nA,3,4,2,c\n",
+                                  "A,1,2,1,a\nB,1_0,3,1,b\nA,3,4,2,c\n"],
+                         ids=["c-pass", "row-loop"])
+def test_byte_order_mark_before_a_quoted_first_header_cell_is_dropped(tmp_path, rows):
+    # csv reads '\ufeff"id"' as the cell \ufeff"id" (the quote is not its
+    # first character), so the mark must go before csv parses the header;
+    # a pipe takes the same route with no second read
+    plain = tmp_path / "plain.csv"
+    plain.write_text(_HEAD + rows, encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_text('\ufeff"id","y",x1,t,note\n' + rows, encoding="utf-8")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(marked.read_bytes()))
+    writer.start()
+    try:
+        piped = _ingest_outcome(fifo)
+    finally:
+        writer.join()
+    assert _ingest_outcome(marked) == piped == _ingest_outcome(plain)
     assert piped[1] == ["A", "B"]

@@ -14,11 +14,11 @@ from lmmlasso.em_engine import (
     LmmParams,
     e_step,
     fit_em,
+    fit_em_supports,
     m_step,
     observed_loglik,
-    penalized_loglik,
 )
-from lmmlasso.exceptions import NumericalError
+from lmmlasso.exceptions import ConfigurationError, NumericalError
 from lmmlasso.penalized_ls import (
     PenaltySpec,
     kkt_check,
@@ -26,7 +26,7 @@ from lmmlasso.penalized_ls import (
     penalty_value,
     solve_pls,
 )
-from lmmlasso.selector import default_grid, refit_support, refit_supports, sweep
+from lmmlasso.selector import default_grid, refit_support, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario
 
 from oracles import (
@@ -35,6 +35,7 @@ from oracles import (
     direct_ml_lmm,
     lasso_best_by_enumeration,
     lasso_by_coordinate_descent,
+    penalized_loglik,
 )
 
 D_UNIT = np.array([[1.0, 0.25], [0.25, 1.0]])
@@ -239,8 +240,8 @@ def test_e_step_on_a_stack_equals_one_call_per_member(problem, R):
     rng = np.random.default_rng(R)
     members = [LmmParams(rng.normal() * params.beta, rng.uniform(0.5, 2.0) * params.sigma2,
                          rng.uniform(0.0, 2.0) * params.D) for _ in range(R)]
-    stack = em_engine._ParamStack(*(np.stack([getattr(m, name) for m in members])
-                                    for name in ("beta", "sigma2", "D")))
+    stack = LmmParams(*(np.stack([getattr(m, name) for m in members])
+                        for name in ("beta", "sigma2", "D")))
     mom = e_step(ds, stack)
     for r, member in enumerate(members):
         one = e_step(ds, member)
@@ -250,8 +251,8 @@ def test_e_step_on_a_stack_equals_one_call_per_member(problem, R):
             assert np.max(np.abs(got - want), initial=0.0) <= bound, name
 
     # one member whose K_i is not positive definite fails the whole stack
-    bad = em_engine._ParamStack(np.stack([params.beta] * 2), np.array([params.sigma2, -1.0]),
-                                np.stack([params.D, np.zeros_like(params.D)]))
+    bad = LmmParams(np.stack([params.beta] * 2), np.array([params.sigma2, -1.0]),
+                    np.stack([params.D, np.zeros_like(params.D)]))
     with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
         e_step(ds, bad, eig=np.linalg.eigh(bad.D))
 
@@ -761,14 +762,44 @@ def test_near_duplicate_column_refit_needs_no_coordinate_descent(monkeypatch):
 def test_refit_stack_notes_only_its_singular_member():
     ds = _with_duplicate_column(simulate_lmm(13, n=20, n_i=4))
     supports = [(0, 1), (0, 1, 2, 3), (1, 2)]
-    reps = refit_supports(ds, supports)
+    reps = fit_em_supports(ds, supports)
     assert [rep.warnings for rep in reps] == [[], [em_engine._MIN_NORM_NOTE], []]
     for support, rep in zip(supports, reps):
         lone = refit_support(ds, support)
         np.testing.assert_allclose(rep.params.beta, lone.params.beta, rtol=1e-12, atol=0)
         _assert_same_refit(ds, rep, ds, lone, rtol=1e-12)
         assert rep.warnings == lone.warnings
-    assert refit_supports(ds, []) == []
+    assert fit_em_supports(ds, []) == []
+
+
+@pytest.mark.parametrize("refit, supports", [
+    ("refit_support", (0, 0)),
+    ("refit_support", (1.7,)),
+    ("fit_em_supports", [(-1,)]),
+    ("fit_em_supports", [(99,)]),
+    ("fit_em_supports", [(0, 1), (2, 2)]),
+    ("fit_em_supports", [(0,), 3]),
+], ids=["repeated", "float", "negative", "past-p", "repeated-in-second", "not-a-support"])
+def test_bad_support_is_refused_before_any_em_iteration(monkeypatch, refit, supports):
+    # unchecked, (0, 0) wrote the minimum-norm split of the doubled column
+    # into one slot, 1.7 refitted column 1, -1 refitted column p - 1 and 99
+    # raised a bare IndexError
+    ds, _ = generate_scenario(ScenarioConfig.scenario1(seed=1))
+    runs = []
+    run_em = em_engine._run_em
+    monkeypatch.setattr(em_engine, "_run_em", lambda *a, **kw: runs.append(1) or run_em(*a, **kw))
+    call = refit_support if refit == "refit_support" else fit_em_supports
+    with pytest.raises(ConfigurationError, match="fit_em_supports: support"):
+        call(ds, supports)
+    assert runs == []
+
+
+def test_supports_are_sorted_before_the_fit():
+    ds = simulate_lmm(19, n=30, n_i=5)
+    shuffled, = fit_em_supports(ds, [np.array([2, 0])])
+    ref, = fit_em_supports(ds, [(0, 2)])
+    np.testing.assert_array_equal(shuffled.params.beta, ref.params.beta)
+    assert shuffled.penalized_loglik_trace.tolist() == ref.penalized_loglik_trace.tolist()
 
 
 def test_ridge_on_duplicated_column_is_solved_exactly(monkeypatch):

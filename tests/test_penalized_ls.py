@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lmmlasso.exceptions import ConfigurationError
+from lmmlasso.exceptions import ConfigurationError, DataError
 from lmmlasso.penalized_ls import (
     PenaltySpec,
     kkt_check,
@@ -27,17 +27,18 @@ def _oracle_instance():
 
 
 def test_penalty_spec_validation():
-    with pytest.raises(ConfigurationError):
-        PenaltySpec("lasso", alpha=0.5, lam=1.0)
-    with pytest.raises(ConfigurationError):
-        PenaltySpec("ridge", alpha=1.0, lam=1.0)
-    with pytest.raises(ConfigurationError):
-        PenaltySpec("elastic_net", alpha=1.0, lam=1.0)
-    with pytest.raises(ConfigurationError):
-        PenaltySpec("lasso", alpha=1.0, lam=-0.1)
-    with pytest.raises(ConfigurationError):
-        PenaltySpec("huber", alpha=1.0, lam=1.0)
-    assert PenaltySpec.elastic_net(0.3, 2.0).alpha == 0.3
+    for alpha in (-0.1, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="alpha must be in"):
+            PenaltySpec(alpha=alpha, lam=1.0)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="lam must be finite"):
+            PenaltySpec(alpha=1.0, lam=lam)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ConfigurationError, match="elastic_net requires"):
+            PenaltySpec.elastic_net(alpha, 1.0)
+    assert PenaltySpec.elastic_net(0.3, 2.0) == PenaltySpec(0.3, 2.0)
+    assert PenaltySpec.lasso(2.0) == PenaltySpec(1.0, 2.0) == PenaltySpec(lam=2.0)
+    assert PenaltySpec.ridge(2.0) == PenaltySpec(0.0, 2.0)
 
 
 def test_lambda_zero_recovers_ols():
@@ -132,15 +133,17 @@ def test_ridge_closed_form():
     np.testing.assert_allclose(sol.beta, ref, atol=1e-9)
 
 
-def test_gram_precomputation_matches_plain_call():
+@pytest.mark.parametrize("where", ["X", "y", "warm_start"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_a_data_error(where, bad):
+    # without the check a NaN in X or y gave beta = 0 as optimal, and a NaN
+    # warm start [nan, 0, 0, 0] after one pass
     rng = np.random.default_rng(43)
-    X = rng.normal(size=(25, 6))
-    y = rng.normal(size=25)
-    pen = PenaltySpec.lasso(2.0)
-    ref = solve_pls(X, y, pen)
-    via_gram = solve_pls(X, y, pen, gram=X.T @ X, xty=X.T @ y, yty=float(y @ y))
-    np.testing.assert_allclose(ref.beta, via_gram.beta, atol=0.0)
-    assert ref.objective == via_gram.objective
+    args = {"X": rng.normal(size=(20, 4)), "y": rng.normal(size=20),
+            "warm_start": rng.normal(size=4)}
+    args[where][(0, 1) if where == "X" else 0] = bad
+    with pytest.raises(DataError, match=f"solve_pls: {where} holds a NaN or inf"):
+        solve_pls(args["X"], args["y"], PenaltySpec.lasso(1.0), warm_start=args["warm_start"])
 
 
 def test_empty_design_returns_empty_beta():

@@ -409,7 +409,7 @@ def test_refit_supports_match_restricted_fits():
         supports = list(dict.fromkeys(s for s in _path_supports(path) if s is not None))
         supports += [(), tuple(range(ds.p))]
         for ctrl in (None, EmControl(eps=0, abs_eps=0, max_iter=7)):
-            reps = selector_mod.refit_supports(ds, supports, ctrl=ctrl)
+            reps = selector_mod.fit_em_supports(ds, supports, ctrl=ctrl)
             for support, rep in zip(supports, reps):
                 ref = fit_em(ds.select_columns(support), 0.0, ctrl=ctrl)
                 assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
@@ -492,9 +492,9 @@ def test_failed_refit_fails_only_its_entries_and_the_warm_starts_go_on(monkeypat
 def test_refit_supports_isolates_a_failing_e_step(monkeypatch):
     ds = _scenario3(1)
     supports = [(0,), (0, 1, 2), (0, 1, 2, 3, 4), ()]
-    clean = selector_mod.refit_supports(ds, supports)
+    clean = selector_mod.fit_em_supports(ds, supports)
     _fail_in_refits(monkeypatch, (0, 1, 2), 4, "e_step")
-    reps = selector_mod.refit_supports(ds, supports)
+    reps = selector_mod.fit_em_supports(ds, supports)
     assert isinstance(reps[1], NumericalError)
     assert str(reps[1]) == "fit_em: iteration 3: injected failure"
     for k in (0, 2, 3):
