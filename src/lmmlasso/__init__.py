@@ -17,6 +17,7 @@ wires everything into reproducible batch runs.
 from .dataset import (
     ColumnReductionReport,
     ColumnRoles,
+    DistinctBlocks,
     LongitudinalDataset,
     StandardizationRecord,
     SubjectBlock,

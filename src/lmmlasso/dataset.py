@@ -3,9 +3,10 @@
 A dataset is held as stacked arrays: the response y and the designs X
 (p fixed-effect columns) and Z (q random-effect columns), rows grouped
 by subject, with per-subject cross products computed by grouped sums.
-The dataset also caches X'X and the eigendecomposition of the last block
-of it asked for.  Values are immutable after construction, so datasets
-can be shared read-only across concurrent fits.
+The dataset also caches X'X, X'y, the distinct Z_i'Z_i blocks and the
+eigendecomposition of the last block of X'X asked for.  Values are
+immutable after construction, so datasets can be shared read-only across
+concurrent fits.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .exceptions import ConfigurationError, DataError
 
 __all__ = [
     "SubjectBlock",
+    "DistinctBlocks",
     "LongitudinalDataset",
     "StandardizationRecord",
     "ColumnRoles",
@@ -89,6 +92,19 @@ class StandardizationRecord:
         cols = np.asarray(cols, dtype=int)
         return StandardizationRecord(self.x_center[cols], self.x_scale[cols],
                                      self.y_center, self.y_scale)
+
+
+class DistinctBlocks(NamedTuple):
+    """The distinct Z_i'Z_i blocks of a dataset (LongitudinalDataset.distinct_ztz).
+
+    Subject i's Z_i'Z_i is ztz[index[i]], and counts[g] subjects share
+    block g.  A balanced design, every subject observed at the same times,
+    has one block; in the worst case there are n.
+    """
+
+    ztz: np.ndarray     # (G, q, q)
+    index: np.ndarray   # (n,)
+    counts: np.ndarray  # (G,)
 
 
 class LongitudinalDataset:
@@ -164,8 +180,10 @@ class LongitudinalDataset:
                             "overflows double precision; rescale")
         self.standardization = standardization
         self._moments = None
+        self._distinct = None
         self._blocks = None
         self._gram = None
+        self._xty = None
         self._gram_factor = None  # (cols, (w, V)) of the last block factored
 
     def _derive(self, **changes) -> "LongitudinalDataset":
@@ -190,6 +208,10 @@ class LongitudinalDataset:
 
         Shapes (n, q, q), (n, q, p), (n, q); grouped sums (np.add.reduceat)
         of row products, one column of Z at a time.  Computed once and cached.
+        The EM reads its per-subject terms from these and from distinct_ztz:
+        Z_i'r_i = Z_i'y_i - Z_i'X_i beta, and the M-step's right-hand side
+        X'y - sum_i (Z_i'X_i)' b_i, so no iteration forms an N-row product
+        for them.
         """
         if self._moments is None:
             n, q, p = self.n, self.q, self.p
@@ -203,6 +225,33 @@ class LongitudinalDataset:
                 zty[:, k] = np.add.reduceat(z[:, 0] * self.y, self.starts)
             self._moments = (_frozen(ztz), _frozen(ztx), _frozen(zty))
         return self._moments
+
+    @property
+    def distinct_ztz(self) -> DistinctBlocks:
+        """The distinct blocks of block_moments' Z'Z, each subject's index
+        into them and each block's count (DistinctBlocks).
+
+        Blocks are equal when they are equal in every entry, and come in
+        the lexicographic order of their entries.  Everything the E-step
+        computes from Z_i'Z_i alone (K_i, its inverse and log determinant,
+        and Cov[b_i | y_i]) is computed once per block.  Computed once and
+        cached read-only.
+        """
+        if self._distinct is None:
+            ztz = self.block_moments[0]
+            blocks, index, counts = np.unique(ztz.reshape(self.n, -1), axis=0,
+                                              return_inverse=True, return_counts=True)
+            self._distinct = DistinctBlocks(_frozen(blocks.reshape(-1, self.q, self.q)),
+                                            _frozen(index.reshape(-1), int),
+                                            _frozen(counts, int))
+        return self._distinct
+
+    @property
+    def xty(self) -> np.ndarray:
+        """X'y, (p,).  Computed once and cached read-only."""
+        if self._xty is None:
+            self._xty = _frozen(self.X.T @ self.y)
+        return self._xty
 
     @property
     def gram(self) -> np.ndarray:

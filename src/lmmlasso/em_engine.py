@@ -16,12 +16,25 @@ The E-step conditions every subject through one q x q positive definite
 matrix, K_i = sigma2 I + S Z_i'Z_i S with S the symmetric square root of
 D, for any positive semidefinite D (no D^-1 is formed).  The same
 inverse and log determinant of K_i give the marginal log-likelihood, so
-e_step returns it with the moments and each EM iteration factors the
-subjects once.  Each iteration eigendecomposes D once: fit_em's guard
-(_guard_params) takes eigh(D) and hands it to e_step, which builds S
-from it.  The products S A_i S over all subjects are two flat
-(n*q, q) @ S products (_sandwich), and the log-likelihood is formed
-from totals over subjects.
+e_step returns it with the moments.  K_i, its inverse and log
+determinant, and Cov[b_i | y_i] = sigma2 S K_i^-1 S depend on subject i
+only through Z_i'Z_i, so they are computed once per distinct block of
+the dataset (ds.distinct_ztz): once per member for a balanced design, n
+times in the worst case.  Each iteration eigendecomposes D once:
+fit_em's guard (_guard_params) takes eigh(D) and hands it to e_step,
+which builds S from it.
+
+Each iteration reads the N rows once.  The M-step (_m_step, which the
+public m_step runs too) forms X beta, the one product with X, for the
+residual of the sigma2 update, and the driver carries it into the next
+E-step's r'r.  Everything else per subject comes from the q x q, q x p
+and q cross products cached on the dataset (ds.block_moments): the
+E-step's Z_i'r_i = Z_i'y_i - Z_i'X_i beta, and the M-step's right-hand
+side X'y_tilde = X'y - sum_i (Z_i'X_i)' b_hat_i from the cached X'y
+(ds.xty).  The M-step takes the sums over subjects of Lambda_i and of
+tr(Lambda_i Z_i'Z_i) as count-weighted sums over the blocks, and
+EStepMoments forms the per-subject Lambda and y_tilde only when they
+are read.
 
 Every beta M-step, the pooled start included, is penalized_ls's one lasso
 solver, _solve_gram, called on the dataset's X'X (ds.gram), X'y_tilde and
@@ -35,21 +48,19 @@ is not numerically positive definite) its beta is the minimum-norm one,
 which has the X beta, EM path and log-likelihood of any least-squares
 solution, and the fit records a note.
 
-Per-subject computations use the q x q cross products cached on the
-dataset, so one EM iteration touches the N-row data only through
-design-matrix products.
-
 fit_em and fit_em_supports run one EM driver (_run_em) over members
 whose parameters sit on a leading axis of one LmmParams: fit_em one
 member, and fit_em_supports, the package's one refit entry point, the
 unpenalized fits of many checked supports (a sweep's refits) on the
 parent dataset.  Each iteration takes one _guard_params, one e_step
-and one closed-form sigma2 and D update for all members, on the same
-cached moments; only the beta solve is per member.  At 30 subjects an
-iteration costs mostly numpy dispatch, so R fits in lock-step cost far
-less than R fits one by one.  A lone member, a single fit or the last
-refit still iterating, runs without the member axis, on the kernels of a
-single fit, which are the faster ones at R = 1.
+and one M-step for all members, on the same cached moments; only the
+beta solve is per member.  At 30 subjects an iteration costs mostly
+numpy dispatch, so R fits in lock-step cost far less than R fits one by
+one.  A lone member, a single fit or the last refit still iterating,
+runs without the member axis, on the kernels of a single fit, which are
+the faster ones at R = 1.  A fit warm-started from an earlier fit's
+report on the same dataset (as sweep does) starts from that fit's last
+E-step instead of repeating it.
 """
 
 from __future__ import annotations
@@ -139,17 +150,32 @@ class LmmParams:
 
 @dataclass
 class EStepMoments:
-    """Conditional random-effect moments, one row per subject.
+    """Conditional random-effect moments of the subjects of ds at one set of parameters.
 
-    b_hat[i] is E[b_i | y_i], Lambda[i] is Cov[b_i | y_i], y_tilde is the
-    stacked y - Z b_hat, and loglik is the marginal log-likelihood at the
-    parameters the moments were computed at.
+    b_hat[i] is E[b_i | y_i] and loglik the marginal log-likelihood at the
+    parameters.  Cov[b_i | y_i] depends on subject i only through
+    Z_i'Z_i, so it is held once per distinct block (ds.distinct_ztz):
+    Lambda_blocks[g] for every subject in block g.  Lambda, the
+    per-subject (n, q, q) stack, and y_tilde, the stacked y - Z b_hat
+    (N,), are formed from these when read; of the two the EM reads only
+    y_tilde, for the M-step's sigma2 residual.
     """
 
-    b_hat: np.ndarray   # (n, q)
-    Lambda: np.ndarray  # (n, q, q)
-    y_tilde: np.ndarray  # (N,)
-    loglik: float = float("nan")
+    b_hat: np.ndarray          # (n, q)
+    Lambda_blocks: np.ndarray  # (G, q, q)
+    loglik: float
+    ds: LongitudinalDataset = field(repr=False, compare=False)
+
+    @property
+    def Lambda(self) -> np.ndarray:
+        """Cov[b_i | y_i], one (q, q) block per subject."""
+        return np.take(self.Lambda_blocks, self.ds.distinct_ztz.index, axis=-3)
+
+    @property
+    def y_tilde(self) -> np.ndarray:
+        """The de-noised response y - Z b_hat, stacked over subjects."""
+        ds = self.ds
+        return ds.y - np.einsum("nq,...nq->...n", ds.Z, self.b_hat.repeat(ds.counts, axis=-2))
 
 
 @dataclass
@@ -187,6 +213,8 @@ class FitReport:
     lambda_scale: str = RAW
     warnings: list = field(default_factory=list)
     original_scale: dict | None = None  # populated by post-selection refits
+    # the last E-step, at params; a fit warm-started from this report reuses it
+    moments: EStepMoments | None = field(default=None, repr=False, compare=False)
 
     def worst_trace_decrease(self) -> float:
         """Largest drop between consecutive trace entries (0 if monotone)."""
@@ -221,9 +249,10 @@ def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _take(stack, keep: list):
     """Stacked LmmParams or EStepMoments at the member positions keep; a lone
-    member drops the member axis."""
+    member drops the member axis.  The moments' dataset is shared."""
     sel = keep[0] if len(keep) == 1 else keep
-    return type(stack)(*(getattr(stack, f.name)[sel] for f in fields(stack)))
+    return replace(stack, **{f.name: getattr(stack, f.name)[sel]
+                             for f in fields(stack) if f.name != "ds"})
 
 
 def _guard_params(params: LmmParams):
@@ -276,17 +305,17 @@ def _spd_inv_logdet(K: np.ndarray):
 
 
 def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """S A_i S for every symmetric q x q block A_i of the (n, q, q) stack A.
+    """S A_g S for every symmetric q x q block A_g of the (G, q, q) stack A.
 
-    Two flat (n*q, q) @ S products: the first gives the blocks A_i S,
-    whose transposes are S A_i.  numpy's stacked matmul would dispatch
+    Two flat (G*q, q) @ S products: the first gives the blocks A_g S,
+    whose transposes are S A_g.  numpy's stacked matmul would dispatch
     once per block.  A leading axis of R members is allowed on S (R, q, q),
-    on A (R, n, q, q) or on both; the result is then (R, n, q, q).
+    on A (R, G, q, q) or on both; the result is then (R, G, q, q).
     """
-    n, q = A.shape[-3:-1]
+    G, q = A.shape[-3:-1]
     lead = A.shape[:-3] or S.shape[:-2]
-    AS = (A.reshape(*A.shape[:-3], n * q, q) @ S).reshape(*lead, n, q, q)
-    return (AS.swapaxes(-1, -2).reshape(*lead, n * q, q) @ S).reshape(*lead, n, q, q)
+    AS = (A.reshape(*A.shape[:-3], G * q, q) @ S).reshape(*lead, G, q, q)
+    return (AS.swapaxes(-1, -2).reshape(*lead, G * q, q) @ S).reshape(*lead, G, q, q)
 
 
 def _sum_of_squares(r: np.ndarray):
@@ -295,7 +324,8 @@ def _sum_of_squares(r: np.ndarray):
     return r @ r if r.ndim == 1 else (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMoments:
+def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
+           xbeta=None) -> EStepMoments:
     """Conditional random-effect moments and the marginal log-likelihood.
 
     With S the symmetric square root of D, r_i = y_i - X_i beta and the
@@ -305,87 +335,99 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None) -> EStepMome
         Lambda_i = sigma2 S K_i^-1 S    (= (D^-1 + Z_i'Z_i / sigma2)^-1),
         b_hat_i  = S K_i^-1 S Z_i'r_i.
 
-    The same K_i gives the marginal density of y_i, whose covariance is
-    V_i = Z_i D Z_i' + sigma2 I: log det V_i = (n_i - q) log sigma2 +
-    log det K_i, and r_i'V_i^-1 r_i = (r_i'r_i - w_i'K_i^-1 w_i) / sigma2
-    with w_i = S Z_i'r_i.  No D^-1 is formed, so a singular D needs no
-    special case.  The log-likelihood needs only totals over subjects:
-    sum_i r_i'r_i = r'r and sum_i log det V_i = (N - n q) log sigma2 +
-    sum_i log det K_i.
+    K_i, its inverse and log determinant, and S K_i^-1 S are computed once
+    per distinct Z_i'Z_i (ds.distinct_ztz), and Z_i'r_i = Z_i'y_i -
+    Z_i'X_i beta from ds.block_moments.  The same K_i gives the marginal
+    density of y_i, whose covariance is V_i = Z_i D Z_i' + sigma2 I:
+    log det V_i = (n_i - q) log sigma2 + log det K_i, and r_i'V_i^-1 r_i =
+    (r_i'r_i - (Z_i'r_i)' b_hat_i) / sigma2.  No D^-1 is formed, so a
+    singular D needs no special case.  The log-likelihood needs only
+    totals: sum_i r_i'r_i = r'r, the one sum over the N rows, and sum_i
+    log det V_i = (N - n q) log sigma2 + sum_g count_g log det K_g.
 
     params may hold R members on a leading axis; the moments then carry the
-    member axis first: b_hat (R, n, q), Lambda (R, n, q, q), y_tilde (R, N)
-    and loglik (R,).  Raises NumericalError when any member's K_i is not
+    member axis first: b_hat (R, n, q), Lambda_blocks (R, G, q, q) and
+    loglik (R,).  Raises NumericalError when any member's K_i is not
     positive definite.
 
     eig, when given, is np.linalg.eigh(params.D) from a caller that has
     already checked params (the EM driver's _guard_params); otherwise params
-    are validated here and D is decomposed.
+    are validated here and D is decomposed.  xbeta, when given, is
+    params.beta @ ds.X.T, which the EM driver carries from its M-step;
+    otherwise it is formed here.
     """
     S = _psd_sqrt(*(params._checked_eigh() if eig is None else eig))
-    ztz, ztx, zty = ds.block_moments
+    _, ztx, zty = ds.block_moments
+    blocks = ds.distinct_ztz
     n, q = ds.n, ds.q
     lead = params.beta.shape[:-1]
     sigma2 = params.sigma2
-    s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (n, q, q) blocks
-    Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
+    s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (G, q, q) blocks
+    Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, blocks.ztz))
+    SKS = _sandwich(S, Kinv)
 
     ztr = zty - (params.beta @ ztx.reshape(n * q, ds.p).T).reshape(*lead, n, q)
-    w = ztr @ S   # S Z_i'r_i, since S is symmetric
-    Kinv_w = np.einsum("...nij,...nj->...ni", Kinv, w)
-    b_hat = Kinv_w @ S
-    Lambda = s2 * _sandwich(S, Kinv)
-
-    # a stack's (R, N) residual is dropped before its (R, N) y_tilde is made
-    rr = _sum_of_squares(ds.y - params.beta @ ds.X.T)
-    quad = (rr - np.einsum("...nq,...nq->...", w, Kinv_w)) / sigma2
+    b_hat = np.einsum("...nij,...nj->...ni", np.take(SKS, blocks.index, axis=-3), ztr)
+    if xbeta is None:
+        xbeta = params.beta @ ds.X.T
+    rr = _sum_of_squares(ds.y - xbeta)
+    quad = (rr - np.einsum("...nq,...nq->...", ztr, b_hat)) / sigma2
     # math.log for one member: np.log differs from it in the last bit on some inputs
     log_sigma2 = np.log(sigma2) if lead else math.log(sigma2)
-    logdet = (ds.N - n * q) * log_sigma2 + logdet_K.sum(axis=-1)
+    logdet = (ds.N - n * q) * log_sigma2 + logdet_K @ blocks.counts
     loglik = -0.5 * (ds.N * math.log(2.0 * math.pi) + logdet + quad)
-    y_tilde = ds.y - np.einsum("nq,...nq->...n", ds.Z, b_hat.repeat(ds.counts, axis=-2))
-    return EStepMoments(b_hat=b_hat, Lambda=Lambda, y_tilde=y_tilde,
-                        loglik=loglik if lead else float(loglik))
+    return EStepMoments(b_hat, s2 * SKS, loglik if lead else float(loglik), ds)
 
 
-def _solve_beta(ds: LongitudinalDataset, y: np.ndarray, penalty: PenaltySpec, lam: float,
+def _solve_beta(ds: LongitudinalDataset, c: np.ndarray, penalty: PenaltySpec, lam: float,
                 warm_start: np.ndarray):
-    """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, lam in raw
-    units: _solve_gram on the dataset's X'X and cached factor, from
-    warm_start's support and signs.  Returns (beta, whether its solve dropped
-    eigenpairs).
+    """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, given c =
+    X'y, lam in raw units: _solve_gram on the dataset's X'X and cached
+    factor, from warm_start's support and signs.  Returns (beta, whether its
+    solve dropped eigenpairs).
     """
-    beta, cut, _ = _solve_gram(ds.gram, ds.X.T @ y, lam * penalty.alpha,
-                               lam * (1.0 - penalty.alpha), warm_start, ds.gram_factor)
+    beta, cut, _ = _solve_gram(ds.gram, c, lam * penalty.alpha, lam * (1.0 - penalty.alpha),
+                               warm_start, ds.gram_factor)
     return beta, cut
 
 
-def _variance_update(ds: LongitudinalDataset, moments: EStepMoments, beta: np.ndarray):
-    """The M-step's closed forms: sigma2 and D given the E-step moments and the new beta.
+def _m_step(ds: LongitudinalDataset, moments: EStepMoments, solve):
+    """The M-step given the E-step moments, of the EM driver and of m_step.
 
-    A member axis leading moments and beta leads sigma2 and D too.
+    beta is solve(c), (beta, what the solve notes), on the right-hand side
+    c = X'y_tilde = X'y - sum_i (Z_i'X_i)' b_hat_i.  sigma2 and D then
+    have closed forms; their sums over subjects of Lambda_i and of
+    tr(Lambda_i Z_i'Z_i) are count-weighted sums over the distinct blocks.
+    X beta is the one product with X: the sigma2 residual y_tilde - X beta
+    is summed over the N rows, and X beta is returned for the next E-step.
+    A member axis leading the moments leads every result.  Returns
+    (params, X beta, the solve's note).
     """
-    ztz = ds.block_moments[0]
-    resid = moments.y_tilde - beta @ ds.X.T
-    trace_term = np.einsum("...nij,nij->...", moments.Lambda, ztz)
-    sigma2 = (_sum_of_squares(resid) + trace_term) / ds.N
-    b_hat = moments.b_hat
-    D = (b_hat.swapaxes(-1, -2) @ b_hat + moments.Lambda.sum(axis=-3)) / ds.n
-    return sigma2, 0.5 * (D + D.swapaxes(-1, -2))
+    _, ztx, _ = ds.block_moments
+    blocks = ds.distinct_ztz
+    b_hat, Lam = moments.b_hat, moments.Lambda_blocks
+    nq = ds.n * ds.q
+    beta, cut = solve(ds.xty - b_hat.reshape(*b_hat.shape[:-2], nq) @ ztx.reshape(nq, ds.p))
+    xbeta = beta @ ds.X.T
+    trace_term = np.einsum("...gij,gij,g->...", Lam, blocks.ztz, blocks.counts)
+    sigma2 = (_sum_of_squares(moments.y_tilde - xbeta) + trace_term) / ds.N
+    D = (b_hat.swapaxes(-1, -2) @ b_hat + np.einsum("...gij,g->...ij", Lam, blocks.counts)) / ds.n
+    return LmmParams(beta, sigma2, 0.5 * (D + D.swapaxes(-1, -2))), xbeta, cut
 
 
 def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParams,
            lam: float, penalty: PenaltySpec) -> LmmParams:
-    """Conditional maximization given the E-step moments.
+    """Conditional maximization given the E-step moments: the EM driver's M-step.
 
     beta solves the penalized least-squares problem on (X, y_tilde) at the
     effective level 2 * lam * sigma2_prev by _solve_beta's linear solves,
-    warm-started at the previous beta.  sigma2 and D then have closed forms
-    (_variance_update).  lam is in raw units.
+    warm-started at the previous beta.  sigma2 and D then have closed
+    forms (_m_step).  lam is in raw units.
     """
-    beta, _ = _solve_beta(ds, moments.y_tilde, penalty, 2.0 * lam * params_prev.sigma2,
-                          warm_start=params_prev.beta)
-    return LmmParams(beta, *_variance_update(ds, moments, beta))
+    lam1 = 2.0 * lam * params_prev.sigma2
+    params, _, _ = _m_step(ds, moments,
+                           lambda c: _solve_beta(ds, c, penalty, lam1, params_prev.beta))
+    return params
 
 
 def observed_loglik(ds: LongitudinalDataset, params: LmmParams) -> float:
@@ -397,32 +439,37 @@ def observed_loglik(ds: LongitudinalDataset, params: LmmParams) -> float:
     return e_step(ds, params).loglik
 
 
-def _guarded_e_step(ds: LongitudinalDataset, params: LmmParams):
-    """_guard_params, then e_step on its eigendecomposition of D: (guarded params, moments)."""
+def _guarded_e_step(ds: LongitudinalDataset, params: LmmParams, xbeta=None):
+    """_guard_params, then e_step on its eigendecomposition of D and on
+    xbeta: (guarded params, moments)."""
     params, eig = _guard_params(params)
-    return params, e_step(ds, params, eig=eig)
+    return params, e_step(ds, params, eig=eig, xbeta=xbeta)
 
 
 def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
             lam: float = 0.0, penalty: PenaltySpec | None = None,
-            init: LmmParams | None = None) -> list:
+            init: LmmParams | None = None, moments: EStepMoments | None = None) -> list:
     """EM for `members` fits on ds at once, at raw penalty level lam.
 
     The members' parameters sit on a leading axis of one LmmParams; a lone
     member, the only one or the last one still iterating, drops it.  The
-    per-member step is solve_beta(live, y, lam1, warm_start): beta of the
-    live members (indices, in stack order) on responses y at raw level
-    lam1, and per live member whether its solve dropped eigenpairs (noted
-    once per fit).  It gives the pooled start from y at level lam (sigma2
-    then the mean squared residual, D the identity; init replaces the
-    start) and each M-step's beta from y_tilde at level 2 * lam * sigma2.
+    per-member step is solve_beta(live, c, lam1, warm_start): beta of the
+    live members (indices, in stack order) on right-hand sides c = X'y at
+    raw level lam1, and per live member whether its solve dropped
+    eigenpairs (noted once per fit).  It gives the pooled start from the
+    cached X'y at level lam (sigma2 then the mean squared residual, D the
+    identity; init replaces the start) and each M-step's beta from
+    X'y_tilde at level 2 * lam * sigma2.
 
     Each iteration guards the parameters, runs one E-step on the guard's
-    eigh of D, which gives each member's trace entry for the stopping rule,
-    and then one M-step.  A member leaves on the stopping rule or at
-    ctrl.max_iter with its last guarded iterate; one whose guard or E-step
-    raises leaves alone, with its error.  Returns a FitReport (at lam 0) or
-    a NumericalError per member.
+    eigh of D and on the X beta the pooled start or the last M-step
+    formed, which gives each member's trace entry for the stopping rule,
+    and then one M-step (_m_step).  moments, the E-step at init when init
+    is a lone member's guarded iterate, stand in for the first guard and
+    E-step.  A member leaves on the stopping rule or at ctrl.max_iter with
+    its last guarded iterate and E-step; one whose guard or E-step raises
+    leaves alone, with its error.  Returns a FitReport (at lam 0) or a
+    NumericalError per member.
     """
     lead = () if members == 1 else (members,)
     live = list(range(members))  # the members still iterating, in stack order
@@ -436,38 +483,41 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
             if cut and _MIN_NORM_NOTE not in notes[k]:
                 notes[k].append(_MIN_NORM_NOTE)
 
+    xbeta = None  # X beta of params, once formed
     if init is None:
-        beta, cut = solve_beta(live, np.broadcast_to(ds.y, (*lead, ds.N)), lam,
+        beta, cut = solve_beta(live, np.broadcast_to(ds.xty, (*lead, ds.p)), lam,
                                np.zeros((*lead, ds.p)))
         note(cut)
-        sigma2 = _sum_of_squares(ds.y - beta @ ds.X.T) / ds.N
+        xbeta = beta @ ds.X.T
+        sigma2 = _sum_of_squares(ds.y - xbeta) / ds.N
         params = LmmParams(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
     else:
         params = init
     iteration = 0
     while True:
-        try:
-            guarded, moments = _guarded_e_step(ds, params)
-        except NumericalError as e:
-            # a stack reruns member by member: those that raise alone leave it
-            failed = {}
-            for r in (range(len(live)) if len(live) > 1 else ()):
-                try:
-                    _guarded_e_step(ds, _take(params, [r]))
-                except NumericalError as e_r:
-                    failed[r] = e_r
-            for r, err in (failed or dict.fromkeys(range(len(live)), e)).items():
-                if iteration:
-                    cause, err = err, NumericalError(f"fit_em: iteration {iteration}: {err}")
-                    err.__cause__ = cause
-                out[live[r]] = err
-            keep = [r for r in range(len(live)) if failed and r not in failed]
-            if not keep:
-                break
-            live, params = [live[r] for r in keep], _take(params, keep)
-            continue
+        if moments is None:
+            try:
+                params, moments = _guarded_e_step(ds, params, xbeta)
+            except NumericalError as e:
+                # a stack reruns member by member: those that raise alone leave it
+                failed = {}
+                for r in (range(len(live)) if len(live) > 1 else ()):
+                    try:
+                        _guarded_e_step(ds, _take(params, [r]))
+                    except NumericalError as e_r:
+                        failed[r] = e_r
+                for r, err in (failed or dict.fromkeys(range(len(live)), e)).items():
+                    if iteration:
+                        cause, err = err, NumericalError(f"fit_em: iteration {iteration}: {err}")
+                        err.__cause__ = cause
+                    out[live[r]] = err
+                keep = [r for r in range(len(live)) if failed and r not in failed]
+                if not keep:
+                    break
+                # the members left form their X beta again in the next E-step
+                live, params, xbeta = [live[r] for r in keep], _take(params, keep), None
+                continue
 
-        params = guarded
         lp = moments.loglik
         if lam:
             lp = lp - lam * penalty_value(penalty, params.beta)
@@ -486,7 +536,8 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
             if converged or iteration >= ctrl.max_iter:
                 out[k] = FitReport(_take(params, [r]) if stacked else params, iteration,
                                    converged, np.asarray(trace), logliks[r], 0.0,
-                                   warnings=notes[k])
+                                   warnings=notes[k],
+                                   moments=_take(moments, [r]) if stacked else moments)
                 done.append(r)
         if done:
             keep = [r for r in range(len(live)) if r not in done]
@@ -496,21 +547,25 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
                                      _take(moments, keep))
 
         iteration += 1
-        beta, cut = solve_beta(live, moments.y_tilde, 2.0 * lam * params.sigma2, params.beta)
+        lam1, warm_start = 2.0 * lam * params.sigma2, params.beta
+        params, xbeta, cut = _m_step(ds, moments,
+                                     lambda c: solve_beta(live, c, lam1, warm_start))
         note(cut)
-        params = LmmParams(beta, *_variance_update(ds, moments, beta))
-        del moments  # not held through the next E-step
+        moments = None  # not held through the next E-step
     return out
 
 
 def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = None,
-           init: LmmParams | None = None, ctrl: EmControl | None = None,
+           init: LmmParams | FitReport | None = None, ctrl: EmControl | None = None,
            lambda_scale: str = RAW) -> FitReport:
     """Penalized ML fit at a fixed penalty level.
 
     Initialization: beta from the pooled penalized least-squares problem
     at level lam, sigma2 from its residual sum of squares over N, D the
-    identity (all overridden when init is given).  Iterates E- and M-steps
+    identity (all overridden when init is given).  init may be the
+    FitReport of an earlier fit: its params start this one, and when that
+    fit ran on ds its last E-step (report.moments, at those params) stands
+    in for this fit's first one.  Iterates E- and M-steps
     until the relative change of the penalized log-likelihood falls below
     ctrl.eps, with an absolute fallback of ctrl.abs_eps where the ratio
     rule is ill-conditioned near zero.  Every solve reads X'X and its
@@ -525,16 +580,21 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     penalty = PenaltySpec.lasso(lam) if penalty is None else penalty.with_lam(lam)
     ctrl = ctrl or EmControl()
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
+    moments = None
+    if isinstance(init, FitReport):
+        if init.moments is not None and init.moments.ds is ds:
+            moments = init.moments
+        init = init.params
     if init is not None:
         if init.beta.shape != (ds.p,) or init.D.shape != (ds.q, ds.q):
             raise ConfigurationError("fit_em: init has wrong shapes for this dataset")
         init = LmmParams(init.beta.copy(), init.sigma2, init.D.copy())
 
-    def solve_beta(live, y, lam1, warm_start):
-        beta, cut = _solve_beta(ds, y, penalty, lam1, warm_start)
+    def solve_beta(live, c, lam1, warm_start):
+        beta, cut = _solve_beta(ds, c, penalty, lam1, warm_start)
         return beta, [cut]
 
-    rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, penalty, init)
+    rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, penalty, init, moments)
     if isinstance(rep, NumericalError):
         raise rep
     return replace(rep, lam=float(lam), lambda_scale=lambda_scale)
@@ -594,14 +654,14 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
     factors = [(list(A), *_truncate(ds.gram_factor(A), 0.0)) for A in supports]
     cut = [w_A.size < len(A) for A, w_A, _ in factors]
 
-    def solve_beta(live, y, lam1, warm_start):
-        """The unpenalized solve of each live member, on y_tilde @ X for all of them."""
-        xty = (y @ ds.X).reshape(-1, ds.p)
-        beta = np.zeros_like(xty)
+    def solve_beta(live, c, lam1, warm_start):
+        """The unpenalized solve of each live member on its right-hand side c."""
+        xty = c.reshape(-1, ds.p)
+        beta = np.zeros(xty.shape)
         for r, k in enumerate(live):
             A, w_A, V_A = factors[k]
             beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
-        return beta.reshape(y.shape[:-1] + (ds.p,)), [cut[k] for k in live]
+        return beta.reshape(c.shape), [cut[k] for k in live]
 
     reports = _run_em(ds, len(supports), solve_beta, ctrl or EmControl())
     rec = ds.standardization

@@ -121,11 +121,13 @@ def lambda_max(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> float:
     """Smallest raw penalty level at which the solution is identically zero.
 
     beta = 0 is optimal exactly when |2 x_j'y| <= lam * alpha for every
-    column, so lambda_max = max_j |2 x_j'y| / alpha.  Requires alpha > 0
-    (the ridge penalty never produces exact zeros).
+    column, so lambda_max = max_j |2 x_j'y| / alpha.  Requires a mixing
+    weight alpha in (0, 1], as PenaltySpec holds it less the ridge's 0,
+    which never produces exact zeros; any other alpha (NaN included) is a
+    ConfigurationError.
     """
-    if alpha <= 0:
-        raise ConfigurationError("lambda_max requires alpha > 0")
+    if not 0.0 < alpha <= 1.0:
+        raise ConfigurationError(f"lambda_max requires alpha in (0, 1], got {alpha}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.shape[1] == 0:

@@ -23,7 +23,7 @@ and SelectionResult.to_dict() is the selection JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -198,7 +198,8 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
     The grid (default_grid() when None) is processed in decreasing order
     under the penalty template (the lasso when None).  The first fit starts
     cold and each later one starts from the last penalized fit that did not
-    raise (beta, sigma2, D).  Each entry is then scored by the criterion at
+    raise: its (beta, sigma2, D) and its last E-step, which the next fit
+    reuses in place of its first (fit_em's init).  Each entry is then scored by the criterion at
     the unpenalized refit of its support, every distinct support refitted
     once, together (em_engine.fit_em_supports).  A failed grid fit or
     refit fails its entries, which are recorded in errors and skipped by
@@ -221,7 +222,8 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
         except LmmLassoError as e:
             errors[i] = str(e)
             continue
-        fits[i], prev = fit, fit.params
+        # the path keeps no E-step moments; only the next warm start reads them
+        fits[i], prev = replace(fit, moments=None), fit
         supports[i] = tuple(int(j) for j in np.flatnonzero(fit.params.beta))
 
     # the refit pass: every distinct support in one lock-step EM

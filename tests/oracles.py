@@ -65,11 +65,18 @@ def lasso_by_coordinate_descent(X, y, penalty, warm_start=None, tol=1e-13, max_s
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = X.shape[1]
+    return lasso_by_coordinate_descent_gram(X.T @ X, X.T @ y, penalty, warm_start, tol,
+                                            max_sweeps)
+
+
+def lasso_by_coordinate_descent_gram(G, c, penalty, warm_start=None, tol=1e-13,
+                                     max_sweeps=10000):
+    """lasso_by_coordinate_descent given G = X'X and c = X'y in place of (X, y)."""
+    G = np.asarray(G, dtype=float)
+    c = np.asarray(c, dtype=float)
+    p = c.shape[0]
     lam = float(penalty.lam)
     alpha = penalty.alpha
-    G = X.T @ X
-    c = X.T @ y
     diag = np.ascontiguousarray(np.diagonal(G))
     dead = diag <= 0.0
     beta = np.zeros(p) if warm_start is None else np.array(warm_start, dtype=float)

@@ -35,6 +35,7 @@ from oracles import (
     direct_ml_lmm,
     lasso_best_by_enumeration,
     lasso_by_coordinate_descent,
+    lasso_by_coordinate_descent_gram,
     penalized_loglik,
 )
 
@@ -257,6 +258,96 @@ def test_e_step_on_a_stack_equals_one_call_per_member(problem, R):
         e_step(ds, bad, eig=np.linalg.eigh(bad.D))
 
 
+def _visit_design(kind, seed=0, n=12, p=3):
+    """Subjects with Z_i = [1, t] at their visit times t.
+
+    balanced: every subject at t = 1..4, so one Z'Z block; unbalanced: each
+    subject at its own times, n blocks; missing: t = 1..4 with every third
+    subject missing one of the four visits, five blocks.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i in range(n):
+        t = np.arange(1.0, 5.0)
+        if kind == "unbalanced":
+            t = np.sort(rng.uniform(0.0, 5.0, size=1 + i % 4))
+        elif kind == "missing" and i % 3 == 0:
+            t = np.delete(t, i // 3 % 4)
+        blocks.append(SubjectBlock(i, rng.normal(size=t.size), rng.normal(size=(t.size, p)),
+                                   np.column_stack([np.ones(t.size), t])))
+    return LongitudinalDataset(blocks)
+
+
+def _stack(members):
+    return LmmParams(*(np.stack([getattr(m, name) for m in members])
+                       for name in ("beta", "sigma2", "D")))
+
+
+def _random_params(rng, p=3, q=2):
+    A = rng.normal(size=(q, q))
+    return LmmParams(rng.normal(size=p), rng.uniform(0.5, 2.0), A @ A.T)
+
+
+DESIGNS = [("balanced", 1), ("unbalanced", 12), ("missing", 5)]
+
+
+@pytest.mark.parametrize("design, n_blocks", DESIGNS, ids=[d for d, _ in DESIGNS])
+@pytest.mark.parametrize("R", [1, 3])
+def test_blockwise_e_step_matches_the_dense_oracle(design, n_blocks, R):
+    ds = _visit_design(design)
+    blocks = ds.distinct_ztz
+    assert blocks.counts.size == n_blocks and blocks.counts.sum() == ds.n
+    np.testing.assert_array_equal(blocks.ztz[blocks.index], ds.block_moments[0])
+    rng = np.random.default_rng(R)
+    members = [_random_params(rng) for _ in range(R)]
+    mom = e_step(ds, members[0] if R == 1 else _stack(members))
+    for r, params in enumerate(members):
+        one = mom if R == 1 else replace(mom, b_hat=mom.b_hat[r], loglik=mom.loglik[r],
+                                         Lambda_blocks=mom.Lambda_blocks[r])
+        resid = []
+        for i, b in enumerate(ds.blocks):
+            b_ref, cov_ref = conditional_moments_dense(b.y, b.X, b.Z, params.beta,
+                                                       params.sigma2, params.D)
+            np.testing.assert_allclose(one.b_hat[i], b_ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(one.Lambda[i], cov_ref, rtol=0, atol=1e-10)
+            resid.append(b.y - b.Z @ b_ref)
+        np.testing.assert_allclose(one.y_tilde, np.concatenate(resid), rtol=0, atol=1e-10)
+        ref = dense_marginal_loglik(as_triples(ds), params.beta, params.sigma2, params.D)
+        assert one.loglik == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("design, n_blocks", DESIGNS, ids=[d for d, _ in DESIGNS])
+def test_a_stack_with_one_indefinite_member_fails_only_that_member(design, n_blocks,
+                                                                     monkeypatch):
+    ds = _visit_design(design)
+    rng = np.random.default_rng(4)
+    good = [_random_params(rng) for _ in range(2)]
+    bad = LmmParams(np.zeros(3), -1.0, np.zeros((2, 2)))  # K_i = -I
+    stack = _stack([good[0], bad, good[1]])
+    with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
+        e_step(ds, stack, eig=np.linalg.eigh(stack.D))
+    with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
+        e_step(ds, bad, eig=np.linalg.eigh(bad.D))
+
+    # the driver reruns the stack member by member, and only the indefinite
+    # member leaves it; without the guard, which would repair its sigma2,
+    # it reaches the E-step
+    monkeypatch.setattr(em_engine, "_guard_params",
+                        lambda params: (params, np.linalg.eigh(params.D)))
+
+    def solve_beta(live, c, lam1, warm_start):
+        return np.linalg.solve(ds.gram, c.T).T, [False] * len(live)
+
+    ctrl = EmControl(eps=0.0, abs_eps=0.0, max_iter=5)
+    out = em_engine._run_em(ds, 3, solve_beta, ctrl, init=stack)
+    assert isinstance(out[1], NumericalError)
+    for rep, params in zip((out[0], out[2]), good):
+        lone, = em_engine._run_em(ds, 1, solve_beta, ctrl, init=params)
+        assert rep.iterations == lone.iterations == ctrl.max_iter
+        np.testing.assert_allclose(_fit_vector(rep), _fit_vector(lone), rtol=1e-12, atol=0)
+        assert rep.final_loglik == pytest.approx(lone.final_loglik, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # M-step
 # ---------------------------------------------------------------------------
@@ -267,7 +358,7 @@ def test_m_step_collapses_to_ols_without_random_information():
     blocks = [SubjectBlock(i, rng.normal(size=4), rng.normal(size=(4, 3)),
                            np.zeros((4, 2))) for i in range(8)]
     ds = LongitudinalDataset(blocks)
-    mom = EStepMoments(np.zeros((8, 2)), np.zeros((8, 2, 2)), ds.y.copy())
+    mom = EStepMoments(np.zeros((8, 2)), np.zeros_like(ds.distinct_ztz.ztz), float("nan"), ds)
     prev = LmmParams(np.zeros(3), 1.0, np.eye(2))
     params = m_step(ds, mom, prev, 0.0, PenaltySpec.lasso(0.0))
     ols = np.linalg.solve(ds.X.T @ ds.X, ds.X.T @ ds.y)
@@ -280,8 +371,9 @@ def test_m_step_collapses_to_ols_without_random_information():
 def test_m_step_d_update_arithmetic():
     ds = simulate_lmm(3, n=6, n_i=3)
     b_hat = np.tile(np.array([1.0, 0.0]), (6, 1))
-    Lam = np.tile(np.eye(2), (6, 1, 1))
-    mom = EStepMoments(b_hat, Lam, ds.y.copy())
+    # every subject has the same Z'Z: Cov[b_i | y_i] is one block for all six
+    assert ds.distinct_ztz.counts.tolist() == [6]
+    mom = EStepMoments(b_hat, np.eye(2)[None], float("nan"), ds)
     params = m_step(ds, mom, LmmParams(np.zeros(3), 1.0, np.eye(2)), 0.0,
                     PenaltySpec.lasso(0.0))
     expected = np.array([[2.0, 0.0], [0.0, 1.0]])  # e1 e1' + I
@@ -441,6 +533,70 @@ def test_guarded_e_step_agrees_with_public_path_bit_for_bit(lam):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("R", [1, 3])
+def test_each_iteration_inverts_one_block_per_member_and_forms_one_product_with_X(
+        R, monkeypatch):
+    # a balanced design: every subject has the same Z'Z, so each E-step
+    # inverts one q x q block per member; the rows of X are read once per
+    # iteration, by the M-step's X beta (the pooled start's for the first
+    # E-step), and nowhere else
+    ds = simulate_lmm(5, n=15, n_i=4)
+    assert ds.distinct_ztz.counts.tolist() == [ds.n]
+    ds.gram, ds.xty, ds.block_moments  # the cached views, read before X is counted
+    reads = []
+
+    class CountedX(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            reads.append(ufunc.__name__)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    ds.X = ds.X.view(CountedX)
+    inverted = []
+    spd_inv_logdet = em_engine._spd_inv_logdet
+
+    def counted_inverse(K):
+        inverted.append(K.shape)
+        return spd_inv_logdet(K)
+
+    monkeypatch.setattr(em_engine, "_spd_inv_logdet", counted_inverse)
+    k = 6
+    ctrl = EmControl(eps=0.0, abs_eps=0.0, max_iter=k)
+    if R == 1:
+        reps = [fit_em(ds, 5.0, ctrl=ctrl)]
+    else:
+        reps = fit_em_supports(ds, [(0,), (0, 1), (0, 1, 2)], ctrl=ctrl)
+    assert [rep.iterations for rep in reps] == [k] * R
+    lead = () if R == 1 else (R,)
+    assert inverted == [(*lead, 1, ds.q, ds.q)] * (k + 1)
+    assert reads == ["matmul"] * (k + 1)
+
+
+def test_a_warm_start_from_a_report_reuses_its_last_e_step(monkeypatch):
+    ds = simulate_lmm(6, n=15, n_i=4)
+    first = fit_em(ds, 5.0)
+    assert first.moments.ds is ds
+    calls = []
+    public_e_step = em_engine.e_step
+    monkeypatch.setattr(em_engine, "e_step",
+                        lambda *a, **kw: calls.append(None) or public_e_step(*a, **kw))
+    from_params = fit_em(ds, 2.0, init=first.params)
+    cold_calls = len(calls)
+    from_report = fit_em(ds, 2.0, init=first)
+    # the guard leaves first.params as they are, so its last E-step is the
+    # one the fit from its params runs first
+    assert np.linalg.eigvalsh(first.params.D).min() > 1e-10
+    assert len(calls) - cold_calls == cold_calls - 1
+    assert from_report.iterations == from_params.iterations
+    assert from_report.penalized_loglik_trace.tolist() == \
+        from_params.penalized_loglik_trace.tolist()
+    np.testing.assert_array_equal(_fit_vector(from_report), _fit_vector(from_params))
+    # a report of a fit on another dataset lends its params only
+    other = ds._derive()
+    calls.clear()
+    fit_em(other, 2.0, init=first)
+    assert len(calls) == cold_calls
+
+
 def test_fit_em_on_noise_free_data_returns_symmetric_D():
     # y = X beta exactly: sigma2 and D collapse onto their floors, so the
     # guard clamps D's eigenvalues on every iteration
@@ -528,10 +684,11 @@ def test_exact_m_step_fit_matches_coordinate_descent(penalty, monkeypatch):
     assert calls == [] and exact.warnings == []
     cd_calls = []
 
-    def cd_solve_beta(ds, y, penalty, lam, warm_start):
+    def cd_solve_beta(ds, c, penalty, lam, warm_start):
         """The beta M-step by coordinate descent, warm-started like _solve_beta."""
         cd_calls.append(None)
-        beta, _ = lasso_by_coordinate_descent(ds.X, y, penalty.with_lam(lam), warm_start)
+        beta, _ = lasso_by_coordinate_descent_gram(ds.gram, c, penalty.with_lam(lam),
+                                                   warm_start)
         return beta, False
 
     # the reference fit: every beta M-step, the pooled start included, by
@@ -551,10 +708,14 @@ def test_exact_m_step_without_factor_matches_solve_pls(penalty, monkeypatch):
     calls = _count_solve_pls(monkeypatch)
     new = m_step(ds, mom, params, penalty.lam, penalty)
     assert calls == []
-    # the M-step and the public solver are one solver: equal bit for bit
+    # the M-step and the public solver are one solver, on right-hand sides
+    # that differ by rounding: the M-step's X'y - sum_i (Z_i'X_i)' b_hat_i
+    # and solve_pls's X'y_tilde
     lam1 = 2.0 * penalty.lam * params.sigma2
     ref = solve_pls(ds.X, mom.y_tilde, penalty.with_lam(lam1), warm_start=params.beta)
-    np.testing.assert_array_equal(new.beta, ref.beta)
+    np.testing.assert_array_equal(new.beta == 0.0, ref.beta == 0.0)
+    np.testing.assert_allclose(new.beta, ref.beta, rtol=0,
+                               atol=1e-13 * np.max(np.abs(ref.beta)))
     assert kkt_check(ds.X, mom.y_tilde, penalty.with_lam(lam1), new.beta) <= 1e-10
 
 
@@ -597,16 +758,17 @@ def _lasso_problems(draw):
     return X, y, lam, warm_start
 
 
-def _one_subject(X, y):
-    return LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
+def _solve_beta_on(X, y, penalty, lam, warm_start):
+    """em_engine._solve_beta on (X, y), given X'y as the M-step gives it X'y_tilde."""
+    ds = LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
+    return em_engine._solve_beta(ds, ds.xty, penalty, lam, warm_start)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_lasso_problems())
 def test_solve_beta_matches_enumeration_oracle(problem):
     X, y, lam, warm_start = problem
-    beta, _ = em_engine._solve_beta(_one_subject(X, y), y, PenaltySpec.lasso(0.0), lam,
-                                    warm_start)
+    beta, _ = _solve_beta_on(X, y, PenaltySpec.lasso(0.0), lam, warm_start)
     _, best = lasso_best_by_enumeration(X, y, lam)
     resid = y - X @ beta
     objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
@@ -619,7 +781,7 @@ def test_solve_beta_matches_enumeration_oracle(problem):
 def test_elastic_net_solve_beta_matches_coordinate_descent_oracle(problem, alpha):
     X, y, lam, warm_start = problem
     penalty = PenaltySpec.elastic_net(alpha, lam)
-    beta, _ = em_engine._solve_beta(_one_subject(X, y), y, penalty, lam, warm_start)
+    beta, _ = _solve_beta_on(X, y, penalty, lam, warm_start)
     ref, converged = lasso_by_coordinate_descent(X, y, penalty, warm_start)
     assert converged
     np.testing.assert_allclose(beta, ref, rtol=0, atol=1e-10)
@@ -664,7 +826,7 @@ def _singular_problems(draw):
 def test_solve_beta_on_singular_designs_matches_enumeration_oracle(problem):
     # supports whose X_A'X_A is singular are left by null steps
     X, y, penalty, lam, warm_start = problem
-    beta, _ = em_engine._solve_beta(_one_subject(X, y), y, penalty, lam, warm_start)
+    beta, _ = _solve_beta_on(X, y, penalty, lam, warm_start)
     l1, shift = lam * penalty.alpha, lam * (1.0 - penalty.alpha)
     _, best = lasso_best_by_enumeration(X, y, l1, shift)
     resid = y - X @ beta
@@ -703,8 +865,7 @@ def _elastic_net_problems(draw):
 @given(_elastic_net_problems())
 def test_solve_beta_with_l2_term_matches_enumeration_oracle(problem):
     X, y, penalty, lam, warm_start = problem
-    beta, _ = em_engine._solve_beta(_one_subject(X, y), y, penalty, lam,
-                                    warm_start=warm_start)
+    beta, _ = _solve_beta_on(X, y, penalty, lam, warm_start)
     l1, shift = lam * penalty.alpha, lam * (1.0 - penalty.alpha)
     _, best = lasso_best_by_enumeration(X, y, l1, shift)
     resid = y - X @ beta

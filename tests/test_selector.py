@@ -8,7 +8,7 @@ from lmmlasso.dataset import (LongitudinalDataset, SubjectBlock, beta_original_s
                               standardize)
 from lmmlasso.em_engine import EmControl, fit_em, observed_loglik
 from lmmlasso.exceptions import ConfigurationError, NumericalError
-from lmmlasso.penalized_ls import PenaltySpec
+from lmmlasso.penalized_ls import PenaltySpec, lambda_max
 from lmmlasso.selector import (
     _argmin_prefer_larger,
     auto_log_grid,
@@ -107,6 +107,17 @@ def test_auto_log_grid_anchors_the_elastic_net_at_its_lambda_max():
     g = auto_log_grid(ds, num=10, ratio=1e-2, alpha=0.5)
     assert g[-1] == pytest.approx(float(np.max(np.abs(2 * ds.X.T @ ds.y))) / 0.5)
     assert g[0] == pytest.approx(g[-1] * 1e-2)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 2.0, 0.0, -0.5])
+def test_lambda_max_and_auto_log_grid_refuse_an_alpha_outside_0_1(alpha):
+    # unchecked, NaN gave a grid of NaNs, inf "no signal" and 2.0 a grid
+    # anchored at half the lasso's anchor
+    ds = small_dataset(seed=2)
+    for call in (lambda: lambda_max(ds.X, ds.y, alpha),
+                 lambda: auto_log_grid(ds, num=10, ratio=1e-2, alpha=alpha)):
+        with pytest.raises(ConfigurationError, match=r"alpha in \(0, 1\]"):
+            call()
 
 
 def test_sweep_single_value_grid():
