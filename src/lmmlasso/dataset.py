@@ -3,8 +3,8 @@
 A dataset is held as stacked arrays: the response y and the designs X
 (p fixed-effect columns) and Z (q random-effect columns), rows grouped
 by subject, with per-subject cross products computed by grouped sums.
-The dataset also caches X'X, X'y, the distinct Z_i'Z_i blocks and the
-eigendecomposition of the last block of X'X asked for.  Values are
+The dataset also caches X'X, X'y, the distinct Z_i'Z_i blocks, Z transposed
+and the eigendecomposition of the last block of X'X asked for.  Values are
 immutable after construction, so datasets can be shared read-only across
 concurrent fits.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -161,8 +162,8 @@ class LongitudinalDataset:
         if self.q < 1:
             raise DataError("random-effect design must have at least one column")
         for name, a in (("y", self.y[:, None]), ("X", self.X), ("Z", self.Z)):
-            bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
-            if bad.size:
+            if not np.isfinite(a).all():  # flat; the first bad row is found only on failure
+                bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
                 i = np.searchsorted(self.starts, bad[0], side="right") - 1
                 raise DataError(f"subject {self.subject_ids[i]!r}: non-finite values in {name}")
         self.x_names = list(x_names) if x_names is not None else [f"x{j + 1}" for j in range(self.p)]
@@ -181,6 +182,7 @@ class LongitudinalDataset:
         self.standardization = standardization
         self._moments = None
         self._distinct = None
+        self._zt = None
         self._blocks = None
         self._gram = None
         self._xty = None
@@ -231,20 +233,34 @@ class LongitudinalDataset:
         """The distinct blocks of block_moments' Z'Z, each subject's index
         into them and each block's count (DistinctBlocks).
 
-        Blocks are equal when they are equal in every entry, and come in
-        the lexicographic order of their entries.  Everything the E-step
-        computes from Z_i'Z_i alone (K_i, its inverse and log determinant,
-        and Cov[b_i | y_i]) is computed once per block.  Computed once and
-        cached read-only.
+        Blocks are equal when they are equal in every entry (so -0.0 equals
+        0.0), and come in the lexicographic order of their entries: the
+        result of np.unique(..., axis=0), found by one np.lexsort of the
+        flattened blocks and one comparison of adjacent sorted rows.
+        Everything the E-step computes from Z_i'Z_i alone (K_i, its inverse
+        and log determinant, and Cov[b_i | y_i]) is computed once per block.
+        Computed once and cached read-only.
         """
         if self._distinct is None:
-            ztz = self.block_moments[0]
-            blocks, index, counts = np.unique(ztz.reshape(self.n, -1), axis=0,
-                                              return_inverse=True, return_counts=True)
-            self._distinct = DistinctBlocks(_frozen(blocks.reshape(-1, self.q, self.q)),
-                                            _frozen(index.reshape(-1), int),
-                                            _frozen(counts, int))
+            flat = self.block_moments[0].reshape(self.n, -1)
+            order = np.lexsort(flat.T[::-1])  # the first entry is the primary key
+            ranked = flat[order]
+            first = np.empty(self.n, dtype=bool)
+            first[0] = True
+            np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+            index = np.empty(self.n, dtype=int)
+            index[order] = np.cumsum(first) - 1
+            self._distinct = DistinctBlocks(_frozen(ranked[first].reshape(-1, self.q, self.q)),
+                                            _frozen(index, int), _frozen(np.bincount(index), int))
         return self._distinct
+
+    @property
+    def zt(self) -> np.ndarray:
+        """Z transposed, a contiguous (q, N) copy, so that a sum over Z's
+        columns runs along the rows.  Computed once and cached read-only."""
+        if self._zt is None:
+            self._zt = _frozen(self.Z.T)
+        return self._zt
 
     @property
     def xty(self) -> np.ndarray:
@@ -283,13 +299,32 @@ class LongitudinalDataset:
                             standardization=record)
 
     def subset_subjects(self, indices) -> "LongitudinalDataset":
-        """Dataset of the given subjects (indices into subject order), in that order."""
-        idx = np.asarray(indices, dtype=int)
+        """Dataset of the given subjects (integer indices into subject order,
+        in [0, n), else a ConfigurationError), in that order.  A subject may
+        be given more than once, as a resample with replacement does."""
+        idx = _checked_indices(indices, self.n, "subset_subjects: subject")
         counts = self.counts[idx]
         offsets = self.starts[idx] - (np.cumsum(counts) - counts)
         rows = np.arange(counts.sum()) + np.repeat(offsets, counts)
         return self._derive(subject_ids=self.subject_ids[idx], counts=counts,
                             y=self.y[rows], X=self.X[rows], Z=self.Z[rows])
+
+
+def _checked_indices(indices, size: int, what: str) -> np.ndarray:
+    """indices as an integer array; ConfigurationError unless each is an
+    integer (operator.index takes it, and it is not a bool) in [0, size)."""
+    out = []
+    for j in indices:
+        try:
+            k = operator.index(j)
+        except TypeError:
+            k = None
+        if k is None or isinstance(j, bool):
+            raise ConfigurationError(f"{what} index {j!r} is not an integer")
+        if not 0 <= k < size:
+            raise ConfigurationError(f"{what} index {j!r} lies outside [0, {size})")
+        out.append(k)
+    return np.array(out, dtype=int)
 
 
 def name_list(names) -> tuple:
@@ -428,8 +463,10 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     error path is a csv.reader row loop, run on an input the C pass refuses
     or might read differently, and on one that cannot be reread (a pipe).
     It raises the DataError naming the row, cell and column, or reads the
-    cells float() takes and numpy does not (such as "1_0").  Rows are
-    grouped by a stable sort of the subjects' first-appearance codes.  A
+    cells float() takes and numpy does not (such as "1_0").  y, X and Z
+    are stacked from the parsed columns, and their rows grouped by one
+    gather per array, in the order of a stable sort of the subjects'
+    first-appearance codes.  A
     missing, unreadable or undecodable file is a DataError, and so is a
     header or row csv.reader refuses (a field over its size limit), named
     by the line it ends on.
@@ -474,36 +511,42 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     if not codes.size:
         raise DataError(f"{path}: no data rows")
     order = np.argsort(codes, kind="stable")
-    values = {ci: np.asarray(col, dtype=float)[order] for ci, col in columns.items()}
 
     def stack(cols):
         return np.column_stack(cols) if cols else np.empty((codes.size, 0))
 
-    X = stack([values[col_index[c]] for c in roles.fixed])
-    Z = stack([np.ones(codes.size) if c == "1" else values[col_index[c]] for c in roles.random])
+    y = np.asarray(columns[col_index[roles.response]], dtype=float)
+    X = stack([columns[col_index[c]] for c in roles.fixed])
+    Z = stack([np.ones(codes.size) if c == "1" else columns[col_index[c]] for c in roles.random])
     return LongitudinalDataset._from_arrays(
-        list(first_seen), np.bincount(codes), values[col_index[roles.response]], X, Z,
+        list(first_seen), np.bincount(codes), y[order], X[order], Z[order],
         roles.fixed, roles.response, roles.random)
 
 
 def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> LongitudinalDataset:
     """Center and scale pooled X columns and the response.
 
-    Columns listed in ``categorical`` (indices) are exempt from centering
-    and scaling.  The response is always centered, and scaled when
-    scale_y.  Sample standard deviations use the n-1 convention.  A
-    non-exempt constant column is a data error, and so is a column or
-    response whose standard deviation is not finite (its squares overflow
-    double precision).
+    Columns listed in ``categorical`` (integer indices in [0, p), else a
+    ConfigurationError) are exempt from centering and scaling.  The
+    response is always centered, and scaled when scale_y.  Sample standard
+    deviations use the n-1 convention.  A non-exempt constant column is a
+    data error, and so is a column or response whose standard deviation is
+    not finite (its squares overflow double precision).
+
+    X's deviations from the column means are formed once: the scale is
+    taken from them with X.std(ddof=1)'s arithmetic (the sum of their
+    squares over N - 1, then the square root), they are divided by it in
+    place, and the exempt columns are copied from X.
     """
     if ds.standardization is not None:
         raise ConfigurationError("dataset is already standardized")
     exempt = np.zeros(ds.p, dtype=bool)
-    exempt[list(categorical)] = True
+    exempt[_checked_indices(categorical, ds.p, "standardize: categorical column")] = True
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
-        center = ds.X.mean(axis=0) if ds.p else np.zeros(0)
-        scale = ds.X.std(axis=0, ddof=1) if ds.N > 1 else np.zeros(ds.p)
+        center = ds.X.mean(axis=0)
+        X = ds.X - center
+        scale = np.sqrt(np.add.reduce(X * X, axis=0) / (ds.N - 1)) if ds.N > 1 else np.zeros(ds.p)
         y_center = float(ds.y.mean())
         y_scale = float(ds.y.std(ddof=1)) if scale_y else 1.0
     for j in np.flatnonzero(~exempt):
@@ -514,7 +557,9 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
             raise DataError(f"column {ds.x_names[j]!r} has a non-finite standard "
                             "deviation; rescale it")
     center = np.where(exempt, 0.0, center)
-    scale = np.where(exempt, 1.0, np.where(scale == 0.0, 1.0, scale))
+    scale = np.where(exempt, 1.0, scale)
+    X /= scale
+    X[:, exempt] = ds.X[:, exempt]
 
     if scale_y and y_scale == 0.0:
         raise DataError("response has zero variance")
@@ -522,8 +567,7 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
         raise DataError("response has a non-finite standard deviation; rescale it")
 
     record = StandardizationRecord(center, scale, y_center, y_scale)
-    return ds._derive(y=(ds.y - y_center) / y_scale, X=(ds.X - center) / scale,
-                      standardization=record)
+    return ds._derive(y=(ds.y - y_center) / y_scale, X=X, standardization=record)
 
 
 def destandardize(ds: LongitudinalDataset) -> LongitudinalDataset:

@@ -173,9 +173,15 @@ class EStepMoments:
 
     @property
     def y_tilde(self) -> np.ndarray:
-        """The de-noised response y - Z b_hat, stacked over subjects."""
+        """The de-noised response y - Z b_hat, stacked over subjects.
+
+        Z_i b_hat_i is summed over the q columns along the rows of ds.zt,
+        Z's (q, N) copy, with each subject's b_hat repeated along the last
+        axis, for one member or a stack.
+        """
         ds = self.ds
-        return ds.y - np.einsum("nq,...nq->...n", ds.Z, self.b_hat.repeat(ds.counts, axis=-2))
+        b_rows = self.b_hat.swapaxes(-1, -2).repeat(ds.counts, axis=-1)
+        return ds.y - np.einsum("qn,...qn->...n", ds.zt, b_rows)
 
 
 @dataclass

@@ -170,6 +170,12 @@ def conditional_moments_dense(y_i, X_i, Z_i, beta, sigma2, D):
     return b_mean, b_cov
 
 
+def y_tilde_by_rows(ds, b_hat):
+    """y - Z b_hat with Z read row-major: one einsum over the (N, q) ds.Z, with
+    b_hat, (n, q) or stacked (..., n, q), repeated row by row."""
+    return ds.y - np.einsum("nq,...nq->...n", ds.Z, b_hat.repeat(ds.counts, axis=-2))
+
+
 def _chol_from_params(t):
     """Lower-triangular 2x2 Cholesky factor with log-parametrized diagonal."""
     L = np.zeros((2, 2))

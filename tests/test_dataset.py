@@ -258,6 +258,19 @@ def test_select_columns_and_subset_subjects():
     assert part.blocks[0].subject_id == 4
 
 
+def test_public_index_arguments_refuse_non_integers_and_out_of_range_indices():
+    ds = _toy_dataset(seed=7, n=5)
+    for bad in ([-1], [ds.p], [1.5], [True], ["0"]):
+        with pytest.raises(ConfigurationError, match="categorical column index"):
+            standardize(ds, categorical=bad)
+    for bad in ([-1], [ds.n], [1.5], [True]):
+        with pytest.raises(ConfigurationError, match="subset_subjects: subject index"):
+            ds.subset_subjects(bad)
+    assert standardize(ds, categorical=np.array([2])).standardization.x_scale[2] == 1.0
+    # a resample with replacement repeats subjects
+    assert list(ds.subset_subjects(np.array([3, 3, 0])).subject_ids) == [3, 3, 0]
+
+
 def test_dataset_arrays_are_readonly():
     ds = _toy_dataset(seed=2, n=3)
     with pytest.raises(ValueError):
@@ -391,6 +404,63 @@ def test_destandardize_inverts_standardize(ds, scale_y):
     np.testing.assert_allclose(back.X, ds.X, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(back.y, ds.y, rtol=1e-12, atol=0.0)
     assert back.standardization is None
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_datasets(min_rows=2), st.data())
+def test_standardize_is_bit_identical_to_numpy_mean_and_std(ds, data):
+    exempt = data.draw(st.lists(st.integers(0, ds.p - 1), max_size=ds.p, unique=True)
+                       if ds.p else st.just([]))
+    std = standardize(ds, categorical=exempt)
+    center, scale = ds.X.mean(axis=0), ds.X.std(axis=0, ddof=1)
+    X = (ds.X - center) / scale
+    center[exempt], scale[exempt], X[:, exempt] = 0.0, 1.0, ds.X[:, exempt]
+    rec = std.standardization
+    assert _same_bits(std.X, X)
+    assert _same_bits(rec.x_center, center)
+    assert _same_bits(rec.x_scale, scale)
+    assert _same_bits(std.y, (ds.y - ds.y.mean()) / ds.y.std(ddof=1))
+
+
+_ZTZ_DESIGNS = ("balanced", "missing", "unbalanced", "signed_zeros")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(_ZTZ_DESIGNS), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_distinct_ztz_is_np_unique_of_the_blocks(design, n, seed):
+    """Subjects with Z_i = [s_i, t]: balanced (s_i = 1, t = 0..3, one block),
+    missing (some subjects miss a visit), unbalanced (each at its own times,
+    n blocks) or signed_zeros (t = 0 and s_i = +-1, so the off-diagonal of
+    Z_i'Z_i is 0.0 or -0.0, which are one block)."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i in range(n):
+        t, s = np.arange(4.0), 1.0
+        if design == "missing" and rng.random() < 0.5:
+            t = np.delete(t, rng.integers(4))
+        elif design == "unbalanced":
+            t = rng.uniform(0.0, 5.0, size=rng.integers(1, 5))
+        elif design == "signed_zeros":
+            t, s = np.zeros(2), rng.choice([-1.0, 1.0])
+        blocks.append(SubjectBlock(i, rng.normal(size=t.size), np.empty((t.size, 0)),
+                                   np.column_stack([np.full(t.size, s), t])))
+    ds = LongitudinalDataset(blocks)
+    ztz = ds.block_moments[0]
+    got = ds.distinct_ztz
+    np.testing.assert_array_equal(got.ztz[got.index], ztz)
+    blocks, index, counts = np.unique(ztz.reshape(ds.n, -1), axis=0, return_inverse=True,
+                                      return_counts=True)
+    np.testing.assert_array_equal(got.ztz.reshape(counts.size, -1), blocks)
+    np.testing.assert_array_equal(got.index, index.reshape(-1))
+    np.testing.assert_array_equal(got.counts, counts)
+    if design == "balanced":
+        assert counts.size == 1
+    elif design == "signed_zeros":
+        assert counts.size == 1 and np.signbit(ztz[:, 0, 1]).any() == (-1.0 in ds.Z[:, 0])
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -37,6 +37,7 @@ from oracles import (
     lasso_by_coordinate_descent,
     lasso_by_coordinate_descent_gram,
     penalized_loglik,
+    y_tilde_by_rows,
 )
 
 D_UNIT = np.array([[1.0, 0.25], [0.25, 1.0]])
@@ -301,6 +302,7 @@ def test_blockwise_e_step_matches_the_dense_oracle(design, n_blocks, R):
     rng = np.random.default_rng(R)
     members = [_random_params(rng) for _ in range(R)]
     mom = e_step(ds, members[0] if R == 1 else _stack(members))
+    assert np.array_equal(mom.y_tilde, y_tilde_by_rows(ds, mom.b_hat))  # bit for bit at q = 2
     for r, params in enumerate(members):
         one = mom if R == 1 else replace(mom, b_hat=mom.b_hat[r], loglik=mom.loglik[r],
                                          Lambda_blocks=mom.Lambda_blocks[r])
@@ -314,6 +316,21 @@ def test_blockwise_e_step_matches_the_dense_oracle(design, n_blocks, R):
         np.testing.assert_allclose(one.y_tilde, np.concatenate(resid), rtol=0, atol=1e-10)
         ref = dense_marginal_loglik(as_triples(ds), params.beta, params.sigma2, params.D)
         assert one.loglik == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_y_tilde_with_three_or_more_random_effects_agrees_with_the_row_major_form(q):
+    # the row-major einsum's SIMD kernel may sum q >= 3 products in another
+    # order than ds.zt's column order, so the two agree to rounding
+    rng = np.random.default_rng(q)
+    ds = LongitudinalDataset([SubjectBlock(i, rng.normal(size=c), rng.normal(size=(c, 2)),
+                                           rng.normal(size=(c, q)))
+                              for i, c in enumerate(rng.integers(1, 6, size=20))])
+    mom = e_step(ds, _stack([_random_params(rng, p=2, q=q) for _ in range(3)]))
+    size = np.abs(ds.y) + np.einsum("nq,...nq->...n", np.abs(ds.Z),
+                                    np.abs(mom.b_hat).repeat(ds.counts, axis=-2))
+    bound = 4 * q * np.finfo(float).eps * size
+    assert np.all(np.abs(mom.y_tilde - y_tilde_by_rows(ds, mom.b_hat)) <= bound)
 
 
 @pytest.mark.parametrize("design, n_blocks", DESIGNS, ids=[d for d, _ in DESIGNS])
