@@ -22,7 +22,13 @@ only through Z_i'Z_i, so they are computed once per distinct block of
 the dataset (ds.distinct_ztz): once per member for a balanced design, n
 times in the worst case.  Each iteration eigendecomposes D once:
 fit_em's guard (_guard_params) takes eigh(D) and hands it to e_step,
-which builds S from it.
+which builds S from it.  For q <= 2, a random intercept or intercept and
+slope, this q x q algebra (S, K_i, its inverse and log determinant,
+S K_i^-1 S, and the M-step's sums of Lambda_i and tr(Lambda_i Z_i'Z_i))
+is written out entrywise (_entries): one member and one distinct block
+run the expressions on Python floats, where numpy's dispatch on 2 x 2
+arrays cost more than the arithmetic, and a stack or several blocks run
+the same expressions on arrays.  q >= 3 uses matrix products and LAPACK.
 
 Each iteration reads the N rows once.  The M-step (_m_step, which the
 public m_step runs too) forms X beta, the one product with X, for the
@@ -57,10 +63,10 @@ and one M-step for all members, on the same cached moments; only the
 beta solve is per member.  At 30 subjects an iteration costs mostly
 numpy dispatch, so R fits in lock-step cost far less than R fits one by
 one.  A lone member, a single fit or the last refit still iterating,
-runs without the member axis, on the kernels of a single fit, which are
-the faster ones at R = 1.  A fit warm-started from an earlier fit's
-report on the same dataset (as sweep does) starts from that fit's last
-E-step instead of repeating it.
+drops the member axis; with q <= 2 and one distinct block, as on a
+balanced design, its q x q algebra then runs on floats.  A fit
+warm-started from an earlier fit's report on the same dataset (as sweep
+does) starts from that fit's last E-step instead of repeating it.
 """
 
 from __future__ import annotations
@@ -202,8 +208,15 @@ class EmControl:
         for name in ("eps", "abs_eps"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigurationError(f"EmControl: {name} must be finite and >= 0")
-        if self.max_iter < 1:
+        try:
+            max_iter = operator.index(self.max_iter)
+        except TypeError:
+            max_iter = None
+        if max_iter is None or isinstance(self.max_iter, bool):
+            raise ConfigurationError(f"EmControl: max_iter {self.max_iter!r} is not an integer")
+        if max_iter < 1:
             raise ConfigurationError("EmControl: max_iter must be >= 1")
+        self.max_iter = max_iter
 
 
 @dataclass
@@ -274,40 +287,121 @@ def _guard_params(params: LmmParams):
     params._check_finite()
     D = 0.5 * (params.D + params.D.swapaxes(-1, -2))
     w, V = np.linalg.eigh(D)
-    if w.min() < _D_EIG_FLOOR:
+    stacked = w.ndim > 1
+    if (w.min() if stacked else w[0]) < _D_EIG_FLOOR:  # eigh's eigenvalues ascend
         low = w.min(axis=-1)[..., None, None] < _D_EIG_FLOOR  # the members to clamp
         C = (V * np.maximum(w, _D_EIG_FLOOR)[..., None, :]) @ V.swapaxes(-1, -2)
         D = np.where(low, 0.5 * (C + C.swapaxes(-1, -2)), D)
         w, V = np.linalg.eigh(D)
-    return LmmParams(params.beta, np.maximum(params.sigma2, _SIGMA2_FLOOR), D), (w, V)
+    sigma2 = (np.maximum(params.sigma2, _SIGMA2_FLOOR) if stacked
+              else max(params.sigma2, _SIGMA2_FLOOR))
+    return LmmParams(params.beta, sigma2, D), (w, V)
 
 
-def _spd_inv_logdet(K: np.ndarray):
-    """Inverses and log determinants of a stack (..., q, q) of small SPD matrices.
+def _spd_inv_logdet(K):
+    """Inverses and log determinants of small symmetric positive definite blocks.
 
-    Closed forms for the 1x1 and 2x2 cases avoid per-call LAPACK dispatch
-    in the EM hot loop (on 2x2 stacks numpy's batched inv and slogdet took
-    1.6x as long at 30 subjects, 16x at 10,000); larger blocks fall back to
-    numpy.  Raises NumericalError unless every block is positive definite.
+    For q <= 2, K is the blocks' upper-triangle entries (_entries) and so
+    are the inverses; entrywise closed forms run on floats or arrays alike.
+    For q >= 3, K is a stack (..., q, q) for LAPACK.  Raises NumericalError
+    unless every block is positive definite.
     """
-    q = K.shape[-1]
-    if q > 2:
+    if isinstance(K, np.ndarray):
         sign, logdet = np.linalg.slogdet(K)
-        pd = sign > 0.0
-    else:
-        det = K[..., 0, 0] if q == 1 else K[..., 0, 0] * K[..., 1, 1] - K[..., 0, 1] ** 2
-        pd = (K[..., 0, 0] > 0.0) & (det > 0.0)
-    if not pd.all():
-        raise NumericalError("subject covariance is not positive definite")
-    if q > 2:
+        if not (sign > 0.0).all():
+            raise NumericalError("subject covariance is not positive definite")
         return np.linalg.inv(K), logdet
-    if q == 1:
-        return 1.0 / K, np.log(det)
-    inv = np.empty_like(K)
-    inv[..., 0, 0], inv[..., 1, 1] = K[..., 1, 1], K[..., 0, 0]
-    inv[..., 0, 1] = inv[..., 1, 0] = -K[..., 0, 1]
-    inv /= det[..., None, None]
-    return inv, np.log(det)
+    det = K[0] if len(K) == 1 else K[0] * K[2] - K[1] * K[1]
+    pd = (K[0] > 0.0) & (det > 0.0)
+    if not (pd if type(pd) is bool else pd.all()):
+        raise NumericalError("subject covariance is not positive definite")
+    inv = (1.0 / det,) if len(K) == 1 else (K[2] / det, -K[1] / det, K[0] / det)
+    return inv, (math.log(det) if type(det) is float else np.log(det))
+
+
+def _entries(A: np.ndarray) -> tuple:
+    """The upper-triangle entries (a00,) or (a00, a01, a11) of symmetric
+    q x q blocks A (..., q, q), q <= 2.
+
+    One (q, q) block gives Python floats, on which the q x q algebra of the
+    EM costs less than numpy's per-call dispatch on 2 x 2 arrays; a stack
+    gives arrays over its leading axes.
+    """
+    if A.ndim == 2:
+        A = A.tolist()
+        return (A[0][0],) if len(A) == 1 else (A[0][0], A[0][1], A[1][1])
+    return (A[..., 0, 0],) if A.shape[-1] == 1 else (A[..., 0, 0], A[..., 0, 1], A[..., 1, 1])
+
+
+def _from_entries(E: tuple) -> np.ndarray:
+    """The symmetric blocks (..., q, q) whose upper-triangle entries are E
+    (the inverse of _entries)."""
+    rows = [[E[0]]] if len(E) == 1 else [[E[0], E[1]], [E[1], E[2]]]
+    if not isinstance(E[0], np.ndarray):
+        return np.array(rows)
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def _sandwich_entries(S: tuple, A: tuple) -> tuple:
+    """S A S for symmetric q x q blocks, q <= 2, given by their entries."""
+    if len(S) == 1:
+        return (S[0] * A[0] * S[0],)
+    s00, s01, s11 = S
+    a00, a01, a11 = A
+    t00, t10 = a00 * s00 + a01 * s01, a01 * s00 + a11 * s01  # the columns of A S
+    t01, t11 = a00 * s01 + a01 * s11, a01 * s01 + a11 * s11
+    return (t00 * s00 + t10 * s01, t00 * s01 + t10 * s11, t01 * s01 + t11 * s11)
+
+
+def _root_entries(w: np.ndarray, V: np.ndarray) -> tuple:
+    """The entries of S = V diag(sqrt(max(w, 0))) V', the symmetric square
+    root of a PSD D from np.linalg.eigh(D) = (w, V), q <= 2: floats for one
+    member, and for a stack (R, 1) arrays, which broadcast against an axis
+    of blocks."""
+    if w.ndim == 1:
+        s = [math.sqrt(x) if x > 0.0 else 0.0 for x in w.tolist()]
+        V = V.tolist()
+    else:
+        s = np.sqrt(np.maximum(w, 0.0)).T[..., None]
+        V = V.transpose(1, 2, 0)[..., None]
+    if len(s) == 1:
+        return (V[0][0] * s[0] * V[0][0],)
+    (v00, v01), (v10, v11) = V
+    s0, s1 = s
+    return (v00 * s0 * v00 + v01 * s1 * v01,
+            v00 * s0 * v10 + v01 * s1 * v11,
+            v10 * s0 * v10 + v11 * s1 * v11)
+
+
+def _conditioned_blocks(blocks, eig, sigma2, lead: tuple):
+    """The q x q algebra of an E-step, once per distinct Z'Z block g.
+
+    With S the square root of D from eig = np.linalg.eigh(D) and K_g =
+    sigma2 I + S Z_g'Z_g S, returns sum_g count_g log det K_g, the blocks
+    S K_g^-1 S and the blocks Lambda_g = sigma2 S K_g^-1 S (..., G, q, q).
+    For q <= 2 the blocks are computed entrywise (_entries): on Python
+    floats when one member meets one block, and S K^-1 S is then one
+    (q, q) array; on arrays otherwise.  For q >= 3 they are matrix products
+    and LAPACK's.
+    """
+    ztz, counts = blocks.ztz, blocks.counts
+    q = ztz.shape[-1]
+    s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (G, q, q) blocks
+    if q > 2:
+        S = _psd_sqrt(*eig)
+        Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
+        SKS = _sandwich(S, Kinv)
+        return logdet_K @ counts, SKS, s2 * SKS
+    one = not lead and counts.size == 1
+    S = _root_entries(*eig)
+    s2_g = s2[..., 0, 0] if lead else sigma2  # against the entries' (G,) axis
+    M = _sandwich_entries(S, _entries(ztz[0] if one else ztz))
+    K = (s2_g + M[0],) if q == 1 else (s2_g + M[0], M[1], s2_g + M[2])
+    Kinv, logdet_K = _spd_inv_logdet(K)
+    SKS = _from_entries(_sandwich_entries(S, Kinv))
+    if one:
+        return logdet_K * int(counts[0]), SKS, (sigma2 * SKS)[None]
+    return logdet_K @ counts, SKS, s2 * SKS
 
 
 def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -362,27 +456,29 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     params.beta @ ds.X.T, which the EM driver carries from its M-step;
     otherwise it is formed here.
     """
-    S = _psd_sqrt(*(params._checked_eigh() if eig is None else eig))
+    eig = params._checked_eigh() if eig is None else eig
     _, ztx, zty = ds.block_moments
     blocks = ds.distinct_ztz
     n, q = ds.n, ds.q
     lead = params.beta.shape[:-1]
     sigma2 = params.sigma2
-    s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (G, q, q) blocks
-    Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, blocks.ztz))
-    SKS = _sandwich(S, Kinv)
+    logdet_K, SKS, Lambda_blocks = _conditioned_blocks(blocks, eig, sigma2, lead)
 
     ztr = zty - (params.beta @ ztx.reshape(n * q, ds.p).T).reshape(*lead, n, q)
-    b_hat = np.einsum("...nij,...nj->...ni", np.take(SKS, blocks.index, axis=-3), ztr)
+    if SKS.ndim == 2:  # one member, one block: S K^-1 S is one symmetric (q, q) array
+        b_hat = ztr @ SKS
+        ztr_b = ztr.ravel() @ b_hat.ravel()
+    else:
+        b_hat = np.einsum("...nij,...nj->...ni", np.take(SKS, blocks.index, axis=-3), ztr)
+        ztr_b = np.einsum("...nq,...nq->...", ztr, b_hat)
     if xbeta is None:
         xbeta = params.beta @ ds.X.T
-    rr = _sum_of_squares(ds.y - xbeta)
-    quad = (rr - np.einsum("...nq,...nq->...", ztr, b_hat)) / sigma2
+    quad = (_sum_of_squares(ds.y - xbeta) - ztr_b) / sigma2
     # math.log for one member: np.log differs from it in the last bit on some inputs
     log_sigma2 = np.log(sigma2) if lead else math.log(sigma2)
-    logdet = (ds.N - n * q) * log_sigma2 + logdet_K @ blocks.counts
+    logdet = (ds.N - n * q) * log_sigma2 + logdet_K
     loglik = -0.5 * (ds.N * math.log(2.0 * math.pi) + logdet + quad)
-    return EStepMoments(b_hat, s2 * SKS, loglik if lead else float(loglik), ds)
+    return EStepMoments(b_hat, Lambda_blocks, loglik if lead else float(loglik), ds)
 
 
 def _solve_beta(ds: LongitudinalDataset, c: np.ndarray, penalty: PenaltySpec, lam: float,
@@ -415,10 +511,24 @@ def _m_step(ds: LongitudinalDataset, moments: EStepMoments, solve):
     nq = ds.n * ds.q
     beta, cut = solve(ds.xty - b_hat.reshape(*b_hat.shape[:-2], nq) @ ztx.reshape(nq, ds.p))
     xbeta = beta @ ds.X.T
-    trace_term = np.einsum("...gij,gij,g->...", Lam, blocks.ztz, blocks.counts)
+    bb = b_hat.swapaxes(-1, -2) @ b_hat
+    if ds.q > 2:
+        trace_term = np.einsum("...gij,gij,g->...", Lam, blocks.ztz, blocks.counts)
+        D = (bb + np.einsum("...gij,g->...ij", Lam, blocks.counts)) / ds.n
+        D = 0.5 * (D + D.swapaxes(-1, -2))
+    else:
+        # entrywise (_entries), on floats for one member and one block
+        one = b_hat.ndim == 2 and blocks.counts.size == 1
+        L = _entries(Lam[0] if one else Lam)
+        A = _entries(blocks.ztz[0] if one else blocks.ztz)
+        tr = L[0] * A[0] if ds.q == 1 else L[0] * A[0] + 2.0 * L[1] * A[1] + L[2] * A[2]
+        if one:
+            trace_term, L_sum = tr * ds.n, [x * ds.n for x in L]
+        else:
+            trace_term, L_sum = tr @ blocks.counts, [x @ blocks.counts for x in L]
+        D = _from_entries(tuple((b + x) / ds.n for b, x in zip(_entries(bb), L_sum)))
     sigma2 = (_sum_of_squares(moments.y_tilde - xbeta) + trace_term) / ds.N
-    D = (b_hat.swapaxes(-1, -2) @ b_hat + np.einsum("...gij,g->...ij", Lam, blocks.counts)) / ds.n
-    return LmmParams(beta, sigma2, 0.5 * (D + D.swapaxes(-1, -2))), xbeta, cut
+    return LmmParams(beta, sigma2, D), xbeta, cut
 
 
 def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParams,

@@ -96,11 +96,16 @@ class PlsSolution:
     kkt_residual: float
 
 
-def penalty_value(penalty: PenaltySpec, beta: np.ndarray) -> float:
-    """Mixing-weighted penalty alpha*||beta||_1 + (1-alpha)*||beta||_2^2."""
+def penalty_value(penalty: PenaltySpec, beta: np.ndarray):
+    """Mixing-weighted penalty alpha*||beta||_1 + (1-alpha)*||beta||_2^2.
+
+    A float for beta (p,); one value per member, summed over the last axis,
+    for a stack (R, p).
+    """
     beta = np.asarray(beta, dtype=float)
-    return penalty.alpha * float(np.abs(beta).sum()) \
-        + (1.0 - penalty.alpha) * float(beta @ beta)
+    l2 = beta @ beta if beta.ndim == 1 else np.einsum("rp,rp->r", beta, beta)
+    value = penalty.alpha * np.abs(beta).sum(axis=-1) + (1.0 - penalty.alpha) * l2
+    return float(value) if beta.ndim == 1 else value
 
 
 def effective_lambda(lam: float, lambda_scale: str, n_obs: int) -> float:

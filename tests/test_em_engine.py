@@ -259,12 +259,13 @@ def test_e_step_on_a_stack_equals_one_call_per_member(problem, R):
         e_step(ds, bad, eig=np.linalg.eigh(bad.D))
 
 
-def _visit_design(kind, seed=0, n=12, p=3):
-    """Subjects with Z_i = [1, t] at their visit times t.
+def _visit_design(kind, seed=0, n=12, p=3, q=2):
+    """Subjects with Z_i = [1, t] at their visit times t, or Z_i = [1] for q = 1.
 
     balanced: every subject at t = 1..4, so one Z'Z block; unbalanced: each
     subject at its own times, n blocks; missing: t = 1..4 with every third
-    subject missing one of the four visits, five blocks.
+    subject missing one of the four visits, five blocks (fewer for q = 1,
+    whose Z_i'Z_i is the number of visits).
     """
     rng = np.random.default_rng(seed)
     blocks = []
@@ -275,7 +276,7 @@ def _visit_design(kind, seed=0, n=12, p=3):
         elif kind == "missing" and i % 3 == 0:
             t = np.delete(t, i // 3 % 4)
         blocks.append(SubjectBlock(i, rng.normal(size=t.size), rng.normal(size=(t.size, p)),
-                                   np.column_stack([np.ones(t.size), t])))
+                                   np.column_stack([np.ones(t.size), t])[:, :q]))
     return LongitudinalDataset(blocks)
 
 
@@ -363,6 +364,90 @@ def test_a_stack_with_one_indefinite_member_fails_only_that_member(design, n_blo
         assert rep.iterations == lone.iterations == ctrl.max_iter
         np.testing.assert_allclose(_fit_vector(rep), _fit_vector(lone), rtol=1e-12, atol=0)
         assert rep.final_loglik == pytest.approx(lone.final_loglik, rel=1e-12, abs=0.0)
+
+
+def _assert_close_to(got, want, rtol):
+    """max|got - want| within rtol of max|want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    bound = rtol * max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= bound
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A q <= 2 design and one member's parameters: D of full rank, rank
+    one, zero or with an eigenvalue at the guard's 1e-10 floor, and sigma2
+    at its 1e-12 floor or of order one.
+
+    The unbalanced q = 2 design has single-visit subjects, whose Z_i'Z_i
+    is singular.  At sigma2 = 1e-12 their K_i has a condition number near
+    1e12, and b_hat_i = S K_i^-1 S Z_i'r_i cancels terms that large: it
+    carries 1e12 times the rounding of Z_i'r_i, which one member (a
+    matrix-vector product) and a stack (a matrix product) round
+    differently.  That design keeps sigma2 of order one.
+    """
+    q = draw(st.sampled_from([1, 2]))
+    design = draw(st.sampled_from(["balanced", "unbalanced", "missing"]))
+    ds = _visit_design(design, seed=draw(st.integers(0, 3)), q=q)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.1, 3.0, size=q)
+    rank = draw(st.sampled_from(["full", "rank_one", "zero", "floor"]))
+    if rank == "zero":
+        w[:] = 0.0
+    elif rank != "full":
+        w[0] = 0.0 if rank == "rank_one" else 1e-10
+    V = np.linalg.qr(rng.normal(size=(q, q)))[0]
+    D = (V * w) @ V.T
+    singular = q == 2 and design == "unbalanced"
+    sigma2 = 1e-12 if draw(st.booleans()) and not singular else rng.uniform(0.2, 3.0)
+    return ds, LmmParams(rng.normal(size=ds.p), sigma2, 0.5 * (D + D.T))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_kernel_cases())
+def test_one_member_closed_forms_agree_with_the_array_path(case):
+    # a lone member's q x q algebra runs on floats when its design has one
+    # Z'Z block; the same member twice in a stack runs it on arrays
+    ds, params = case
+    lone, stack = e_step(ds, params), e_step(ds, _stack([params, params]))
+    for name in ("b_hat", "Lambda", "y_tilde", "loglik"):
+        _assert_close_to(getattr(stack, name)[0], getattr(lone, name), 1e-13)
+
+    def solve(c):
+        return np.linalg.solve(ds.gram, c.T).T, False
+
+    one, xbeta_one, _ = em_engine._m_step(ds, lone, solve)
+    two, xbeta_two, _ = em_engine._m_step(ds, stack, solve)
+    for name in ("beta", "sigma2", "D"):
+        _assert_close_to(getattr(two, name)[0], getattr(one, name), 1e-13)
+    _assert_close_to(xbeta_two[0], xbeta_one, 1e-13)
+
+    bad = LmmParams(params.beta, -1.0, np.zeros((ds.q, ds.q)))  # K_i = -I
+    for member in (bad, _stack([bad, bad])):
+        with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
+            e_step(ds, member, eig=np.linalg.eigh(member.D))
+
+
+def test_a_penalized_stack_traces_each_member_as_its_lone_run():
+    ds = _visit_design("missing")
+    rng = np.random.default_rng(11)
+    members = [_random_params(rng) for _ in range(2)]
+    penalty, lam = PenaltySpec.lasso(1.0), 3.0
+
+    def solve_beta(live, c, lam1, warm_start):
+        out = [em_engine._solve_beta(ds, c_r, penalty, l_r, w_r) for c_r, l_r, w_r in
+               zip(c.reshape(-1, ds.p), np.ravel(lam1), warm_start.reshape(-1, ds.p))]
+        return np.stack([b for b, _ in out]).reshape(c.shape), [cut for _, cut in out]
+
+    ctrl = EmControl(eps=0.0, abs_eps=0.0, max_iter=8)
+    reps = em_engine._run_em(ds, 2, solve_beta, ctrl, lam, penalty, init=_stack(members))
+    for rep, params in zip(reps, members):
+        lone, = em_engine._run_em(ds, 1, solve_beta, ctrl, lam, penalty, init=params)
+        assert rep.iterations == lone.iterations == ctrl.max_iter
+        np.testing.assert_allclose(rep.penalized_loglik_trace, lone.penalized_loglik_trace,
+                                   rtol=1e-12, atol=0)
+        assert np.any(lone.params.beta == 0.0)  # the l1 term is active
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +639,10 @@ def test_guarded_e_step_agrees_with_public_path_bit_for_bit(lam):
 def test_each_iteration_inverts_one_block_per_member_and_forms_one_product_with_X(
         R, monkeypatch):
     # a balanced design: every subject has the same Z'Z, so each E-step
-    # inverts one q x q block per member; the rows of X are read once per
-    # iteration, by the M-step's X beta (the pooled start's for the first
-    # E-step), and nowhere else
+    # inverts one q x q block per member, from its entries: Python floats
+    # for one member, one (R, 1) array per entry for a stack of R; the rows
+    # of X are read once per iteration, by the M-step's X beta (the pooled
+    # start's for the first E-step), and nowhere else
     ds = simulate_lmm(5, n=15, n_i=4)
     assert ds.distinct_ztz.counts.tolist() == [ds.n]
     ds.gram, ds.xty, ds.block_moments  # the cached views, read before X is counted
@@ -572,7 +658,7 @@ def test_each_iteration_inverts_one_block_per_member_and_forms_one_product_with_
     spd_inv_logdet = em_engine._spd_inv_logdet
 
     def counted_inverse(K):
-        inverted.append(K.shape)
+        inverted.append((len(K), type(K[0]), np.shape(K[0])))
         return spd_inv_logdet(K)
 
     monkeypatch.setattr(em_engine, "_spd_inv_logdet", counted_inverse)
@@ -583,8 +669,8 @@ def test_each_iteration_inverts_one_block_per_member_and_forms_one_product_with_
     else:
         reps = fit_em_supports(ds, [(0,), (0, 1), (0, 1, 2)], ctrl=ctrl)
     assert [rep.iterations for rep in reps] == [k] * R
-    lead = () if R == 1 else (R,)
-    assert inverted == [(*lead, 1, ds.q, ds.q)] * (k + 1)
+    block = (3, float, ()) if R == 1 else (3, np.ndarray, (R, 1))  # q = 2: 3 entries
+    assert inverted == [block] * (k + 1)
     assert reads == ["matmul"] * (k + 1)
 
 
@@ -639,6 +725,13 @@ def test_fit_em_warm_init_reaches_same_solution():
     warm = fit_em(ds, 0.0, init=init, ctrl=EmControl(eps=1e-12, max_iter=20000))
     np.testing.assert_allclose(warm.params.beta, cold.params.beta, atol=1e-5)
     np.testing.assert_allclose(warm.params.D, cold.params.D, atol=1e-4)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, True, "3", None], ids=["float", "bool", "str", "none"])
+def test_em_control_refuses_a_max_iter_that_is_not_an_integer(max_iter):
+    with pytest.raises(ConfigurationError, match="max_iter"):
+        EmControl(max_iter=max_iter)
+    assert EmControl(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_fit_em_per_obs_scale_equals_raw_conversion():
