@@ -469,7 +469,7 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     first-appearance codes.  A
     missing, unreadable or undecodable file is a DataError, and so is a
     header or row csv.reader refuses (a field over its size limit), named
-    by the line it ends on.
+    by the line it ends on, and an empty subject cell.
     """
     try:
         with open(path, newline="") as fh:
@@ -510,6 +510,9 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
                         dtype=np.int64, count=len(subjects))
     if not codes.size:
         raise DataError(f"{path}: no data rows")
+    if "" in first_seen:
+        blank = np.count_nonzero(codes == first_seen[""])
+        raise DataError(f"{path}: subject column {roles.subject!r} is empty in {blank} row(s)")
     order = np.argsort(codes, kind="stable")
 
     def stack(cols):

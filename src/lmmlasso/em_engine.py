@@ -22,13 +22,13 @@ only through Z_i'Z_i, so they are computed once per distinct block of
 the dataset (ds.distinct_ztz): once per member for a balanced design, n
 times in the worst case.  Each iteration eigendecomposes D once:
 fit_em's guard (_guard_params) takes eigh(D) and hands it to e_step,
-which builds S from it.  For q <= 2, a random intercept or intercept and
-slope, this q x q algebra (S, K_i, its inverse and log determinant,
-S K_i^-1 S, and the M-step's sums of Lambda_i and tr(Lambda_i Z_i'Z_i))
-is written out entrywise (_entries): one member and one distinct block
-run the expressions on Python floats, where numpy's dispatch on 2 x 2
-arrays cost more than the arithmetic, and a stack or several blocks run
-the same expressions on arrays.  q >= 3 uses matrix products and LAPACK.
+which builds S from it.  This q x q algebra (S, K_i, its inverse and log
+determinant, S K_i^-1 S, and the M-step's sums of Lambda_i and
+tr(Lambda_i Z_i'Z_i)) takes one of two routes.  One member on one
+distinct block with q <= 2, as on a balanced design, runs it entrywise
+on Python floats (_entries), where numpy's dispatch on 2 x 2 arrays
+costs more than the arithmetic; a stack, several blocks or q >= 3 run
+matrix products (_psd_sqrt, _sandwich) and LAPACK.
 
 Each iteration reads the N rows once.  The M-step (_m_step, which the
 public m_step runs too) forms X beta, the one product with X, for the
@@ -63,8 +63,8 @@ and one M-step for all members, on the same cached moments; only the
 beta solve is per member.  At 30 subjects an iteration costs mostly
 numpy dispatch, so R fits in lock-step cost far less than R fits one by
 one.  A lone member, a single fit or the last refit still iterating,
-drops the member axis; with q <= 2 and one distinct block, as on a
-balanced design, its q x q algebra then runs on floats.  A fit
+drops the member axis; with q <= 2 and one distinct block its q x q
+algebra then runs on floats, and a stack's runs on matrix products.  A fit
 warm-started from an earlier fit's report on the same dataset (as sweep
 does) starts from that fit's last E-step instead of repeating it.
 """
@@ -72,6 +72,7 @@ does) starts from that fit's last E-step instead of repeating it.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, fields, replace
 
@@ -206,8 +207,11 @@ class EmControl:
 
     def __post_init__(self):
         for name in ("eps", "abs_eps"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ConfigurationError(f"EmControl: {name} must be finite and >= 0")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 <= value < np.inf):
+                raise ConfigurationError(f"EmControl: {name} must be a finite real number >= 0, "
+                                         f"got {value!r}")
         try:
             max_iter = operator.index(self.max_iter)
         except TypeError:
@@ -301,45 +305,37 @@ def _guard_params(params: LmmParams):
 def _spd_inv_logdet(K):
     """Inverses and log determinants of small symmetric positive definite blocks.
 
-    For q <= 2, K is the blocks' upper-triangle entries (_entries) and so
-    are the inverses; entrywise closed forms run on floats or arrays alike.
-    For q >= 3, K is a stack (..., q, q) for LAPACK.  Raises NumericalError
-    unless every block is positive definite.
+    K is one q x q block, q <= 2, given by its upper-triangle entries
+    (_entries), whose inverse is returned as entries too, on floats; or a
+    stack (..., q, q) for LAPACK, whose log determinants are 2 sum log
+    diag L of the Cholesky factors L.  Raises NumericalError unless every
+    block is positive definite.
     """
     if isinstance(K, np.ndarray):
-        sign, logdet = np.linalg.slogdet(K)
-        if not (sign > 0.0).all():
-            raise NumericalError("subject covariance is not positive definite")
-        return np.linalg.inv(K), logdet
+        try:
+            L = np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            raise NumericalError("subject covariance is not positive definite") from None
+        return np.linalg.inv(K), 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
     det = K[0] if len(K) == 1 else K[0] * K[2] - K[1] * K[1]
-    pd = (K[0] > 0.0) & (det > 0.0)
-    if not (pd if type(pd) is bool else pd.all()):
+    if not (K[0] > 0.0 and det > 0.0):
         raise NumericalError("subject covariance is not positive definite")
     inv = (1.0 / det,) if len(K) == 1 else (K[2] / det, -K[1] / det, K[0] / det)
-    return inv, (math.log(det) if type(det) is float else np.log(det))
+    return inv, math.log(det)
 
 
 def _entries(A: np.ndarray) -> tuple:
-    """The upper-triangle entries (a00,) or (a00, a01, a11) of symmetric
-    q x q blocks A (..., q, q), q <= 2.
-
-    One (q, q) block gives Python floats, on which the q x q algebra of the
-    EM costs less than numpy's per-call dispatch on 2 x 2 arrays; a stack
-    gives arrays over its leading axes.
-    """
-    if A.ndim == 2:
-        A = A.tolist()
-        return (A[0][0],) if len(A) == 1 else (A[0][0], A[0][1], A[1][1])
-    return (A[..., 0, 0],) if A.shape[-1] == 1 else (A[..., 0, 0], A[..., 0, 1], A[..., 1, 1])
+    """The upper-triangle entries (a00,) or (a00, a01, a11) of one symmetric
+    q x q block A, q <= 2, as Python floats: the q x q algebra of the EM
+    costs less on them than numpy's per-call dispatch on 2 x 2 arrays."""
+    A = A.tolist()
+    return (A[0][0],) if len(A) == 1 else (A[0][0], A[0][1], A[1][1])
 
 
 def _from_entries(E: tuple) -> np.ndarray:
-    """The symmetric blocks (..., q, q) whose upper-triangle entries are E
-    (the inverse of _entries)."""
-    rows = [[E[0]]] if len(E) == 1 else [[E[0], E[1]], [E[1], E[2]]]
-    if not isinstance(E[0], np.ndarray):
-        return np.array(rows)
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    """The symmetric (q, q) block whose upper-triangle entries are E (the
+    inverse of _entries)."""
+    return np.array([[E[0]]] if len(E) == 1 else [[E[0], E[1]], [E[1], E[2]]])
 
 
 def _sandwich_entries(S: tuple, A: tuple) -> tuple:
@@ -355,15 +351,10 @@ def _sandwich_entries(S: tuple, A: tuple) -> tuple:
 
 def _root_entries(w: np.ndarray, V: np.ndarray) -> tuple:
     """The entries of S = V diag(sqrt(max(w, 0))) V', the symmetric square
-    root of a PSD D from np.linalg.eigh(D) = (w, V), q <= 2: floats for one
-    member, and for a stack (R, 1) arrays, which broadcast against an axis
-    of blocks."""
-    if w.ndim == 1:
-        s = [math.sqrt(x) if x > 0.0 else 0.0 for x in w.tolist()]
-        V = V.tolist()
-    else:
-        s = np.sqrt(np.maximum(w, 0.0)).T[..., None]
-        V = V.transpose(1, 2, 0)[..., None]
+    root of a PSD D (q, q), q <= 2, from np.linalg.eigh(D) = (w, V), as
+    floats."""
+    s = [math.sqrt(x) if x > 0.0 else 0.0 for x in w.tolist()]
+    V = V.tolist()
     if len(s) == 1:
         return (V[0][0] * s[0] * V[0][0],)
     (v00, v01), (v10, v11) = V
@@ -379,28 +370,24 @@ def _conditioned_blocks(blocks, eig, sigma2, lead: tuple):
     With S the square root of D from eig = np.linalg.eigh(D) and K_g =
     sigma2 I + S Z_g'Z_g S, returns sum_g count_g log det K_g, the blocks
     S K_g^-1 S and the blocks Lambda_g = sigma2 S K_g^-1 S (..., G, q, q).
-    For q <= 2 the blocks are computed entrywise (_entries): on Python
-    floats when one member meets one block, and S K^-1 S is then one
-    (q, q) array; on arrays otherwise.  For q >= 3 they are matrix products
-    and LAPACK's.
+    One member meeting one block with q <= 2 runs the algebra entrywise
+    on Python floats (_entries), and S K^-1 S is then one (q, q) array.
+    Every other case, a stack, several blocks or q >= 3, runs matrix
+    products (_psd_sqrt, _sandwich) and LAPACK.
     """
     ztz, counts = blocks.ztz, blocks.counts
     q = ztz.shape[-1]
-    s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (G, q, q) blocks
-    if q > 2:
-        S = _psd_sqrt(*eig)
-        Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
-        SKS = _sandwich(S, Kinv)
-        return logdet_K @ counts, SKS, s2 * SKS
-    one = not lead and counts.size == 1
-    S = _root_entries(*eig)
-    s2_g = s2[..., 0, 0] if lead else sigma2  # against the entries' (G,) axis
-    M = _sandwich_entries(S, _entries(ztz[0] if one else ztz))
-    K = (s2_g + M[0],) if q == 1 else (s2_g + M[0], M[1], s2_g + M[2])
-    Kinv, logdet_K = _spd_inv_logdet(K)
-    SKS = _from_entries(_sandwich_entries(S, Kinv))
-    if one:
+    if q <= 2 and not lead and counts.size == 1:
+        S = _root_entries(*eig)
+        M = _sandwich_entries(S, _entries(ztz[0]))
+        K = (sigma2 + M[0],) if q == 1 else (sigma2 + M[0], M[1], sigma2 + M[2])
+        Kinv, logdet_K = _spd_inv_logdet(K)
+        SKS = _from_entries(_sandwich_entries(S, Kinv))
         return logdet_K * int(counts[0]), SKS, (sigma2 * SKS)[None]
+    s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (G, q, q) blocks
+    S = _psd_sqrt(*eig)
+    Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
+    SKS = _sandwich(S, Kinv)
     return logdet_K @ counts, SKS, s2 * SKS
 
 
@@ -512,21 +499,16 @@ def _m_step(ds: LongitudinalDataset, moments: EStepMoments, solve):
     beta, cut = solve(ds.xty - b_hat.reshape(*b_hat.shape[:-2], nq) @ ztx.reshape(nq, ds.p))
     xbeta = beta @ ds.X.T
     bb = b_hat.swapaxes(-1, -2) @ b_hat
-    if ds.q > 2:
+    if ds.q <= 2 and b_hat.ndim == 2 and blocks.counts.size == 1:
+        # one member on one block: entrywise on floats (_entries)
+        L, A = _entries(Lam[0]), _entries(blocks.ztz[0])
+        tr = L[0] * A[0] if ds.q == 1 else L[0] * A[0] + 2.0 * L[1] * A[1] + L[2] * A[2]
+        trace_term = tr * ds.n
+        D = _from_entries(tuple((b + x * ds.n) / ds.n for b, x in zip(_entries(bb), L)))
+    else:
         trace_term = np.einsum("...gij,gij,g->...", Lam, blocks.ztz, blocks.counts)
         D = (bb + np.einsum("...gij,g->...ij", Lam, blocks.counts)) / ds.n
         D = 0.5 * (D + D.swapaxes(-1, -2))
-    else:
-        # entrywise (_entries), on floats for one member and one block
-        one = b_hat.ndim == 2 and blocks.counts.size == 1
-        L = _entries(Lam[0] if one else Lam)
-        A = _entries(blocks.ztz[0] if one else blocks.ztz)
-        tr = L[0] * A[0] if ds.q == 1 else L[0] * A[0] + 2.0 * L[1] * A[1] + L[2] * A[2]
-        if one:
-            trace_term, L_sum = tr * ds.n, [x * ds.n for x in L]
-        else:
-            trace_term, L_sum = tr @ blocks.counts, [x @ blocks.counts for x in L]
-        D = _from_entries(tuple((b + x) / ds.n for b, x in zip(_entries(bb), L_sum)))
     sigma2 = (_sum_of_squares(moments.y_tilde - xbeta) + trace_term) / ds.N
     return LmmParams(beta, sigma2, D), xbeta, cut
 

@@ -676,6 +676,24 @@ def test_random_effect_column_of_zeros_is_data_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [f]
 
 
+@pytest.mark.parametrize("cell", ["", '""'], ids=["bare", "quoted"])
+def test_empty_subject_cell_is_data_error(tmp_path, capsys, cell):
+    # four rows of four subjects with no id would be fitted as one subject ""
+    f = tmp_path / "in.csv"
+    _interleaved_csv(f)
+    header, *rows = f.read_text().splitlines()
+    rows[:4] = [cell + row[row.index(","):] for row in rows[:4]]
+    f.write_text("\n".join([header] + rows) + "\n")
+    rc = main(["fit", "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", "x1,x2", "--random", "1,t", "--lambda", "0",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == f"{f}: subject column 'id' is empty in 4 row(s)"
+    assert list(tmp_path.iterdir()) == [f]
+
+
 def test_standardize_refuses_a_scale_that_overflows(tmp_path, small_csv, capsys):
     # y and x1 near 1e200: the scales would come out inf, the data all zero,
     # and the fit a floor fit that exited 0; the ingested dataset is refused

@@ -260,12 +260,12 @@ def test_e_step_on_a_stack_equals_one_call_per_member(problem, R):
 
 
 def _visit_design(kind, seed=0, n=12, p=3, q=2):
-    """Subjects with Z_i = [1, t] at their visit times t, or Z_i = [1] for q = 1.
+    """Subjects with Z_i the first q columns of [1, t, t^2] at their visit times t.
 
     balanced: every subject at t = 1..4, so one Z'Z block; unbalanced: each
     subject at its own times, n blocks; missing: t = 1..4 with every third
-    subject missing one of the four visits, five blocks (fewer for q = 1,
-    whose Z_i'Z_i is the number of visits).
+    subject missing one of the four visits, five blocks.  For q = 1 Z_i'Z_i
+    is the number of visits: four blocks unbalanced and two missing.
     """
     rng = np.random.default_rng(seed)
     blocks = []
@@ -276,7 +276,7 @@ def _visit_design(kind, seed=0, n=12, p=3, q=2):
         elif kind == "missing" and i % 3 == 0:
             t = np.delete(t, i // 3 % 4)
         blocks.append(SubjectBlock(i, rng.normal(size=t.size), rng.normal(size=(t.size, p)),
-                                   np.column_stack([np.ones(t.size), t])[:, :q]))
+                                   np.column_stack([np.ones(t.size), t, t * t])[:, :q]))
     return LongitudinalDataset(blocks)
 
 
@@ -293,17 +293,39 @@ def _random_params(rng, p=3, q=2):
 DESIGNS = [("balanced", 1), ("unbalanced", 12), ("missing", 5)]
 
 
-@pytest.mark.parametrize("design, n_blocks", DESIGNS, ids=[d for d, _ in DESIGNS])
+def _assert_y_tilde_agrees_with_the_row_major_form(ds, mom):
+    """Bit for bit at q <= 2.  For q >= 3 the row-major einsum's SIMD kernel
+    may sum the q products in another order than ds.zt's column order, so
+    the two agree to rounding."""
+    want = y_tilde_by_rows(ds, mom.b_hat)
+    if ds.q <= 2:
+        assert np.array_equal(mom.y_tilde, want)
+        return
+    size = np.abs(ds.y) + np.einsum("nq,...nq->...n", np.abs(ds.Z),
+                                    np.abs(mom.b_hat).repeat(ds.counts, axis=-2))
+    assert np.all(np.abs(mom.y_tilde - want) <= 4 * ds.q * np.finfo(float).eps * size)
+
+
+# (design, its number of distinct Z'Z blocks, q), where q = 1 has fewer
+# blocks (_visit_design); the q = 2 cells keep the plain ids
+Q1_BLOCKS = {"balanced": 1, "unbalanced": 4, "missing": 2}
+ORACLE_CELLS = [(d, n if q > 1 else Q1_BLOCKS[d], q) for q in (2, 1, 3) for d, n in DESIGNS]
+
+
+@pytest.mark.parametrize("design, n_blocks, q", ORACLE_CELLS,
+                         ids=[d if q == 2 else f"{d}-q{q}" for d, _, q in ORACLE_CELLS])
 @pytest.mark.parametrize("R", [1, 3])
-def test_blockwise_e_step_matches_the_dense_oracle(design, n_blocks, R):
-    ds = _visit_design(design)
+def test_blockwise_e_step_matches_the_dense_oracle(design, n_blocks, q, R):
+    # the float route runs where q <= 2 and R = 1 on the balanced design's
+    # one block; every other cell runs the matrix route
+    ds = _visit_design(design, q=q)
     blocks = ds.distinct_ztz
     assert blocks.counts.size == n_blocks and blocks.counts.sum() == ds.n
     np.testing.assert_array_equal(blocks.ztz[blocks.index], ds.block_moments[0])
     rng = np.random.default_rng(R)
-    members = [_random_params(rng) for _ in range(R)]
+    members = [_random_params(rng, q=q) for _ in range(R)]
     mom = e_step(ds, members[0] if R == 1 else _stack(members))
-    assert np.array_equal(mom.y_tilde, y_tilde_by_rows(ds, mom.b_hat))  # bit for bit at q = 2
+    _assert_y_tilde_agrees_with_the_row_major_form(ds, mom)
     for r, params in enumerate(members):
         one = mom if R == 1 else replace(mom, b_hat=mom.b_hat[r], loglik=mom.loglik[r],
                                          Lambda_blocks=mom.Lambda_blocks[r])
@@ -321,17 +343,12 @@ def test_blockwise_e_step_matches_the_dense_oracle(design, n_blocks, R):
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_y_tilde_with_three_or_more_random_effects_agrees_with_the_row_major_form(q):
-    # the row-major einsum's SIMD kernel may sum q >= 3 products in another
-    # order than ds.zt's column order, so the two agree to rounding
     rng = np.random.default_rng(q)
     ds = LongitudinalDataset([SubjectBlock(i, rng.normal(size=c), rng.normal(size=(c, 2)),
                                            rng.normal(size=(c, q)))
                               for i, c in enumerate(rng.integers(1, 6, size=20))])
     mom = e_step(ds, _stack([_random_params(rng, p=2, q=q) for _ in range(3)]))
-    size = np.abs(ds.y) + np.einsum("nq,...nq->...n", np.abs(ds.Z),
-                                    np.abs(mom.b_hat).repeat(ds.counts, axis=-2))
-    bound = 4 * q * np.finfo(float).eps * size
-    assert np.all(np.abs(mom.y_tilde - y_tilde_by_rows(ds, mom.b_hat)) <= bound)
+    _assert_y_tilde_agrees_with_the_row_major_form(ds, mom)
 
 
 @pytest.mark.parametrize("design, n_blocks", DESIGNS, ids=[d for d, _ in DESIGNS])
@@ -366,6 +383,28 @@ def test_a_stack_with_one_indefinite_member_fails_only_that_member(design, n_blo
         assert rep.final_loglik == pytest.approx(lone.final_loglik, rel=1e-12, abs=0.0)
 
 
+def test_the_lapack_route_refuses_an_indefinite_block_with_a_positive_determinant():
+    # det(K) > 0 does not make K positive definite: K = -I at even q, and
+    # two indefinite 2 x 2 blocks on the diagonal (eigenvalues -1, -1, 3, 3)
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])
+    K = np.block([[A, np.zeros((2, 2))], [np.zeros((2, 2)), A]])
+    assert np.linalg.det(K) > 0.0
+    with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
+        em_engine._spd_inv_logdet(np.stack([np.eye(4), K]))
+    rng = np.random.default_rng(0)
+    ds = LongitudinalDataset([SubjectBlock(i, rng.normal(size=5), rng.normal(size=(5, 2)),
+                                           rng.normal(size=(5, 4))) for i in range(6)])
+    bad = LmmParams(np.zeros(ds.p), -1.0, np.zeros((4, 4)))  # K_i = -I, det(K_i) = 1
+    with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
+        e_step(ds, bad, eig=np.linalg.eigh(bad.D))
+
+    # on positive definite blocks the log determinant is LAPACK's
+    good = np.stack([np.eye(4) + K @ K, 2.0 * np.eye(4)])
+    inv, logdet = em_engine._spd_inv_logdet(good)
+    np.testing.assert_allclose(inv @ good, np.broadcast_to(np.eye(4), good.shape), atol=1e-14)
+    np.testing.assert_allclose(logdet, np.linalg.slogdet(good)[1], rtol=1e-14)
+
+
 def _assert_close_to(got, want, rtol):
     """max|got - want| within rtol of max|want|."""
     got, want = np.asarray(got), np.asarray(want)
@@ -383,9 +422,8 @@ def _kernel_cases(draw):
     The unbalanced q = 2 design has single-visit subjects, whose Z_i'Z_i
     is singular.  At sigma2 = 1e-12 their K_i has a condition number near
     1e12, and b_hat_i = S K_i^-1 S Z_i'r_i cancels terms that large: it
-    carries 1e12 times the rounding of Z_i'r_i, which one member (a
-    matrix-vector product) and a stack (a matrix product) round
-    differently.  That design keeps sigma2 of order one.
+    carries 1e12 times the rounding of Z_i'r_i, which a lone member and a
+    stack round differently.  That design keeps sigma2 of order one.
     """
     q = draw(st.sampled_from([1, 2]))
     design = draw(st.sampled_from(["balanced", "unbalanced", "missing"]))
@@ -404,15 +442,28 @@ def _kernel_cases(draw):
     return ds, LmmParams(rng.normal(size=ds.p), sigma2, 0.5 * (D + D.T))
 
 
+def _largest_cond_of_k(ds, params):
+    """max_g cond(K_g), K_g = sigma2 I + S Z_g'Z_g S over the design's distinct blocks."""
+    S = em_engine._psd_sqrt(*np.linalg.eigh(params.D))
+    K = params.sigma2 * np.eye(ds.q) + S @ ds.distinct_ztz.ztz @ S
+    return float(np.linalg.cond(K).max())
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_kernel_cases())
-def test_one_member_closed_forms_agree_with_the_array_path(case):
+def test_one_member_closed_forms_agree_with_the_matrix_route(case):
     # a lone member's q x q algebra runs on floats when its design has one
-    # Z'Z block; the same member twice in a stack runs it on arrays
+    # Z'Z block; the same member twice in a stack runs it on matrix
+    # products and LAPACK.  Where K is ill-conditioned (sigma2 at its floor
+    # and D rank-deficient on the balanced q = 2 design, cond(K) up to
+    # 1e14) the two routes round S K^-1 S differently, by up to about
+    # cond(K) eps, and each is about that far from the exact moments
     ds, params = case
+    cond = _largest_cond_of_k(ds, params)
+    rtol = 1e-13 if cond < 1e8 else 2.0 * cond * np.finfo(float).eps
     lone, stack = e_step(ds, params), e_step(ds, _stack([params, params]))
     for name in ("b_hat", "Lambda", "y_tilde", "loglik"):
-        _assert_close_to(getattr(stack, name)[0], getattr(lone, name), 1e-13)
+        _assert_close_to(getattr(stack, name)[0], getattr(lone, name), rtol)
 
     def solve(c):
         return np.linalg.solve(ds.gram, c.T).T, False
@@ -420,8 +471,8 @@ def test_one_member_closed_forms_agree_with_the_array_path(case):
     one, xbeta_one, _ = em_engine._m_step(ds, lone, solve)
     two, xbeta_two, _ = em_engine._m_step(ds, stack, solve)
     for name in ("beta", "sigma2", "D"):
-        _assert_close_to(getattr(two, name)[0], getattr(one, name), 1e-13)
-    _assert_close_to(xbeta_two[0], xbeta_one, 1e-13)
+        _assert_close_to(getattr(two, name)[0], getattr(one, name), rtol)
+    _assert_close_to(xbeta_two[0], xbeta_one, rtol)
 
     bad = LmmParams(params.beta, -1.0, np.zeros((ds.q, ds.q)))  # K_i = -I
     for member in (bad, _stack([bad, bad])):
@@ -639,8 +690,8 @@ def test_guarded_e_step_agrees_with_public_path_bit_for_bit(lam):
 def test_each_iteration_inverts_one_block_per_member_and_forms_one_product_with_X(
         R, monkeypatch):
     # a balanced design: every subject has the same Z'Z, so each E-step
-    # inverts one q x q block per member, from its entries: Python floats
-    # for one member, one (R, 1) array per entry for a stack of R; the rows
+    # inverts one q x q block per member: from its entries, Python floats,
+    # for one member, and as one (R, 1, q, q) array for a stack of R; the rows
     # of X are read once per iteration, by the M-step's X beta (the pooled
     # start's for the first E-step), and nowhere else
     ds = simulate_lmm(5, n=15, n_i=4)
@@ -658,7 +709,7 @@ def test_each_iteration_inverts_one_block_per_member_and_forms_one_product_with_
     spd_inv_logdet = em_engine._spd_inv_logdet
 
     def counted_inverse(K):
-        inverted.append((len(K), type(K[0]), np.shape(K[0])))
+        inverted.append(K.shape if isinstance(K, np.ndarray) else (len(K), type(K[0])))
         return spd_inv_logdet(K)
 
     monkeypatch.setattr(em_engine, "_spd_inv_logdet", counted_inverse)
@@ -669,7 +720,7 @@ def test_each_iteration_inverts_one_block_per_member_and_forms_one_product_with_
     else:
         reps = fit_em_supports(ds, [(0,), (0, 1), (0, 1, 2)], ctrl=ctrl)
     assert [rep.iterations for rep in reps] == [k] * R
-    block = (3, float, ()) if R == 1 else (3, np.ndarray, (R, 1))  # q = 2: 3 entries
+    block = (3, float) if R == 1 else (R, 1, 2, 2)  # q = 2: 3 entries or one 2 x 2 block
     assert inverted == [block] * (k + 1)
     assert reads == ["matmul"] * (k + 1)
 
@@ -732,6 +783,15 @@ def test_em_control_refuses_a_max_iter_that_is_not_an_integer(max_iter):
     with pytest.raises(ConfigurationError, match="max_iter"):
         EmControl(max_iter=max_iter)
     assert EmControl(max_iter=np.int64(3)).max_iter == 3
+
+
+@pytest.mark.parametrize("name", ["eps", "abs_eps"])
+@pytest.mark.parametrize("value", ["1e-6", None, True], ids=["str", "none", "bool"])
+def test_em_control_refuses_a_tolerance_that_is_not_a_real_number(name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        EmControl(**{name: value})
+    assert getattr(EmControl(**{name: np.float64(1e-8)}), name) == 1e-8
+    assert getattr(EmControl(**{name: 0}), name) == 0
 
 
 def test_fit_em_per_obs_scale_equals_raw_conversion():
