@@ -40,9 +40,9 @@ from .dataset import (
 )
 from .em_engine import EmControl, fit_em
 from .penalized_ls import LAMBDA_SCALES, PER_OBS, PenaltySpec
-from .exceptions import ConfigurationError, DataError, LmmLassoError
+from .exceptions import ConfigurationError, DataError, LmmLassoError, _checked_real
 from .fileio import write_csv, write_json
-from .selector import CRITERIA, auto_log_grid, select
+from .selector import CRITERIA, auto_log_grid, default_grid, select
 from .simkit import (
     D_PRESETS,
     SCENARIO_DESIGNS,
@@ -109,11 +109,7 @@ def _config_value(key: str, value):
             raise ConfigurationError(f"config key {key!r} must be true or false")
         return value
     if key == "grid" and isinstance(value, list):
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in value):
-            raise ConfigurationError("config key 'grid' must be a string "
-                                     "or a list of numbers")
-        return value
+        return [_checked_real(v, "config key 'grid': a list entry") for v in value]
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigurationError(
             f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
@@ -199,9 +195,7 @@ def _parse_grid(spec) -> np.ndarray:
             lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigurationError(f"malformed grid {spec!r}") from None
-        if num < 1:
-            raise ConfigurationError("grid length must be >= 1")
-        return np.linspace(lo, hi, num)
+        return default_grid(num, lo, hi)
     try:
         return np.asarray([float(v) for v in spec.split(",") if v != ""])
     except ValueError:

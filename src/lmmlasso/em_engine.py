@@ -72,14 +72,12 @@ does) starts from that fit's last E-step instead of repeating it.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import LongitudinalDataset, beta_original_scale
-from .exceptions import ConfigurationError, NumericalError
+from .dataset import LongitudinalDataset, _checked_indices, beta_original_scale
+from .exceptions import ConfigurationError, NumericalError, _checked_int, _checked_real
 # solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
 # this module's binding of it, so the name stays until the tracer drops it
 from .penalized_ls import (RAW, PenaltySpec, _solve_gram, _truncate, effective_lambda,
@@ -207,20 +205,11 @@ class EmControl:
 
     def __post_init__(self):
         for name in ("eps", "abs_eps"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0.0 <= value < np.inf):
-                raise ConfigurationError(f"EmControl: {name} must be a finite real number >= 0, "
+            value = _checked_real(getattr(self, name), f"EmControl: {name}")
+            if not 0.0 <= value < np.inf:
+                raise ConfigurationError(f"EmControl: {name} must be finite and >= 0, "
                                          f"got {value!r}")
-        try:
-            max_iter = operator.index(self.max_iter)
-        except TypeError:
-            max_iter = None
-        if max_iter is None or isinstance(self.max_iter, bool):
-            raise ConfigurationError(f"EmControl: max_iter {self.max_iter!r} is not an integer")
-        if max_iter < 1:
-            raise ConfigurationError("EmControl: max_iter must be >= 1")
-        self.max_iter = max_iter
+        self.max_iter = _checked_int(self.max_iter, "EmControl: max_iter", low=1)
 
 
 @dataclass
@@ -405,6 +394,13 @@ def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (AS.swapaxes(-1, -2).reshape(*lead, G * q, q) @ S).reshape(*lead, G, q, q)
 
 
+def _fits_dataset(params: LmmParams, ds: LongitudinalDataset) -> bool:
+    """Whether params are one member or a stack with ds's p and q."""
+    lead = params.beta.shape[:-1]
+    return (params.beta.shape[-1:] == (ds.p,) and np.shape(params.sigma2) == lead
+            and params.D.shape == (*lead, ds.q, ds.q))
+
+
 def _sum_of_squares(r: np.ndarray):
     """r'r over the last axis of r, one member's (N,) or a stack's (R, N), as
     one dot product per member: r @ r's form for one."""
@@ -439,11 +435,15 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
 
     eig, when given, is np.linalg.eigh(params.D) from a caller that has
     already checked params (the EM driver's _guard_params); otherwise params
-    are validated here and D is decomposed.  xbeta, when given, is
+    are validated here, their shapes against ds (a ConfigurationError), and
+    D is decomposed.  xbeta, when given, is
     params.beta @ ds.X.T, which the EM driver carries from its M-step;
     otherwise it is formed here.
     """
-    eig = params._checked_eigh() if eig is None else eig
+    if eig is None:
+        if not _fits_dataset(params, ds):
+            raise ConfigurationError("e_step: params have wrong shapes for this dataset")
+        eig = params._checked_eigh()
     _, ztx, zty = ds.block_moments
     blocks = ds.distinct_ztz
     n, q = ds.n, ds.q
@@ -684,7 +684,7 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
             moments = init.moments
         init = init.params
     if init is not None:
-        if init.beta.shape != (ds.p,) or init.D.shape != (ds.q, ds.q):
+        if init.beta.ndim != 1 or not _fits_dataset(init, ds):
             raise ConfigurationError("fit_em: init has wrong shapes for this dataset")
         init = LmmParams(init.beta.copy(), init.sigma2, init.D.copy())
 
@@ -700,17 +700,12 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
 
 def _checked_supports(supports, p: int) -> list:
     """Each support as a sorted tuple of column indices; ConfigurationError
-    unless every index is an integer in [0, p), none of them repeated."""
+    unless every index is an integer in [0, p) (_checked_indices), none of
+    them repeated."""
     out = []
     for support in supports:
-        try:
-            A = tuple(sorted(operator.index(j) for j in support))
-        except TypeError:
-            raise ConfigurationError(f"fit_em_supports: support {support!r} is not a "
-                                     "collection of integer column indices") from None
-        if A and not (0 <= A[0] and A[-1] < p):
-            raise ConfigurationError(
-                f"fit_em_supports: support {support!r} has an index outside [0, {p})")
+        what = f"fit_em_supports: support {support!r}: column"
+        A = tuple(sorted(_checked_indices(support, p, what).tolist()))
         if len(set(A)) < len(A):
             raise ConfigurationError(f"fit_em_supports: support {support!r} repeats an index")
         out.append(A)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DataError, NumericalError
+from .exceptions import ConfigurationError, DataError, NumericalError, _checked_real
 
 __all__ = [
     "LAMBDA_SCALES",
@@ -57,10 +57,10 @@ class PenaltySpec:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
+        if not 0.0 <= _checked_real(self.alpha, "penalty mixing weight alpha") <= 1.0:
             raise ConfigurationError(
                 f"penalty mixing weight alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.lam < math.inf:
+        if not 0.0 <= _checked_real(self.lam, "penalty level lam") < math.inf:
             raise ConfigurationError(f"penalty level lam must be finite and >= 0, got {self.lam}")
 
     @classmethod
@@ -131,7 +131,7 @@ def lambda_max(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> float:
     which never produces exact zeros; any other alpha (NaN included) is a
     ConfigurationError.
     """
-    if not 0.0 < alpha <= 1.0:
+    if not 0.0 < _checked_real(alpha, "lambda_max: alpha") <= 1.0:
         raise ConfigurationError(f"lambda_max requires alpha in (0, 1], got {alpha}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

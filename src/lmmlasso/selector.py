@@ -29,7 +29,8 @@ import numpy as np
 
 from .dataset import LongitudinalDataset
 from .em_engine import EmControl, FitReport, fit_em, fit_em_supports, observed_loglik
-from .exceptions import ConfigurationError, LmmLassoError, NumericalError
+from .exceptions import (ConfigurationError, LmmLassoError, NumericalError, _checked_int,
+                         _checked_real)
 from .penalized_ls import RAW, PenaltySpec, effective_lambda, lambda_max
 
 __all__ = [
@@ -49,7 +50,7 @@ CRITERIA = {"bic": np.log, "aic": lambda n: 2.0}
 
 def default_grid(num: int = 100, low: float = 0.001, high: float = 0.5) -> np.ndarray:
     """Linearly spaced penalty grid, 0.001 to 0.5 with 100 points by default."""
-    return np.linspace(low, high, num)
+    return np.linspace(low, high, _checked_int(num, "grid length", 1))
 
 
 def auto_log_grid(ds: LongitudinalDataset, num: int = 100, ratio: float = 1e-3,
@@ -61,9 +62,8 @@ def auto_log_grid(ds: LongitudinalDataset, num: int = 100, ratio: float = 1e-3,
     the requested lambda_scale; the grid spans [ratio * anchor, anchor]
     with num >= 1 points and a finite ratio > 0.
     """
-    if num < 1:
-        raise ConfigurationError(f"auto_log_grid: num must be >= 1, got {num}")
-    if not 0.0 < ratio < np.inf:
+    num = _checked_int(num, "auto_log_grid: num", 1)
+    if not 0.0 < _checked_real(ratio, "auto_log_grid: ratio") < np.inf:
         raise ConfigurationError(f"auto_log_grid: ratio must be finite and > 0, got {ratio}")
     anchor = lambda_max(ds.X, ds.y, alpha) / effective_lambda(1.0, lambda_scale, ds.N)
     if anchor <= 0.0:
@@ -155,15 +155,10 @@ class SelectionResult:
 def _argmin_prefer_larger(values: np.ndarray, valid: np.ndarray) -> int:
     """Index of the smallest value; on ties the earliest (largest-penalty) wins.
 
-    Assumes the arrays follow the descending grid order used by sweep.
+    Assumes the arrays follow the descending grid order used by sweep, and
+    finite values where valid; np.argmin returns the first minimum.
     """
-    best = -1
-    best_val = np.inf
-    for i, (v, ok) in enumerate(zip(values, valid)):
-        if ok and v < best_val:
-            best_val = v
-            best = i
-    return best
+    return int(np.argmin(np.where(valid, values, np.inf)))
 
 
 def _selection_settings(grid, lambda_scale: str, criterion: str, penalty=None):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import LongitudinalDataset
 from .em_engine import EmControl, _psd_sqrt
-from .exceptions import ConfigurationError, LmmLassoError
+from .exceptions import ConfigurationError, LmmLassoError, _checked_int
 from .fileio import write_csv
 from .penalized_ls import PER_OBS, PenaltySpec
 from .selector import _selection_settings, select, sweep
@@ -63,18 +63,19 @@ class ScenarioConfig:
     beta_true: np.ndarray = None  # ones on the first p_star coefficients
 
     def __post_init__(self):
-        if self.scenario not in SCENARIO_DESIGNS:
-            raise ConfigurationError(f"scenario {self.scenario} not in {list(SCENARIO_DESIGNS)}")
-        p_star_given = self.p_star is not None
-        for name, default in zip(("p", "p_star"), SCENARIO_DESIGNS[self.scenario]):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)
-        if self.n < 1 or self.p < 1 or self.n_i < 2:
-            raise ConfigurationError("n and p must be >= 1, and n_i >= 2 for the random slope")
-        if not 0 <= self.p_star <= self.p:
-            note = "" if p_star_given else (f" (scenario {self.scenario}'s default; "
-                                            "set p_star, --p-star on the CLI, to change it)")
-            raise ConfigurationError(f"p_star={self.p_star}{note} must lie in [0, p={self.p}]")
+        scenario = _checked_int(self.scenario, "scenario", 1, len(SCENARIO_DESIGNS) + 1)
+        p_default, p_star_default = SCENARIO_DESIGNS[scenario]
+        p = _checked_int(p_default if self.p is None else self.p, "p", 1)
+        note = "" if self.p_star is not None else (f" (scenario {scenario}'s default; "
+                                                   "set p_star, --p-star on the CLI, to change it)")
+        p_star = p_star_default if self.p_star is None else self.p_star
+        checked = dict(scenario=scenario, p=p, n=_checked_int(self.n, "n", 1),
+                       # Z = [1, time] has rank 1 with one time point per subject
+                       n_i=_checked_int(self.n_i, "n_i", 2),
+                       p_star=_checked_int(p_star, f"p_star{note}", 0, p + 1),
+                       seed=_checked_int(self.seed, "seed"))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         D = np.asarray(D_LOW if self.D_true is None else self.D_true, dtype=float)
         for name, value in (("D_true", D), ("sigma2_true", self.sigma2_true),
                             ("covariate_mean", self.covariate_mean)):
@@ -252,11 +253,8 @@ def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
     n_jobs.  Failed replicates are counted and excluded from the metrics.
     At most one worker process per replicate is started.
     """
-    if replicates < 1:
-        raise ConfigurationError("replicates must be >= 1")
-    if n_jobs < 1:
-        raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
-    n_jobs = min(n_jobs, replicates)
+    replicates = _checked_int(replicates, "replicates", 1)
+    n_jobs = min(_checked_int(n_jobs, "n_jobs", 1), replicates)
     grid, _ = _selection_settings(grid, lambda_scale, criterion)
     ctrl = ctrl or EmControl()
     children = np.random.SeedSequence(cfg.seed).spawn(replicates)
@@ -325,9 +323,8 @@ def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty: PenaltySpec | 
     held-out responses from fixed effects alone (random effects of unseen
     subjects are at their prior mean, zero).  Returns a list of FoldResult.
     """
-    if not 2 <= k <= ds.n:
-        raise ConfigurationError(f"k must be in [2, n]; got k={k}, n={ds.n}")
-    rng = np.random.default_rng(seed)
+    k = _checked_int(k, f"kfold_cv: k (n={ds.n})", 2, ds.n + 1)
+    rng = np.random.default_rng(_checked_int(seed, "kfold_cv: seed"))
     perm = rng.permutation(ds.n)
     folds = np.array_split(perm, k)
 

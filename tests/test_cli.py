@@ -204,6 +204,21 @@ def test_cmd_cv_requires_seed(tmp_path, small_csv, capsys):
     assert "seed" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "cv"])
+def test_negative_seed_is_usage_error(tmp_path, small_csv, capsys, command):
+    # numpy's generators refuse a negative seed with a bare ValueError
+    f, _ = small_csv
+    args = {"simulate": ["--scenario", "1", "--replicates", "1",
+                         "--output-prefix", str(tmp_path / "x")],
+            "cv": ["--input", str(f), *DATA_FLAGS, "--k", "3",
+                   "--output", str(tmp_path / "cv.csv")]}[command]
+    rc = main([command, *args, "--seed", "-1", "--grid", "0.1"])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError" and "seed" in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 def test_cmd_cv_writes_fold_rows(tmp_path, small_csv):
     f, _ = small_csv
     out = tmp_path / "cv.csv"
@@ -347,6 +362,20 @@ def test_config_value_of_wrong_type_is_rejected(tmp_path, small_csv, capsys, con
     assert rc == 2
     assert error["type"] == "ConfigurationError"
     assert next(iter(config)) in error["message"]
+
+
+@pytest.mark.parametrize("grid", [[0.1, True], [0.1, "0.2"], [None]],
+                         ids=["bool", "str", "null"])
+def test_config_grid_list_entry_that_is_not_a_number_is_rejected(tmp_path, small_csv, capsys,
+                                                                  grid):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grid": grid}))
+    rc = main(["select", "--input", str(small_csv[0]), *DATA_FLAGS, "--config", str(conf),
+               "--output-prefix", str(tmp_path / "sel")])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError" and "'grid'" in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "data.csv"]
 
 
 def test_config_grid_list_and_typed_values(tmp_path, small_csv):

@@ -260,10 +260,10 @@ def test_select_columns_and_subset_subjects():
 
 def test_public_index_arguments_refuse_non_integers_and_out_of_range_indices():
     ds = _toy_dataset(seed=7, n=5)
-    for bad in ([-1], [ds.p], [1.5], [True], ["0"]):
+    for bad in ([-1], [ds.p], [1.5], [True], ["0"], 3):
         with pytest.raises(ConfigurationError, match="categorical column index"):
             standardize(ds, categorical=bad)
-    for bad in ([-1], [ds.n], [1.5], [True]):
+    for bad in ([-1], [ds.n], [1.5], [True], 5):
         with pytest.raises(ConfigurationError, match="subset_subjects: subject index"):
             ds.subset_subjects(bad)
     assert standardize(ds, categorical=np.array([2])).standardization.x_scale[2] == 1.0

@@ -91,6 +91,25 @@ def test_e_step_scalar_hand_computation():
     np.testing.assert_allclose(mom.y_tilde, 1.0 - 2.0 / 3.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("beta, sigma2, D", [
+    (np.zeros(3), 1.0, np.eye(2)),
+    (np.zeros(9), 1.0, np.eye(3)),
+    (0.0, 1.0, np.eye(2)),
+    (np.zeros((2, 9)), np.ones(2), np.broadcast_to(np.eye(2), (3, 2, 2))),
+    (np.zeros((2, 9)), np.ones(3), np.broadcast_to(np.eye(2), (2, 2, 2))),
+], ids=["wrong-p", "wrong-q", "scalar-beta", "stack-of-D", "stack-of-sigma2"])
+@pytest.mark.parametrize("call", [e_step, observed_loglik,
+                                  lambda ds, params: fit_em(ds, 0.1, init=params)],
+                         ids=["e_step", "observed_loglik", "fit_em-init"])
+def test_params_of_the_wrong_shape_are_refused(call, beta, sigma2, D):
+    # unchecked, e_step raised a bare matmul ValueError, "too many values to
+    # unpack", or "D must be square" for a square D; fit_em's init must be
+    # one member
+    ds, _ = generate_scenario(ScenarioConfig.scenario1(n=10, n_i=4, seed=1))
+    with pytest.raises(ConfigurationError, match="wrong shapes"):
+        call(ds, LmmParams(beta, sigma2, D))
+
+
 def test_e_step_mean_of_conditional_means_is_near_zero():
     ds = simulate_lmm(99, n=1000, n_i=5)
     params = LmmParams(np.array([1.0, -1.0, 0.5]), 1.0, D_UNIT)
@@ -1110,11 +1129,13 @@ def test_refit_stack_notes_only_its_singular_member():
     ("fit_em_supports", [(99,)]),
     ("fit_em_supports", [(0, 1), (2, 2)]),
     ("fit_em_supports", [(0,), 3]),
-], ids=["repeated", "float", "negative", "past-p", "repeated-in-second", "not-a-support"])
+    ("fit_em_supports", [(True,)]),
+], ids=["repeated", "float", "negative", "past-p", "repeated-in-second", "not-a-support",
+        "bool"])
 def test_bad_support_is_refused_before_any_em_iteration(monkeypatch, refit, supports):
     # unchecked, (0, 0) wrote the minimum-norm split of the doubled column
     # into one slot, 1.7 refitted column 1, -1 refitted column p - 1 and 99
-    # raised a bare IndexError
+    # raised a bare IndexError; True refitted column 1
     ds, _ = generate_scenario(ScenarioConfig.scenario1(seed=1))
     runs = []
     run_em = em_engine._run_em
