@@ -9,7 +9,8 @@ active-set loop of linear solves on X'X that leaves a singular support
 along its null space; solve_pls is its public form), a BIC-driven sweep
 over the penalty grid, and unpenalized refits of the supports it finds
 (fit_em_supports, the one refit entry point, which checks its supports).
-A penalty is PenaltySpec(alpha, lam), glmnet's mixing weight and level.
+A penalty is glmnet's mixing weight alpha, which the fit and selection
+calls take next to the level; PenaltySpec(alpha, lam) is the solver's.
 A simulation kit regenerates the benchmark scenarios, and a small CLI
 wires everything into reproducible batch runs.
 """

@@ -5,9 +5,9 @@ once, in _OPTIONS, and each subcommand's options in _COMMANDS; argparse,
 the config merge and the required check read only these tables.  Flags
 take precedence over a JSON config file (--config), and the file over
 the CLI's own defaults, which exist only where the library's default
-differs or is missing: per-observation lambda units, the lasso penalty, no
-standardization, 100 replicates.  An option left unset is not passed
-on, so the library's default applies.  Config keys are the argparse
+differs or is missing: per-observation lambda units, no standardization,
+100 replicates.  An option left unset is not passed on, so the library's
+default applies.  Config keys are the argparse
 dests (--lambda as lam, --no-scale-y as scale_y), checked like the
 flags; required options are checked after the merge.  Choices of a
 named setting are read from the module that owns it.  Artifacts are
@@ -39,7 +39,7 @@ from .dataset import (
     standardize,
 )
 from .em_engine import EmControl, fit_em
-from .penalized_ls import LAMBDA_SCALES, PER_OBS, PenaltySpec
+from .penalized_ls import LAMBDA_SCALES, PER_OBS
 from .exceptions import ConfigurationError, DataError, LmmLassoError, _checked_real
 from .fileio import write_csv, write_json
 from .selector import CRITERIA, auto_log_grid, default_grid, select
@@ -73,8 +73,7 @@ _OPTIONS = {
     "scale_y": dict(flag="--no-scale-y", action="store_const", const=False,
                     help="center the response only"),
     "lambda_scale": dict(flag="--lambda-scale", default=PER_OBS, choices=LAMBDA_SCALES),
-    "penalty": dict(flag="--penalty", default="lasso", choices=("lasso", "elastic_net")),
-    "alpha": dict(flag="--alpha", type=float, help="elastic-net mixing weight in (0, 1)"),
+    "alpha": dict(flag="--alpha", type=float, help="mixing weight in [0, 1]: 1 lasso, 0 ridge"),
     "criterion": dict(flag="--criterion", choices=tuple(CRITERIA)),
     "eps": dict(flag="--eps", type=float, help="EM relative stopping tolerance"),
     "max_iter": dict(flag="--max-iter", type=int),
@@ -181,10 +180,10 @@ def _given(cfg: dict, *keys, **renamed) -> dict:
     return {arg: cfg[key] for arg, key in names.items() if key in cfg}
 
 
-def _parse_grid(spec) -> np.ndarray:
-    """The grid values of a --grid spec or config list, unchecked (sweep checks them)."""
-    if isinstance(spec, (list, tuple)):
-        return np.asarray([float(v) for v in spec], dtype=float)
+def _parse_grid(spec):
+    """The grid values of a --grid spec, or a config list as it is; sweep checks them."""
+    if isinstance(spec, list):
+        return spec
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -226,17 +225,7 @@ def _ctrl_from(cfg: dict) -> EmControl:
     return EmControl(**_given(cfg, "eps", "max_iter"))
 
 
-def _penalty_from(cfg: dict) -> PenaltySpec:
-    if cfg["penalty"] == "lasso":
-        if "alpha" in cfg:
-            raise ConfigurationError("--alpha has no effect with the lasso")
-        return PenaltySpec.lasso(0.0)
-    if "alpha" not in cfg:
-        raise ConfigurationError("elastic_net requires --alpha in (0, 1)")
-    return PenaltySpec.elastic_net(cfg["alpha"], 0.0)
-
-
-def _resolve_grid(cfg: dict, ds=None) -> np.ndarray | None:
+def _resolve_grid(cfg: dict, ds=None):
     if "grid" in cfg and "grid_log" in cfg:
         raise ConfigurationError("--grid and --grid-log exclude each other")
     if "grid_log" in cfg:
@@ -246,8 +235,8 @@ def _resolve_grid(cfg: dict, ds=None) -> np.ndarray | None:
             num, ratio = int(num), float(ratio)
         except ValueError:
             raise ConfigurationError(f"--grid-log {spec!r} must be num:ratio") from None
-        return auto_log_grid(ds, num=num, ratio=ratio, alpha=_penalty_from(cfg).alpha,
-                             lambda_scale=cfg["lambda_scale"])
+        return auto_log_grid(ds, num=num, ratio=ratio, lambda_scale=cfg["lambda_scale"],
+                             **_given(cfg, "alpha"))
     if "grid" in cfg:
         return _parse_grid(cfg["grid"])
     return None  # the selector's default grid
@@ -260,8 +249,8 @@ def _resolve_grid(cfg: dict, ds=None) -> np.ndarray | None:
 
 def cmd_fit(cfg: dict) -> int:
     ds = _load_dataset(cfg)
-    rep = fit_em(ds, cfg["lam"], penalty=_penalty_from(cfg),
-                 ctrl=_ctrl_from(cfg), lambda_scale=cfg["lambda_scale"])
+    rep = fit_em(ds, cfg["lam"], ctrl=_ctrl_from(cfg), lambda_scale=cfg["lambda_scale"],
+                 **_given(cfg, "alpha"))
     write_json(cfg["output"], {**rep.to_dict(), "x_names": ds.x_names,
                                "n_subjects": ds.n, "n_obs": ds.N})
     print(f"fit: lambda={cfg['lam']} converged={rep.converged} "
@@ -271,9 +260,8 @@ def cmd_fit(cfg: dict) -> int:
 
 def cmd_select(cfg: dict) -> int:
     ds = _load_dataset(cfg)
-    res = select(ds, _resolve_grid(cfg, ds), penalty=_penalty_from(cfg),
-                 ctrl=_ctrl_from(cfg), lambda_scale=cfg["lambda_scale"],
-                 **_given(cfg, "criterion"))
+    res = select(ds, _resolve_grid(cfg, ds), ctrl=_ctrl_from(cfg),
+                 lambda_scale=cfg["lambda_scale"], **_given(cfg, "alpha", "criterion"))
 
     prefix = cfg["output_prefix"]
     write_csv(f"{prefix}_path.csv", ("lambda", "bic", "aic", "df", "nnz", "converged"),
@@ -315,10 +303,9 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_cv(cfg: dict) -> int:
     ds = _load_dataset(cfg)
-    results = kfold_cv(ds, cfg["k"], grid=_resolve_grid(cfg, ds),
-                       penalty=_penalty_from(cfg), ctrl=_ctrl_from(cfg),
+    results = kfold_cv(ds, cfg["k"], grid=_resolve_grid(cfg, ds), ctrl=_ctrl_from(cfg),
                        lambda_scale=cfg["lambda_scale"], seed=cfg["seed"],
-                       **_given(cfg, "criterion"))
+                       **_given(cfg, "alpha", "criterion"))
     write_cv_csv(results, cfg["output"])
     mean_sse = float(np.mean([r.sse for r in results]))
     print(f"cv: k={len(results)} mean held-out SSE={mean_sse:.6f}")
@@ -376,7 +363,7 @@ class _Command(NamedTuple):
 
 _DATA = ("input", "subject", "response", "fixed", "random")
 _EM = ("lambda_scale", "eps", "max_iter")
-_FILE_FIT = _DATA + ("standardize", "categorical", "scale_y", "penalty", "alpha") + _EM
+_FILE_FIT = _DATA + ("standardize", "categorical", "scale_y", "alpha") + _EM
 
 # one row per subcommand
 _COMMANDS = {

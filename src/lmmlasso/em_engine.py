@@ -5,11 +5,12 @@ Model per subject i:
     y_i = X_i beta + Z_i b_i + eps_i,
     b_i ~ N_q(0, D),   eps_i ~ N(0, sigma2 * I).
 
-For a fixed penalty level lam the algorithm alternates a closed-form
-E-step for the random-effect moments with conditional M-step updates:
-beta by penalized least squares on the de-noised response at the
-effective level 2 * lam * sigma2, then closed-form sigma2 and D.  The
-objective that ascends is the penalized observed-data log-likelihood
+For a fixed penalty level lam and mixing weight alpha (glmnet's: 1 the
+lasso, 0 ridge) the algorithm alternates a closed-form E-step for the
+random-effect moments with conditional M-step updates: beta by
+penalized least squares on the de-noised response at the effective
+level 2 * lam * sigma2, then closed-form sigma2 and D.  The objective
+that ascends is the penalized observed-data log-likelihood
 loglik(beta, sigma2, D) - lam * penalty(beta).
 
 The E-step conditions every subject through one q x q positive definite
@@ -514,14 +515,15 @@ def _m_step(ds: LongitudinalDataset, moments: EStepMoments, solve):
 
 
 def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParams,
-           lam: float, penalty: PenaltySpec) -> LmmParams:
+           lam: float, alpha: float = 1.0) -> LmmParams:
     """Conditional maximization given the E-step moments: the EM driver's M-step.
 
-    beta solves the penalized least-squares problem on (X, y_tilde) at the
-    effective level 2 * lam * sigma2_prev by _solve_beta's linear solves,
-    warm-started at the previous beta.  sigma2 and D then have closed
-    forms (_m_step).  lam is in raw units.
+    beta solves the penalized least-squares problem on (X, y_tilde) at
+    mixing weight alpha and the effective level 2 * lam * sigma2_prev by
+    _solve_beta's linear solves, warm-started at the previous beta.  sigma2
+    and D then have closed forms (_m_step).  lam is in raw units.
     """
+    penalty = PenaltySpec(alpha, lam)
     lam1 = 2.0 * lam * params_prev.sigma2
     params, _, _ = _m_step(ds, moments,
                            lambda c: _solve_beta(ds, c, penalty, lam1, params_prev.beta))
@@ -653,17 +655,18 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     return out
 
 
-def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = None,
+def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
            init: LmmParams | FitReport | None = None, ctrl: EmControl | None = None,
            lambda_scale: str = RAW) -> FitReport:
-    """Penalized ML fit at a fixed penalty level.
+    """Penalized ML fit at level lam and mixing weight alpha (1 the lasso, 0 ridge).
 
     Initialization: beta from the pooled penalized least-squares problem
     at level lam, sigma2 from its residual sum of squares over N, D the
-    identity (all overridden when init is given).  init may be the
-    FitReport of an earlier fit: its params start this one, and when that
-    fit ran on ds its last E-step (report.moments, at those params) stands
-    in for this fit's first one.  Iterates E- and M-steps
+    identity (all overridden when init is given).  An LmmParams init is
+    validated as e_step validates params; init may also be the FitReport
+    of an earlier fit, a guarded iterate: its params start this one, and
+    when that fit ran on ds its last E-step (report.moments, at those
+    params) stands in for this fit's first one.  Iterates E- and M-steps
     until the relative change of the penalized log-likelihood falls below
     ctrl.eps, with an absolute fallback of ctrl.abs_eps where the ratio
     rule is ill-conditioned near zero.  Every solve reads X'X and its
@@ -675,18 +678,19 @@ def fit_em(ds: LongitudinalDataset, lam: float, penalty: PenaltySpec | None = No
     and final_loglik are the last guarded iterate; a NumericalError of an
     E-step or of a beta M-step is raised.
     """
-    penalty = PenaltySpec.lasso(lam) if penalty is None else penalty.with_lam(lam)
+    penalty = PenaltySpec(alpha, lam)
     ctrl = ctrl or EmControl()
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
     moments = None
-    if isinstance(init, FitReport):
-        if init.moments is not None and init.moments.ds is ds:
-            moments = init.moments
-        init = init.params
     if init is not None:
-        if init.beta.ndim != 1 or not _fits_dataset(init, ds):
+        params = init.params if isinstance(init, FitReport) else init
+        if params.beta.ndim != 1 or not _fits_dataset(params, ds):
             raise ConfigurationError("fit_em: init has wrong shapes for this dataset")
-        init = LmmParams(init.beta.copy(), init.sigma2, init.D.copy())
+        if not isinstance(init, FitReport):
+            params.validate()
+        elif init.moments is not None and init.moments.ds is ds:
+            moments = init.moments
+        init = LmmParams(params.beta.copy(), params.sigma2, params.D.copy())
 
     def solve_beta(live, c, lam1, warm_start):
         beta, cut = _solve_beta(ds, c, penalty, lam1, warm_start)

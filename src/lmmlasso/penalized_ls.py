@@ -50,7 +50,8 @@ class PenaltySpec:
     """Mixing weight and regularization level of the penalty.
 
     alpha = 1 is the pure l1 (lasso) penalty, alpha = 0 the squared-l2
-    (ridge) penalty; intermediate values are the elastic net.
+    (ridge) penalty; intermediate values are the elastic net.  The solver
+    layer's record: fit_em and the selector take alpha and lam apart.
     """
 
     alpha: float = 1.0

@@ -1,12 +1,13 @@
 """Penalty-level selection: grid sweep, information criteria, refit.
 
 The sweep runs in two passes.  The grid pass fits the EM at every grid
-value, largest first, initializing each fit from the previous penalized
-fit's (beta, sigma2, D).  The refit pass then fits every distinct
-support of the path without penalty, all of them in one lock-step EM on
-the parent dataset (em_engine.fit_em_supports, the one refit entry
-point), and scores each grid entry with BIC = -2 loglik + log(n) df
-(or AIC = -2 loglik + 2 df), where df counts
+value, largest first, at one mixing weight alpha (glmnet's, as fit_em
+takes it; 1, the lasso, by default), initializing each fit from the
+previous penalized fit's (beta, sigma2, D).  The refit pass then fits
+every distinct support of the path without penalty, all of them in one
+lock-step EM on the parent dataset (em_engine.fit_em_supports, the one
+refit entry point), and scores each grid entry with BIC = -2 loglik +
+log(n) df (or AIC = -2 loglik + 2 df), where df counts
 the entry's nonzero fixed effects plus q(q+1)/2 covariance parameters
 plus one for the residual variance, and n is the number of subjects.
 The log-likelihood is evaluated at the unpenalized refit of the entry's
@@ -23,6 +24,7 @@ and SelectionResult.to_dict() is the selection JSON.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -161,15 +163,18 @@ def _argmin_prefer_larger(values: np.ndarray, valid: np.ndarray) -> int:
     return int(np.argmin(np.where(valid, values, np.inf)))
 
 
-def _selection_settings(grid, lambda_scale: str, criterion: str, penalty=None):
+def _selection_settings(grid, lambda_scale: str, criterion: str, alpha: float = 1.0):
     """Check a selection run's settings before any fit; raise ConfigurationError.
 
-    Returns the grid in decreasing order (default_grid() when None) and the
-    penalty template (the lasso when None).  Every entry point that sweeps
-    a grid calls this first, so a bad setting fails before any fit runs or
-    any worker starts.
+    Returns the grid, real numbers, as a float array in decreasing order
+    (default_grid() when None); ridge's alpha = 0 is refused.  Every entry
+    point that sweeps a grid calls this first, so a bad setting fails
+    before any fit runs or any worker starts.
     """
-    grid = np.sort(np.asarray(default_grid() if grid is None else grid, float))[::-1].copy()
+    grid = default_grid() if grid is None else grid
+    if not isinstance(grid, Collection) or getattr(grid, "ndim", 1) != 1:
+        raise ConfigurationError(f"sweep: grid must be a list or 1-d array, got {grid!r}")
+    grid = np.sort([float(_checked_real(v, "sweep: grid entry")) for v in grid])[::-1].copy()
     if grid.size == 0:
         raise ConfigurationError("sweep: empty grid")
     if np.any(grid < 0) or not np.all(np.isfinite(grid)):
@@ -177,21 +182,18 @@ def _selection_settings(grid, lambda_scale: str, criterion: str, penalty=None):
     effective_lambda(0.0, lambda_scale, 0)  # raises on an unknown unit name
     if criterion not in CRITERIA:
         raise ConfigurationError(f"unknown criterion {criterion!r}")
-    penalty = PenaltySpec.lasso(0.0) if penalty is None else penalty
-    if not isinstance(penalty, PenaltySpec):
-        raise ConfigurationError(f"penalty must be a PenaltySpec or None, got {penalty!r}")
-    if penalty.alpha == 0.0:
+    if PenaltySpec(alpha).alpha == 0.0:
         raise ConfigurationError("ridge has no sparse path to select over")
-    return grid, penalty
+    return grid
 
 
-def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None,
+def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
           ctrl: EmControl | None = None, lambda_scale: str = RAW,
           criterion: str = "bic") -> RegularizationPath:
     """Fit the EM over a penalty grid and select by information criterion.
 
     The grid (default_grid() when None) is processed in decreasing order
-    under the penalty template (the lasso when None).  The first fit starts
+    at mixing weight alpha (1, the lasso, by default).  The first fit starts
     cold and each later one starts from the last penalized fit that did not
     raise: its (beta, sigma2, D) and its last E-step, which the next fit
     reuses in place of its first (fit_em's init).  Each entry is then scored by the criterion at
@@ -200,7 +202,7 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
     refit fails its entries, which are recorded in errors and skipped by
     the selection; a sweep where every entry failed raises.
     """
-    grid, template = _selection_settings(grid, lambda_scale, criterion, penalty)
+    grid = _selection_settings(grid, lambda_scale, criterion, alpha)
     m = grid.size
     fits: list = [None] * m
     refits: list = [None] * m
@@ -212,7 +214,7 @@ def sweep(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None
     prev = None
     for i, lam in enumerate(grid):
         try:
-            fit = fit_em(ds, float(lam), template, init=prev, ctrl=ctrl,
+            fit = fit_em(ds, float(lam), alpha, init=prev, ctrl=ctrl,
                          lambda_scale=lambda_scale)
         except LmmLassoError as e:
             errors[i] = str(e)
@@ -270,9 +272,9 @@ def refit_support(ds: LongitudinalDataset, support, ctrl: EmControl | None = Non
     return rep
 
 
-def select(ds: LongitudinalDataset, grid=None, penalty: PenaltySpec | None = None,
+def select(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
            ctrl: EmControl | None = None, lambda_scale: str = RAW,
            criterion: str = "bic") -> SelectionResult:
-    """Sweep the grid, pick the optimal penalty, and report its refit."""
-    return SelectionResult(sweep(ds, grid, penalty=penalty, ctrl=ctrl,
+    """Sweep the grid at mixing weight alpha, pick the optimal penalty, report its refit."""
+    return SelectionResult(sweep(ds, grid, alpha, ctrl=ctrl,
                                  lambda_scale=lambda_scale, criterion=criterion))

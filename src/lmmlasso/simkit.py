@@ -18,9 +18,9 @@ import numpy as np
 
 from .dataset import LongitudinalDataset
 from .em_engine import EmControl, _psd_sqrt
-from .exceptions import ConfigurationError, LmmLassoError, _checked_int
+from .exceptions import ConfigurationError, LmmLassoError, _checked_int, _checked_real
 from .fileio import write_csv
-from .penalized_ls import PER_OBS, PenaltySpec
+from .penalized_ls import PER_OBS
 from .selector import _selection_settings, select, sweep
 
 __all__ = [
@@ -76,31 +76,33 @@ class ScenarioConfig:
                        seed=_checked_int(self.seed, "seed"))
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        D = np.asarray(D_LOW if self.D_true is None else self.D_true, dtype=float)
-        for name, value in (("D_true", D), ("sigma2_true", self.sigma2_true),
-                            ("covariate_mean", self.covariate_mean)):
-            if not np.all(np.isfinite(value)):
+        beta = self.beta_true
+        if beta is None:
+            beta = np.zeros(self.p)
+            beta[:self.p_star] = 1.0
+        for name, value in (("D_true", D_LOW if self.D_true is None else self.D_true),
+                            ("beta_true", beta)):
+            a = np.asarray(value)
+            if a.dtype.kind not in "iuf":  # no bools, strings or other objects
+                raise ConfigurationError(f"{name} must be an array of real numbers, "
+                                         f"got {value!r}")
+            if not np.isfinite(a).all():
                 raise ConfigurationError(f"{name} must be finite")
+            a = a.astype(float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        for name in ("sigma2_true", "covariate_mean"):
+            if not np.isfinite(_checked_real(getattr(self, name), name)):
+                raise ConfigurationError(f"{name} must be finite")
+        D = self.D_true
         if D.shape != (2, 2) or np.abs(D - D.T).max() > 1e-12:
             raise ConfigurationError("D_true must be a symmetric 2x2 matrix")
         if np.linalg.eigvalsh(D).min() < -1e-12:
             raise ConfigurationError("D_true must be positive semidefinite")
         if self.sigma2_true < 0:
             raise ConfigurationError("sigma2_true must be >= 0")
-        D = D.copy()
-        D.setflags(write=False)
-        object.__setattr__(self, "D_true", D)
-        beta = self.beta_true
-        if beta is None:
-            beta = np.zeros(self.p)
-            beta[:self.p_star] = 1.0
-        beta = np.asarray(beta, dtype=float).copy()
-        if beta.shape != (self.p,):
+        if self.beta_true.shape != (self.p,):
             raise ConfigurationError("beta_true must have length p")
-        if not np.all(np.isfinite(beta)):
-            raise ConfigurationError("beta_true must be finite")
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta_true", beta)
 
     scenario1 = classmethod(lambda cls, **kw: cls(1, **kw))
     scenario2 = classmethod(lambda cls, **kw: cls(2, **kw))
@@ -255,7 +257,7 @@ def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
     """
     replicates = _checked_int(replicates, "replicates", 1)
     n_jobs = min(_checked_int(n_jobs, "n_jobs", 1), replicates)
-    grid, _ = _selection_settings(grid, lambda_scale, criterion)
+    grid = _selection_settings(grid, lambda_scale, criterion)
     ctrl = ctrl or EmControl()
     children = np.random.SeedSequence(cfg.seed).spawn(replicates)
     tasks = [(cfg, r, children[r], grid, ctrl, lambda_scale, criterion)
@@ -313,15 +315,16 @@ class FoldResult:
     support: tuple
 
 
-def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty: PenaltySpec | None = None,
+def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, alpha: float = 1.0,
              ctrl: EmControl | None = None, lambda_scale: str = PER_OBS,
              criterion: str = "bic", seed: int = 0):
     """Subject-grouped k-fold cross-validation of the selection pipeline.
 
-    Folds partition subjects, never rows.  Each fold runs selection and
-    the unpenalized refit on the training subjects, then predicts the
-    held-out responses from fixed effects alone (random effects of unseen
-    subjects are at their prior mean, zero).  Returns a list of FoldResult.
+    Folds partition subjects, never rows.  Each fold runs selection at
+    mixing weight alpha (1, the lasso, by default) and the unpenalized
+    refit on the training subjects, then predicts the held-out responses
+    from fixed effects alone (random effects of unseen subjects are at
+    their prior mean, zero).  Returns a list of FoldResult.
     """
     k = _checked_int(k, f"kfold_cv: k (n={ds.n})", 2, ds.n + 1)
     rng = np.random.default_rng(_checked_int(seed, "kfold_cv: seed"))
@@ -332,7 +335,7 @@ def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, penalty: PenaltySpec | 
     for f, test_idx in enumerate(folds):
         test_idx = np.sort(test_idx)
         train_ds = ds.subset_subjects(np.setdiff1d(np.arange(ds.n), test_idx))
-        res = select(train_ds, grid, penalty=penalty, ctrl=ctrl,
+        res = select(train_ds, grid, alpha, ctrl=ctrl,
                      lambda_scale=lambda_scale, criterion=criterion)
         test_ds = ds.subset_subjects(test_idx)
         resid = test_ds.y - test_ds.X @ res.refit.params.beta

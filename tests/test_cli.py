@@ -13,7 +13,6 @@ import pytest
 from lmmlasso import cli
 from lmmlasso.cli import main
 from lmmlasso.em_engine import EmControl, fit_em
-from lmmlasso.penalized_ls import PenaltySpec
 from lmmlasso.selector import default_grid
 from lmmlasso.simkit import ScenarioConfig, generate_scenario
 
@@ -487,7 +486,7 @@ def test_malformed_grid_log_is_usage_error(tmp_path, small_csv, capsys, spec):
 def test_grid_log_is_anchored_at_the_elastic_net_lambda_max(tmp_path, small_csv):
     f, ds = small_csv
     prefix = str(tmp_path / "en")
-    rc = main(["select", "--input", str(f), *DATA_FLAGS, "--penalty", "elastic_net",
+    rc = main(["select", "--input", str(f), *DATA_FLAGS,
                "--alpha", "0.5", "--grid-log", "3:0.5", "--output-prefix", prefix])
     assert rc == 0
     with open(prefix + "_path.csv", newline="") as fh:
@@ -596,18 +595,72 @@ def test_cmd_cv_gene_expression_shape(tmp_path):
 
 def test_elastic_net_penalty_flags(tmp_path, small_csv, capsys):
     f, _ = small_csv
-    rc = main(["select", "--input", str(f), *DATA_FLAGS,
-               "--penalty", "elastic_net", "--alpha", "0.5",
+    rc = main(["select", "--input", str(f), *DATA_FLAGS, "--alpha", "0.5",
                "--grid", "0.05,0.15", "--output-prefix", str(tmp_path / "en")])
     assert rc == 0
     assert (tmp_path / "en_selection.json").exists()
     capsys.readouterr()
-    for alpha in (["--alpha", "1.5"], []):  # outside (0, 1), or not given
-        rc = main(["select", "--input", str(f), *DATA_FLAGS, "--penalty", "elastic_net",
-                   *alpha, "--grid", "0.05", "--output-prefix", str(tmp_path / "en2")])
+    for alpha in ("1.5", "-0.5", "0"):  # outside [0, 1], or ridge, which selects nothing
+        rc = main(["select", "--input", str(f), *DATA_FLAGS, "--alpha", alpha,
+                   "--grid", "0.05", "--output-prefix", str(tmp_path / "en2")])
         assert rc == 2
         err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert err["error"]["type"] == "ConfigurationError"
+        assert "alpha" in err["error"]["message"] or "ridge" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["fit", "select", "cv"])
+def test_alpha_1_writes_the_bytes_of_the_default_lasso(tmp_path, small_csv, command):
+    f, _ = small_csv
+    tail = {"fit": ["--lambda", "0.05"], "select": ["--grid", "0.02:0.3:4"],
+            "cv": ["--k", "3", "--seed", "1", "--grid", "0.02:0.3:4"]}[command]
+    outputs = {}
+    for name, alpha in (("default", []), ("alpha", ["--alpha", "1"])):
+        (tmp_path / name).mkdir()
+        out = str(tmp_path / name / "out")
+        dest = ["--output-prefix", out] if command == "select" else ["--output", out]
+        assert main([command, "--input", str(f), *DATA_FLAGS, *tail, *alpha, *dest]) == 0
+        outputs[name] = {q.name: q.read_bytes() for q in (tmp_path / name).iterdir()}
+    assert outputs["alpha"] == outputs["default"] and outputs["default"]
+
+
+def test_fit_alpha_0_is_the_library_ridge_fit(tmp_path, small_csv):
+    f, ds = small_csv
+    out = tmp_path / "ridge.json"
+    rc = main(["fit", "--input", str(f), *DATA_FLAGS, "--lambda", "0.05", "--alpha", "0",
+               "--output", str(out)])
+    assert rc == 0
+    ref = fit_em(ds, 0.05, 0.0, lambda_scale="per_obs")
+    np.testing.assert_allclose(json.loads(out.read_text())["params"]["beta"],
+                               ref.params.beta, rtol=1e-10, atol=1e-12)
+    assert np.all(ref.params.beta != 0.0)
+
+
+@pytest.mark.parametrize("command", ["fit", "select", "simulate", "cv"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_the_removed_penalty_option_is_usage_error(tmp_path, small_csv, command, via):
+    # --alpha alone describes the penalty; an old --penalty flag or config
+    # key exits 2, never ignored
+    out = str(tmp_path / "out")
+    argv = {"fit": ["--lambda", "0.1", "--output", out],
+            "select": ["--grid", "0.1", "--output-prefix", out],
+            "simulate": ["--scenario", "1", "--seed", "1", "--replicates", "1",
+                         "--grid", "0.1", "--output-prefix", out],
+            "cv": ["--k", "2", "--seed", "1", "--grid", "0.1", "--output", out]}[command]
+    if command != "simulate":
+        argv += ["--input", str(small_csv[0]), *DATA_FLAGS]
+    if via == "flag":
+        argv += ["--penalty", "lasso"]
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"penalty": "lasso"}))
+        argv += ["--config", str(conf)]
+    try:
+        rc = main([command, *argv])
+    except SystemExit as e:  # argparse rejects an unknown flag
+        rc = e.code
+    assert rc == 2
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
 def test_standardize_flags_reach_selection(tmp_path, small_csv):
@@ -765,7 +818,7 @@ def test_column_whose_squares_overflow_is_data_error(tmp_path, small_csv, capsys
 _DATA_OPTIONS = ["--input", "--subject", "--response", "--fixed", "--random"]
 _STANDARDIZE_OPTIONS = ["--standardize", "--categorical", "--no-scale-y"]
 _EM_OPTIONS = ["--config", "--lambda-scale", "--eps", "--max-iter"]
-_PENALTY_OPTIONS = ["--penalty", "--alpha"]
+_PENALTY_OPTIONS = ["--alpha"]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -793,7 +846,6 @@ def test_each_subcommand_accepts_exactly_its_flags(capsys, command, flags):
 
 @pytest.mark.parametrize("command, option, value", [
     ("fit", "criterion", "aic"),
-    ("simulate", "penalty", "elastic_net"),
     ("simulate", "alpha", 0.5),
 ])
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -832,8 +884,7 @@ def test_unset_fit_options_take_the_library_defaults(tmp_path, small_csv, monkey
     rc = main(["fit", "--input", str(small_csv[0]), *DATA_FLAGS, "--lambda", "0.1",
                "--output", str(tmp_path / "fit.json")])
     assert rc == 0
-    assert seen == {"penalty": PenaltySpec(), "ctrl": EmControl(),
-                    "lambda_scale": "per_obs"}
+    assert seen == {"ctrl": EmControl(), "lambda_scale": "per_obs"}
 
 
 def test_unset_select_options_take_the_library_defaults(tmp_path, small_csv):
@@ -870,7 +921,6 @@ def test_simulate_design_options_apply_to_every_scenario(tmp_path):
 
 
 @pytest.mark.parametrize("command, flags, config", [
-    ("fit", ["--alpha", "0.5"], {}),
     ("select", ["--grid", "0.1", "--grid-log", "5:0.1"], {}),
     ("select", ["--grid", "0.1"], {"grid_log": "5:0.1"}),
     ("cv", ["--grid-log", "5:0.1"], {"grid": "0.1"}),
@@ -879,14 +929,11 @@ def test_simulate_design_options_apply_to_every_scenario(tmp_path):
     ("fit", [], {"scale_y": False}),
     ("simulate", ["--threads", "0"], {}),
     ("simulate", ["--threads", "-3"], {}),
-    ("select", ["--alpha", "1"], {}),
-    ("select", [], {"alpha": 1}),
     ("simulate", ["--n-i", "1"], {}),
-], ids=["alpha-with-lasso", "grid-and-grid-log", "grid-and-config-grid-log",
+], ids=["grid-and-grid-log", "grid-and-config-grid-log",
         "config-grid-and-grid-log", "categorical-unstandardized",
         "no-scale-y-unstandardized", "config-scale-y-unstandardized",
-        "threads-0", "threads-negative", "alpha-1-with-lasso",
-        "config-alpha-1-with-lasso", "one-time-point"])
+        "threads-0", "threads-negative", "one-time-point"])
 def test_option_that_would_be_ignored_is_usage_error(tmp_path, small_csv, capsys,
                                                      command, flags, config):
     conf = tmp_path / "conf.json"

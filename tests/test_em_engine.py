@@ -196,6 +196,20 @@ def test_e_step_rejects_invalid_params():
         e_step(ds, LmmParams(np.zeros(3), 1.0, np.array([[1.0, 0.5], [0.0, 1.0]])))
 
 
+@pytest.mark.parametrize("params, message", [
+    (LmmParams(np.zeros(3), -1.0, -np.eye(2)), "sigma2 must be positive"),
+    (LmmParams(np.zeros(3), 1.0, -np.eye(2)), "D has eigenvalues below"),
+    (LmmParams(np.zeros(3), 1.0, [[1.0, 5.0], [0.0, 1.0]]), "D is not symmetric"),
+], ids=["negative-sigma2", "negative-D", "asymmetric-D"])
+def test_fit_em_validates_a_params_start_as_e_step_does(params, message):
+    # unchecked, the guard clamped or symmetrized the start and the fit
+    # reported converged with no warning
+    ds = simulate_lmm(1, n=4)
+    for call in (lambda: e_step(ds, params), lambda: fit_em(ds, 0.0, init=params)):
+        with pytest.raises(NumericalError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("name, params", [
     ("beta", LmmParams([np.nan, 0.0, 0.0], 1.0, D_UNIT)),
     ("sigma2", LmmParams(np.zeros(3), np.nan, D_UNIT)),
@@ -250,7 +264,7 @@ def test_e_step_matches_dense_oracles_and_em_step_ascends(problem):
 
     pen = PenaltySpec.lasso(0.0)
     before = mom.loglik - lam * penalty_value(pen, params.beta)
-    after = penalized_loglik(ds, m_step(ds, mom, params, lam, pen), lam, pen)
+    after = penalized_loglik(ds, m_step(ds, mom, params, lam), lam, pen)
     assert after >= before - 1e-9 * (1.0 + abs(before))
 
 
@@ -532,7 +546,7 @@ def test_m_step_collapses_to_ols_without_random_information():
     ds = LongitudinalDataset(blocks)
     mom = EStepMoments(np.zeros((8, 2)), np.zeros_like(ds.distinct_ztz.ztz), float("nan"), ds)
     prev = LmmParams(np.zeros(3), 1.0, np.eye(2))
-    params = m_step(ds, mom, prev, 0.0, PenaltySpec.lasso(0.0))
+    params = m_step(ds, mom, prev, 0.0)
     ols = np.linalg.solve(ds.X.T @ ds.X, ds.X.T @ ds.y)
     np.testing.assert_allclose(params.beta, ols, atol=1e-9)
     rss = float(np.sum((ds.y - ds.X @ ols) ** 2))
@@ -546,8 +560,7 @@ def test_m_step_d_update_arithmetic():
     # every subject has the same Z'Z: Cov[b_i | y_i] is one block for all six
     assert ds.distinct_ztz.counts.tolist() == [6]
     mom = EStepMoments(b_hat, np.eye(2)[None], float("nan"), ds)
-    params = m_step(ds, mom, LmmParams(np.zeros(3), 1.0, np.eye(2)), 0.0,
-                    PenaltySpec.lasso(0.0))
+    params = m_step(ds, mom, LmmParams(np.zeros(3), 1.0, np.eye(2)), 0.0)
     expected = np.array([[2.0, 0.0], [0.0, 1.0]])  # e1 e1' + I
     np.testing.assert_allclose(params.D, expected, atol=1e-12)
 
@@ -560,7 +573,7 @@ def test_single_em_step_does_not_decrease_penalized_loglik():
     params = LmmParams(np.zeros(9), 2.0, np.eye(2))
     before = penalized_loglik(ds, params, lam, pen)
     mom = e_step(ds, params)
-    after_params = m_step(ds, mom, params, lam, pen)
+    after_params = m_step(ds, mom, params, lam)
     after = penalized_loglik(ds, after_params, lam, pen)
     assert after >= before - 1e-8
 
@@ -664,7 +677,7 @@ def test_fit_em_from_singular_D_returns_the_guarded_iterate():
     pen = PenaltySpec.lasso(0.0)
     lam = 10.0
     init = LmmParams(np.zeros(3), 1.0, np.outer([1.0, 0.5], [1.0, 0.5]))
-    rep = fit_em(ds, lam, pen, init=init, ctrl=EmControl(max_iter=40))
+    rep = fit_em(ds, lam, pen.alpha, init=init, ctrl=EmControl(max_iter=40))
     rep.params.validate()
     assert np.linalg.eigvalsh(rep.params.D).min() >= 1e-10
     assert rep.final_loglik == pytest.approx(observed_loglik(ds, rep.params), rel=1e-12)
@@ -869,7 +882,7 @@ def _count_solve_pls(monkeypatch):
 def test_exact_m_step_fit_matches_coordinate_descent(penalty, monkeypatch):
     ds = simulate_lmm(3, n=25, n_i=4)
     calls = _count_solve_pls(monkeypatch)
-    exact = fit_em(ds, penalty.lam, penalty, ctrl=FIXED_ITERS)
+    exact = fit_em(ds, penalty.lam, penalty.alpha, ctrl=FIXED_ITERS)
     assert calls == [] and exact.warnings == []
     cd_calls = []
 
@@ -883,7 +896,7 @@ def test_exact_m_step_fit_matches_coordinate_descent(penalty, monkeypatch):
     # the reference fit: every beta M-step, the pooled start included, by
     # coordinate descent
     monkeypatch.setattr(em_engine, "_solve_beta", cd_solve_beta)
-    cd = fit_em(ds, penalty.lam, penalty, ctrl=FIXED_ITERS)
+    cd = fit_em(ds, penalty.lam, penalty.alpha, ctrl=FIXED_ITERS)
     assert len(cd_calls) == FIXED_ITERS.max_iter + 1
     np.testing.assert_allclose(_fit_vector(exact), _fit_vector(cd), rtol=0, atol=1e-10)
     assert exact.final_loglik == pytest.approx(cd.final_loglik, abs=1e-9)
@@ -895,7 +908,7 @@ def test_exact_m_step_without_factor_matches_solve_pls(penalty, monkeypatch):
     params = LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT)
     mom = e_step(ds, params)
     calls = _count_solve_pls(monkeypatch)
-    new = m_step(ds, mom, params, penalty.lam, penalty)
+    new = m_step(ds, mom, params, penalty.lam, penalty.alpha)
     assert calls == []
     # the M-step and the public solver are one solver, on right-hand sides
     # that differ by rounding: the M-step's X'y - sum_i (Z_i'X_i)' b_hat_i
@@ -920,7 +933,7 @@ def test_exact_m_step_pivots_to_the_optimum(penalty, warm_start, monkeypatch):
     mom = e_step(ds, LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT))
     params = LmmParams(np.array(warm_start), 1.7, D_UNIT)
     calls = _count_solve_pls(monkeypatch)
-    new = m_step(ds, mom, params, penalty.lam, penalty)
+    new = m_step(ds, mom, params, penalty.lam, penalty.alpha)
     assert calls == []
     lam1 = penalty.with_lam(2.0 * penalty.lam * params.sigma2)
     ref, _ = lasso_best_by_enumeration(ds.X, mom.y_tilde, lam1.lam * lam1.alpha,
@@ -1158,7 +1171,7 @@ def test_ridge_on_duplicated_column_is_solved_exactly(monkeypatch):
     # X'X is singular, X'X + shift I is not: no M-step drops an eigenpair
     ds = _with_duplicate_column(simulate_lmm(13, n=20, n_i=4))
     calls = _count_solve_pls(monkeypatch)
-    rep = fit_em(ds, 0.05, PenaltySpec.ridge(0.05), lambda_scale="per_obs")
+    rep = fit_em(ds, 0.05, 0.0, lambda_scale="per_obs")
     assert rep.converged
     assert calls == [] and rep.warnings == []
 
@@ -1169,9 +1182,8 @@ def test_cold_start_at_or_above_lambda_max_is_solved_exactly(scale, alpha, monke
     # the pooled start's zero warm start settles it by the empty-support KKT check
     ds = simulate_lmm(3, n=25, n_i=4)
     lam = scale * lambda_max(ds.X, ds.y, alpha)
-    penalty = PenaltySpec.lasso(lam) if alpha == 1.0 else PenaltySpec.elastic_net(alpha, lam)
     calls = _count_solve_pls(monkeypatch)
-    rep = fit_em(ds, lam, penalty)
+    rep = fit_em(ds, lam, alpha)
     assert calls == []
     np.testing.assert_array_equal(rep.params.beta, 0.0)
 
@@ -1259,7 +1271,7 @@ def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeyp
     ds = simulate_lmm(3, n=25, n_i=4)
     ctrl = EmControl(eps=0.0, abs_eps=0.0, max_iter=20)
     calls = _count_solve_pls(monkeypatch)
-    exact = fit_em(ds, penalty.lam, penalty, ctrl=ctrl)
+    exact = fit_em(ds, penalty.lam, penalty.alpha, ctrl=ctrl)
     assert exact.warnings == [] and calls == []
     if penalty.lam == 0.0:
         support = np.flatnonzero(exact.params.beta)
@@ -1268,7 +1280,7 @@ def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeyp
         # definiteness on every use
         monkeypatch.setattr(penalized_ls, "_GRAM_COND_LIMIT", 1.0)
         _, requests = _record_factor_requests(monkeypatch)
-        forced = fit_em(ds, penalty.lam, penalty, ctrl=ctrl)
+        forced = fit_em(ds, penalty.lam, penalty.alpha, ctrl=ctrl)
         assert len(requests) == ctrl.max_iter + 1
         assert all(eighs == 0 for _, _, eighs in requests)
         assert ds.gram_factor(support) is factor
@@ -1288,8 +1300,8 @@ def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeyp
         assert dup.gram_factor(support)[0].size == len(support)
         init = replace(exact.params, beta=np.append(exact.params.beta + [0.5, 0.0, 0.0], -0.5))
         _, requests = _record_factor_requests(monkeypatch)
-        rep = fit_em(dup, penalty.lam, penalty, init=init, ctrl=ctrl)
-        ref = fit_em(ds, penalty.lam, penalty, init=exact.params, ctrl=ctrl)
+        rep = fit_em(dup, penalty.lam, penalty.alpha, init=init, ctrl=ctrl)
+        ref = fit_em(ds, penalty.lam, penalty.alpha, init=exact.params, ctrl=ctrl)
         assert requests[0][1:] == (support, 0) and calls == []
         _assert_same_refit(dup, rep, ds, ref, rtol=1e-12)
         assert rep.worst_trace_decrease() <= 1e-8

@@ -8,7 +8,7 @@ from lmmlasso.dataset import (LongitudinalDataset, SubjectBlock, beta_original_s
                               standardize)
 from lmmlasso.em_engine import EmControl, fit_em, observed_loglik
 from lmmlasso.exceptions import ConfigurationError, NumericalError
-from lmmlasso.penalized_ls import PenaltySpec, lambda_max
+from lmmlasso.penalized_ls import lambda_max
 from lmmlasso.selector import (
     _argmin_prefer_larger,
     auto_log_grid,
@@ -231,16 +231,13 @@ def test_sweep_rejects_bad_grids():
         sweep(ds, [-0.1, 0.2])
 
 
-def test_sweep_with_elastic_net_template():
-    from lmmlasso.penalized_ls import PenaltySpec
-
+def test_sweep_with_elastic_net_alpha():
     ds = small_dataset(seed=8)
-    path = sweep(ds, [0.05, 0.15], penalty=PenaltySpec.elastic_net(0.5, 0.0),
-                 lambda_scale="per_obs")
+    path = sweep(ds, [0.05, 0.15], alpha=0.5, lambda_scale="per_obs")
     assert path.grid.size == 2
     assert np.isfinite(path.bic).all()
     with pytest.raises(ConfigurationError):
-        sweep(ds, [0.1], penalty="ridge")
+        sweep(ds, [0.1], alpha="ridge")
 
 
 def test_refit_full_support_equals_unpenalized_fit():
@@ -332,7 +329,8 @@ _BAD_SELECTION = {"lambda_scale": dict(lambda_scale="perobs"),
                   "criterion": dict(criterion="bic2"),
                   "empty_grid": dict(grid=[]),
                   "negative_grid": dict(grid=[0.1, -0.1]),
-                  "nan_grid": dict(grid=[0.1, np.nan])}
+                  "nan_grid": dict(grid=[0.1, np.nan]),
+                  "scalar_grid": dict(grid=0.1)}
 _BAD_LOG_GRID = {"lambda_scale": dict(lambda_scale="perobs"),
                  "ratio_0": dict(ratio=0.0), "ratio_-1": dict(ratio=-1.0),
                  "ratio_nan": dict(ratio=np.nan), "num_0": dict(num=0),
@@ -340,9 +338,8 @@ _BAD_LOG_GRID = {"lambda_scale": dict(lambda_scale="perobs"),
 _BAD_SETTINGS = {f"{name}-{case}": (run, {"grid": [0.1, 0.2], **bad})
                  for name, run in _SELECTION_RUNS.items()
                  for case, bad in _BAD_SELECTION.items()}
-# run_monte_carlo always sweeps the lasso, so only these take a penalty
-_BAD_PENALTY = {"ridge": dict(penalty=PenaltySpec.ridge(0.0)),
-                "string": dict(penalty="lasso")}
+# run_monte_carlo always sweeps the lasso, so only these take alpha
+_BAD_PENALTY = {"ridge": dict(alpha=0.0), "string": dict(alpha="lasso")}
 _BAD_SETTINGS.update({f"{name}-{case}": (_SELECTION_RUNS[name], {"grid": [0.1, 0.2], **bad})
                       for name in ("sweep", "select", "kfold_cv")
                       for case, bad in _BAD_PENALTY.items()})

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from lmmlasso.dataset import remove_linear_combos, standardize
-from lmmlasso.em_engine import EmControl, fit_em, fit_em_supports
+from lmmlasso.em_engine import EmControl, LmmParams, e_step, fit_em, fit_em_supports, m_step
 from lmmlasso.exceptions import ConfigurationError
 from lmmlasso.penalized_ls import PenaltySpec
-from lmmlasso.selector import auto_log_grid, default_grid
+from lmmlasso.selector import auto_log_grid, default_grid, select, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario, kfold_cv, run_monte_carlo
 
 GRID = np.array([0.1])
+START = LmmParams(np.zeros(9), 1.0, np.eye(2))  # p = 9, q = 2, as the dataset
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,19 @@ REAL_SETTINGS = {
     "fit_em_lam": (lambda v, ds: fit_em(ds, v), "lam"),
     "ratio": (lambda v, ds: auto_log_grid(ds, ratio=v), "ratio"),
     "rank_tol": (lambda v, ds: remove_linear_combos(ds, rank_tol=v), "rank_tol"),
+    "fit_em_alpha": (lambda v, ds: fit_em(ds, 0.1, v), "alpha"),
+    "m_step_alpha": (lambda v, ds: m_step(ds, e_step(ds, START), START, 0.1, v), "alpha"),
+    "sweep_alpha": (lambda v, ds: sweep(ds, GRID, v), "alpha"),
+    "select_alpha": (lambda v, ds: select(ds, GRID, v), "alpha"),
+    "kfold_cv_alpha": (lambda v, ds: kfold_cv(ds, 2, GRID, v), "alpha"),
+    "sweep_grid": (lambda v, ds: sweep(ds, [v]), "grid entry"),
+    "select_grid": (lambda v, ds: select(ds, [0.2, v]), "grid entry"),
+    "kfold_cv_grid": (lambda v, ds: kfold_cv(ds, 2, [v]), "grid entry"),
+    "run_monte_carlo_grid": (lambda v, ds: run_monte_carlo(
+        ScenarioConfig.scenario1(n=6, n_i=4), 1, grid=[v]), "grid entry"),
+    "sigma2_true": (lambda v, ds: ScenarioConfig.scenario1(sigma2_true=v), "sigma2_true"),
+    "covariate_mean": (lambda v, ds: ScenarioConfig.scenario1(covariate_mean=v),
+                       "covariate_mean"),
 }
 
 
@@ -79,10 +93,31 @@ REAL_SETTINGS = {
 @pytest.mark.parametrize("setting", list(REAL_SETTINGS))
 def test_real_setting_refuses_a_value_that_is_not_a_real_number(ds, setting, value):
     # unchecked: "0.1" and None raised bare TypeErrors, fit_em(ds, True)
-    # fitted at lam 1.0 and rank_tol=True dropped every column
+    # fitted at lam 1.0 and rank_tol=True dropped every column; a grid
+    # entry "0.1" or True ran at 0.1 or 1.0, sigma2_true=True ran at 1.0,
+    # and an alpha of None fitted the lasso
     call, name = REAL_SETTINGS[setting]
     with pytest.raises(ConfigurationError, match=name):
         call(value, ds)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("D_true", "low"), ("D_true", [[True, False], [False, True]]),
+    ("beta_true", ["1"] * 9), ("beta_true", [True] * 9),
+], ids=["D_true-str", "D_true-bool", "beta_true-str", "beta_true-bool"])
+def test_array_setting_refuses_entries_that_are_not_real_numbers(field, value):
+    # unchecked: D_true="low" raised a bare ValueError, and string and bool
+    # entries were cast to floats
+    with pytest.raises(ConfigurationError, match=f"^{field} must be an array of real numbers"):
+        ScenarioConfig.scenario1(**{field: value})
+
+
+@pytest.mark.parametrize("setting", [s for s in REAL_SETTINGS if s.endswith("_alpha")])
+def test_alpha_refuses_a_penalty_spec(ds, setting):
+    # a PenaltySpec was the template these took, whose lam they ignored
+    call, name = REAL_SETTINGS[setting]
+    with pytest.raises(ConfigurationError, match=name):
+        call(PenaltySpec(1.0, 7.0), ds)
 
 
 def test_real_settings_take_integers_and_numpy_floats(ds):
