@@ -9,8 +9,8 @@ active-set loop of linear solves on X'X that leaves a singular support
 along its null space; solve_pls is its public form), a BIC-driven sweep
 over the penalty grid, and unpenalized refits of the supports it finds
 (fit_em_supports, the one refit entry point, which checks its supports).
-A penalty is glmnet's mixing weight alpha, which the fit and selection
-calls take next to the level; PenaltySpec(alpha, lam) is the solver's.
+A penalty is glmnet's level lam and mixing weight alpha (1 the lasso,
+0 ridge), which every layer takes as two numbers.
 A simulation kit regenerates the benchmark scenarios, and a small CLI
 wires everything into reproducible batch runs.
 """
@@ -46,7 +46,6 @@ from .exceptions import (
     NumericalError,
 )
 from .penalized_ls import (
-    PenaltySpec,
     PlsSolution,
     effective_lambda,
     kkt_check,

@@ -81,8 +81,8 @@ from .dataset import LongitudinalDataset, _checked_indices, beta_original_scale
 from .exceptions import ConfigurationError, NumericalError, _checked_int, _checked_real
 # solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
 # this module's binding of it, so the name stays until the tracer drops it
-from .penalized_ls import (RAW, PenaltySpec, _solve_gram, _truncate, effective_lambda,
-                           penalty_value, solve_pls)
+from .penalized_ls import (RAW, _checked_penalty, _penalty_value, _solve_gram, _truncate,
+                           effective_lambda, solve_pls)
 
 __all__ = [
     "LmmParams",
@@ -469,18 +469,6 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     return EStepMoments(b_hat, Lambda_blocks, loglik if lead else float(loglik), ds)
 
 
-def _solve_beta(ds: LongitudinalDataset, c: np.ndarray, penalty: PenaltySpec, lam: float,
-                warm_start: np.ndarray):
-    """Minimize ||y - X beta||^2 + lam * penalty(beta), X = ds.X, given c =
-    X'y, lam in raw units: _solve_gram on the dataset's X'X and cached
-    factor, from warm_start's support and signs.  Returns (beta, whether its
-    solve dropped eigenpairs).
-    """
-    beta, cut, _ = _solve_gram(ds.gram, c, lam * penalty.alpha, lam * (1.0 - penalty.alpha),
-                               warm_start, ds.gram_factor)
-    return beta, cut
-
-
 def _m_step(ds: LongitudinalDataset, moments: EStepMoments, solve):
     """The M-step given the E-step moments, of the EM driver and of m_step.
 
@@ -519,14 +507,15 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParam
     """Conditional maximization given the E-step moments: the EM driver's M-step.
 
     beta solves the penalized least-squares problem on (X, y_tilde) at
-    mixing weight alpha and the effective level 2 * lam * sigma2_prev by
-    _solve_beta's linear solves, warm-started at the previous beta.  sigma2
-    and D then have closed forms (_m_step).  lam is in raw units.
+    mixing weight alpha and the effective level lam1 = 2 * lam * sigma2_prev
+    by _solve_gram on the dataset's X'X and cached factor, warm-started at
+    the previous beta.  sigma2 and D then have closed forms (_m_step).  lam
+    is in raw units.
     """
-    penalty = PenaltySpec(alpha, lam)
+    _checked_penalty(alpha, lam)
     lam1 = 2.0 * lam * params_prev.sigma2
-    params, _, _ = _m_step(ds, moments,
-                           lambda c: _solve_beta(ds, c, penalty, lam1, params_prev.beta))
+    params, _, _ = _m_step(ds, moments, lambda c: _solve_gram(
+        ds.gram, c, lam1 * alpha, lam1 * (1.0 - alpha), params_prev.beta, ds.gram_factor)[:2])
     return params
 
 
@@ -547,9 +536,10 @@ def _guarded_e_step(ds: LongitudinalDataset, params: LmmParams, xbeta=None):
 
 
 def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
-            lam: float = 0.0, penalty: PenaltySpec | None = None,
+            lam: float = 0.0, alpha: float = 1.0,
             init: LmmParams | None = None, moments: EStepMoments | None = None) -> list:
-    """EM for `members` fits on ds at once, at raw penalty level lam.
+    """EM for `members` fits on ds at once, at raw penalty level lam and
+    mixing weight alpha.
 
     The members' parameters sit on a leading axis of one LmmParams; a lone
     member, the only one or the last one still iterating, drops it.  The
@@ -620,7 +610,7 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
 
         lp = moments.loglik
         if lam:
-            lp = lp - lam * penalty_value(penalty, params.beta)
+            lp = lp - lam * _penalty_value(params.beta, alpha)
         stacked = len(live) > 1
         lps = lp.tolist() if stacked else [lp]
         logliks = moments.loglik.tolist() if stacked else [moments.loglik]
@@ -674,11 +664,12 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     factor.
 
     The EM driver (_run_em) with one member, whose beta M-step is
-    _solve_beta warm-started at the previous beta.  The returned params
-    and final_loglik are the last guarded iterate; a NumericalError of an
-    E-step or of a beta M-step is raised.
+    _solve_gram on the dataset's X'X and cached factor, warm-started at the
+    previous beta.  The returned params and final_loglik are the last
+    guarded iterate; a NumericalError of an E-step or of a beta M-step is
+    raised.
     """
-    penalty = PenaltySpec(alpha, lam)
+    _checked_penalty(alpha, lam)
     ctrl = ctrl or EmControl()
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
     moments = None
@@ -693,10 +684,11 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
         init = LmmParams(params.beta.copy(), params.sigma2, params.D.copy())
 
     def solve_beta(live, c, lam1, warm_start):
-        beta, cut = _solve_beta(ds, c, penalty, lam1, warm_start)
+        beta, cut, _ = _solve_gram(ds.gram, c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start,
+                                   ds.gram_factor)
         return beta, [cut]
 
-    rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, penalty, init, moments)
+    rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, alpha, init, moments)
     if isinstance(rep, NumericalError):
         raise rep
     return replace(rep, lam=float(lam), lambda_scale=lambda_scale)

@@ -6,12 +6,15 @@ Solves
               + lam * [alpha * ||beta||_1 + (1 - alpha) * ||beta||_2^2]
 
 for lasso (alpha = 1), ridge (alpha = 0), and elastic-net (0 < alpha < 1)
-penalties.  The penalty level ``lam`` multiplies the raw residual sum of
-squares; no 1/(2N) rescaling is applied.  The per-observation convention
-of GLM-net style solvers (lambda multiplies RSS/(2N)) lives at the fit and
-selection layer: fit_em, sweep, select, run_monte_carlo and kfold_cv take
-a lambda_scale, one of LAMBDA_SCALES, and effective_lambda, the only unit
-conversion, maps it onto the raw level.
+penalties.  These two numbers, glmnet's level and mixing weight, are the
+penalty at every layer, and every entry point that takes them checks
+them with _checked_penalty.  The penalty level ``lam`` multiplies the raw
+residual sum of squares; no 1/(2N) rescaling is applied.  The
+per-observation convention of GLM-net style solvers (lambda multiplies
+RSS/(2N)) lives at the fit and selection layer: fit_em, sweep, select,
+run_monte_carlo and kfold_cv take a lambda_scale, one of LAMBDA_SCALES,
+and effective_lambda, the only unit conversion, maps it onto the raw
+level.
 
 There is one solver, _solve_gram, which works on G = X'X and c = X'y
 alone and is exact: without an l1 term one minimum-norm solve, with one a
@@ -23,7 +26,7 @@ X'X and cached factor; solve_pls is its public form on (X, y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .exceptions import ConfigurationError, DataError, NumericalError, _checked_
 
 __all__ = [
     "LAMBDA_SCALES",
-    "PenaltySpec",
     "PlsSolution",
     "solve_pls",
     "kkt_check",
@@ -45,41 +47,18 @@ _GRAM_COND_LIMIT = 1e12  # eigenvalues of G_AA + shift I at or below w_max / thi
 _MAX_PIVOTS = 200        # with 2p, the active-set passes of one solve before it raises
 
 
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Mixing weight and regularization level of the penalty.
-
-    alpha = 1 is the pure l1 (lasso) penalty, alpha = 0 the squared-l2
-    (ridge) penalty; intermediate values are the elastic net.  The solver
-    layer's record: fit_em and the selector take alpha and lam apart.
+def _checked_penalty(alpha, lam=0.0):
+    """alpha, unchanged: the package's one check of a penalty.  alpha = 1
+    is the pure l1 (lasso) penalty, alpha = 0 the squared-l2 (ridge)
+    penalty, intermediate values the elastic net; lam is the level, 0 for
+    a caller that takes none.  ConfigurationError unless alpha is a real
+    number in [0, 1] and lam a finite real number >= 0 (_checked_real).
     """
-
-    alpha: float = 1.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= _checked_real(self.alpha, "penalty mixing weight alpha") <= 1.0:
-            raise ConfigurationError(
-                f"penalty mixing weight alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= _checked_real(self.lam, "penalty level lam") < math.inf:
-            raise ConfigurationError(f"penalty level lam must be finite and >= 0, got {self.lam}")
-
-    @classmethod
-    def lasso(cls, lam: float) -> "PenaltySpec":
-        return cls(1.0, lam)
-
-    @classmethod
-    def ridge(cls, lam: float) -> "PenaltySpec":
-        return cls(0.0, lam)
-
-    @classmethod
-    def elastic_net(cls, alpha: float, lam: float) -> "PenaltySpec":
-        if not 0.0 < alpha < 1.0:
-            raise ConfigurationError("elastic_net requires 0 < alpha < 1")
-        return cls(alpha, lam)
-
-    def with_lam(self, lam: float) -> "PenaltySpec":
-        return replace(self, lam=lam)
+    if not 0.0 <= _checked_real(alpha, "penalty mixing weight alpha") <= 1.0:
+        raise ConfigurationError(f"penalty mixing weight alpha must be in [0, 1], got {alpha}")
+    if not 0.0 <= _checked_real(lam, "penalty level lam") < math.inf:
+        raise ConfigurationError(f"penalty level lam must be finite and >= 0, got {lam}")
+    return alpha
 
 
 @dataclass
@@ -97,15 +76,20 @@ class PlsSolution:
     kkt_residual: float
 
 
-def penalty_value(penalty: PenaltySpec, beta: np.ndarray):
+def penalty_value(beta: np.ndarray, alpha: float = 1.0):
     """Mixing-weighted penalty alpha*||beta||_1 + (1-alpha)*||beta||_2^2.
 
     A float for beta (p,); one value per member, summed over the last axis,
     for a stack (R, p).
     """
-    beta = np.asarray(beta, dtype=float)
+    return _penalty_value(np.asarray(beta, dtype=float), _checked_penalty(alpha))
+
+
+def _penalty_value(beta: np.ndarray, alpha: float):
+    """penalty_value on a float array and an alpha already checked: the form
+    the EM driver and solve_pls take, once per iteration or solve."""
     l2 = beta @ beta if beta.ndim == 1 else np.einsum("rp,rp->r", beta, beta)
-    value = penalty.alpha * np.abs(beta).sum(axis=-1) + (1.0 - penalty.alpha) * l2
+    value = alpha * np.abs(beta).sum(axis=-1) + (1.0 - alpha) * l2
     return float(value) if beta.ndim == 1 else value
 
 
@@ -128,11 +112,11 @@ def lambda_max(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> float:
 
     beta = 0 is optimal exactly when |2 x_j'y| <= lam * alpha for every
     column, so lambda_max = max_j |2 x_j'y| / alpha.  Requires a mixing
-    weight alpha in (0, 1], as PenaltySpec holds it less the ridge's 0,
-    which never produces exact zeros; any other alpha (NaN included) is a
+    weight alpha that _checked_penalty takes, less the ridge's 0, which
+    never produces exact zeros; any other alpha (NaN included) is a
     ConfigurationError.
     """
-    if not 0.0 < _checked_real(alpha, "lambda_max: alpha") <= 1.0:
+    if _checked_penalty(alpha) == 0.0:
         raise ConfigurationError(f"lambda_max requires alpha in (0, 1], got {alpha}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -157,15 +141,35 @@ def _kkt_residual(grad_half: np.ndarray, beta: np.ndarray, lam: float, alpha: fl
     return float(np.max(np.where(beta == 0.0, at_zero, off_zero)))
 
 
-def kkt_check(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec, beta: np.ndarray) -> float:
-    """Recompute the stationarity residual of beta from scratch."""
+def _checked_problem(caller: str, X, y, beta, name: str):
+    """(X, y, beta) as float arrays, beta zero when None: the one input
+    check of solve_pls and kkt_check.  DataError naming caller and the
+    argument, X, y or beta (as name), unless X is (N, p), y (N,) and beta
+    (p,), and each holds no NaN or inf.
+    """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DataError(f"{caller}: X must be an (N, p) array, got shape {X.shape}")
+    N, p = X.shape
     y = np.asarray(y, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if X.shape[0] != y.shape[0] or X.shape[1] != beta.shape[0]:
-        raise DataError("kkt_check: shapes of X, y, beta do not agree")
+    beta = np.zeros(p) if beta is None else np.asarray(beta, dtype=float)
+    for what, a, shape in (("y", y, (N,)), (name, beta, (p,))):
+        if a.shape != shape:
+            raise DataError(f"{caller}: {what} must have shape {shape}, got {a.shape}")
+    for what, a in (("X", X), ("y", y), (name, beta)):
+        if not np.isfinite(a).all():
+            raise DataError(f"{caller}: {what} holds a NaN or inf")
+    return X, y, beta
+
+
+def kkt_check(X: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float,
+              alpha: float = 1.0) -> float:
+    """Recompute the stationarity residual of beta from scratch, checking
+    the penalty (_checked_penalty) and the arrays as solve_pls does."""
+    _checked_penalty(alpha, lam)
+    X, y, beta = _checked_problem("kkt_check", X, y, beta, "beta")
     grad_half = X.T @ (y - X @ beta)
-    return _kkt_residual(grad_half, beta, penalty.lam, penalty.alpha)
+    return _kkt_residual(grad_half, beta, lam, alpha)
 
 
 def _truncate(factor, shift: float):
@@ -213,8 +217,8 @@ def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
     point (a cold start whose optimum has k nonzeros takes k + 1).  From a
     zero warm_start it is LARS-lasso.  Returns (beta, whether its solve
     dropped eigenpairs, passes).  Raises NumericalError when a null step
-    raises the objective by more than rounding, and after _MAX_PIVOTS + 2p
-    passes.
+    raises the objective by more than the rounding of its terms, and after
+    _MAX_PIVOTS + 2p passes.
     """
     if l1 == 0.0:
         w, V = _truncate(factor(np.arange(c.size)), shift)
@@ -225,11 +229,13 @@ def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
     rhs = c[active] - 0.5 * l1 * signs
     w, V = _truncate(factor(active), shift)
 
-    def objective(points):
-        """The objective at each row of points, a point on the current A."""
+    def terms(points):
+        """The terms x'Mx, 2 c'x and l1 |x|_1 of the objective x'Mx - 2 c'x
+        + l1 |x|_1 (M = G_AA + shift * I) at each row x of points, a point on
+        the current A."""
         M = G[np.ix_(active, active)] + shift * np.eye(active.size)
-        return (np.einsum("ij,ij->i", points @ M, points)
-                - 2.0 * points @ c[active] + l1 * np.abs(points).sum(axis=1))
+        return (np.einsum("ij,ij->i", points @ M, points), 2.0 * points @ c[active],
+                l1 * np.abs(points).sum(axis=1))
 
     max_passes = _MAX_PIVOTS + 2 * c.size
     for passes in range(1, max_passes + 1):
@@ -241,8 +247,11 @@ def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
             t = min(t_cross, default=0.0)
             point = x - t * u
             point[cross[t_cross == t]] = 0.0
-            new, old = objective(np.stack([point, x]))
-            if new > old + 8.0 * np.finfo(float).eps * abs(old):
+            quad, lin, pen = terms(np.stack([point, x]))
+            new, old = quad - lin + pen
+            # rounding scales with the terms, which the objective can cancel far below
+            size = max(np.abs(quad) + np.abs(lin) + pen)
+            if new > old + 8.0 * np.finfo(float).eps * size:
                 raise NumericalError("beta M-step: a step along the null space of X_A "
                                      "did not lower the objective")
             x = point
@@ -269,7 +278,8 @@ def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
                 t = np.append(t_cross[cross], 1.0)
                 points = x + t[:, None] * (b - x)
                 points[t[:, None] == t_cross] = 0.0
-                x = points[np.argmin(objective(points))]
+                quad, lin, pen = terms(points)
+                x = points[np.argmin(quad - lin + pen)]
                 signs = np.sign(x)
         keep = signs != 0.0  # the columns a step set to zero leave A
         active, x, signs = active[keep], x[keep], signs[keep]
@@ -278,37 +288,29 @@ def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
     raise NumericalError(f"beta M-step: no optimum after {max_passes} active-set passes")
 
 
-def solve_pls(X: np.ndarray, y: np.ndarray, penalty: PenaltySpec,
+def solve_pls(X: np.ndarray, y: np.ndarray, lam: float, alpha: float = 1.0,
               warm_start: np.ndarray | None = None) -> PlsSolution:
     """Minimize the penalized residual sum of squares exactly (_solve_gram).
 
     Args:
         X: (N, p) design matrix.
         y: (N,) response.
-        penalty: mixing weight and level (raw units).
+        lam: penalty level (raw units).
+        alpha: mixing weight, 1 the lasso and 0 the ridge.
         warm_start: optional initial beta, whose support and signs the
             active-set loop starts from (zero when not given).
 
     Without an l1 term and with X'X not numerically positive definite, beta
-    is the minimum-norm solution.  Raises DataError when the shapes do not
-    agree, or naming X, y or warm_start when it holds a NaN or inf, and
+    is the minimum-norm solution.  Raises ConfigurationError where
+    _checked_penalty does, DataError where _checked_problem does, and
     NumericalError where _solve_gram does.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise DataError("solve_pls: X must be (N, p) and y (N,) with matching N")
-    p = X.shape[1]
-    beta = np.zeros(p) if warm_start is None else np.asarray(warm_start, dtype=float)
-    if beta.shape != (p,):
-        raise DataError("solve_pls: warm_start has wrong length")
-    for name, a in (("X", X), ("y", y), ("warm_start", beta)):
-        if not np.isfinite(a).all():
-            raise DataError(f"solve_pls: {name} holds a NaN or inf")
+    _checked_penalty(alpha, lam)
+    X, y, beta = _checked_problem("solve_pls", X, y, warm_start, "warm_start")
     G, c = X.T @ X, X.T @ y
-    lam, alpha = float(penalty.lam), penalty.alpha
+    lam = float(lam)
     beta, _, passes = _solve_gram(G, c, lam * alpha, lam * (1.0 - alpha), beta,
                                   lambda cols: np.linalg.eigh(G[np.ix_(cols, cols)]))
     m = c - G @ beta  # X'(y - X beta)
-    objective = float(y @ y) - float(beta @ (c + m)) + lam * penalty_value(penalty, beta)
+    objective = float(y @ y) - float(beta @ (c + m)) + lam * _penalty_value(beta, alpha)
     return PlsSolution(beta, objective, passes, _kkt_residual(m, beta, lam, alpha))

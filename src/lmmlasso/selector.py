@@ -33,7 +33,7 @@ from .dataset import LongitudinalDataset
 from .em_engine import EmControl, FitReport, fit_em, fit_em_supports, observed_loglik
 from .exceptions import (ConfigurationError, LmmLassoError, NumericalError, _checked_int,
                          _checked_real)
-from .penalized_ls import RAW, PenaltySpec, effective_lambda, lambda_max
+from .penalized_ls import RAW, _checked_penalty, effective_lambda, lambda_max
 
 __all__ = [
     "CRITERIA",
@@ -182,7 +182,7 @@ def _selection_settings(grid, lambda_scale: str, criterion: str, alpha: float = 
     effective_lambda(0.0, lambda_scale, 0)  # raises on an unknown unit name
     if criterion not in CRITERIA:
         raise ConfigurationError(f"unknown criterion {criterion!r}")
-    if PenaltySpec(alpha).alpha == 0.0:
+    if _checked_penalty(alpha) == 0.0:
         raise ConfigurationError("ridge has no sparse path to select over")
     return grid
 

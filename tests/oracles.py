@@ -52,39 +52,38 @@ def lasso_best_by_enumeration(X, y, lam, shift=0.0):
     return best_beta, best_obj
 
 
-def lasso_by_coordinate_descent(X, y, penalty, warm_start=None, tol=1e-13, max_sweeps=10000):
+def lasso_by_coordinate_descent(X, y, lam, alpha=1.0, warm_start=None, tol=1e-13,
+                                max_sweeps=10000):
     """Elastic-net minimizer by cyclic coordinate descent.
 
-    The objective is ||y - X b||^2 + lam * [alpha ||b||_1 + (1 - alpha) ||b||^2]
-    with lam and alpha read from penalty.  The gradient m = X'y - X'X b is
-    maintained, so each coordinate update costs O(p).  After a full sweep
-    the nonzero set is iterated until stable, then another full sweep
-    confirms; convergence is declared when a full sweep changes no
-    coefficient by more than tol.  Identically-zero columns stay at zero.
-    Returns (beta, converged).
+    The objective is ||y - X b||^2 + lam * [alpha ||b||_1 + (1 - alpha) ||b||^2].
+    The gradient m = X'y - X'X b is maintained, so each coordinate update
+    costs O(p).  After a full sweep the nonzero set is iterated until
+    stable, then another full sweep confirms; convergence is declared when
+    a full sweep changes no coefficient by more than tol.  Identically-zero
+    columns stay at zero.  Returns (beta, converged).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    return lasso_by_coordinate_descent_gram(X.T @ X, X.T @ y, penalty, warm_start, tol,
-                                            max_sweeps)
+    return lasso_by_coordinate_descent_gram(X.T @ X, X.T @ y, lam * alpha,
+                                            lam * (1.0 - alpha), warm_start, tol, max_sweeps)
 
 
-def lasso_by_coordinate_descent_gram(G, c, penalty, warm_start=None, tol=1e-13,
+def lasso_by_coordinate_descent_gram(G, c, l1, shift=0.0, warm_start=None, tol=1e-13,
                                      max_sweeps=10000):
-    """lasso_by_coordinate_descent given G = X'X and c = X'y in place of (X, y)."""
+    """lasso_by_coordinate_descent given G = X'X and c = X'y in place of (X,
+    y), and the weights l1 = lam * alpha and shift = lam * (1 - alpha) of
+    ||b||_1 and ||b||^2 in place of (lam, alpha)."""
     G = np.asarray(G, dtype=float)
     c = np.asarray(c, dtype=float)
     p = c.shape[0]
-    lam = float(penalty.lam)
-    alpha = penalty.alpha
     diag = np.ascontiguousarray(np.diagonal(G))
     dead = diag <= 0.0
     beta = np.zeros(p) if warm_start is None else np.array(warm_start, dtype=float)
     beta[dead] = 0.0
 
     m = c - G @ beta  # X'(y - X beta), maintained incrementally
-    gamma = lam * alpha
-    denom = 2.0 * diag + 2.0 * lam * (1.0 - alpha)
+    denom = 2.0 * diag + 2.0 * shift
     live = np.flatnonzero(~dead)
     beta_l = beta.tolist()
     diag_l = diag.tolist()
@@ -98,7 +97,7 @@ def lasso_by_coordinate_descent_gram(G, c, penalty, warm_start=None, tol=1e-13,
         for j in indices:
             b_old = beta_l[j]
             z = 2.0 * (m_item(j) + diag_l[j] * b_old)
-            t = abs(z) - gamma
+            t = abs(z) - l1
             b_new = math.copysign(t, z) / denom_l[j] if t > 0.0 else 0.0
             if b_new != b_old:
                 np.multiply(G_rows[j], b_new - b_old, out=buf)
@@ -144,12 +143,12 @@ def dense_marginal_loglik(blocks, beta, sigma2, D):
     return total
 
 
-def penalized_loglik(ds, params, lam, penalty):
+def penalized_loglik(ds, params, lam, alpha=1.0):
     """The objective the penalized EM ascends: dense_marginal_loglik at params
     minus lam * (alpha ||beta||_1 + (1 - alpha) ||beta||_2^2), lam in raw
-    units.  Reads only ds.blocks and the fields of params and penalty."""
+    units.  Reads only ds.blocks and the fields of params."""
     beta = params.beta
-    value = penalty.alpha * np.abs(beta).sum() + (1.0 - penalty.alpha) * (beta @ beta)
+    value = alpha * np.abs(beta).sum() + (1.0 - alpha) * (beta @ beta)
     blocks = [(b.y, b.X, b.Z) for b in ds.blocks]
     return dense_marginal_loglik(blocks, beta, params.sigma2, params.D) - lam * value
 

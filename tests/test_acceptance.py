@@ -16,7 +16,7 @@ import pytest
 
 from lmmlasso.dataset import LongitudinalDataset, SubjectBlock, remove_linear_combos
 from lmmlasso.em_engine import EmControl, LmmParams, e_step, fit_em
-from lmmlasso.penalized_ls import PenaltySpec, kkt_check, solve_pls
+from lmmlasso.penalized_ls import kkt_check, solve_pls
 from lmmlasso.simkit import (
     D_LOW,
     ScenarioConfig,
@@ -99,12 +99,11 @@ def test_criterion_1_lasso_core_oracle_equivalence():
         beta_true = rng.normal(size=p) * rng.integers(0, 2, size=p)
         y = X @ beta_true + rng.normal(size=N)
         lam = float(rng.uniform(0.1, 2.0) * N / 10.0)
-        pen = PenaltySpec.lasso(lam)
-        sol = solve_pls(X, y, pen)
+        sol = solve_pls(X, y, lam)
         beta_ref, obj_ref = lasso_best_by_enumeration(X, y, lam)
         worst_beta = max(worst_beta, float(np.abs(sol.beta - beta_ref).max()))
         worst_obj = max(worst_obj, abs(sol.objective - obj_ref))
-        worst_kkt = max(worst_kkt, kkt_check(X, y, pen, sol.beta))
+        worst_kkt = max(worst_kkt, kkt_check(X, y, sol.beta, lam))
     ok = worst_beta <= 1e-6 and worst_obj <= 1e-8 and worst_kkt <= 1e-8
     report(1, "lasso-core oracle equivalence", ok,
            f"max|beta err|={worst_beta:.2e} max|obj err|={worst_obj:.2e} "

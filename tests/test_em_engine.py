@@ -19,13 +19,7 @@ from lmmlasso.em_engine import (
     observed_loglik,
 )
 from lmmlasso.exceptions import ConfigurationError, NumericalError
-from lmmlasso.penalized_ls import (
-    PenaltySpec,
-    kkt_check,
-    lambda_max,
-    penalty_value,
-    solve_pls,
-)
+from lmmlasso.penalized_ls import _solve_gram, kkt_check, lambda_max, penalty_value, solve_pls
 from lmmlasso.selector import default_grid, refit_support, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario
 
@@ -262,9 +256,8 @@ def test_e_step_matches_dense_oracles_and_em_step_ascends(problem):
     ref = dense_marginal_loglik(as_triples(ds), params.beta, params.sigma2, params.D)
     assert mom.loglik == pytest.approx(ref, rel=0, abs=1e-9)
 
-    pen = PenaltySpec.lasso(0.0)
-    before = mom.loglik - lam * penalty_value(pen, params.beta)
-    after = penalized_loglik(ds, m_step(ds, mom, params, lam), lam, pen)
+    before = mom.loglik - lam * penalty_value(params.beta)
+    after = penalized_loglik(ds, m_step(ds, mom, params, lam), lam)
     assert after >= before - 1e-9 * (1.0 + abs(before))
 
 
@@ -517,17 +510,18 @@ def test_a_penalized_stack_traces_each_member_as_its_lone_run():
     ds = _visit_design("missing")
     rng = np.random.default_rng(11)
     members = [_random_params(rng) for _ in range(2)]
-    penalty, lam = PenaltySpec.lasso(1.0), 3.0
+    lam = 3.0
 
     def solve_beta(live, c, lam1, warm_start):
-        out = [em_engine._solve_beta(ds, c_r, penalty, l_r, w_r) for c_r, l_r, w_r in
+        """The lasso beta M-step of each live member."""
+        out = [_solve_gram(ds.gram, c_r, l_r, 0.0, w_r, ds.gram_factor) for c_r, l_r, w_r in
                zip(c.reshape(-1, ds.p), np.ravel(lam1), warm_start.reshape(-1, ds.p))]
-        return np.stack([b for b, _ in out]).reshape(c.shape), [cut for _, cut in out]
+        return np.stack([b for b, _, _ in out]).reshape(c.shape), [cut for _, cut, _ in out]
 
     ctrl = EmControl(eps=0.0, abs_eps=0.0, max_iter=8)
-    reps = em_engine._run_em(ds, 2, solve_beta, ctrl, lam, penalty, init=_stack(members))
+    reps = em_engine._run_em(ds, 2, solve_beta, ctrl, lam, init=_stack(members))
     for rep, params in zip(reps, members):
-        lone, = em_engine._run_em(ds, 1, solve_beta, ctrl, lam, penalty, init=params)
+        lone, = em_engine._run_em(ds, 1, solve_beta, ctrl, lam, init=params)
         assert rep.iterations == lone.iterations == ctrl.max_iter
         np.testing.assert_allclose(rep.penalized_loglik_trace, lone.penalized_loglik_trace,
                                    rtol=1e-12, atol=0)
@@ -568,13 +562,12 @@ def test_m_step_d_update_arithmetic():
 def test_single_em_step_does_not_decrease_penalized_loglik():
     ds = simulate_lmm(42, n=30, n_i=5, p=9,
                       beta=np.array([1, 1, 0, 0, 0, 0, 0, 0, 0.0]))
-    pen = PenaltySpec.lasso(0.0)
     lam = 5.0
     params = LmmParams(np.zeros(9), 2.0, np.eye(2))
-    before = penalized_loglik(ds, params, lam, pen)
+    before = penalized_loglik(ds, params, lam)
     mom = e_step(ds, params)
     after_params = m_step(ds, mom, params, lam)
-    after = penalized_loglik(ds, after_params, lam, pen)
+    after = penalized_loglik(ds, after_params, lam)
     assert after >= before - 1e-8
 
 
@@ -674,14 +667,13 @@ def test_fit_em_score_equations_at_unpenalized_optimum():
 
 def test_fit_em_from_singular_D_returns_the_guarded_iterate():
     ds = simulate_lmm(47, n=15, n_i=4)
-    pen = PenaltySpec.lasso(0.0)
     lam = 10.0
     init = LmmParams(np.zeros(3), 1.0, np.outer([1.0, 0.5], [1.0, 0.5]))
-    rep = fit_em(ds, lam, pen.alpha, init=init, ctrl=EmControl(max_iter=40))
+    rep = fit_em(ds, lam, init=init, ctrl=EmControl(max_iter=40))
     rep.params.validate()
     assert np.linalg.eigvalsh(rep.params.D).min() >= 1e-10
     assert rep.final_loglik == pytest.approx(observed_loglik(ds, rep.params), rel=1e-12)
-    last = rep.final_loglik - lam * penalty_value(pen, rep.params.beta)
+    last = rep.final_loglik - lam * penalty_value(rep.params.beta)
     assert rep.penalized_loglik_trace[-1] == last
     assert rep.worst_trace_decrease() <= 1e-8
 
@@ -852,10 +844,9 @@ def test_fit_report_serializes_to_json():
 # a fixed number of EM iterations, so both paths stop at the same step
 FIXED_ITERS = EmControl(eps=0.0, abs_eps=0.0, max_iter=300)
 
-# the lasso and elastic-net levels leave the third coefficient at zero in
-# the single M-step below
-EXACT_PENALTIES = [PenaltySpec.lasso(0.0), PenaltySpec.ridge(8.0),
-                   PenaltySpec.lasso(20.0), PenaltySpec.elastic_net(0.5, 40.0)]
+# (lam, alpha) pairs; the lasso and elastic-net levels leave the third
+# coefficient at zero in the single M-step below
+EXACT_PENALTIES = [(0.0, 1.0), (8.0, 0.0), (20.0, 1.0), (40.0, 0.5)]
 EXACT_IDS = ["lambda0", "ridge", "lasso", "elastic_net"]
 L1_PENALTIES = EXACT_PENALTIES[2:]
 
@@ -878,54 +869,53 @@ def _count_solve_pls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("penalty", EXACT_PENALTIES, ids=EXACT_IDS)
-def test_exact_m_step_fit_matches_coordinate_descent(penalty, monkeypatch):
+@pytest.mark.parametrize("lam, alpha", EXACT_PENALTIES, ids=EXACT_IDS)
+def test_exact_m_step_fit_matches_coordinate_descent(lam, alpha, monkeypatch):
     ds = simulate_lmm(3, n=25, n_i=4)
     calls = _count_solve_pls(monkeypatch)
-    exact = fit_em(ds, penalty.lam, penalty.alpha, ctrl=FIXED_ITERS)
+    exact = fit_em(ds, lam, alpha, ctrl=FIXED_ITERS)
     assert calls == [] and exact.warnings == []
     cd_calls = []
 
-    def cd_solve_beta(ds, c, penalty, lam, warm_start):
-        """The beta M-step by coordinate descent, warm-started like _solve_beta."""
+    def cd_solve_gram(G, c, l1, shift, warm_start, factor):
+        """The beta M-step by coordinate descent, warm-started like _solve_gram."""
         cd_calls.append(None)
-        beta, _ = lasso_by_coordinate_descent_gram(ds.gram, c, penalty.with_lam(lam),
-                                                   warm_start)
-        return beta, False
+        beta, _ = lasso_by_coordinate_descent_gram(G, c, l1, shift, warm_start)
+        return beta, False, 1
 
     # the reference fit: every beta M-step, the pooled start included, by
     # coordinate descent
-    monkeypatch.setattr(em_engine, "_solve_beta", cd_solve_beta)
-    cd = fit_em(ds, penalty.lam, penalty.alpha, ctrl=FIXED_ITERS)
+    monkeypatch.setattr(em_engine, "_solve_gram", cd_solve_gram)
+    cd = fit_em(ds, lam, alpha, ctrl=FIXED_ITERS)
     assert len(cd_calls) == FIXED_ITERS.max_iter + 1
     np.testing.assert_allclose(_fit_vector(exact), _fit_vector(cd), rtol=0, atol=1e-10)
     assert exact.final_loglik == pytest.approx(cd.final_loglik, abs=1e-9)
 
 
-@pytest.mark.parametrize("penalty", EXACT_PENALTIES, ids=EXACT_IDS)
-def test_exact_m_step_without_factor_matches_solve_pls(penalty, monkeypatch):
+@pytest.mark.parametrize("lam, alpha", EXACT_PENALTIES, ids=EXACT_IDS)
+def test_exact_m_step_without_factor_matches_solve_pls(lam, alpha, monkeypatch):
     ds = simulate_lmm(9, n=12, n_i=3)
     params = LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT)
     mom = e_step(ds, params)
     calls = _count_solve_pls(monkeypatch)
-    new = m_step(ds, mom, params, penalty.lam, penalty.alpha)
+    new = m_step(ds, mom, params, lam, alpha)
     assert calls == []
     # the M-step and the public solver are one solver, on right-hand sides
     # that differ by rounding: the M-step's X'y - sum_i (Z_i'X_i)' b_hat_i
     # and solve_pls's X'y_tilde
-    lam1 = 2.0 * penalty.lam * params.sigma2
-    ref = solve_pls(ds.X, mom.y_tilde, penalty.with_lam(lam1), warm_start=params.beta)
+    lam1 = 2.0 * lam * params.sigma2
+    ref = solve_pls(ds.X, mom.y_tilde, lam1, alpha, warm_start=params.beta)
     np.testing.assert_array_equal(new.beta == 0.0, ref.beta == 0.0)
     np.testing.assert_allclose(new.beta, ref.beta, rtol=0,
                                atol=1e-13 * np.max(np.abs(ref.beta)))
-    assert kkt_check(ds.X, mom.y_tilde, penalty.with_lam(lam1), new.beta) <= 1e-10
+    assert kkt_check(ds.X, mom.y_tilde, new.beta, lam1, alpha) <= 1e-10
 
 
 @pytest.mark.parametrize("warm_start", [[0.4, -0.3, 0.2], [0.4, 0.0, 0.0],
                                         [0.4, 0.3, 0.0]],
                          ids=["extra_column", "missing_column", "wrong_sign"])
-@pytest.mark.parametrize("penalty", L1_PENALTIES, ids=EXACT_IDS[2:])
-def test_exact_m_step_pivots_to_the_optimum(penalty, warm_start, monkeypatch):
+@pytest.mark.parametrize("lam, alpha", L1_PENALTIES, ids=EXACT_IDS[2:])
+def test_exact_m_step_pivots_to_the_optimum(lam, alpha, warm_start, monkeypatch):
     # the E-step of the test above, whose M-step optimum has support {0, 1}:
     # the active-set loop drops the extra column, adds the missing one or
     # flips the wrong sign
@@ -933,13 +923,12 @@ def test_exact_m_step_pivots_to_the_optimum(penalty, warm_start, monkeypatch):
     mom = e_step(ds, LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT))
     params = LmmParams(np.array(warm_start), 1.7, D_UNIT)
     calls = _count_solve_pls(monkeypatch)
-    new = m_step(ds, mom, params, penalty.lam, penalty.alpha)
+    new = m_step(ds, mom, params, lam, alpha)
     assert calls == []
-    lam1 = penalty.with_lam(2.0 * penalty.lam * params.sigma2)
-    ref, _ = lasso_best_by_enumeration(ds.X, mom.y_tilde, lam1.lam * lam1.alpha,
-                                       lam1.lam * (1.0 - lam1.alpha))
+    lam1 = 2.0 * lam * params.sigma2
+    ref, _ = lasso_best_by_enumeration(ds.X, mom.y_tilde, lam1 * alpha, lam1 * (1.0 - alpha))
     np.testing.assert_allclose(new.beta, ref, rtol=0, atol=1e-12)
-    assert kkt_check(ds.X, mom.y_tilde, lam1, new.beta) <= 1e-10
+    assert kkt_check(ds.X, mom.y_tilde, new.beta, lam1, alpha) <= 1e-10
 
 
 @st.composite
@@ -960,40 +949,42 @@ def _lasso_problems(draw):
     return X, y, lam, warm_start
 
 
-def _solve_beta_on(X, y, penalty, lam, warm_start):
-    """em_engine._solve_beta on (X, y), given X'y as the M-step gives it X'y_tilde."""
+def _solve_beta_on(X, y, lam, alpha, warm_start):
+    """The EM's beta M-step on (X, y): _solve_gram on the dataset's X'X, X'y and
+    cached factor, given X'y as the M-step gives it X'y_tilde."""
     ds = LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
-    return em_engine._solve_beta(ds, ds.xty, penalty, lam, warm_start)
+    beta, _, _ = _solve_gram(ds.gram, ds.xty, lam * alpha, lam * (1.0 - alpha), warm_start,
+                             ds.gram_factor)
+    return beta
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_lasso_problems())
 def test_solve_beta_matches_enumeration_oracle(problem):
     X, y, lam, warm_start = problem
-    beta, _ = _solve_beta_on(X, y, PenaltySpec.lasso(0.0), lam, warm_start)
+    beta = _solve_beta_on(X, y, lam, 1.0, warm_start)
     _, best = lasso_best_by_enumeration(X, y, lam)
     resid = y - X @ beta
     objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
     assert objective == pytest.approx(best, rel=1e-9, abs=0.0)
-    assert kkt_check(X, y, PenaltySpec.lasso(lam), beta) <= 1e-7
+    assert kkt_check(X, y, beta, lam) <= 1e-7
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_lasso_problems(), st.sampled_from([0.2, 0.5, 0.9]))
 def test_elastic_net_solve_beta_matches_coordinate_descent_oracle(problem, alpha):
     X, y, lam, warm_start = problem
-    penalty = PenaltySpec.elastic_net(alpha, lam)
-    beta, _ = _solve_beta_on(X, y, penalty, lam, warm_start)
-    ref, converged = lasso_by_coordinate_descent(X, y, penalty, warm_start)
+    beta = _solve_beta_on(X, y, lam, alpha, warm_start)
+    ref, converged = lasso_by_coordinate_descent(X, y, lam, alpha, warm_start)
     assert converged
     np.testing.assert_allclose(beta, ref, rtol=0, atol=1e-10)
-    assert kkt_check(X, y, penalty, beta) <= 1e-7
+    assert kkt_check(X, y, beta, lam, alpha) <= 1e-7
 
 
 @st.composite
 def _singular_problems(draw):
-    """A design whose columns are linearly dependent, a penalty with an l1
-    term, its level and a warm start.
+    """A design whose columns are linearly dependent, the mixing weight of a
+    penalty with an l1 term, its level and a warm start.
 
     The dependent column is a copy of column 0, its negation or the sum of
     columns 0 and 1, or the design has fewer rows than columns.  A full
@@ -1014,32 +1005,32 @@ def _singular_problems(draw):
     p = X.shape[1]
     y = X @ rng.normal(size=p) + rng.normal(size=X.shape[0])
     alpha = draw(st.sampled_from([1.0, 0.5, 0.9]))
-    penalty = PenaltySpec.lasso(0.0) if alpha == 1.0 else PenaltySpec.elastic_net(alpha, 0.0)
     lam = draw(st.floats(0.01, 1.2)) * lambda_max(X, y, alpha)
     warm_start = {"zero": np.zeros(p), "full": rng.normal(size=p),
                   "random": rng.normal(size=p) * (rng.uniform(size=p) < 0.5),
                   "near_zero": rng.normal(size=p) * np.append(np.ones(p - 1), 1e-16)}[
         draw(st.sampled_from(["zero", "full", "random", "near_zero"]))]
-    return X, y, penalty, lam, warm_start
+    return X, y, alpha, lam, warm_start
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_singular_problems())
 def test_solve_beta_on_singular_designs_matches_enumeration_oracle(problem):
     # supports whose X_A'X_A is singular are left by null steps
-    X, y, penalty, lam, warm_start = problem
-    beta, _ = _solve_beta_on(X, y, penalty, lam, warm_start)
-    l1, shift = lam * penalty.alpha, lam * (1.0 - penalty.alpha)
+    X, y, alpha, lam, warm_start = problem
+    beta = _solve_beta_on(X, y, lam, alpha, warm_start)
+    l1, shift = lam * alpha, lam * (1.0 - alpha)
     _, best = lasso_best_by_enumeration(X, y, l1, shift)
     resid = y - X @ beta
     objective = float(resid @ resid) + l1 * float(np.abs(beta).sum()) + shift * float(beta @ beta)
     assert objective == pytest.approx(best, rel=1e-9, abs=0.0)
-    assert kkt_check(X, y, penalty.with_lam(lam), beta) <= 1e-8
+    assert kkt_check(X, y, beta, lam, alpha) <= 1e-8
 
 
 @st.composite
 def _elastic_net_problems(draw):
-    """A small design, an l2-carrying penalty, its level and a warm start.
+    """A small design, the mixing weight of an l2-carrying penalty, its level
+    and a warm start.
 
     alpha = 0 is the ridge.  Some draws duplicate a column, which leaves
     X'X singular but X'X + shift I positive definite.
@@ -1052,7 +1043,6 @@ def _elastic_net_problems(draw):
         X[:, -1] = X[:, 0]
     y = X @ rng.normal(size=p) + rng.normal(size=n_obs)
     alpha = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
-    penalty = PenaltySpec.ridge(0.0) if alpha == 0.0 else PenaltySpec.elastic_net(alpha, 0.0)
     lam = draw(st.floats(0.01, 1.2)) * lambda_max(X, y)
     warm = draw(st.sampled_from(["optimum_support", "random"]))
     if warm == "optimum_support":
@@ -1060,20 +1050,20 @@ def _elastic_net_problems(draw):
         warm_start = beta_opt * rng.uniform(0.5, 1.5, size=p)
     else:
         warm_start = rng.normal(size=p) * (rng.uniform(size=p) < 0.5)
-    return X, y, penalty, lam, warm_start
+    return X, y, alpha, lam, warm_start
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_elastic_net_problems())
 def test_solve_beta_with_l2_term_matches_enumeration_oracle(problem):
-    X, y, penalty, lam, warm_start = problem
-    beta, _ = _solve_beta_on(X, y, penalty, lam, warm_start)
-    l1, shift = lam * penalty.alpha, lam * (1.0 - penalty.alpha)
+    X, y, alpha, lam, warm_start = problem
+    beta = _solve_beta_on(X, y, lam, alpha, warm_start)
+    l1, shift = lam * alpha, lam * (1.0 - alpha)
     _, best = lasso_best_by_enumeration(X, y, l1, shift)
     resid = y - X @ beta
     objective = float(resid @ resid) + l1 * float(np.abs(beta).sum()) + shift * float(beta @ beta)
     assert objective == pytest.approx(best, rel=1e-9, abs=0.0)
-    assert kkt_check(X, y, penalty.with_lam(lam), beta) <= 1e-7
+    assert kkt_check(X, y, beta, lam, alpha) <= 1e-7
 
 
 def _with_duplicate_column(ds):
@@ -1265,22 +1255,21 @@ def test_sweep_refits_on_the_parent_dataset(monkeypatch):
     assert len(computed) == 1 and computed[0] is ds
 
 
-@pytest.mark.parametrize("penalty", [PenaltySpec.lasso(0.0), PenaltySpec.lasso(20.0)],
-                         ids=["lambda0", "lasso"])
-def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeypatch):
+@pytest.mark.parametrize("lam", [0.0, 20.0], ids=["lambda0", "lasso"])
+def test_cached_factor_is_checked_for_definiteness_on_every_use(lam, monkeypatch):
     ds = simulate_lmm(3, n=25, n_i=4)
     ctrl = EmControl(eps=0.0, abs_eps=0.0, max_iter=20)
     calls = _count_solve_pls(monkeypatch)
-    exact = fit_em(ds, penalty.lam, penalty.alpha, ctrl=ctrl)
+    exact = fit_em(ds, lam, ctrl=ctrl)
     assert exact.warnings == [] and calls == []
-    if penalty.lam == 0.0:
+    if lam == 0.0:
         support = np.flatnonzero(exact.params.beta)
         factor = ds.gram_factor(support)
         # the held factor is reused, with no eigh, but tested for
         # definiteness on every use
         monkeypatch.setattr(penalized_ls, "_GRAM_COND_LIMIT", 1.0)
         _, requests = _record_factor_requests(monkeypatch)
-        forced = fit_em(ds, penalty.lam, penalty.alpha, ctrl=ctrl)
+        forced = fit_em(ds, lam, ctrl=ctrl)
         assert len(requests) == ctrl.max_iter + 1
         assert all(eighs == 0 for _, _, eighs in requests)
         assert ds.gram_factor(support) is factor
@@ -1300,8 +1289,8 @@ def test_cached_factor_is_checked_for_definiteness_on_every_use(penalty, monkeyp
         assert dup.gram_factor(support)[0].size == len(support)
         init = replace(exact.params, beta=np.append(exact.params.beta + [0.5, 0.0, 0.0], -0.5))
         _, requests = _record_factor_requests(monkeypatch)
-        rep = fit_em(dup, penalty.lam, penalty.alpha, init=init, ctrl=ctrl)
-        ref = fit_em(ds, penalty.lam, penalty.alpha, init=exact.params, ctrl=ctrl)
+        rep = fit_em(dup, lam, init=init, ctrl=ctrl)
+        ref = fit_em(ds, lam, init=exact.params, ctrl=ctrl)
         assert requests[0][1:] == (support, 0) and calls == []
         _assert_same_refit(dup, rep, ds, ref, rtol=1e-12)
         assert rep.worst_trace_decrease() <= 1e-8

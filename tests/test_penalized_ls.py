@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from lmmlasso.exceptions import ConfigurationError, DataError
-from lmmlasso.penalized_ls import (
-    PenaltySpec,
-    kkt_check,
-    lambda_max,
-    solve_pls,
-)
+from lmmlasso.penalized_ls import kkt_check, lambda_max, penalty_value, solve_pls
 
 from oracles import lasso_best_by_enumeration
 
@@ -26,29 +21,31 @@ def _oracle_instance():
     return X, y
 
 
-def test_penalty_spec_validation():
+def test_penalty_validation():
+    X, y = _oracle_instance()
+    beta = np.zeros(5)
     for alpha in (-0.1, 1.5, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="alpha must be in"):
-            PenaltySpec(alpha=alpha, lam=1.0)
+            solve_pls(X, y, 1.0, alpha)
+        with pytest.raises(ConfigurationError, match="alpha must be in"):
+            kkt_check(X, y, beta, 1.0, alpha)
+        with pytest.raises(ConfigurationError, match="alpha must be in"):
+            penalty_value(beta, alpha)
     for lam in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="lam must be finite"):
-            PenaltySpec(alpha=1.0, lam=lam)
-    for alpha in (0.0, 1.0):
-        with pytest.raises(ConfigurationError, match="elastic_net requires"):
-            PenaltySpec.elastic_net(alpha, 1.0)
-    assert PenaltySpec.elastic_net(0.3, 2.0) == PenaltySpec(0.3, 2.0)
-    assert PenaltySpec.lasso(2.0) == PenaltySpec(1.0, 2.0) == PenaltySpec(lam=2.0)
-    assert PenaltySpec.ridge(2.0) == PenaltySpec(0.0, 2.0)
+            solve_pls(X, y, lam)
+        with pytest.raises(ConfigurationError, match="lam must be finite"):
+            kkt_check(X, y, beta, lam)
 
 
 def test_lambda_zero_recovers_ols():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 6))
     y = rng.normal(size=40)
-    sol = solve_pls(X, y, PenaltySpec.lasso(0.0))
+    sol = solve_pls(X, y, 0.0)
     ols = np.linalg.solve(X.T @ X, X.T @ y)
     np.testing.assert_allclose(sol.beta, ols, atol=1e-8)
-    assert kkt_check(X, y, PenaltySpec.lasso(0.0), sol.beta) <= 1e-8
+    assert kkt_check(X, y, sol.beta, 0.0) <= 1e-8
 
 
 def test_lambda_at_or_above_lambda_max_gives_exact_zero():
@@ -59,18 +56,18 @@ def test_lambda_at_or_above_lambda_max_gives_exact_zero():
     y -= y.mean()
     lmax = lambda_max(X, y)
     for lam in (lmax, 1.3 * lmax, 10.0 * lmax):
-        sol = solve_pls(X, y, PenaltySpec.lasso(lam))
+        sol = solve_pls(X, y, lam)
         assert np.all(sol.beta == 0.0)
-        assert kkt_check(X, y, PenaltySpec.lasso(lam), sol.beta) == 0.0
+        assert kkt_check(X, y, sol.beta, lam) == 0.0
 
 
 def test_matches_signsupport_oracle_frozen_instance():
     X, y = _oracle_instance()
-    sol = solve_pls(X, y, PenaltySpec.lasso(3.0))
+    sol = solve_pls(X, y, 3.0)
     np.testing.assert_allclose(sol.beta, ORACLE_BETA, atol=1e-6)
     assert abs(sol.objective - ORACLE_OBJ) <= 1e-8
     assert sol.kkt_residual <= 1e-8
-    assert kkt_check(X, y, PenaltySpec.lasso(3.0), sol.beta) <= 1e-8
+    assert kkt_check(X, y, sol.beta, 3.0) <= 1e-8
     # the frozen numbers still reproduce from the live oracle
     beta_ref, obj_ref = lasso_best_by_enumeration(X, y, 3.0)
     np.testing.assert_allclose(beta_ref, ORACLE_BETA, atol=1e-12)
@@ -82,16 +79,15 @@ def test_kkt_residual_of_ols_is_tiny():
     X = rng.normal(size=(25, 4))
     y = rng.normal(size=25)
     ols = np.linalg.solve(X.T @ X, X.T @ y)
-    assert kkt_check(X, y, PenaltySpec.lasso(0.0), ols) <= 1e-10
+    assert kkt_check(X, y, ols, 0.0) <= 1e-10
 
 
 def test_warm_start_matches_cold_start_when_strictly_convex():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(60, 8))
     y = X @ rng.normal(size=8) + rng.normal(size=60)
-    pen = PenaltySpec.elastic_net(0.6, 4.0)
-    cold = solve_pls(X, y, pen)
-    warm = solve_pls(X, y, pen, warm_start=rng.normal(size=8))
+    cold = solve_pls(X, y, 4.0, 0.6)
+    warm = solve_pls(X, y, 4.0, 0.6, warm_start=rng.normal(size=8))
     np.testing.assert_allclose(cold.beta, warm.beta, atol=1e-9)
 
 
@@ -100,16 +96,16 @@ def test_optimal_objective_nondecreasing_in_lambda():
     X = rng.normal(size=(30, 6))
     y = X @ rng.normal(size=6) + rng.normal(size=30)
     lams = [0.0, 0.5, 2.0, 8.0, 32.0, 128.0]
-    objs = [solve_pls(X, y, PenaltySpec.lasso(lam)).objective
+    objs = [solve_pls(X, y, lam).objective
             for lam in lams]
     assert np.all(np.diff(objs) >= -1e-10)
 
 
 def test_scaling_homogeneity_lasso():
     X, y = _oracle_instance()
-    base = solve_pls(X, y, PenaltySpec.lasso(3.0))
+    base = solve_pls(X, y, 3.0)
     for c in (0.5, 2.0, 7.3):
-        scaled = solve_pls(X, c * y, PenaltySpec.lasso(3.0 * c))
+        scaled = solve_pls(X, c * y, 3.0 * c)
         np.testing.assert_allclose(scaled.beta, c * base.beta, atol=1e-8)
 
 
@@ -119,7 +115,7 @@ def test_zero_column_gets_zero_beta():
     X = rng.normal(size=(20, 4))
     X[:, 2] = 0.0
     y = rng.normal(size=20)
-    sol = solve_pls(X, y, PenaltySpec.lasso(1.0))
+    sol = solve_pls(X, y, 1.0)
     assert sol.beta[2] == 0.0
 
 
@@ -128,7 +124,7 @@ def test_ridge_closed_form():
     X = rng.normal(size=(30, 5))
     y = rng.normal(size=30)
     lam = 3.5
-    sol = solve_pls(X, y, PenaltySpec.ridge(lam))
+    sol = solve_pls(X, y, lam, 0.0)
     ref = np.linalg.solve(X.T @ X + lam * np.eye(5), X.T @ y)
     np.testing.assert_allclose(sol.beta, ref, atol=1e-9)
 
@@ -143,11 +139,52 @@ def test_non_finite_input_is_a_data_error(where, bad):
             "warm_start": rng.normal(size=4)}
     args[where][(0, 1) if where == "X" else 0] = bad
     with pytest.raises(DataError, match=f"solve_pls: {where} holds a NaN or inf"):
-        solve_pls(args["X"], args["y"], PenaltySpec.lasso(1.0), warm_start=args["warm_start"])
+        solve_pls(args["X"], args["y"], 1.0, warm_start=args["warm_start"])
 
 
 def test_empty_design_returns_empty_beta():
     y = np.array([1.0, -2.0, 0.5])
-    sol = solve_pls(np.zeros((3, 0)), y, PenaltySpec.lasso(1.0))
+    sol = solve_pls(np.zeros((3, 0)), y, 1.0)
     assert sol.beta.shape == (0,)
     assert sol.objective == pytest.approx(float(y @ y))
+
+
+def test_null_step_rounding_allowance_scales_with_the_objectives_terms():
+    # column 3 is column 0 + column 1, and the warm start holds it at a
+    # rounding-size entry: the first null step, of length 1.9e-16, raised the
+    # objective (0.47, from terms of about 5) by 8.9e-16, above an allowance
+    # of 8 eps times the objective (8.4e-16), and the solve raised
+    # NumericalError
+    rng = np.random.default_rng(562962)
+    X = rng.normal(size=(7, 3))
+    X = np.column_stack([X, X[:, 0] + X[:, 1]])
+    y = X @ rng.normal(size=4) + rng.normal(size=7)
+    warm_start = np.array([1.2423938623236133, -0.1329105905498345, 0.17067359623995088,
+                           -6.440637227164273e-17])
+    lam = 0.25 * lambda_max(X, y)
+    sol = solve_pls(X, y, lam, warm_start=warm_start)
+    _, best = lasso_best_by_enumeration(X, y, lam)
+    assert sol.objective == pytest.approx(best, rel=1e-9, abs=0.0)
+    assert sol.kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize("where, message", [
+    ("beta-nan", "beta holds a NaN or inf"), ("beta-inf", "beta holds a NaN or inf"),
+    ("X-1d", "X must be an"), ("y-column", "y must have shape"),
+])
+def test_kkt_check_refuses_bad_arrays_as_solve_pls_does(where, message):
+    # unchecked: a NaN beta returned nan, an inf one nan with a
+    # RuntimeWarning, a 1-d X raised IndexError and a (3, 1) y numpy's
+    # ValueError
+    rng = np.random.default_rng(47)
+    X, y, beta = rng.normal(size=(3, 2)), rng.normal(size=3), np.array([0.5, 0.0])
+    if where == "beta-nan":
+        beta[0] = np.nan
+    elif where == "beta-inf":
+        beta[0] = np.inf
+    elif where == "X-1d":
+        X = X[:, 0]
+    else:
+        y = y[:, None]
+    with pytest.raises(DataError, match=f"^kkt_check: {message}"):
+        kkt_check(X, y, beta, 1.0)

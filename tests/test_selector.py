@@ -112,11 +112,13 @@ def test_auto_log_grid_anchors_the_elastic_net_at_its_lambda_max():
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 2.0, 0.0, -0.5])
 def test_lambda_max_and_auto_log_grid_refuse_an_alpha_outside_0_1(alpha):
     # unchecked, NaN gave a grid of NaNs, inf "no signal" and 2.0 a grid
-    # anchored at half the lasso's anchor
+    # anchored at half the lasso's anchor; the penalty check refuses an
+    # alpha outside [0, 1], and lambda_max the ridge's 0 itself
     ds = small_dataset(seed=2)
+    message = r"alpha in \(0, 1\]" if alpha == 0.0 else r"alpha must be in \[0, 1\]"
     for call in (lambda: lambda_max(ds.X, ds.y, alpha),
                  lambda: auto_log_grid(ds, num=10, ratio=1e-2, alpha=alpha)):
-        with pytest.raises(ConfigurationError, match=r"alpha in \(0, 1\]"):
+        with pytest.raises(ConfigurationError, match=message):
             call()
 
 

@@ -8,11 +8,12 @@ import pytest
 from lmmlasso.dataset import remove_linear_combos, standardize
 from lmmlasso.em_engine import EmControl, LmmParams, e_step, fit_em, fit_em_supports, m_step
 from lmmlasso.exceptions import ConfigurationError
-from lmmlasso.penalized_ls import PenaltySpec
+from lmmlasso.penalized_ls import kkt_check, lambda_max, penalty_value, solve_pls
 from lmmlasso.selector import auto_log_grid, default_grid, select, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario, kfold_cv, run_monte_carlo
 
 GRID = np.array([0.1])
+BETA = np.zeros(9)
 START = LmmParams(np.zeros(9), 1.0, np.eye(2))  # p = 9, q = 2, as the dataset
 
 
@@ -68,11 +69,15 @@ def test_integer_settings_take_numpy_integers():
 
 # setting: (call on a value and the dataset, the name its error must match)
 REAL_SETTINGS = {
-    "alpha": (lambda v, ds: PenaltySpec(v, 1.0), "alpha"),
-    "lam": (lambda v, ds: PenaltySpec(1.0, v), "lam"),
+    "solve_pls_lam": (lambda v, ds: solve_pls(ds.X, ds.y, v), "lam"),
+    "kkt_check_lam": (lambda v, ds: kkt_check(ds.X, ds.y, BETA, v), "lam"),
     "fit_em_lam": (lambda v, ds: fit_em(ds, v), "lam"),
     "ratio": (lambda v, ds: auto_log_grid(ds, ratio=v), "ratio"),
     "rank_tol": (lambda v, ds: remove_linear_combos(ds, rank_tol=v), "rank_tol"),
+    "solve_pls_alpha": (lambda v, ds: solve_pls(ds.X, ds.y, 1.0, v), "alpha"),
+    "kkt_check_alpha": (lambda v, ds: kkt_check(ds.X, ds.y, BETA, 1.0, v), "alpha"),
+    "penalty_value_alpha": (lambda v, ds: penalty_value(BETA, v), "alpha"),
+    "lambda_max_alpha": (lambda v, ds: lambda_max(ds.X, ds.y, v), "alpha"),
     "fit_em_alpha": (lambda v, ds: fit_em(ds, 0.1, v), "alpha"),
     "m_step_alpha": (lambda v, ds: m_step(ds, e_step(ds, START), START, 0.1, v), "alpha"),
     "sweep_alpha": (lambda v, ds: sweep(ds, GRID, v), "alpha"),
@@ -114,15 +119,17 @@ def test_array_setting_refuses_entries_that_are_not_real_numbers(field, value):
 
 @pytest.mark.parametrize("setting", [s for s in REAL_SETTINGS if s.endswith("_alpha")])
 def test_alpha_refuses_a_penalty_spec(ds, setting):
-    # a PenaltySpec was the template these took, whose lam they ignored
+    # a record of the pair (alpha, lam) where the mixing weight alone belongs
     call, name = REAL_SETTINGS[setting]
     with pytest.raises(ConfigurationError, match=name):
-        call(PenaltySpec(1.0, 7.0), ds)
+        call((1.0, 7.0), ds)
 
 
 def test_real_settings_take_integers_and_numpy_floats(ds):
-    assert PenaltySpec(1, 0) == PenaltySpec(1.0, 0.0)
-    assert PenaltySpec(np.float64(0.5), np.float64(2.0)).lam == 2.0
+    np.testing.assert_array_equal(solve_pls(ds.X, ds.y, 2, 1).beta,
+                                  solve_pls(ds.X, ds.y, 2.0, 1.0).beta)
+    np.testing.assert_array_equal(solve_pls(ds.X, ds.y, np.float64(2.0), np.float64(0.5)).beta,
+                                  solve_pls(ds.X, ds.y, 2.0, 0.5).beta)
     assert remove_linear_combos(ds, rank_tol=np.float64(1e-7))[1].dropped == ()
     np.testing.assert_array_equal(auto_log_grid(ds, num=3, ratio=np.float64(0.01)),
                                   auto_log_grid(ds, num=3, ratio=0.01))
