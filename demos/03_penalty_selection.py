@@ -12,9 +12,8 @@ from lmmlasso import ScenarioConfig, default_grid, generate_scenario, select
 from lmmlasso.fileio import write_csv
 
 ds, truth = generate_scenario(ScenarioConfig.scenario1(n=30, n_i=5, seed=4))
-res = select(ds, default_grid(), lambda_scale="per_obs")
+path = select(ds, default_grid(), lambda_scale="per_obs")
 
-path = res.path
 print("BIC over the grid (window around the minimum):")
 k = path.selected_index
 for i in range(max(0, k - 3), min(path.grid.size, k + 4)):
@@ -22,12 +21,12 @@ for i in range(max(0, k - 3), min(path.grid.size, k + 4)):
     print(f"  lambda={path.grid[i]:.4f}  bic={path.bic[i]:8.2f} "
           f"nnz={path.nnz[i]}{marker}")
 
-print(f"\nselected lambda: {res.selected_lambda:.4f}")
-print("support:", [j + 1 for j in res.support], "(1-based), truth is [1, 2]")
+print(f"\nselected lambda: {path.selected_lambda:.4f}")
+print("support:", [j + 1 for j in path.selected_support], "(1-based), truth is [1, 2]")
 print("penalized estimates:",
-      " ".join(f"{b:+.3f}" for b in res.penalized.params.beta))
+      " ".join(f"{b:+.3f}" for b in path.selected_fit.params.beta))
 print("refit estimates:    ",
-      " ".join(f"{b:+.3f}" for b in res.refit.params.beta))
+      " ".join(f"{b:+.3f}" for b in path.selected_refit.params.beta))
 print("shrinkage visible on the support; zeros stay exactly zero")
 
 write_csv("bic_path.csv", ("lambda", "bic", "aic", "df", "nnz", "converged"),

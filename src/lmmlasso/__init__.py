@@ -9,6 +9,9 @@ active-set loop of linear solves on X'X that leaves a singular support
 along its null space; solve_pls is its public form), a BIC-driven sweep
 over the penalty grid, and unpenalized refits of the supports it finds
 (fit_em_supports, the one refit entry point, which checks its supports).
+A selection is its RegularizationPath: the selected penalty, support,
+fits and selection JSON are read off the path that sweep and select
+return.
 A penalty is glmnet's level lam and mixing weight alpha (1 the lasso,
 0 ridge), which every layer takes as two numbers.
 A simulation kit regenerates the benchmark scenarios, and a small CLI
@@ -55,7 +58,6 @@ from .penalized_ls import (
 )
 from .selector import (
     RegularizationPath,
-    SelectionResult,
     auto_log_grid,
     default_grid,
     refit_support,

@@ -260,20 +260,21 @@ def cmd_fit(cfg: dict) -> int:
 
 def cmd_select(cfg: dict) -> int:
     ds = _load_dataset(cfg)
-    res = select(ds, _resolve_grid(cfg, ds), ctrl=_ctrl_from(cfg),
-                 lambda_scale=cfg["lambda_scale"], **_given(cfg, "alpha", "criterion"))
+    path = select(ds, _resolve_grid(cfg, ds), ctrl=_ctrl_from(cfg),
+                  lambda_scale=cfg["lambda_scale"], **_given(cfg, "alpha", "criterion"))
 
     prefix = cfg["output_prefix"]
     write_csv(f"{prefix}_path.csv", ("lambda", "bic", "aic", "df", "nnz", "converged"),
-              res.path.csv_rows())
+              path.csv_rows())
 
-    names = [ds.x_names[j] for j in res.support]
-    write_json(f"{prefix}_selection.json", {**res.to_dict(), "support_names": names})
+    support = path.selected_support
+    names = [ds.x_names[j] for j in support]
+    write_json(f"{prefix}_selection.json", {**path.to_dict(), "support_names": names})
 
-    print(f"selected lambda: {res.selected_lambda}")
-    print(f"support ({len(res.support)} of {ds.p}): " + (", ".join(names) or "(empty)"))
-    beta = res.refit.params.beta
-    for j in res.support:
+    print(f"selected lambda: {path.selected_lambda}")
+    print(f"support ({len(support)} of {ds.p}): " + (", ".join(names) or "(empty)"))
+    beta = path.selected_refit.params.beta
+    for j in support:
         print(f"  {ds.x_names[j]}: {beta[j]:+.6f}")
     print(f"artifacts: {prefix}_path.csv {prefix}_selection.json")
     return 0

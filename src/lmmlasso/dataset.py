@@ -512,9 +512,10 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
     Columns listed in ``categorical`` (integer indices in [0, p), else a
     ConfigurationError) are exempt from centering and scaling.  The
     response is always centered, and scaled when scale_y.  Sample standard
-    deviations use the n-1 convention.  A non-exempt constant column is a
-    data error, and so is a column or response whose standard deviation is
-    not finite (its squares overflow double precision).
+    deviations use the n-1 convention, so a dataset of fewer than 2 rows
+    is a data error; so is a non-exempt constant column, and so is a
+    column or response whose standard deviation is not finite (its
+    squares overflow double precision).
 
     X's deviations from the column means are formed once: the scale is
     taken from them with X.std(ddof=1)'s arithmetic (the sum of their
@@ -523,13 +524,15 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
     """
     if ds.standardization is not None:
         raise ConfigurationError("dataset is already standardized")
+    if ds.N < 2:
+        raise DataError(f"standardize needs at least 2 rows; the data have {ds.N}")
     exempt = np.zeros(ds.p, dtype=bool)
     exempt[_checked_indices(categorical, ds.p, "standardize: categorical column")] = True
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
         center = ds.X.mean(axis=0)
         X = ds.X - center
-        scale = np.sqrt(np.add.reduce(X * X, axis=0) / (ds.N - 1)) if ds.N > 1 else np.zeros(ds.p)
+        scale = np.sqrt(np.add.reduce(X * X, axis=0) / (ds.N - 1))
         y_center = float(ds.y.mean())
         y_scale = float(ds.y.std(ddof=1)) if scale_y else 1.0
     for j in np.flatnonzero(~exempt):

@@ -745,7 +745,7 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
 
     def solve_beta(live, c, lam1, warm_start):
         """The unpenalized solve of each live member on its right-hand side c."""
-        xty = c.reshape(-1, ds.p)
+        xty = c.reshape(len(live), ds.p)
         beta = np.zeros(xty.shape)
         for r, k in enumerate(live):
             A, w_A, V_A = factors[k]

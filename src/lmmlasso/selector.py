@@ -17,9 +17,9 @@ models and does not reproduce the benchmark selection rates.  The
 minimizer wins, ties breaking toward the larger penalty (the sparser
 model).
 
-A SelectionResult is a view of its path at the selected entry: the
-penalty, support, penalized fit and refit are all read off the path,
-and SelectionResult.to_dict() is the selection JSON.
+select returns the path itself: the selected penalty, support,
+penalized fit and refit are read off it, and RegularizationPath.to_dict()
+is the selection JSON.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .penalized_ls import RAW, _checked_penalty, effective_lambda, lambda_max
 __all__ = [
     "CRITERIA",
     "RegularizationPath",
-    "SelectionResult",
     "sweep",
     "refit_support",
     "select",
@@ -79,7 +78,9 @@ class RegularizationPath:
 
     refit_fits holds the unpenalized refit backing each entry's score;
     entries with identical supports share one refit object.  errors holds
-    the message of each entry whose grid fit or refit raised.
+    the message of each entry whose grid fit or refit raised.  The
+    selected_* members read the entry at selected_index, and to_dict() is
+    the selection JSON.
     """
 
     grid: np.ndarray
@@ -106,6 +107,11 @@ class RegularizationPath:
     def selected_lambda(self) -> float:
         return float(self.grid[self.selected_index])
 
+    @property
+    def selected_support(self) -> tuple:
+        """The nonzero columns of the selected penalized fit."""
+        return tuple(int(j) for j in np.flatnonzero(self.selected_fit.params.beta))
+
     def csv_rows(self):
         """Rows (lambda, bic, aic, df, nnz, converged) for external plotting."""
         for i, lam in enumerate(self.grid):
@@ -114,38 +120,15 @@ class RegularizationPath:
                    int(self.df[i]), int(self.nnz[i]),
                    bool(fit.converged) if fit is not None else False)
 
-
-@dataclass
-class SelectionResult:
-    """A view of a path at its selected entry: the penalty, support and refit."""
-
-    path: RegularizationPath
-
-    @property
-    def selected_lambda(self) -> float:
-        return self.path.selected_lambda
-
-    @property
-    def penalized(self) -> FitReport:
-        return self.path.selected_fit
-
-    @property
-    def support(self) -> tuple:
-        return tuple(int(j) for j in np.flatnonzero(self.penalized.params.beta))
-
-    @property
-    def refit(self) -> FitReport:
-        return self.path.selected_refit
-
     def to_dict(self) -> dict:
         """The selection JSON; column names are the dataset's to add."""
-        refit = self.refit
+        refit = self.selected_refit
         out = {
             "selected_lambda": self.selected_lambda,
-            "lambda_scale": self.path.lambda_scale,
-            "criterion": self.path.criterion,
-            "support": list(self.support),
-            "penalized_estimates": self.penalized.params.to_dict(),
+            "lambda_scale": self.lambda_scale,
+            "criterion": self.criterion,
+            "support": list(self.selected_support),
+            "penalized_estimates": self.selected_fit.params.to_dict(),
             "refit_estimates": refit.params.to_dict(),
             "refit_converged": refit.converged,
         }
@@ -274,7 +257,6 @@ def refit_support(ds: LongitudinalDataset, support, ctrl: EmControl | None = Non
 
 def select(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
            ctrl: EmControl | None = None, lambda_scale: str = RAW,
-           criterion: str = "bic") -> SelectionResult:
-    """Sweep the grid at mixing weight alpha, pick the optimal penalty, report its refit."""
-    return SelectionResult(sweep(ds, grid, alpha, ctrl=ctrl,
-                                 lambda_scale=lambda_scale, criterion=criterion))
+           criterion: str = "bic") -> RegularizationPath:
+    """sweep's path, under the name bench/spans.py wraps apart from sweep."""
+    return sweep(ds, grid, alpha, ctrl=ctrl, lambda_scale=lambda_scale, criterion=criterion)

@@ -335,10 +335,10 @@ def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, alpha: float = 1.0,
     for f, test_idx in enumerate(folds):
         test_idx = np.sort(test_idx)
         train_ds = ds.subset_subjects(np.setdiff1d(np.arange(ds.n), test_idx))
-        res = select(train_ds, grid, alpha, ctrl=ctrl,
-                     lambda_scale=lambda_scale, criterion=criterion)
+        path = select(train_ds, grid, alpha, ctrl=ctrl,
+                      lambda_scale=lambda_scale, criterion=criterion)
         test_ds = ds.subset_subjects(test_idx)
-        resid = test_ds.y - test_ds.X @ res.refit.params.beta
+        resid = test_ds.y - test_ds.X @ path.selected_refit.params.beta
         sse = float(resid @ resid)
         results.append(FoldResult(
             fold=f,
@@ -346,8 +346,8 @@ def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, alpha: float = 1.0,
             n_test_obs=test_ds.N,
             sse=sse,
             mse_per_obs=sse / test_ds.N,
-            selected_lambda=res.selected_lambda,
-            support=res.support,
+            selected_lambda=path.selected_lambda,
+            support=path.selected_support,
         ))
     return results
 

@@ -99,12 +99,12 @@ def test_cmd_select_artifact_is_the_selection_to_dict(tmp_path, small_csv, monke
     rc = main(["select", "--input", str(f), *DATA_FLAGS, "--grid", "0.01:0.3:8",
                *flags, "--output-prefix", str(tmp_path / "sel")])
     assert rc == 0
-    (res,) = results
+    (path,) = results
     selection = json.loads((tmp_path / "sel_selection.json").read_text())
-    names = [ds.x_names[j] for j in res.support]
-    assert selection == {**res.to_dict(), "support_names": names}
+    names = [ds.x_names[j] for j in path.selected_support]
+    assert selection == {**path.to_dict(), "support_names": names}
     assert set(selection) == _SELECTION_KEYS | ({"refit_original_scale"} if standardize else set())
-    assert res.support == tuple(np.flatnonzero(res.path.selected_fit.params.beta))
+    assert path.selected_support == tuple(np.flatnonzero(path.selected_fit.params.beta))
 
 
 def test_cmd_select_grid_zero_gives_full_support(tmp_path, small_csv):
@@ -774,6 +774,42 @@ def test_empty_subject_cell_is_data_error(tmp_path, capsys, cell):
     assert error["type"] == "DataError"
     assert error["message"] == f"{f}: subject column 'id' is empty in 4 row(s)"
     assert list(tmp_path.iterdir()) == [f]
+
+
+def test_one_row_csv_with_standardize_is_data_error_naming_the_rows(tmp_path, capsys):
+    # numpy's "Degrees of freedom <= 0" warning reached stderr, and then
+    # the refusal blamed column 'x1' for zero variance
+    f = tmp_path / "in.csv"
+    f.write_text("id,y,x1,t\ns1,2.0,3.0,1\n")
+    rc = main(["fit", "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", "x1", "--random", "1", "--standardize", "--lambda", "0.1",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    error = json.loads(out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == "standardize needs at least 2 rows; the data have 1"
+    assert err == ""
+    assert list(tmp_path.iterdir()) == [f]
+
+
+@pytest.mark.parametrize("command", ["select", "cv"])
+def test_no_fixed_effects_selects_the_empty_support(tmp_path, small_csv, command):
+    # --fixed "," names no column: fit ran the random-effects model, but
+    # select and cv ended in a numpy reshape traceback (exit 1)
+    f, _ = small_csv
+    outputs = {"select": ["--output-prefix", str(tmp_path / "sel")],
+               "cv": ["--k", "2", "--seed", "0", "--output", str(tmp_path / "cv.csv")]}
+    rc = main([command, "--input", str(f), "--subject", "id", "--response", "y",
+               "--fixed", ",", "--random", "1,t", "--grid", "0.1,0", *outputs[command]])
+    assert rc == 0
+    if command == "select":
+        selection = json.loads((tmp_path / "sel_selection.json").read_text())
+        assert selection["support"] == [] and selection["support_names"] == []
+    else:
+        with open(tmp_path / "cv.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and [r["support"] for r in rows] == ["", ""]
 
 
 def test_standardize_refuses_a_scale_that_overflows(tmp_path, small_csv, capsys):

@@ -132,6 +132,17 @@ def test_standardize_rejects_constant_column():
         standardize(LongitudinalDataset(blocks))
 
 
+@pytest.mark.parametrize("scale_y", [True, False], ids=["scale_y", "center_y"])
+def test_standardize_refuses_a_one_row_dataset(scale_y):
+    # one row has no sample standard deviation: numpy warned "Degrees of
+    # freedom <= 0 for slice" on y, and the refusal blamed column 'x1'
+    b = _toy_dataset().blocks[0]
+    ds = LongitudinalDataset([SubjectBlock(b.subject_id, b.y[:1], b.X[:1], b.Z[:1])])
+    with pytest.raises(DataError) as err:
+        standardize(ds, scale_y=scale_y)
+    assert str(err.value) == "standardize needs at least 2 rows; the data have 1"
+
+
 @pytest.mark.parametrize("x1_scale, message", [
     (1e200, "columns 'y', 'x1': sum of squares overflows double precision; rescale"),
     (1.0, "column 'y': sum of squares overflows double precision; rescale"),

@@ -76,14 +76,13 @@ def test_bic_df_counting():
 
 def test_bic_against_dense_loglik_oracle():
     ds = small_dataset(seed=9)
-    res = select(ds, [0.0, 5.0, 1e6], ctrl=EmControl(eps=1e-10, max_iter=5000),
-                 criterion="aic")
-    path = res.path
+    path = select(ds, [0.0, 5.0, 1e6], ctrl=EmControl(eps=1e-10, max_iter=5000),
+                  criterion="aic")
     assert path.df[-1] == ds.p + 3 + 1
     assert len(set(path.nnz.tolist())) == 3
     assert_scores_match_dense_oracle(ds, path)
     assert path.selected_index == int(np.argmin(path.aic))
-    assert res.refit is path.refit_fits[path.selected_index]
+    assert path.selected_refit is path.refit_fits[path.selected_index]
 
 
 def test_default_grid_matches_convention():
@@ -132,11 +131,27 @@ def test_sweep_single_value_grid():
 
 def test_sweep_accepts_zero_grid_and_selects_full_support():
     ds = small_dataset()
-    res = select(ds, [0.0])
-    assert res.selected_lambda == 0.0
-    assert res.support == (0, 1)
-    np.testing.assert_allclose(res.refit.params.beta,
-                               res.penalized.params.beta, atol=1e-6)
+    path = select(ds, [0.0])
+    assert path.selected_lambda == 0.0
+    assert path.selected_support == (0, 1)
+    np.testing.assert_allclose(path.selected_refit.params.beta,
+                               path.selected_fit.params.beta, atol=1e-6)
+
+
+def test_a_design_without_fixed_effects_selects_the_empty_support():
+    # at p = 0 the refit pass reshaped its right-hand sides with
+    # c.reshape(-1, 0), which numpy refuses with a bare ValueError
+    ds = small_dataset(p=0)
+    path = select(ds, [0.1, 0.0])
+    assert path.errors == [None, None] and path.nnz.tolist() == [0, 0]
+    assert path.selected_index == 0  # one support, one score: the larger penalty
+    assert path.selected_support == () and path.to_dict()["support"] == []
+    direct = fit_em(ds, 0.0)
+    np.testing.assert_allclose(path.selected_refit.params.D, direct.params.D, rtol=1e-10)
+    assert path.selected_refit.params.sigma2 == pytest.approx(direct.params.sigma2,
+                                                              rel=1e-10)
+    folds = kfold_cv(ds, 2, grid=[0.1, 0.0])
+    assert [f.support for f in folds] == [(), ()]
 
 
 def test_argmin_prefers_larger_lambda_on_ties():
@@ -309,13 +324,13 @@ def test_original_scale_refit_matches_a_fit_on_the_raw_data():
 
 def test_selection_result_shape_and_serialization():
     ds = small_dataset(seed=33)
-    res = select(ds, np.linspace(0.02, 0.3, 6), lambda_scale="per_obs")
-    assert set(np.flatnonzero(res.penalized.params.beta)) == set(res.support)
-    off = [j for j in range(ds.p) if j not in res.support]
-    assert np.all(res.refit.params.beta[off] == 0.0)
-    d = res.to_dict()
-    assert d["selected_lambda"] == res.selected_lambda
-    rows = list(res.path.csv_rows())
+    path = select(ds, np.linspace(0.02, 0.3, 6), lambda_scale="per_obs")
+    assert set(np.flatnonzero(path.selected_fit.params.beta)) == set(path.selected_support)
+    off = [j for j in range(ds.p) if j not in path.selected_support]
+    assert np.all(path.selected_refit.params.beta[off] == 0.0)
+    d = path.to_dict()
+    assert d["selected_lambda"] == path.selected_lambda
+    rows = list(path.csv_rows())
     assert len(rows) == 6 and len(rows[0]) == 6
 
 
