@@ -27,10 +27,11 @@ for r in results:
     print(f"  {r.fold}   {subj:<17}  {r.sse:>11.2f}   {r.mse_per_obs:>10.2f}"
           f"   {r.selected_lambda:.3f}")
 
+row_subjects = np.repeat(ds.subject_ids, ds.counts)  # each row's subject id
 null_sse = []
 for r in results:
-    ids = set(r.test_subjects)
-    null_sse.append(sum(float(b.y @ b.y) for b in ds.blocks if b.subject_id in ids))
+    y_out = ds.y[np.isin(row_subjects, r.test_subjects)]
+    null_sse.append(float(y_out @ y_out))
 
 pipeline = float(np.mean([r.sse for r in results]))
 baseline = float(np.mean(null_sse))

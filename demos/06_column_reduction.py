@@ -9,18 +9,19 @@ is idempotent.
 
 import numpy as np
 
-from lmmlasso import LongitudinalDataset, SubjectBlock, remove_linear_combos
+from lmmlasso import LongitudinalDataset, remove_linear_combos
 
+# long format: 12 subjects of 4 rows each, stacked subject by subject
 rng = np.random.default_rng(5)
-blocks = []
+ys, Xs = [], []
 for i in range(12):
     A = rng.normal(size=(4, 3))
     # column 4 = col1 + col2, column 5 = 2*col3, column 6 independent
-    X = np.column_stack([A, A[:, 0] + A[:, 1], 2.0 * A[:, 2],
-                         rng.normal(size=4)])
-    Z = np.column_stack([np.ones(4), np.arange(1, 5)])
-    blocks.append(SubjectBlock(i, rng.normal(size=4), X, Z))
-ds = LongitudinalDataset(blocks)
+    Xs.append(np.column_stack([A, A[:, 0] + A[:, 1], 2.0 * A[:, 2],
+                               rng.normal(size=4)]))
+    ys.append(rng.normal(size=4))
+Z = np.tile(np.column_stack([np.ones(4), np.arange(1, 5)]), (12, 1))
+ds = LongitudinalDataset(np.arange(12), np.full(12, 4), np.concatenate(ys), np.vstack(Xs), Z)
 
 reduced, report = remove_linear_combos(ds)
 print(f"original p = {ds.p}, kept {len(report.kept)}: "

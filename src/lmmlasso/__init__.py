@@ -24,9 +24,7 @@ from .dataset import (
     DistinctBlocks,
     LongitudinalDataset,
     StandardizationRecord,
-    SubjectBlock,
     beta_original_scale,
-    destandardize,
     ingest_long_csv,
     remove_linear_combos,
     standardize,

@@ -24,7 +24,6 @@ import numpy as np
 from .exceptions import ConfigurationError, DataError, _checked_int, _checked_real
 
 __all__ = [
-    "SubjectBlock",
     "DistinctBlocks",
     "LongitudinalDataset",
     "StandardizationRecord",
@@ -33,7 +32,6 @@ __all__ = [
     "ColumnReductionReport",
     "ingest_long_csv",
     "standardize",
-    "destandardize",
     "remove_linear_combos",
     "beta_original_scale",
 ]
@@ -45,35 +43,12 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SubjectBlock:
-    """One subject's response, fixed-effect design, and random-effect design.
-
-    The constructor's input format and the type of LongitudinalDataset.blocks;
-    the dataset checks that the values are finite.  The block holds read-only
-    copies, so the caller's arrays stay writeable.
-    """
-
-    subject_id: object
-    y: np.ndarray
-    X: np.ndarray
-    Z: np.ndarray
-
-    def __post_init__(self):
-        y = _frozen(np.array(self.y, dtype=float, ndmin=1))
-        X = _frozen(np.array(self.X, dtype=float, ndmin=2))
-        Z = _frozen(np.array(self.Z, dtype=float, ndmin=2))
-        if y.ndim != 1 or y.shape[0] < 1:
-            raise DataError(f"subject {self.subject_id!r}: y must be a nonempty vector")
-        if X.shape[0] != y.shape[0] or Z.shape[0] != y.shape[0]:
-            raise DataError(f"subject {self.subject_id!r}: row counts of y, X, Z differ")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Z", Z)
-
-    @property
-    def n_obs(self) -> int:
-        return self.y.shape[0]
+def _taken(a, dtype=float) -> np.ndarray:
+    """_frozen(a) when a is already read-only (another dataset's array), else
+    _frozen of a copy, so that the caller's arrays stay writeable."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable:
+        return _frozen(a, dtype)
+    return _frozen(np.array(a, dtype=dtype), dtype)
 
 
 @dataclass(frozen=True)
@@ -112,52 +87,48 @@ class LongitudinalDataset:
     """Immutable grouped dataset held as stacked arrays.
 
     Subject i, with id subject_ids[i], owns the counts[i] rows of y (N,),
-    X (N, p) and Z (N, q) from starts[i].  The constructor takes
-    SubjectBlocks; every derived dataset is built from arrays by
-    _from_arrays, and blocks is a view.
+    X (N, p) and Z (N, q) from starts[i].  The constructor takes these
+    stacked arrays, rows grouped by subject; ingest, generate_scenario and
+    every derived dataset build through it.
     """
 
     _FIELDS = ("subject_ids", "counts", "y", "X", "Z", "x_names", "y_name", "z_names",
                "standardization")
 
-    def __init__(self, blocks, x_names=None, y_name="y", z_names=None,
+    def __init__(self, subject_ids, counts, y, X, Z, x_names=None, y_name="y", z_names=None,
                  standardization: StandardizationRecord | None = None):
-        blocks = tuple(blocks)
-        if not blocks:
-            raise DataError("dataset needs at least one subject")
-        p, q = blocks[0].X.shape[1], blocks[0].Z.shape[1]
-        for b in blocks:
-            if b.X.shape[1] != p:
-                raise DataError(f"subject {b.subject_id!r}: expected {p} fixed-effect columns")
-            if b.Z.shape[1] != q:
-                raise DataError(f"subject {b.subject_id!r}: expected {q} random-effect columns")
-        ids = np.fromiter((b.subject_id for b in blocks), dtype=object, count=len(blocks))
-        self._setup(ids, [b.n_obs for b in blocks], np.concatenate([b.y for b in blocks]),
-                    np.vstack([b.X for b in blocks]), np.vstack([b.Z for b in blocks]),
-                    x_names, y_name, z_names, standardization)
-
-    @classmethod
-    def _from_arrays(cls, *fields, **named) -> "LongitudinalDataset":
-        """A dataset from stacked arrays whose rows are grouped by subject (see _setup)."""
-        ds = cls.__new__(cls)
-        ds._setup(*fields, **named)
-        return ds
-
-    def _setup(self, subject_ids, counts, y, X, Z, x_names=None, y_name="y", z_names=None,
-               standardization=None):
         """Store and check the arrays; the one path every dataset is built by.
 
-        Refuses non-finite cells, and columns of y, X or Z whose sum of
-        squares overflows double precision (no fit could form X'X or r'r).
+        The arrays are held read-only: a writeable one is copied, so the
+        caller's stays writeable, and a read-only one (another dataset's) is
+        shared.  Refuses arrays of the wrong shape and counts that are not
+        integers >= 1, each naming its argument; non-finite cells; and
+        columns of y, X or Z whose sum of squares overflows double precision
+        (no fit could form X'X or r'r).
         """
-        self.counts = _frozen(counts, int)
-        self.n = self.counts.size
-        if not self.n:
+        counts = np.asarray(counts)
+        if counts.ndim != 1:
+            raise DataError(f"counts must be 1-D, got shape {counts.shape}")
+        if not counts.size:
             raise DataError("dataset needs at least one subject")
+        if counts.dtype.kind not in "iu":
+            raise DataError(f"counts must be integers, got dtype {counts.dtype}")
+        if counts.min() < 1:
+            raise DataError(f"counts must be >= 1, got {counts.min()}")
+        self.counts = _taken(counts, int)
+        self.n = self.counts.size
         self.N = int(self.counts.sum())
         self.starts = np.cumsum(self.counts) - self.counts
-        self.subject_ids = _frozen(subject_ids, object)
-        self.y, self.X, self.Z = _frozen(y), _frozen(X), _frozen(Z)
+        self.subject_ids = _taken(subject_ids, object)
+        if self.subject_ids.shape != (self.n,):
+            raise DataError(f"subject_ids has shape {self.subject_ids.shape}; "
+                            f"expected one id for each of the {self.n} subjects")
+        self.y, self.X, self.Z = _taken(y), _taken(X), _taken(Z)
+        for name, a, ndim in (("y", self.y, 1), ("X", self.X, 2), ("Z", self.Z, 2)):
+            if a.ndim != ndim:
+                raise DataError(f"{name} must be {ndim}-D, got shape {a.shape}")
+            if a.shape[0] != self.N:
+                raise DataError(f"{name} has {a.shape[0]} rows; counts sum to {self.N}")
         self.p, self.q = self.X.shape[1], self.Z.shape[1]
         if self.q < 1:
             raise DataError("random-effect design must have at least one column")
@@ -184,18 +155,8 @@ class LongitudinalDataset:
         self._gram_factor = None  # (cols, (w, V)) of the last block factored
 
     def _derive(self, **changes) -> "LongitudinalDataset":
-        """This dataset with some of _setup's arguments (_FIELDS) replaced."""
-        return self._from_arrays(**{k: changes.get(k, getattr(self, k)) for k in self._FIELDS})
-
-    def slices(self):
-        for start, count in zip(self.starts, self.counts):
-            yield slice(int(start), int(start + count))
-
-    @cached_property
-    def blocks(self) -> tuple:
-        """Read-only per-subject SubjectBlocks, built on first access."""
-        return tuple(SubjectBlock(i, self.y[s], self.X[s], self.Z[s])
-                     for i, s in zip(self.subject_ids, self.slices()))
+        """This dataset with some of the constructor's arguments (_FIELDS) replaced."""
+        return type(self)(**{k: changes.get(k, getattr(self, k)) for k in self._FIELDS})
 
     # a property over the _moments slot: the benchmark tracer patches it as a property
     @property
@@ -501,7 +462,7 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     y = np.asarray(columns[col_index[roles.response]], dtype=float)
     X = stack([columns[col_index[c]] for c in roles.fixed])
     Z = stack([np.ones(codes.size) if c == "1" else columns[col_index[c]] for c in roles.random])
-    return LongitudinalDataset._from_arrays(
+    return LongitudinalDataset(
         list(first_seen), np.bincount(codes), y[order], X[order], Z[order],
         roles.fixed, roles.response, roles.random)
 
@@ -554,15 +515,6 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
 
     record = StandardizationRecord(center, scale, y_center, y_scale)
     return ds._derive(y=(ds.y - y_center) / y_scale, X=X, standardization=record)
-
-
-def destandardize(ds: LongitudinalDataset) -> LongitudinalDataset:
-    """Invert a standardize() transform, recovering original-scale values."""
-    rec = ds.standardization
-    if rec is None:
-        raise ConfigurationError("dataset carries no standardization record")
-    return ds._derive(y=ds.y * rec.y_scale + rec.y_center,
-                      X=ds.X * rec.x_scale + rec.x_center, standardization=None)
 
 
 def beta_original_scale(record: StandardizationRecord, beta: np.ndarray):

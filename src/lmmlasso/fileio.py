@@ -14,7 +14,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 
-__all__ = ["fmt17", "atomic_write_text", "write_csv", "write_json"]
+__all__ = ["fmt17", "write_csv", "write_json"]
 
 
 def fmt17(x) -> str:
@@ -45,11 +45,6 @@ def _atomic_open(path):
         raise
 
 
-def atomic_write_text(path, text: str):
-    with _atomic_open(path) as fh:
-        fh.write(text)
-
-
 def write_csv(path, header, rows):
     """Write rows of mixed str/number cells; numbers get fmt17.
 
@@ -67,4 +62,5 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

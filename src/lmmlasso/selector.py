@@ -137,15 +137,6 @@ class RegularizationPath:
         return out
 
 
-def _argmin_prefer_larger(values: np.ndarray, valid: np.ndarray) -> int:
-    """Index of the smallest value; on ties the earliest (largest-penalty) wins.
-
-    Assumes the arrays follow the descending grid order used by sweep, and
-    finite values where valid; np.argmin returns the first minimum.
-    """
-    return int(np.argmin(np.where(valid, values, np.inf)))
-
-
 def _selection_settings(grid, lambda_scale: str, criterion: str, alpha: float = 1.0):
     """Check a selection run's settings before any fit; raise ConfigurationError.
 
@@ -233,7 +224,9 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
                              f"first error: {errors[0]}")
     df = np.where(valid, nnz + ds.q * (ds.q + 1) // 2 + 1, 0)
     scores = {name: -2.0 * loglik + cost(ds.n) * df for name, cost in CRITERIA.items()}
-    selected = _argmin_prefer_larger(scores[criterion], valid)
+    # the smallest valid score; np.argmin returns the first minimum, so on
+    # ties the earliest entry, the larger penalty of the descending grid, wins
+    selected = int(np.argmin(np.where(valid, scores[criterion], np.inf)))
     return RegularizationPath(grid=grid, fits=fits, bic=scores["bic"], aic=scores["aic"],
                               df=df, nnz=nnz, selected_index=selected,
                               refit_fits=refits, errors=errors,

@@ -152,7 +152,7 @@ def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator | None = Non
 
     truth = {"beta_true": cfg.beta_true.copy(), "b": b, "x_center": x_center,
              "config": cfg}
-    return LongitudinalDataset._from_arrays(np.arange(n), np.full(n, n_i), y, X, Z), truth
+    return LongitudinalDataset(np.arange(n), np.full(n, n_i), y, X, Z), truth
 
 
 @dataclass

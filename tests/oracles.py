@@ -3,7 +3,9 @@
 Everything here is deliberately brute force or textbook: exhaustive
 enumeration, coordinate descent, explicit inverses and determinants, and
 generic black-box optimization.
-Nothing imports from the solver code paths being tested.
+Nothing imports from the solver code paths being tested; the dataset
+helpers at the end build and read datasets through the public constructor
+and arrays alone.
 """
 
 import itertools
@@ -11,6 +13,9 @@ import math
 
 import numpy as np
 import scipy.optimize
+
+from lmmlasso.dataset import LongitudinalDataset
+from lmmlasso.exceptions import ConfigurationError
 
 
 def lasso_best_by_enumeration(X, y, lam, shift=0.0):
@@ -146,11 +151,10 @@ def dense_marginal_loglik(blocks, beta, sigma2, D):
 def penalized_loglik(ds, params, lam, alpha=1.0):
     """The objective the penalized EM ascends: dense_marginal_loglik at params
     minus lam * (alpha ||beta||_1 + (1 - alpha) ||beta||_2^2), lam in raw
-    units.  Reads only ds.blocks and the fields of params."""
+    units.  Reads only ds's per-subject rows and the fields of params."""
     beta = params.beta
     value = alpha * np.abs(beta).sum() + (1.0 - alpha) * (beta @ beta)
-    blocks = [(b.y, b.X, b.Z) for b in ds.blocks]
-    return dense_marginal_loglik(blocks, beta, params.sigma2, params.D) - lam * value
+    return dense_marginal_loglik(subject_rows(ds), beta, params.sigma2, params.D) - lam * value
 
 
 def conditional_moments_dense(y_i, X_i, Z_i, beta, sigma2, D):
@@ -242,3 +246,29 @@ def direct_ml_lmm(blocks, q=2):
                                   options={"gtol": 1e-11, "maxiter": 2000})
     beta, sigma2, gamma, loglik = profile(res.x)
     return beta, sigma2, sigma2 * gamma, loglik
+
+
+def stack_subjects(rows, subject_ids=None, **named):
+    """A LongitudinalDataset from per-subject (y_i, X_i, Z_i) triples, stacked
+    in the order given; subject_ids default to 0..n-1, and named goes to the
+    constructor (x_names, y_name, z_names, standardization)."""
+    ys, Xs, Zs = zip(*rows)
+    ids = range(len(ys)) if subject_ids is None else subject_ids
+    return LongitudinalDataset(list(ids), [len(y) for y in ys], np.concatenate(ys),
+                               np.vstack(Xs), np.vstack(Zs), **named)
+
+
+def subject_rows(ds):
+    """ds's per-subject (y_i, X_i, Z_i) triples in subject order: read-only
+    views of its stacked arrays, split at ds.starts."""
+    cuts = ds.starts[1:]
+    return list(zip(np.split(ds.y, cuts), np.split(ds.X, cuts), np.split(ds.Z, cuts)))
+
+
+def destandardize(ds):
+    """Invert a standardize() transform, recovering original-scale values."""
+    rec = ds.standardization
+    if rec is None:
+        raise ConfigurationError("dataset carries no standardization record")
+    return ds._derive(y=ds.y * rec.y_scale + rec.y_center,
+                      X=ds.X * rec.x_scale + rec.x_center, standardization=None)

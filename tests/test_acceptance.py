@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from lmmlasso.dataset import LongitudinalDataset, SubjectBlock, remove_linear_combos
+from lmmlasso.dataset import LongitudinalDataset, remove_linear_combos
 from lmmlasso.em_engine import EmControl, LmmParams, e_step, fit_em
 from lmmlasso.penalized_ls import kkt_check, solve_pls
 from lmmlasso.simkit import (
@@ -28,6 +28,8 @@ from oracles import (
     conditional_moments_dense,
     direct_ml_lmm,
     lasso_best_by_enumeration,
+    stack_subjects,
+    subject_rows,
 )
 from test_em_engine import simulate_lmm
 
@@ -56,7 +58,7 @@ def criterion2_fits():
     for seed in CRITERION2_SEEDS:
         ds = simulate_lmm(seed, n=20, n_i=4, p=3)
         rep = fit_em(ds, 0.0, ctrl=EmControl(eps=1e-12, max_iter=30000))
-        oracle = direct_ml_lmm([(b.y, b.X, b.Z) for b in ds.blocks])
+        oracle = direct_ml_lmm(subject_rows(ds))
         out.append((seed, rep, oracle))
     return out
 
@@ -215,7 +217,7 @@ def test_criterion_6_estep_conditioning_oracle():
         X = rng.normal(size=(n_i, p))
         Z = rng.normal(size=(n_i, q))
         y = rng.normal(size=n_i)
-        ds = LongitudinalDataset([SubjectBlock(0, y, X, Z)])
+        ds = LongitudinalDataset([0], [n_i], y, X, Z)
         mom = e_step(ds, LmmParams(beta, sigma2, D))
         b_ref, cov_ref = conditional_moments_dense(y, X, Z, beta, sigma2, D)
         worst = max(worst,
@@ -253,10 +255,8 @@ def test_criterion_8_reduction_span_recovery():
         X[:, order[:p - k]] = base
         X[:, order[p - k:]] = dep_cols
         n_i = 5
-        blocks = [SubjectBlock(i, rng.normal(size=n_i),
-                               X[i * n_i:(i + 1) * n_i], np.ones((n_i, 1)))
-                  for i in range(rows // n_i)]
-        ds = LongitudinalDataset(blocks)
+        ds = stack_subjects([(rng.normal(size=n_i), X[i * n_i:(i + 1) * n_i], np.ones((n_i, 1)))
+                             for i in range(rows // n_i)])
         reduced, rep = remove_linear_combos(ds)
         rank_original = np.linalg.matrix_rank(ds.X)
         rank_kept = np.linalg.matrix_rank(reduced.X)

@@ -16,18 +16,18 @@ from lmmlasso.em_engine import EmControl, fit_em
 from lmmlasso.selector import default_grid
 from lmmlasso.simkit import ScenarioConfig, generate_scenario
 
-from oracles import direct_ml_lmm
+from oracles import direct_ml_lmm, subject_rows
 
 
 def write_dataset_csv(path, ds, z_time_col="t"):
     """Serialize a two-column-Z dataset (intercept + time) to long CSV."""
     header = ["id", "y", *ds.x_names, z_time_col]
     lines = [",".join(header)]
-    for b in ds.blocks:
-        for r in range(b.n_obs):
-            cells = [str(b.subject_id), repr(float(b.y[r]))]
-            cells += [repr(float(v)) for v in b.X[r]]
-            cells.append(repr(float(b.Z[r, 1])))
+    for sid, start, count in zip(ds.subject_ids, ds.starts, ds.counts):
+        for r in range(start, start + count):
+            cells = [str(sid), repr(float(ds.y[r]))]
+            cells += [repr(float(v)) for v in ds.X[r]]
+            cells.append(repr(float(ds.Z[r, 1])))
             lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
 
@@ -56,7 +56,7 @@ def test_cmd_fit_matches_direct_ml_oracle(tmp_path, small_csv, capsys):
                "--output", str(out)])
     assert rc == 0
     blob = json.loads(out.read_text())
-    beta_o, s2_o, D_o, _ = direct_ml_lmm([(b.y, b.X, b.Z) for b in ds.blocks])
+    beta_o, s2_o, D_o, _ = direct_ml_lmm(subject_rows(ds))
     np.testing.assert_allclose(blob["params"]["beta"], beta_o, atol=1e-4)
     assert blob["params"]["sigma2"] == pytest.approx(s2_o, abs=1e-4)
     np.testing.assert_allclose(blob["params"]["D"], D_o, atol=1e-4)
@@ -343,6 +343,25 @@ def _run_with_config(tmp_path, csv_path, config, capsys):
     error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
     assert not out.exists()
     return rc, error
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing", "cannot read config file"),
+    ("not-json", "config file is not valid JSON"),
+    ("array", "config file must hold a JSON object"),
+])
+def test_config_file_that_is_not_a_json_object_is_rejected(tmp_path, small_csv, capsys, case,
+                                                          message):
+    conf = tmp_path / "conf.json"
+    if case != "missing":
+        conf.write_text({"not-json": "{'lambda': 0.1}", "array": '["lambda", 0.1]'}[case])
+    out = tmp_path / "fit.json"
+    rc = main(["fit", "--input", str(small_csv[0]), *DATA_FLAGS, "--lambda", "0.1",
+               "--config", str(conf), "--output", str(out)])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "ConfigurationError" and error["message"].startswith(message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("threads", 4), ("standardise", True)])
@@ -714,12 +733,17 @@ def test_non_finite_cell_is_data_error_naming_the_subject(tmp_path, capsys, colu
     ("fit", ["--lambda", "0", "--eps", "inf"]),
     ("reduce", ["--rank-tol", "nan"]),
     ("reduce", ["--rank-tol", "inf"]),
+    ("select", ["--grid", "1:2"]),
+    ("select", ["--grid", "a:b:c"]),
+    ("select", ["--grid", "0.1,x"]),
+    ("fit", ["--lambda", "0", "--standardize", "--categorical", "zz"]),
 ], ids=lambda v: v if isinstance(v, str) else "=".join(v[-2:]).lstrip("-"))
 def test_non_finite_or_out_of_range_option_is_usage_error(tmp_path, capsys, command,
                                                           flags):
     f = tmp_path / "in.csv"
     _interleaved_csv(f)
     outputs = {"fit": ["--output", str(tmp_path / "fit.json")],
+               "select": ["--output-prefix", str(tmp_path / "sel")],
                "reduce": ["--output", str(tmp_path / "r.csv"),
                           "--report", str(tmp_path / "r.json")]}[command]
     rc = main([command, "--input", str(f), "--subject", "id", "--response", "y",

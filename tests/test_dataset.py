@@ -9,15 +9,15 @@ from lmmlasso import dataset
 from lmmlasso.dataset import (
     ColumnRoles,
     LongitudinalDataset,
-    SubjectBlock,
     beta_original_scale,
-    destandardize,
     ingest_long_csv,
     remove_linear_combos,
     standardize,
 )
 from lmmlasso.exceptions import ConfigurationError, DataError
 from lmmlasso.fileio import write_csv
+
+from oracles import destandardize, stack_subjects, subject_rows
 
 ROLES = ColumnRoles(subject="id", response="chol", fixed=("sex", "age", "time"),
                     random=("1", "time"))
@@ -43,7 +43,7 @@ def test_ingest_groups_by_subject(tmp_path):
     assert ds.N == 600
     assert ds.p == 3
     assert ds.q == 2
-    assert np.all(ds.blocks[0].Z[:, 0] == 1.0)
+    assert np.all(ds.Z[:, 0] == 1.0)
     assert ds.standardization is None
 
 
@@ -74,9 +74,10 @@ def test_ingest_preserves_row_multiset(tmp_path):
     f.write_text("id,y,x1,t\nA,1,10,1\nB,2,20,1\nA,3,30,2\nB,4,40,2\n")
     ds = ingest_long_csv(f, ColumnRoles("id", "y", ("x1",), ("1", "t")))
     assert ds.n == 2
-    assert [b.subject_id for b in ds.blocks] == ["A", "B"]
-    np.testing.assert_array_equal(ds.blocks[0].y, [1, 3])
-    np.testing.assert_array_equal(ds.blocks[1].y, [2, 4])
+    assert list(ds.subject_ids) == ["A", "B"]
+    (y_a, _, _), (y_b, _, _) = subject_rows(ds)
+    np.testing.assert_array_equal(y_a, [1, 3])
+    np.testing.assert_array_equal(y_b, [2, 4])
     rows = sorted((float(ds.y[i]), float(ds.X[i, 0])) for i in range(ds.N))
     assert rows == [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
 
@@ -89,13 +90,13 @@ def test_roles_shorthand():
 
 def _toy_dataset(seed=5, n=40, n_i=4, p=3):
     rng = np.random.default_rng(seed)
-    blocks = []
+    rows = []
     for i in range(n):
         X = rng.normal(6.0, 1.0, size=(n_i, p))
         Z = np.column_stack([np.ones(n_i), np.arange(1, n_i + 1)])
         y = X @ np.ones(p) + rng.normal(size=n_i)
-        blocks.append(SubjectBlock(i, y, X, Z))
-    return LongitudinalDataset(blocks)
+        rows.append((y, X, Z))
+    return stack_subjects(rows)
 
 
 def test_standardize_pooled_moments():
@@ -110,12 +111,8 @@ def test_standardize_pooled_moments():
 def test_standardize_exempts_flagged_binary_column():
     base = _toy_dataset()
     sex = np.repeat(np.arange(base.n) % 2, base.counts).astype(float)
-    blocks = [
-        SubjectBlock(b.subject_id, b.y,
-                     np.column_stack([sex[sl], b.X]), b.Z)
-        for b, sl in zip(base.blocks, base.slices())
-    ]
-    ds = LongitudinalDataset(blocks)
+    ds = LongitudinalDataset(base.subject_ids, base.counts, base.y,
+                             np.column_stack([sex, base.X]), base.Z)
     out = standardize(ds, categorical=[0])
     np.testing.assert_array_equal(out.X[:, 0], sex)
     np.testing.assert_allclose(out.X[:, 1:].std(axis=0, ddof=1), 1.0, atol=1e-10)
@@ -123,21 +120,18 @@ def test_standardize_exempts_flagged_binary_column():
 
 def test_standardize_rejects_constant_column():
     base = _toy_dataset()
-    blocks = [
-        SubjectBlock(b.subject_id, b.y,
-                     np.column_stack([np.full(b.n_obs, 3.0), b.X]), b.Z)
-        for b in base.blocks
-    ]
+    ds = LongitudinalDataset(base.subject_ids, base.counts, base.y,
+                             np.column_stack([np.full(base.N, 3.0), base.X]), base.Z)
     with pytest.raises(DataError, match="zero variance"):
-        standardize(LongitudinalDataset(blocks))
+        standardize(ds)
 
 
 @pytest.mark.parametrize("scale_y", [True, False], ids=["scale_y", "center_y"])
 def test_standardize_refuses_a_one_row_dataset(scale_y):
     # one row has no sample standard deviation: numpy warned "Degrees of
     # freedom <= 0 for slice" on y, and the refusal blamed column 'x1'
-    b = _toy_dataset().blocks[0]
-    ds = LongitudinalDataset([SubjectBlock(b.subject_id, b.y[:1], b.X[:1], b.Z[:1])])
+    y, X, Z = subject_rows(_toy_dataset())[0]
+    ds = stack_subjects([(y[:1], X[:1], Z[:1])])
     with pytest.raises(DataError) as err:
         standardize(ds, scale_y=scale_y)
     assert str(err.value) == "standardize needs at least 2 rows; the data have 1"
@@ -152,10 +146,9 @@ def test_standardize_rejects_a_scale_that_overflows(x1_scale, message):
     # deviation would be inf: the dataset is refused when it is built,
     # before standardize runs; the check itself must not warn
     base = _toy_dataset()
-    blocks = [SubjectBlock(b.subject_id, 1e200 * b.y, b.X * [x1_scale, 1.0, 1.0], b.Z)
-              for b in base.blocks]
     with pytest.raises(DataError) as err:
-        standardize(LongitudinalDataset(blocks))
+        standardize(LongitudinalDataset(base.subject_ids, base.counts, 1e200 * base.y,
+                                        base.X * [x1_scale, 1.0, 1.0], base.Z))
     assert str(err.value) == message
 
 
@@ -172,12 +165,11 @@ def test_dataset_refuses_a_column_whose_squares_overflow(scales, message):
     # dataset overflowed in a matmul and failed with a NumericalError
     y_scale, x_scale, z_scale = scales
     base = _toy_dataset()
-    blocks = [SubjectBlock(b.subject_id, y_scale * b.y, b.X * x_scale, b.Z * z_scale)
-              for b in base.blocks]
     with pytest.raises(DataError) as err:
-        LongitudinalDataset(blocks)
+        LongitudinalDataset(base.subject_ids, base.counts, y_scale * base.y,
+                            base.X * x_scale, base.Z * z_scale)
     assert str(err.value) == message
-    # the arrays path every derived dataset takes checks the same
+    # a derived dataset is checked the same
     with pytest.raises(DataError, match="sum of squares overflows"):
         base._derive(y=y_scale * base.y, X=base.X * x_scale, Z=base.Z * z_scale)
 
@@ -202,13 +194,13 @@ def test_beta_original_scale_reproduces_predictions():
 
 def _with_dependent_column(seed=3, n=20, n_i=3):
     rng = np.random.default_rng(seed)
-    blocks = []
+    rows = []
     for i in range(n):
         A = rng.normal(size=(n_i, 2))
         X = np.column_stack([A[:, 0], A[:, 1], A[:, 0] + A[:, 1], rng.normal(size=n_i)])
         Z = np.ones((n_i, 1))
-        blocks.append(SubjectBlock(i, rng.normal(size=n_i), X, Z))
-    return LongitudinalDataset(blocks)
+        rows.append((rng.normal(size=n_i), X, Z))
+    return stack_subjects(rows)
 
 
 def test_remove_linear_combos_drops_constructed_dependency():
@@ -223,9 +215,8 @@ def test_remove_linear_combos_drops_constructed_dependency():
 
 def test_remove_linear_combos_keeps_full_rank_design():
     rng = np.random.default_rng(8)
-    blocks = [SubjectBlock(i, rng.normal(size=4), rng.normal(size=(4, 3)),
-                           np.ones((4, 1))) for i in range(10)]
-    _, report = remove_linear_combos(LongitudinalDataset(blocks))
+    rows = [(rng.normal(size=4), rng.normal(size=(4, 3)), np.ones((4, 1))) for i in range(10)]
+    _, report = remove_linear_combos(stack_subjects(rows))
     assert report.dropped == ()
 
 
@@ -239,13 +230,9 @@ def test_remove_linear_combos_gene_expression_shape():
     counts = rng.integers(2, 5, size=28)
     while counts.sum() != 71:
         counts = rng.integers(2, 5, size=28)
-    blocks = []
-    r = 0
-    for i, c in enumerate(counts):
-        blocks.append(SubjectBlock(i, rng.normal(size=c), X[r:r + c],
-                                   np.ones((c, 1))))
-        r += c
-    reduced, report = remove_linear_combos(LongitudinalDataset(blocks))
+    y = np.concatenate([rng.normal(size=c) for c in counts])
+    ds = LongitudinalDataset(np.arange(counts.size), counts, y, X, np.ones((71, 1)))
+    reduced, report = remove_linear_combos(ds)
     assert len(report.kept) == 70
     assert reduced.p == 70
 
@@ -266,7 +253,7 @@ def test_select_columns_and_subset_subjects():
     np.testing.assert_array_equal(sub.X[:, 1], ds.X[:, 0])
     part = ds.subset_subjects([4, 1])
     assert part.n == 2
-    assert part.blocks[0].subject_id == 4
+    assert list(part.subject_ids) == [4, 1]
 
 
 def test_public_index_arguments_refuse_non_integers_and_out_of_range_indices():
@@ -284,18 +271,9 @@ def test_public_index_arguments_refuse_non_integers_and_out_of_range_indices():
 
 def test_dataset_arrays_are_readonly():
     ds = _toy_dataset(seed=2, n=3)
-    with pytest.raises(ValueError):
-        ds.X[0, 0] = 99.0
-    with pytest.raises(ValueError):
-        ds.blocks[0].y[0] = 99.0
-
-
-def test_blocks_view_is_built_once():
-    ds = _toy_dataset(seed=4, n=5)
-    assert ds.blocks is ds.blocks
-    assert [b.subject_id for b in ds.blocks] == list(ds.subject_ids)
-    for b, sl in zip(ds.blocks, ds.slices()):
-        np.testing.assert_array_equal(b.X, ds.X[sl])
+    for name in ("y", "X", "Z", "counts", "subject_ids"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[0] = 99
 
 
 def test_gram_is_cached_read_only():
@@ -337,16 +315,16 @@ _AWKWARD_IDS = ["s0", "s1", 'quote"d', "com,ma", "new\nline", "7", " pad "]
 
 @st.composite
 def _datasets(draw, min_rows=1):
-    """A small dataset from SubjectBlocks: 1-6 subjects of 1-4 rows, p in 0..3, q in 1..3."""
+    """A small dataset stacked from per-subject rows: 1-6 subjects of 1-4 rows,
+    p in 0..3, q in 1..3."""
     p = draw(st.integers(0, 3))
     q = draw(st.integers(1, 3))
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
     counts[0] += max(0, min_rows - sum(counts))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blocks = [SubjectBlock(f"s{i}", rng.normal(6.0, 1.0, size=c),
-                           rng.normal(6.0, 1.0, size=(c, p)), rng.normal(size=(c, q)))
-              for i, c in enumerate(counts)]
-    return LongitudinalDataset(blocks)
+    rows = [(rng.normal(6.0, 1.0, size=c), rng.normal(6.0, 1.0, size=(c, p)),
+             rng.normal(size=(c, q))) for c in counts]
+    return stack_subjects(rows, [f"s{i}" for i in range(len(counts))])
 
 
 def _assert_same_dataset(a, b):
@@ -385,13 +363,12 @@ def test_ingest_round_trips_written_csv(tmp_path_factory, data):
     col = {"y": 1, "t": 2 + p, **{name: 2 + j for j, name in enumerate(x_names)}}
     assert list(ds.subject_ids) == list(by_subject)
     assert ds.counts.tolist() == [len(r) for r in by_subject.values()]
-    for (sid, sub_rows), block in zip(by_subject.items(), ds.blocks):
-        assert block.subject_id == sid
-        np.testing.assert_array_equal(block.y, [r[1] for r in sub_rows])
+    for sub_rows, (y_i, X_i, Z_i) in zip(by_subject.values(), subject_rows(ds)):
+        np.testing.assert_array_equal(y_i, [r[1] for r in sub_rows])
         np.testing.assert_array_equal(
-            block.X, np.array([r[2:2 + p] for r in sub_rows]).reshape(len(sub_rows), p))
+            X_i, np.array([r[2:2 + p] for r in sub_rows]).reshape(len(sub_rows), p))
         np.testing.assert_array_equal(
-            block.Z, [[1.0 if c == "1" else r[col[c]] for c in random] for r in sub_rows])
+            Z_i, [[1.0 if c == "1" else r[col[c]] for c in random] for r in sub_rows])
     assert ds.z_names == list(random)
 
 
@@ -400,10 +377,10 @@ def test_ingest_round_trips_written_csv(tmp_path_factory, data):
 def test_block_moments_match_per_subject_products(ds):
     ztz, ztx, zty = ds.block_moments
     assert ztx.shape == (ds.n, ds.q, ds.p)
-    for i, b in enumerate(ds.blocks):
-        np.testing.assert_allclose(ztz[i], b.Z.T @ b.Z, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(ztx[i], b.Z.T @ b.X, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(zty[i], b.Z.T @ b.y, rtol=1e-12, atol=1e-12)
+    for i, (y_i, X_i, Z_i) in enumerate(subject_rows(ds)):
+        np.testing.assert_allclose(ztz[i], Z_i.T @ Z_i, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ztx[i], Z_i.T @ X_i, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(zty[i], Z_i.T @ y_i, rtol=1e-12, atol=1e-12)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -448,7 +425,7 @@ def test_distinct_ztz_is_np_unique_of_the_blocks(design, n, seed):
     n blocks) or signed_zeros (t = 0 and s_i = +-1, so the off-diagonal of
     Z_i'Z_i is 0.0 or -0.0, which are one block)."""
     rng = np.random.default_rng(seed)
-    blocks = []
+    rows = []
     for i in range(n):
         t, s = np.arange(4.0), 1.0
         if design == "missing" and rng.random() < 0.5:
@@ -457,9 +434,9 @@ def test_distinct_ztz_is_np_unique_of_the_blocks(design, n, seed):
             t = rng.uniform(0.0, 5.0, size=rng.integers(1, 5))
         elif design == "signed_zeros":
             t, s = np.zeros(2), rng.choice([-1.0, 1.0])
-        blocks.append(SubjectBlock(i, rng.normal(size=t.size), np.empty((t.size, 0)),
-                                   np.column_stack([np.full(t.size, s), t])))
-    ds = LongitudinalDataset(blocks)
+        rows.append((rng.normal(size=t.size), np.empty((t.size, 0)),
+                     np.column_stack([np.full(t.size, s), t])))
+    ds = stack_subjects(rows)
     ztz = ds.block_moments[0]
     got = ds.distinct_ztz
     np.testing.assert_array_equal(got.ztz[got.index], ztz)
@@ -482,9 +459,10 @@ def test_select_columns_and_subset_subjects_match_rebuilt_datasets(data):
         ds = standardize(ds)
     cols = data.draw(st.lists(st.integers(0, max(ds.p - 1, 0)), max_size=ds.p, unique=True))
     sub = ds.select_columns(cols)
-    rebuilt = LongitudinalDataset(
-        [SubjectBlock(b.subject_id, b.y, b.X[:, cols], b.Z) for b in ds.blocks],
-        [ds.x_names[j] for j in cols], ds.y_name, ds.z_names)
+    rows = subject_rows(ds)
+    rebuilt = stack_subjects([(y, X[:, cols], Z) for y, X, Z in rows], ds.subject_ids,
+                             x_names=[ds.x_names[j] for j in cols], y_name=ds.y_name,
+                             z_names=ds.z_names)
     _assert_same_dataset(sub, rebuilt)
     if ds.standardization is not None:
         np.testing.assert_array_equal(sub.standardization.x_scale,
@@ -493,19 +471,56 @@ def test_select_columns_and_subset_subjects_match_rebuilt_datasets(data):
     idx = data.draw(st.lists(st.integers(0, ds.n - 1), min_size=1, max_size=ds.n,
                              unique=True))
     part = ds.subset_subjects(idx)
-    _assert_same_dataset(part, LongitudinalDataset([ds.blocks[i] for i in idx], ds.x_names,
-                                                   ds.y_name, ds.z_names))
+    _assert_same_dataset(part, stack_subjects([rows[i] for i in idx], ds.subject_ids[idx],
+                                              x_names=ds.x_names, y_name=ds.y_name,
+                                              z_names=ds.z_names))
     assert part.standardization is ds.standardization
 
 
-def test_subject_block_copies_and_leaves_callers_arrays_writeable():
+# argument: value in place of the valid one, the DataError's message
+_VALID = dict(subject_ids=[0, 1], counts=[1, 2], y=np.arange(3.0), X=np.ones((3, 2)),
+              Z=np.ones((3, 1)))
+_CONSTRUCTOR_REFUSALS = {
+    "y-rows": (dict(y=np.arange(4.0)), "y has 4 rows; counts sum to 3"),
+    "X-rows": (dict(X=np.ones((2, 2))), "X has 2 rows; counts sum to 3"),
+    "Z-rows": (dict(Z=np.ones((4, 1))), "Z has 4 rows; counts sum to 3"),
+    "zero-count": (dict(counts=[0, 3]), "counts must be >= 1, got 0"),
+    "float-count": (dict(counts=[1.0, 2.0]), "counts must be integers, got dtype float64"),
+    "bool-count": (dict(counts=[True, True]), "counts must be integers, got dtype bool"),
+    "counts-2d": (dict(counts=[[1, 2]]), "counts must be 1-D, got shape (1, 2)"),
+    "ids": (dict(subject_ids=[0]),
+            "subject_ids has shape (1,); expected one id for each of the 2 subjects"),
+    "y-2d": (dict(y=np.ones((3, 1))), "y must be 1-D, got shape (3, 1)"),
+    "X-1d": (dict(X=np.ones(3)), "X must be 2-D, got shape (3,)"),
+    "Z-1d": (dict(Z=np.ones(3)), "Z must be 2-D, got shape (3,)"),
+    "Z-no-columns": (dict(Z=np.ones((3, 0))),
+                     "random-effect design must have at least one column"),
+    "no-subject": (dict(subject_ids=[], counts=[], y=np.empty(0), X=np.empty((0, 2)),
+                        Z=np.empty((0, 1))), "dataset needs at least one subject"),
+    "non-finite": (dict(y=np.array([0.0, np.nan, 2.0])), "subject 1: non-finite values in y"),
+    "x_names": (dict(x_names=["a"]), "x_names length does not match p"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONSTRUCTOR_REFUSALS))
+def test_constructor_refuses_arrays_that_do_not_fit(case):
+    changes, message = _CONSTRUCTOR_REFUSALS[case]
+    with pytest.raises(DataError) as err:
+        LongitudinalDataset(**{**_VALID, **changes})
+    assert str(err.value) == message
+
+
+def test_constructor_copies_and_leaves_callers_arrays_writeable():
+    ids, counts = np.array([0, 1], dtype=object), np.array([1, 2])
     y, X, Z = np.arange(3.0), np.ones((3, 2)), np.ones((3, 1))
-    block = SubjectBlock(0, y, X, Z)
-    assert y.flags.writeable and X.flags.writeable and Z.flags.writeable
-    y[0] = 7.0
-    assert block.y[0] == 0.0
-    assert not (block.y.flags.writeable or block.X.flags.writeable
-                or block.Z.flags.writeable)
+    ds = LongitudinalDataset(ids, counts, y, X, Z)
+    assert all(a.flags.writeable for a in (ids, counts, y, X, Z))
+    y[0], counts[0] = 7.0, 2
+    assert ds.y[0] == 0.0 and ds.counts[0] == 1
+    assert not any(getattr(ds, name).flags.writeable
+                   for name in ("subject_ids", "counts", "y", "X", "Z"))
+    # a derived dataset shares the read-only arrays it does not replace
+    assert ds.select_columns([1]).Z is ds.Z
 
 
 @pytest.mark.parametrize("fixed, random, expected", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmmlasso import em_engine, penalized_ls
-from lmmlasso.dataset import LongitudinalDataset, SubjectBlock
+from lmmlasso.dataset import LongitudinalDataset
 from lmmlasso.em_engine import (
     EmControl,
     EStepMoments,
@@ -31,6 +31,8 @@ from oracles import (
     lasso_by_coordinate_descent,
     lasso_by_coordinate_descent_gram,
     penalized_loglik,
+    stack_subjects,
+    subject_rows,
     y_tilde_by_rows,
 )
 
@@ -43,18 +45,14 @@ def simulate_lmm(seed, n=20, n_i=4, p=3, beta=None, D=None, sigma2=1.0):
     beta = np.array([1.0, -1.0, 0.5]) if beta is None else np.asarray(beta)
     D = D_UNIT if D is None else D
     L = np.linalg.cholesky(D + 1e-300 * np.eye(2))
-    blocks = []
+    rows = []
     for i in range(n):
         X = rng.normal(size=(n_i, p))
         Z = np.column_stack([np.ones(n_i), np.arange(1, n_i + 1)])
         b = L @ rng.normal(size=2)
         y = X @ beta + Z @ b + rng.normal(scale=np.sqrt(sigma2), size=n_i)
-        blocks.append(SubjectBlock(i, y, X, Z))
-    return LongitudinalDataset(blocks)
-
-
-def as_triples(ds):
-    return [(b.y, b.X, b.Z) for b in ds.blocks]
+        rows.append((y, X, Z))
+    return stack_subjects(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +62,8 @@ def as_triples(ds):
 
 def test_e_step_zero_z_gives_prior_moments():
     rng = np.random.default_rng(0)
-    blocks = [SubjectBlock(i, rng.normal(size=3), rng.normal(size=(3, 2)),
-                           np.zeros((3, 2))) for i in range(4)]
-    ds = LongitudinalDataset(blocks)
+    ds = stack_subjects([(rng.normal(size=3), rng.normal(size=(3, 2)), np.zeros((3, 2)))
+                         for i in range(4)])
     params = LmmParams(np.array([0.3, -0.2]), 1.5, D_UNIT)
     mom = e_step(ds, params)
     np.testing.assert_allclose(mom.b_hat, 0.0, atol=1e-14)
@@ -77,8 +74,7 @@ def test_e_step_zero_z_gives_prior_moments():
 
 def test_e_step_scalar_hand_computation():
     # one subject, q=1, Z=[1,1], residuals (1,1), d=1, s=1
-    ds = LongitudinalDataset(
-        [SubjectBlock("a", np.array([1.0, 1.0]), np.zeros((2, 1)), np.ones((2, 1)))])
+    ds = LongitudinalDataset(["a"], [2], np.array([1.0, 1.0]), np.zeros((2, 1)), np.ones((2, 1)))
     mom = e_step(ds, LmmParams(np.zeros(1), 1.0, np.array([[1.0]])))
     assert mom.Lambda[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert mom.b_hat[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -125,7 +121,7 @@ def test_e_step_matches_dense_conditioning_oracle():
         X = rng.normal(size=(n_i, p))
         Z = rng.normal(size=(n_i, q))
         y = rng.normal(size=n_i)
-        ds = LongitudinalDataset([SubjectBlock(0, y, X, Z)])
+        ds = LongitudinalDataset([0], [y.size], y, X, Z)
         mom = e_step(ds, LmmParams(beta, sigma2, D))
         b_ref, cov_ref = conditional_moments_dense(y, X, Z, beta, sigma2, D)
         np.testing.assert_allclose(mom.b_hat[0], b_ref, atol=1e-10)
@@ -145,7 +141,7 @@ def test_e_step_inversion_free_route_for_near_singular_D(D):
     X = rng.normal(size=(3, 2))
     Z = rng.normal(size=(3, 2))
     y = rng.normal(size=3)
-    ds = LongitudinalDataset([SubjectBlock(0, y, X, Z)])
+    ds = LongitudinalDataset([0], [y.size], y, X, Z)
     params = LmmParams(beta, 1.0, D)
     mom = e_step(ds, params)
     b_ref, cov_ref = conditional_moments_dense(y, X, Z, beta, 1.0, D)
@@ -163,22 +159,21 @@ def test_e_step_and_loglik_with_three_random_effects():
     A = rng.normal(size=(q, q))
     D = A @ A.T + 0.4 * np.eye(q)
     beta = rng.normal(size=p)
-    blocks = []
+    rows = []
     for i in range(6):
         n_i = int(rng.integers(2, 6))
         X = rng.normal(size=(n_i, p))
         Z = rng.normal(size=(n_i, q))
         y = rng.normal(size=n_i)
-        blocks.append(SubjectBlock(i, y, X, Z))
-    ds = LongitudinalDataset(blocks)
+        rows.append((y, X, Z))
+    ds = stack_subjects(rows)
     params = LmmParams(beta, 1.3, D)
     mom = e_step(ds, params)
-    for i, b in enumerate(ds.blocks):
-        b_ref, cov_ref = conditional_moments_dense(b.y, b.X, b.Z, beta, 1.3, D)
+    for i, (y_i, X_i, Z_i) in enumerate(subject_rows(ds)):
+        b_ref, cov_ref = conditional_moments_dense(y_i, X_i, Z_i, beta, 1.3, D)
         np.testing.assert_allclose(mom.b_hat[i], b_ref, atol=1e-10)
         np.testing.assert_allclose(mom.Lambda[i], cov_ref, atol=1e-10)
-    ref = dense_marginal_loglik([(b.y, b.X, b.Z) for b in ds.blocks],
-                                beta, 1.3, D)
+    ref = dense_marginal_loglik(subject_rows(ds), beta, 1.3, D)
     np.testing.assert_allclose(observed_loglik(ds, params), ref, rtol=1e-10)
 
 
@@ -237,10 +232,10 @@ def _small_lmms(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.normal(size=(q, rank))
     D = A @ A.T
-    blocks = [SubjectBlock(i, rng.normal(size=c), rng.normal(size=(c, p)),
-                           rng.normal(size=(c, q))) for i, c in enumerate(counts)]
+    rows = [(rng.normal(size=c), rng.normal(size=(c, p)), rng.normal(size=(c, q)))
+            for c in counts]
     params = LmmParams(rng.normal(size=p), sigma2, 0.5 * (D + D.T))
-    return LongitudinalDataset(blocks), params, lam
+    return stack_subjects(rows), params, lam
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -248,12 +243,12 @@ def _small_lmms(draw):
 def test_e_step_matches_dense_oracles_and_em_step_ascends(problem):
     ds, params, lam = problem
     mom = e_step(ds, params)
-    for i, b in enumerate(ds.blocks):
-        b_ref, cov_ref = conditional_moments_dense(b.y, b.X, b.Z, params.beta,
+    for i, (y_i, X_i, Z_i) in enumerate(subject_rows(ds)):
+        b_ref, cov_ref = conditional_moments_dense(y_i, X_i, Z_i, params.beta,
                                                    params.sigma2, params.D)
         np.testing.assert_allclose(mom.b_hat[i], b_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(mom.Lambda[i], cov_ref, rtol=0, atol=1e-9)
-    ref = dense_marginal_loglik(as_triples(ds), params.beta, params.sigma2, params.D)
+    ref = dense_marginal_loglik(subject_rows(ds), params.beta, params.sigma2, params.D)
     assert mom.loglik == pytest.approx(ref, rel=0, abs=1e-9)
 
     before = mom.loglik - lam * penalty_value(params.beta)
@@ -294,16 +289,16 @@ def _visit_design(kind, seed=0, n=12, p=3, q=2):
     is the number of visits: four blocks unbalanced and two missing.
     """
     rng = np.random.default_rng(seed)
-    blocks = []
+    rows = []
     for i in range(n):
         t = np.arange(1.0, 5.0)
         if kind == "unbalanced":
             t = np.sort(rng.uniform(0.0, 5.0, size=1 + i % 4))
         elif kind == "missing" and i % 3 == 0:
             t = np.delete(t, i // 3 % 4)
-        blocks.append(SubjectBlock(i, rng.normal(size=t.size), rng.normal(size=(t.size, p)),
-                                   np.column_stack([np.ones(t.size), t, t * t])[:, :q]))
-    return LongitudinalDataset(blocks)
+        rows.append((rng.normal(size=t.size), rng.normal(size=(t.size, p)),
+                     np.column_stack([np.ones(t.size), t, t * t])[:, :q]))
+    return stack_subjects(rows)
 
 
 def _stack(members):
@@ -356,23 +351,22 @@ def test_blockwise_e_step_matches_the_dense_oracle(design, n_blocks, q, R):
         one = mom if R == 1 else replace(mom, b_hat=mom.b_hat[r], loglik=mom.loglik[r],
                                          Lambda_blocks=mom.Lambda_blocks[r])
         resid = []
-        for i, b in enumerate(ds.blocks):
-            b_ref, cov_ref = conditional_moments_dense(b.y, b.X, b.Z, params.beta,
+        for i, (y_i, X_i, Z_i) in enumerate(subject_rows(ds)):
+            b_ref, cov_ref = conditional_moments_dense(y_i, X_i, Z_i, params.beta,
                                                        params.sigma2, params.D)
             np.testing.assert_allclose(one.b_hat[i], b_ref, rtol=0, atol=1e-10)
             np.testing.assert_allclose(one.Lambda[i], cov_ref, rtol=0, atol=1e-10)
-            resid.append(b.y - b.Z @ b_ref)
+            resid.append(y_i - Z_i @ b_ref)
         np.testing.assert_allclose(one.y_tilde, np.concatenate(resid), rtol=0, atol=1e-10)
-        ref = dense_marginal_loglik(as_triples(ds), params.beta, params.sigma2, params.D)
+        ref = dense_marginal_loglik(subject_rows(ds), params.beta, params.sigma2, params.D)
         assert one.loglik == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_y_tilde_with_three_or_more_random_effects_agrees_with_the_row_major_form(q):
     rng = np.random.default_rng(q)
-    ds = LongitudinalDataset([SubjectBlock(i, rng.normal(size=c), rng.normal(size=(c, 2)),
-                                           rng.normal(size=(c, q)))
-                              for i, c in enumerate(rng.integers(1, 6, size=20))])
+    ds = stack_subjects([(rng.normal(size=c), rng.normal(size=(c, 2)), rng.normal(size=(c, q)))
+                         for c in rng.integers(1, 6, size=20)])
     mom = e_step(ds, _stack([_random_params(rng, p=2, q=q) for _ in range(3)]))
     _assert_y_tilde_agrees_with_the_row_major_form(ds, mom)
 
@@ -418,8 +412,8 @@ def test_the_lapack_route_refuses_an_indefinite_block_with_a_positive_determinan
     with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
         em_engine._spd_inv_logdet(np.stack([np.eye(4), K]))
     rng = np.random.default_rng(0)
-    ds = LongitudinalDataset([SubjectBlock(i, rng.normal(size=5), rng.normal(size=(5, 2)),
-                                           rng.normal(size=(5, 4))) for i in range(6)])
+    ds = stack_subjects([(rng.normal(size=5), rng.normal(size=(5, 2)), rng.normal(size=(5, 4)))
+                         for i in range(6)])
     bad = LmmParams(np.zeros(ds.p), -1.0, np.zeros((4, 4)))  # K_i = -I, det(K_i) = 1
     with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
         e_step(ds, bad, eig=np.linalg.eigh(bad.D))
@@ -535,9 +529,8 @@ def test_a_penalized_stack_traces_each_member_as_its_lone_run():
 
 def test_m_step_collapses_to_ols_without_random_information():
     rng = np.random.default_rng(5)
-    blocks = [SubjectBlock(i, rng.normal(size=4), rng.normal(size=(4, 3)),
-                           np.zeros((4, 2))) for i in range(8)]
-    ds = LongitudinalDataset(blocks)
+    ds = stack_subjects([(rng.normal(size=4), rng.normal(size=(4, 3)), np.zeros((4, 2)))
+                         for i in range(8)])
     mom = EStepMoments(np.zeros((8, 2)), np.zeros_like(ds.distinct_ztz.ztz), float("nan"), ds)
     prev = LmmParams(np.zeros(3), 1.0, np.eye(2))
     params = m_step(ds, mom, prev, 0.0)
@@ -577,8 +570,7 @@ def test_single_em_step_does_not_decrease_penalized_loglik():
 
 
 def test_observed_loglik_standard_normal_point():
-    ds = LongitudinalDataset(
-        [SubjectBlock(0, np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))])
+    ds = LongitudinalDataset([0], [1], np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
     val = observed_loglik(ds, LmmParams(np.zeros(1), 1.0, np.eye(1)))
     assert val == pytest.approx(-0.5 * np.log(2.0 * np.pi), abs=1e-14)
 
@@ -590,7 +582,7 @@ def test_observed_loglik_matches_dense_oracle():
         ds = simulate_lmm(seed, n=7, n_i=n_i)
         params = LmmParams(rng.normal(size=3), float(rng.uniform(0.4, 3.0)),
                            D_UNIT * float(rng.uniform(0.5, 2.0)))
-        ref = dense_marginal_loglik(as_triples(ds), params.beta, params.sigma2,
+        ref = dense_marginal_loglik(subject_rows(ds), params.beta, params.sigma2,
                                     params.D)
         val = observed_loglik(ds, params)
         np.testing.assert_allclose(val, ref, rtol=1e-10)
@@ -600,7 +592,7 @@ def test_observed_loglik_sigma2_doubling_tracked_by_oracle():
     ds = simulate_lmm(8, n=10, n_i=3)
     beta = np.array([1.0, -1.0, 0.5])
     for s2 in (0.7, 1.4):
-        ref = dense_marginal_loglik(as_triples(ds), beta, s2, D_UNIT)
+        ref = dense_marginal_loglik(subject_rows(ds), beta, s2, D_UNIT)
         np.testing.assert_allclose(observed_loglik(ds, LmmParams(beta, s2, D_UNIT)),
                                    ref, rtol=1e-10)
 
@@ -614,7 +606,7 @@ def test_fit_em_unpenalized_matches_direct_ml():
     ds = simulate_lmm(1)
     rep = fit_em(ds, 0.0, ctrl=EmControl(eps=1e-12, max_iter=20000))
     assert rep.converged
-    beta_o, s2_o, D_o, ll_o = direct_ml_lmm(as_triples(ds))
+    beta_o, s2_o, D_o, ll_o = direct_ml_lmm(subject_rows(ds))
     np.testing.assert_allclose(rep.params.beta, beta_o, atol=1e-4)
     assert rep.params.sigma2 == pytest.approx(s2_o, abs=1e-4)
     np.testing.assert_allclose(rep.params.D, D_o, atol=1e-4)
@@ -637,7 +629,7 @@ def test_fit_em_huge_lambda_gives_null_fixed_effects():
     assert np.all(rep.params.beta == 0.0)
     assert rep.converged
     # variance components agree with a direct pure-random-effects fit
-    triples = [(b.y, np.zeros((b.n_obs, 0)), b.Z) for b in ds.blocks]
+    triples = [(y_i, np.zeros((y_i.size, 0)), Z_i) for y_i, _, Z_i in subject_rows(ds)]
     _, s2_o, D_o, _ = direct_ml_lmm(triples)
     assert rep.params.sigma2 == pytest.approx(s2_o, abs=1e-3)
     np.testing.assert_allclose(rep.params.D, D_o, atol=1e-3)
@@ -780,11 +772,11 @@ def test_fit_em_on_noise_free_data_returns_symmetric_D():
     # guard clamps D's eigenvalues on every iteration
     rng = np.random.default_rng(0)
     Z = np.column_stack([np.ones(4), np.arange(1.0, 5.0)])
-    blocks = []
+    rows = []
     for i in range(10):
         X = rng.normal(size=(4, 3))
-        blocks.append(SubjectBlock(i, X @ np.array([1.0, -1.0, 0.5]), X, Z))
-    ds = LongitudinalDataset(blocks)
+        rows.append((X @ np.array([1.0, -1.0, 0.5]), X, Z))
+    ds = stack_subjects(rows)
     for lam in (0.0, 0.1):
         rep = fit_em(ds, lam)
         assert rep.converged
@@ -952,7 +944,7 @@ def _lasso_problems(draw):
 def _solve_beta_on(X, y, lam, alpha, warm_start):
     """The EM's beta M-step on (X, y): _solve_gram on the dataset's X'X, X'y and
     cached factor, given X'y as the M-step gives it X'y_tilde."""
-    ds = LongitudinalDataset([SubjectBlock(0, y, X, np.ones((y.size, 1)))])
+    ds = LongitudinalDataset([0], [y.size], y, X, np.ones((y.size, 1)))
     beta, _, _ = _solve_gram(ds.gram, ds.xty, lam * alpha, lam * (1.0 - alpha), warm_start,
                              ds.gram_factor)
     return beta
@@ -1067,9 +1059,8 @@ def test_solve_beta_with_l2_term_matches_enumeration_oracle(problem):
 
 
 def _with_duplicate_column(ds):
-    return LongitudinalDataset([
-        SubjectBlock(b.subject_id, b.y, np.column_stack([b.X, b.X[:, 0]]), b.Z)
-        for b in ds.blocks])
+    return LongitudinalDataset(ds.subject_ids, ds.counts, ds.y,
+                               np.column_stack([ds.X, ds.X[:, 0]]), ds.Z)
 
 
 def _assert_same_refit(ds, rep, ref_ds, ref, rtol):
@@ -1100,10 +1091,9 @@ def test_duplicated_column_refit_is_the_minimum_norm_solution(monkeypatch):
 def test_near_duplicate_column_refit_needs_no_coordinate_descent(monkeypatch):
     # the copy differs by 1e-7 sin(...): X'X has condition number 1.4e15
     base = simulate_lmm(13, n=20, n_i=4)
-    ds = LongitudinalDataset([
-        SubjectBlock(b.subject_id, b.y, np.column_stack(
-            [b.X, b.X[:, 0] + 1e-7 * np.sin(7.0 * b.X[:, 1] + b.X[:, 2])]), b.Z)
-        for b in base.blocks])
+    X = base.X
+    ds = LongitudinalDataset(base.subject_ids, base.counts, base.y, np.column_stack(
+        [X, X[:, 0] + 1e-7 * np.sin(7.0 * X[:, 1] + X[:, 2])]), base.Z)
     calls = _count_solve_pls(monkeypatch)
     rep = refit_support(ds, (0, 1, 2, 3))
     ref = refit_support(base, (0, 1, 2))

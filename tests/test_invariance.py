@@ -12,7 +12,7 @@ compared within 1e-12 relative.
 import numpy as np
 import pytest
 
-from lmmlasso.dataset import LongitudinalDataset, SubjectBlock
+from lmmlasso.dataset import LongitudinalDataset
 from lmmlasso.selector import default_grid, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario
 
@@ -57,8 +57,7 @@ def _assert_same_path(path, ref, columns):
 def test_permuting_the_columns_of_x_keeps_the_path(base, seed):
     ds, ref = base[seed]
     perm = np.random.default_rng(100 + seed).permutation(ds.p)
-    permuted = LongitudinalDataset([SubjectBlock(b.subject_id, b.y, b.X[:, perm], b.Z)
-                                    for b in ds.blocks])
+    permuted = LongitudinalDataset(ds.subject_ids, ds.counts, ds.y, ds.X[:, perm], ds.Z)
     _assert_same_path(_sweep(permuted), ref, perm)
 
 
@@ -73,8 +72,7 @@ def test_permuting_the_subjects_keeps_the_path(base, seed):
 def test_permuting_the_rows_within_each_subject_keeps_the_path(base, seed):
     ds, ref = base[seed]
     rng = np.random.default_rng(300 + seed)
-    blocks = []
-    for b in ds.blocks:
-        rows = rng.permutation(b.n_obs)
-        blocks.append(SubjectBlock(b.subject_id, b.y[rows], b.X[rows], b.Z[rows]))
-    _assert_same_path(_sweep(LongitudinalDataset(blocks)), ref, np.arange(ds.p))
+    rows = np.concatenate([start + rng.permutation(count)
+                           for start, count in zip(ds.starts, ds.counts)])
+    permuted = LongitudinalDataset(ds.subject_ids, ds.counts, ds.y[rows], ds.X[rows], ds.Z[rows])
+    _assert_same_path(_sweep(permuted), ref, np.arange(ds.p))

@@ -4,13 +4,11 @@ import pytest
 import lmmlasso.selector as selector_mod
 from lmmlasso import em_engine
 import lmmlasso.simkit as simkit
-from lmmlasso.dataset import (LongitudinalDataset, SubjectBlock, beta_original_scale,
-                              standardize)
+from lmmlasso.dataset import LongitudinalDataset, beta_original_scale, standardize
 from lmmlasso.em_engine import EmControl, fit_em, observed_loglik
 from lmmlasso.exceptions import ConfigurationError, NumericalError
 from lmmlasso.penalized_ls import lambda_max
 from lmmlasso.selector import (
-    _argmin_prefer_larger,
     auto_log_grid,
     default_grid,
     refit_support,
@@ -20,7 +18,7 @@ from lmmlasso.selector import (
 
 from lmmlasso.simkit import ScenarioConfig, kfold_cv, run_monte_carlo
 
-from oracles import dense_marginal_loglik
+from oracles import dense_marginal_loglik, stack_subjects, subject_rows
 
 D_UNIT = np.array([[1.0, 0.25], [0.25, 1.0]])
 
@@ -33,34 +31,34 @@ def scenario1_like(seed, n=30, n_i=5, p=9):
     L = np.linalg.cholesky(D_UNIT)
     X_all = rng.normal(6.0, 1.0, size=(n * n_i, p))
     X_all -= X_all.mean(axis=0)
-    blocks = []
+    rows = []
     for i in range(n):
         X = X_all[i * n_i:(i + 1) * n_i]
         Z = np.column_stack([np.ones(n_i), np.arange(1, n_i + 1)])
         b = L @ rng.normal(size=2)
         y = X @ beta + Z @ b + rng.normal(size=n_i)
-        blocks.append(SubjectBlock(i, y, X, Z))
-    return LongitudinalDataset(blocks)
+        rows.append((y, X, Z))
+    return stack_subjects(rows)
 
 
 def small_dataset(seed=4, n=8, n_i=3, p=2):
     rng = np.random.default_rng(seed)
-    blocks = []
+    rows = []
     for i in range(n):
         X = rng.normal(size=(n_i, p))
         Z = np.column_stack([np.ones(n_i), np.arange(1, n_i + 1)])
         b = 0.5 * rng.normal(size=2)
         y = X @ np.array([1.0, 0.0][:p]) + Z @ b + rng.normal(size=n_i)
-        blocks.append(SubjectBlock(i, y, X, Z))
-    return LongitudinalDataset(blocks)
+        rows.append((y, X, Z))
+    return stack_subjects(rows)
 
 
 def assert_scores_match_dense_oracle(ds, path):
     """Each entry's BIC/AIC equals the dense-covariance loglik at its refit."""
-    blocks = [(b.y, b.X, b.Z) for b in ds.blocks]
+    rows = subject_rows(ds)
     for i, refit in enumerate(path.refit_fits):
         prm = refit.params
-        ll = dense_marginal_loglik(blocks, prm.beta, prm.sigma2, prm.D)
+        ll = dense_marginal_loglik(rows, prm.beta, prm.sigma2, prm.D)
         assert path.bic[i] == pytest.approx(-2.0 * ll + np.log(ds.n) * path.df[i],
                                             rel=1e-10)
         assert path.aic[i] == pytest.approx(-2.0 * ll + 2.0 * path.df[i], rel=1e-10)
@@ -154,12 +152,23 @@ def test_a_design_without_fixed_effects_selects_the_empty_support():
     assert [f.support for f in folds] == [(), ()]
 
 
-def test_argmin_prefers_larger_lambda_on_ties():
-    vals = np.array([5.0, 3.0, 3.0, 4.0])
-    valid = np.array([True, True, True, True])
-    assert _argmin_prefer_larger(vals, valid) == 1
-    valid = np.array([True, False, True, True])
-    assert _argmin_prefer_larger(vals, valid) == 2
+def test_argmin_prefers_larger_lambda_on_ties(monkeypatch):
+    # a failed entry is skipped, and of the tied entries left the earliest,
+    # the larger penalty, is selected
+    ds = small_dataset(seed=6)
+    fit_em_calls = []
+
+    def first_fit_fails(*args, **kwargs):
+        fit_em_calls.append(1)
+        if len(fit_em_calls) == 1:
+            raise NumericalError("forced failure")
+        return fit_em(*args, **kwargs)
+
+    monkeypatch.setattr(selector_mod, "fit_em", first_fit_fails)
+    path = sweep(ds, [0.2, 0.2, 0.2], lambda_scale="per_obs")
+    assert path.errors == ["forced failure", None, None]
+    assert path.bic[1] == path.bic[2]
+    assert path.selected_index == 1
 
 
 def test_sweep_tie_break_with_duplicate_grid_values():
@@ -181,7 +190,7 @@ def test_warm_and_cold_sweeps_agree():
         refit = refit_support(ds, support)
         df = support.size + 3 + 1
         bic[i] = -2.0 * observed_loglik(ds, refit.params) + np.log(ds.n) * df
-    assert warm.selected_index == _argmin_prefer_larger(bic, np.ones(grid.size, bool))
+    assert warm.selected_index == np.argmin(bic)  # the first minimum
 
 
 def test_support_empty_at_large_grid_top():
@@ -278,9 +287,9 @@ def test_refit_true_support_recovers_unit_effects():
     rep = refit_support(ds, (0, 1), ctrl=EmControl(eps=1e-10, max_iter=5000))
     # GLS standard errors at the true parameters
     info = np.zeros((2, 2))
-    for b in ds.blocks:
-        V = b.Z @ D_UNIT @ b.Z.T + np.eye(b.n_obs)
-        Xs = b.X[:, :2]
+    for _, X_i, Z_i in subject_rows(ds):
+        V = Z_i @ D_UNIT @ Z_i.T + np.eye(len(Z_i))
+        Xs = X_i[:, :2]
         info += Xs.T @ np.linalg.inv(V) @ Xs
     se = np.sqrt(np.diag(np.linalg.inv(info)))
     assert abs(rep.params.beta[0] - 1.0) < 3 * se[0]
@@ -306,8 +315,8 @@ def test_original_scale_refit_matches_a_fit_on_the_raw_data():
     # the parameters only to about its square root, hence the 1e-4 tolerance
     # (a wrong scale factor would be off by O(1)).
     base = scenario1_like(55, n=12, n_i=4, p=3)
-    raw = LongitudinalDataset([SubjectBlock(b.subject_id, b.y - base.y.mean(), b.X, b.Z)
-                               for b in base.blocks])
+    raw = LongitudinalDataset(base.subject_ids, base.counts, base.y - base.y.mean(), base.X,
+                              base.Z)
     ctrl = EmControl(eps=1e-12, max_iter=30000)
     support = [0, 2]
     direct = fit_em(raw.select_columns(support), 0.0, ctrl=ctrl)
@@ -395,7 +404,7 @@ def _chol_shaped_study(seed, n=200, visits=5):
     sex x time act."""
     rng = np.random.default_rng(seed)
     t = (2.0 * np.arange(visits) - 5.0) / 10.0
-    blocks = []
+    rows = []
     for i in range(n):
         sex, age = float(rng.integers(0, 2)), rng.uniform(31, 62)
         b = 0.2 * rng.normal(size=2)
@@ -408,8 +417,8 @@ def _chol_shaped_study(seed, n=200, visits=5):
                              np.full(visits, 0.5 * z[0] + np.sqrt(0.75) * z[1])])
         Z = np.column_stack([np.ones(visits), t])
         y = 0.02 * age + 0.3 * t + 0.25 * sex * t + Z @ b + 0.15 * rng.normal(size=visits)
-        blocks.append(SubjectBlock(i, y, X, Z))
-    return standardize(LongitudinalDataset(blocks), categorical=(0, 7))
+        rows.append((y, X, Z))
+    return standardize(stack_subjects(rows), categorical=(0, 7))
 
 
 def _path_supports(path):

@@ -5,9 +5,9 @@ kind or out of range is a ConfigurationError naming the setting."""
 import numpy as np
 import pytest
 
-from lmmlasso.dataset import remove_linear_combos, standardize
+from lmmlasso.dataset import ColumnRoles, LongitudinalDataset, remove_linear_combos, standardize
 from lmmlasso.em_engine import EmControl, LmmParams, e_step, fit_em, fit_em_supports, m_step
-from lmmlasso.exceptions import ConfigurationError
+from lmmlasso.exceptions import ConfigurationError, DataError
 from lmmlasso.penalized_ls import kkt_check, lambda_max, penalty_value, solve_pls
 from lmmlasso.selector import auto_log_grid, default_grid, select, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario, kfold_cv, run_monte_carlo
@@ -115,6 +115,39 @@ def test_array_setting_refuses_entries_that_are_not_real_numbers(field, value):
     # entries were cast to floats
     with pytest.raises(ConfigurationError, match=f"^{field} must be an array of real numbers"):
         ScenarioConfig.scenario1(**{field: value})
+
+
+def _with_y(ds, y):
+    return LongitudinalDataset(ds.subject_ids, ds.counts, y, ds.X, ds.Z)
+
+
+# setting: (call on the dataset, the error it raises, its message)
+DOMAIN_REFUSALS = {
+    "D_true-3x3": (lambda ds: ScenarioConfig.scenario1(D_true=np.eye(3)),
+                   ConfigurationError, "D_true must be a symmetric 2x2 matrix"),
+    "sigma2_true-negative": (lambda ds: ScenarioConfig.scenario1(sigma2_true=-1),
+                             ConfigurationError, "sigma2_true must be >= 0"),
+    "beta_true-length": (lambda ds: ScenarioConfig.scenario1(beta_true=np.ones(3)),
+                         ConfigurationError, "beta_true must have length p"),
+    "standardize-constant-response": (lambda ds: standardize(_with_y(ds, np.ones(ds.N))),
+                                      DataError, "response has zero variance"),
+    "standardize-twice": (lambda ds: standardize(standardize(ds)),
+                          ConfigurationError, "dataset is already standardized"),
+    "auto_log_grid-zero-response": (lambda ds: auto_log_grid(_with_y(ds, np.zeros(ds.N))),
+                                    ConfigurationError,
+                                    "auto_log_grid: design has no signal (lambda_max = 0)"),
+    "roles-without-response": (lambda ds: ColumnRoles.from_mapping(
+        {"subject": "id", "fixed": "a", "random": "1"}),
+        ConfigurationError, "column-role mapping is missing 'response'"),
+}
+
+
+@pytest.mark.parametrize("setting", list(DOMAIN_REFUSALS))
+def test_a_setting_outside_its_domain_is_refused(ds, setting):
+    call, error, message = DOMAIN_REFUSALS[setting]
+    with pytest.raises(error) as err:
+        call(ds)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("setting", [s for s in REAL_SETTINGS if s.endswith("_alpha")])

@@ -5,7 +5,7 @@ import pytest
 
 import lmmlasso.selector as selector_mod
 import lmmlasso.simkit as simkit
-from lmmlasso.exceptions import ConfigurationError
+from lmmlasso.exceptions import ConfigurationError, NumericalError
 from lmmlasso.simkit import (
     D_HIGH,
     D_LOW,
@@ -17,6 +17,8 @@ from lmmlasso.simkit import (
     write_mc_detail_csv,
     write_mc_summary_csv,
 )
+
+from oracles import subject_rows
 
 TINY_GRID = np.array([0.02, 0.06, 0.1, 0.2])
 
@@ -47,9 +49,9 @@ def test_scenario1_shapes_and_design():
     np.testing.assert_array_equal(cfg.beta_true, [1, 1, 0, 0, 0, 0, 0, 0, 0])
     ds, truth = generate_scenario(cfg)
     assert (ds.n, ds.N, ds.p, ds.q) == (30, 150, 9, 2)
-    blk = ds.blocks[3]
-    np.testing.assert_array_equal(blk.Z[:, 0], np.ones(5))
-    np.testing.assert_array_equal(blk.Z[:, 1], [1, 2, 3, 4, 5])
+    _, _, Z_3 = subject_rows(ds)[3]
+    np.testing.assert_array_equal(Z_3[:, 0], np.ones(5))
+    np.testing.assert_array_equal(Z_3[:, 1], [1, 2, 3, 4, 5])
     np.testing.assert_allclose(ds.X.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(ds.y.mean(), 0.0, atol=1e-12)
     assert truth["beta_true"] is not cfg.beta_true
@@ -196,8 +198,8 @@ def test_kfold_selector_beats_null_baseline():
     null_sse = {}
     for r in res:
         ids = set(r.test_subjects)
-        null_sse[r.fold] = sum(float(b.y @ b.y) for b in ds.blocks
-                               if b.subject_id in ids)
+        null_sse[r.fold] = sum(float(y_i @ y_i) for sid, (y_i, _, _)
+                               in zip(ds.subject_ids, subject_rows(ds)) if sid in ids)
     assert np.mean([r.sse for r in res]) < np.mean(list(null_sse.values()))
 
 
@@ -222,6 +224,44 @@ def test_csv_writers_round_trip(tmp_path):
     cv_path = tmp_path / "cv.csv"
     write_cv_csv(kfold_cv(ds, k=5, grid=TINY_GRID, seed=5), cv_path)
     assert len(cv_path.read_text().strip().split("\n")) == 6
+
+
+def _sweep_failing_on(monkeypatch, calls):
+    """simkit.sweep raising NumericalError on the given (1-based) calls."""
+    sweep, seen = simkit.sweep, []
+
+    def failing(*args, **kwargs):
+        seen.append(1)
+        if len(seen) in calls:
+            raise NumericalError("forced failure")
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(simkit, "sweep", failing)
+
+
+def test_a_failed_replicate_is_counted_and_left_out_of_the_metrics(monkeypatch):
+    cfg = ScenarioConfig.scenario1(n=10, n_i=4, seed=37)
+    clean = run_monte_carlo(cfg, 3, grid=TINY_GRID, n_jobs=1)
+    _sweep_failing_on(monkeypatch, {2})
+    s = run_monte_carlo(cfg, 3, grid=TINY_GRID, n_jobs=1)
+    assert s.failures == 1
+    assert [r.failed for r in s.detail] == [False, True, False]
+    assert s.detail[1].error == "forced failure"
+    kept = np.vstack([clean.detail[0].beta_hat, clean.detail[2].beta_hat])
+    np.testing.assert_array_equal(s.zero_proportion, (kept == 0.0).mean(axis=0))
+
+
+def test_a_run_with_no_surviving_replicate_reports_no_metrics(monkeypatch, tmp_path):
+    cfg = ScenarioConfig.scenario1(n=10, n_i=4, seed=37)
+    _sweep_failing_on(monkeypatch, {1, 2, 3})
+    s = run_monte_carlo(cfg, 3, grid=TINY_GRID, n_jobs=1)
+    assert s.failures == 3
+    assert np.isnan(s.rmse) and np.isnan(s.zero_proportion).all()
+    assert s.sensitivity is None and s.specificity is None
+    path = tmp_path / "summary.csv"
+    write_mc_summary_csv(s, cfg, path)
+    cells = dict(ln.split(",") for ln in path.read_text().strip().split("\n")[1:])
+    assert cells["sensitivity"] == cells["specificity"] == "NA"
 
 
 def test_worker_count_is_capped_at_the_replicate_count(monkeypatch):
