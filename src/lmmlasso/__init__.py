@@ -24,7 +24,6 @@ from .dataset import (
     DistinctBlocks,
     LongitudinalDataset,
     StandardizationRecord,
-    beta_original_scale,
     ingest_long_csv,
     remove_linear_combos,
     standardize,

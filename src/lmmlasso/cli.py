@@ -203,10 +203,6 @@ def _parse_grid(spec):
 
 def _load_dataset(cfg: dict):
     ds = ingest_long_csv(cfg["input"], ColumnRoles.from_mapping(cfg))
-    # an all-zero column of Z leaves its row and column of D at the start
-    for name, column in zip(ds.z_names, ds.Z.T):
-        if not column.any():
-            raise DataError(f"{cfg['input']}: random-effect column {name!r} is zero in every row")
     if not cfg["standardize"]:
         for key in ("categorical", "scale_y"):
             if key in cfg:

@@ -33,7 +33,6 @@ __all__ = [
     "ingest_long_csv",
     "standardize",
     "remove_linear_combos",
-    "beta_original_scale",
 ]
 
 
@@ -68,6 +67,19 @@ class StandardizationRecord:
         cols = np.asarray(cols, dtype=int)
         return StandardizationRecord(self.x_center[cols], self.x_scale[cols],
                                      self.y_center, self.y_scale)
+
+    def original_scale(self, params) -> dict:
+        """One member's (beta, sigma2, D), fitted on the standardized data, in
+        the data's own units: beta, the intercept that the centering of X and
+        y implies (not part of the fitted model), sigma2 and D, as lists and
+        floats."""
+        beta = params.beta * self.y_scale / self.x_scale
+        return {
+            "beta": beta.tolist(),
+            "intercept": self.y_center - float(beta @ self.x_center),
+            "sigma2": params.sigma2 * self.y_scale ** 2,
+            "D": (params.D * self.y_scale ** 2).tolist(),
+        }
 
 
 class DistinctBlocks(NamedTuple):
@@ -515,18 +527,6 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
 
     record = StandardizationRecord(center, scale, y_center, y_scale)
     return ds._derive(y=(ds.y - y_center) / y_scale, X=X, standardization=record)
-
-
-def beta_original_scale(record: StandardizationRecord, beta: np.ndarray):
-    """Map coefficients fitted on standardized data back to original units.
-
-    Returns (beta_original, implied_intercept).  The intercept term arises
-    from the centering of X and y and is not part of the fitted model.
-    """
-    beta = np.asarray(beta, dtype=float)
-    beta_orig = beta * record.y_scale / record.x_scale
-    intercept = record.y_center - float(beta_orig @ record.x_center)
-    return beta_orig, intercept
 
 
 def remove_linear_combos(ds: LongitudinalDataset, rank_tol: float = 1e-7):

@@ -77,8 +77,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import LongitudinalDataset, _checked_indices, beta_original_scale
-from .exceptions import ConfigurationError, NumericalError, _checked_int, _checked_real
+from .dataset import LongitudinalDataset, _checked_indices
+from .exceptions import ConfigurationError, DataError, NumericalError, _checked_int, _checked_real
 # solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
 # this module's binding of it, so the name stays until the tracer drops it
 from .penalized_ls import (RAW, _checked_penalty, _penalty_value, _solve_gram, _truncate,
@@ -122,10 +122,6 @@ class LmmParams:
         self.sigma2 = (float(self.sigma2) if self.beta.ndim == 1
                        else np.asarray(self.sigma2, dtype=float))
 
-    def validate(self):
-        self._checked_eigh()
-        return self
-
     def _check_finite(self):
         """Raise NumericalError naming the first of beta, sigma2, D with a NaN or inf."""
         for name in ("beta", "sigma2", "D"):
@@ -135,13 +131,13 @@ class LmmParams:
                 raise NumericalError(f"{name} must be finite")
 
     def _checked_eigh(self):
-        """validate()'s checks; returns np.linalg.eigh(D) for the caller to reuse."""
+        """NumericalError unless finite with sigma2 > 0 and D symmetric, eigenvalues
+        above -1e-10; returns np.linalg.eigh(D) for the caller to reuse.  Both
+        callers, e_step and fit_em's init, check the shapes (_fits_dataset)."""
         self._check_finite()
         if np.any(self.sigma2 <= 0.0):
             raise NumericalError(f"sigma2 must be positive, got {self.sigma2}")
         D = self.D
-        if D.ndim != self.beta.ndim + 1 or D.shape[-1:] != D.shape[-2:-1]:
-            raise NumericalError("D must be square")
         if float(np.max(np.abs(D - D.swapaxes(-1, -2)), initial=0.0)) > 1e-12:
             raise NumericalError("D is not symmetric")
         w, V = np.linalg.eigh(D)
@@ -225,7 +221,6 @@ class FitReport:
     lam: float
     lambda_scale: str = RAW
     warnings: list = field(default_factory=list)
-    original_scale: dict | None = None  # populated by post-selection refits
     # the last E-step, at params; a fit warm-started from this report reuses it
     moments: EStepMoments | None = field(default=None, repr=False, compare=False)
 
@@ -237,7 +232,7 @@ class FitReport:
         return float(max(0.0, np.max(tr[:-1] - tr[1:])))
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "params": self.params.to_dict(),
             "iterations": self.iterations,
             "converged": self.converged,
@@ -247,9 +242,6 @@ class FitReport:
             "lambda_scale": self.lambda_scale,
             "warnings": list(self.warnings),
         }
-        if self.original_scale is not None:
-            out["original_scale"] = self.original_scale
-        return out
 
 
 def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -274,7 +266,7 @@ def _guard_params(params: LmmParams):
     Returns the guarded params and np.linalg.eigh of their D, which e_step
     takes in place of its own checks: the guarded D is exactly symmetric
     with eigenvalues above -1e-10 and sigma2 is positive, so after the
-    shared finiteness check nothing validate() refuses can get through.
+    shared finiteness check nothing _checked_eigh refuses can get through.
     Stacked params are guarded member by member in one pass, and raise if
     any member is not finite.
     """
@@ -559,8 +551,12 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     E-step.  A member leaves on the stopping rule or at ctrl.max_iter with
     its last guarded iterate and E-step; one whose guard or E-step raises
     leaves alone, with its error.  Returns a FitReport (at lam 0) or a
-    NumericalError per member.
+    NumericalError per member.  A column of Z that is zero in every row,
+    whose part of D nothing would move from the start, is a DataError.
     """
+    for name, column in zip(ds.z_names, ds.zt):
+        if not column.any():
+            raise DataError(f"random-effect column {name!r} is zero in every row")
     lead = () if members == 1 else (members,)
     live = list(range(members))  # the members still iterating, in stack order
     traces = [[] for _ in range(members)]
@@ -667,7 +663,7 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     _solve_gram on the dataset's X'X and cached factor, warm-started at the
     previous beta.  The returned params and final_loglik are the last
     guarded iterate; a NumericalError of an E-step or of a beta M-step is
-    raised.
+    raised, and a random-effect column of zeros is a DataError (_run_em).
     """
     _checked_penalty(alpha, lam)
     ctrl = ctrl or EmControl()
@@ -678,7 +674,7 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
         if params.beta.ndim != 1 or not _fits_dataset(params, ds):
             raise ConfigurationError("fit_em: init has wrong shapes for this dataset")
         if not isinstance(init, FitReport):
-            params.validate()
+            params._checked_eigh()
         elif init.moments is not None and init.moments.ds is ds:
             moments = init.moments
         init = LmmParams(params.beta.copy(), params.sigma2, params.D.copy())
@@ -708,17 +704,6 @@ def _checked_supports(supports, p: int) -> list:
     return out
 
 
-def _original_scale(rec, params: LmmParams) -> dict:
-    """A standardized refit's estimates on the original scale."""
-    beta_orig, intercept = beta_original_scale(rec, params.beta)
-    return {
-        "beta": beta_orig.tolist(),
-        "intercept": intercept,
-        "sigma2": params.sigma2 * rec.y_scale ** 2,
-        "D": (params.D * rec.y_scale ** 2).tolist(),
-    }
-
-
 def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = None) -> list:
     """Unpenalized fits with X restricted to each support, beta embedded in a p-vector.
 
@@ -732,10 +717,10 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
     that factor and embedded in a p-vector, so no restricted dataset or
     moment is built.  (Padding the factors into one (R, |A|max, |A|max)
     stack solved faster but raised the peak memory of a scenario-3 run.)
-    When ds was standardized, each report carries its estimates on the
-    original scale under original_scale.  Returns one entry per support:
-    the FitReport, or the NumericalError its fit raised, so one failure
-    leaves the other fits standing.
+    Estimates are in ds's units; ds.standardization.original_scale maps
+    one back.  Returns one entry per support: the FitReport, or the
+    NumericalError its fit raised, so one failure leaves the other fits
+    standing.
     """
     supports = _checked_supports(supports, ds.p)
     if not supports:
@@ -752,10 +737,4 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
             beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
         return beta.reshape(c.shape), [cut[k] for k in live]
 
-    reports = _run_em(ds, len(supports), solve_beta, ctrl or EmControl())
-    rec = ds.standardization
-    if rec is None:
-        return reports
-    return [rep if isinstance(rep, NumericalError)
-            else replace(rep, original_scale=_original_scale(rec, rep.params))
-            for rep in reports]
+    return _run_em(ds, len(supports), solve_beta, ctrl or EmControl())

@@ -29,10 +29,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import LongitudinalDataset
+from .dataset import LongitudinalDataset, StandardizationRecord
 from .em_engine import EmControl, FitReport, fit_em, fit_em_supports, observed_loglik
-from .exceptions import (ConfigurationError, LmmLassoError, NumericalError, _checked_int,
-                         _checked_real)
+from .exceptions import ConfigurationError, NumericalError, _checked_int, _checked_real
 from .penalized_ls import RAW, _checked_penalty, effective_lambda, lambda_max
 
 __all__ = [
@@ -80,7 +79,9 @@ class RegularizationPath:
     entries with identical supports share one refit object.  errors holds
     the message of each entry whose grid fit or refit raised.  The
     selected_* members read the entry at selected_index, and to_dict() is
-    the selection JSON.
+    the selection JSON.  standardization is the swept dataset's record
+    (None for unstandardized data): the units of the estimates, as
+    lambda_scale is the units of the grid.
     """
 
     grid: np.ndarray
@@ -94,6 +95,7 @@ class RegularizationPath:
     errors: list = field(default_factory=list)
     lambda_scale: str = RAW
     criterion: str = "bic"
+    standardization: StandardizationRecord | None = None
 
     @property
     def selected_fit(self) -> FitReport:
@@ -121,7 +123,8 @@ class RegularizationPath:
                    bool(fit.converged) if fit is not None else False)
 
     def to_dict(self) -> dict:
-        """The selection JSON; column names are the dataset's to add."""
+        """The selection JSON, with the selected refit mapped back to the original
+        units on standardized data; column names are the dataset's to add."""
         refit = self.selected_refit
         out = {
             "selected_lambda": self.selected_lambda,
@@ -132,8 +135,8 @@ class RegularizationPath:
             "refit_estimates": refit.params.to_dict(),
             "refit_converged": refit.converged,
         }
-        if refit.original_scale is not None:
-            out["refit_original_scale"] = refit.original_scale
+        if self.standardization is not None:
+            out["refit_original_scale"] = self.standardization.original_scale(refit.params)
         return out
 
 
@@ -172,9 +175,10 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
     raise: its (beta, sigma2, D) and its last E-step, which the next fit
     reuses in place of its first (fit_em's init).  Each entry is then scored by the criterion at
     the unpenalized refit of its support, every distinct support refitted
-    once, together (em_engine.fit_em_supports).  A failed grid fit or
-    refit fails its entries, which are recorded in errors and skipped by
-    the selection; a sweep where every entry failed raises.
+    once, together (em_engine.fit_em_supports).  A NumericalError of a grid
+    fit or refit fails its entries, which are recorded in errors and skipped
+    by the selection; a sweep where every entry failed raises, and any
+    other error (a DataError) is raised at once.
     """
     grid = _selection_settings(grid, lambda_scale, criterion, alpha)
     m = grid.size
@@ -190,7 +194,7 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
         try:
             fit = fit_em(ds, float(lam), alpha, init=prev, ctrl=ctrl,
                          lambda_scale=lambda_scale)
-        except LmmLassoError as e:
+        except NumericalError as e:
             errors[i] = str(e)
             continue
         # the path keeps no E-step moments; only the next warm start reads them
@@ -202,12 +206,12 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
     scored = {}  # support: (refit, loglik), or the message of the error that failed it
     for support, refit in zip(distinct, fit_em_supports(ds, distinct, ctrl=ctrl)):
         try:
-            if isinstance(refit, LmmLassoError):
+            if isinstance(refit, NumericalError):
                 raise refit
             # embedded-parameter loglik on the full design, so scores
             # are exactly reproducible from the stored refit params
             scored[support] = (refit, observed_loglik(ds, refit.params))
-        except LmmLassoError as e:
+        except NumericalError as e:
             scored[support] = str(e)
     for i, support in enumerate(supports):
         if support is None:
@@ -230,20 +234,21 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
     return RegularizationPath(grid=grid, fits=fits, bic=scores["bic"], aic=scores["aic"],
                               df=df, nnz=nnz, selected_index=selected,
                               refit_fits=refits, errors=errors,
-                              lambda_scale=lambda_scale, criterion=criterion)
+                              lambda_scale=lambda_scale, criterion=criterion,
+                              standardization=ds.standardization)
 
 
 def refit_support(ds: LongitudinalDataset, support, ctrl: EmControl | None = None) -> FitReport:
     """Unpenalized fit with X restricted to the support columns.
 
     The returned report carries beta embedded back into a full p-vector
-    (zeros off support).  When the dataset was standardized, estimates on
-    the original scale are attached under original_scale.  The one-support
-    call of em_engine.fit_em_supports, which checks the support and raises
-    ConfigurationError for a bad one.
+    (zeros off support), in ds's units.  The one-support call of
+    em_engine.fit_em_supports, which checks the support and raises
+    ConfigurationError for a bad one; a NumericalError of the fit is
+    raised.
     """
     rep, = fit_em_supports(ds, [support], ctrl=ctrl)
-    if isinstance(rep, LmmLassoError):
+    if isinstance(rep, NumericalError):
         raise rep
     return rep
 

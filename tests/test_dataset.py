@@ -9,11 +9,11 @@ from lmmlasso import dataset
 from lmmlasso.dataset import (
     ColumnRoles,
     LongitudinalDataset,
-    beta_original_scale,
     ingest_long_csv,
     remove_linear_combos,
     standardize,
 )
+from lmmlasso.em_engine import LmmParams
 from lmmlasso.exceptions import ConfigurationError, DataError
 from lmmlasso.fileio import write_csv
 
@@ -181,15 +181,20 @@ def test_destandardize_round_trip():
     np.testing.assert_allclose(back.y, ds.y, rtol=1e-12)
 
 
-def test_beta_original_scale_reproduces_predictions():
+def test_original_scale_reproduces_predictions():
     ds = _toy_dataset(seed=13)
     std = standardize(ds)
+    rec = std.standardization
     rng = np.random.default_rng(1)
     beta_s = rng.normal(size=ds.p)
-    beta_o, intercept = beta_original_scale(std.standardization, beta_s)
-    pred_std = std.standardization.y_center + std.standardization.y_scale * (std.X @ beta_s)
-    pred_orig = intercept + ds.X @ beta_o
+    D = np.array([[1.0, 0.25], [0.25, 0.5]])
+    orig = rec.original_scale(LmmParams(beta_s, 0.7, D))
+    pred_std = rec.y_center + rec.y_scale * (std.X @ beta_s)
+    pred_orig = orig["intercept"] + ds.X @ np.array(orig["beta"])
     np.testing.assert_allclose(pred_std, pred_orig, rtol=1e-12)
+    # the variance components scale with the response's variance
+    assert orig["sigma2"] == pytest.approx(0.7 * rec.y_scale ** 2, rel=1e-15)
+    np.testing.assert_allclose(orig["D"], D * rec.y_scale ** 2, rtol=1e-15)
 
 
 def _with_dependent_column(seed=3, n=20, n_i=3):
@@ -235,6 +240,16 @@ def test_remove_linear_combos_gene_expression_shape():
     reduced, report = remove_linear_combos(ds)
     assert len(report.kept) == 70
     assert reduced.p == 70
+
+
+def test_remove_linear_combos_drops_a_leading_zero_column_with_no_dependency():
+    # no column is kept before it, so nothing reproduces it
+    ds = _with_dependent_column(seed=4)
+    ds = ds._derive(X=np.column_stack([np.zeros(ds.N), ds.X]), x_names=["x0", *ds.x_names])
+    _, report = remove_linear_combos(ds)
+    assert report.dropped == (0, 3)
+    assert report.dependency_sets[0] == []
+    assert sorted(report.dependency_sets[3]) == [1, 2]
 
 
 def test_remove_linear_combos_idempotent():

@@ -93,7 +93,7 @@ def test_e_step_scalar_hand_computation():
                          ids=["e_step", "observed_loglik", "fit_em-init"])
 def test_params_of_the_wrong_shape_are_refused(call, beta, sigma2, D):
     # unchecked, e_step raised a bare matmul ValueError, "too many values to
-    # unpack", or "D must be square" for a square D; fit_em's init must be
+    # unpack", or a NumericalError blaming a square D; fit_em's init must be
     # one member
     ds, _ = generate_scenario(ScenarioConfig.scenario1(n=10, n_i=4, seed=1))
     with pytest.raises(ConfigurationError, match="wrong shapes"):
@@ -207,10 +207,9 @@ def test_fit_em_validates_a_params_start_as_e_step_does(params, message):
     ("D", LmmParams(np.zeros(3), 1.0, [[np.inf, 0.0], [0.0, 1.0]])),
 ], ids=["beta_nan", "sigma2_nan", "sigma2_inf", "D_nan", "D_inf"])
 def test_non_finite_params_are_refused_naming_the_parameter(name, params):
-    # validate(), the public E-step and fit_em's guarded path share one check
+    # the public E-step and fit_em's guarded path share one check
     ds = simulate_lmm(1, n=4)
-    for call in (params.validate, lambda: e_step(ds, params),
-                 lambda: fit_em(ds, 0.0, init=params)):
+    for call in (lambda: e_step(ds, params), lambda: fit_em(ds, 0.0, init=params)):
         with pytest.raises(NumericalError, match=f"^{name} must be finite"):
             call()
 
@@ -662,12 +661,47 @@ def test_fit_em_from_singular_D_returns_the_guarded_iterate():
     lam = 10.0
     init = LmmParams(np.zeros(3), 1.0, np.outer([1.0, 0.5], [1.0, 0.5]))
     rep = fit_em(ds, lam, init=init, ctrl=EmControl(max_iter=40))
-    rep.params.validate()
+    e_step(ds, rep.params)  # passes the public E-step's parameter check
     assert np.linalg.eigvalsh(rep.params.D).min() >= 1e-10
     assert rep.final_loglik == pytest.approx(observed_loglik(ds, rep.params), rel=1e-12)
     last = rep.final_loglik - lam * penalty_value(rep.params.beta)
     assert rep.penalized_loglik_trace[-1] == last
     assert rep.worst_trace_decrease() <= 1e-8
+
+
+def _e_step_failing_from(monkeypatch, call):
+    """Make every e_step from the call-th one on raise NumericalError."""
+    step, calls = em_engine.e_step, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) >= call:
+            raise NumericalError("injected failure")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(em_engine, "e_step", failing)
+
+
+def test_fit_em_names_the_iteration_of_an_e_step_error(monkeypatch):
+    ds = simulate_lmm(6, n=10)
+    _e_step_failing_from(monkeypatch, 2)
+    with pytest.raises(NumericalError) as err:
+        fit_em(ds, 0.1)
+    assert str(err.value) == "fit_em: iteration 1: injected failure"
+    assert str(err.value.__cause__) == "injected failure"
+
+
+def test_refits_whose_every_e_step_raises_return_one_error_each(monkeypatch):
+    # the stack's E-step raises, then each member's rerun does: every member
+    # leaves with its own error, and refit_support raises its one
+    ds = simulate_lmm(6, n=10)
+    _e_step_failing_from(monkeypatch, 2)
+    reps = fit_em_supports(ds, [(0,), (0, 1), ()])
+    assert [type(rep) for rep in reps] == [NumericalError] * 3
+    assert len({id(rep) for rep in reps}) == 3
+    assert {str(rep) for rep in reps} == {"fit_em: iteration 1: injected failure"}
+    with pytest.raises(NumericalError, match="^injected failure$"):
+        refit_support(ds, (0,))
 
 
 def test_fit_em_takes_one_eigh_of_D_per_iteration(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 import lmmlasso.selector as selector_mod
 from lmmlasso import em_engine
 import lmmlasso.simkit as simkit
-from lmmlasso.dataset import LongitudinalDataset, beta_original_scale, standardize
+from lmmlasso.dataset import LongitudinalDataset, standardize
 from lmmlasso.em_engine import EmControl, fit_em, observed_loglik
 from lmmlasso.exceptions import ConfigurationError, NumericalError
 from lmmlasso.penalized_ls import lambda_max
@@ -297,15 +297,22 @@ def test_refit_true_support_recovers_unit_effects():
     assert np.all(rep.params.beta[2:] == 0.0)
 
 
-def test_refit_reports_original_scale_for_standardized_data():
-    ds = standardize(scenario1_like(55, n=12, n_i=4, p=3))
-    rep = refit_support(ds, (0, 2))
-    assert rep.original_scale is not None
-    rec = ds.standardization
-    expected = rep.params.beta * rec.y_scale / rec.x_scale
-    np.testing.assert_allclose(rep.original_scale["beta"], expected, atol=1e-12)
-    assert rep.original_scale["sigma2"] == pytest.approx(
-        rep.params.sigma2 * rec.y_scale ** 2)
+def test_selection_reports_its_refit_on_the_original_scale_for_standardized_data():
+    raw = scenario1_like(55, n=12, n_i=4, p=3)
+    ds = standardize(raw)
+    grid = np.linspace(0.02, 0.3, 6)
+    path = select(ds, grid, lambda_scale="per_obs")
+    rec, refit = ds.standardization, path.selected_refit
+    assert path.standardization is rec
+    orig = path.to_dict()["refit_original_scale"]
+    assert orig == rec.original_scale(refit.params)
+    expected = refit.params.beta * rec.y_scale / rec.x_scale
+    np.testing.assert_allclose(orig["beta"], expected, atol=1e-12)
+    assert orig["sigma2"] == pytest.approx(refit.params.sigma2 * rec.y_scale ** 2)
+    # a path on data in their own units has nothing to map back
+    path = select(raw, grid, lambda_scale="per_obs")
+    assert path.standardization is None
+    assert "refit_original_scale" not in path.to_dict()
 
 
 def test_original_scale_refit_matches_a_fit_on_the_raw_data():
@@ -320,11 +327,12 @@ def test_original_scale_refit_matches_a_fit_on_the_raw_data():
     ctrl = EmControl(eps=1e-12, max_iter=30000)
     support = [0, 2]
     direct = fit_em(raw.select_columns(support), 0.0, ctrl=ctrl)
-    rep = refit_support(standardize(raw), support, ctrl=ctrl)
+    std = standardize(raw)
+    rep = refit_support(std, support, ctrl=ctrl)
     assert direct.converged and rep.converged
     beta = np.zeros(raw.p)
     beta[support] = direct.params.beta
-    orig = rep.original_scale
+    orig = std.standardization.original_scale(rep.params)
     np.testing.assert_allclose(orig["beta"], beta, rtol=1e-4, atol=1e-6)
     assert orig["intercept"] == pytest.approx(0.0, abs=1e-12)
     assert orig["sigma2"] == pytest.approx(direct.params.sigma2, rel=1e-4)
@@ -457,12 +465,12 @@ def test_refit_supports_match_restricted_fits():
                 _assert_close(rep.penalized_loglik_trace, ref.penalized_loglik_trace, "trace")
                 rec = ds.standardization
                 if rec is None:
-                    assert rep.original_scale is None
                     continue
-                beta_orig, intercept = beta_original_scale(rec, beta)
-                orig = rep.original_scale
+                beta_orig = beta * rec.y_scale / rec.x_scale
+                orig = rec.original_scale(rep.params)
                 _assert_close(orig["beta"], beta_orig, "original beta")
-                _assert_close(orig["intercept"], intercept, "original intercept")
+                _assert_close(orig["intercept"], rec.y_center - beta_orig @ rec.x_center,
+                              "original intercept")
                 _assert_close(orig["sigma2"], ref.params.sigma2 * rec.y_scale ** 2,
                               "original sigma2")
                 _assert_close(orig["D"], ref.params.D * rec.y_scale ** 2, "original D")

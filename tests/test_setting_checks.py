@@ -121,6 +121,14 @@ def _with_y(ds, y):
     return LongitudinalDataset(ds.subject_ids, ds.counts, y, ds.X, ds.Z)
 
 
+def _zero_slope(ds):
+    """ds with its random slope column z2 zero in every row."""
+    return ds._derive(Z=np.column_stack([ds.Z[:, 0], np.zeros(ds.N)]))
+
+
+_ZERO_SLOPE = "random-effect column 'z2' is zero in every row"
+
+
 # setting: (call on the dataset, the error it raises, its message)
 DOMAIN_REFUSALS = {
     "D_true-3x3": (lambda ds: ScenarioConfig.scenario1(D_true=np.eye(3)),
@@ -136,6 +144,19 @@ DOMAIN_REFUSALS = {
     "auto_log_grid-zero-response": (lambda ds: auto_log_grid(_with_y(ds, np.zeros(ds.N))),
                                     ConfigurationError,
                                     "auto_log_grid: design has no signal (lambda_max = 0)"),
+    "auto_log_grid-no-columns": (lambda ds: auto_log_grid(ds.select_columns([])),
+                                 ConfigurationError,
+                                 "auto_log_grid: design has no signal (lambda_max = 0)"),
+    # unchecked, nothing moved D[1, 1] from its start: fit_em reported
+    # convergence with D[1, 1] = 1 and sweep selected without a note
+    "fit_em-zero-random-column": (lambda ds: fit_em(_zero_slope(ds), 0.05),
+                                  DataError, _ZERO_SLOPE),
+    "fit_em_supports-zero-random-column": (
+        lambda ds: fit_em_supports(_zero_slope(ds), [(0,), (0, 1)]), DataError, _ZERO_SLOPE),
+    "sweep-zero-random-column": (lambda ds: sweep(_zero_slope(ds), GRID),
+                                 DataError, _ZERO_SLOPE),
+    "kfold_cv-zero-random-column": (lambda ds: kfold_cv(_zero_slope(ds), 2, grid=GRID),
+                                    DataError, _ZERO_SLOPE),
     "roles-without-response": (lambda ds: ColumnRoles.from_mapping(
         {"subject": "id", "fixed": "a", "random": "1"}),
         ConfigurationError, "column-role mapping is missing 'response'"),
