@@ -50,6 +50,17 @@ def _taken(a, dtype=float) -> np.ndarray:
     return _frozen(np.array(a, dtype=dtype), dtype)
 
 
+def _not_real(a: np.ndarray) -> str | None:
+    """What in a is not a real number: its dtype, or an object array's first
+    string or complex cell; None when every cell is one (a None cell passes,
+    and becomes NaN)."""
+    if a.dtype.kind == "O":
+        cell = next((v for v in a.flat
+                     if isinstance(v, (str, bytes, complex, np.complexfloating))), None)
+        return None if cell is None else f"a cell {cell!r}"
+    return None if a.dtype.kind in "biuf" else f"dtype {a.dtype}"
+
+
 @dataclass(frozen=True)
 class StandardizationRecord:
     """Per-column centering/scaling applied to X plus the (center, scale) of y."""
@@ -114,7 +125,8 @@ class LongitudinalDataset:
         The arrays are held read-only: a writeable one is copied, so the
         caller's stays writeable, and a read-only one (another dataset's) is
         shared.  Refuses arrays of the wrong shape and counts that are not
-        integers >= 1, each naming its argument; non-finite cells; and
+        integers >= 1, each naming its argument; a y, X or Z whose cells are
+        not real numbers (strings or complex numbers); non-finite cells; and
         columns of y, X or Z whose sum of squares overflows double precision
         (no fit could form X'X or r'r).
         """
@@ -135,6 +147,10 @@ class LongitudinalDataset:
         if self.subject_ids.shape != (self.n,):
             raise DataError(f"subject_ids has shape {self.subject_ids.shape}; "
                             f"expected one id for each of the {self.n} subjects")
+        y, X, Z = np.asarray(y), np.asarray(X), np.asarray(Z)
+        for name, a in (("y", y), ("X", X), ("Z", Z)):
+            if (bad := _not_real(a)) is not None:
+                raise DataError(f"{name} must hold real numbers, got {bad}")
         self.y, self.X, self.Z = _taken(y), _taken(X), _taken(Z)
         for name, a, ndim in (("y", self.y, 1), ("X", self.X, 2), ("Z", self.Z, 2)):
             if a.ndim != ndim:

@@ -119,8 +119,11 @@ class LmmParams:
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
         self.D = np.asarray(self.D, dtype=float)
-        self.sigma2 = (float(self.sigma2) if self.beta.ndim == 1
-                       else np.asarray(self.sigma2, dtype=float))
+        try:
+            self.sigma2 = (float(self.sigma2) if self.beta.ndim == 1
+                           else np.asarray(self.sigma2, dtype=float))
+        except TypeError:  # a lone member's non-scalar sigma2, which _checked_params refuses
+            self.sigma2 = np.asarray(self.sigma2, dtype=float)
 
     def _check_finite(self):
         """Raise NumericalError naming the first of beta, sigma2, D with a NaN or inf."""
@@ -129,21 +132,6 @@ class LmmParams:
             # math.isfinite for one member's float, on which np.isfinite is slow
             if not (math.isfinite(value) if type(value) is float else np.isfinite(value).all()):
                 raise NumericalError(f"{name} must be finite")
-
-    def _checked_eigh(self):
-        """NumericalError unless finite with sigma2 > 0 and D symmetric, eigenvalues
-        above -1e-10; returns np.linalg.eigh(D) for the caller to reuse.  Both
-        callers, e_step and fit_em's init, check the shapes (_fits_dataset)."""
-        self._check_finite()
-        if np.any(self.sigma2 <= 0.0):
-            raise NumericalError(f"sigma2 must be positive, got {self.sigma2}")
-        D = self.D
-        if float(np.max(np.abs(D - D.swapaxes(-1, -2)), initial=0.0)) > 1e-12:
-            raise NumericalError("D is not symmetric")
-        w, V = np.linalg.eigh(D)
-        if float(w.min()) < -_D_EIG_FLOOR:
-            raise NumericalError("D has eigenvalues below -1e-10")
-        return w, V
 
     def to_dict(self) -> dict:
         return {"beta": self.beta.tolist(), "sigma2": self.sigma2,
@@ -227,9 +215,7 @@ class FitReport:
     def worst_trace_decrease(self) -> float:
         """Largest drop between consecutive trace entries (0 if monotone)."""
         tr = self.penalized_loglik_trace
-        if tr.size < 2:
-            return 0.0
-        return float(max(0.0, np.max(tr[:-1] - tr[1:])))
+        return float(max(0.0, np.max(tr[:-1] - tr[1:], initial=-np.inf)))
 
     def to_dict(self) -> dict:
         return {
@@ -266,7 +252,7 @@ def _guard_params(params: LmmParams):
     Returns the guarded params and np.linalg.eigh of their D, which e_step
     takes in place of its own checks: the guarded D is exactly symmetric
     with eigenvalues above -1e-10 and sigma2 is positive, so after the
-    shared finiteness check nothing _checked_eigh refuses can get through.
+    shared finiteness check nothing _checked_params refuses can get through.
     Stacked params are guarded member by member in one pass, and raise if
     any member is not finite.
     """
@@ -387,11 +373,25 @@ def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (AS.swapaxes(-1, -2).reshape(*lead, G * q, q) @ S).reshape(*lead, G, q, q)
 
 
-def _fits_dataset(params: LmmParams, ds: LongitudinalDataset) -> bool:
-    """Whether params are one member or a stack with ds's p and q."""
+def _checked_params(params: LmmParams, ds: LongitudinalDataset, what: str, lone: bool = False):
+    """np.linalg.eigh(params.D) of parameters from outside the EM, once checked:
+    a ConfigurationError naming what unless they are one member (or, unless
+    lone, a stack) with ds's p and q, then a NumericalError unless finite
+    with sigma2 > 0 and D symmetric, eigenvalues above -1e-10."""
     lead = params.beta.shape[:-1]
-    return (params.beta.shape[-1:] == (ds.p,) and np.shape(params.sigma2) == lead
-            and params.D.shape == (*lead, ds.q, ds.q))
+    if (lone and lead) or (params.beta.shape[-1:], np.shape(params.sigma2), params.D.shape) != (
+            (ds.p,), lead, (*lead, ds.q, ds.q)):
+        raise ConfigurationError(f"{what} has wrong shapes for this dataset")
+    params._check_finite()
+    if np.any(params.sigma2 <= 0.0):
+        raise NumericalError(f"sigma2 must be positive, got {params.sigma2}")
+    D = params.D
+    if float(np.max(np.abs(D - D.swapaxes(-1, -2)), initial=0.0)) > 1e-12:
+        raise NumericalError("D is not symmetric")
+    w, V = np.linalg.eigh(D)
+    if float(w.min()) < -_D_EIG_FLOOR:
+        raise NumericalError("D has eigenvalues below -1e-10")
+    return w, V
 
 
 def _sum_of_squares(r: np.ndarray):
@@ -426,17 +426,15 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     loglik (R,).  Raises NumericalError when any member's K_i is not
     positive definite.
 
-    eig, when given, is np.linalg.eigh(params.D) from a caller that has
-    already checked params (the EM driver's _guard_params); otherwise params
-    are validated here, their shapes against ds (a ConfigurationError), and
-    D is decomposed.  xbeta, when given, is
+    eig, when given, is np.linalg.eigh(params.D) from the EM driver's
+    _guard_params; otherwise params go through _checked_params (shapes
+    that do not fit ds are a ConfigurationError, values it refuses a
+    NumericalError), which decomposes D.  xbeta, when given, is
     params.beta @ ds.X.T, which the EM driver carries from its M-step;
     otherwise it is formed here.
     """
     if eig is None:
-        if not _fits_dataset(params, ds):
-            raise ConfigurationError("e_step: params have wrong shapes for this dataset")
-        eig = params._checked_eigh()
+        eig = _checked_params(params, ds, "e_step: params")
     _, ztx, zty = ds.block_moments
     blocks = ds.distinct_ztz
     n, q = ds.n, ds.q
@@ -502,9 +500,13 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParam
     mixing weight alpha and the effective level lam1 = 2 * lam * sigma2_prev
     by _solve_gram on the dataset's X'X and cached factor, warm-started at
     the previous beta.  sigma2 and D then have closed forms (_m_step).  lam
-    is in raw units.
+    is in raw units.  params_prev must pass e_step's check (_checked_params)
+    as one member, and moments must be one member's E-step on ds.
     """
     _checked_penalty(alpha, lam)
+    _checked_params(params_prev, ds, "m_step: params_prev", lone=True)
+    if moments.ds is not ds or moments.b_hat.shape != (ds.n, ds.q):
+        raise ConfigurationError("m_step: moments are not one member's E-step on this dataset")
     lam1 = 2.0 * lam * params_prev.sigma2
     params, _, _ = _m_step(ds, moments, lambda c: _solve_gram(
         ds.gram, c, lam1 * alpha, lam1 * (1.0 - alpha), params_prev.beta, ds.gram_factor)[:2])
@@ -518,13 +520,6 @@ def observed_loglik(ds: LongitudinalDataset, params: LmmParams) -> float:
     factorization.
     """
     return e_step(ds, params).loglik
-
-
-def _guarded_e_step(ds: LongitudinalDataset, params: LmmParams, xbeta=None):
-    """_guard_params, then e_step on its eigendecomposition of D and on
-    xbeta: (guarded params, moments)."""
-    params, eig = _guard_params(params)
-    return params, e_step(ds, params, eig=eig, xbeta=xbeta)
 
 
 def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
@@ -551,9 +546,16 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     E-step.  A member leaves on the stopping rule or at ctrl.max_iter with
     its last guarded iterate and E-step; one whose guard or E-step raises
     leaves alone, with its error.  Returns a FitReport (at lam 0) or a
-    NumericalError per member.  A column of Z that is zero in every row,
-    whose part of D nothing would move from the start, is a DataError.
+    NumericalError per member.  A DataError refuses the designs that cannot
+    identify D: fewer than 2 subjects, one row per subject (no row is left
+    to separate D from sigma2), and a column of Z that is zero in every
+    row, whose part of D nothing would move from the start.
     """
+    if ds.n < 2:
+        raise DataError(f"a fit needs at least 2 subjects; the data have {ds.n}")
+    if ds.N <= ds.n:
+        raise DataError(f"a fit needs more rows than subjects; the data have {ds.N} rows "
+                        f"for {ds.n} subjects")
     for name, column in zip(ds.z_names, ds.zt):
         if not column.any():
             raise DataError(f"random-effect column {name!r} is zero in every row")
@@ -583,13 +585,15 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     while True:
         if moments is None:
             try:
-                params, moments = _guarded_e_step(ds, params, xbeta)
+                guarded, eig = _guard_params(params)
+                params, moments = guarded, e_step(ds, guarded, eig=eig, xbeta=xbeta)
             except NumericalError as e:
                 # a stack reruns member by member: those that raise alone leave it
                 failed = {}
                 for r in (range(len(live)) if len(live) > 1 else ()):
                     try:
-                        _guarded_e_step(ds, _take(params, [r]))
+                        one, eig = _guard_params(_take(params, [r]))
+                        e_step(ds, one, eig=eig)
                     except NumericalError as e_r:
                         failed[r] = e_r
                 for r, err in (failed or dict.fromkeys(range(len(live)), e)).items():
@@ -648,14 +652,13 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
 
     Initialization: beta from the pooled penalized least-squares problem
     at level lam, sigma2 from its residual sum of squares over N, D the
-    identity (all overridden when init is given).  An LmmParams init is
-    validated as e_step validates params; init may also be the FitReport
-    of an earlier fit, a guarded iterate: its params start this one, and
-    when that fit ran on ds its last E-step (report.moments, at those
-    params) stands in for this fit's first one.  Iterates E- and M-steps
-    until the relative change of the penalized log-likelihood falls below
-    ctrl.eps, with an absolute fallback of ctrl.abs_eps where the ratio
-    rule is ill-conditioned near zero.  Every solve reads X'X and its
+    identity (all overridden when init is given).  init, an LmmParams or
+    an earlier fit's FitReport, is checked as e_step checks params, unless
+    it is the report of a fit on ds: a guarded iterate, whose last E-step
+    (report.moments) stands in for this fit's first one.  Iterates E- and
+    M-steps until the relative change of the penalized log-likelihood
+    falls below ctrl.eps, with an absolute fallback of ctrl.abs_eps where
+    the ratio rule is ill-conditioned near zero.  Every solve reads X'X and its
     factors from the dataset, which computes X'X once and holds the last
     factor.
 
@@ -663,7 +666,7 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     _solve_gram on the dataset's X'X and cached factor, warm-started at the
     previous beta.  The returned params and final_loglik are the last
     guarded iterate; a NumericalError of an E-step or of a beta M-step is
-    raised, and a random-effect column of zeros is a DataError (_run_em).
+    raised, and a design that cannot identify D is a DataError (_run_em).
     """
     _checked_penalty(alpha, lam)
     ctrl = ctrl or EmControl()
@@ -671,12 +674,10 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     moments = None
     if init is not None:
         params = init.params if isinstance(init, FitReport) else init
-        if params.beta.ndim != 1 or not _fits_dataset(params, ds):
-            raise ConfigurationError("fit_em: init has wrong shapes for this dataset")
-        if not isinstance(init, FitReport):
-            params._checked_eigh()
-        elif init.moments is not None and init.moments.ds is ds:
-            moments = init.moments
+        if isinstance(init, FitReport) and getattr(init.moments, "ds", None) is ds:
+            moments = init.moments  # a guarded iterate of a fit on ds, and its E-step
+        else:
+            _checked_params(params, ds, "fit_em: init", lone=True)
         init = LmmParams(params.beta.copy(), params.sigma2, params.D.copy())
 
     def solve_beta(live, c, lam1, warm_start):

@@ -19,9 +19,7 @@ __all__ = ["fmt17", "write_csv", "write_json"]
 
 def fmt17(x) -> str:
     """Render a number with 17 significant digits (round-trip exact)."""
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, (int,)):
+    if isinstance(x, int):
         return str(x)
     return format(float(x), ".17g")
 

@@ -766,19 +766,39 @@ def test_random_role_without_columns_is_data_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [f]
 
 
-def test_random_effect_column_of_zeros_is_data_error(tmp_path, capsys):
-    # with t = 0 in every row nothing moves D[1, 1] from its start
+_ONE_ROW_CSV = "id,y,a,t\n1,2.0,3.0,1\n"
+_ONE_SUBJECT = "a fit needs at least 2 subjects; the data have 1"
+# case: (the CSV, or None for _interleaved_csv with t = 0 in every row; the
+# command and its flags after --input; the DataError's message)
+_UNIDENTIFIABLE = {
+    # nothing moved D[1, 1] from its start
+    "zero-random-column": (None, ["fit", "--subject", "id", "--response", "y", "--fixed",
+                                  "x1,x2", "--random", "1,t", "--lambda", "0", "--output"],
+                           "random-effect column 't' is zero in every row"),
+    # fit exited 0 with "converged=True iterations=126", and select chose 'a'
+    "one-row-fit": (_ONE_ROW_CSV, ["fit", "--subject", "id", "--response", "y", "--fixed", "a",
+                                   "--random", "1", "--lambda", "0.1", "--output"],
+                    _ONE_SUBJECT),
+    "one-row-select": (_ONE_ROW_CSV, ["select", "--subject", "id", "--response", "y",
+                                      "--fixed", "a", "--random", "1", "--grid", "0.1,0",
+                                      "--output-prefix"], _ONE_SUBJECT),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNIDENTIFIABLE))
+def test_design_that_cannot_identify_D_is_data_error(tmp_path, capsys, case):
+    text, args, message = _UNIDENTIFIABLE[case]
     f = tmp_path / "in.csv"
-    _interleaved_csv(f)
-    header, *rows = f.read_text().splitlines()
-    f.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",0" for row in rows]) + "\n")
-    rc = main(["fit", "--input", str(f), "--subject", "id", "--response", "y",
-               "--fixed", "x1,x2", "--random", "1,t", "--lambda", "0",
-               "--output", str(tmp_path / "fit.json")])
+    if text is None:
+        _interleaved_csv(f)
+        header, *rows = f.read_text().splitlines()
+        text = "\n".join([header] + [row.rsplit(",", 1)[0] + ",0" for row in rows]) + "\n"
+    f.write_text(text)
+    rc = main([args[0], "--input", str(f), *args[1:], str(tmp_path / "out")])
     assert rc == 3
     error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
     assert error["type"] == "DataError"
-    assert error["message"] == "random-effect column 't' is zero in every row"
+    assert error["message"] == message
     assert list(tmp_path.iterdir()) == [f]
 
 

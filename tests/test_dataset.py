@@ -513,6 +513,16 @@ _CONSTRUCTOR_REFUSALS = {
     "no-subject": (dict(subject_ids=[], counts=[], y=np.empty(0), X=np.empty((0, 2)),
                         Z=np.empty((0, 1))), "dataset needs at least one subject"),
     "non-finite": (dict(y=np.array([0.0, np.nan, 2.0])), "subject 1: non-finite values in y"),
+    "none-cell": (dict(y=np.array([0.0, None, 2.0], dtype=object)),
+                  "subject 1: non-finite values in y"),
+    # unchecked, numpy's bare ValueError "could not convert string to float"
+    "string-cell": (dict(y=[0.0, "a", 2.0]), "y must hold real numbers, got dtype <U32"),
+    "object-string-cell": (dict(X=np.array([[1.0, 1.0], [1.0, "a"], [1.0, 1.0]], dtype=object)),
+                           "X must hold real numbers, got a cell 'a'"),
+    # unchecked, a ComplexWarning, and the imaginary part dropped
+    "complex": (dict(y=[1 + 2j, 2.0, 3.0]), "y must hold real numbers, got dtype complex128"),
+    "object-complex-cell": (dict(Z=np.array([[1.0], [2j], [1.0]], dtype=object)),
+                            "Z must hold real numbers, got a cell 2j"),
     "x_names": (dict(x_names=["a"]), "x_names length does not match p"),
 }
 
@@ -523,6 +533,11 @@ def test_constructor_refuses_arrays_that_do_not_fit(case):
     with pytest.raises(DataError) as err:
         LongitudinalDataset(**{**_VALID, **changes})
     assert str(err.value) == message
+
+
+def test_constructor_takes_object_arrays_of_numbers():
+    ds = LongitudinalDataset(**{**_VALID, "X": np.ones((3, 2), dtype=int).astype(object)})
+    assert ds.X.dtype == float and ds.X.tolist() == _VALID["X"].tolist()
 
 
 def test_constructor_copies_and_leaves_callers_arrays_writeable():

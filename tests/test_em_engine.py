@@ -11,6 +11,7 @@ from lmmlasso.dataset import LongitudinalDataset
 from lmmlasso.em_engine import (
     EmControl,
     EStepMoments,
+    FitReport,
     LmmParams,
     e_step,
     fit_em,
@@ -87,17 +88,40 @@ def test_e_step_scalar_hand_computation():
     (0.0, 1.0, np.eye(2)),
     (np.zeros((2, 9)), np.ones(2), np.broadcast_to(np.eye(2), (3, 2, 2))),
     (np.zeros((2, 9)), np.ones(3), np.broadcast_to(np.eye(2), (2, 2, 2))),
-], ids=["wrong-p", "wrong-q", "scalar-beta", "stack-of-D", "stack-of-sigma2"])
-@pytest.mark.parametrize("call", [e_step, observed_loglik,
-                                  lambda ds, params: fit_em(ds, 0.1, init=params)],
-                         ids=["e_step", "observed_loglik", "fit_em-init"])
+    (np.zeros(9), np.ones(1), np.eye(2)),
+], ids=["wrong-p", "wrong-q", "scalar-beta", "stack-of-D", "stack-of-sigma2",
+        "array-sigma2"])
+@pytest.mark.parametrize("call", [
+    e_step, observed_loglik, lambda ds, params: fit_em(ds, 0.1, init=params),
+    lambda ds, params: m_step(ds, _moments_at_start(ds), params, 0.1),
+], ids=["e_step", "observed_loglik", "fit_em-init", "m_step"])
 def test_params_of_the_wrong_shape_are_refused(call, beta, sigma2, D):
     # unchecked, e_step raised a bare matmul ValueError, "too many values to
-    # unpack", or a NumericalError blaming a square D; fit_em's init must be
-    # one member
+    # unpack", or a NumericalError blaming a square D, and m_step checked
+    # none of them; fit_em's init and m_step's params_prev must be one
+    # member; a lone member's array sigma2 raised numpy's TypeError in LmmParams
     ds, _ = generate_scenario(ScenarioConfig.scenario1(n=10, n_i=4, seed=1))
     with pytest.raises(ConfigurationError, match="wrong shapes"):
         call(ds, LmmParams(beta, sigma2, D))
+
+
+def _moments_at_start(ds):
+    """The E-step of ds at beta 0, sigma2 1 and D the identity."""
+    return e_step(ds, LmmParams(np.zeros(ds.p), 1.0, np.eye(ds.q)))
+
+
+def test_m_step_refuses_a_stack_or_moments_that_are_not_one_members_on_ds():
+    # unchecked, both raised numpy's bare ValueError
+    ds, _ = generate_scenario(ScenarioConfig.scenario1(n=10, n_i=4, seed=1))
+    start = LmmParams(np.zeros(ds.p), 1.0, np.eye(ds.q))
+    stack = LmmParams(np.zeros((2, ds.p)), np.ones(2), np.broadcast_to(np.eye(ds.q), (2, 2, 2)))
+    with pytest.raises(ConfigurationError, match="^m_step: params_prev has wrong shapes"):
+        m_step(ds, e_step(ds, stack), stack, 0.1)
+    other = ds.subset_subjects(range(5))
+    for moments in (e_step(other, start), e_step(ds, stack)):
+        with pytest.raises(ConfigurationError,
+                           match="^m_step: moments are not one member's E-step on this dataset"):
+            m_step(ds, moments, start, 0.1)
 
 
 def test_e_step_mean_of_conditional_means_is_near_zero():
@@ -192,11 +216,21 @@ def test_e_step_rejects_invalid_params():
 ], ids=["negative-sigma2", "negative-D", "asymmetric-D"])
 def test_fit_em_validates_a_params_start_as_e_step_does(params, message):
     # unchecked, the guard clamped or symmetrized the start and the fit
-    # reported converged with no warning
+    # reported converged with no warning, and m_step returned a fit
     ds = simulate_lmm(1, n=4)
-    for call in (lambda: e_step(ds, params), lambda: fit_em(ds, 0.0, init=params)):
+    for call in (lambda: e_step(ds, params), lambda: fit_em(ds, 0.0, init=params),
+                 lambda: m_step(ds, _moments_at_start(ds), params, 0.0)):
         with pytest.raises(NumericalError, match=message):
             call()
+
+
+def test_a_fit_report_start_is_checked_unless_its_e_step_is_on_the_dataset():
+    # unchecked, a hand-made report with sigma2 = -1 ran 350 iterations and
+    # reported converged
+    ds = simulate_lmm(1, n=4)
+    made = FitReport(LmmParams(np.zeros(3), -1.0, D_UNIT), 1, True, np.zeros(1), 0.0, 0.0)
+    with pytest.raises(NumericalError, match="^sigma2 must be positive"):
+        fit_em(ds, 0.0, init=made)
 
 
 @pytest.mark.parametrize("name, params", [
@@ -207,9 +241,10 @@ def test_fit_em_validates_a_params_start_as_e_step_does(params, message):
     ("D", LmmParams(np.zeros(3), 1.0, [[np.inf, 0.0], [0.0, 1.0]])),
 ], ids=["beta_nan", "sigma2_nan", "sigma2_inf", "D_nan", "D_inf"])
 def test_non_finite_params_are_refused_naming_the_parameter(name, params):
-    # the public E-step and fit_em's guarded path share one check
+    # the public E-step, fit_em's start and m_step share one check
     ds = simulate_lmm(1, n=4)
-    for call in (lambda: e_step(ds, params), lambda: fit_em(ds, 0.0, init=params)):
+    for call in (lambda: e_step(ds, params), lambda: fit_em(ds, 0.0, init=params),
+                 lambda: m_step(ds, _moments_at_start(ds), params, 0.0)):
         with pytest.raises(NumericalError, match=f"^{name} must be finite"):
             call()
 
@@ -1173,6 +1208,15 @@ def test_bad_support_is_refused_before_any_em_iteration(monkeypatch, refit, supp
     assert runs == []
 
 
+@pytest.mark.parametrize("trace, worst", [
+    ([-3.0], 0.0), ([-3.0, -2.0], 0.0), ([-2.0, -3.5, -3.0], 1.5), ([-2.0, np.nan, -3.0], 0.0),
+], ids=["one-entry", "ascending", "one-drop", "nan"])
+def test_worst_trace_decrease(trace, worst):
+    rep = FitReport(LmmParams(np.zeros(1), 1.0, np.eye(1)), len(trace) - 1, True,
+                    np.array(trace), trace[-1], 0.0)
+    assert rep.worst_trace_decrease() == worst
+
+
 def test_supports_are_sorted_before_the_fit():
     ds = simulate_lmm(19, n=30, n_i=5)
     shuffled, = fit_em_supports(ds, [np.array([2, 0])])
@@ -1251,7 +1295,27 @@ def test_sweep_factors_a_support_only_when_it_changes(monkeypatch):
     assert len(requests) > 5 * len(from_dataset)
     # every other eigh in the package is of the q x q covariance D
     assert {f for m, f in callers if m != "lmmlasso.dataset"} <= {
-        "_guard_params", "_checked_eigh"}
+        "_guard_params", "_checked_params"}
+
+
+def test_sweep_checks_parameters_only_to_score_each_refit(monkeypatch):
+    # every grid fit after the first starts from the report of the last one
+    # on ds, a guarded iterate, so only the scoring observed_loglik, once
+    # per distinct refit support, runs the check
+    ds, _ = generate_scenario(ScenarioConfig.scenario1(n=10, n_i=4, seed=1))
+    checked = []
+    checked_params = em_engine._checked_params
+
+    def counted(params, ds, what, lone=False):
+        checked.append(what)
+        return checked_params(params, ds, what, lone)
+
+    monkeypatch.setattr(em_engine, "_checked_params", counted)
+    path = sweep(ds, default_grid(), lambda_scale="per_obs")
+    assert path.errors == [None] * path.grid.size
+    supports = {tuple(np.flatnonzero(fit.params.beta)) for fit in path.fits}
+    assert len(supports) > 1
+    assert checked == ["e_step: params"] * len(supports)
 
 
 def test_sweep_refits_on_the_parent_dataset(monkeypatch):

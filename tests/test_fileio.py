@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
 
-from lmmlasso.fileio import write_csv
+from lmmlasso.fileio import fmt17, write_csv
+
+
+def test_fmt17_renders_bools_integers_and_floats():
+    assert [fmt17(x) for x in (True, np.True_, np.int64(3), 7, 0.1)] == [
+        "True", "1", "3", "7", "0.10000000000000001"]
 
 
 def test_write_csv_streams_rows_and_quotes_cells(tmp_path):

@@ -129,6 +129,15 @@ def _zero_slope(ds):
 _ZERO_SLOPE = "random-effect column 'z2' is zero in every row"
 
 
+def _one_row_each(ds):
+    """ds's rows, each as a subject of its own."""
+    return LongitudinalDataset(np.arange(ds.N), np.ones(ds.N, dtype=int), ds.y, ds.X, ds.Z)
+
+
+_ONE_SUBJECT = "a fit needs at least 2 subjects; the data have 1"
+_ONE_ROW_EACH = "a fit needs more rows than subjects; the data have 24 rows for 24 subjects"
+
+
 # setting: (call on the dataset, the error it raises, its message)
 DOMAIN_REFUSALS = {
     "D_true-3x3": (lambda ds: ScenarioConfig.scenario1(D_true=np.eye(3)),
@@ -157,6 +166,19 @@ DOMAIN_REFUSALS = {
                                  DataError, _ZERO_SLOPE),
     "kfold_cv-zero-random-column": (lambda ds: kfold_cv(_zero_slope(ds), 2, grid=GRID),
                                     DataError, _ZERO_SLOPE),
+    # unchecked, one subject's fit reported converged after 2 iterations, and
+    # one row per subject (var(y_i) = z_i'D z_i + sigma2 does not separate D
+    # from sigma2) ran to the iteration cap with no note
+    "fit_em-one-subject": (lambda ds: fit_em(ds.subset_subjects([0]), 0.0),
+                           DataError, _ONE_SUBJECT),
+    "fit_em-one-row-each": (lambda ds: fit_em(_one_row_each(ds), 0.0),
+                            DataError, _ONE_ROW_EACH),
+    "fit_em_supports-one-row-each": (lambda ds: fit_em_supports(_one_row_each(ds), [(0,)]),
+                                     DataError, _ONE_ROW_EACH),
+    "sweep-one-subject": (lambda ds: sweep(ds.subset_subjects([0]), GRID),
+                          DataError, _ONE_SUBJECT),
+    "kfold_cv-one-subject-training-fold": (
+        lambda ds: kfold_cv(ds.subset_subjects([0, 1]), 2, grid=GRID), DataError, _ONE_SUBJECT),
     "roles-without-response": (lambda ds: ColumnRoles.from_mapping(
         {"subject": "id", "fixed": "a", "random": "1"}),
         ConfigurationError, "column-role mapping is missing 'response'"),

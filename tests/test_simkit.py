@@ -251,6 +251,12 @@ def test_a_failed_replicate_is_counted_and_left_out_of_the_metrics(monkeypatch):
     np.testing.assert_array_equal(s.zero_proportion, (kept == 0.0).mean(axis=0))
 
 
+def test_a_replicate_of_one_subject_fails_with_the_refusal():
+    s = run_monte_carlo(ScenarioConfig.scenario1(n=1, n_i=4), 2, grid=TINY_GRID)
+    assert s.failures == 2 and np.isnan(s.rmse)
+    assert [r.error for r in s.detail] == ["a fit needs at least 2 subjects; the data have 1"] * 2
+
+
 def test_a_run_with_no_surviving_replicate_reports_no_metrics(monkeypatch, tmp_path):
     cfg = ScenarioConfig.scenario1(n=10, n_i=4, seed=37)
     _sweep_failing_on(monkeypatch, {1, 2, 3})
