@@ -128,7 +128,9 @@ class LongitudinalDataset:
         integers >= 1, each naming its argument; a y, X or Z whose cells are
         not real numbers (strings or complex numbers); non-finite cells; and
         columns of y, X or Z whose sum of squares overflows double precision
-        (no fit could form X'X or r'r).
+        (no fit could form X'X or r'r) or, for a column with a nonzero entry,
+        underflows it (below the smallest normal double, where the fit's
+        products lose the column).
         """
         counts = np.asarray(counts)
         if counts.ndim != 1:
@@ -173,11 +175,19 @@ class LongitudinalDataset:
         with np.errstate(over="ignore"):  # refused below, by name
             squares = np.concatenate([[self.y @ self.y], np.einsum("ij,ij->j", self.X, self.X),
                                       np.einsum("ij,ij->j", self.Z, self.Z)])
-        bad = [repr(name) for name, s in zip([y_name, *self.x_names, *self.z_names], squares)
-               if not np.isfinite(s)]
-        if bad:
-            raise DataError(f"column{'s' * (len(bad) > 1)} {', '.join(bad)}: sum of squares "
-                            "overflows double precision; rescale")
+        names = [y_name, *self.x_names, *self.z_names]
+
+        def refuse(cols, what):
+            if cols:
+                bad = ", ".join(repr(names[j]) for j in cols)
+                raise DataError(f"column{'s' * (len(cols) > 1)} {bad}: sum of squares {what} "
+                                "double precision; rescale")
+
+        refuse(np.flatnonzero(~np.isfinite(squares)).tolist(), "overflows")
+        # an all-zero column builds; only the columns below tiny are scanned
+        refuse([j for j in np.flatnonzero(squares < np.finfo(float).tiny).tolist()
+                if (self.y if j == 0 else self.X[:, j - 1] if j <= self.p
+                    else self.Z[:, j - 1 - self.p]).any()], "underflows")
         self.standardization = standardization
         self._moments = None
         self._gram_factor = None  # (cols, (w, V)) of the last block factored

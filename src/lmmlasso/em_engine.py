@@ -65,15 +65,17 @@ beta solve is per member.  At 30 subjects an iteration costs mostly
 numpy dispatch, so R fits in lock-step cost far less than R fits one by
 one.  A lone member, a single fit or the last refit still iterating,
 drops the member axis; with q <= 2 and one distinct block its q x q
-algebra then runs on floats, and a stack's runs on matrix products.  A fit
-warm-started from an earlier fit's report on the same dataset (as sweep
-does) starts from that fit's last E-step instead of repeating it.
+algebra then runs on floats, and a stack's runs on matrix products.  An
+E-step holds the params it was taken at, where the M-step reads its level
+and warm start; a fit started from an earlier fit's report (as sweep does)
+reuses its last E-step if that holds the report's params on the same dataset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -140,21 +142,22 @@ class LmmParams:
 
 @dataclass
 class EStepMoments:
-    """Conditional random-effect moments of the subjects of ds at one set of parameters.
+    """Conditional random-effect moments of the subjects of ds at params, the
+    iterate the E-step was taken at (the M-step's level and warm start).
 
-    b_hat[i] is E[b_i | y_i] and loglik the marginal log-likelihood at the
-    parameters.  Cov[b_i | y_i] depends on subject i only through
-    Z_i'Z_i, so it is held once per distinct block (ds.distinct_ztz):
-    Lambda_blocks[g] for every subject in block g.  Lambda, the
-    per-subject (n, q, q) stack, and y_tilde, the stacked y - Z b_hat
-    (N,), are formed from these when read; of the two the EM reads only
-    y_tilde, for the M-step's sigma2 residual.
+    b_hat[i] is E[b_i | y_i] and loglik the marginal log-likelihood at
+    params.  Cov[b_i | y_i] depends on subject i only through Z_i'Z_i, so
+    it is held once per distinct block (ds.distinct_ztz): Lambda_blocks[g]
+    for every subject in block g.  Lambda, the per-subject (n, q, q) stack,
+    and y_tilde, the stacked y - Z b_hat (N,), are formed from these when
+    read; of the two the EM reads only y_tilde, for the sigma2 residual.
     """
 
     b_hat: np.ndarray          # (n, q)
     Lambda_blocks: np.ndarray  # (G, q, q)
     loglik: float
     ds: LongitudinalDataset = field(repr=False, compare=False)
+    params: LmmParams = field(repr=False, compare=False)
 
     @property
     def Lambda(self) -> np.ndarray:
@@ -239,10 +242,11 @@ def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def _take(stack, keep: list):
-    """Stacked LmmParams or EStepMoments at the member positions keep; a lone
-    member drops the member axis.  The moments' dataset is shared."""
+    """Stacked LmmParams or EStepMoments (and their params) at the member positions
+    keep; a lone member drops the member axis.  The moments' dataset is shared."""
     sel = keep[0] if len(keep) == 1 else keep
-    return replace(stack, **{f.name: getattr(stack, f.name)[sel]
+    return replace(stack, **{f.name: _take(getattr(stack, f.name), keep) if f.name == "params"
+                             else getattr(stack, f.name)[sel]
                              for f in fields(stack) if f.name != "ds"})
 
 
@@ -423,8 +427,8 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
 
     params may hold R members on a leading axis; the moments then carry the
     member axis first: b_hat (R, n, q), Lambda_blocks (R, G, q, q) and
-    loglik (R,).  Raises NumericalError when any member's K_i is not
-    positive definite.
+    loglik (R,).  The moments hold params themselves (EStepMoments.params).
+    Raises NumericalError when any member's K_i is not positive definite.
 
     eig, when given, is np.linalg.eigh(params.D) from the EM driver's
     _guard_params; otherwise params go through _checked_params (shapes
@@ -456,16 +460,18 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     log_sigma2 = np.log(sigma2) if lead else math.log(sigma2)
     logdet = (ds.N - n * q) * log_sigma2 + logdet_K
     loglik = -0.5 * (ds.N * math.log(2.0 * math.pi) + logdet + quad)
-    return EStepMoments(b_hat, Lambda_blocks, loglik if lead else float(loglik), ds)
+    return EStepMoments(b_hat, Lambda_blocks, loglik if lead else float(loglik), ds, params)
 
 
-def _m_step(ds: LongitudinalDataset, moments: EStepMoments, solve):
+def _m_step(ds: LongitudinalDataset, moments: EStepMoments, lam, solve):
     """The M-step given the E-step moments, of the EM driver and of m_step.
 
-    beta is solve(c), (beta, what the solve notes), on the right-hand side
-    c = X'y_tilde = X'y - sum_i (Z_i'X_i)' b_hat_i.  sigma2 and D then
-    have closed forms; their sums over subjects of Lambda_i and of
-    tr(Lambda_i Z_i'Z_i) are count-weighted sums over the distinct blocks.
+    beta is solve(c, lam1, warm_start), (beta, what the solve notes), on the
+    right-hand side c = X'y_tilde = X'y - sum_i (Z_i'X_i)' b_hat_i at raw
+    level lam1 = 2 * lam * sigma2, sigma2 and warm_start = beta those of
+    moments.params.  sigma2 and D then have closed forms; their sums over
+    subjects of Lambda_i and of tr(Lambda_i Z_i'Z_i) are count-weighted sums
+    over the distinct blocks.
     X beta is the one product with X: the sigma2 residual y_tilde - X beta
     is summed over the N rows, and X beta is returned for the next E-step.
     A member axis leading the moments leads every result.  Returns
@@ -475,7 +481,8 @@ def _m_step(ds: LongitudinalDataset, moments: EStepMoments, solve):
     blocks = ds.distinct_ztz
     b_hat, Lam = moments.b_hat, moments.Lambda_blocks
     nq = ds.n * ds.q
-    beta, cut = solve(ds.xty - b_hat.reshape(*b_hat.shape[:-2], nq) @ ztx.reshape(nq, ds.p))
+    c = ds.xty - b_hat.reshape(*b_hat.shape[:-2], nq) @ ztx.reshape(nq, ds.p)
+    beta, cut = solve(c, 2.0 * lam * moments.params.sigma2, moments.params.beta)
     xbeta = beta @ ds.X.T
     bb = b_hat.swapaxes(-1, -2) @ b_hat
     if ds.q <= 2 and b_hat.ndim == 2 and blocks.counts.size == 1:
@@ -492,24 +499,23 @@ def _m_step(ds: LongitudinalDataset, moments: EStepMoments, solve):
     return LmmParams(beta, sigma2, D), xbeta, cut
 
 
-def m_step(ds: LongitudinalDataset, moments: EStepMoments, params_prev: LmmParams,
-           lam: float, alpha: float = 1.0) -> LmmParams:
+def m_step(ds: LongitudinalDataset, moments: EStepMoments, lam: float,
+           alpha: float = 1.0) -> LmmParams:
     """Conditional maximization given the E-step moments: the EM driver's M-step.
 
     beta solves the penalized least-squares problem on (X, y_tilde) at
-    mixing weight alpha and the effective level lam1 = 2 * lam * sigma2_prev
+    mixing weight alpha and the effective level lam1 = 2 * lam * sigma2
     by _solve_gram on the dataset's X'X and cached factor, warm-started at
-    the previous beta.  sigma2 and D then have closed forms (_m_step).  lam
-    is in raw units.  params_prev must pass e_step's check (_checked_params)
-    as one member, and moments must be one member's E-step on ds.
+    beta, both of the previous iterate (moments.params).  sigma2 and D then
+    have closed forms (_m_step).  lam is in raw units.  moments must be one
+    member's E-step on ds, whose params pass e_step's check as one member.
     """
     _checked_penalty(alpha, lam)
-    _checked_params(params_prev, ds, "m_step: params_prev", lone=True)
     if moments.ds is not ds or moments.b_hat.shape != (ds.n, ds.q):
         raise ConfigurationError("m_step: moments are not one member's E-step on this dataset")
-    lam1 = 2.0 * lam * params_prev.sigma2
-    params, _, _ = _m_step(ds, moments, lambda c: _solve_gram(
-        ds.gram, c, lam1 * alpha, lam1 * (1.0 - alpha), params_prev.beta, ds.gram_factor)[:2])
+    _checked_params(moments.params, ds, "m_step: moments.params", lone=True)
+    params, _, _ = _m_step(ds, moments, lam, lambda c, lam1, warm_start: _solve_gram(
+        ds.gram, c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start, ds.gram_factor)[:2])
     return params
 
 
@@ -524,7 +530,7 @@ def observed_loglik(ds: LongitudinalDataset, params: LmmParams) -> float:
 
 def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
             lam: float = 0.0, alpha: float = 1.0,
-            init: LmmParams | None = None, moments: EStepMoments | None = None) -> list:
+            start: LmmParams | EStepMoments | None = None) -> list:
     """EM for `members` fits on ds at once, at raw penalty level lam and
     mixing weight alpha.
 
@@ -535,21 +541,21 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     raw level lam1, and per live member whether its solve dropped
     eigenpairs (noted once per fit).  It gives the pooled start from the
     cached X'y at level lam (sigma2 then the mean squared residual, D the
-    identity; init replaces the start) and each M-step's beta from
-    X'y_tilde at level 2 * lam * sigma2.
+    identity; start, an LmmParams, replaces it) and each M-step's beta
+    from X'y_tilde at level 2 * lam * sigma2 (_m_step).
 
     Each iteration guards the parameters, runs one E-step on the guard's
     eigh of D and on the X beta the pooled start or the last M-step
     formed, which gives each member's trace entry for the stopping rule,
-    and then one M-step (_m_step).  moments, the E-step at init when init
-    is a lone member's guarded iterate, stand in for the first guard and
-    E-step.  A member leaves on the stopping rule or at ctrl.max_iter with
-    its last guarded iterate and E-step; one whose guard or E-step raises
-    leaves alone, with its error.  Returns a FitReport (at lam 0) or a
-    NumericalError per member.  A DataError refuses the designs that cannot
-    identify D: fewer than 2 subjects, one row per subject (no row is left
-    to separate D from sigma2), and a column of Z that is zero in every
-    row, whose part of D nothing would move from the start.
+    and then one M-step (_m_step) at the E-step's params.  A start that is a
+    lone member's EStepMoments, the E-step at a guarded iterate, stands in
+    for the first guard and E-step.  A member leaves on the stopping rule or
+    at ctrl.max_iter with its last E-step, which holds its guarded iterate;
+    one whose guard or E-step raises leaves alone, with its error.  Returns
+    a FitReport (at lam 0) or a NumericalError per member.  A DataError
+    refuses the designs that cannot identify D: fewer than 2 subjects, one
+    row per subject (no row is left to separate D from sigma2), and a column
+    of Z that is zero in every row, whose part of D nothing would move.
     """
     if ds.n < 2:
         raise DataError(f"a fit needs at least 2 subjects; the data have {ds.n}")
@@ -572,21 +578,20 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
                 notes[k].append(_MIN_NORM_NOTE)
 
     xbeta = None  # X beta of params, once formed
-    if init is None:
+    if start is None:
         beta, cut = solve_beta(live, np.broadcast_to(ds.xty, (*lead, ds.p)), lam,
                                np.zeros((*lead, ds.p)))
         note(cut)
         xbeta = beta @ ds.X.T
         sigma2 = _sum_of_squares(ds.y - xbeta) / ds.N
-        params = LmmParams(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
-    else:
-        params = init
+        start = LmmParams(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
+    params, moments = (None, start) if isinstance(start, EStepMoments) else (start, None)
     iteration = 0
     while True:
         if moments is None:
             try:
                 guarded, eig = _guard_params(params)
-                params, moments = guarded, e_step(ds, guarded, eig=eig, xbeta=xbeta)
+                moments = e_step(ds, guarded, eig=eig, xbeta=xbeta)
             except NumericalError as e:
                 # a stack reruns member by member: those that raise alone leave it
                 failed = {}
@@ -610,7 +615,7 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
 
         lp = moments.loglik
         if lam:
-            lp = lp - lam * _penalty_value(params.beta, alpha)
+            lp = lp - lam * _penalty_value(moments.params.beta, alpha)
         stacked = len(live) > 1
         lps = lp.tolist() if stacked else [lp]
         logliks = moments.loglik.tolist() if stacked else [moments.loglik]
@@ -624,22 +629,18 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
             ratio_ok = lp_prev != 0.0 and abs(lp_new / lp_prev - 1.0) < ctrl.eps
             converged = ratio_ok or abs(lp_new - lp_prev) < ctrl.abs_eps
             if converged or iteration >= ctrl.max_iter:
-                out[k] = FitReport(_take(params, [r]) if stacked else params, iteration,
-                                   converged, np.asarray(trace), logliks[r], 0.0,
-                                   warnings=notes[k],
-                                   moments=_take(moments, [r]) if stacked else moments)
+                last = _take(moments, [r]) if stacked else moments
+                out[k] = FitReport(last.params, iteration, converged, np.asarray(trace),
+                                   logliks[r], 0.0, warnings=notes[k], moments=last)
                 done.append(r)
         if done:
             keep = [r for r in range(len(live)) if r not in done]
             if not keep:
                 break
-            live, params, moments = ([live[r] for r in keep], _take(params, keep),
-                                     _take(moments, keep))
+            live, moments = [live[r] for r in keep], _take(moments, keep)
 
         iteration += 1
-        lam1, warm_start = 2.0 * lam * params.sigma2, params.beta
-        params, xbeta, cut = _m_step(ds, moments,
-                                     lambda c: solve_beta(live, c, lam1, warm_start))
+        params, xbeta, cut = _m_step(ds, moments, lam, partial(solve_beta, live))
         note(cut)
         moments = None  # not held through the next E-step
     return out
@@ -654,8 +655,9 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     at level lam, sigma2 from its residual sum of squares over N, D the
     identity (all overridden when init is given).  init, an LmmParams or
     an earlier fit's FitReport, is checked as e_step checks params, unless
-    it is the report of a fit on ds: a guarded iterate, whose last E-step
-    (report.moments) stands in for this fit's first one.  Iterates E- and
+    it is a report whose last E-step (report.moments), on ds, holds its params
+    (report.moments.params is report.params): a guarded iterate, whose E-step
+    stands in for this fit's first one.  Iterates E- and
     M-steps until the relative change of the penalized log-likelihood
     falls below ctrl.eps, with an absolute fallback of ctrl.abs_eps where
     the ratio rule is ill-conditioned near zero.  Every solve reads X'X and its
@@ -671,21 +673,19 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     _checked_penalty(alpha, lam)
     ctrl = ctrl or EmControl()
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
-    moments = None
-    if init is not None:
-        params = init.params if isinstance(init, FitReport) else init
-        if isinstance(init, FitReport) and getattr(init.moments, "ds", None) is ds:
-            moments = init.moments  # a guarded iterate of a fit on ds, and its E-step
-        else:
-            _checked_params(params, ds, "fit_em: init", lone=True)
-        init = LmmParams(params.beta.copy(), params.sigma2, params.D.copy())
+    last = init.moments if isinstance(init, FitReport) else None
+    if last is not None and last.ds is ds and last.params is init.params:
+        init = last  # the E-step of a guarded iterate on ds, holding that iterate
+    elif init is not None:
+        init = init.params if isinstance(init, FitReport) else init
+        _checked_params(init, ds, "fit_em: init", lone=True)
 
     def solve_beta(live, c, lam1, warm_start):
         beta, cut, _ = _solve_gram(ds.gram, c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start,
                                    ds.gram_factor)
         return beta, [cut]
 
-    rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, alpha, init, moments)
+    rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, alpha, init)
     if isinstance(rep, NumericalError):
         raise rep
     return replace(rep, lam=float(lam), lambda_scale=lambda_scale)

@@ -197,7 +197,8 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
         except NumericalError as e:
             errors[i] = str(e)
             continue
-        # the path keeps no E-step moments; only the next warm start reads them
+        # the path keeps no E-step moments, of grid fits or of refits; only
+        # the next warm start reads them
         fits[i], prev = replace(fit, moments=None), fit
         supports[i] = tuple(int(j) for j in np.flatnonzero(fit.params.beta))
 
@@ -210,7 +211,7 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
                 raise refit
             # embedded-parameter loglik on the full design, so scores
             # are exactly reproducible from the stored refit params
-            scored[support] = (refit, observed_loglik(ds, refit.params))
+            scored[support] = (replace(refit, moments=None), observed_loglik(ds, refit.params))
         except NumericalError as e:
             scored[support] = str(e)
     for i, support in enumerate(supports):

@@ -895,6 +895,25 @@ def test_column_whose_squares_overflow_is_data_error(tmp_path, small_csv, capsys
     assert list(tmp_path.iterdir()) == [f]
 
 
+def test_column_whose_squares_underflow_is_data_error(tmp_path, small_csv, capsys):
+    # y and x1 near 1e-200: the fit reported converged after 2 iterations
+    # with beta 0 and sigma2 at its floor, and exited 0
+    f, _ = small_csv
+    header, *rows = f.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    for c in cells:
+        c[1], c[2] = (repr(1e-200 * float(v)) for v in c[1:3])
+    f.write_text("\n".join([header] + [",".join(c) for c in cells]) + "\n")
+    rc = main(["fit", "--input", str(f), *DATA_FLAGS, "--lambda", "0.05",
+               "--output", str(tmp_path / "fit.json")])
+    assert rc == 3
+    error = json.loads(capsys.readouterr().out.strip().split("\n")[-1])["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == ("columns 'y', 'x1': sum of squares underflows double "
+                                "precision; rescale")
+    assert list(tmp_path.iterdir()) == [f]
+
+
 _DATA_OPTIONS = ["--input", "--subject", "--response", "--fixed", "--random"]
 _STANDARDIZE_OPTIONS = ["--standardize", "--categorical", "--no-scale-y"]
 _EM_OPTIONS = ["--config", "--lambda-scale", "--eps", "--max-iter"]

@@ -524,6 +524,11 @@ _CONSTRUCTOR_REFUSALS = {
     "object-complex-cell": (dict(Z=np.array([[1.0], [2j], [1.0]], dtype=object)),
                             "Z must hold real numbers, got a cell 2j"),
     "x_names": (dict(x_names=["a"]), "x_names length does not match p"),
+    # unchecked, a fit on such a column reported converged at beta 0 and the sigma2 floor
+    "y-underflow": (dict(y=1e-200 * np.arange(3.0)),
+                    "column 'y': sum of squares underflows double precision; rescale"),
+    "X-underflow": (dict(X=np.array([[1.0, 1e-160], [1.0, 0.0], [1.0, -1e-160]])),
+                    "column 'x2': sum of squares underflows double precision; rescale"),
 }
 
 
@@ -533,6 +538,12 @@ def test_constructor_refuses_arrays_that_do_not_fit(case):
     with pytest.raises(DataError) as err:
         LongitudinalDataset(**{**_VALID, **changes})
     assert str(err.value) == message
+
+
+def test_constructor_builds_an_all_zero_column():
+    # its sum of squares is below the underflow refusal's bound, but no entry is lost
+    ds = LongitudinalDataset(**{**_VALID, "X": np.array([[1.0, 0.0]] * 3)})
+    assert ds.X[:, 1].tolist() == [0.0] * 3
 
 
 def test_constructor_takes_object_arrays_of_numbers():

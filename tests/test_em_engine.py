@@ -93,12 +93,12 @@ def test_e_step_scalar_hand_computation():
         "array-sigma2"])
 @pytest.mark.parametrize("call", [
     e_step, observed_loglik, lambda ds, params: fit_em(ds, 0.1, init=params),
-    lambda ds, params: m_step(ds, _moments_at_start(ds), params, 0.1),
+    lambda ds, params: m_step(ds, replace(_moments_at_start(ds), params=params), 0.1),
 ], ids=["e_step", "observed_loglik", "fit_em-init", "m_step"])
 def test_params_of_the_wrong_shape_are_refused(call, beta, sigma2, D):
     # unchecked, e_step raised a bare matmul ValueError, "too many values to
     # unpack", or a NumericalError blaming a square D, and m_step checked
-    # none of them; fit_em's init and m_step's params_prev must be one
+    # none of them; fit_em's init and m_step's moments.params must be one
     # member; a lone member's array sigma2 raised numpy's TypeError in LmmParams
     ds, _ = generate_scenario(ScenarioConfig.scenario1(n=10, n_i=4, seed=1))
     with pytest.raises(ConfigurationError, match="wrong shapes"):
@@ -115,13 +115,13 @@ def test_m_step_refuses_a_stack_or_moments_that_are_not_one_members_on_ds():
     ds, _ = generate_scenario(ScenarioConfig.scenario1(n=10, n_i=4, seed=1))
     start = LmmParams(np.zeros(ds.p), 1.0, np.eye(ds.q))
     stack = LmmParams(np.zeros((2, ds.p)), np.ones(2), np.broadcast_to(np.eye(ds.q), (2, 2, 2)))
-    with pytest.raises(ConfigurationError, match="^m_step: params_prev has wrong shapes"):
-        m_step(ds, e_step(ds, stack), stack, 0.1)
+    with pytest.raises(ConfigurationError, match="^m_step: moments.params has wrong shapes"):
+        m_step(ds, replace(_moments_at_start(ds), params=stack), 0.1)
     other = ds.subset_subjects(range(5))
     for moments in (e_step(other, start), e_step(ds, stack)):
         with pytest.raises(ConfigurationError,
                            match="^m_step: moments are not one member's E-step on this dataset"):
-            m_step(ds, moments, start, 0.1)
+            m_step(ds, moments, 0.1)
 
 
 def test_e_step_mean_of_conditional_means_is_near_zero():
@@ -219,7 +219,7 @@ def test_fit_em_validates_a_params_start_as_e_step_does(params, message):
     # reported converged with no warning, and m_step returned a fit
     ds = simulate_lmm(1, n=4)
     for call in (lambda: e_step(ds, params), lambda: fit_em(ds, 0.0, init=params),
-                 lambda: m_step(ds, _moments_at_start(ds), params, 0.0)):
+                 lambda: m_step(ds, replace(_moments_at_start(ds), params=params), 0.0)):
         with pytest.raises(NumericalError, match=message):
             call()
 
@@ -233,6 +233,59 @@ def test_a_fit_report_start_is_checked_unless_its_e_step_is_on_the_dataset():
         fit_em(ds, 0.0, init=made)
 
 
+def _scenario1_report():
+    """Scenario 1, seed 3, and its fit at 0.1 per observation (22 iterations)."""
+    ds, _ = generate_scenario(ScenarioConfig.scenario1(seed=3))
+    return ds, fit_em(ds, 0.1, lambda_scale="per_obs")
+
+
+@pytest.mark.parametrize("params, error, message", [
+    (lambda rep: LmmParams(rep.params.beta, -1.0, rep.params.D), NumericalError,
+     "^sigma2 must be positive"),
+    (lambda rep: LmmParams(rep.params.beta[:3], rep.params.sigma2, rep.params.D),
+     ConfigurationError, "^fit_em: init has wrong shapes for this dataset"),
+], ids=["negative-sigma2", "short-beta"])
+def test_a_report_whose_params_were_replaced_is_checked(params, error, message):
+    # unchecked, the fit ran from the report's stale E-step: 10 iterations
+    # for sigma2 = -1 and 8 for a beta of 3 entries, each reported converged
+    ds, rep = _scenario1_report()
+    with pytest.raises(error, match=message):
+        fit_em(ds, 0.05, init=replace(rep, params=params(rep)), lambda_scale="per_obs")
+
+
+def test_a_report_whose_params_were_replaced_starts_from_them(monkeypatch):
+    # from the report's stale E-step the fit ran 8 iterations, not 15
+    ds, rep = _scenario1_report()
+    params = LmmParams(5.0 * np.ones(ds.p), rep.params.sigma2, rep.params.D)
+    from_report = fit_em(ds, 0.05, init=replace(rep, params=params), lambda_scale="per_obs")
+    from_params = fit_em(ds, 0.05, init=params, lambda_scale="per_obs")
+    assert from_report.iterations == from_params.iterations == 15
+    assert from_report.penalized_loglik_trace.tobytes() == \
+        from_params.penalized_loglik_trace.tobytes()
+    assert from_report.params.beta.tobytes() == from_params.params.beta.tobytes()
+
+    # the report itself, or with other fields replaced, still lends its E-step
+    calls = []
+    public_e_step = em_engine.e_step
+    monkeypatch.setattr(em_engine, "e_step",
+                        lambda *a, **kw: calls.append(None) or public_e_step(*a, **kw))
+    cold = fit_em(ds, 0.05, init=rep.params, lambda_scale="per_obs")
+    for init in (rep, replace(rep, iterations=0)):
+        calls.clear()
+        warm = fit_em(ds, 0.05, init=init, lambda_scale="per_obs")
+        assert len(calls) == cold.iterations
+        assert warm.penalized_loglik_trace.tobytes() == cold.penalized_loglik_trace.tobytes()
+
+
+def test_every_report_holds_the_e_step_of_its_params():
+    ds, rep = _scenario1_report()
+    reps = [rep, fit_em(ds, 0.05, init=rep, lambda_scale="per_obs"),
+            refit_support(ds, (0, 1)), *fit_em_supports(ds, [(0,), (0, 1, 4), (2,)])]
+    for r in reps:
+        assert r.moments.ds is ds and r.moments.params is r.params
+        assert r.moments.loglik == r.final_loglik
+
+
 @pytest.mark.parametrize("name, params", [
     ("beta", LmmParams([np.nan, 0.0, 0.0], 1.0, D_UNIT)),
     ("sigma2", LmmParams(np.zeros(3), np.nan, D_UNIT)),
@@ -244,7 +297,7 @@ def test_non_finite_params_are_refused_naming_the_parameter(name, params):
     # the public E-step, fit_em's start and m_step share one check
     ds = simulate_lmm(1, n=4)
     for call in (lambda: e_step(ds, params), lambda: fit_em(ds, 0.0, init=params),
-                 lambda: m_step(ds, _moments_at_start(ds), params, 0.0)):
+                 lambda: m_step(ds, replace(_moments_at_start(ds), params=params), 0.0)):
         with pytest.raises(NumericalError, match=f"^{name} must be finite"):
             call()
 
@@ -286,7 +339,7 @@ def test_e_step_matches_dense_oracles_and_em_step_ascends(problem):
     assert mom.loglik == pytest.approx(ref, rel=0, abs=1e-9)
 
     before = mom.loglik - lam * penalty_value(params.beta)
-    after = penalized_loglik(ds, m_step(ds, mom, params, lam), lam)
+    after = penalized_loglik(ds, m_step(ds, mom, lam), lam)
     assert after >= before - 1e-9 * (1.0 + abs(before))
 
 
@@ -428,10 +481,10 @@ def test_a_stack_with_one_indefinite_member_fails_only_that_member(design, n_blo
         return np.linalg.solve(ds.gram, c.T).T, [False] * len(live)
 
     ctrl = EmControl(eps=0.0, abs_eps=0.0, max_iter=5)
-    out = em_engine._run_em(ds, 3, solve_beta, ctrl, init=stack)
+    out = em_engine._run_em(ds, 3, solve_beta, ctrl, start=stack)
     assert isinstance(out[1], NumericalError)
     for rep, params in zip((out[0], out[2]), good):
-        lone, = em_engine._run_em(ds, 1, solve_beta, ctrl, init=params)
+        lone, = em_engine._run_em(ds, 1, solve_beta, ctrl, start=params)
         assert rep.iterations == lone.iterations == ctrl.max_iter
         np.testing.assert_allclose(_fit_vector(rep), _fit_vector(lone), rtol=1e-12, atol=0)
         assert rep.final_loglik == pytest.approx(lone.final_loglik, rel=1e-12, abs=0.0)
@@ -519,11 +572,11 @@ def test_one_member_closed_forms_agree_with_the_matrix_route(case):
     for name in ("b_hat", "Lambda", "y_tilde", "loglik"):
         _assert_close_to(getattr(stack, name)[0], getattr(lone, name), rtol)
 
-    def solve(c):
+    def solve(c, lam1, warm_start):
         return np.linalg.solve(ds.gram, c.T).T, False
 
-    one, xbeta_one, _ = em_engine._m_step(ds, lone, solve)
-    two, xbeta_two, _ = em_engine._m_step(ds, stack, solve)
+    one, xbeta_one, _ = em_engine._m_step(ds, lone, 0.0, solve)
+    two, xbeta_two, _ = em_engine._m_step(ds, stack, 0.0, solve)
     for name in ("beta", "sigma2", "D"):
         _assert_close_to(getattr(two, name)[0], getattr(one, name), rtol)
     _assert_close_to(xbeta_two[0], xbeta_one, rtol)
@@ -547,9 +600,9 @@ def test_a_penalized_stack_traces_each_member_as_its_lone_run():
         return np.stack([b for b, _, _ in out]).reshape(c.shape), [cut for _, cut, _ in out]
 
     ctrl = EmControl(eps=0.0, abs_eps=0.0, max_iter=8)
-    reps = em_engine._run_em(ds, 2, solve_beta, ctrl, lam, init=_stack(members))
+    reps = em_engine._run_em(ds, 2, solve_beta, ctrl, lam, start=_stack(members))
     for rep, params in zip(reps, members):
-        lone, = em_engine._run_em(ds, 1, solve_beta, ctrl, lam, init=params)
+        lone, = em_engine._run_em(ds, 1, solve_beta, ctrl, lam, start=params)
         assert rep.iterations == lone.iterations == ctrl.max_iter
         np.testing.assert_allclose(rep.penalized_loglik_trace, lone.penalized_loglik_trace,
                                    rtol=1e-12, atol=0)
@@ -565,9 +618,10 @@ def test_m_step_collapses_to_ols_without_random_information():
     rng = np.random.default_rng(5)
     ds = stack_subjects([(rng.normal(size=4), rng.normal(size=(4, 3)), np.zeros((4, 2)))
                          for i in range(8)])
-    mom = EStepMoments(np.zeros((8, 2)), np.zeros_like(ds.distinct_ztz.ztz), float("nan"), ds)
     prev = LmmParams(np.zeros(3), 1.0, np.eye(2))
-    params = m_step(ds, mom, prev, 0.0)
+    mom = EStepMoments(np.zeros((8, 2)), np.zeros_like(ds.distinct_ztz.ztz), float("nan"), ds,
+                       prev)
+    params = m_step(ds, mom, 0.0)
     ols = np.linalg.solve(ds.X.T @ ds.X, ds.X.T @ ds.y)
     np.testing.assert_allclose(params.beta, ols, atol=1e-9)
     rss = float(np.sum((ds.y - ds.X @ ols) ** 2))
@@ -580,8 +634,9 @@ def test_m_step_d_update_arithmetic():
     b_hat = np.tile(np.array([1.0, 0.0]), (6, 1))
     # every subject has the same Z'Z: Cov[b_i | y_i] is one block for all six
     assert ds.distinct_ztz.counts.tolist() == [6]
-    mom = EStepMoments(b_hat, np.eye(2)[None], float("nan"), ds)
-    params = m_step(ds, mom, LmmParams(np.zeros(3), 1.0, np.eye(2)), 0.0)
+    mom = EStepMoments(b_hat, np.eye(2)[None], float("nan"), ds,
+                       LmmParams(np.zeros(3), 1.0, np.eye(2)))
+    params = m_step(ds, mom, 0.0)
     expected = np.array([[2.0, 0.0], [0.0, 1.0]])  # e1 e1' + I
     np.testing.assert_allclose(params.D, expected, atol=1e-12)
 
@@ -593,7 +648,7 @@ def test_single_em_step_does_not_decrease_penalized_loglik():
     params = LmmParams(np.zeros(9), 2.0, np.eye(2))
     before = penalized_loglik(ds, params, lam)
     mom = e_step(ds, params)
-    after_params = m_step(ds, mom, params, lam)
+    after_params = m_step(ds, mom, lam)
     after = penalized_loglik(ds, after_params, lam)
     assert after >= before - 1e-8
 
@@ -959,7 +1014,7 @@ def test_exact_m_step_without_factor_matches_solve_pls(lam, alpha, monkeypatch):
     params = LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT)
     mom = e_step(ds, params)
     calls = _count_solve_pls(monkeypatch)
-    new = m_step(ds, mom, params, lam, alpha)
+    new = m_step(ds, mom, lam, alpha)
     assert calls == []
     # the M-step and the public solver are one solver, on right-hand sides
     # that differ by rounding: the M-step's X'y - sum_i (Z_i'X_i)' b_hat_i
@@ -984,7 +1039,7 @@ def test_exact_m_step_pivots_to_the_optimum(lam, alpha, warm_start, monkeypatch)
     mom = e_step(ds, LmmParams(np.array([0.4, -0.3, 0.0]), 1.7, D_UNIT))
     params = LmmParams(np.array(warm_start), 1.7, D_UNIT)
     calls = _count_solve_pls(monkeypatch)
-    new = m_step(ds, mom, params, lam, alpha)
+    new = m_step(ds, replace(mom, params=params), lam, alpha)
     assert calls == []
     lam1 = 2.0 * lam * params.sigma2
     ref, _ = lasso_best_by_enumeration(ds.X, mom.y_tilde, lam1 * alpha, lam1 * (1.0 - alpha))

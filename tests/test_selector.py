@@ -545,6 +545,28 @@ def test_refit_supports_isolates_a_failing_e_step(monkeypatch):
         _assert_close(reps[k].final_loglik, clean[k].final_loglik, "final_loglik")
 
 
+def test_a_path_keeps_no_e_step_moments():
+    # each refit held its last E-step (b_hat, the Lambda blocks and the
+    # dataset) while the grid fits held none
+    path = sweep(_scenario3(1), default_grid(20), lambda_scale="per_obs")
+    assert all(e is None for e in path.errors)
+    assert [f.moments for f in path.fits + path.refit_fits] == [None] * 40
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_grid_fit_from_the_previous_e_step_equals_one_from_its_params(seed):
+    # reusing the previous fit's last E-step saves one E-step and changes nothing
+    ds = _scenario3(seed)
+    path = sweep(ds, default_grid(20), lambda_scale="per_obs")
+    for i in range(1, path.grid.size):
+        fit = fit_em(ds, float(path.grid[i]), init=path.fits[i - 1].params,
+                     lambda_scale="per_obs")
+        assert fit.iterations == path.fits[i].iterations
+        assert fit.params.beta.tobytes() == path.fits[i].params.beta.tobytes()
+        assert fit.penalized_loglik_trace.tobytes() == \
+            path.fits[i].penalized_loglik_trace.tobytes()
+
+
 def test_scenario3_sweep_runs_no_coordinate_descent(monkeypatch):
     # a work-count guard: every beta M-step of a full-rank design, the pooled
     # start included, calls the solver's core directly, not the public

@@ -79,7 +79,7 @@ REAL_SETTINGS = {
     "penalty_value_alpha": (lambda v, ds: penalty_value(BETA, v), "alpha"),
     "lambda_max_alpha": (lambda v, ds: lambda_max(ds.X, ds.y, v), "alpha"),
     "fit_em_alpha": (lambda v, ds: fit_em(ds, 0.1, v), "alpha"),
-    "m_step_alpha": (lambda v, ds: m_step(ds, e_step(ds, START), START, 0.1, v), "alpha"),
+    "m_step_alpha": (lambda v, ds: m_step(ds, e_step(ds, START), 0.1, v), "alpha"),
     "sweep_alpha": (lambda v, ds: sweep(ds, GRID, v), "alpha"),
     "select_alpha": (lambda v, ds: select(ds, GRID, v), "alpha"),
     "kfold_cv_alpha": (lambda v, ds: kfold_cv(ds, 2, GRID, v), "alpha"),
