@@ -4,9 +4,9 @@ A dataset is held as stacked arrays: the response y and the designs X
 (p fixed-effect columns) and Z (q random-effect columns), rows grouped
 by subject, with per-subject cross products computed by grouped sums.
 The dataset also caches X'X, X'y, the distinct Z_i'Z_i blocks, Z transposed
-and the eigendecomposition of the last block of X'X asked for.  Values are
-immutable after construction, so datasets can be shared read-only across
-concurrent fits.
+and the eigendecomposition of the last block of X'X asked for, with that
+block's columns of X'X.  Values are immutable after construction, so
+datasets can be shared read-only across concurrent fits.
 """
 
 from __future__ import annotations
@@ -42,12 +42,28 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return a
 
 
+def _entries(A: np.ndarray) -> tuple:
+    """The upper-triangle entries (a00,) or (a00, a01, a11) of one symmetric
+    q x q block A, q <= 2, as Python floats: the q x q algebra of the EM
+    costs less on them than numpy's per-call dispatch on 2 x 2 arrays."""
+    A = A.tolist()
+    return (A[0][0],) if len(A) == 1 else (A[0][0], A[0][1], A[1][1])
+
+
 def _taken(a, dtype=float) -> np.ndarray:
     """_frozen(a) when a is already read-only (another dataset's array), else
     _frozen of a copy, so that the caller's arrays stay writeable."""
     if isinstance(a, np.ndarray) and not a.flags.writeable:
         return _frozen(a, dtype)
     return _frozen(np.array(a, dtype=dtype), dtype)
+
+
+def _handed_over(*arrays) -> tuple:
+    """arrays, which their caller has just made for a dataset, marked read-only
+    so that the constructor shares them (_taken) instead of copying them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _not_real(a: np.ndarray) -> str | None:
@@ -190,7 +206,7 @@ class LongitudinalDataset:
                     else self.Z[:, j - 1 - self.p]).any()], "underflows")
         self.standardization = standardization
         self._moments = None
-        self._gram_factor = None  # (cols, (w, V)) of the last block factored
+        self._gram_factor = None  # (cols, (w, V, X'X[:, cols])) of the last block factored
 
     def _derive(self, **changes) -> "LongitudinalDataset":
         """This dataset with some of the constructor's arguments (_FIELDS) replaced."""
@@ -246,6 +262,23 @@ class LongitudinalDataset:
                               _frozen(index, int), _frozen(np.bincount(index), int))
 
     @cached_property
+    def ztz_entries(self) -> tuple | None:
+        """The one distinct Z_i'Z_i block's upper-triangle entries as Python
+        floats (_entries), on which the EM runs one member's q x q algebra;
+        None unless the design has one distinct block and q <= 2.  Computed
+        once."""
+        if self.q > 2 or self.distinct_ztz.counts.size != 1:
+            return None
+        return _entries(self.distinct_ztz.ztz[0])
+
+    @cached_property
+    def repeats(self):
+        """counts as np.repeat takes them to spread per-subject values over the
+        rows: the one count, an int, when every subject has it (a scalar
+        repeat is faster), else counts."""
+        return int(self.counts[0]) if (self.counts == self.counts[0]).all() else self.counts
+
+    @cached_property
     def zt(self) -> np.ndarray:
         """Z transposed, a contiguous (q, N) copy, so that a sum over Z's
         columns runs along the rows.  Computed once and cached read-only."""
@@ -262,17 +295,23 @@ class LongitudinalDataset:
         return _frozen(self.X.T @ self.X)
 
     def gram_factor(self, cols):
-        """np.linalg.eigh of the cols x cols block of X'X, read-only.
+        """(w, V, G_A): np.linalg.eigh of the cols x cols block of X'X and the
+        columns cols of X'X (p, |cols|), all read-only.
 
-        The dataset holds one factor, the last one asked for: a request for
-        the same columns in the same order reuses it, any other replaces
-        it.  The slot is read once per call, so callers on other threads
-        cannot mix one request's columns with another's factor.
+        The dataset holds one slot, the last columns asked for: a request for
+        the same columns in the same order reuses it, with no eigh and no
+        copy of the columns, and any other replaces it.  The slot is keyed by
+        the columns as Python ints (tuple(ndarray) would build numpy scalars)
+        and read once per call, so callers on other threads cannot mix one
+        request's columns with another's factor.  All p columns in order
+        share X'X itself.
         """
-        cols = tuple(cols)
+        key = tuple(cols.tolist()) if isinstance(cols, np.ndarray) else tuple(cols)
         slot = self._gram_factor
-        if slot is None or slot[0] != cols:
-            slot = cols, tuple(map(_frozen, np.linalg.eigh(self.gram[np.ix_(cols, cols)])))
+        if slot is None or slot[0] != key:
+            A = np.array(key, dtype=np.intp)
+            G_A = self.gram if key == tuple(range(self.p)) else _frozen(self.gram[:, A])
+            slot = key, (*map(_frozen, np.linalg.eigh(self.gram[np.ix_(A, A)])), G_A)
             self._gram_factor = slot
         return slot[1]
 
@@ -445,10 +484,10 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     cells float() takes and numpy does not (such as "1_0").  y, X and Z
     are stacked from the parsed columns, and their rows grouped by one
     gather per array, in the order of a stable sort of the subjects'
-    first-appearance codes.  A
-    missing, unreadable or undecodable file is a DataError, and so is a
-    header or row csv.reader refuses (a field over its size limit), named
-    by the line it ends on, and an empty subject cell.
+    first-appearance codes; the dataset shares these arrays.  A missing,
+    unreadable or undecodable file is a DataError, and so is a header or
+    row csv.reader refuses (a field over its size limit), named by the
+    line it ends on, and an empty subject cell.
     """
     try:
         with open(path, newline="") as fh:
@@ -501,7 +540,7 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     X = stack([columns[col_index[c]] for c in roles.fixed])
     Z = stack([np.ones(codes.size) if c == "1" else columns[col_index[c]] for c in roles.random])
     return LongitudinalDataset(
-        list(first_seen), np.bincount(codes), y[order], X[order], Z[order],
+        list(first_seen), np.bincount(codes), *_handed_over(y[order], X[order], Z[order]),
         roles.fixed, roles.response, roles.random)
 
 
@@ -519,7 +558,8 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
     X's deviations from the column means are formed once: the scale is
     taken from them with X.std(ddof=1)'s arithmetic (the sum of their
     squares over N - 1, then the square root), they are divided by it in
-    place, and the exempt columns are copied from X.
+    place, and the exempt columns are copied from X.  The new dataset
+    shares the scaled X and y, and ds's Z.
     """
     if ds.standardization is not None:
         raise ConfigurationError("dataset is already standardized")
@@ -552,7 +592,8 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
         raise DataError("response has a non-finite standard deviation; rescale it")
 
     record = StandardizationRecord(center, scale, y_center, y_scale)
-    return ds._derive(y=(ds.y - y_center) / y_scale, X=X, standardization=record)
+    y, X = _handed_over((ds.y - y_center) / y_scale, X)
+    return ds._derive(y=y, X=X, standardization=record)
 
 
 def remove_linear_combos(ds: LongitudinalDataset, rank_tol: float = 1e-7):

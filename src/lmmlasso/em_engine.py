@@ -23,13 +23,16 @@ only through Z_i'Z_i, so they are computed once per distinct block of
 the dataset (ds.distinct_ztz): once per member for a balanced design, n
 times in the worst case.  Each iteration eigendecomposes D once:
 fit_em's guard (_guard_params) takes eigh(D) and hands it to e_step,
-which builds S from it.  This q x q algebra (S, K_i, its inverse and log
+which builds S from it.  Every iterate's D is exactly symmetric, so the
+guard does not symmetrize it; fit_em symmetrizes a start from outside
+the EM once.  This q x q algebra (S, K_i, its inverse and log
 determinant, S K_i^-1 S, and the M-step's sums of Lambda_i and
 tr(Lambda_i Z_i'Z_i)) takes one of two routes.  One member on one
 distinct block with q <= 2, as on a balanced design, runs it entrywise
-on Python floats (_entries), where numpy's dispatch on 2 x 2 arrays
-costs more than the arithmetic; a stack, several blocks or q >= 3 run
-matrix products (_psd_sqrt, _sandwich) and LAPACK.
+on Python floats (_entries; the block's own entries are cached as
+ds.ztz_entries), where numpy's dispatch on 2 x 2 arrays costs more than
+the arithmetic; a stack, several blocks or q >= 3 run matrix products
+(_psd_sqrt, _sandwich) and LAPACK.
 
 Each iteration reads the N rows once.  The M-step (_m_step, which the
 public m_step runs too) forms X beta, the one product with X, for the
@@ -45,15 +48,17 @@ are read.
 
 Every beta M-step, the pooled start included, is penalized_ls's one lasso
 solver, _solve_gram, called on the dataset's X'X (ds.gram), X'y_tilde and
-the dataset's cached factor (ds.gram_factor, which holds the
-eigendecomposition of the last block of X'X asked for): linear solves on
-the eigenpairs of X_A'X_A + shift * I for a support A, an active-set loop
-from the previous beta's support and signs when there is an l1 term.  An
-M-step whose warm support is the last one factored computes no
-eigendecomposition.  Where a solve drops eigenpairs (X_A'X_A + shift * I
-is not numerically positive definite) its beta is the minimum-norm one,
-which has the X beta, EM path and log-likelihood of any least-squares
-solution, and the fit records a note.
+the dataset's cached factor (ds.gram_factor, whose one slot holds the
+eigendecomposition of the last block X_A'X_A asked for and the columns
+X'X_A of its support): linear solves on the eigenpairs of X_A'X_A +
+shift * I for a support A, an active-set loop from the previous beta's
+support and signs when there is an l1 term.  An M-step whose warm
+support is the last one factored computes no eigendecomposition and
+copies no column of X'X: its optimality test reads them from the slot.
+Where a solve drops eigenpairs (X_A'X_A + shift * I is not numerically
+positive definite) its beta is the minimum-norm one, which has the X
+beta, EM path and log-likelihood of any least-squares solution, and the
+fit records a note.
 
 fit_em and fit_em_supports run one EM driver (_run_em) over members
 whose parameters sit on a leading axis of one LmmParams: fit_em one
@@ -79,7 +84,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import LongitudinalDataset, _checked_indices
+from .dataset import LongitudinalDataset, _checked_indices, _entries
 from .exceptions import ConfigurationError, DataError, NumericalError, _checked_int, _checked_real
 # solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
 # this module's binding of it, so the name stays until the tracer drops it
@@ -173,7 +178,7 @@ class EStepMoments:
         axis, for one member or a stack.
         """
         ds = self.ds
-        b_rows = self.b_hat.swapaxes(-1, -2).repeat(ds.counts, axis=-1)
+        b_rows = self.b_hat.swapaxes(-1, -2).repeat(ds.repeats, axis=-1)
         return ds.y - np.einsum("qn,...qn->...n", ds.zt, b_rows)
 
 
@@ -254,14 +259,18 @@ def _guard_params(params: LmmParams):
     """Clamp D's eigenvalues and sigma2 away from zero before an E-step.
 
     Returns the guarded params and np.linalg.eigh of their D, which e_step
-    takes in place of its own checks: the guarded D is exactly symmetric
-    with eigenvalues above -1e-10 and sigma2 is positive, so after the
-    shared finiteness check nothing _checked_params refuses can get through.
-    Stacked params are guarded member by member in one pass, and raise if
-    any member is not finite.
+    takes in place of its own checks: the guarded D has eigenvalues above
+    -1e-10 and sigma2 is positive, so after the shared finiteness check
+    nothing _checked_params refuses can get through.  D must be exactly
+    symmetric, as every iterate's is: the pooled start's identity, the
+    M-step's D (entries on the float route, 0.5 * (D + D') on the matrix
+    route) and fit_em's symmetrized start; 0.5 * (D + D') would be D bit
+    for bit, so the guard does not form it.  A clamped D is symmetrized
+    again.  Stacked params are guarded member by member in one pass, and
+    raise if any member is not finite.
     """
     params._check_finite()
-    D = 0.5 * (params.D + params.D.swapaxes(-1, -2))
+    D = params.D
     w, V = np.linalg.eigh(D)
     stacked = w.ndim > 1
     if (w.min() if stacked else w[0]) < _D_EIG_FLOOR:  # eigh's eigenvalues ascend
@@ -296,14 +305,6 @@ def _spd_inv_logdet(K):
     return inv, math.log(det)
 
 
-def _entries(A: np.ndarray) -> tuple:
-    """The upper-triangle entries (a00,) or (a00, a01, a11) of one symmetric
-    q x q block A, q <= 2, as Python floats: the q x q algebra of the EM
-    costs less on them than numpy's per-call dispatch on 2 x 2 arrays."""
-    A = A.tolist()
-    return (A[0][0],) if len(A) == 1 else (A[0][0], A[0][1], A[1][1])
-
-
 def _from_entries(E: tuple) -> np.ndarray:
     """The symmetric (q, q) block whose upper-triangle entries are E (the
     inverse of _entries)."""
@@ -336,26 +337,26 @@ def _root_entries(w: np.ndarray, V: np.ndarray) -> tuple:
             v10 * s0 * v10 + v11 * s1 * v11)
 
 
-def _conditioned_blocks(blocks, eig, sigma2, lead: tuple):
-    """The q x q algebra of an E-step, once per distinct Z'Z block g.
+def _conditioned_blocks(ds: LongitudinalDataset, eig, sigma2, lead: tuple):
+    """The q x q algebra of an E-step, once per distinct Z'Z block g of ds.
 
     With S the square root of D from eig = np.linalg.eigh(D) and K_g =
     sigma2 I + S Z_g'Z_g S, returns sum_g count_g log det K_g, the blocks
     S K_g^-1 S and the blocks Lambda_g = sigma2 S K_g^-1 S (..., G, q, q).
     One member meeting one block with q <= 2 runs the algebra entrywise
-    on Python floats (_entries), and S K^-1 S is then one (q, q) array.
-    Every other case, a stack, several blocks or q >= 3, runs matrix
-    products (_psd_sqrt, _sandwich) and LAPACK.
+    on Python floats (ds.ztz_entries), and S K^-1 S is then one (q, q)
+    array.  Every other case, a stack, several blocks or q >= 3, runs
+    matrix products (_psd_sqrt, _sandwich) and LAPACK.
     """
-    ztz, counts = blocks.ztz, blocks.counts
-    q = ztz.shape[-1]
-    if q <= 2 and not lead and counts.size == 1:
+    if not lead and ds.ztz_entries is not None:
         S = _root_entries(*eig)
-        M = _sandwich_entries(S, _entries(ztz[0]))
-        K = (sigma2 + M[0],) if q == 1 else (sigma2 + M[0], M[1], sigma2 + M[2])
+        M = _sandwich_entries(S, ds.ztz_entries)
+        K = (sigma2 + M[0],) if len(M) == 1 else (sigma2 + M[0], M[1], sigma2 + M[2])
         Kinv, logdet_K = _spd_inv_logdet(K)
         SKS = _from_entries(_sandwich_entries(S, Kinv))
-        return logdet_K * int(counts[0]), SKS, (sigma2 * SKS)[None]
+        return logdet_K * ds.n, SKS, (sigma2 * SKS)[None]
+    ztz, counts = ds.distinct_ztz.ztz, ds.distinct_ztz.counts
+    q = ztz.shape[-1]
     s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (G, q, q) blocks
     S = _psd_sqrt(*eig)
     Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
@@ -379,9 +380,12 @@ def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def _checked_params(params: LmmParams, ds: LongitudinalDataset, what: str, lone: bool = False):
     """np.linalg.eigh(params.D) of parameters from outside the EM, once checked:
-    a ConfigurationError naming what unless they are one member (or, unless
-    lone, a stack) with ds's p and q, then a NumericalError unless finite
-    with sigma2 > 0 and D symmetric, eigenvalues above -1e-10."""
+    a ConfigurationError naming what unless they are an LmmParams of one
+    member (or, unless lone, a stack) with ds's p and q, then a
+    NumericalError unless finite with sigma2 > 0 and D symmetric,
+    eigenvalues above -1e-10."""
+    if not isinstance(params, LmmParams):
+        raise ConfigurationError(f"{what} must be an LmmParams, got {type(params).__name__}")
     lead = params.beta.shape[:-1]
     if (lone and lead) or (params.beta.shape[-1:], np.shape(params.sigma2), params.D.shape) != (
             (ds.p,), lead, (*lead, ds.q, ds.q)):
@@ -431,11 +435,11 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     Raises NumericalError when any member's K_i is not positive definite.
 
     eig, when given, is np.linalg.eigh(params.D) from the EM driver's
-    _guard_params; otherwise params go through _checked_params (shapes
-    that do not fit ds are a ConfigurationError, values it refuses a
-    NumericalError), which decomposes D.  xbeta, when given, is
-    params.beta @ ds.X.T, which the EM driver carries from its M-step;
-    otherwise it is formed here.
+    _guard_params; otherwise params go through _checked_params (params
+    that are not an LmmParams or whose shapes do not fit ds are a
+    ConfigurationError, values it refuses a NumericalError), which
+    decomposes D.  xbeta, when given, is params.beta @ ds.X.T, which the
+    EM driver carries from its M-step; otherwise it is formed here.
     """
     if eig is None:
         eig = _checked_params(params, ds, "e_step: params")
@@ -444,7 +448,7 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     n, q = ds.n, ds.q
     lead = params.beta.shape[:-1]
     sigma2 = params.sigma2
-    logdet_K, SKS, Lambda_blocks = _conditioned_blocks(blocks, eig, sigma2, lead)
+    logdet_K, SKS, Lambda_blocks = _conditioned_blocks(ds, eig, sigma2, lead)
 
     ztr = zty - (params.beta @ ztx.reshape(n * q, ds.p).T).reshape(*lead, n, q)
     if SKS.ndim == 2:  # one member, one block: S K^-1 S is one symmetric (q, q) array
@@ -485,9 +489,9 @@ def _m_step(ds: LongitudinalDataset, moments: EStepMoments, lam, solve):
     beta, cut = solve(c, 2.0 * lam * moments.params.sigma2, moments.params.beta)
     xbeta = beta @ ds.X.T
     bb = b_hat.swapaxes(-1, -2) @ b_hat
-    if ds.q <= 2 and b_hat.ndim == 2 and blocks.counts.size == 1:
+    if b_hat.ndim == 2 and ds.ztz_entries is not None:
         # one member on one block: entrywise on floats (_entries)
-        L, A = _entries(Lam[0]), _entries(blocks.ztz[0])
+        L, A = _entries(Lam[0]), ds.ztz_entries
         tr = L[0] * A[0] if ds.q == 1 else L[0] * A[0] + 2.0 * L[1] * A[1] + L[2] * A[2]
         trace_term = tr * ds.n
         D = _from_entries(tuple((b + x * ds.n) / ds.n for b, x in zip(_entries(bb), L)))
@@ -508,14 +512,18 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, lam: float,
     by _solve_gram on the dataset's X'X and cached factor, warm-started at
     beta, both of the previous iterate (moments.params).  sigma2 and D then
     have closed forms (_m_step).  lam is in raw units.  moments must be one
-    member's E-step on ds, whose params pass e_step's check as one member.
+    member's EStepMoments on ds, whose params pass e_step's check as one
+    member; anything else is a ConfigurationError.
     """
     _checked_penalty(alpha, lam)
+    if not isinstance(moments, EStepMoments):
+        raise ConfigurationError(f"m_step: moments must be an EStepMoments, "
+                                 f"got {type(moments).__name__}")
     if moments.ds is not ds or moments.b_hat.shape != (ds.n, ds.q):
         raise ConfigurationError("m_step: moments are not one member's E-step on this dataset")
     _checked_params(moments.params, ds, "m_step: moments.params", lone=True)
     params, _, _ = _m_step(ds, moments, lam, lambda c, lam1, warm_start: _solve_gram(
-        ds.gram, c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start, ds.gram_factor)[:2])
+        c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start, ds.gram_factor)[:2])
     return params
 
 
@@ -654,13 +662,16 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     Initialization: beta from the pooled penalized least-squares problem
     at level lam, sigma2 from its residual sum of squares over N, D the
     identity (all overridden when init is given).  init, an LmmParams or
-    an earlier fit's FitReport, is checked as e_step checks params, unless
-    it is a report whose last E-step (report.moments), on ds, holds its params
-    (report.moments.params is report.params): a guarded iterate, whose E-step
-    stands in for this fit's first one.  Iterates E- and
-    M-steps until the relative change of the penalized log-likelihood
-    falls below ctrl.eps, with an absolute fallback of ctrl.abs_eps where
-    the ratio rule is ill-conditioned near zero.  Every solve reads X'X and its
+    an earlier fit's FitReport (anything else is a ConfigurationError), is
+    checked as e_step checks params, unless it is a report whose last E-step
+    (report.moments), on ds, holds its params (report.moments.params is
+    report.params): a guarded iterate, whose E-step stands in for this fit's
+    first one.  A checked start's D, symmetric to within 1e-12, is
+    symmetrized once here, the only time the EM does so outside a clamp
+    (_guard_params).  Iterates E- and M-steps until the relative change
+    of the penalized log-likelihood falls below ctrl.eps, with an absolute
+    fallback of ctrl.abs_eps where the ratio rule is ill-conditioned near
+    zero.  Every solve reads X'X and its
     factors from the dataset, which computes X'X once and holds the last
     factor.
 
@@ -671,6 +682,9 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     raised, and a design that cannot identify D is a DataError (_run_em).
     """
     _checked_penalty(alpha, lam)
+    if not (init is None or isinstance(init, (LmmParams, FitReport))):
+        raise ConfigurationError(f"fit_em: init must be an LmmParams or a FitReport, "
+                                 f"got {type(init).__name__}")
     ctrl = ctrl or EmControl()
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
     last = init.moments if isinstance(init, FitReport) else None
@@ -679,27 +693,30 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     elif init is not None:
         init = init.params if isinstance(init, FitReport) else init
         _checked_params(init, ds, "fit_em: init", lone=True)
+        # the one start whose D can be asymmetric (by up to 1e-12); the guard takes D as it is
+        init = LmmParams(init.beta, init.sigma2, 0.5 * (init.D + init.D.T))
 
     def solve_beta(live, c, lam1, warm_start):
-        beta, cut, _ = _solve_gram(ds.gram, c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start,
+        beta, cut, _ = _solve_gram(c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start,
                                    ds.gram_factor)
         return beta, [cut]
 
     rep, = _run_em(ds, 1, solve_beta, ctrl, lam_raw, alpha, init)
     if isinstance(rep, NumericalError):
         raise rep
-    return replace(rep, lam=float(lam), lambda_scale=lambda_scale)
+    rep.lam, rep.lambda_scale = float(lam), lambda_scale
+    return rep
 
 
 def _checked_supports(supports, p: int) -> list:
-    """Each support as a sorted tuple of column indices; ConfigurationError
-    unless every index is an integer in [0, p) (_checked_indices), none of
-    them repeated."""
+    """Each support as a sorted integer array of column indices, which indexes
+    without a conversion per use; ConfigurationError unless every index is
+    an integer in [0, p) (_checked_indices), none of them repeated."""
     out = []
     for support in supports:
         what = f"fit_em_supports: support {support!r}: column"
-        A = tuple(sorted(_checked_indices(support, p, what).tolist()))
-        if len(set(A)) < len(A):
+        A = np.sort(_checked_indices(support, p, what))
+        if np.any(A[1:] == A[:-1]):
             raise ConfigurationError(f"fit_em_supports: support {support!r} repeats an index")
         out.append(A)
     return out
@@ -726,7 +743,7 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
     supports = _checked_supports(supports, ds.p)
     if not supports:
         return []
-    factors = [(list(A), *_truncate(ds.gram_factor(A), 0.0)) for A in supports]
+    factors = [(A, *_truncate(*ds.gram_factor(A)[:2], 0.0)) for A in supports]
     cut = [w_A.size < len(A) for A, w_A, _ in factors]
 
     def solve_beta(live, c, lam1, warm_start):

@@ -19,8 +19,10 @@ level.
 There is one solver, _solve_gram, which works on G = X'X and c = X'y
 alone and is exact: without an l1 term one minimum-norm solve, with one a
 feature-sign active-set loop (Lee, Battle, Raina & Ng 2007) of linear
-solves on the blocks of G.  The EM's beta M-step calls it on the dataset's
-X'X and cached factor; solve_pls is its public form on (X, y).
+solves on the blocks of G.  It reads G through a factor callable that
+gives a support's eigenpairs and columns of G; the EM's beta M-step passes
+the dataset's cached one (ds.gram_factor), and solve_pls, its public form
+on (X, y), a fresh one.
 """
 
 from __future__ import annotations
@@ -88,8 +90,10 @@ def penalty_value(beta: np.ndarray, alpha: float = 1.0):
 def _penalty_value(beta: np.ndarray, alpha: float):
     """penalty_value on a float array and an alpha already checked: the form
     the EM driver and solve_pls take, once per iteration or solve."""
-    l2 = beta @ beta if beta.ndim == 1 else np.einsum("rp,rp->r", beta, beta)
-    value = alpha * np.abs(beta).sum(axis=-1) + (1.0 - alpha) * l2
+    value = np.abs(beta).sum(axis=-1)
+    if alpha != 1.0:  # the lasso's l2 weight is 0: 1.0 * l1 + 0.0 * l2 is l1 for finite beta
+        l2 = beta @ beta if beta.ndim == 1 else np.einsum("rp,rp->r", beta, beta)
+        value = alpha * value + (1.0 - alpha) * l2
     return float(value) if beta.ndim == 1 else value
 
 
@@ -98,8 +102,11 @@ def effective_lambda(lam: float, lambda_scale: str, n_obs: int) -> float:
 
     "raw" leaves lam unchanged; "per_obs" multiplies by 2 * n_obs, mapping
     the per-observation convention lambda * (RSS/(2N) + penalty) onto the
-    raw objective used here.
+    raw objective used here.  Any other lambda_scale, a name that is not in
+    LAMBDA_SCALES or a value that is not a string, is a ConfigurationError.
     """
+    if not isinstance(lambda_scale, str):
+        raise ConfigurationError(f"unknown lambda_scale {lambda_scale!r}")
     if lambda_scale == RAW:
         return float(lam)
     if lambda_scale == PER_OBS:
@@ -172,45 +179,49 @@ def kkt_check(X: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float,
     return _kkt_residual(grad_half, beta, lam, alpha)
 
 
-def _truncate(factor, shift: float):
-    """Eigenpairs (w, V) of G_AA + shift * I from factor, np.linalg.eigh of
-    G_AA, less those at or below w_max / _GRAM_COND_LIMIT: V @ ((V.T @ rhs) / w)
+def _truncate(w: np.ndarray, V: np.ndarray, shift: float):
+    """Eigenpairs (w, V) of G_AA + shift * I from np.linalg.eigh of G_AA,
+    less those at or below w_max / _GRAM_COND_LIMIT: V @ ((V.T @ rhs) / w)
     is the minimum-norm least-squares solve, and w is shorter than the
-    factor's when any were dropped.
+    factor's when any were dropped.  The test runs on every call, since
+    the limit is read then; at shift 0 with nothing dropped the factor's
+    own arrays are returned, uncopied.
     """
-    w, V = factor
-    w = w + shift
+    if shift:
+        w = w + shift
     if w.size and not w[0] > w[-1] / _GRAM_COND_LIMIT:
         keep = w > w[-1] / _GRAM_COND_LIMIT
         w, V = w[keep], V[:, keep]
     return w, V
 
 
-def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
-                warm_start: np.ndarray, factor):
+def _solve_gram(c: np.ndarray, l1: float, shift: float, warm_start: np.ndarray, factor):
     """Minimize beta'G beta - 2 c'beta + l1 ||beta||_1 + shift ||beta||^2,
     the objective of solve_pls less y'y with G = X'X and c = X'y, by linear
     solves on the blocks of G.
 
-    factor(A) is np.linalg.eigh of G_AA for an index array A; a caller that
-    solves on one G many times passes a cached one.  On a support A with
-    signs s the stationarity conditions are linear:
-    (G_AA + shift * I) b_A = c_A - (l1 / 2) s.  Without an l1 term A is
-    every column and one solve on _truncate's eigenpairs is the minimizer,
-    the minimum-norm one when eigenpairs were dropped.  With one, an
-    active-set loop, feature-sign search (Lee, Battle, Raina & Ng 2007),
-    runs from warm_start's support and signs.  In each pass, when every b_A
-    keeps its sign in s, the at-zero condition |2 m_j| <= l1 of
-    _kkt_residual (m = c - G beta) is tested on the columns outside A: if it
-    holds, beta is optimal; if not, the column with the largest violation
-    joins A with the sign of m_j.  When a sign flips, a line search on the
-    segment from the current point to b_A takes the lowest objective among
-    b_A and the zero crossings, and the columns that reached zero leave A.
-    Where the factor of A dropped eigenpairs, u, the part of s outside the
-    kept eigenspace, is a null direction of X_A; unless u is negligible the
-    pass is a null step instead: along -u, X_A b stays put and the l1 term
-    falls, to the first zero crossing, whose column leaves A (a lasso
-    problem has a solution on linearly independent columns).
+    G is read only through factor: factor(A) is (w, V, G[:, A]) for an
+    index array A, with (w, V) = np.linalg.eigh of G_AA; a caller that
+    solves on one G many times passes a cached one
+    (LongitudinalDataset.gram_factor), whose columns of G serve every pass
+    on that support.  On a support A with signs s the
+    stationarity conditions are linear: (G_AA + shift * I) b_A = c_A -
+    (l1 / 2) s.  Without an l1 term A is every column and one solve on
+    _truncate's eigenpairs is the minimizer, the minimum-norm one when
+    eigenpairs were dropped.  With one, an active-set loop, feature-sign
+    search (Lee, Battle, Raina & Ng 2007), runs from warm_start's support
+    and signs.  In each pass, when every b_A keeps its sign in s, the
+    at-zero condition |2 m_j| <= l1 of _kkt_residual (m = c - G[:, A] b_A)
+    is tested on the columns outside A: if it holds, beta is optimal; if
+    not, the column with the largest violation joins A with the sign of
+    m_j.  When a sign flips, a line search on the segment from the current
+    point to b_A takes the lowest objective among b_A and the zero
+    crossings, and the columns that reached zero leave A.  Where the factor
+    of A dropped eigenpairs, u, the part of s outside the kept eigenspace,
+    is a null direction of X_A; unless u is negligible the pass is a null
+    step instead: along -u, X_A b stays put and the l1 term falls, to the
+    first zero crossing, whose column leaves A (a lasso problem has a
+    solution on linearly independent columns).
 
     Every pass lowers the objective, so in exact arithmetic no (A, s)
     repeats and the loop ends; _MAX_PIVOTS + 2p passes bound it in floating
@@ -221,19 +232,20 @@ def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
     _MAX_PIVOTS + 2p passes.
     """
     if l1 == 0.0:
-        w, V = _truncate(factor(np.arange(c.size)), shift)
+        w, V = _truncate(*factor(np.arange(c.size))[:2], shift)
         return V @ ((V.T @ c) / w), w.size < c.size, 1
-    active = np.flatnonzero(warm_start)
+    active = warm_start.nonzero()[0]
     x = warm_start[active]  # the current point on A
     signs = np.sign(x)
     rhs = c[active] - 0.5 * l1 * signs
-    w, V = _truncate(factor(active), shift)
+    w, V, G_A = factor(active)
+    w, V = _truncate(w, V, shift)
 
     def terms(points):
         """The terms x'Mx, 2 c'x and l1 |x|_1 of the objective x'Mx - 2 c'x
         + l1 |x|_1 (M = G_AA + shift * I) at each row x of points, a point on
         the current A."""
-        M = G[np.ix_(active, active)] + shift * np.eye(active.size)
+        M = G_A[active] + shift * np.eye(active.size)
         return (np.einsum("ij,ij->i", points @ M, points), 2.0 * points @ c[active],
                 l1 * np.abs(points).sum(axis=1))
 
@@ -260,13 +272,15 @@ def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
             b = V @ ((V.T @ rhs) / w)
             flipped = b * signs <= 0.0
             if not flipped.any():
-                m = c - G[:, active] @ b
-                excess = np.abs(2.0 * m) - l1
-                excess[active] = 0.0
-                if not (excess > 0.0).any():
+                m = c - G_A @ b
+                violated = np.abs(2.0 * m) > l1  # |2 m_j| - l1 > 0, exactly, on floats
+                violated[active] = False
+                if not violated.any():
                     beta = np.zeros(c.size)
                     beta[active] = b
                     return beta, w.size < active.size, passes
+                excess = np.abs(2.0 * m) - l1
+                excess[active] = 0.0
                 j = int(np.argmax(excess))
                 x, active = np.append(b, 0.0), np.append(active, j)
                 signs = np.append(signs, np.sign(m[j]))
@@ -284,7 +298,8 @@ def _solve_gram(G: np.ndarray, c: np.ndarray, l1: float, shift: float,
         keep = signs != 0.0  # the columns a step set to zero leave A
         active, x, signs = active[keep], x[keep], signs[keep]
         rhs = c[active] - 0.5 * l1 * signs
-        w, V = _truncate(factor(active), shift)
+        w, V, G_A = factor(active)
+        w, V = _truncate(w, V, shift)
     raise NumericalError(f"beta M-step: no optimum after {max_passes} active-set passes")
 
 
@@ -309,8 +324,9 @@ def solve_pls(X: np.ndarray, y: np.ndarray, lam: float, alpha: float = 1.0,
     X, y, beta = _checked_problem("solve_pls", X, y, warm_start, "warm_start")
     G, c = X.T @ X, X.T @ y
     lam = float(lam)
-    beta, _, passes = _solve_gram(G, c, lam * alpha, lam * (1.0 - alpha), beta,
-                                  lambda cols: np.linalg.eigh(G[np.ix_(cols, cols)]))
+    beta, _, passes = _solve_gram(c, lam * alpha, lam * (1.0 - alpha), beta,
+                                  lambda cols: (*np.linalg.eigh(G[np.ix_(cols, cols)]),
+                                                G[:, cols]))
     m = c - G @ beta  # X'(y - X beta)
     objective = float(y @ y) - float(beta @ (c + m)) + lam * _penalty_value(beta, alpha)
     return PlsSolution(beta, objective, passes, _kkt_residual(m, beta, lam, alpha))

@@ -49,8 +49,16 @@ CRITERIA = {"bic": np.log, "aic": lambda n: 2.0}
 
 
 def default_grid(num: int = 100, low: float = 0.001, high: float = 0.5) -> np.ndarray:
-    """Linearly spaced penalty grid, 0.001 to 0.5 with 100 points by default."""
-    return np.linspace(low, high, _checked_int(num, "grid length", 1))
+    """Linearly spaced penalty grid, 0.001 to 0.5 with 100 points by default.
+
+    low and high must be finite real numbers (_checked_real), else a
+    ConfigurationError; sweep checks the grid's values."""
+    num = _checked_int(num, "grid length", 1)
+    for name, value in (("low", low), ("high", high)):
+        # an int beyond the double range is not finite either
+        if not abs(_checked_real(value, f"default_grid: {name}")) <= float(np.finfo(float).max):
+            raise ConfigurationError(f"default_grid: {name} must be finite, got {value!r}")
+    return np.linspace(low, high, num)
 
 
 def auto_log_grid(ds: LongitudinalDataset, num: int = 100, ratio: float = 1e-3,
@@ -157,7 +165,7 @@ def _selection_settings(grid, lambda_scale: str, criterion: str, alpha: float = 
     if np.any(grid < 0) or not np.all(np.isfinite(grid)):
         raise ConfigurationError("sweep: grid values must be finite and >= 0")
     effective_lambda(0.0, lambda_scale, 0)  # raises on an unknown unit name
-    if criterion not in CRITERIA:
+    if not isinstance(criterion, str) or criterion not in CRITERIA:
         raise ConfigurationError(f"unknown criterion {criterion!r}")
     if _checked_penalty(alpha) == 0.0:
         raise ConfigurationError("ridge has no sparse path to select over")
@@ -200,7 +208,7 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
         # the path keeps no E-step moments, of grid fits or of refits; only
         # the next warm start reads them
         fits[i], prev = replace(fit, moments=None), fit
-        supports[i] = tuple(int(j) for j in np.flatnonzero(fit.params.beta))
+        supports[i] = tuple(fit.params.beta.nonzero()[0].tolist())
 
     # the refit pass: every distinct support in one lock-step EM
     distinct = list(dict.fromkeys(s for s in supports if s is not None))

@@ -595,7 +595,7 @@ def test_a_penalized_stack_traces_each_member_as_its_lone_run():
 
     def solve_beta(live, c, lam1, warm_start):
         """The lasso beta M-step of each live member."""
-        out = [_solve_gram(ds.gram, c_r, l_r, 0.0, w_r, ds.gram_factor) for c_r, l_r, w_r in
+        out = [_solve_gram(c_r, l_r, 0.0, w_r, ds.gram_factor) for c_r, l_r, w_r in
                zip(c.reshape(-1, ds.p), np.ravel(lam1), warm_start.reshape(-1, ds.p))]
         return np.stack([b for b, _, _ in out]).reshape(c.shape), [cut for _, cut, _ in out]
 
@@ -993,9 +993,11 @@ def test_exact_m_step_fit_matches_coordinate_descent(lam, alpha, monkeypatch):
     assert calls == [] and exact.warnings == []
     cd_calls = []
 
-    def cd_solve_gram(G, c, l1, shift, warm_start, factor):
-        """The beta M-step by coordinate descent, warm-started like _solve_gram."""
+    def cd_solve_gram(c, l1, shift, warm_start, factor):
+        """The beta M-step by coordinate descent, warm-started like _solve_gram,
+        on G = X'X, the columns factor gives for all of them."""
         cd_calls.append(None)
+        G = factor(np.arange(c.size))[2]
         beta, _ = lasso_by_coordinate_descent_gram(G, c, l1, shift, warm_start)
         return beta, False, 1
 
@@ -1069,7 +1071,7 @@ def _solve_beta_on(X, y, lam, alpha, warm_start):
     """The EM's beta M-step on (X, y): _solve_gram on the dataset's X'X, X'y and
     cached factor, given X'y as the M-step gives it X'y_tilde."""
     ds = LongitudinalDataset([0], [y.size], y, X, np.ones((y.size, 1)))
-    beta, _, _ = _solve_gram(ds.gram, ds.xty, lam * alpha, lam * (1.0 - alpha), warm_start,
+    beta, _, _ = _solve_gram(ds.xty, lam * alpha, lam * (1.0 - alpha), warm_start,
                              ds.gram_factor)
     return beta
 

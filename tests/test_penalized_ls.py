@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lmmlasso.exceptions import ConfigurationError, DataError
-from lmmlasso.penalized_ls import kkt_check, lambda_max, penalty_value, solve_pls
+from lmmlasso.dataset import LongitudinalDataset
+from lmmlasso.exceptions import ConfigurationError, DataError, NumericalError
+from lmmlasso.penalized_ls import _solve_gram, kkt_check, lambda_max, penalty_value, solve_pls
 
 from oracles import lasso_best_by_enumeration
 
@@ -188,3 +189,74 @@ def test_kkt_check_refuses_bad_arrays_as_solve_pls_does(where, message):
         y = y[:, None]
     with pytest.raises(DataError, match=f"^kkt_check: {message}"):
         kkt_check(X, y, beta, 1.0)
+
+
+def _solved(c, l1, shift, warm_start, factor):
+    """_solve_gram's (beta bytes, cut flag, passes), or its NumericalError's text."""
+    try:
+        beta, cut, passes = _solve_gram(c, l1, shift, warm_start, factor)
+    except NumericalError as e:
+        return str(e)
+    return beta.tobytes(), cut, passes
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("duplicate", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_the_cached_factor_slot_changes_no_solve(seed, duplicate, alpha, monkeypatch):
+    # every solve on ds.gram_factor, whose one slot holds (w, V, G[:, A]) of
+    # the last support, equals the solve on a factor rebuilt on every call:
+    # from random warm starts (wrong signs flip, missing columns pivot in),
+    # from each solve's own result (the slot's warm case), and on a design
+    # whose last column repeats column 0 (a singular G_AA: cut factors and
+    # null steps at alpha 1; shift > 0 at alpha 0.5)
+    rng = np.random.default_rng([seed, int(duplicate)])
+    n, n_i, p = 10, 4, 7
+    X = rng.normal(size=(n * n_i, p))
+    if duplicate:
+        X[:, -1] = X[:, 0]
+    y = X[:, :3] @ np.array([1.5, -2.0, 1.0]) + rng.normal(size=n * n_i)
+    ds = LongitudinalDataset(np.arange(n), np.full(n, n_i), y, X, np.ones((n * n_i, 1)))
+    G = ds.gram
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        eighs.append(a.shape)
+        return eigh(a)
+
+    def fresh(cols):
+        return (*eigh(G[np.ix_(cols, cols)]), G[:, cols])
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    lam_max = float(np.max(np.abs(2.0 * ds.xty)))
+    outcomes = []
+    for _ in range(12):
+        c = ds.xty + rng.normal(scale=0.5, size=p)  # as the EM's right-hand side moves
+        lam = lam_max * rng.uniform(0.02, 0.6)
+        l1, shift = lam * alpha, lam * (1.0 - alpha)
+        support = rng.random(p) < 0.5
+        warm = np.where(support, rng.choice([-1.0, 1.0], p) * rng.uniform(0.1, 2.0, p), 0.0)
+        for start in (warm, None):  # None: from the last solve's own beta
+            if start is None:
+                if isinstance(outcomes[-1], str):
+                    continue
+                start = np.frombuffer(outcomes[-1][0])
+            expected = _solved(c, l1, shift, start, fresh)
+            assert _solved(c, l1, shift, start, ds.gram_factor) == expected
+            outcomes.append(expected)
+            if isinstance(expected, str):
+                continue
+            # a repeat request for the solution's support runs no eigh, and the
+            # same solve after the slot moved to another support and back is
+            # unchanged
+            A = np.frombuffer(expected[0]).nonzero()[0]
+            factor = ds.gram_factor(A)
+            before = len(eighs)
+            assert ds.gram_factor(A.tolist()) is factor and len(eighs) == before
+            ds.gram_factor(np.arange(p)[::-1])
+            assert _solved(c, l1, shift, start, ds.gram_factor) == expected
+    solved = [o for o in outcomes if not isinstance(o, str)]
+    assert any(passes > 1 for _, _, passes in solved)  # pivots or sign flips ran
+    if duplicate and alpha == 1.0:
+        assert any(cut for _, cut, _ in solved)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from lmmlasso.dataset import ColumnRoles, LongitudinalDataset, remove_linear_combos, standardize
-from lmmlasso.em_engine import EmControl, LmmParams, e_step, fit_em, fit_em_supports, m_step
+from dataclasses import replace
+
+from lmmlasso.em_engine import (EmControl, LmmParams, e_step, fit_em, fit_em_supports, m_step,
+                                observed_loglik)
 from lmmlasso.exceptions import ConfigurationError, DataError
 from lmmlasso.penalized_ls import kkt_check, lambda_max, penalty_value, solve_pls
 from lmmlasso.selector import auto_log_grid, default_grid, select, sweep
@@ -136,6 +139,54 @@ def _one_row_each(ds):
 
 _ONE_SUBJECT = "a fit needs at least 2 subjects; the data have 1"
 _ONE_ROW_EACH = "a fit needs more rows than subjects; the data have 24 rows for 24 subjects"
+
+
+# argument: (call on the dataset, its ConfigurationError's message)
+WRONG_TYPES = {
+    "fit_em-init-array": (lambda ds: fit_em(ds, 0.1, init=np.zeros(9)),
+                          "fit_em: init must be an LmmParams or a FitReport, got ndarray"),
+    "fit_em-init-dict": (lambda ds: fit_em(ds, 0.1, init={"beta": BETA, "sigma2": 1.0,
+                                                          "D": np.eye(2)}),
+                         "fit_em: init must be an LmmParams or a FitReport, got dict"),
+    "fit_em-report-params-tuple": (
+        lambda ds: fit_em(ds, 0.1, init=replace(fit_em(ds, 0.2), params=(BETA, 1.0, np.eye(2)))),
+        "fit_em: init must be an LmmParams, got tuple"),
+    "e_step-params-tuple": (lambda ds: e_step(ds, (BETA, 1.0, np.eye(2))),
+                            "e_step: params must be an LmmParams, got tuple"),
+    "observed_loglik-params-none": (lambda ds: observed_loglik(ds, None),
+                                    "e_step: params must be an LmmParams, got NoneType"),
+    "m_step-moments-none": (lambda ds: m_step(ds, None, 0.1),
+                            "m_step: moments must be an EStepMoments, got NoneType"),
+    "m_step-moments-tuple": (lambda ds: m_step(ds, tuple(vars(e_step(ds, START)).values()), 0.1),
+                             "m_step: moments must be an EStepMoments, got tuple"),
+    "m_step-moments-params-tuple": (
+        lambda ds: m_step(ds, replace(e_step(ds, START), params=(BETA, 1.0, np.eye(2))), 0.1),
+        "m_step: moments.params must be an LmmParams, got tuple"),
+    "sweep-criterion-list": (lambda ds: sweep(ds, GRID, criterion=["bic"]),
+                             "unknown criterion ['bic']"),
+    "sweep-lambda_scale-array": (lambda ds: sweep(ds, GRID, lambda_scale=np.array(["raw", "raw"])),
+                                 "unknown lambda_scale array(['raw', 'raw'], dtype='<U3')"),
+    "default_grid-low-str": (lambda ds: default_grid(5, "x", 0.5),
+                             "default_grid: low must be a real number, got 'x'"),
+    "default_grid-high-nan": (lambda ds: default_grid(5, 0.1, float("nan")),
+                              "default_grid: high must be finite, got nan"),
+    "default_grid-low-inf": (lambda ds: default_grid(5, -np.inf, 0.5),
+                             "default_grid: low must be finite, got -inf"),
+    "default_grid-high-huge-int": (lambda ds: default_grid(5, 0.1, 10**400),
+                                   f"default_grid: high must be finite, got {10**400!r}"),
+}
+
+
+@pytest.mark.parametrize("argument", list(WRONG_TYPES))
+def test_an_argument_of_the_wrong_type_is_a_configuration_error(ds, argument):
+    # unchecked: each start, params or moments of another type raised a bare
+    # AttributeError, a list criterion "unhashable type", an array
+    # lambda_scale numpy's "truth value ... is ambiguous", default_grid's "x"
+    # numpy's DTypePromotionError, and a NaN or inf bound returned NaNs
+    call, message = WRONG_TYPES[argument]
+    with pytest.raises(ConfigurationError) as err:
+        call(ds)
+    assert str(err.value) == message
 
 
 # setting: (call on the dataset, the error it raises, its message)
