@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DataError, _checked_int, _checked_real
+from .exceptions import ConfigurationError, DataError, _checked_int, _checked_real, _not_real
 
 __all__ = [
     "DistinctBlocks",
@@ -64,17 +64,6 @@ def _handed_over(*arrays) -> tuple:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _not_real(a: np.ndarray) -> str | None:
-    """What in a is not a real number: its dtype, or an object array's first
-    string or complex cell; None when every cell is one (a None cell passes,
-    and becomes NaN)."""
-    if a.dtype.kind == "O":
-        cell = next((v for v in a.flat
-                     if isinstance(v, (str, bytes, complex, np.complexfloating))), None)
-        return None if cell is None else f"a cell {cell!r}"
-    return None if a.dtype.kind in "biuf" else f"dtype {a.dtype}"
 
 
 @dataclass(frozen=True)
@@ -607,8 +596,7 @@ def remove_linear_combos(ds: LongitudinalDataset, rank_tol: float = 1e-7):
     Returns (reduced dataset, ColumnReductionReport); dependency_sets maps
     each dropped column to the kept columns that reproduce it.
     """
-    if not 0.0 < _checked_real(rank_tol, "rank_tol") < np.inf:
-        raise ConfigurationError("rank_tol must be finite and > 0")
+    rank_tol = _checked_real(rank_tol, "rank_tol", 0, low_open=True)
     X = ds.X
     p = ds.p
     kept: list = []

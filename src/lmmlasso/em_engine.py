@@ -198,11 +198,18 @@ class EmControl:
 
     def __post_init__(self):
         for name in ("eps", "abs_eps"):
-            value = _checked_real(getattr(self, name), f"EmControl: {name}")
-            if not 0.0 <= value < np.inf:
-                raise ConfigurationError(f"EmControl: {name} must be finite and >= 0, "
-                                         f"got {value!r}")
+            setattr(self, name, _checked_real(getattr(self, name), f"EmControl: {name}", 0))
         self.max_iter = _checked_int(self.max_iter, "EmControl: max_iter", low=1)
+
+
+def _checked_control(ctrl) -> EmControl:
+    """ctrl, or EmControl() when None: the one check of a stopping rule.
+    ConfigurationError unless ctrl is None or an EmControl."""
+    if ctrl is None:
+        return EmControl()
+    if not isinstance(ctrl, EmControl):
+        raise ConfigurationError(f"ctrl must be an EmControl, got {type(ctrl).__name__}")
+    return ctrl
 
 
 @dataclass
@@ -536,7 +543,7 @@ def observed_loglik(ds: LongitudinalDataset, params: LmmParams) -> float:
     return e_step(ds, params).loglik
 
 
-def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
+def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl | None,
             lam: float = 0.0, alpha: float = 1.0,
             start: LmmParams | EStepMoments | None = None) -> list:
     """EM for `members` fits on ds at once, at raw penalty level lam and
@@ -563,8 +570,10 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl,
     a FitReport (at lam 0) or a NumericalError per member.  A DataError
     refuses the designs that cannot identify D: fewer than 2 subjects, one
     row per subject (no row is left to separate D from sigma2), and a column
-    of Z that is zero in every row, whose part of D nothing would move.
+    of Z that is zero in every row, whose part of D nothing would move; a
+    ctrl that _checked_control refuses is a ConfigurationError.
     """
+    ctrl = _checked_control(ctrl)
     if ds.n < 2:
         raise DataError(f"a fit needs at least 2 subjects; the data have {ds.n}")
     if ds.N <= ds.n:
@@ -685,7 +694,6 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     if not (init is None or isinstance(init, (LmmParams, FitReport))):
         raise ConfigurationError(f"fit_em: init must be an LmmParams or a FitReport, "
                                  f"got {type(init).__name__}")
-    ctrl = ctrl or EmControl()
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
     last = init.moments if isinstance(init, FitReport) else None
     if last is not None and last.ds is ds and last.params is init.params:
@@ -755,4 +763,4 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
             beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
         return beta.reshape(c.shape), [cut[k] for k in live]
 
-    return _run_em(ds, len(supports), solve_beta, ctrl or EmControl())
+    return _run_em(ds, len(supports), solve_beta, ctrl)

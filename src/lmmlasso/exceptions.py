@@ -4,8 +4,11 @@ The CLI maps these onto exit codes: configuration problems exit with 2,
 data problems with 3, and numerical failures with 4.
 """
 
+import math
 import numbers
 import operator
+
+import numpy as np
 
 __all__ = ["LmmLassoError", "ConfigurationError", "DataError", "NumericalError"]
 
@@ -51,10 +54,37 @@ def _checked_int(value, what: str, low: int = 0, high: int | None = None) -> int
     return k
 
 
-def _checked_real(value, what: str):
-    """value, unchanged: the package's one check of a real-number setting.
-    ConfigurationError naming what unless value is a real number
-    (numbers.Real) and not a bool.  Range tests are the caller's."""
+def _checked_real(value, what: str, low=-math.inf, high=math.inf, low_open=False) -> float:
+    """value as a float: the package's one check of a real-number setting.
+    ConfigurationError naming what unless value is a real number, not a bool,
+    that a float holds, finite and in [low, high] ((low, high] if low_open)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int or fraction beyond the double range
+        x = math.nan
+    if not (math.isfinite(x) and (low < x if low_open else low <= x) and x <= high):
+        op, bracket = (">", "(") if low_open else (">=", "[")
+        bound = (f"in {bracket}{low}, {high}]" if high < math.inf
+                 else f"finite and {op} {low}" if low > -math.inf else "finite")
+        raise ConfigurationError(f"{what} must be {bound}, got {value!r}")
+    return x
+
+
+def _checked_name(value, names, what: str) -> str:
+    """value if a string in names, else a ConfigurationError: the one named-setting check."""
+    if not (isinstance(value, str) and value in names):
+        raise ConfigurationError(f"unknown {what} {value!r}")
     return value
+
+
+def _not_real(a: np.ndarray) -> str | None:
+    """What in a is not a real number: its dtype, or an object array's first
+    string or complex cell; None when every cell is one (a None cell passes,
+    and becomes NaN)."""
+    if a.dtype.kind == "O":
+        cell = next((v for v in a.flat
+                     if isinstance(v, (str, bytes, complex, np.complexfloating))), None)
+        return None if cell is None else f"a cell {cell!r}"
+    return None if a.dtype.kind in "biuf" else f"dtype {a.dtype}"

@@ -27,12 +27,12 @@ on (X, y), a fresh one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DataError, NumericalError, _checked_real
+from .exceptions import (ConfigurationError, DataError, NumericalError, _checked_name,
+                         _checked_real, _not_real)
 
 __all__ = [
     "LAMBDA_SCALES",
@@ -49,17 +49,15 @@ _GRAM_COND_LIMIT = 1e12  # eigenvalues of G_AA + shift I at or below w_max / thi
 _MAX_PIVOTS = 200        # with 2p, the active-set passes of one solve before it raises
 
 
-def _checked_penalty(alpha, lam=0.0):
-    """alpha, unchanged: the package's one check of a penalty.  alpha = 1
+def _checked_penalty(alpha, lam=0.0) -> float:
+    """alpha as a float: the package's one check of a penalty.  alpha = 1
     is the pure l1 (lasso) penalty, alpha = 0 the squared-l2 (ridge)
     penalty, intermediate values the elastic net; lam is the level, 0 for
     a caller that takes none.  ConfigurationError unless alpha is a real
     number in [0, 1] and lam a finite real number >= 0 (_checked_real).
     """
-    if not 0.0 <= _checked_real(alpha, "penalty mixing weight alpha") <= 1.0:
-        raise ConfigurationError(f"penalty mixing weight alpha must be in [0, 1], got {alpha}")
-    if not 0.0 <= _checked_real(lam, "penalty level lam") < math.inf:
-        raise ConfigurationError(f"penalty level lam must be finite and >= 0, got {lam}")
+    alpha = _checked_real(alpha, "penalty mixing weight alpha", 0, 1)
+    _checked_real(lam, "penalty level lam", 0)
     return alpha
 
 
@@ -82,9 +80,12 @@ def penalty_value(beta: np.ndarray, alpha: float = 1.0):
     """Mixing-weighted penalty alpha*||beta||_1 + (1-alpha)*||beta||_2^2.
 
     A float for beta (p,); one value per member, summed over the last axis,
-    for a stack (R, p).
+    for a stack (R, p); a 0-d beta is a DataError.
     """
-    return _penalty_value(np.asarray(beta, dtype=float), _checked_penalty(alpha))
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim == 0:
+        raise DataError(f"penalty_value: beta must be a (p,) or (R, p) array, got {beta!r}")
+    return _penalty_value(beta, _checked_penalty(alpha))
 
 
 def _penalty_value(beta: np.ndarray, alpha: float):
@@ -103,15 +104,13 @@ def effective_lambda(lam: float, lambda_scale: str, n_obs: int) -> float:
     "raw" leaves lam unchanged; "per_obs" multiplies by 2 * n_obs, mapping
     the per-observation convention lambda * (RSS/(2N) + penalty) onto the
     raw objective used here.  Any other lambda_scale, a name that is not in
-    LAMBDA_SCALES or a value that is not a string, is a ConfigurationError.
+    LAMBDA_SCALES or a value that is not a string, is a ConfigurationError
+    (_checked_name), and so is a lam that _checked_penalty refuses.
     """
-    if not isinstance(lambda_scale, str):
-        raise ConfigurationError(f"unknown lambda_scale {lambda_scale!r}")
-    if lambda_scale == RAW:
-        return float(lam)
-    if lambda_scale == PER_OBS:
-        return float(lam) * 2.0 * n_obs
-    raise ConfigurationError(f"unknown lambda_scale {lambda_scale!r}")
+    lam = _checked_real(lam, "penalty level lam", 0)
+    if _checked_name(lambda_scale, LAMBDA_SCALES, "lambda_scale") == PER_OBS:
+        return lam * 2.0 * n_obs
+    return lam
 
 
 def lambda_max(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> float:
@@ -121,12 +120,12 @@ def lambda_max(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> float:
     column, so lambda_max = max_j |2 x_j'y| / alpha.  Requires a mixing
     weight alpha that _checked_penalty takes, less the ridge's 0, which
     never produces exact zeros; any other alpha (NaN included) is a
-    ConfigurationError.
+    ConfigurationError.  X and y are checked as solve_pls checks them
+    (_checked_problem).
     """
     if _checked_penalty(alpha) == 0.0:
         raise ConfigurationError(f"lambda_max requires alpha in (0, 1], got {alpha}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y, _ = _checked_problem("lambda_max", X, y, None, "beta")
     if X.shape[1] == 0:
         return 0.0
     return float(np.max(np.abs(2.0 * (X.T @ y)))) / alpha
@@ -150,10 +149,16 @@ def _kkt_residual(grad_half: np.ndarray, beta: np.ndarray, lam: float, alpha: fl
 
 def _checked_problem(caller: str, X, y, beta, name: str):
     """(X, y, beta) as float arrays, beta zero when None: the one input
-    check of solve_pls and kkt_check.  DataError naming caller and the
-    argument, X, y or beta (as name), unless X is (N, p), y (N,) and beta
-    (p,), and each holds no NaN or inf.
+    check of solve_pls, kkt_check and lambda_max.  DataError naming caller
+    and the argument, X, y or beta (as name), unless each holds real
+    numbers (_not_real), X is (N, p), y (N,) and beta (p,), and each holds
+    no NaN or inf.
     """
+    X, y = np.asarray(X), np.asarray(y)
+    beta = None if beta is None else np.asarray(beta)
+    for what, a in (("X", X), ("y", y), (name, beta)):
+        if a is not None and (bad := _not_real(a)) is not None:
+            raise DataError(f"{caller}: {what} must hold real numbers, got {bad}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DataError(f"{caller}: X must be an (N, p) array, got shape {X.shape}")

@@ -30,9 +30,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import LongitudinalDataset, StandardizationRecord
-from .em_engine import EmControl, FitReport, fit_em, fit_em_supports, observed_loglik
-from .exceptions import ConfigurationError, NumericalError, _checked_int, _checked_real
-from .penalized_ls import RAW, _checked_penalty, effective_lambda, lambda_max
+from .em_engine import (EmControl, FitReport, _checked_control, fit_em, fit_em_supports,
+                        observed_loglik)
+from .exceptions import (ConfigurationError, NumericalError, _checked_int, _checked_name,
+                         _checked_real)
+from .penalized_ls import LAMBDA_SCALES, RAW, _checked_penalty, effective_lambda, lambda_max
 
 __all__ = [
     "CRITERIA",
@@ -54,10 +56,7 @@ def default_grid(num: int = 100, low: float = 0.001, high: float = 0.5) -> np.nd
     low and high must be finite real numbers (_checked_real), else a
     ConfigurationError; sweep checks the grid's values."""
     num = _checked_int(num, "grid length", 1)
-    for name, value in (("low", low), ("high", high)):
-        # an int beyond the double range is not finite either
-        if not abs(_checked_real(value, f"default_grid: {name}")) <= float(np.finfo(float).max):
-            raise ConfigurationError(f"default_grid: {name} must be finite, got {value!r}")
+    low, high = _checked_real(low, "default_grid: low"), _checked_real(high, "default_grid: high")
     return np.linspace(low, high, num)
 
 
@@ -71,8 +70,7 @@ def auto_log_grid(ds: LongitudinalDataset, num: int = 100, ratio: float = 1e-3,
     with num >= 1 points and a finite ratio > 0.
     """
     num = _checked_int(num, "auto_log_grid: num", 1)
-    if not 0.0 < _checked_real(ratio, "auto_log_grid: ratio") < np.inf:
-        raise ConfigurationError(f"auto_log_grid: ratio must be finite and > 0, got {ratio}")
+    ratio = _checked_real(ratio, "auto_log_grid: ratio", 0, low_open=True)
     anchor = lambda_max(ds.X, ds.y, alpha) / effective_lambda(1.0, lambda_scale, ds.N)
     if anchor <= 0.0:
         raise ConfigurationError("auto_log_grid: design has no signal (lambda_max = 0)")
@@ -148,25 +146,25 @@ class RegularizationPath:
         return out
 
 
-def _selection_settings(grid, lambda_scale: str, criterion: str, alpha: float = 1.0):
+def _selection_settings(grid, lambda_scale: str, criterion: str, alpha: float = 1.0,
+                        ctrl: EmControl | None = None):
     """Check a selection run's settings before any fit; raise ConfigurationError.
 
-    Returns the grid, real numbers, as a float array in decreasing order
-    (default_grid() when None); ridge's alpha = 0 is refused.  Every entry
-    point that sweeps a grid calls this first, so a bad setting fails
-    before any fit runs or any worker starts.
+    Returns the grid, finite real numbers >= 0, as a float array in
+    decreasing order (default_grid() when None); ridge's alpha = 0 is
+    refused, and so is a ctrl that is not an EmControl.  Every entry point
+    that sweeps a grid calls this first, so a bad setting fails before any
+    fit runs or any worker starts.
     """
     grid = default_grid() if grid is None else grid
     if not isinstance(grid, Collection) or getattr(grid, "ndim", 1) != 1:
         raise ConfigurationError(f"sweep: grid must be a list or 1-d array, got {grid!r}")
-    grid = np.sort([float(_checked_real(v, "sweep: grid entry")) for v in grid])[::-1].copy()
+    grid = np.sort([_checked_real(v, "sweep: grid entry", 0) for v in grid])[::-1].copy()
     if grid.size == 0:
         raise ConfigurationError("sweep: empty grid")
-    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise ConfigurationError("sweep: grid values must be finite and >= 0")
-    effective_lambda(0.0, lambda_scale, 0)  # raises on an unknown unit name
-    if not isinstance(criterion, str) or criterion not in CRITERIA:
-        raise ConfigurationError(f"unknown criterion {criterion!r}")
+    _checked_name(lambda_scale, LAMBDA_SCALES, "lambda_scale")
+    _checked_name(criterion, CRITERIA, "criterion")
+    _checked_control(ctrl)
     if _checked_penalty(alpha) == 0.0:
         raise ConfigurationError("ridge has no sparse path to select over")
     return grid
@@ -188,7 +186,7 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
     by the selection; a sweep where every entry failed raises, and any
     other error (a DataError) is raised at once.
     """
-    grid = _selection_settings(grid, lambda_scale, criterion, alpha)
+    grid = _selection_settings(grid, lambda_scale, criterion, alpha, ctrl)
     m = grid.size
     fits: list = [None] * m
     refits: list = [None] * m

@@ -73,7 +73,9 @@ class ScenarioConfig:
                        # Z = [1, time] has rank 1 with one time point per subject
                        n_i=_checked_int(self.n_i, "n_i", 2),
                        p_star=_checked_int(p_star, f"p_star{note}", 0, p + 1),
-                       seed=_checked_int(self.seed, "seed"))
+                       seed=_checked_int(self.seed, "seed"),
+                       sigma2_true=_checked_real(self.sigma2_true, "sigma2_true", 0),
+                       covariate_mean=_checked_real(self.covariate_mean, "covariate_mean"))
         for name, value in checked.items():
             object.__setattr__(self, name, value)
         beta = self.beta_true
@@ -91,16 +93,11 @@ class ScenarioConfig:
             a = a.astype(float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        for name in ("sigma2_true", "covariate_mean"):
-            if not np.isfinite(_checked_real(getattr(self, name), name)):
-                raise ConfigurationError(f"{name} must be finite")
         D = self.D_true
         if D.shape != (2, 2) or np.abs(D - D.T).max() > 1e-12:
             raise ConfigurationError("D_true must be a symmetric 2x2 matrix")
         if np.linalg.eigvalsh(D).min() < -1e-12:
             raise ConfigurationError("D_true must be positive semidefinite")
-        if self.sigma2_true < 0:
-            raise ConfigurationError("sigma2_true must be >= 0")
         if self.beta_true.shape != (self.p,):
             raise ConfigurationError("beta_true must have length p")
 
@@ -257,8 +254,7 @@ def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
     """
     replicates = _checked_int(replicates, "replicates", 1)
     n_jobs = min(_checked_int(n_jobs, "n_jobs", 1), replicates)
-    grid = _selection_settings(grid, lambda_scale, criterion)
-    ctrl = ctrl or EmControl()
+    grid = _selection_settings(grid, lambda_scale, criterion, ctrl=ctrl)
     children = np.random.SeedSequence(cfg.seed).spawn(replicates)
     tasks = [(cfg, r, children[r], grid, ctrl, lambda_scale, criterion)
              for r in range(replicates)]

@@ -1,0 +1,60 @@
+"""exceptions._checked_real owns a real-number setting's whole check: its
+type, whether a float holds it, its finiteness and its range.  No other
+module tests its result again.
+
+The check reads each module's syntax tree: a _checked_real(...) call that is
+an operand of a comparison, of `not` or of `and`/`or`, or the one argument
+of another call (float(...), abs(...), np.isfinite(...)), fails here.  Its
+result is assigned, returned or passed on as it is.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import lmmlasso
+
+PACKAGE = pathlib.Path(lmmlasso.__file__).parent
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "exceptions.py")
+
+
+def _retested(source: str) -> list:
+    """The lines of source where the result of a _checked_real call is
+    compared, negated, joined by and/or, or wrapped in a one-argument call."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_checked_real"):
+            continue
+        up = parent[node]
+        if (isinstance(up, (ast.Compare, ast.BoolOp))
+                or isinstance(up, ast.UnaryOp) and isinstance(up.op, ast.Not)
+                or isinstance(up, ast.Call) and up.args == [node] and not up.keywords):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source", [
+    "ok = 0.0 <= _checked_real(v, 'v')",
+    "ok = np.isfinite(_checked_real(v, 'v'))",
+    "ok = abs(_checked_real(v, 'v')) <= big",
+    "x = float(_checked_real(v, 'v'))",
+    "ok = not _checked_real(v, 'v')",
+])
+def test_the_guard_sees_a_retested_result(source):
+    assert _retested(source) == [1]
+
+
+def test_the_guard_passes_a_result_used_as_it_is():
+    source = ("x = _checked_real(v, 'v', 0)\n"
+              "grid = [_checked_real(g, 'g', 0) for g in grid]\n"
+              "cfg = dict(s=_checked_real(s, 's', 0), m=_checked_real(m, 'm'))\n"
+              "def f(v):\n    return _checked_real(v, 'v', 0, 1)\n")
+    assert _retested(source) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_retests_a_checked_real_number(module):
+    assert _retested((PACKAGE / module).read_text()) == []

@@ -5,13 +5,14 @@ kind or out of range is a ConfigurationError naming the setting."""
 import numpy as np
 import pytest
 
+from lmmlasso.cli import _config_value
 from lmmlasso.dataset import ColumnRoles, LongitudinalDataset, remove_linear_combos, standardize
 from dataclasses import replace
 
 from lmmlasso.em_engine import (EmControl, LmmParams, e_step, fit_em, fit_em_supports, m_step,
                                 observed_loglik)
 from lmmlasso.exceptions import ConfigurationError, DataError
-from lmmlasso.penalized_ls import kkt_check, lambda_max, penalty_value, solve_pls
+from lmmlasso.penalized_ls import effective_lambda, kkt_check, lambda_max, penalty_value, solve_pls
 from lmmlasso.selector import auto_log_grid, default_grid, select, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario, kfold_cv, run_monte_carlo
 
@@ -94,16 +95,27 @@ REAL_SETTINGS = {
     "sigma2_true": (lambda v, ds: ScenarioConfig.scenario1(sigma2_true=v), "sigma2_true"),
     "covariate_mean": (lambda v, ds: ScenarioConfig.scenario1(covariate_mean=v),
                        "covariate_mean"),
+    "eps": (lambda v, ds: EmControl(eps=v), "EmControl: eps"),
+    "abs_eps": (lambda v, ds: EmControl(abs_eps=v), "EmControl: abs_eps"),
+    "default_grid_low": (lambda v, ds: default_grid(5, v, 0.5), "default_grid: low"),
+    "default_grid_high": (lambda v, ds: default_grid(5, 0.1, v), "default_grid: high"),
+    "effective_lambda_lam": (lambda v, ds: effective_lambda(v, "raw", ds.N), "lam"),
+    "config_grid_entry": (lambda v, ds: _config_value("grid", [v]),
+                          "config key 'grid': a list entry"),
 }
 
 
-@pytest.mark.parametrize("value", ["0.1", True, None], ids=["str", "bool", "none"])
+@pytest.mark.parametrize("value", ["0.1", True, None, 10**400, float("nan")],
+                         ids=["str", "bool", "none", "huge-int", "nan"])
 @pytest.mark.parametrize("setting", list(REAL_SETTINGS))
 def test_real_setting_refuses_a_value_that_is_not_a_real_number(ds, setting, value):
     # unchecked: "0.1" and None raised bare TypeErrors, fit_em(ds, True)
     # fitted at lam 1.0 and rank_tol=True dropped every column; a grid
     # entry "0.1" or True ran at 0.1 or 1.0, sigma2_true=True ran at 1.0,
-    # and an alpha of None fitted the lasso
+    # and an alpha of None fitted the lasso.  Tested by each caller apart,
+    # 10**400 raised bare OverflowErrors (lam, a grid entry, ratio,
+    # rank_tol) and TypeErrors (sigma2_true, covariate_mean), and
+    # EmControl(eps=10**400) stopped every fit at its first iteration
     call, name = REAL_SETTINGS[setting]
     with pytest.raises(ConfigurationError, match=name):
         call(value, ds)
@@ -174,6 +186,21 @@ WRONG_TYPES = {
                              "default_grid: low must be finite, got -inf"),
     "default_grid-high-huge-int": (lambda ds: default_grid(5, 0.1, 10**400),
                                    f"default_grid: high must be finite, got {10**400!r}"),
+    "effective_lambda-lam-str": (lambda ds: effective_lambda("x", "raw", 5),
+                                 "penalty level lam must be a real number, got 'x'"),
+    "effective_lambda-lam-huge-int": (
+        lambda ds: effective_lambda(10**400, "raw", 5),
+        f"penalty level lam must be finite and >= 0, got {10**400!r}"),
+    "fit_em-ctrl-str": (lambda ds: fit_em(ds, 0.1, ctrl="x"), "ctrl must be an EmControl, got str"),
+    "fit_em-ctrl-zero": (lambda ds: fit_em(ds, 0.1, ctrl=0), "ctrl must be an EmControl, got int"),
+    "fit_em_supports-ctrl-str": (lambda ds: fit_em_supports(ds, [(0,)], ctrl="x"),
+                                 "ctrl must be an EmControl, got str"),
+    "sweep-ctrl-str": (lambda ds: sweep(ds, GRID, ctrl="x"), "ctrl must be an EmControl, got str"),
+    "kfold_cv-ctrl-str": (lambda ds: kfold_cv(ds, 2, GRID, ctrl="x"),
+                          "ctrl must be an EmControl, got str"),
+    "run_monte_carlo-ctrl-str": (lambda ds: run_monte_carlo(ScenarioConfig.scenario1(n=6, n_i=4), 1,
+                                                            grid=GRID, ctrl="x"),
+                                 "ctrl must be an EmControl, got str"),
 }
 
 
@@ -182,9 +209,38 @@ def test_an_argument_of_the_wrong_type_is_a_configuration_error(ds, argument):
     # unchecked: each start, params or moments of another type raised a bare
     # AttributeError, a list criterion "unhashable type", an array
     # lambda_scale numpy's "truth value ... is ambiguous", default_grid's "x"
-    # numpy's DTypePromotionError, and a NaN or inf bound returned NaNs
+    # numpy's DTypePromotionError, and a NaN or inf bound returned NaNs;
+    # effective_lambda's "x" raised a ValueError and its 10**400 an
+    # OverflowError, a ctrl "x" an AttributeError, and a ctrl 0 ran as
+    # EmControl()
     call, message = WRONG_TYPES[argument]
     with pytest.raises(ConfigurationError) as err:
+        call(ds)
+    assert str(err.value) == message
+
+
+# argument: (call on the dataset, its DataError's message)
+WRONG_ARRAYS = {
+    "lambda_max-X-str": (lambda ds: lambda_max("abc", ds.y),
+                         "lambda_max: X must hold real numbers, got dtype <U3"),
+    "lambda_max-y-none": (lambda ds: lambda_max(ds.X, None),
+                          "lambda_max: y must have shape (24,), got ()"),
+    "lambda_max-X-1d": (lambda ds: lambda_max(ds.y, ds.y),
+                        "lambda_max: X must be an (N, p) array, got shape (24,)"),
+    "solve_pls-X-str-cell": (lambda ds: solve_pls([["a"]], [1.0], 0.1),
+                             "solve_pls: X must hold real numbers, got dtype <U1"),
+    "penalty_value-beta-0d": (lambda ds: penalty_value(np.float64(1.0)),
+                              "penalty_value: beta must be a (p,) or (R, p) array, got array(1.)"),
+}
+
+
+@pytest.mark.parametrize("argument", list(WRONG_ARRAYS))
+def test_an_array_argument_of_the_wrong_kind_is_a_data_error(ds, argument):
+    # unchecked: lambda_max's "abc" raised a ValueError, its None y numpy's
+    # matmul ValueError and its 1-D X an IndexError, solve_pls's string cell
+    # a ValueError, and the penalty of a 0-d beta was 1.0
+    call, message = WRONG_ARRAYS[argument]
+    with pytest.raises(DataError) as err:
         call(ds)
     assert str(err.value) == message
 
@@ -194,7 +250,7 @@ DOMAIN_REFUSALS = {
     "D_true-3x3": (lambda ds: ScenarioConfig.scenario1(D_true=np.eye(3)),
                    ConfigurationError, "D_true must be a symmetric 2x2 matrix"),
     "sigma2_true-negative": (lambda ds: ScenarioConfig.scenario1(sigma2_true=-1),
-                             ConfigurationError, "sigma2_true must be >= 0"),
+                             ConfigurationError, "sigma2_true must be finite and >= 0, got -1"),
     "beta_true-length": (lambda ds: ScenarioConfig.scenario1(beta_true=np.ones(3)),
                          ConfigurationError, "beta_true must have length p"),
     "standardize-constant-response": (lambda ds: standardize(_with_y(ds, np.ones(ds.N))),
