@@ -3,10 +3,12 @@
 A dataset is held as stacked arrays: the response y and the designs X
 (p fixed-effect columns) and Z (q random-effect columns), rows grouped
 by subject, with per-subject cross products computed by grouped sums.
-The dataset also caches X'X, X'y, the distinct Z_i'Z_i blocks, Z transposed
-and the eigendecomposition of the last block of X'X asked for, with that
-block's columns of X'X.  Values are immutable after construction, so
-datasets can be shared read-only across concurrent fits.
+The dataset also caches X'X, X'y, the distinct Z_i'Z_i blocks, Z
+transposed, the Z_i'X_i blocks as rows, whether a mixed-model fit can
+identify D on its design, and the eigendecomposition of the last block of
+X'X asked for, with that block's columns of X'X.  Values are immutable
+after construction, so datasets can be shared read-only across
+concurrent fits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DataError, _checked_int, _checked_real, _not_real
+from .exceptions import (ConfigurationError, DataError, _checked_int, _checked_real,
+                         _checked_type, _not_real)
 
 __all__ = [
     "DistinctBlocks",
@@ -225,6 +228,29 @@ class LongitudinalDataset:
                 zty[:, k] = np.add.reduceat(z[:, 0] * self.y, self.starts)
             self._moments = (_frozen(ztz), _frozen(ztx), _frozen(zty))
         return self._moments
+
+    @cached_property
+    def ztx_rows(self) -> np.ndarray:
+        """block_moments' Z'X as (n q, p) rows, a read-only view: Z'X beta is
+        beta @ ztx_rows.T, and sum_i (Z_i'X_i)' b_i is b.reshape(n q) @
+        ztx_rows.  Computed once."""
+        return self.block_moments[1].reshape(self.n * self.q, self.p)
+
+    @cached_property
+    def design_refusal(self) -> str | None:
+        """Why no mixed-model fit can identify D on this design, or None: fewer
+        than 2 subjects, no more rows than subjects (no row is left to
+        separate D from sigma2), or a column of Z that is zero in every row
+        (nothing would move its part of D).  Decided once."""
+        if self.n < 2:
+            return f"a fit needs at least 2 subjects; the data have {self.n}"
+        if self.N <= self.n:
+            return (f"a fit needs more rows than subjects; the data have {self.N} rows "
+                    f"for {self.n} subjects")
+        for name, column in zip(self.z_names, self.zt):
+            if not column.any():
+                return f"random-effect column {name!r} is zero in every row"
+        return None
 
     @cached_property
     def distinct_ztz(self) -> DistinctBlocks:
@@ -548,8 +574,10 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
     taken from them with X.std(ddof=1)'s arithmetic (the sum of their
     squares over N - 1, then the square root), they are divided by it in
     place, and the exempt columns are copied from X.  The new dataset
-    shares the scaled X and y, and ds's Z.
+    shares the scaled X and y, and ds's Z.  A ds that is not a
+    LongitudinalDataset is a ConfigurationError.
     """
+    _checked_type(ds, LongitudinalDataset, "standardize: ds must be a LongitudinalDataset")
     if ds.standardization is not None:
         raise ConfigurationError("dataset is already standardized")
     if ds.N < 2:
@@ -597,6 +625,7 @@ def remove_linear_combos(ds: LongitudinalDataset, rank_tol: float = 1e-7):
     each dropped column to the kept columns that reproduce it.
     """
     rank_tol = _checked_real(rank_tol, "rank_tol", 0, low_open=True)
+    _checked_type(ds, LongitudinalDataset, "remove_linear_combos: ds must be a LongitudinalDataset")
     X = ds.X
     p = ds.p
     kept: list = []

@@ -31,8 +31,10 @@ tr(Lambda_i Z_i'Z_i)) takes one of two routes.  One member on one
 distinct block with q <= 2, as on a balanced design, runs it entrywise
 on Python floats (_entries; the block's own entries are cached as
 ds.ztz_entries), where numpy's dispatch on 2 x 2 arrays costs more than
-the arithmetic; a stack, several blocks or q >= 3 run matrix products
-(_psd_sqrt, _sandwich) and LAPACK.
+the arithmetic, and the E-step hands the M-step Lambda's entries as
+floats (EStepMoments.Lambda_entries, sigma2 times those of S K^-1 S); a
+stack, several blocks or q >= 3 run matrix products (_psd_sqrt,
+_sandwich) and LAPACK.
 
 Each iteration reads the N rows once.  The M-step (_m_step, which the
 public m_step runs too) forms X beta, the one product with X, for the
@@ -41,10 +43,10 @@ E-step's r'r.  Everything else per subject comes from the q x q, q x p
 and q cross products cached on the dataset (ds.block_moments): the
 E-step's Z_i'r_i = Z_i'y_i - Z_i'X_i beta, and the M-step's right-hand
 side X'y_tilde = X'y - sum_i (Z_i'X_i)' b_hat_i from the cached X'y
-(ds.xty).  The M-step takes the sums over subjects of Lambda_i and of
-tr(Lambda_i Z_i'Z_i) as count-weighted sums over the blocks, and
-EStepMoments forms the per-subject Lambda and y_tilde only when they
-are read.
+(ds.xty), with Z'X read as (n q, p) rows (ds.ztx_rows).  The M-step takes
+the sums over subjects of Lambda_i and of tr(Lambda_i Z_i'Z_i) as
+count-weighted sums over the blocks, and EStepMoments forms y_tilde only
+when it is read.
 
 Every beta M-step, the pooled start included, is penalized_ls's one lasso
 solver, _solve_gram, called on the dataset's X'X (ds.gram), X'y_tilde and
@@ -74,6 +76,11 @@ algebra then runs on floats, and a stack's runs on matrix products.  An
 E-step holds the params it was taken at, where the M-step reads its level
 and warm start; a fit started from an earlier fit's report (as sweep does)
 reuses its last E-step if that holds the report's params on the same dataset.
+What a fit of a lone member repeats is bookkeeping only: the designs that
+cannot identify D are refused from a verdict each dataset decides once
+(ds.design_refusal), a ctrl of None is one shared EmControl, the guard
+tests finiteness in one sum, and the driver rebuilds its member list and
+beta solve only when a member leaves.
 """
 
 from __future__ import annotations
@@ -85,7 +92,8 @@ from functools import partial
 import numpy as np
 
 from .dataset import LongitudinalDataset, _checked_indices, _entries
-from .exceptions import ConfigurationError, DataError, NumericalError, _checked_int, _checked_real
+from .exceptions import (ConfigurationError, DataError, NumericalError, _checked_int,
+                         _checked_real, _checked_type)
 # solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
 # this module's binding of it, so the name stays until the tracer drops it
 from .penalized_ls import (RAW, _checked_penalty, _penalty_value, _solve_gram, _truncate,
@@ -153,9 +161,11 @@ class EStepMoments:
     b_hat[i] is E[b_i | y_i] and loglik the marginal log-likelihood at
     params.  Cov[b_i | y_i] depends on subject i only through Z_i'Z_i, so
     it is held once per distinct block (ds.distinct_ztz): Lambda_blocks[g]
-    for every subject in block g.  Lambda, the per-subject (n, q, q) stack,
-    and y_tilde, the stacked y - Z b_hat (N,), are formed from these when
-    read; of the two the EM reads only y_tilde, for the sigma2 residual.
+    for every subject in block g.  An E-step on the float route (one
+    member, one block, q <= 2) also holds the one block's upper-triangle
+    entries as floats, Lambda_entries, which the M-step reads; it is None
+    otherwise.  y_tilde, the stacked y - Z b_hat (N,), is formed when read,
+    for the sigma2 residual.
     """
 
     b_hat: np.ndarray          # (n, q)
@@ -163,11 +173,7 @@ class EStepMoments:
     loglik: float
     ds: LongitudinalDataset = field(repr=False, compare=False)
     params: LmmParams = field(repr=False, compare=False)
-
-    @property
-    def Lambda(self) -> np.ndarray:
-        """Cov[b_i | y_i], one (q, q) block per subject."""
-        return np.take(self.Lambda_blocks, self.ds.distinct_ztz.index, axis=-3)
+    Lambda_entries: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def y_tilde(self) -> np.ndarray:
@@ -202,14 +208,15 @@ class EmControl:
         self.max_iter = _checked_int(self.max_iter, "EmControl: max_iter", low=1)
 
 
+_DEFAULT_CONTROL = EmControl()  # the stopping rule of a ctrl of None, built once
+
+
 def _checked_control(ctrl) -> EmControl:
-    """ctrl, or EmControl() when None: the one check of a stopping rule.
-    ConfigurationError unless ctrl is None or an EmControl."""
+    """ctrl, or the default EmControl() when None: the one check of a stopping
+    rule.  ConfigurationError unless ctrl is None or an EmControl."""
     if ctrl is None:
-        return EmControl()
-    if not isinstance(ctrl, EmControl):
-        raise ConfigurationError(f"ctrl must be an EmControl, got {type(ctrl).__name__}")
-    return ctrl
+        return _DEFAULT_CONTROL
+    return _checked_type(ctrl, EmControl, "ctrl must be an EmControl")
 
 
 @dataclass
@@ -255,11 +262,12 @@ def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _take(stack, keep: list):
     """Stacked LmmParams or EStepMoments (and their params) at the member positions
-    keep; a lone member drops the member axis.  The moments' dataset is shared."""
+    keep; a lone member drops the member axis.  The moments' dataset is shared,
+    and a stack has no Lambda_entries."""
     sel = keep[0] if len(keep) == 1 else keep
     return replace(stack, **{f.name: _take(getattr(stack, f.name), keep) if f.name == "params"
                              else getattr(stack, f.name)[sel]
-                             for f in fields(stack) if f.name != "ds"})
+                             for f in fields(stack) if f.name not in ("ds", "Lambda_entries")})
 
 
 def _guard_params(params: LmmParams):
@@ -274,20 +282,26 @@ def _guard_params(params: LmmParams):
     route) and fit_em's symmetrized start; 0.5 * (D + D') would be D bit
     for bit, so the guard does not form it.  A clamped D is symmetrized
     again.  Stacked params are guarded member by member in one pass, and
-    raise if any member is not finite.
+    raise if any member is not finite.  A lone member's finiteness is one
+    sum over Python floats (NaN or inf when an entry is, or when finite
+    entries overflow it), and _check_finite runs only to name the value at
+    fault; a lone member that needs no clamp is returned as it is.
     """
-    params._check_finite()
-    D = params.D
+    beta, sigma2, D = params.beta, params.sigma2, params.D
+    stacked = beta.ndim > 1
+    if stacked or not math.isfinite(sum(beta.tolist(), sigma2 + sum(D.ravel().tolist()))):
+        params._check_finite()
     w, V = np.linalg.eigh(D)
-    stacked = w.ndim > 1
-    if (w.min() if stacked else w[0]) < _D_EIG_FLOOR:  # eigh's eigenvalues ascend
+    clamp = (w.min() if stacked else w[0]) < _D_EIG_FLOOR  # eigh's eigenvalues ascend
+    if clamp:
         low = w.min(axis=-1)[..., None, None] < _D_EIG_FLOOR  # the members to clamp
         C = (V * np.maximum(w, _D_EIG_FLOOR)[..., None, :]) @ V.swapaxes(-1, -2)
         D = np.where(low, 0.5 * (C + C.swapaxes(-1, -2)), D)
         w, V = np.linalg.eigh(D)
-    sigma2 = (np.maximum(params.sigma2, _SIGMA2_FLOOR) if stacked
-              else max(params.sigma2, _SIGMA2_FLOOR))
-    return LmmParams(params.beta, sigma2, D), (w, V)
+    if not (stacked or clamp or sigma2 < _SIGMA2_FLOOR):
+        return params, (w, V)
+    sigma2 = np.maximum(sigma2, _SIGMA2_FLOOR) if stacked else max(sigma2, _SIGMA2_FLOOR)
+    return LmmParams(beta, sigma2, D), (w, V)
 
 
 def _spd_inv_logdet(K):
@@ -351,24 +365,29 @@ def _conditioned_blocks(ds: LongitudinalDataset, eig, sigma2, lead: tuple):
     sigma2 I + S Z_g'Z_g S, returns sum_g count_g log det K_g, the blocks
     S K_g^-1 S and the blocks Lambda_g = sigma2 S K_g^-1 S (..., G, q, q).
     One member meeting one block with q <= 2 runs the algebra entrywise
-    on Python floats (ds.ztz_entries), and S K^-1 S is then one (q, q)
-    array.  Every other case, a stack, several blocks or q >= 3, runs
-    matrix products (_psd_sqrt, _sandwich) and LAPACK.
+    on Python floats (ds.ztz_entries): S K^-1 S is then one (q, q) array,
+    and the entries of its one Lambda block (sigma2 times those of S K^-1
+    S, as the M-step reads them) follow as a fourth result, which is None
+    on the other route.  Every other case, a stack, several blocks or
+    q >= 3, runs matrix products (_psd_sqrt, _sandwich) and LAPACK.
     """
     if not lead and ds.ztz_entries is not None:
         S = _root_entries(*eig)
         M = _sandwich_entries(S, ds.ztz_entries)
         K = (sigma2 + M[0],) if len(M) == 1 else (sigma2 + M[0], M[1], sigma2 + M[2])
         Kinv, logdet_K = _spd_inv_logdet(K)
-        SKS = _from_entries(_sandwich_entries(S, Kinv))
-        return logdet_K * ds.n, SKS, (sigma2 * SKS)[None]
+        SKS = _sandwich_entries(S, Kinv)
+        Lam = (sigma2 * SKS[0],) if len(SKS) == 1 else (
+            sigma2 * SKS[0], sigma2 * SKS[1], sigma2 * SKS[2])
+        SKS = _from_entries(SKS)
+        return logdet_K * ds.n, SKS, (sigma2 * SKS)[None], Lam
     ztz, counts = ds.distinct_ztz.ztz, ds.distinct_ztz.counts
     q = ztz.shape[-1]
     s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (G, q, q) blocks
     S = _psd_sqrt(*eig)
     Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
     SKS = _sandwich(S, Kinv)
-    return logdet_K @ counts, SKS, s2 * SKS
+    return logdet_K @ counts, SKS, s2 * SKS, None
 
 
 def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -391,8 +410,7 @@ def _checked_params(params: LmmParams, ds: LongitudinalDataset, what: str, lone:
     member (or, unless lone, a stack) with ds's p and q, then a
     NumericalError unless finite with sigma2 > 0 and D symmetric,
     eigenvalues above -1e-10."""
-    if not isinstance(params, LmmParams):
-        raise ConfigurationError(f"{what} must be an LmmParams, got {type(params).__name__}")
+    _checked_type(params, LmmParams, f"{what} must be an LmmParams")
     lead = params.beta.shape[:-1]
     if (lone and lead) or (params.beta.shape[-1:], np.shape(params.sigma2), params.D.shape) != (
             (ds.p,), lead, (*lead, ds.q, ds.q)):
@@ -411,8 +429,8 @@ def _checked_params(params: LmmParams, ds: LongitudinalDataset, what: str, lone:
 
 def _sum_of_squares(r: np.ndarray):
     """r'r over the last axis of r, one member's (N,) or a stack's (R, N), as
-    one dot product per member: r @ r's form for one."""
-    return r @ r if r.ndim == 1 else (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    one dot product per member (np.dot, the BLAS dot r @ r calls, for one)."""
+    return np.dot(r, r) if r.ndim == 1 else (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
@@ -428,10 +446,10 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
 
     K_i, its inverse and log determinant, and S K_i^-1 S are computed once
     per distinct Z_i'Z_i (ds.distinct_ztz), and Z_i'r_i = Z_i'y_i -
-    Z_i'X_i beta from ds.block_moments.  The same K_i gives the marginal
-    density of y_i, whose covariance is V_i = Z_i D Z_i' + sigma2 I:
-    log det V_i = (n_i - q) log sigma2 + log det K_i, and r_i'V_i^-1 r_i =
-    (r_i'r_i - (Z_i'r_i)' b_hat_i) / sigma2.  No D^-1 is formed, so a
+    Z_i'X_i beta from ds.block_moments (Z'X read as ds.ztx_rows).  The
+    same K_i gives the marginal density of y_i, whose covariance is V_i =
+    Z_i D Z_i' + sigma2 I: log det V_i = (n_i - q) log sigma2 + log det
+    K_i, and r_i'V_i^-1 r_i = (r_i'r_i - (Z_i'r_i)' b_hat_i) / sigma2.  No D^-1 is formed, so a
     singular D needs no special case.  The log-likelihood needs only
     totals: sum_i r_i'r_i = r'r, the one sum over the N rows, and sum_i
     log det V_i = (N - n q) log sigma2 + sum_g count_g log det K_g.
@@ -449,20 +467,20 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     EM driver carries from its M-step; otherwise it is formed here.
     """
     if eig is None:
+        _checked_type(ds, LongitudinalDataset, "e_step: ds must be a LongitudinalDataset")
         eig = _checked_params(params, ds, "e_step: params")
-    _, ztx, zty = ds.block_moments
-    blocks = ds.distinct_ztz
     n, q = ds.n, ds.q
     lead = params.beta.shape[:-1]
     sigma2 = params.sigma2
-    logdet_K, SKS, Lambda_blocks = _conditioned_blocks(ds, eig, sigma2, lead)
+    logdet_K, SKS, Lambda_blocks, Lambda_entries = _conditioned_blocks(ds, eig, sigma2, lead)
 
-    ztr = zty - (params.beta @ ztx.reshape(n * q, ds.p).T).reshape(*lead, n, q)
+    ztr = ds.block_moments[2] - (params.beta @ ds.ztx_rows.T).reshape(*lead, n, q)
     if SKS.ndim == 2:  # one member, one block: S K^-1 S is one symmetric (q, q) array
         b_hat = ztr @ SKS
-        ztr_b = ztr.ravel() @ b_hat.ravel()
+        ztr_b = np.vdot(ztr, b_hat)  # the dot of the flat arrays
     else:
-        b_hat = np.einsum("...nij,...nj->...ni", np.take(SKS, blocks.index, axis=-3), ztr)
+        b_hat = np.einsum("...nij,...nj->...ni", np.take(SKS, ds.distinct_ztz.index, axis=-3),
+                          ztr)
         ztr_b = np.einsum("...nq,...nq->...", ztr, b_hat)
     if xbeta is None:
         xbeta = params.beta @ ds.X.T
@@ -471,7 +489,8 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     log_sigma2 = np.log(sigma2) if lead else math.log(sigma2)
     logdet = (ds.N - n * q) * log_sigma2 + logdet_K
     loglik = -0.5 * (ds.N * math.log(2.0 * math.pi) + logdet + quad)
-    return EStepMoments(b_hat, Lambda_blocks, loglik if lead else float(loglik), ds, params)
+    return EStepMoments(b_hat, Lambda_blocks, loglik if lead else float(loglik), ds, params,
+                        Lambda_entries)
 
 
 def _m_step(ds: LongitudinalDataset, moments: EStepMoments, lam, solve):
@@ -482,27 +501,27 @@ def _m_step(ds: LongitudinalDataset, moments: EStepMoments, lam, solve):
     level lam1 = 2 * lam * sigma2, sigma2 and warm_start = beta those of
     moments.params.  sigma2 and D then have closed forms; their sums over
     subjects of Lambda_i and of tr(Lambda_i Z_i'Z_i) are count-weighted sums
-    over the distinct blocks.
+    over the distinct blocks; one member on one block with q <= 2 takes them
+    on floats, from the E-step's Lambda_entries (or from its one block, for
+    a member taken from a stack).
     X beta is the one product with X: the sigma2 residual y_tilde - X beta
     is summed over the N rows, and X beta is returned for the next E-step.
     A member axis leading the moments leads every result.  Returns
     (params, X beta, the solve's note).
     """
-    _, ztx, _ = ds.block_moments
-    blocks = ds.distinct_ztz
     b_hat, Lam = moments.b_hat, moments.Lambda_blocks
-    nq = ds.n * ds.q
-    c = ds.xty - b_hat.reshape(*b_hat.shape[:-2], nq) @ ztx.reshape(nq, ds.p)
+    c = ds.xty - b_hat.reshape(*b_hat.shape[:-2], ds.n * ds.q) @ ds.ztx_rows
     beta, cut = solve(c, 2.0 * lam * moments.params.sigma2, moments.params.beta)
     xbeta = beta @ ds.X.T
     bb = b_hat.swapaxes(-1, -2) @ b_hat
     if b_hat.ndim == 2 and ds.ztz_entries is not None:
         # one member on one block: entrywise on floats (_entries)
-        L, A = _entries(Lam[0]), ds.ztz_entries
+        L, A = moments.Lambda_entries or _entries(Lam[0]), ds.ztz_entries
         tr = L[0] * A[0] if ds.q == 1 else L[0] * A[0] + 2.0 * L[1] * A[1] + L[2] * A[2]
         trace_term = tr * ds.n
         D = _from_entries(tuple((b + x * ds.n) / ds.n for b, x in zip(_entries(bb), L)))
     else:
+        blocks = ds.distinct_ztz
         trace_term = np.einsum("...gij,gij,g->...", Lam, blocks.ztz, blocks.counts)
         D = (bb + np.einsum("...gij,g->...ij", Lam, blocks.counts)) / ds.n
         D = 0.5 * (D + D.swapaxes(-1, -2))
@@ -523,9 +542,7 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, lam: float,
     member; anything else is a ConfigurationError.
     """
     _checked_penalty(alpha, lam)
-    if not isinstance(moments, EStepMoments):
-        raise ConfigurationError(f"m_step: moments must be an EStepMoments, "
-                                 f"got {type(moments).__name__}")
+    _checked_type(moments, EStepMoments, "m_step: moments must be an EStepMoments")
     if moments.ds is not ds or moments.b_hat.shape != (ds.n, ds.q):
         raise ConfigurationError("m_step: moments are not one member's E-step on this dataset")
     _checked_params(moments.params, ds, "m_step: moments.params", lone=True)
@@ -541,6 +558,14 @@ def observed_loglik(ds: LongitudinalDataset, params: LmmParams) -> float:
     factorization.
     """
     return e_step(ds, params).loglik
+
+
+def _converged(trace: list, eps: float, abs_eps: float) -> bool:
+    """The stopping rule on a member's last two trace entries: their relative
+    change below eps, or their absolute change below abs_eps."""
+    lp_prev, lp_new = trace[-2:]
+    return ((lp_prev != 0.0 and abs(lp_new / lp_prev - 1.0) < eps)
+            or abs(lp_new - lp_prev) < abs_eps)
 
 
 def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl | None,
@@ -566,24 +591,22 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
     lone member's EStepMoments, the E-step at a guarded iterate, stands in
     for the first guard and E-step.  A member leaves on the stopping rule or
     at ctrl.max_iter with its last E-step, which holds its guarded iterate;
-    one whose guard or E-step raises leaves alone, with its error.  Returns
-    a FitReport (at lam 0) or a NumericalError per member.  A DataError
-    refuses the designs that cannot identify D: fewer than 2 subjects, one
-    row per subject (no row is left to separate D from sigma2), and a column
-    of Z that is zero in every row, whose part of D nothing would move; a
-    ctrl that _checked_control refuses is a ConfigurationError.
+    one whose guard or E-step raises leaves alone, with its error.  The
+    member list, its partial of solve_beta and the stack's per-member
+    bookkeeping change only when a member leaves; a lone member's runs on
+    floats.  Returns a FitReport (at lam 0) or a NumericalError per member.
+    A DataError refuses the designs that cannot identify D
+    (ds.design_refusal, decided once per dataset: fewer than 2 subjects, one
+    row per subject, a column of Z that is zero in every row); a ctrl that
+    _checked_control refuses is a ConfigurationError.
     """
     ctrl = _checked_control(ctrl)
-    if ds.n < 2:
-        raise DataError(f"a fit needs at least 2 subjects; the data have {ds.n}")
-    if ds.N <= ds.n:
-        raise DataError(f"a fit needs more rows than subjects; the data have {ds.N} rows "
-                        f"for {ds.n} subjects")
-    for name, column in zip(ds.z_names, ds.zt):
-        if not column.any():
-            raise DataError(f"random-effect column {name!r} is zero in every row")
+    if ds.design_refusal is not None:
+        raise DataError(ds.design_refusal)
+    eps, abs_eps, max_iter = ctrl.eps, ctrl.abs_eps, ctrl.max_iter
     lead = () if members == 1 else (members,)
     live = list(range(members))  # the members still iterating, in stack order
+    solve = partial(solve_beta, live)  # built again only when live changes
     traces = [[] for _ in range(members)]
     notes = [[] for _ in range(members)]
     out: list = [None] * members
@@ -596,8 +619,7 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
 
     xbeta = None  # X beta of params, once formed
     if start is None:
-        beta, cut = solve_beta(live, np.broadcast_to(ds.xty, (*lead, ds.p)), lam,
-                               np.zeros((*lead, ds.p)))
+        beta, cut = solve(np.broadcast_to(ds.xty, (*lead, ds.p)), lam, np.zeros((*lead, ds.p)))
         note(cut)
         xbeta = beta @ ds.X.T
         sigma2 = _sum_of_squares(ds.y - xbeta) / ds.N
@@ -628,37 +650,46 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
                     break
                 # the members left form their X beta again in the next E-step
                 live, params, xbeta = [live[r] for r in keep], _take(params, keep), None
+                solve = partial(solve_beta, live)
                 continue
 
         lp = moments.loglik
         if lam:
             lp = lp - lam * _penalty_value(moments.params.beta, alpha)
-        stacked = len(live) > 1
-        lps = lp.tolist() if stacked else [lp]
-        logliks = moments.loglik.tolist() if stacked else [moments.loglik]
-        done = []
-        for r, k in enumerate(live):
-            trace = traces[k]
-            trace.append(lps[r])
-            if not iteration:
-                continue
-            lp_prev, lp_new = trace[-2:]
-            ratio_ok = lp_prev != 0.0 and abs(lp_new / lp_prev - 1.0) < ctrl.eps
-            converged = ratio_ok or abs(lp_new - lp_prev) < ctrl.abs_eps
-            if converged or iteration >= ctrl.max_iter:
-                last = _take(moments, [r]) if stacked else moments
-                out[k] = FitReport(last.params, iteration, converged, np.asarray(trace),
-                                   logliks[r], 0.0, warnings=notes[k], moments=last)
-                done.append(r)
-        if done:
-            keep = [r for r in range(len(live)) if r not in done]
-            if not keep:
-                break
-            live, moments = [live[r] for r in keep], _take(moments, keep)
+        if len(live) == 1:  # a lone member: its trace entry and stopping test on floats
+            k = live[0]
+            traces[k].append(lp)
+            if iteration:
+                converged = _converged(traces[k], eps, abs_eps)
+                if converged or iteration >= max_iter:
+                    out[k] = FitReport(moments.params, iteration, converged,
+                                       np.asarray(traces[k]), moments.loglik, 0.0,
+                                       warnings=notes[k], moments=moments)
+                    break
+        else:
+            lps, logliks = lp.tolist(), moments.loglik.tolist()
+            done = []
+            for r, k in enumerate(live):
+                traces[k].append(lps[r])
+                if not iteration:
+                    continue
+                converged = _converged(traces[k], eps, abs_eps)
+                if converged or iteration >= max_iter:
+                    last = _take(moments, [r])
+                    out[k] = FitReport(last.params, iteration, converged, np.asarray(traces[k]),
+                                       logliks[r], 0.0, warnings=notes[k], moments=last)
+                    done.append(r)
+            if done:
+                keep = [r for r in range(len(live)) if r not in done]
+                if not keep:
+                    break
+                live, moments = [live[r] for r in keep], _take(moments, keep)
+                solve = partial(solve_beta, live)
 
         iteration += 1
-        params, xbeta, cut = _m_step(ds, moments, lam, partial(solve_beta, live))
-        note(cut)
+        params, xbeta, cut = _m_step(ds, moments, lam, solve)
+        if any(cut):
+            note(cut)
         moments = None  # not held through the next E-step
     return out
 
@@ -689,11 +720,13 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     previous beta.  The returned params and final_loglik are the last
     guarded iterate; a NumericalError of an E-step or of a beta M-step is
     raised, and a design that cannot identify D is a DataError (_run_em).
+    A ds that is not a LongitudinalDataset is a ConfigurationError.
     """
+    _checked_type(ds, LongitudinalDataset, "fit_em: ds must be a LongitudinalDataset")
     _checked_penalty(alpha, lam)
-    if not (init is None or isinstance(init, (LmmParams, FitReport))):
-        raise ConfigurationError(f"fit_em: init must be an LmmParams or a FitReport, "
-                                 f"got {type(init).__name__}")
+    if init is not None:
+        _checked_type(init, (LmmParams, FitReport),
+                      "fit_em: init must be an LmmParams or a FitReport")
     lam_raw = effective_lambda(lam, lambda_scale, ds.N)
     last = init.moments if isinstance(init, FitReport) else None
     if last is not None and last.ds is ds and last.params is init.params:
@@ -748,6 +781,7 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
     NumericalError its fit raised, so one failure leaves the other fits
     standing.
     """
+    _checked_type(ds, LongitudinalDataset, "fit_em_supports: ds must be a LongitudinalDataset")
     supports = _checked_supports(supports, ds.p)
     if not supports:
         return []

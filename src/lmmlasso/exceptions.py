@@ -72,6 +72,15 @@ def _checked_real(value, what: str, low=-math.inf, high=math.inf, low_open=False
     return x
 
 
+def _checked_type(value, types, what: str):
+    """value if an instance of types, else a ConfigurationError "{what}, got
+    <its type>": the one check of an argument's type, made where a public
+    call first reads it."""
+    if not isinstance(value, types):
+        raise ConfigurationError(f"{what}, got {type(value).__name__}")
+    return value
+
+
 def _checked_name(value, names, what: str) -> str:
     """value if a string in names, else a ConfigurationError: the one named-setting check."""
     if not (isinstance(value, str) and value in names):

@@ -105,11 +105,12 @@ def effective_lambda(lam: float, lambda_scale: str, n_obs: int) -> float:
     the per-observation convention lambda * (RSS/(2N) + penalty) onto the
     raw objective used here.  Any other lambda_scale, a name that is not in
     LAMBDA_SCALES or a value that is not a string, is a ConfigurationError
-    (_checked_name), and so is a lam that _checked_penalty refuses.
+    (_checked_name), and so is a lam that _checked_penalty refuses or a
+    per_obs level whose raw value is not finite.
     """
     lam = _checked_real(lam, "penalty level lam", 0)
     if _checked_name(lambda_scale, LAMBDA_SCALES, "lambda_scale") == PER_OBS:
-        return lam * 2.0 * n_obs
+        return _checked_real(lam * 2.0 * n_obs, "raw penalty level lam * 2 * n_obs", 0)
     return lam
 
 

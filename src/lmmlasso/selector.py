@@ -25,7 +25,7 @@ is the selection JSON.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .dataset import LongitudinalDataset, StandardizationRecord
 from .em_engine import (EmControl, FitReport, _checked_control, fit_em, fit_em_supports,
                         observed_loglik)
 from .exceptions import (ConfigurationError, NumericalError, _checked_int, _checked_name,
-                         _checked_real)
+                         _checked_real, _checked_type)
 from .penalized_ls import LAMBDA_SCALES, RAW, _checked_penalty, effective_lambda, lambda_max
 
 __all__ = [
@@ -69,6 +69,7 @@ def auto_log_grid(ds: LongitudinalDataset, num: int = 100, ratio: float = 1e-3,
     the requested lambda_scale; the grid spans [ratio * anchor, anchor]
     with num >= 1 points and a finite ratio > 0.
     """
+    _checked_type(ds, LongitudinalDataset, "auto_log_grid: ds must be a LongitudinalDataset")
     num = _checked_int(num, "auto_log_grid: num", 1)
     ratio = _checked_real(ratio, "auto_log_grid: ratio", 0, low_open=True)
     anchor = lambda_max(ds.X, ds.y, alpha) / effective_lambda(1.0, lambda_scale, ds.N)
@@ -184,8 +185,10 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
     once, together (em_engine.fit_em_supports).  A NumericalError of a grid
     fit or refit fails its entries, which are recorded in errors and skipped
     by the selection; a sweep where every entry failed raises, and any
-    other error (a DataError) is raised at once.
+    other error (a DataError) is raised at once.  A ds that is not a
+    LongitudinalDataset is a ConfigurationError.
     """
+    _checked_type(ds, LongitudinalDataset, "sweep: ds must be a LongitudinalDataset")
     grid = _selection_settings(grid, lambda_scale, criterion, alpha, ctrl)
     m = grid.size
     fits: list = [None] * m
@@ -203,10 +206,14 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
         except NumericalError as e:
             errors[i] = str(e)
             continue
-        # the path keeps no E-step moments, of grid fits or of refits; only
-        # the next warm start reads them
-        fits[i], prev = replace(fit, moments=None), fit
+        # the path keeps no E-step moments, of grid fits or of refits: a
+        # report drops its moments once the next fit has started from them
+        if prev is not None:
+            prev.moments = None
+        fits[i] = prev = fit
         supports[i] = tuple(fit.params.beta.nonzero()[0].tolist())
+    if prev is not None:
+        prev.moments = None
 
     # the refit pass: every distinct support in one lock-step EM
     distinct = list(dict.fromkeys(s for s in supports if s is not None))
@@ -217,7 +224,8 @@ def sweep(ds: LongitudinalDataset, grid=None, alpha: float = 1.0,
                 raise refit
             # embedded-parameter loglik on the full design, so scores
             # are exactly reproducible from the stored refit params
-            scored[support] = (replace(refit, moments=None), observed_loglik(ds, refit.params))
+            refit.moments = None
+            scored[support] = (refit, observed_loglik(ds, refit.params))
         except NumericalError as e:
             scored[support] = str(e)
     for i, support in enumerate(supports):

@@ -18,7 +18,8 @@ import numpy as np
 
 from .dataset import LongitudinalDataset
 from .em_engine import EmControl, _psd_sqrt
-from .exceptions import ConfigurationError, LmmLassoError, _checked_int, _checked_real
+from .exceptions import (ConfigurationError, LmmLassoError, _checked_int, _checked_real,
+                         _checked_type)
 from .fileio import write_csv
 from .penalized_ls import PER_OBS
 from .selector import _selection_settings, select, sweep
@@ -118,10 +119,14 @@ def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator | None = Non
     represent.
 
     Returns (dataset, truth) where truth records beta_true, the drawn
-    random effects, and the generator settings.
+    random effects, and the generator settings.  A cfg that is not a
+    ScenarioConfig, or an rng that is neither None nor a numpy Generator,
+    is a ConfigurationError.
     """
+    _checked_type(cfg, ScenarioConfig, "generate_scenario: cfg must be a ScenarioConfig")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    _checked_type(rng, np.random.Generator, "generate_scenario: rng must be a numpy Generator")
     n, n_i, p = cfg.n, cfg.n_i, cfg.p
     N = n * n_i
 
@@ -252,6 +257,7 @@ def run_monte_carlo(cfg: ScenarioConfig, replicates: int, grid=None,
     n_jobs.  Failed replicates are counted and excluded from the metrics.
     At most one worker process per replicate is started.
     """
+    _checked_type(cfg, ScenarioConfig, "run_monte_carlo: cfg must be a ScenarioConfig")
     replicates = _checked_int(replicates, "replicates", 1)
     n_jobs = min(_checked_int(n_jobs, "n_jobs", 1), replicates)
     grid = _selection_settings(grid, lambda_scale, criterion, ctrl=ctrl)
@@ -322,6 +328,7 @@ def kfold_cv(ds: LongitudinalDataset, k: int, grid=None, alpha: float = 1.0,
     from fixed effects alone (random effects of unseen subjects are at
     their prior mean, zero).  Returns a list of FoldResult.
     """
+    _checked_type(ds, LongitudinalDataset, "kfold_cv: ds must be a LongitudinalDataset")
     k = _checked_int(k, f"kfold_cv: k (n={ds.n})", 2, ds.n + 1)
     rng = np.random.default_rng(_checked_int(seed, "kfold_cv: seed"))
     perm = rng.permutation(ds.n)

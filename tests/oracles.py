@@ -179,6 +179,12 @@ def y_tilde_by_rows(ds, b_hat):
     return ds.y - np.einsum("nq,...nq->...n", ds.Z, b_hat.repeat(ds.counts, axis=-2))
 
 
+def subject_lambda(moments):
+    """Cov[b_i | y_i] of every subject of an E-step, (n, q, q), or (R, n, q, q)
+    for a stack: each subject's block of moments.Lambda_blocks."""
+    return np.take(moments.Lambda_blocks, moments.ds.distinct_ztz.index, axis=-3)
+
+
 def _chol_from_params(t):
     """Lower-triangular 2x2 Cholesky factor with log-parametrized diagonal."""
     L = np.zeros((2, 2))

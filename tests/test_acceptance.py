@@ -29,6 +29,7 @@ from oracles import (
     direct_ml_lmm,
     lasso_best_by_enumeration,
     stack_subjects,
+    subject_lambda,
     subject_rows,
 )
 from test_em_engine import simulate_lmm
@@ -222,7 +223,7 @@ def test_criterion_6_estep_conditioning_oracle():
         b_ref, cov_ref = conditional_moments_dense(y, X, Z, beta, sigma2, D)
         worst = max(worst,
                     float(np.abs(mom.b_hat[0] - b_ref).max()),
-                    float(np.abs(mom.Lambda[0] - cov_ref).max()))
+                    float(np.abs(subject_lambda(mom)[0] - cov_ref).max()))
     ok = worst <= 1e-10
     report(6, "E-step Bayes-conditioning oracle", ok,
            f"max moment deviation {worst:.2e} over 100 instances")

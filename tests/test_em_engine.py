@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmmlasso import em_engine, penalized_ls
-from lmmlasso.dataset import LongitudinalDataset
+from lmmlasso.dataset import LongitudinalDataset, standardize
 from lmmlasso.em_engine import (
     EmControl,
     EStepMoments,
@@ -19,7 +19,7 @@ from lmmlasso.em_engine import (
     m_step,
     observed_loglik,
 )
-from lmmlasso.exceptions import ConfigurationError, NumericalError
+from lmmlasso.exceptions import ConfigurationError, DataError, NumericalError
 from lmmlasso.penalized_ls import _solve_gram, kkt_check, lambda_max, penalty_value, solve_pls
 from lmmlasso.selector import default_grid, refit_support, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario
@@ -33,6 +33,7 @@ from oracles import (
     lasso_by_coordinate_descent_gram,
     penalized_loglik,
     stack_subjects,
+    subject_lambda,
     subject_rows,
     y_tilde_by_rows,
 )
@@ -56,6 +57,11 @@ def simulate_lmm(seed, n=20, n_i=4, p=3, beta=None, D=None, sigma2=1.0):
     return stack_subjects(rows)
 
 
+def _moment(moments, name):
+    """An E-step's moment by name; "Lambda" is the per-subject stack (subject_lambda)."""
+    return subject_lambda(moments) if name == "Lambda" else getattr(moments, name)
+
+
 # ---------------------------------------------------------------------------
 # E-step
 # ---------------------------------------------------------------------------
@@ -69,7 +75,7 @@ def test_e_step_zero_z_gives_prior_moments():
     mom = e_step(ds, params)
     np.testing.assert_allclose(mom.b_hat, 0.0, atol=1e-14)
     for i in range(ds.n):
-        np.testing.assert_allclose(mom.Lambda[i], D_UNIT, atol=1e-14)
+        np.testing.assert_allclose(subject_lambda(mom)[i], D_UNIT, atol=1e-14)
     np.testing.assert_allclose(mom.y_tilde, ds.y, atol=0.0)
 
 
@@ -77,7 +83,7 @@ def test_e_step_scalar_hand_computation():
     # one subject, q=1, Z=[1,1], residuals (1,1), d=1, s=1
     ds = LongitudinalDataset(["a"], [2], np.array([1.0, 1.0]), np.zeros((2, 1)), np.ones((2, 1)))
     mom = e_step(ds, LmmParams(np.zeros(1), 1.0, np.array([[1.0]])))
-    assert mom.Lambda[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert subject_lambda(mom)[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert mom.b_hat[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
     np.testing.assert_allclose(mom.y_tilde, 1.0 - 2.0 / 3.0, atol=1e-15)
 
@@ -149,7 +155,7 @@ def test_e_step_matches_dense_conditioning_oracle():
         mom = e_step(ds, LmmParams(beta, sigma2, D))
         b_ref, cov_ref = conditional_moments_dense(y, X, Z, beta, sigma2, D)
         np.testing.assert_allclose(mom.b_hat[0], b_ref, atol=1e-10)
-        np.testing.assert_allclose(mom.Lambda[0], cov_ref, atol=1e-10)
+        np.testing.assert_allclose(subject_lambda(mom)[0], cov_ref, atol=1e-10)
         np.testing.assert_allclose(mom.y_tilde, y - Z @ b_ref, atol=1e-10)
 
 
@@ -170,7 +176,7 @@ def test_e_step_inversion_free_route_for_near_singular_D(D):
     mom = e_step(ds, params)
     b_ref, cov_ref = conditional_moments_dense(y, X, Z, beta, 1.0, D)
     np.testing.assert_allclose(mom.b_hat[0], b_ref, atol=1e-10)
-    np.testing.assert_allclose(mom.Lambda[0], cov_ref, atol=1e-10)
+    np.testing.assert_allclose(subject_lambda(mom)[0], cov_ref, atol=1e-10)
     ref = dense_marginal_loglik([(y, X, Z)], beta, 1.0, D)
     np.testing.assert_allclose(observed_loglik(ds, params), ref, rtol=1e-12)
     assert mom.loglik == observed_loglik(ds, params)
@@ -196,7 +202,7 @@ def test_e_step_and_loglik_with_three_random_effects():
     for i, (y_i, X_i, Z_i) in enumerate(subject_rows(ds)):
         b_ref, cov_ref = conditional_moments_dense(y_i, X_i, Z_i, beta, 1.3, D)
         np.testing.assert_allclose(mom.b_hat[i], b_ref, atol=1e-10)
-        np.testing.assert_allclose(mom.Lambda[i], cov_ref, atol=1e-10)
+        np.testing.assert_allclose(subject_lambda(mom)[i], cov_ref, atol=1e-10)
     ref = dense_marginal_loglik(subject_rows(ds), beta, 1.3, D)
     np.testing.assert_allclose(observed_loglik(ds, params), ref, rtol=1e-10)
 
@@ -334,7 +340,7 @@ def test_e_step_matches_dense_oracles_and_em_step_ascends(problem):
         b_ref, cov_ref = conditional_moments_dense(y_i, X_i, Z_i, params.beta,
                                                    params.sigma2, params.D)
         np.testing.assert_allclose(mom.b_hat[i], b_ref, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(mom.Lambda[i], cov_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(subject_lambda(mom)[i], cov_ref, rtol=0, atol=1e-9)
     ref = dense_marginal_loglik(subject_rows(ds), params.beta, params.sigma2, params.D)
     assert mom.loglik == pytest.approx(ref, rel=0, abs=1e-9)
 
@@ -356,7 +362,7 @@ def test_e_step_on_a_stack_equals_one_call_per_member(problem, R):
     for r, member in enumerate(members):
         one = e_step(ds, member)
         for name in ("b_hat", "Lambda", "y_tilde", "loglik"):
-            got, want = getattr(mom, name)[r], getattr(one, name)
+            got, want = _moment(mom, name)[r], _moment(one, name)
             bound = 1e-12 * max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
             assert np.max(np.abs(got - want), initial=0.0) <= bound, name
 
@@ -442,7 +448,7 @@ def test_blockwise_e_step_matches_the_dense_oracle(design, n_blocks, q, R):
             b_ref, cov_ref = conditional_moments_dense(y_i, X_i, Z_i, params.beta,
                                                        params.sigma2, params.D)
             np.testing.assert_allclose(one.b_hat[i], b_ref, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(one.Lambda[i], cov_ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(subject_lambda(one)[i], cov_ref, rtol=0, atol=1e-10)
             resid.append(y_i - Z_i @ b_ref)
         np.testing.assert_allclose(one.y_tilde, np.concatenate(resid), rtol=0, atol=1e-10)
         ref = dense_marginal_loglik(subject_rows(ds), params.beta, params.sigma2, params.D)
@@ -570,7 +576,7 @@ def test_one_member_closed_forms_agree_with_the_matrix_route(case):
     rtol = 1e-13 if cond < 1e8 else 2.0 * cond * np.finfo(float).eps
     lone, stack = e_step(ds, params), e_step(ds, _stack([params, params]))
     for name in ("b_hat", "Lambda", "y_tilde", "loglik"):
-        _assert_close_to(getattr(stack, name)[0], getattr(lone, name), rtol)
+        _assert_close_to(_moment(stack, name)[0], _moment(lone, name), rtol)
 
     def solve(c, lam1, warm_start):
         return np.linalg.solve(ds.gram, c.T).T, False
@@ -821,7 +827,8 @@ def test_guarded_e_step_agrees_with_public_path_bit_for_bit(lam):
     assert type(rep.final_loglik) is float and type(rep.converged) is bool
     guarded = e_step(ds, rep.params, eig=np.linalg.eigh(rep.params.D))
     public = e_step(ds, rep.params)
-    for a, b in ((guarded.b_hat, public.b_hat), (guarded.Lambda, public.Lambda),
+    for a, b in ((guarded.b_hat, public.b_hat),
+                 (subject_lambda(guarded), subject_lambda(public)),
                  (guarded.y_tilde, public.y_tilde)):
         np.testing.assert_array_equal(a, b)
 
@@ -1373,6 +1380,72 @@ def test_sweep_checks_parameters_only_to_score_each_refit(monkeypatch):
     supports = {tuple(np.flatnonzero(fit.params.beta)) for fit in path.fits}
     assert len(supports) > 1
     assert checked == ["e_step: params"] * len(supports)
+
+
+def test_sweep_repeats_no_per_fit_bookkeeping(monkeypatch):
+    # counted on a default-grid sweep: each grid fit's report was copied
+    # (dataclasses.replace) to drop its moments, ctrl=None built an
+    # EmControl in every fit, and every fit scanned Z's columns (ds.zt)
+    # for one that is zero in every row
+    ds, _ = generate_scenario(ScenarioConfig.scenario1(seed=1))
+    reports, controls, zt_reads, m_steps = [], [], [], []
+
+    class CountedReport(FitReport):
+        def __init__(self, *args, **kwargs):
+            reports.append(None)
+            super().__init__(*args, **kwargs)
+
+    class CountedControl(EmControl):
+        def __init__(self, *args, **kwargs):
+            controls.append(None)
+            super().__init__(*args, **kwargs)
+
+    zt = vars(LongitudinalDataset)["zt"]
+    m_step_of = em_engine._m_step
+
+    def read_zt(d):
+        zt_reads.append(None)
+        return zt.__get__(d, LongitudinalDataset)
+
+    def counted_m_step(*args):
+        m_steps.append(None)
+        return m_step_of(*args)
+
+    monkeypatch.setattr(em_engine, "FitReport", CountedReport)
+    monkeypatch.setattr(em_engine, "EmControl", CountedControl)
+    monkeypatch.setattr(LongitudinalDataset, "zt", property(read_zt))
+    monkeypatch.setattr(em_engine, "_m_step", counted_m_step)
+    path = sweep(ds, lambda_scale="per_obs")
+    assert path.errors == [None] * 100
+    refits = {id(refit) for refit in path.refit_fits}
+    assert len(refits) > 1
+    # one report per fit: 100 grid fits and one refit per distinct support
+    assert len(reports) == 100 + len(refits)
+    assert controls == []
+    # each M-step reads ds.zt for y_tilde; the design scan reads it once
+    assert len(zt_reads) == len(m_steps) + 1
+
+
+def test_a_design_refusal_belongs_to_its_dataset():
+    ds, _ = generate_scenario(ScenarioConfig.scenario1(n=6, n_i=4, seed=1))
+    one = ds.subset_subjects([0])
+    for _ in range(2):  # refused again from the cached verdict
+        with pytest.raises(DataError, match="a fit needs at least 2 subjects; the data have 1"):
+            fit_em(one, 0.1)
+    zero_slope = ds._derive(Z=np.column_stack([ds.Z[:, 0], np.zeros(ds.N)]))
+    for _ in range(2):
+        with pytest.raises(DataError, match="random-effect column 'z2' is zero in every row"):
+            fit_em_supports(zero_slope, [(0,)])
+    # a derived dataset is judged on its own design: a fitted dataset's
+    # one-subject subset is refused, a refused one's two-subject resample fits,
+    # and standardize keeps the verdict of the design it copies
+    assert fit_em(ds, 0.1).iterations > 0
+    with pytest.raises(DataError, match="at least 2 subjects"):
+        fit_em(ds.subset_subjects([1]), 0.1)
+    assert fit_em(one.subset_subjects([0, 0]), 0.1).iterations > 0
+    assert fit_em(standardize(ds), 0.1).iterations > 0
+    with pytest.raises(DataError, match="'z2' is zero in every row"):
+        fit_em(standardize(zero_slope), 0.1)
 
 
 def test_sweep_refits_on_the_parent_dataset(monkeypatch):

@@ -13,7 +13,7 @@ from lmmlasso.em_engine import (EmControl, LmmParams, e_step, fit_em, fit_em_sup
                                 observed_loglik)
 from lmmlasso.exceptions import ConfigurationError, DataError
 from lmmlasso.penalized_ls import effective_lambda, kkt_check, lambda_max, penalty_value, solve_pls
-from lmmlasso.selector import auto_log_grid, default_grid, select, sweep
+from lmmlasso.selector import auto_log_grid, default_grid, refit_support, select, sweep
 from lmmlasso.simkit import ScenarioConfig, generate_scenario, kfold_cv, run_monte_carlo
 
 GRID = np.array([0.1])
@@ -151,6 +151,7 @@ def _one_row_each(ds):
 
 _ONE_SUBJECT = "a fit needs at least 2 subjects; the data have 1"
 _ONE_ROW_EACH = "a fit needs more rows than subjects; the data have 24 rows for 24 subjects"
+_RAW_OVERFLOW = "raw penalty level lam * 2 * n_obs must be finite and >= 0, got inf"
 
 
 # argument: (call on the dataset, its ConfigurationError's message)
@@ -201,6 +202,38 @@ WRONG_TYPES = {
     "run_monte_carlo-ctrl-str": (lambda ds: run_monte_carlo(ScenarioConfig.scenario1(n=6, n_i=4), 1,
                                                             grid=GRID, ctrl="x"),
                                  "ctrl must be an EmControl, got str"),
+    "fit_em-ds-none": (lambda ds: fit_em(None, 0.1),
+                       "fit_em: ds must be a LongitudinalDataset, got NoneType"),
+    "sweep-ds-str": (lambda ds: sweep("x", GRID),
+                     "sweep: ds must be a LongitudinalDataset, got str"),
+    "select-ds-array": (lambda ds: select(ds.X, GRID),
+                        "sweep: ds must be a LongitudinalDataset, got ndarray"),
+    "e_step-ds-array": (lambda ds: e_step(ds.X, START),
+                        "e_step: ds must be a LongitudinalDataset, got ndarray"),
+    "observed_loglik-ds-none": (lambda ds: observed_loglik(None, START),
+                                "e_step: ds must be a LongitudinalDataset, got NoneType"),
+    "fit_em_supports-ds-str": (lambda ds: fit_em_supports("x", [(0,)]),
+                               "fit_em_supports: ds must be a LongitudinalDataset, got str"),
+    "refit_support-ds-array": (lambda ds: refit_support(ds.X, (0,)),
+                               "fit_em_supports: ds must be a LongitudinalDataset, got ndarray"),
+    "auto_log_grid-ds-none": (lambda ds: auto_log_grid(None),
+                              "auto_log_grid: ds must be a LongitudinalDataset, got NoneType"),
+    "standardize-ds-str": (lambda ds: standardize("x"),
+                           "standardize: ds must be a LongitudinalDataset, got str"),
+    "remove_linear_combos-ds-array": (
+        lambda ds: remove_linear_combos(ds.X),
+        "remove_linear_combos: ds must be a LongitudinalDataset, got ndarray"),
+    "kfold_cv-ds-none": (lambda ds: kfold_cv(None, 2, GRID),
+                         "kfold_cv: ds must be a LongitudinalDataset, got NoneType"),
+    "generate_scenario-cfg-none": (lambda ds: generate_scenario(None),
+                                   "generate_scenario: cfg must be a ScenarioConfig, got NoneType"),
+    "generate_scenario-cfg-str": (lambda ds: generate_scenario("x", np.random.default_rng(0)),
+                                  "generate_scenario: cfg must be a ScenarioConfig, got str"),
+    "generate_scenario-rng-int": (
+        lambda ds: generate_scenario(ScenarioConfig.scenario1(n=6, n_i=4), 1),
+        "generate_scenario: rng must be a numpy Generator, got int"),
+    "run_monte_carlo-cfg-none": (lambda ds: run_monte_carlo(None, 1, grid=GRID),
+                                 "run_monte_carlo: cfg must be a ScenarioConfig, got NoneType"),
 }
 
 
@@ -212,7 +245,8 @@ def test_an_argument_of_the_wrong_type_is_a_configuration_error(ds, argument):
     # numpy's DTypePromotionError, and a NaN or inf bound returned NaNs;
     # effective_lambda's "x" raised a ValueError and its 10**400 an
     # OverflowError, a ctrl "x" an AttributeError, and a ctrl 0 ran as
-    # EmControl()
+    # EmControl(); a ds, cfg or rng of another type raised a bare
+    # AttributeError where it was first read
     call, message = WRONG_TYPES[argument]
     with pytest.raises(ConfigurationError) as err:
         call(ds)
@@ -286,6 +320,15 @@ DOMAIN_REFUSALS = {
                           DataError, _ONE_SUBJECT),
     "kfold_cv-one-subject-training-fold": (
         lambda ds: kfold_cv(ds.subset_subjects([0, 1]), 2, grid=GRID), DataError, _ONE_SUBJECT),
+    # unchecked, a finite per_obs level whose raw level overflows ran: the fit
+    # returned after 500 iterations, not converged, with beta zero and a NaN
+    # trace, and the sweep ran on
+    "effective_lambda-raw-overflow": (lambda ds: effective_lambda(1e308, "per_obs", ds.N),
+                                      ConfigurationError, _RAW_OVERFLOW),
+    "fit_em-raw-overflow": (lambda ds: fit_em(ds, 1e308, lambda_scale="per_obs"),
+                            ConfigurationError, _RAW_OVERFLOW),
+    "sweep-raw-overflow": (lambda ds: sweep(ds, [1e308, 0.1], lambda_scale="per_obs"),
+                           ConfigurationError, _RAW_OVERFLOW),
     "roles-without-response": (lambda ds: ColumnRoles.from_mapping(
         {"subject": "id", "fixed": "a", "random": "1"}),
         ConfigurationError, "column-role mapping is missing 'response'"),
