@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (ConfigurationError, DataError, _checked_int, _checked_real,
-                         _checked_type, _not_real)
+from .exceptions import (ConfigurationError, DataError, _checked_array, _checked_int,
+                         _checked_real, _checked_type)
 
 __all__ = [
     "DistinctBlocks",
@@ -133,8 +133,8 @@ class LongitudinalDataset:
         The arrays are held read-only: a writeable one is copied, so the
         caller's stays writeable, and a read-only one (another dataset's) is
         shared.  Refuses arrays of the wrong shape and counts that are not
-        integers >= 1, each naming its argument; a y, X or Z whose cells are
-        not real numbers (strings or complex numbers); non-finite cells; and
+        integers >= 1, each naming its argument; a y, X or Z that
+        _checked_array refuses, a non-finite cell named by its subject; and
         columns of y, X or Z whose sum of squares overflows double precision
         (no fit could form X'X or r'r) or, for a column with a nonzero entry,
         underflows it (below the smallest normal double, where the fit's
@@ -157,29 +157,28 @@ class LongitudinalDataset:
         if self.subject_ids.shape != (self.n,):
             raise DataError(f"subject_ids has shape {self.subject_ids.shape}; "
                             f"expected one id for each of the {self.n} subjects")
-        y, X, Z = np.asarray(y), np.asarray(X), np.asarray(Z)
-        for name, a in (("y", y), ("X", X), ("Z", Z)):
-            if (bad := _not_real(a)) is not None:
-                raise DataError(f"{name} must hold real numbers, got {bad}")
-        self.y, self.X, self.Z = _taken(y), _taken(X), _taken(Z)
-        for name, a, ndim in (("y", self.y, 1), ("X", self.X, 2), ("Z", self.Z, 2)):
-            if a.ndim != ndim:
-                raise DataError(f"{name} must be {ndim}-D, got shape {a.shape}")
-            if a.shape[0] != self.N:
-                raise DataError(f"{name} has {a.shape[0]} rows; counts sum to {self.N}")
+        for name, a, ndim in (("y", y, 1), ("X", X, 2), ("Z", Z, 2)):
+            try:
+                a = _taken(_checked_array(a, name, (None,) * ndim))
+            except DataError as err:  # a NaN or inf is named by the subject of its first row
+                if str(err) != f"{name} must be finite, got a NaN or inf":
+                    raise
+                rows = np.isfinite(np.asarray(a, dtype=float).reshape(len(a), -1)).all(axis=1)
+                sid = self.subject_ids[self.starts.searchsorted(rows.argmin(), side="right") - 1]
+                raise DataError(f"subject {sid!r}: non-finite values in {name}") from None
+            if len(a) != self.N:
+                raise DataError(f"{name} has {len(a)} rows; counts sum to {self.N}")
+            setattr(self, name, a)
         self.p, self.q = self.X.shape[1], self.Z.shape[1]
         if self.q < 1:
             raise DataError("random-effect design must have at least one column")
-        for name, a in (("y", self.y[:, None]), ("X", self.X), ("Z", self.Z)):
-            if not np.isfinite(a).all():  # flat; the first bad row is found only on failure
-                bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
-                i = np.searchsorted(self.starts, bad[0], side="right") - 1
-                raise DataError(f"subject {self.subject_ids[i]!r}: non-finite values in {name}")
-        self.x_names = list(x_names) if x_names is not None else [f"x{j + 1}" for j in range(self.p)]
+        self.x_names = ([f"x{j + 1}" for j in range(self.p)] if x_names is None else
+                        list(_iterated(x_names, "x_names must be an iterable of names")))
         if len(self.x_names) != self.p:
             raise DataError("x_names length does not match p")
         self.y_name = y_name
-        self.z_names = list(z_names) if z_names is not None else [f"z{j + 1}" for j in range(self.q)]
+        self.z_names = ([f"z{j + 1}" for j in range(self.q)] if z_names is None else
+                        list(_iterated(z_names, "z_names must be an iterable of names")))
         with np.errstate(over="ignore"):  # refused below, by name
             squares = np.concatenate([[self.y @ self.y], np.einsum("ij,ij->j", self.X, self.X),
                                       np.einsum("ij,ij->j", self.Z, self.Z)])
@@ -349,14 +348,18 @@ class LongitudinalDataset:
                             y=self.y[rows], X=self.X[rows], Z=self.Z[rows])
 
 
+def _iterated(values, what: str):
+    """iter(values), else a ConfigurationError "{what}, got {values!r}"."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ConfigurationError(f"{what}, got {values!r}") from None
+
+
 def _checked_indices(indices, size: int, what: str) -> np.ndarray:
     """indices as an integer array; ConfigurationError unless indices is a
     collection of integers in [0, size) (_checked_int)."""
-    try:
-        items = iter(indices)
-    except TypeError:
-        raise ConfigurationError(f"{what} index list must be an iterable of integers, "
-                                 f"got {indices!r}") from None
+    items = _iterated(indices, f"{what} index list must be an iterable of integers")
     return np.array([_checked_int(j, f"{what} index", 0, size) for j in items], dtype=int)
 
 
@@ -575,9 +578,11 @@ def standardize(ds: LongitudinalDataset, categorical=(), scale_y=True) -> Longit
     squares over N - 1, then the square root), they are divided by it in
     place, and the exempt columns are copied from X.  The new dataset
     shares the scaled X and y, and ds's Z.  A ds that is not a
-    LongitudinalDataset is a ConfigurationError.
+    LongitudinalDataset, or a scale_y that is not a bool, is a
+    ConfigurationError.
     """
     _checked_type(ds, LongitudinalDataset, "standardize: ds must be a LongitudinalDataset")
+    _checked_type(scale_y, (bool, np.bool_), "standardize: scale_y must be a bool")
     if ds.standardization is not None:
         raise ConfigurationError("dataset is already standardized")
     if ds.N < 2:

@@ -91,9 +91,9 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import LongitudinalDataset, _checked_indices, _entries
-from .exceptions import (ConfigurationError, DataError, NumericalError, _checked_int,
-                         _checked_real, _checked_type)
+from .dataset import LongitudinalDataset, _checked_indices, _entries, _iterated
+from .exceptions import (ConfigurationError, DataError, NumericalError, _checked_array,
+                         _checked_int, _checked_real, _checked_type)
 # solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
 # this module's binding of it, so the name stays until the tracer drops it
 from .penalized_ls import (RAW, _checked_penalty, _penalty_value, _solve_gram, _truncate,
@@ -124,7 +124,8 @@ class LmmParams:
 
     One member has beta (p,), a float sigma2 and D (q, q).  The EM loop
     (_run_em) also holds R members on a leading axis: beta (R, p),
-    sigma2 (R,) and D (R, q, q).
+    sigma2 (R,) and D (R, q, q).  A field that cannot become a float array
+    is a ConfigurationError in _checked_array's words.
     """
 
     beta: np.ndarray
@@ -132,13 +133,20 @@ class LmmParams:
     D: np.ndarray
 
     def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.D = np.asarray(self.D, dtype=float)
         try:
-            self.sigma2 = (float(self.sigma2) if self.beta.ndim == 1
-                           else np.asarray(self.sigma2, dtype=float))
-        except TypeError:  # a lone member's non-scalar sigma2, which _checked_params refuses
-            self.sigma2 = np.asarray(self.sigma2, dtype=float)
+            self.beta = np.asarray(self.beta, dtype=float)
+            self.D = np.asarray(self.D, dtype=float)
+            try:
+                self.sigma2 = (float(self.sigma2) if self.beta.ndim == 1
+                               else np.asarray(self.sigma2, dtype=float))
+            except TypeError:  # a lone member's non-scalar sigma2, which _checked_params refuses
+                self.sigma2 = np.asarray(self.sigma2, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            for name in ("beta", "D", "sigma2"):  # the first unconverted fails by its cells
+                value = getattr(self, name)
+                if not (isinstance(value, np.ndarray) and value.dtype == float):
+                    _checked_array(value, f"LmmParams: {name}", (), ConfigurationError)
+            raise
 
     def _check_finite(self):
         """Raise NumericalError naming the first of beta, sigma2, D with a NaN or inf."""
@@ -751,10 +759,10 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
 
 def _checked_supports(supports, p: int) -> list:
     """Each support as a sorted integer array of column indices, which indexes
-    without a conversion per use; ConfigurationError unless every index is
-    an integer in [0, p) (_checked_indices), none of them repeated."""
+    without a conversion per use; ConfigurationError unless supports is an
+    iterable and every index an integer in [0, p) (_checked_indices), unrepeated."""
     out = []
-    for support in supports:
+    for support in _iterated(supports, "fit_em_supports: supports must be an iterable"):
         what = f"fit_em_supports: support {support!r}: column"
         A = np.sort(_checked_indices(support, p, what))
         if np.any(A[1:] == A[:-1]):

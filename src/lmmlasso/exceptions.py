@@ -88,12 +88,30 @@ def _checked_name(value, names, what: str) -> str:
     return value
 
 
-def _not_real(a: np.ndarray) -> str | None:
-    """What in a is not a real number: its dtype, or an object array's first
-    string or complex cell; None when every cell is one (a None cell passes,
-    and becomes NaN)."""
-    if a.dtype.kind == "O":
-        cell = next((v for v in a.flat
-                     if isinstance(v, (str, bytes, complex, np.complexfloating))), None)
-        return None if cell is None else f"a cell {cell!r}"
-    return None if a.dtype.kind in "biuf" else f"dtype {a.dtype}"
+def _checked_array(value, what: str, shape, error=DataError) -> np.ndarray:
+    """value as a float ndarray, the one check of an array argument; a cast
+    from another dtype is a new read-only array, which dataset._taken shares.
+    error naming what unless np.asarray makes value a rectangular array of
+    real numbers a float holds, not bools (a None cell becomes NaN), of shape
+    shape (None matching any length) and finite."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind == "O":  # a 0-d one is a value that is not an array (a dict)
+            cell = next((v for v in a.flat if v is not None
+                         and (isinstance(v, bool) or not isinstance(v, numbers.Real))), None)
+            if cell is not None:
+                got = f"a cell {cell!r}" if a.ndim else type(cell).__name__
+                raise error(f"{what} must hold real numbers, got {got}")
+        elif a.dtype.kind not in "iuf":  # bools, strings, complex numbers, dates
+            raise error(f"{what} must hold real numbers, got dtype {a.dtype}")
+        if a.dtype != float:
+            a = a.astype(float)
+            a.setflags(write=False)
+    except (ValueError, OverflowError) as err:  # ragged, or a cell beyond the double range
+        raise error(f"{what} must hold real numbers that a float holds: {err}") from None
+    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+        expected = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
+        raise error(f"{what} must have shape {expected}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise error(f"{what} must be finite, got a NaN or inf")
+    return a

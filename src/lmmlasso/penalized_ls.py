@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (ConfigurationError, DataError, NumericalError, _checked_name,
-                         _checked_real, _not_real)
+from .exceptions import (ConfigurationError, NumericalError, _checked_array, _checked_name,
+                         _checked_real)
 
 __all__ = [
     "LAMBDA_SCALES",
@@ -80,12 +80,11 @@ def penalty_value(beta: np.ndarray, alpha: float = 1.0):
     """Mixing-weighted penalty alpha*||beta||_1 + (1-alpha)*||beta||_2^2.
 
     A float for beta (p,); one value per member, summed over the last axis,
-    for a stack (R, p); a 0-d beta is a DataError.
+    for an (R, p) ndarray.  Any other beta is a DataError (_checked_array).
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim == 0:
-        raise DataError(f"penalty_value: beta must be a (p,) or (R, p) array, got {beta!r}")
-    return _penalty_value(beta, _checked_penalty(alpha))
+    shape = (None, None) if getattr(beta, "ndim", 1) == 2 else (None,)
+    return _penalty_value(_checked_array(beta, "penalty_value: beta", shape),
+                          _checked_penalty(alpha))
 
 
 def _penalty_value(beta: np.ndarray, alpha: float):
@@ -127,9 +126,7 @@ def lambda_max(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> float:
     if _checked_penalty(alpha) == 0.0:
         raise ConfigurationError(f"lambda_max requires alpha in (0, 1], got {alpha}")
     X, y, _ = _checked_problem("lambda_max", X, y, None, "beta")
-    if X.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.abs(2.0 * (X.T @ y)))) / alpha
+    return float(np.max(np.abs(2.0 * (X.T @ y)), initial=0.0)) / alpha  # 0 when p = 0
 
 
 def _kkt_residual(grad_half: np.ndarray, beta: np.ndarray, lam: float, alpha: float) -> float:
@@ -149,30 +146,13 @@ def _kkt_residual(grad_half: np.ndarray, beta: np.ndarray, lam: float, alpha: fl
 
 
 def _checked_problem(caller: str, X, y, beta, name: str):
-    """(X, y, beta) as float arrays, beta zero when None: the one input
-    check of solve_pls, kkt_check and lambda_max.  DataError naming caller
-    and the argument, X, y or beta (as name), unless each holds real
-    numbers (_not_real), X is (N, p), y (N,) and beta (p,), and each holds
-    no NaN or inf.
-    """
-    X, y = np.asarray(X), np.asarray(y)
-    beta = None if beta is None else np.asarray(beta)
-    for what, a in (("X", X), ("y", y), (name, beta)):
-        if a is not None and (bad := _not_real(a)) is not None:
-            raise DataError(f"{caller}: {what} must hold real numbers, got {bad}")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DataError(f"{caller}: X must be an (N, p) array, got shape {X.shape}")
+    """(X, y, beta) as float arrays, beta zero when None: the one input check
+    of solve_pls, kkt_check and lambda_max, _checked_array's of X (N, p), y
+    (N,) and beta (p,), each named with caller (beta as name)."""
+    X = _checked_array(X, f"{caller}: X", (None, None))
     N, p = X.shape
-    y = np.asarray(y, dtype=float)
-    beta = np.zeros(p) if beta is None else np.asarray(beta, dtype=float)
-    for what, a, shape in (("y", y, (N,)), (name, beta, (p,))):
-        if a.shape != shape:
-            raise DataError(f"{caller}: {what} must have shape {shape}, got {a.shape}")
-    for what, a in (("X", X), ("y", y), (name, beta)):
-        if not np.isfinite(a).all():
-            raise DataError(f"{caller}: {what} holds a NaN or inf")
-    return X, y, beta
+    y = _checked_array(y, f"{caller}: y", (N,))
+    return X, y, np.zeros(p) if beta is None else _checked_array(beta, f"{caller}: {name}", (p,))
 
 
 def kkt_check(X: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float,

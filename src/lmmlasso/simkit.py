@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LongitudinalDataset
+from .dataset import LongitudinalDataset, _taken
 from .em_engine import EmControl, _psd_sqrt
-from .exceptions import (ConfigurationError, LmmLassoError, _checked_int, _checked_real,
-                         _checked_type)
+from .exceptions import (ConfigurationError, LmmLassoError, _checked_array, _checked_int,
+                         _checked_real, _checked_type)
 from .fileio import write_csv
 from .penalized_ls import PER_OBS
 from .selector import _selection_settings, select, sweep
@@ -79,28 +79,16 @@ class ScenarioConfig:
                        covariate_mean=_checked_real(self.covariate_mean, "covariate_mean"))
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        beta = self.beta_true
-        if beta is None:
-            beta = np.zeros(self.p)
-            beta[:self.p_star] = 1.0
-        for name, value in (("D_true", D_LOW if self.D_true is None else self.D_true),
-                            ("beta_true", beta)):
-            a = np.asarray(value)
-            if a.dtype.kind not in "iuf":  # no bools, strings or other objects
-                raise ConfigurationError(f"{name} must be an array of real numbers, "
-                                         f"got {value!r}")
-            if not np.isfinite(a).all():
-                raise ConfigurationError(f"{name} must be finite")
-            a = a.astype(float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        D = D_LOW if self.D_true is None else self.D_true
+        beta = (np.arange(self.p) < self.p_star) * 1.0 if self.beta_true is None else self.beta_true
+        for name, value, shape in (("D_true", D, (2, 2)), ("beta_true", beta, (self.p,))):
+            a = _checked_array(value, name, shape, ConfigurationError)
+            object.__setattr__(self, name, _taken(a))
         D = self.D_true
-        if D.shape != (2, 2) or np.abs(D - D.T).max() > 1e-12:
+        if np.abs(D - D.T).max() > 1e-12:
             raise ConfigurationError("D_true must be a symmetric 2x2 matrix")
         if np.linalg.eigvalsh(D).min() < -1e-12:
             raise ConfigurationError("D_true must be positive semidefinite")
-        if self.beta_true.shape != (self.p,):
-            raise ConfigurationError("beta_true must have length p")
 
     scenario1 = classmethod(lambda cls, **kw: cls(1, **kw))
     scenario2 = classmethod(lambda cls, **kw: cls(2, **kw))

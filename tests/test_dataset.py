@@ -510,9 +510,9 @@ _CONSTRUCTOR_REFUSALS = {
     "counts-2d": (dict(counts=[[1, 2]]), "counts must be 1-D, got shape (1, 2)"),
     "ids": (dict(subject_ids=[0]),
             "subject_ids has shape (1,); expected one id for each of the 2 subjects"),
-    "y-2d": (dict(y=np.ones((3, 1))), "y must be 1-D, got shape (3, 1)"),
-    "X-1d": (dict(X=np.ones(3)), "X must be 2-D, got shape (3,)"),
-    "Z-1d": (dict(Z=np.ones(3)), "Z must be 2-D, got shape (3,)"),
+    "y-2d": (dict(y=np.ones((3, 1))), "y must have shape (*,), got (3, 1)"),
+    "X-1d": (dict(X=np.ones(3)), "X must have shape (*, *), got (3,)"),
+    "Z-1d": (dict(Z=np.ones(3)), "Z must have shape (*, *), got (3,)"),
     "Z-no-columns": (dict(Z=np.ones((3, 0))),
                      "random-effect design must have at least one column"),
     "no-subject": (dict(subject_ids=[], counts=[], y=np.empty(0), X=np.empty((0, 2)),

@@ -139,7 +139,7 @@ def test_non_finite_input_is_a_data_error(where, bad):
     args = {"X": rng.normal(size=(20, 4)), "y": rng.normal(size=20),
             "warm_start": rng.normal(size=4)}
     args[where][(0, 1) if where == "X" else 0] = bad
-    with pytest.raises(DataError, match=f"solve_pls: {where} holds a NaN or inf"):
+    with pytest.raises(DataError, match=f"solve_pls: {where} must be finite, got a NaN or inf"):
         solve_pls(args["X"], args["y"], 1.0, warm_start=args["warm_start"])
 
 
@@ -170,8 +170,9 @@ def test_null_step_rounding_allowance_scales_with_the_objectives_terms():
 
 
 @pytest.mark.parametrize("where, message", [
-    ("beta-nan", "beta holds a NaN or inf"), ("beta-inf", "beta holds a NaN or inf"),
-    ("X-1d", "X must be an"), ("y-column", "y must have shape"),
+    ("beta-nan", "beta must be finite, got a NaN or inf"),
+    ("beta-inf", "beta must be finite, got a NaN or inf"),
+    ("X-1d", r"X must have shape \(\*, \*\)"), ("y-column", "y must have shape"),
 ])
 def test_kkt_check_refuses_bad_arrays_as_solve_pls_does(where, message):
     # unchecked: a NaN beta returned nan, an inf one nan with a

@@ -6,6 +6,10 @@ The check reads each module's syntax tree: a _checked_real(...) call that is
 an operand of a comparison, of `not` or of `and`/`or`, or the one argument
 of another call (float(...), abs(...), np.isfinite(...)), fails here.  Its
 result is assigned, returned or passed on as it is.
+
+Likewise exceptions._checked_array owns an array argument's check: the text
+of its refusal of a cell that is not a real number ("must hold real
+numbers") is written nowhere but in exceptions.py.
 """
 
 import ast
@@ -58,3 +62,27 @@ def test_the_guard_passes_a_result_used_as_it_is():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_retests_a_checked_real_number(module):
     assert _retested((PACKAGE / module).read_text()) == []
+
+
+ARRAY_MESSAGE = "must hold real numbers"
+
+
+def _array_messages(source: str) -> list:
+    """The lines of source where a string, or a literal part of an f-string,
+    holds the array check's message (ARRAY_MESSAGE)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and ARRAY_MESSAGE in node.value)
+
+
+def test_the_array_guard_sees_its_message_written_elsewhere():
+    source = ("x = _checked_array(v, 'v', (None,))\n"
+              "raise DataError(f'{name} must hold real numbers, got {bad}')\n"
+              "msg = 'y must hold real numbers'\n")
+    assert _array_messages(source) == [2, 3]
+
+
+def test_the_array_message_is_written_only_in_exceptions():
+    assert _array_messages((PACKAGE / "exceptions.py").read_text())
+    assert {m: _array_messages((PACKAGE / m).read_text()) for m in MODULES} == {
+        m: [] for m in MODULES}

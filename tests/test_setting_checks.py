@@ -128,7 +128,7 @@ def test_real_setting_refuses_a_value_that_is_not_a_real_number(ds, setting, val
 def test_array_setting_refuses_entries_that_are_not_real_numbers(field, value):
     # unchecked: D_true="low" raised a bare ValueError, and string and bool
     # entries were cast to floats
-    with pytest.raises(ConfigurationError, match=f"^{field} must be an array of real numbers"):
+    with pytest.raises(ConfigurationError, match=f"^{field} must hold real numbers"):
         ScenarioConfig.scenario1(**{field: value})
 
 
@@ -234,6 +234,22 @@ WRONG_TYPES = {
         "generate_scenario: rng must be a numpy Generator, got int"),
     "run_monte_carlo-cfg-none": (lambda ds: run_monte_carlo(None, 1, grid=GRID),
                                  "run_monte_carlo: cfg must be a ScenarioConfig, got NoneType"),
+    "fit_em_supports-supports-none": (
+        lambda ds: fit_em_supports(ds, None),
+        "fit_em_supports: supports must be an iterable, got None"),
+    "fit_em_supports-supports-negative": (
+        lambda ds: fit_em_supports(ds, -1),
+        "fit_em_supports: supports must be an iterable, got -1"),
+    "standardize-scale_y-array": (lambda ds: standardize(ds, scale_y=np.zeros(9)),
+                                  "standardize: scale_y must be a bool, got ndarray"),
+    "LongitudinalDataset-x_names-negative": (lambda ds: ds._derive(x_names=-1),
+                                             "x_names must be an iterable of names, got -1"),
+    "LongitudinalDataset-z_names-nan": (lambda ds: ds._derive(z_names=float("nan")),
+                                        "z_names must be an iterable of names, got nan"),
+    "LmmParams-beta-str": (lambda ds: LmmParams("x", 1.0, np.eye(2)),
+                           "LmmParams: beta must hold real numbers, got dtype <U1"),
+    "LmmParams-sigma2-str": (lambda ds: LmmParams(BETA, "x", np.eye(2)),
+                             "LmmParams: sigma2 must hold real numbers, got dtype <U1"),
 }
 
 
@@ -246,7 +262,9 @@ def test_an_argument_of_the_wrong_type_is_a_configuration_error(ds, argument):
     # effective_lambda's "x" raised a ValueError and its 10**400 an
     # OverflowError, a ctrl "x" an AttributeError, and a ctrl 0 ran as
     # EmControl(); a ds, cfg or rng of another type raised a bare
-    # AttributeError where it was first read
+    # AttributeError where it was first read; a supports of None or -1 raised
+    # a bare TypeError (so did x_names or z_names), an array scale_y numpy's "truth value ... is
+    # ambiguous" and LmmParams' "x" a bare ValueError
     call, message = WRONG_TYPES[argument]
     with pytest.raises(ConfigurationError) as err:
         call(ds)
@@ -260,19 +278,47 @@ WRONG_ARRAYS = {
     "lambda_max-y-none": (lambda ds: lambda_max(ds.X, None),
                           "lambda_max: y must have shape (24,), got ()"),
     "lambda_max-X-1d": (lambda ds: lambda_max(ds.y, ds.y),
-                        "lambda_max: X must be an (N, p) array, got shape (24,)"),
+                        "lambda_max: X must have shape (*, *), got (24,)"),
     "solve_pls-X-str-cell": (lambda ds: solve_pls([["a"]], [1.0], 0.1),
                              "solve_pls: X must hold real numbers, got dtype <U1"),
     "penalty_value-beta-0d": (lambda ds: penalty_value(np.float64(1.0)),
-                              "penalty_value: beta must be a (p,) or (R, p) array, got array(1.)"),
+                              "penalty_value: beta must have shape (*,), got ()"),
+    "penalty_value-beta-str": (lambda ds: penalty_value("x"),
+                               "penalty_value: beta must hold real numbers, got dtype <U1"),
+    "solve_pls-X-bool": (lambda ds: solve_pls(ds.X > 6.0, ds.y, 0.1),
+                         "solve_pls: X must hold real numbers, got dtype bool"),
+    "LongitudinalDataset-X-bool": (lambda ds: ds._derive(X=ds.X > 6.0),
+                                   "X must hold real numbers, got dtype bool"),
+    "LongitudinalDataset-y-bool": (lambda ds: _with_y(ds, ds.y > 0.0),
+                                   "y must hold real numbers, got dtype bool"),
 }
+# argument: (call on a value and the dataset, the name in its error); a dict
+# or an object() in place of each array is refused as not an array of reals
+_ARRAY_ARGUMENTS = {
+    "solve_pls-X": (lambda v, ds: solve_pls(v, ds.y, 0.1), "solve_pls: X"),
+    "solve_pls-y": (lambda v, ds: solve_pls(ds.X, v, 0.1), "solve_pls: y"),
+    "solve_pls-warm_start": (lambda v, ds: solve_pls(ds.X, ds.y, 0.1, warm_start=v),
+                             "solve_pls: warm_start"),
+    "kkt_check-beta": (lambda v, ds: kkt_check(ds.X, ds.y, v, 0.1), "kkt_check: beta"),
+    "lambda_max-y": (lambda v, ds: lambda_max(ds.X, v), "lambda_max: y"),
+    "penalty_value-beta": (lambda v, ds: penalty_value(v), "penalty_value: beta"),
+    "LongitudinalDataset-y": (lambda v, ds: _with_y(ds, v), "y"),
+    "LongitudinalDataset-X": (lambda v, ds: ds._derive(X=v), "X"),
+}
+WRONG_ARRAYS.update({
+    f"{argument}-{type(value).__name__}": (lambda ds, call=call, value=value: call(value, ds),
+                                           f"{what} must hold real numbers, got "
+                                           f"{type(value).__name__}")
+    for argument, (call, what) in _ARRAY_ARGUMENTS.items() for value in ({}, object())})
 
 
 @pytest.mark.parametrize("argument", list(WRONG_ARRAYS))
 def test_an_array_argument_of_the_wrong_kind_is_a_data_error(ds, argument):
     # unchecked: lambda_max's "abc" raised a ValueError, its None y numpy's
     # matmul ValueError and its 1-D X an IndexError, solve_pls's string cell
-    # a ValueError, and the penalty of a 0-d beta was 1.0
+    # a ValueError, and the penalty of a 0-d beta was 1.0; a dict or an
+    # object() raised a bare TypeError and penalty_value's "x" a ValueError,
+    # and bool arrays were cast to 0/1
     call, message = WRONG_ARRAYS[argument]
     with pytest.raises(DataError) as err:
         call(ds)
@@ -282,11 +328,11 @@ def test_an_array_argument_of_the_wrong_kind_is_a_data_error(ds, argument):
 # setting: (call on the dataset, the error it raises, its message)
 DOMAIN_REFUSALS = {
     "D_true-3x3": (lambda ds: ScenarioConfig.scenario1(D_true=np.eye(3)),
-                   ConfigurationError, "D_true must be a symmetric 2x2 matrix"),
+                   ConfigurationError, "D_true must have shape (2, 2), got (3, 3)"),
     "sigma2_true-negative": (lambda ds: ScenarioConfig.scenario1(sigma2_true=-1),
                              ConfigurationError, "sigma2_true must be finite and >= 0, got -1"),
     "beta_true-length": (lambda ds: ScenarioConfig.scenario1(beta_true=np.ones(3)),
-                         ConfigurationError, "beta_true must have length p"),
+                         ConfigurationError, "beta_true must have shape (9,), got (3,)"),
     "standardize-constant-response": (lambda ds: standardize(_with_y(ds, np.ones(ds.N))),
                                       DataError, "response has zero variance"),
     "standardize-twice": (lambda ds: standardize(standardize(ds)),
