@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import (ConfigurationError, DataError, _checked_array, _checked_int,
-                         _checked_real, _checked_type)
+                         _checked_real, _checked_shape, _checked_type)
 
 __all__ = [
     "DistinctBlocks",
@@ -132,17 +132,17 @@ class LongitudinalDataset:
 
         The arrays are held read-only: a writeable one is copied, so the
         caller's stays writeable, and a read-only one (another dataset's) is
-        shared.  Refuses arrays of the wrong shape and counts that are not
-        integers >= 1, each naming its argument; a y, X or Z that
-        _checked_array refuses, a non-finite cell named by its subject; and
+        shared.  Refuses, naming the argument: counts that are not integers
+        >= 1; a size that does not match (_checked_shape: an id per subject,
+        sum(counts) rows, a name per column); a y, X or Z that _checked_array
+        refuses, a non-finite cell named by its subject; and
         columns of y, X or Z whose sum of squares overflows double precision
         (no fit could form X'X or r'r) or, for a column with a nonzero entry,
         underflows it (below the smallest normal double, where the fit's
         products lose the column).
         """
         counts = np.asarray(counts)
-        if counts.ndim != 1:
-            raise DataError(f"counts must be 1-D, got shape {counts.shape}")
+        _checked_shape(counts.shape, (None,), "counts")
         if not counts.size:
             raise DataError("dataset needs at least one subject")
         if counts.dtype.kind not in "iu":
@@ -154,31 +154,27 @@ class LongitudinalDataset:
         self.N = int(self.counts.sum())
         self.starts = np.cumsum(self.counts) - self.counts
         self.subject_ids = _taken(subject_ids, object)
-        if self.subject_ids.shape != (self.n,):
-            raise DataError(f"subject_ids has shape {self.subject_ids.shape}; "
-                            f"expected one id for each of the {self.n} subjects")
-        for name, a, ndim in (("y", y, 1), ("X", X, 2), ("Z", Z, 2)):
+        _checked_shape(self.subject_ids.shape, (self.n,), "subject_ids")
+        for name, a, shape in (("y", y, (self.N,)), ("X", X, (self.N, None)),
+                               ("Z", Z, (self.N, None))):
             try:
-                a = _taken(_checked_array(a, name, (None,) * ndim))
+                a = _taken(_checked_array(a, name, shape))
             except DataError as err:  # a NaN or inf is named by the subject of its first row
                 if str(err) != f"{name} must be finite, got a NaN or inf":
                     raise
                 rows = np.isfinite(np.asarray(a, dtype=float).reshape(len(a), -1)).all(axis=1)
                 sid = self.subject_ids[self.starts.searchsorted(rows.argmin(), side="right") - 1]
                 raise DataError(f"subject {sid!r}: non-finite values in {name}") from None
-            if len(a) != self.N:
-                raise DataError(f"{name} has {len(a)} rows; counts sum to {self.N}")
             setattr(self, name, a)
         self.p, self.q = self.X.shape[1], self.Z.shape[1]
         if self.q < 1:
             raise DataError("random-effect design must have at least one column")
-        self.x_names = ([f"x{j + 1}" for j in range(self.p)] if x_names is None else
-                        list(_iterated(x_names, "x_names must be an iterable of names")))
-        if len(self.x_names) != self.p:
-            raise DataError("x_names length does not match p")
+        for what, names, size in (("x_names", x_names, self.p), ("z_names", z_names, self.q)):
+            names = ([f"{what[0]}{j + 1}" for j in range(size)] if names is None else
+                     list(_iterated(names, f"{what} must be an iterable of names")))
+            _checked_shape((len(names),), (size,), what)
+            setattr(self, what, names)
         self.y_name = y_name
-        self.z_names = ([f"z{j + 1}" for j in range(self.q)] if z_names is None else
-                        list(_iterated(z_names, "z_names must be an iterable of names")))
         with np.errstate(over="ignore"):  # refused below, by name
             squares = np.concatenate([[self.y @ self.y], np.einsum("ij,ij->j", self.X, self.X),
                                       np.einsum("ij,ij->j", self.Z, self.Z)])
@@ -349,9 +345,10 @@ class LongitudinalDataset:
 
 
 def _iterated(values, what: str):
-    """iter(values), else a ConfigurationError "{what}, got {values!r}"."""
+    """iter(values), else a ConfigurationError "{what}, got {values!r}"; a
+    string, an iterable of its characters, is not a list of names or indices."""
     try:
-        return iter(values)
+        return iter(None if isinstance(values, str) else values)
     except TypeError:
         raise ConfigurationError(f"{what}, got {values!r}") from None
 

@@ -76,11 +76,6 @@ algebra then runs on floats, and a stack's runs on matrix products.  An
 E-step holds the params it was taken at, where the M-step reads its level
 and warm start; a fit started from an earlier fit's report (as sweep does)
 reuses its last E-step if that holds the report's params on the same dataset.
-What a fit of a lone member repeats is bookkeeping only: the designs that
-cannot identify D are refused from a verdict each dataset decides once
-(ds.design_refusal), a ctrl of None is one shared EmControl, the guard
-tests finiteness in one sum, and the driver rebuilds its member list and
-beta solve only when a member leaves.
 """
 
 from __future__ import annotations
@@ -93,7 +88,7 @@ import numpy as np
 
 from .dataset import LongitudinalDataset, _checked_indices, _entries, _iterated
 from .exceptions import (ConfigurationError, DataError, NumericalError, _checked_array,
-                         _checked_int, _checked_real, _checked_type)
+                         _checked_int, _checked_real, _checked_shape, _checked_type)
 # solve_pls is not called here; the benchmark tracer (bench/spans.py) wraps
 # this module's binding of it, so the name stays until the tracer drops it
 from .penalized_ls import (RAW, _checked_penalty, _penalty_value, _solve_gram, _truncate,
@@ -414,15 +409,15 @@ def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def _checked_params(params: LmmParams, ds: LongitudinalDataset, what: str, lone: bool = False):
     """np.linalg.eigh(params.D) of parameters from outside the EM, once checked:
-    a ConfigurationError naming what unless they are an LmmParams of one
-    member (or, unless lone, a stack) with ds's p and q, then a
-    NumericalError unless finite with sigma2 > 0 and D symmetric,
-    eigenvalues above -1e-10."""
+    a ConfigurationError naming what and the field unless they are an
+    LmmParams of one member (or, unless lone, a stack) with ds's p and q
+    (_checked_shape), then a NumericalError unless finite with sigma2 > 0
+    and D symmetric, eigenvalues above -1e-10."""
     _checked_type(params, LmmParams, f"{what} must be an LmmParams")
-    lead = params.beta.shape[:-1]
-    if (lone and lead) or (params.beta.shape[-1:], np.shape(params.sigma2), params.D.shape) != (
-            (ds.p,), lead, (*lead, ds.q, ds.q)):
-        raise ConfigurationError(f"{what} has wrong shapes for this dataset")
+    lead = () if lone else params.beta.shape[:-1]
+    for name, shape in (("beta", (*lead, ds.p)), ("sigma2", lead), ("D", (*lead, ds.q, ds.q))):
+        _checked_shape(np.shape(getattr(params, name)), shape, f"{what}: {name}",
+                       ConfigurationError)
     params._check_finite()
     if np.any(params.sigma2 <= 0.0):
         raise NumericalError(f"sigma2 must be positive, got {params.sigma2}")
@@ -551,8 +546,9 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, lam: float,
     """
     _checked_penalty(alpha, lam)
     _checked_type(moments, EStepMoments, "m_step: moments must be an EStepMoments")
-    if moments.ds is not ds or moments.b_hat.shape != (ds.n, ds.q):
+    if moments.ds is not ds:
         raise ConfigurationError("m_step: moments are not one member's E-step on this dataset")
+    _checked_shape(moments.b_hat.shape, (ds.n, ds.q), "m_step: moments.b_hat", ConfigurationError)
     _checked_params(moments.params, ds, "m_step: moments.params", lone=True)
     params, _, _ = _m_step(ds, moments, lam, lambda c, lam1, warm_start: _solve_gram(
         c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start, ds.gram_factor)[:2])
@@ -782,12 +778,10 @@ def fit_em_supports(ds: LongitudinalDataset, supports, ctrl: EmControl | None = 
     rule (_truncate: the minimum-norm solution, and a note, where X_A'X_A
     is not numerically positive definite); a member's beta is solved on
     that factor and embedded in a p-vector, so no restricted dataset or
-    moment is built.  (Padding the factors into one (R, |A|max, |A|max)
-    stack solved faster but raised the peak memory of a scenario-3 run.)
-    Estimates are in ds's units; ds.standardization.original_scale maps
-    one back.  Returns one entry per support: the FitReport, or the
-    NumericalError its fit raised, so one failure leaves the other fits
-    standing.
+    moment is built.  Estimates are in ds's units;
+    ds.standardization.original_scale maps one back.  Returns one entry per
+    support: the FitReport, or the NumericalError its fit raised, so one
+    failure leaves the other fits standing.
     """
     _checked_type(ds, LongitudinalDataset, "fit_em_supports: ds must be a LongitudinalDataset")
     supports = _checked_supports(supports, ds.p)

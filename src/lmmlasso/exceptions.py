@@ -88,12 +88,21 @@ def _checked_name(value, names, what: str) -> str:
     return value
 
 
+def _checked_shape(shape: tuple, expected: tuple, what: str, error=DataError):
+    """The one refusal of a size that must match another: error "{what} must
+    have shape {expected}, got {shape}" unless shape has expected's length
+    and matches each entry of it that is not None (shown as *)."""
+    if len(shape) != len(expected) or any(n not in (None, m) for n, m in zip(expected, shape)):
+        expected = str(tuple("*" if n is None else n for n in expected)).replace("'", "")
+        raise error(f"{what} must have shape {expected}, got {shape}")
+
+
 def _checked_array(value, what: str, shape, error=DataError) -> np.ndarray:
     """value as a float ndarray, the one check of an array argument; a cast
     from another dtype is a new read-only array, which dataset._taken shares.
     error naming what unless np.asarray makes value a rectangular array of
     real numbers a float holds, not bools (a None cell becomes NaN), of shape
-    shape (None matching any length) and finite."""
+    shape (_checked_shape) and finite."""
     try:
         a = np.asarray(value)
         if a.dtype.kind == "O":  # a 0-d one is a value that is not an array (a dict)
@@ -109,9 +118,7 @@ def _checked_array(value, what: str, shape, error=DataError) -> np.ndarray:
             a.setflags(write=False)
     except (ValueError, OverflowError) as err:  # ragged, or a cell beyond the double range
         raise error(f"{what} must hold real numbers that a float holds: {err}") from None
-    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
-        expected = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
-        raise error(f"{what} must have shape {expected}, got {a.shape}")
+    _checked_shape(a.shape, shape, what, error)
     if not np.isfinite(a).all():
         raise error(f"{what} must be finite, got a NaN or inf")
     return a

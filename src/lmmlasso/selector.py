@@ -158,7 +158,7 @@ def _selection_settings(grid, lambda_scale: str, criterion: str, alpha: float = 
     fit runs or any worker starts.
     """
     grid = default_grid() if grid is None else grid
-    if not isinstance(grid, Collection) or getattr(grid, "ndim", 1) != 1:
+    if isinstance(grid, str) or not isinstance(grid, Collection) or getattr(grid, "ndim", 1) != 1:
         raise ConfigurationError(f"sweep: grid must be a list or 1-d array, got {grid!r}")
     grid = np.sort([_checked_real(v, "sweep: grid entry", 0) for v in grid])[::-1].copy()
     if grid.size == 0:

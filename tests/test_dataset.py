@@ -501,18 +501,17 @@ def test_select_columns_and_subset_subjects_match_rebuilt_datasets(data):
 _VALID = dict(subject_ids=[0, 1], counts=[1, 2], y=np.arange(3.0), X=np.ones((3, 2)),
               Z=np.ones((3, 1)))
 _CONSTRUCTOR_REFUSALS = {
-    "y-rows": (dict(y=np.arange(4.0)), "y has 4 rows; counts sum to 3"),
-    "X-rows": (dict(X=np.ones((2, 2))), "X has 2 rows; counts sum to 3"),
-    "Z-rows": (dict(Z=np.ones((4, 1))), "Z has 4 rows; counts sum to 3"),
+    "y-rows": (dict(y=np.arange(4.0)), "y must have shape (3,), got (4,)"),
+    "X-rows": (dict(X=np.ones((2, 2))), "X must have shape (3, *), got (2, 2)"),
+    "Z-rows": (dict(Z=np.ones((4, 1))), "Z must have shape (3, *), got (4, 1)"),
     "zero-count": (dict(counts=[0, 3]), "counts must be >= 1, got 0"),
     "float-count": (dict(counts=[1.0, 2.0]), "counts must be integers, got dtype float64"),
     "bool-count": (dict(counts=[True, True]), "counts must be integers, got dtype bool"),
-    "counts-2d": (dict(counts=[[1, 2]]), "counts must be 1-D, got shape (1, 2)"),
-    "ids": (dict(subject_ids=[0]),
-            "subject_ids has shape (1,); expected one id for each of the 2 subjects"),
-    "y-2d": (dict(y=np.ones((3, 1))), "y must have shape (*,), got (3, 1)"),
-    "X-1d": (dict(X=np.ones(3)), "X must have shape (*, *), got (3,)"),
-    "Z-1d": (dict(Z=np.ones(3)), "Z must have shape (*, *), got (3,)"),
+    "counts-2d": (dict(counts=[[1, 2]]), "counts must have shape (*,), got (1, 2)"),
+    "ids": (dict(subject_ids=[0]), "subject_ids must have shape (2,), got (1,)"),
+    "y-2d": (dict(y=np.ones((3, 1))), "y must have shape (3,), got (3, 1)"),
+    "X-1d": (dict(X=np.ones(3)), "X must have shape (3, *), got (3,)"),
+    "Z-1d": (dict(Z=np.ones(3)), "Z must have shape (3, *), got (3,)"),
     "Z-no-columns": (dict(Z=np.ones((3, 0))),
                      "random-effect design must have at least one column"),
     "no-subject": (dict(subject_ids=[], counts=[], y=np.empty(0), X=np.empty((0, 2)),
@@ -528,7 +527,7 @@ _CONSTRUCTOR_REFUSALS = {
     "complex": (dict(y=[1 + 2j, 2.0, 3.0]), "y must hold real numbers, got dtype complex128"),
     "object-complex-cell": (dict(Z=np.array([[1.0], [2j], [1.0]], dtype=object)),
                             "Z must hold real numbers, got a cell 2j"),
-    "x_names": (dict(x_names=["a"]), "x_names length does not match p"),
+    "x_names": (dict(x_names=["a"]), "x_names must have shape (2,), got (1,)"),
     # unchecked, a fit on such a column reported converged at beta 0 and the sigma2 floor
     "y-underflow": (dict(y=1e-200 * np.arange(3.0)),
                     "column 'y': sum of squares underflows double precision; rescale"),

@@ -107,7 +107,7 @@ def test_params_of_the_wrong_shape_are_refused(call, beta, sigma2, D):
     # none of them; fit_em's init and m_step's moments.params must be one
     # member; a lone member's array sigma2 raised numpy's TypeError in LmmParams
     ds, _ = generate_scenario(ScenarioConfig.scenario1(n=10, n_i=4, seed=1))
-    with pytest.raises(ConfigurationError, match="wrong shapes"):
+    with pytest.raises(ConfigurationError, match=r": (beta|sigma2|D) must have shape \("):
         call(ds, LmmParams(beta, sigma2, D))
 
 
@@ -121,13 +121,15 @@ def test_m_step_refuses_a_stack_or_moments_that_are_not_one_members_on_ds():
     ds, _ = generate_scenario(ScenarioConfig.scenario1(n=10, n_i=4, seed=1))
     start = LmmParams(np.zeros(ds.p), 1.0, np.eye(ds.q))
     stack = LmmParams(np.zeros((2, ds.p)), np.ones(2), np.broadcast_to(np.eye(ds.q), (2, 2, 2)))
-    with pytest.raises(ConfigurationError, match="^m_step: moments.params has wrong shapes"):
+    with pytest.raises(ConfigurationError, match=r"^m_step: moments.params: beta must have "
+                                                 r"shape \(9,\), got \(2, 9\)$"):
         m_step(ds, replace(_moments_at_start(ds), params=stack), 0.1)
-    other = ds.subset_subjects(range(5))
-    for moments in (e_step(other, start), e_step(ds, stack)):
-        with pytest.raises(ConfigurationError,
-                           match="^m_step: moments are not one member's E-step on this dataset"):
-            m_step(ds, moments, 0.1)
+    with pytest.raises(ConfigurationError,
+                       match="^m_step: moments are not one member's E-step on this dataset"):
+        m_step(ds, e_step(ds.subset_subjects(range(5)), start), 0.1)
+    with pytest.raises(ConfigurationError, match=r"^m_step: moments.b_hat must have shape "
+                                                 r"\(10, 2\), got \(2, 10, 2\)$"):
+        m_step(ds, e_step(ds, stack), 0.1)
 
 
 def test_e_step_mean_of_conditional_means_is_near_zero():
@@ -249,7 +251,7 @@ def _scenario1_report():
     (lambda rep: LmmParams(rep.params.beta, -1.0, rep.params.D), NumericalError,
      "^sigma2 must be positive"),
     (lambda rep: LmmParams(rep.params.beta[:3], rep.params.sigma2, rep.params.D),
-     ConfigurationError, "^fit_em: init has wrong shapes for this dataset"),
+     ConfigurationError, r"^fit_em: init: beta must have shape \(9,\), got \(3,\)$"),
 ], ids=["negative-sigma2", "short-beta"])
 def test_a_report_whose_params_were_replaced_is_checked(params, error, message):
     # unchecked, the fit ran from the report's stale E-step: 10 iterations

@@ -9,7 +9,9 @@ result is assigned, returned or passed on as it is.
 
 Likewise exceptions._checked_array owns an array argument's check: the text
 of its refusal of a cell that is not a real number ("must hold real
-numbers") is written nowhere but in exceptions.py.
+numbers") is written nowhere but in exceptions.py.  So does
+exceptions._checked_shape own the refusal of a size that must match another
+("must have shape").
 """
 
 import ast
@@ -65,24 +67,38 @@ def test_no_module_retests_a_checked_real_number(module):
 
 
 ARRAY_MESSAGE = "must hold real numbers"
+SHAPE_MESSAGE = "must have shape"
 
 
-def _array_messages(source: str) -> list:
+def _messages(source: str, message: str) -> list:
     """The lines of source where a string, or a literal part of an f-string,
-    holds the array check's message (ARRAY_MESSAGE)."""
+    holds message (ARRAY_MESSAGE, SHAPE_MESSAGE)."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and ARRAY_MESSAGE in node.value)
+                  and message in node.value)
 
 
 def test_the_array_guard_sees_its_message_written_elsewhere():
     source = ("x = _checked_array(v, 'v', (None,))\n"
               "raise DataError(f'{name} must hold real numbers, got {bad}')\n"
               "msg = 'y must hold real numbers'\n")
-    assert _array_messages(source) == [2, 3]
+    assert _messages(source, ARRAY_MESSAGE) == [2, 3]
 
 
 def test_the_array_message_is_written_only_in_exceptions():
-    assert _array_messages((PACKAGE / "exceptions.py").read_text())
-    assert {m: _array_messages((PACKAGE / m).read_text()) for m in MODULES} == {
+    assert _messages((PACKAGE / "exceptions.py").read_text(), ARRAY_MESSAGE)
+    assert {m: _messages((PACKAGE / m).read_text(), ARRAY_MESSAGE) for m in MODULES} == {
+        m: [] for m in MODULES}
+
+
+def test_the_shape_guard_sees_its_message_written_elsewhere():
+    source = ("_checked_shape(a.shape, (n,), 'subject_ids')\n"
+              "raise DataError(f'{name} must have shape ({n},), got {a.shape}')\n"
+              "msg = 'x_names must have shape (p,)'\n")
+    assert _messages(source, SHAPE_MESSAGE) == [2, 3]
+
+
+def test_the_shape_message_is_written_only_in_exceptions():
+    assert _messages((PACKAGE / "exceptions.py").read_text(), SHAPE_MESSAGE)
+    assert {m: _messages((PACKAGE / m).read_text(), SHAPE_MESSAGE) for m in MODULES} == {
         m: [] for m in MODULES}

@@ -246,6 +246,25 @@ WRONG_TYPES = {
                                              "x_names must be an iterable of names, got -1"),
     "LongitudinalDataset-z_names-nan": (lambda ds: ds._derive(z_names=float("nan")),
                                         "z_names must be an iterable of names, got nan"),
+    # a string is not a list of names or indices
+    "LongitudinalDataset-x_names-str": (lambda ds: ds._derive(x_names="abcdefghi"),
+                                        "x_names must be an iterable of names, got 'abcdefghi'"),
+    "LongitudinalDataset-z_names-str": (lambda ds: ds._derive(z_names="ab"),
+                                        "z_names must be an iterable of names, got 'ab'"),
+    "fit_em_supports-supports-str": (lambda ds: fit_em_supports(ds, "01"),
+                                     "fit_em_supports: supports must be an iterable, got '01'"),
+    "fit_em_supports-support-str": (
+        lambda ds: fit_em_supports(ds, ["01"]),
+        "fit_em_supports: support '01': column index list must be an iterable of integers, "
+        "got '01'"),
+    "subset_subjects-indices-str": (
+        lambda ds: ds.subset_subjects("01"),
+        "subset_subjects: subject index list must be an iterable of integers, got '01'"),
+    "standardize-categorical-str": (
+        lambda ds: standardize(ds, categorical="0"),
+        "standardize: categorical column index list must be an iterable of integers, got '0'"),
+    "sweep-grid-str": (lambda ds: sweep(ds, "0.1"),
+                       "sweep: grid must be a list or 1-d array, got '0.1'"),
     "LmmParams-beta-str": (lambda ds: LmmParams("x", 1.0, np.eye(2)),
                            "LmmParams: beta must hold real numbers, got dtype <U1"),
     "LmmParams-sigma2-str": (lambda ds: LmmParams(BETA, "x", np.eye(2)),
@@ -264,7 +283,9 @@ def test_an_argument_of_the_wrong_type_is_a_configuration_error(ds, argument):
     # EmControl(); a ds, cfg or rng of another type raised a bare
     # AttributeError where it was first read; a supports of None or -1 raised
     # a bare TypeError (so did x_names or z_names), an array scale_y numpy's "truth value ... is
-    # ambiguous" and LmmParams' "x" a bare ValueError
+    # ambiguous" and LmmParams' "x" a bare ValueError; a string x_names of p
+    # letters was taken as p names, a string of indices as its digits, and a
+    # string grid was refused as "grid entry must be a real number, got '0'"
     call, message = WRONG_TYPES[argument]
     with pytest.raises(ConfigurationError) as err:
         call(ds)
@@ -379,6 +400,51 @@ DOMAIN_REFUSALS = {
         {"subject": "id", "fixed": "a", "random": "1"}),
         ConfigurationError, "column-role mapping is missing 'response'"),
 }
+
+
+# argument and its link, one off: (call on the dataset (n = 6, N = 24, p = 9,
+# q = 2), the error it raises, its message)
+LINKED_SIZES = {
+    "x_names-short": (lambda ds: ds._derive(x_names=ds.x_names[:-1]),
+                      DataError, "x_names must have shape (9,), got (8,)"),
+    "x_names-long": (lambda ds: ds._derive(x_names=[*ds.x_names, "x10"]),
+                     DataError, "x_names must have shape (9,), got (10,)"),
+    # unchecked, the short list hid the all-zero column from design_refusal,
+    # and fit_em reported converged with D[1, 1] = 1 unmoved
+    "z_names-short": (lambda ds: _zero_slope(ds)._derive(z_names=["z1"]),
+                      DataError, "z_names must have shape (2,), got (1,)"),
+    "z_names-long": (lambda ds: ds._derive(z_names=["z1", "z2", "z3"]),
+                     DataError, "z_names must have shape (2,), got (3,)"),
+    "y-rows": (lambda ds: ds._derive(y=ds.y[:-1]), DataError, "y must have shape (24,), got (23,)"),
+    "X-rows": (lambda ds: ds._derive(X=ds.X[:-1]),
+               DataError, "X must have shape (24, *), got (23, 9)"),
+    "Z-rows": (lambda ds: ds._derive(Z=ds.Z[:-1]),
+               DataError, "Z must have shape (24, *), got (23, 2)"),
+    "subject_ids": (lambda ds: ds._derive(subject_ids=ds.subject_ids[:-1]),
+                    DataError, "subject_ids must have shape (6,), got (5,)"),
+    "init-beta": (lambda ds: fit_em(ds, 0.1, init=LmmParams(np.zeros(10), 1.0, np.eye(2))),
+                  ConfigurationError, "fit_em: init: beta must have shape (9,), got (10,)"),
+    "init-sigma2": (lambda ds: fit_em(ds, 0.1, init=LmmParams(BETA, np.ones(2), np.eye(2))),
+                    ConfigurationError, "fit_em: init: sigma2 must have shape (), got (2,)"),
+    "init-D": (lambda ds: fit_em(ds, 0.1, init=LmmParams(BETA, 1.0, np.eye(3))),
+               ConfigurationError, "fit_em: init: D must have shape (2, 2), got (3, 3)"),
+    "supports": (lambda ds: fit_em_supports(ds, [(0, 9)]), ConfigurationError,
+                 "fit_em_supports: support (0, 9): column index in [0, 9) required, got 9"),
+    "categorical": (lambda ds: standardize(ds, categorical=[9]), ConfigurationError,
+                    "standardize: categorical column index in [0, 9) required, got 9"),
+    "D_true": (lambda ds: ScenarioConfig.scenario1(D_true=np.eye(3)),
+               ConfigurationError, "D_true must have shape (2, 2), got (3, 3)"),
+    "beta_true": (lambda ds: ScenarioConfig.scenario1(beta_true=np.ones(10)),
+                  ConfigurationError, "beta_true must have shape (9,), got (10,)"),
+}
+
+
+@pytest.mark.parametrize("argument", list(LINKED_SIZES))
+def test_a_size_one_off_its_link_is_refused_naming_the_argument(ds, argument):
+    call, error, message = LINKED_SIZES[argument]
+    with pytest.raises(error) as err:
+        call(ds)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("setting", list(DOMAIN_REFUSALS))
