@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 import warnings
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -71,7 +73,12 @@ def _handed_over(*arrays) -> tuple:
 
 @dataclass(frozen=True)
 class StandardizationRecord:
-    """Per-column centering/scaling applied to X plus the (center, scale) of y."""
+    """Per-column centering/scaling applied to X plus the (center, scale) of y.
+
+    x_center and x_scale are 1-D arrays of one length (_checked_array) and
+    y_center and y_scale real numbers (_checked_real), else a
+    ConfigurationError naming the field.
+    """
 
     x_center: np.ndarray
     x_scale: np.ndarray
@@ -79,8 +86,14 @@ class StandardizationRecord:
     y_scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x_center", _frozen(self.x_center))
-        object.__setattr__(self, "x_scale", _frozen(self.x_scale))
+        x_center = _checked_array(self.x_center, "StandardizationRecord: x_center", (None,),
+                                  ConfigurationError)
+        object.__setattr__(self, "x_center", _frozen(x_center))
+        object.__setattr__(self, "x_scale", _frozen(_checked_array(
+            self.x_scale, "StandardizationRecord: x_scale", x_center.shape, ConfigurationError)))
+        for name in ("y_center", "y_scale"):
+            object.__setattr__(self, name, _checked_real(getattr(self, name),
+                                                         f"StandardizationRecord: {name}"))
 
     def subset(self, cols) -> "StandardizationRecord":
         cols = np.asarray(cols, dtype=int)
@@ -346,9 +359,10 @@ class LongitudinalDataset:
 
 def _iterated(values, what: str):
     """iter(values), else a ConfigurationError "{what}, got {values!r}"; a
-    string, an iterable of its characters, is not a list of names or indices."""
+    string or bytes, an iterable of its characters or their codes, is not a
+    list of names or indices."""
     try:
-        return iter(None if isinstance(values, str) else values)
+        return iter(None if isinstance(values, (str, bytes)) else values)
     except TypeError:
         raise ConfigurationError(f"{what}, got {values!r}") from None
 
@@ -373,8 +387,11 @@ class ColumnRoles:
 
     random entries may name file columns or use the literal "1" for a
     synthesized all-ones (intercept) column.  The shorthand string
-    "intercept+<col>" expands to ["1", "<col>"].  A column may be both fixed
-    and random; any other column named twice is a ConfigurationError.
+    "intercept+<col>" expands to ["1", "<col>"].  subject and response
+    are column names, and fixed and random iterables of them, held as
+    tuples (_iterated: a bare string is not a list of names).  A column
+    may be both fixed and random; any other column named twice, or a name
+    that is not a string, is a ConfigurationError naming the role.
     """
 
     subject: str
@@ -383,6 +400,14 @@ class ColumnRoles:
     random: tuple
 
     def __post_init__(self):
+        for role in ("subject", "response"):
+            _checked_type(getattr(self, role), str, f"ColumnRoles: {role} must be a column name")
+        for role in ("fixed", "random"):
+            names = tuple(_iterated(getattr(self, role),
+                                    f"ColumnRoles: {role} must be an iterable of column names"))
+            for name in names:
+                _checked_type(name, str, f"ColumnRoles: {role} column must be a column name")
+            object.__setattr__(self, role, names)
         if self.subject == self.response:
             raise ConfigurationError(f"column {self.subject!r} is both subject and response")
         for role in ("subject", "response"):
@@ -397,7 +422,9 @@ class ColumnRoles:
 
     @classmethod
     def from_mapping(cls, d: dict) -> "ColumnRoles":
-        """Roles from a mapping whose fixed and random may be comma lists (name_list)."""
+        """Roles from a mapping whose fixed and random may be comma lists
+        (name_list); a d that is not a mapping is a ConfigurationError."""
+        _checked_type(d, Mapping, "column-role mapping must be a mapping")
         try:
             subject, response, fixed, random = (
                 d[key] for key in ("subject", "response", "fixed", "random"))
@@ -405,7 +432,8 @@ class ColumnRoles:
             raise ConfigurationError(f"column-role mapping is missing {e.args[0]!r}") from None
         if isinstance(random, str) and random.startswith("intercept+"):
             random = "1," + random.split("+", 1)[1]  # shorthand for "1,<col>"
-        return cls(subject, response, name_list(fixed), name_list(random))
+        return cls(subject, response, *(name_list(v) if isinstance(v, str) else v
+                                         for v in (fixed, random)))
 
 
 @dataclass(frozen=True)
@@ -502,8 +530,12 @@ def ingest_long_csv(path, roles: ColumnRoles) -> LongitudinalDataset:
     first-appearance codes; the dataset shares these arrays.  A missing,
     unreadable or undecodable file is a DataError, and so is a header or
     row csv.reader refuses (a field over its size limit), named by the
-    line it ends on, and an empty subject cell.
+    line it ends on, and an empty subject cell.  A path that is not a str
+    or os.PathLike, or roles that are not a ColumnRoles, is a
+    ConfigurationError.
     """
+    _checked_type(path, (str, os.PathLike), "ingest_long_csv: path must be a str or os.PathLike")
+    _checked_type(roles, ColumnRoles, "ingest_long_csv: roles must be a ColumnRoles")
     try:
         with open(path, newline="") as fh:
             reader = csv_reader(fh)

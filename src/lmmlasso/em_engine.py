@@ -31,10 +31,8 @@ tr(Lambda_i Z_i'Z_i)) takes one of two routes.  One member on one
 distinct block with q <= 2, as on a balanced design, runs it entrywise
 on Python floats (_entries; the block's own entries are cached as
 ds.ztz_entries), where numpy's dispatch on 2 x 2 arrays costs more than
-the arithmetic, and the E-step hands the M-step Lambda's entries as
-floats (EStepMoments.Lambda_entries, sigma2 times those of S K^-1 S); a
-stack, several blocks or q >= 3 run matrix products (_psd_sqrt,
-_sandwich) and LAPACK.
+the arithmetic; a stack, several blocks or q >= 3 run matrix products
+(_psd_sqrt, _sandwich) and LAPACK.
 
 Each iteration reads the N rows once.  The M-step (_m_step, which the
 public m_step runs too) forms X beta, the one product with X, for the
@@ -70,19 +68,18 @@ parent dataset.  Each iteration takes one _guard_params, one e_step
 and one M-step for all members, on the same cached moments; only the
 beta solve is per member.  At 30 subjects an iteration costs mostly
 numpy dispatch, so R fits in lock-step cost far less than R fits one by
-one.  A lone member, a single fit or the last refit still iterating,
-drops the member axis; with q <= 2 and one distinct block its q x q
-algebra then runs on floats, and a stack's runs on matrix products.  An
-E-step holds the params it was taken at, where the M-step reads its level
-and warm start; a fit started from an earlier fit's report (as sweep does)
-reuses its last E-step if that holds the report's params on the same dataset.
+one.  A member leaves the stack with its report or its error, all
+through one block of the loop; the last one left drops the member axis.
+An E-step holds the params it was taken at, where the M-step reads its
+level and warm start; a fit started from an earlier fit's report (as
+sweep does) reuses its last E-step if that holds the report's params on
+the same dataset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -164,11 +161,8 @@ class EStepMoments:
     b_hat[i] is E[b_i | y_i] and loglik the marginal log-likelihood at
     params.  Cov[b_i | y_i] depends on subject i only through Z_i'Z_i, so
     it is held once per distinct block (ds.distinct_ztz): Lambda_blocks[g]
-    for every subject in block g.  An E-step on the float route (one
-    member, one block, q <= 2) also holds the one block's upper-triangle
-    entries as floats, Lambda_entries, which the M-step reads; it is None
-    otherwise.  y_tilde, the stacked y - Z b_hat (N,), is formed when read,
-    for the sigma2 residual.
+    for every subject in block g.  y_tilde, the stacked y - Z b_hat (N,),
+    is formed when read, for the sigma2 residual.
     """
 
     b_hat: np.ndarray          # (n, q)
@@ -176,7 +170,6 @@ class EStepMoments:
     loglik: float
     ds: LongitudinalDataset = field(repr=False, compare=False)
     params: LmmParams = field(repr=False, compare=False)
-    Lambda_entries: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def y_tilde(self) -> np.ndarray:
@@ -265,12 +258,11 @@ def _psd_sqrt(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _take(stack, keep: list):
     """Stacked LmmParams or EStepMoments (and their params) at the member positions
-    keep; a lone member drops the member axis.  The moments' dataset is shared,
-    and a stack has no Lambda_entries."""
+    keep; a lone member drops the member axis.  The moments' dataset is shared."""
     sel = keep[0] if len(keep) == 1 else keep
     return replace(stack, **{f.name: _take(getattr(stack, f.name), keep) if f.name == "params"
                              else getattr(stack, f.name)[sel]
-                             for f in fields(stack) if f.name not in ("ds", "Lambda_entries")})
+                             for f in fields(stack) if f.name != "ds"})
 
 
 def _guard_params(params: LmmParams):
@@ -368,29 +360,24 @@ def _conditioned_blocks(ds: LongitudinalDataset, eig, sigma2, lead: tuple):
     sigma2 I + S Z_g'Z_g S, returns sum_g count_g log det K_g, the blocks
     S K_g^-1 S and the blocks Lambda_g = sigma2 S K_g^-1 S (..., G, q, q).
     One member meeting one block with q <= 2 runs the algebra entrywise
-    on Python floats (ds.ztz_entries): S K^-1 S is then one (q, q) array,
-    and the entries of its one Lambda block (sigma2 times those of S K^-1
-    S, as the M-step reads them) follow as a fourth result, which is None
-    on the other route.  Every other case, a stack, several blocks or
-    q >= 3, runs matrix products (_psd_sqrt, _sandwich) and LAPACK.
+    on Python floats (ds.ztz_entries), and S K^-1 S is then one (q, q)
+    array.  Every other case, a stack, several blocks or q >= 3, runs
+    matrix products (_psd_sqrt, _sandwich) and LAPACK.
     """
     if not lead and ds.ztz_entries is not None:
         S = _root_entries(*eig)
         M = _sandwich_entries(S, ds.ztz_entries)
         K = (sigma2 + M[0],) if len(M) == 1 else (sigma2 + M[0], M[1], sigma2 + M[2])
         Kinv, logdet_K = _spd_inv_logdet(K)
-        SKS = _sandwich_entries(S, Kinv)
-        Lam = (sigma2 * SKS[0],) if len(SKS) == 1 else (
-            sigma2 * SKS[0], sigma2 * SKS[1], sigma2 * SKS[2])
-        SKS = _from_entries(SKS)
-        return logdet_K * ds.n, SKS, (sigma2 * SKS)[None], Lam
+        SKS = _from_entries(_sandwich_entries(S, Kinv))
+        return logdet_K * ds.n, SKS, (sigma2 * SKS)[None]
     ztz, counts = ds.distinct_ztz.ztz, ds.distinct_ztz.counts
     q = ztz.shape[-1]
     s2 = sigma2[:, None, None, None] if lead else sigma2  # against the (G, q, q) blocks
     S = _psd_sqrt(*eig)
     Kinv, logdet_K = _spd_inv_logdet(s2 * np.eye(q) + _sandwich(S, ztz))
     SKS = _sandwich(S, Kinv)
-    return logdet_K @ counts, SKS, s2 * SKS, None
+    return logdet_K @ counts, SKS, s2 * SKS
 
 
 def _sandwich(S: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -475,7 +462,7 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     n, q = ds.n, ds.q
     lead = params.beta.shape[:-1]
     sigma2 = params.sigma2
-    logdet_K, SKS, Lambda_blocks, Lambda_entries = _conditioned_blocks(ds, eig, sigma2, lead)
+    logdet_K, SKS, Lambda_blocks = _conditioned_blocks(ds, eig, sigma2, lead)
 
     ztr = ds.block_moments[2] - (params.beta @ ds.ztx_rows.T).reshape(*lead, n, q)
     if SKS.ndim == 2:  # one member, one block: S K^-1 S is one symmetric (q, q) array
@@ -492,34 +479,31 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     log_sigma2 = np.log(sigma2) if lead else math.log(sigma2)
     logdet = (ds.N - n * q) * log_sigma2 + logdet_K
     loglik = -0.5 * (ds.N * math.log(2.0 * math.pi) + logdet + quad)
-    return EStepMoments(b_hat, Lambda_blocks, loglik if lead else float(loglik), ds, params,
-                        Lambda_entries)
+    return EStepMoments(b_hat, Lambda_blocks, loglik if lead else float(loglik), ds, params)
 
 
 def _m_step(ds: LongitudinalDataset, moments: EStepMoments, lam, solve):
     """The M-step given the E-step moments, of the EM driver and of m_step.
 
-    beta is solve(c, lam1, warm_start), (beta, what the solve notes), on the
-    right-hand side c = X'y_tilde = X'y - sum_i (Z_i'X_i)' b_hat_i at raw
-    level lam1 = 2 * lam * sigma2, sigma2 and warm_start = beta those of
-    moments.params.  sigma2 and D then have closed forms; their sums over
-    subjects of Lambda_i and of tr(Lambda_i Z_i'Z_i) are count-weighted sums
-    over the distinct blocks; one member on one block with q <= 2 takes them
-    on floats, from the E-step's Lambda_entries (or from its one block, for
-    a member taken from a stack).
-    X beta is the one product with X: the sigma2 residual y_tilde - X beta
-    is summed over the N rows, and X beta is returned for the next E-step.
-    A member axis leading the moments leads every result.  Returns
-    (params, X beta, the solve's note).
+    beta is solve(c, lam1, warm_start) on the right-hand side c = X'y_tilde
+    = X'y - sum_i (Z_i'X_i)' b_hat_i at raw level lam1 = 2 * lam * sigma2,
+    sigma2 and warm_start = beta those of moments.params.  sigma2 and D
+    then have closed forms; their sums over subjects of Lambda_i and of
+    tr(Lambda_i Z_i'Z_i) are count-weighted sums over the distinct blocks;
+    one member on one block with q <= 2 takes them on floats, from the
+    entries of its one Lambda block (_entries).  X beta is the one product
+    with X: the sigma2 residual y_tilde - X beta is summed over the N rows,
+    and X beta is returned for the next E-step.  A member axis leading the
+    moments leads every result.  Returns (params, X beta).
     """
     b_hat, Lam = moments.b_hat, moments.Lambda_blocks
     c = ds.xty - b_hat.reshape(*b_hat.shape[:-2], ds.n * ds.q) @ ds.ztx_rows
-    beta, cut = solve(c, 2.0 * lam * moments.params.sigma2, moments.params.beta)
+    beta = solve(c, 2.0 * lam * moments.params.sigma2, moments.params.beta)
     xbeta = beta @ ds.X.T
     bb = b_hat.swapaxes(-1, -2) @ b_hat
     if b_hat.ndim == 2 and ds.ztz_entries is not None:
         # one member on one block: entrywise on floats (_entries)
-        L, A = moments.Lambda_entries or _entries(Lam[0]), ds.ztz_entries
+        L, A = _entries(Lam[0]), ds.ztz_entries
         tr = L[0] * A[0] if ds.q == 1 else L[0] * A[0] + 2.0 * L[1] * A[1] + L[2] * A[2]
         trace_term = tr * ds.n
         D = _from_entries(tuple((b + x * ds.n) / ds.n for b, x in zip(_entries(bb), L)))
@@ -529,7 +513,7 @@ def _m_step(ds: LongitudinalDataset, moments: EStepMoments, lam, solve):
         D = (bb + np.einsum("...gij,g->...ij", Lam, blocks.counts)) / ds.n
         D = 0.5 * (D + D.swapaxes(-1, -2))
     sigma2 = (_sum_of_squares(moments.y_tilde - xbeta) + trace_term) / ds.N
-    return LmmParams(beta, sigma2, D), xbeta, cut
+    return LmmParams(beta, sigma2, D), xbeta
 
 
 def m_step(ds: LongitudinalDataset, moments: EStepMoments, lam: float,
@@ -550,8 +534,8 @@ def m_step(ds: LongitudinalDataset, moments: EStepMoments, lam: float,
         raise ConfigurationError("m_step: moments are not one member's E-step on this dataset")
     _checked_shape(moments.b_hat.shape, (ds.n, ds.q), "m_step: moments.b_hat", ConfigurationError)
     _checked_params(moments.params, ds, "m_step: moments.params", lone=True)
-    params, _, _ = _m_step(ds, moments, lam, lambda c, lam1, warm_start: _solve_gram(
-        c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start, ds.gram_factor)[:2])
+    params, _ = _m_step(ds, moments, lam, lambda c, lam1, warm_start: _solve_gram(
+        c, lam1 * alpha, lam1 * (1.0 - alpha), warm_start, ds.gram_factor)[0])
     return params
 
 
@@ -579,30 +563,32 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
     mixing weight alpha.
 
     The members' parameters sit on a leading axis of one LmmParams; a lone
-    member, the only one or the last one still iterating, drops it.  The
-    per-member step is solve_beta(live, c, lam1, warm_start): beta of the
-    live members (indices, in stack order) on right-hand sides c = X'y at
-    raw level lam1, and per live member whether its solve dropped
-    eigenpairs (noted once per fit).  It gives the pooled start from the
-    cached X'y at level lam (sigma2 then the mean squared residual, D the
-    identity; start, an LmmParams, replaces it) and each M-step's beta
-    from X'y_tilde at level 2 * lam * sigma2 (_m_step).
+    member, the only one or the last one still iterating, drops it, so its
+    trace entry and stopping test run on floats.  The per-member step is
+    solve_beta(live, c, lam1, warm_start): beta of the live members
+    (indices, in stack order) on right-hand sides c = X'y at raw level lam1,
+    and per live member whether its solve dropped eigenpairs, which the
+    member's report notes once.  It gives the pooled start from the cached
+    X'y at level lam (sigma2 then the mean squared residual, D the identity;
+    start, an LmmParams, replaces it) and each M-step's beta from X'y_tilde
+    at level 2 * lam * sigma2 (_m_step).
 
     Each iteration guards the parameters, runs one E-step on the guard's
-    eigh of D and on the X beta the pooled start or the last M-step
-    formed, which gives each member's trace entry for the stopping rule,
-    and then one M-step (_m_step) at the E-step's params.  A start that is a
-    lone member's EStepMoments, the E-step at a guarded iterate, stands in
-    for the first guard and E-step.  A member leaves on the stopping rule or
-    at ctrl.max_iter with its last E-step, which holds its guarded iterate;
-    one whose guard or E-step raises leaves alone, with its error.  The
-    member list, its partial of solve_beta and the stack's per-member
-    bookkeeping change only when a member leaves; a lone member's runs on
-    floats.  Returns a FitReport (at lam 0) or a NumericalError per member.
-    A DataError refuses the designs that cannot identify D
-    (ds.design_refusal, decided once per dataset: fewer than 2 subjects, one
-    row per subject, a column of Z that is zero in every row); a ctrl that
-    _checked_control refuses is a ConfigurationError.
+    eigh of D and on the X beta the pooled start or the last M-step formed,
+    which gives each member's trace entry for the stopping rule, and then
+    one M-step (_m_step) at the E-step's params.  A start that is a lone
+    member's EStepMoments, the E-step at a guarded iterate, stands in for
+    the first guard and E-step.  A member leaves with a FitReport, on the
+    stopping rule or at ctrl.max_iter, holding its last E-step and so its
+    guarded iterate; or with a NumericalError when its guard or E-step
+    raises (a stack that raises reruns member by member, and the members
+    that raise alone leave; the others take their E-step again).  Every
+    member leaves through one block, which drops it from the stack
+    (_take).  Returns a FitReport (at lam 0) or a NumericalError per
+    member.  A DataError refuses the designs that cannot identify D
+    (ds.design_refusal, decided once per dataset: fewer than 2 subjects,
+    one row per subject, a column of Z that is zero in every row); a ctrl
+    that _checked_control refuses is a ConfigurationError.
     """
     ctrl = _checked_control(ctrl)
     if ds.design_refusal is not None:
@@ -610,90 +596,72 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
     eps, abs_eps, max_iter = ctrl.eps, ctrl.abs_eps, ctrl.max_iter
     lead = () if members == 1 else (members,)
     live = list(range(members))  # the members still iterating, in stack order
-    solve = partial(solve_beta, live)  # built again only when live changes
     traces = [[] for _ in range(members)]
-    notes = [[] for _ in range(members)]
+    cut = set()  # the members whose beta solve dropped eigenpairs
     out: list = [None] * members
 
-    def note(min_norm):
-        """The note on each live member whose beta solve dropped eigenpairs."""
-        for k, cut in zip(live, min_norm):
-            if cut and _MIN_NORM_NOTE not in notes[k]:
-                notes[k].append(_MIN_NORM_NOTE)
+    def solve(c, lam1, warm_start):
+        """beta of the live members, noting those whose solve dropped eigenpairs."""
+        beta, dropped = solve_beta(live, c, lam1, warm_start)
+        if any(dropped):
+            cut.update(k for k, d in zip(live, dropped) if d)
+        return beta
 
     xbeta = None  # X beta of params, once formed
     if start is None:
-        beta, cut = solve(np.broadcast_to(ds.xty, (*lead, ds.p)), lam, np.zeros((*lead, ds.p)))
-        note(cut)
+        beta = solve(np.broadcast_to(ds.xty, (*lead, ds.p)), lam, np.zeros((*lead, ds.p)))
         xbeta = beta @ ds.X.T
         sigma2 = _sum_of_squares(ds.y - xbeta) / ds.N
         start = LmmParams(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
     params, moments = (None, start) if isinstance(start, EStepMoments) else (start, None)
     iteration = 0
     while True:
+        left = {}  # stack position: the FitReport or NumericalError of a member leaving
         if moments is None:
             try:
                 guarded, eig = _guard_params(params)
                 moments = e_step(ds, guarded, eig=eig, xbeta=xbeta)
             except NumericalError as e:
                 # a stack reruns member by member: those that raise alone leave it
-                failed = {}
                 for r in (range(len(live)) if len(live) > 1 else ()):
                     try:
                         one, eig = _guard_params(_take(params, [r]))
                         e_step(ds, one, eig=eig)
                     except NumericalError as e_r:
-                        failed[r] = e_r
-                for r, err in (failed or dict.fromkeys(range(len(live)), e)).items():
-                    if iteration:
-                        cause, err = err, NumericalError(f"fit_em: iteration {iteration}: {err}")
-                        err.__cause__ = cause
-                    out[live[r]] = err
-                keep = [r for r in range(len(live)) if failed and r not in failed]
-                if not keep:
-                    break
-                # the members left form their X beta again in the next E-step
-                live, params, xbeta = [live[r] for r in keep], _take(params, keep), None
-                solve = partial(solve_beta, live)
+                        left[r] = e_r
+                left = left or dict.fromkeys(range(len(live)), e)
+                if iteration:
+                    for r, err in left.items():
+                        left[r] = NumericalError(f"fit_em: iteration {iteration}: {err}")
+                        left[r].__cause__ = err
+        if moments is not None:
+            lp = moments.loglik
+            if lam:
+                lp = lp - lam * _penalty_value(moments.params.beta, alpha)
+            for r, lp_r in enumerate(lp.tolist() if len(live) > 1 else (lp,)):
+                k = live[r]
+                traces[k].append(lp_r)
+                if iteration:
+                    converged = _converged(traces[k], eps, abs_eps)
+                    if converged or iteration >= max_iter:
+                        last = _take(moments, [r]) if len(live) > 1 else moments
+                        left[r] = FitReport(last.params, iteration, converged,
+                                            np.asarray(traces[k]), float(last.loglik), 0.0,
+                                            warnings=[_MIN_NORM_NOTE] if k in cut else [],
+                                            moments=last)
+        if left:
+            for r, rep in left.items():
+                out[live[r]] = rep
+            if len(left) == len(live):
+                break
+            keep = [r for r in range(len(live)) if r not in left]
+            live = [live[r] for r in keep]
+            if moments is None:  # the members left take their E-step again, X beta with it
+                params, xbeta = _take(params, keep), None
                 continue
-
-        lp = moments.loglik
-        if lam:
-            lp = lp - lam * _penalty_value(moments.params.beta, alpha)
-        if len(live) == 1:  # a lone member: its trace entry and stopping test on floats
-            k = live[0]
-            traces[k].append(lp)
-            if iteration:
-                converged = _converged(traces[k], eps, abs_eps)
-                if converged or iteration >= max_iter:
-                    out[k] = FitReport(moments.params, iteration, converged,
-                                       np.asarray(traces[k]), moments.loglik, 0.0,
-                                       warnings=notes[k], moments=moments)
-                    break
-        else:
-            lps, logliks = lp.tolist(), moments.loglik.tolist()
-            done = []
-            for r, k in enumerate(live):
-                traces[k].append(lps[r])
-                if not iteration:
-                    continue
-                converged = _converged(traces[k], eps, abs_eps)
-                if converged or iteration >= max_iter:
-                    last = _take(moments, [r])
-                    out[k] = FitReport(last.params, iteration, converged, np.asarray(traces[k]),
-                                       logliks[r], 0.0, warnings=notes[k], moments=last)
-                    done.append(r)
-            if done:
-                keep = [r for r in range(len(live)) if r not in done]
-                if not keep:
-                    break
-                live, moments = [live[r] for r in keep], _take(moments, keep)
-                solve = partial(solve_beta, live)
-
+            moments = _take(moments, keep)
         iteration += 1
-        params, xbeta, cut = _m_step(ds, moments, lam, solve)
-        if any(cut):
-            note(cut)
+        params, xbeta = _m_step(ds, moments, lam, solve)
         moments = None  # not held through the next E-step
     return out
 

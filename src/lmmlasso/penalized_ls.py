@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (ConfigurationError, NumericalError, _checked_array, _checked_name,
-                         _checked_real)
+from .exceptions import (ConfigurationError, NumericalError, _checked_array, _checked_int,
+                         _checked_name, _checked_real)
 
 __all__ = [
     "LAMBDA_SCALES",
@@ -104,11 +104,13 @@ def effective_lambda(lam: float, lambda_scale: str, n_obs: int) -> float:
     the per-observation convention lambda * (RSS/(2N) + penalty) onto the
     raw objective used here.  Any other lambda_scale, a name that is not in
     LAMBDA_SCALES or a value that is not a string, is a ConfigurationError
-    (_checked_name), and so is a lam that _checked_penalty refuses or a
-    per_obs level whose raw value is not finite.
+    (_checked_name), and so is a lam that _checked_penalty refuses, a
+    per_obs level whose raw value is not finite, or, for per_obs, an n_obs
+    that is not a positive integer (_checked_int).
     """
     lam = _checked_real(lam, "penalty level lam", 0)
     if _checked_name(lambda_scale, LAMBDA_SCALES, "lambda_scale") == PER_OBS:
+        n_obs = _checked_int(n_obs, "n_obs", 1)
         return _checked_real(lam * 2.0 * n_obs, "raw penalty level lam * 2 * n_obs", 0)
     return lam
 

@@ -581,10 +581,10 @@ def test_one_member_closed_forms_agree_with_the_matrix_route(case):
         _assert_close_to(_moment(stack, name)[0], _moment(lone, name), rtol)
 
     def solve(c, lam1, warm_start):
-        return np.linalg.solve(ds.gram, c.T).T, False
+        return np.linalg.solve(ds.gram, c.T).T
 
-    one, xbeta_one, _ = em_engine._m_step(ds, lone, 0.0, solve)
-    two, xbeta_two, _ = em_engine._m_step(ds, stack, 0.0, solve)
+    one, xbeta_one = em_engine._m_step(ds, lone, 0.0, solve)
+    two, xbeta_two = em_engine._m_step(ds, stack, 0.0, solve)
     for name in ("beta", "sigma2", "D"):
         _assert_close_to(getattr(two, name)[0], getattr(one, name), rtol)
     _assert_close_to(xbeta_two[0], xbeta_one, rtol)
@@ -615,6 +615,75 @@ def test_a_penalized_stack_traces_each_member_as_its_lone_run():
         np.testing.assert_allclose(rep.penalized_loglik_trace, lone.penalized_loglik_trace,
                                    rtol=1e-12, atol=0)
         assert np.any(lone.params.beta == 0.0)  # the l1 term is active
+
+
+_BROKEN = 1e3  # a beta entry no fit reaches here: the guard below breaks its member
+
+
+def _support_solver(ds, supports, fail=None):
+    """fit_em_supports' beta step over supports, as a solve_beta for _run_em;
+    at its third solve (the M-step of iteration 2) member fail gets the beta
+    _BROKEN."""
+    factors = [(np.array(A), *penalized_ls._truncate(*ds.gram_factor(np.array(A))[:2], 0.0))
+               for A in supports]
+    solves = [0] * len(supports)
+
+    def solve_beta(live, c, lam1, warm_start):
+        xty = c.reshape(len(live), ds.p)
+        beta = np.zeros(xty.shape)
+        for r, k in enumerate(live):
+            A, w_A, V_A = factors[k]
+            beta[r, A] = V_A @ ((V_A.T @ xty[r, A]) / w_A)
+            solves[k] += 1
+            if k == fail and solves[k] == 3:
+                beta[r] = _BROKEN
+        return beta.reshape(c.shape), [factors[k][1].size < factors[k][0].size for k in live]
+
+    return solve_beta
+
+
+def test_stack_members_leave_at_their_own_iterations_as_their_lone_runs(monkeypatch):
+    # on one Z'Z block with q = 2 (the float route), the refit of support
+    # (1, 2) converges at iteration 16, that of (0, 1, 2) fails in its
+    # E-step at iteration 2 and that of (0, 3), a column and its copy,
+    # reaches the cap alone; its pooled-start solve and every M-step drop
+    # an eigenpair, and its report notes that once
+    base = _visit_design("balanced")
+    ds = LongitudinalDataset(base.subject_ids, base.counts, base.y,
+                             np.column_stack([base.X, base.X[:, 0]]), base.Z)
+    assert ds.ztz_entries is not None
+    guard = em_engine._guard_params
+
+    def breaking_guard(params):
+        """The guard, then sigma2 = -1 and D = 0 (K_i = -I) for a broken member."""
+        params, eig = guard(params)
+        broken = np.all(params.beta == _BROKEN, axis=-1)
+        if not broken.any():
+            return params, eig
+        params = LmmParams(params.beta, np.where(broken, -1.0, params.sigma2),
+                           np.where(broken[..., None, None], 0.0, params.D))
+        return params, np.linalg.eigh(params.D)
+
+    monkeypatch.setattr(em_engine, "_guard_params", breaking_guard)
+    supports = [(0, 3), (0, 1, 2), (1, 2)]
+    ctrl = EmControl(eps=1e-5, abs_eps=0.0, max_iter=18)
+    out = em_engine._run_em(ds, 3, _support_solver(ds, supports, fail=1), ctrl)
+    capped, failed, early = out
+    assert (capped.iterations, capped.converged) == (18, False)
+    assert (early.iterations, early.converged) == (16, True)
+    assert capped.warnings == [em_engine._MIN_NORM_NOTE] and early.warnings == []
+    assert isinstance(failed, NumericalError)
+    assert str(failed) == "fit_em: iteration 2: subject covariance is not positive definite"
+    for k, (support, rep) in enumerate(zip(supports, out)):
+        lone, = em_engine._run_em(ds, 1, _support_solver(ds, [support], 0 if k == 1 else None),
+                                  ctrl)
+        if k == 1:
+            assert str(lone) == str(rep)
+            continue
+        assert (rep.iterations, rep.converged, rep.warnings) == (
+            lone.iterations, lone.converged, lone.warnings)
+        np.testing.assert_allclose(rep.penalized_loglik_trace, lone.penalized_loglik_trace,
+                                   rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

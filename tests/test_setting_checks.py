@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lmmlasso.cli import _config_value
-from lmmlasso.dataset import ColumnRoles, LongitudinalDataset, remove_linear_combos, standardize
+from lmmlasso.dataset import (ColumnRoles, LongitudinalDataset, StandardizationRecord,
+                              ingest_long_csv, remove_linear_combos, standardize)
 from dataclasses import replace
 
 from lmmlasso.em_engine import (EmControl, LmmParams, e_step, fit_em, fit_em_supports, m_step,
@@ -269,6 +270,77 @@ WRONG_TYPES = {
                            "LmmParams: beta must hold real numbers, got dtype <U1"),
     "LmmParams-sigma2-str": (lambda ds: LmmParams(BETA, "x", np.eye(2)),
                              "LmmParams: sigma2 must hold real numbers, got dtype <U1"),
+    # bytes iterate as their codes: x_names b"abc" was stored as [97, 98, 99]
+    # and a support, index list or categorical of bytes was read as indices
+    "LongitudinalDataset-x_names-bytes": (lambda ds: ds._derive(x_names=b"abcdefghi"),
+                                          "x_names must be an iterable of names, got b'abcdefghi'"),
+    "LongitudinalDataset-z_names-bytes": (lambda ds: ds._derive(z_names=b"ab"),
+                                          "z_names must be an iterable of names, got b'ab'"),
+    "fit_em_supports-supports-bytes": (
+        lambda ds: fit_em_supports(ds, b"\x00\x01"),
+        "fit_em_supports: supports must be an iterable, got b'\\x00\\x01'"),
+    "fit_em_supports-support-bytes": (
+        lambda ds: fit_em_supports(ds, [b"\x00\x01"]),
+        "fit_em_supports: support b'\\x00\\x01': column index list must be an iterable of "
+        "integers, got b'\\x00\\x01'"),
+    "subset_subjects-indices-bytes": (
+        lambda ds: ds.subset_subjects(b"\x00\x01"),
+        "subset_subjects: subject index list must be an iterable of integers, got b'\\x00\\x01'"),
+    "standardize-categorical-bytes": (
+        lambda ds: standardize(ds, categorical=b"\x00"),
+        "standardize: categorical column index list must be an iterable of integers, "
+        "got b'\\x00'"),
+    # unchecked, a role of another type raised a bare TypeError or ValueError,
+    # and a bare string of random names was taken as its characters: ingest
+    # then looked up the column ','
+    "ColumnRoles-fixed-int": (lambda ds: ColumnRoles("id", "y", 5, ("1",)),
+                              "ColumnRoles: fixed must be an iterable of column names, got 5"),
+    "ColumnRoles-random-str": (lambda ds: ColumnRoles("id", "y", ("a",), "1,t"),
+                               "ColumnRoles: random must be an iterable of column names, "
+                               "got '1,t'"),
+    "ColumnRoles-fixed-name-int": (lambda ds: ColumnRoles("id", "y", ("a", 5), ("1",)),
+                                   "ColumnRoles: fixed column must be a column name, got int"),
+    "ColumnRoles-subject-array": (lambda ds: ColumnRoles(np.zeros(2), "y", ("a",), ("1",)),
+                                  "ColumnRoles: subject must be a column name, got ndarray"),
+    "ColumnRoles-response-array": (lambda ds: ColumnRoles("id", np.zeros(2), ("a",), ("1",)),
+                                   "ColumnRoles: response must be a column name, got ndarray"),
+    "ColumnRoles-from_mapping-list": (lambda ds: ColumnRoles.from_mapping(["id", "y"]),
+                                      "column-role mapping must be a mapping, got list"),
+    "ColumnRoles-from_mapping-fixed-int": (
+        lambda ds: ColumnRoles.from_mapping({"subject": "id", "response": "y", "fixed": 5,
+                                             "random": "1"}),
+        "ColumnRoles: fixed must be an iterable of column names, got 5"),
+    "ColumnRoles-from_mapping-random-none": (
+        lambda ds: ColumnRoles.from_mapping({"subject": "id", "response": "y", "fixed": "a",
+                                             "random": None}),
+        "ColumnRoles: random must be an iterable of column names, got None"),
+    # unchecked, each raised a bare ValueError or TypeError
+    "StandardizationRecord-x_center-str": (
+        lambda ds: StandardizationRecord("x", np.ones(9), 0.0, 1.0),
+        "StandardizationRecord: x_center must hold real numbers, got dtype <U1"),
+    "StandardizationRecord-x_scale-dict": (
+        lambda ds: StandardizationRecord(np.zeros(9), {}, 0.0, 1.0),
+        "StandardizationRecord: x_scale must hold real numbers, got dict"),
+    "StandardizationRecord-x_center-object": (
+        lambda ds: StandardizationRecord(object(), np.ones(9), 0.0, 1.0),
+        "StandardizationRecord: x_center must hold real numbers, got object"),
+    "StandardizationRecord-y_scale-str": (
+        lambda ds: StandardizationRecord(np.zeros(9), np.ones(9), 0.0, "x"),
+        "StandardizationRecord: y_scale must be a real number, got 'x'"),
+    # unchecked, a path of another type raised a bare TypeError (-1 a
+    # ValueError), roles of another type an AttributeError and an n_obs of
+    # another type a TypeError
+    "ingest_long_csv-path-none": (
+        lambda ds: ingest_long_csv(None, ColumnRoles("id", "y", ("a",), ("1",))),
+        "ingest_long_csv: path must be a str or os.PathLike, got NoneType"),
+    "ingest_long_csv-path-negative": (
+        lambda ds: ingest_long_csv(-1, ColumnRoles("id", "y", ("a",), ("1",))),
+        "ingest_long_csv: path must be a str or os.PathLike, got int"),
+    "ingest_long_csv-roles-dict": (
+        lambda ds: ingest_long_csv("data.csv", {"subject": "id"}),
+        "ingest_long_csv: roles must be a ColumnRoles, got dict"),
+    "effective_lambda-n_obs-none": (lambda ds: effective_lambda(0.1, "per_obs", None),
+                                    "n_obs must be an integer, got None"),
 }
 
 
@@ -436,6 +508,9 @@ LINKED_SIZES = {
                ConfigurationError, "D_true must have shape (2, 2), got (3, 3)"),
     "beta_true": (lambda ds: ScenarioConfig.scenario1(beta_true=np.ones(10)),
                   ConfigurationError, "beta_true must have shape (9,), got (10,)"),
+    "StandardizationRecord-x_scale": (
+        lambda ds: StandardizationRecord(np.zeros(9), np.ones(8), 0.0, 1.0),
+        ConfigurationError, "StandardizationRecord: x_scale must have shape (9,), got (8,)"),
 }
 
 
