@@ -186,6 +186,8 @@ class LongitudinalDataset:
             names = ([f"{what[0]}{j + 1}" for j in range(size)] if names is None else
                      list(_iterated(names, f"{what} must be an iterable of names")))
             _checked_shape((len(names),), (size,), what)
+            for name in names:
+                _checked_type(name, str, f"{what} must hold names (str)")
             setattr(self, what, names)
         self.y_name = y_name
         with np.errstate(over="ignore"):  # refused below, by name

@@ -11,7 +11,13 @@ random-effect moments with conditional M-step updates: beta by
 penalized least squares on the de-noised response at the effective
 level 2 * lam * sigma2, then closed-form sigma2 and D.  The objective
 that ascends is the penalized observed-data log-likelihood
-loglik(beta, sigma2, D) - lam * penalty(beta).
+loglik(beta, sigma2, D) - lam * penalty(beta).  That EM map F is
+accelerated by SQUAREM (Varadhan & Roland 2008): every third iteration
+extrapolates the last three iterates on (beta, sigma2, D) and takes the
+result only where it keeps the ascent, else the plain iterate, so the
+fixed points and the ascent are EM's, and a fit reaches its stopping
+point in about half the plain iterations or fewer (_run_em,
+_squarem_e_step).
 
 The E-step conditions every subject through one q x q positive definite
 matrix, K_i = sigma2 I + S Z_i'Z_i S with S the symmetric square root of
@@ -21,8 +27,8 @@ e_step returns it with the moments.  K_i, its inverse and log
 determinant, and Cov[b_i | y_i] = sigma2 S K_i^-1 S depend on subject i
 only through Z_i'Z_i, so they are computed once per distinct block of
 the dataset (ds.distinct_ztz): once per member for a balanced design, n
-times in the worst case.  Each iteration eigendecomposes D once:
-fit_em's guard (_guard_params) takes eigh(D) and hands it to e_step,
+times in the worst case.  Each E-step eigendecomposes D once: the
+driver's guard (_guard_params) takes eigh(D) and hands it to e_step,
 which builds S from it.  Every iterate's D is exactly symmetric, so the
 guard does not symmetrize it; fit_em symmetrizes a start from outside
 the EM once.  This q x q algebra (S, K_i, its inverse and log
@@ -34,10 +40,11 @@ ds.ztz_entries), where numpy's dispatch on 2 x 2 arrays costs more than
 the arithmetic; a stack, several blocks or q >= 3 run matrix products
 (_psd_sqrt, _sandwich) and LAPACK.
 
-Each iteration reads the N rows once.  The M-step (_m_step, which the
-public m_step runs too) forms X beta, the one product with X, for the
-residual of the sigma2 update, and the driver carries it into the next
-E-step's r'r.  Everything else per subject comes from the q x q, q x p
+Each iteration reads the N rows once, and an extrapolation once more.
+The M-step (_m_step, which the public m_step runs too) forms X beta, the
+one product with X, for the residual of the sigma2 update, and the driver
+carries it into the next E-step's r'r; an E-step at an extrapolated
+iterate forms its own.  Everything else per subject comes from the q x q, q x p
 and q cross products cached on the dataset (ds.block_moments): the
 E-step's Z_i'r_i = Z_i'y_i - Z_i'X_i beta, and the M-step's right-hand
 side X'y_tilde = X'y - sum_i (Z_i'X_i)' b_hat_i from the cached X'y
@@ -66,7 +73,9 @@ member, and fit_em_supports, the package's one refit entry point, the
 unpenalized fits of many checked supports (a sweep's refits) on the
 parent dataset.  Each iteration takes one _guard_params, one e_step
 and one M-step for all members, on the same cached moments; only the
-beta solve is per member.  At 30 subjects an iteration costs mostly
+beta solve is per member, and each member takes or refuses its own
+extrapolation (a stack whose members part takes one more E-step, each
+member at its own iterate).  At 30 subjects an iteration costs mostly
 numpy dispatch, so R fits in lock-step cost far less than R fits one by
 one.  A member leaves the stack with its report or its error, all
 through one block of the loop; the last one left drops the member axis.
@@ -105,6 +114,7 @@ __all__ = [
 
 _D_EIG_FLOOR = 1e-10     # eigenvalue clamp applied between iterations
 _SIGMA2_FLOOR = 1e-12
+_MAX_STEP = 4.0          # the longest SQUAREM step (_squarem_e_step)
 _ABS_STOP = 1e-10        # absolute stopping rule, guards near-zero loglik
 _MIN_NORM_NOTE = ("X'X is not numerically positive definite; "
                   "beta is a minimum-norm solution on its support")
@@ -188,10 +198,13 @@ class EStepMoments:
 class EmControl:
     """Stopping rule for fit_em.
 
-    eps is the relative stopping threshold on the penalized log-likelihood;
-    abs_eps is the absolute fallback that guards the ratio rule when the
-    objective is near zero.  Both may be 0 (run max_iter iterations).  The
-    beta M-step is exact, so it has no setting of its own.
+    eps is the relative stopping threshold on the penalized log-likelihood,
+    tested on every trace entry against the one before (a plain EM iterate
+    or a SQUAREM extrapolation alike); abs_eps is the absolute fallback that
+    guards the ratio rule when the objective is near zero.  Both may be 0
+    (run max_iter iterations).  max_iter counts M-steps, one per iteration,
+    whether or not the iteration's E-step is at an extrapolation.  The beta
+    M-step is exact, so it has no setting of its own.
     """
 
     eps: float = 1e-6
@@ -217,7 +230,15 @@ def _checked_control(ctrl) -> EmControl:
 
 @dataclass
 class FitReport:
-    """Result of one penalized EM fit at a fixed penalty level."""
+    """Result of one penalized EM fit at a fixed penalty level.
+
+    iterations counts M-steps.  penalized_loglik_trace holds one entry per
+    E-step the fit took as an iterate: the start, then one per iteration,
+    each the penalized log-likelihood of a guarded iterate, plain or
+    extrapolated (an extrapolation the driver refused leaves no entry), so
+    it does not fall.  params and final_loglik are the last of them, and
+    moments holds its E-step.
+    """
 
     params: LmmParams
     iterations: int
@@ -556,11 +577,121 @@ def _converged(trace: list, eps: float, abs_eps: float) -> bool:
             or abs(lp_new - lp_prev) < abs_eps)
 
 
+def _objective(moments: EStepMoments, lam: float, alpha: float):
+    """The penalized log-likelihood at the params of moments, per member."""
+    lp = moments.loglik
+    return lp - lam * _penalty_value(moments.params.beta, alpha) if lam else lp
+
+
+def _e_steps(ds: LongitudinalDataset, params: LmmParams, xbeta=None):
+    """The E-step of every member of params at its guarded iterate.
+
+    Returns (moments, errors): errors maps the stack position of each member
+    whose guard or E-step raises to its NumericalError, and moments holds
+    the E-steps of the other members in stack order (None when no member is
+    left).  A stack that raises reruns member by member: the members that
+    raise alone leave it, and the others take their E-step again, X beta
+    with it; when none raises alone, every member takes the stack's error.
+    """
+    live = list(range(len(params.beta) if params.beta.ndim > 1 else 1))
+    errors = {}
+    while True:
+        try:
+            guarded, eig = _guard_params(params)
+            return e_step(ds, guarded, eig=eig, xbeta=xbeta), errors
+        except NumericalError as e:
+            failed = {}
+            for r in (range(len(live)) if len(live) > 1 else ()):
+                try:
+                    one, eig = _guard_params(_take(params, [r]))
+                    e_step(ds, one, eig=eig)
+                except NumericalError as e_r:
+                    failed[r] = e_r
+            failed = failed or dict.fromkeys(range(len(live)), e)
+            errors.update((live[r], err) for r, err in failed.items())
+            keep = [r for r in range(len(live)) if r not in failed]
+            if not keep:
+                return None, errors
+            live = [live[r] for r in keep]
+            params, xbeta = _take(params, keep), None
+
+
+def _flat(params: LmmParams) -> np.ndarray:
+    """Each member's parameter vector (beta, sigma2, D) as one row: (R, p + 1 + q q)."""
+    beta = np.atleast_2d(params.beta)
+    R = len(beta)
+    return np.concatenate((beta, np.reshape(params.sigma2, (R, 1)), params.D.reshape(R, -1)),
+                          axis=1)
+
+
+def _squared_norms(ds: LongitudinalDataset, x: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row of x, a (beta, sigma2, D) vector (_flat), whose beta
+    counts by the fitted values it gives: b'(X'X / N)b, the same for every
+    beta with the same X beta (a column and its copy)."""
+    b, rest = x[:, :ds.p], x[:, ds.p:]
+    return np.einsum("rp,rp->r", b @ ds.gram, b) / ds.N + np.einsum("rk,rk->r", rest, rest)
+
+
+def _squarem_e_step(ds: LongitudinalDataset, theta0: LmmParams, theta1: LmmParams,
+                    theta2: LmmParams, xbeta, lp1, lam: float, alpha: float):
+    """The E-step that closes a SQUAREM cycle (Varadhan & Roland 2008, step SqS3).
+
+    theta0 and theta1 = F(theta0) are the guarded iterates of the cycle's
+    first two maps, lp1 theta1's penalized log-likelihood (per member), and
+    theta2 = F(theta1) the M-step's output, with X beta = xbeta.  Per
+    member, with r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0 on
+    the vector (beta, sigma2, D), the step a = -|r| / |v| (_squared_norms)
+    is rounded towards -1 to an integer in [-_MAX_STEP, -1] and gives the
+    trial theta' = theta0 - 2 a r + a^2 v, whose beta is zero where
+    theta2's is (the lasso's zeros).  A member with a < -1 takes its trial
+    when the guard and E-step at theta' do not raise and the penalized
+    log-likelihood there is at least lp1; every other member takes theta2
+    (a = -1 is theta2 itself).  Returns (moments, errors) of _e_steps at
+    the iterates taken, so an error here is one of theta2's.
+
+    The step is an integer so that a change of the iterates at the level
+    of rounding does not change it, and at most 4 because a cycle of three
+    maps then expands the error of no iterate: a mode of F with rate l in
+    [0, 1) is scaled by l (1 + a (1 - l))^2 <= 1.  With the step free, two
+    fits that differ only in rounding (a stack member and its lone run)
+    parted by 1e-8 within 40 cycles.
+    """
+    x0, x1, x2 = _flat(theta0), _flat(theta1), _flat(theta2)
+    with np.errstate(all="ignore"):  # a non-finite theta2 gets a NaN step: it takes theta2
+        r = x1 - x0
+        v = x2 - x1 - r
+        step = -np.minimum(np.floor(np.sqrt(_squared_norms(ds, r) / _squared_norms(ds, v))),
+                           _MAX_STEP)
+        take = step < -1.0  # the members whose step extrapolates
+        step = np.where(take, step, -1.0)
+        x = x0 - 2.0 * step[:, None] * r + (step * step)[:, None] * v
+    if take.any():
+        p, lead = ds.p, theta2.beta.shape[:-1]
+        trial = LmmParams(np.where(theta2.beta == 0.0, 0.0, x[:, :p].reshape(theta2.beta.shape)),
+                          x[:, p].reshape(lead) if lead else float(x[0, p]),
+                          x[:, p + 1:].reshape(theta2.D.shape))
+        moments, errors = _e_steps(ds, trial)
+        if moments is None:
+            take[:] = False
+        else:
+            have = [k for k in range(len(take)) if k not in errors]
+            lp = np.atleast_1d(_objective(moments, lam, alpha))
+            take[have] &= lp >= np.atleast_1d(lp1)[have]
+            take[list(errors)] = False
+        if take.all():
+            return moments, {}
+        if take.any():  # a stack whose members part: each takes its own iterate
+            theta2, xbeta = LmmParams(np.where(take[:, None], trial.beta, theta2.beta),
+                                      np.where(take, trial.sigma2, theta2.sigma2),
+                                      np.where(take[:, None, None], trial.D, theta2.D)), None
+    return _e_steps(ds, theta2, xbeta)
+
+
 def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl | None,
             lam: float = 0.0, alpha: float = 1.0,
             start: LmmParams | EStepMoments | None = None) -> list:
-    """EM for `members` fits on ds at once, at raw penalty level lam and
-    mixing weight alpha.
+    """SQUAREM-accelerated EM for `members` fits on ds at once, at raw penalty
+    level lam and mixing weight alpha.
 
     The members' parameters sit on a leading axis of one LmmParams; a lone
     member, the only one or the last one still iterating, drops it, so its
@@ -573,19 +704,25 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
     start, an LmmParams, replaces it) and each M-step's beta from X'y_tilde
     at level 2 * lam * sigma2 (_m_step).
 
-    Each iteration guards the parameters, runs one E-step on the guard's
-    eigh of D and on the X beta the pooled start or the last M-step formed,
-    which gives each member's trace entry for the stopping rule, and then
-    one M-step (_m_step) at the E-step's params.  A start that is a lone
+    The EM map F is one M-step (_m_step) at an E-step's params.  Each
+    iteration is one M-step followed by one E-step, on the guard's eigh of
+    D, whose penalized log-likelihood is the member's next trace entry for
+    the stopping rule.  Iterations run in SQUAREM cycles of three maps: the
+    E-steps of iterations 3k + 1 and 3k + 2 are at the plain iterates
+    theta0 = F(the last cycle's end, or the start) and theta1 = F(theta0),
+    and that of iteration 3k + 3 at the extrapolation of theta0, theta1 and
+    theta2 = F(theta1) or, when that raises or does not reach theta1's
+    penalized log-likelihood, at theta2 itself (_squarem_e_step).  So
+    every trace entry is that of a guarded iterate the fit can stop at, the
+    trace does not fall, and the fixed points are EM's.  A start that is a lone
     member's EStepMoments, the E-step at a guarded iterate, stands in for
     the first guard and E-step.  A member leaves with a FitReport, on the
-    stopping rule or at ctrl.max_iter, holding its last E-step and so its
-    guarded iterate; or with a NumericalError when its guard or E-step
-    raises (a stack that raises reruns member by member, and the members
-    that raise alone leave; the others take their E-step again).  Every
-    member leaves through one block, which drops it from the stack
-    (_take).  Returns a FitReport (at lam 0) or a NumericalError per
-    member.  A DataError refuses the designs that cannot identify D
+    stopping rule or at ctrl.max_iter M-steps, holding its last E-step and
+    so its guarded iterate; or with a NumericalError when its guard or
+    E-step raises at an iterate it must take (_e_steps).  Every member
+    leaves through one block, which drops it from the stack (_take).
+    Returns a FitReport (at lam 0) or a NumericalError per member.  A
+    DataError refuses the designs that cannot identify D
     (ds.design_refusal, decided once per dataset: fewer than 2 subjects,
     one row per subject, a column of Z that is zero in every row); a ctrl
     that _checked_control refuses is a ConfigurationError.
@@ -614,37 +751,32 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
         sigma2 = _sum_of_squares(ds.y - xbeta) / ds.N
         start = LmmParams(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
     params, moments = (None, start) if isinstance(start, EStepMoments) else (start, None)
+    theta0 = theta1 = None  # the guarded iterates that open the cycle, and its first map
     iteration = 0
     while True:
         left = {}  # stack position: the FitReport or NumericalError of a member leaving
         if moments is None:
-            try:
-                guarded, eig = _guard_params(params)
-                moments = e_step(ds, guarded, eig=eig, xbeta=xbeta)
-            except NumericalError as e:
-                # a stack reruns member by member: those that raise alone leave it
-                for r in (range(len(live)) if len(live) > 1 else ()):
-                    try:
-                        one, eig = _guard_params(_take(params, [r]))
-                        e_step(ds, one, eig=eig)
-                    except NumericalError as e_r:
-                        left[r] = e_r
-                left = left or dict.fromkeys(range(len(live)), e)
-                if iteration:
-                    for r, err in left.items():
-                        left[r] = NumericalError(f"fit_em: iteration {iteration}: {err}")
-                        left[r].__cause__ = err
+            if iteration % 3 == 0 and iteration:
+                lp1 = [traces[k][-1] for k in live]
+                moments, left = _squarem_e_step(ds, theta0, theta1, params, xbeta, lp1, lam,
+                                                alpha)
+            else:
+                moments, left = _e_steps(ds, params, xbeta)
+            if iteration:
+                for r, err in left.items():
+                    left[r] = NumericalError(f"fit_em: iteration {iteration}: {err}")
+                    left[r].__cause__ = err
         if moments is not None:
-            lp = moments.loglik
-            if lam:
-                lp = lp - lam * _penalty_value(moments.params.beta, alpha)
-            for r, lp_r in enumerate(lp.tolist() if len(live) > 1 else (lp,)):
+            have = [r for r in range(len(live)) if r not in left]  # the members E-stepped
+            lp = _objective(moments, lam, alpha)
+            for j, lp_r in enumerate(lp.tolist() if len(have) > 1 else (lp,)):
+                r = have[j]
                 k = live[r]
                 traces[k].append(lp_r)
                 if iteration:
                     converged = _converged(traces[k], eps, abs_eps)
                     if converged or iteration >= max_iter:
-                        last = _take(moments, [r]) if len(live) > 1 else moments
+                        last = _take(moments, [j]) if len(have) > 1 else moments
                         left[r] = FitReport(last.params, iteration, converged,
                                             np.asarray(traces[k]), float(last.loglik), 0.0,
                                             warnings=[_MIN_NORM_NOTE] if k in cut else [],
@@ -655,12 +787,16 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
             if len(left) == len(live):
                 break
             keep = [r for r in range(len(live)) if r not in left]
+            if len(keep) < len(have):
+                moments = _take(moments, [have.index(r) for r in keep])
+            if theta0 is not None:
+                theta0 = _take(theta0, keep)
             live = [live[r] for r in keep]
-            if moments is None:  # the members left take their E-step again, X beta with it
-                params, xbeta = _take(params, keep), None
-                continue
-            moments = _take(moments, keep)
         iteration += 1
+        if iteration % 3 == 2:
+            theta0 = moments.params
+        elif iteration % 3 == 0:
+            theta1 = moments.params
         params, xbeta = _m_step(ds, moments, lam, solve)
         moments = None  # not held through the next E-step
     return out
@@ -680,18 +816,21 @@ def fit_em(ds: LongitudinalDataset, lam: float, alpha: float = 1.0,
     report.params): a guarded iterate, whose E-step stands in for this fit's
     first one.  A checked start's D, symmetric to within 1e-12, is
     symmetrized once here, the only time the EM does so outside a clamp
-    (_guard_params).  Iterates E- and M-steps until the relative change
-    of the penalized log-likelihood falls below ctrl.eps, with an absolute
-    fallback of ctrl.abs_eps where the ratio rule is ill-conditioned near
-    zero.  Every solve reads X'X and its
-    factors from the dataset, which computes X'X once and holds the last
-    factor.
+    (_guard_params).  Iterates E- and M-steps, every third iteration a
+    SQUAREM extrapolation kept only where it does not lower the penalized
+    log-likelihood, until the relative change of the penalized
+    log-likelihood between two trace entries falls below ctrl.eps, with an
+    absolute fallback of ctrl.abs_eps where the ratio rule is
+    ill-conditioned near zero; rep.iterations counts M-steps.  Every solve
+    reads X'X and its factors from the dataset, which computes X'X once and
+    holds the last factor.
 
     The EM driver (_run_em) with one member, whose beta M-step is
     _solve_gram on the dataset's X'X and cached factor, warm-started at the
-    previous beta.  The returned params and final_loglik are the last
-    guarded iterate; a NumericalError of an E-step or of a beta M-step is
-    raised, and a design that cannot identify D is a DataError (_run_em).
+    previous iterate's beta.  The returned params and final_loglik are the
+    last guarded iterate; a NumericalError of an E-step at an iterate the
+    fit takes or of a beta M-step is raised (one at a refused extrapolation
+    is not), and a design that cannot identify D is a DataError (_run_em).
     A ds that is not a LongitudinalDataset is a ConfigurationError.
     """
     _checked_type(ds, LongitudinalDataset, "fit_em: ds must be a LongitudinalDataset")

@@ -60,3 +60,20 @@ def test_workload_outputs_match_the_record(tmp_path):
     for key, facts in record["passes"].items():
         found = _first_difference(facts, fresh[key], key)
         assert found is None, "%s: recorded %r, now %r" % found
+
+
+def test_the_rewrite_summary_counts_what_changed():
+    def facts(selected, supports, nnz, fit_its, refit_its, bic):
+        return {"sweeps": [{"selected_index": selected, "selected_support": supports[selected],
+                            "supports": supports, "nnz": nnz,
+                            "fits": [[k, True] for k in fit_its],
+                            "refits": [[k, True] for k in refit_its]}],
+                "artifacts": {"_path.csv": ["lambda,bic,nnz", *(
+                    f"0.1,{b!r},{n}" for b, n in zip(bic, nnz))]}}
+
+    old = {"w/0": facts(1, [[], [2]], [0, 1], [5, 7], [3, 3], [10.0, 8.0])}
+    new = {"w/0": facts(0, [[], [3]], [0, 1], [2, 3], [2, 2], [10.5, 9.0])}
+    assert golden.summarize(old, new) == [
+        "w: 1 of 1 selections changed; 1 of 2 entries changed support or nnz; grid-fit "
+        "iterations 12 -> 5; refit iterations over entries 6 -> 4; largest relative change "
+        "where the support held 4.76e-02"]

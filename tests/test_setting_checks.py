@@ -276,6 +276,11 @@ WRONG_TYPES = {
                                           "x_names must be an iterable of names, got b'abcdefghi'"),
     "LongitudinalDataset-z_names-bytes": (lambda ds: ds._derive(z_names=b"ab"),
                                           "z_names must be an iterable of names, got b'ab'"),
+    # a name that is not a string was stored: select named columns None
+    "LongitudinalDataset-x_names-none": (lambda ds: ds._derive(x_names=[None] * 9),
+                                         "x_names must hold names (str), got NoneType"),
+    "LongitudinalDataset-z_names-int": (lambda ds: ds._derive(z_names=[1, 2]),
+                                        "z_names must hold names (str), got int"),
     "fit_em_supports-supports-bytes": (
         lambda ds: fit_em_supports(ds, b"\x00\x01"),
         "fit_em_supports: supports must be an iterable, got b'\\x00\\x01'"),
