@@ -297,13 +297,6 @@ class LongitudinalDataset:
         return _entries(self.distinct_ztz.ztz[0])
 
     @cached_property
-    def repeats(self):
-        """counts as np.repeat takes them to spread per-subject values over the
-        rows: the one count, an int, when every subject has it (a scalar
-        repeat is faster), else counts."""
-        return int(self.counts[0]) if (self.counts == self.counts[0]).all() else self.counts
-
-    @cached_property
     def zt(self) -> np.ndarray:
         """Z transposed, a contiguous (q, N) copy, so that a sum over Z's
         columns runs along the rows.  Computed once and cached read-only."""

@@ -5,84 +5,24 @@ Model per subject i:
     y_i = X_i beta + Z_i b_i + eps_i,
     b_i ~ N_q(0, D),   eps_i ~ N(0, sigma2 * I).
 
-For a fixed penalty level lam and mixing weight alpha (glmnet's: 1 the
-lasso, 0 ridge) the algorithm alternates a closed-form E-step for the
-random-effect moments with conditional M-step updates: beta by
-penalized least squares on the de-noised response at the effective
-level 2 * lam * sigma2, then closed-form sigma2 and D.  The objective
-that ascends is the penalized observed-data log-likelihood
-loglik(beta, sigma2, D) - lam * penalty(beta).  That EM map F is
-accelerated by SQUAREM (Varadhan & Roland 2008): every third iteration
-extrapolates the last three iterates on (beta, sigma2, D) and takes the
-result only where it keeps the ascent, else the plain iterate, so the
-fixed points and the ascent are EM's, and a fit reaches its stopping
-point in about half the plain iterations or fewer (_run_em,
-_squarem_e_step).
+At a fixed penalty level lam and mixing weight alpha (glmnet's: 1 the
+lasso, 0 ridge) the EM map F alternates a closed-form E-step for the
+random-effect moments with conditional M-step updates: beta by penalized
+least squares at the effective level 2 * lam * sigma2, then closed-form
+sigma2 and D.  It ascends the penalized observed-data log-likelihood
+loglik(beta, sigma2, D) - lam * penalty(beta).  A map of the module:
 
-The E-step conditions every subject through one q x q positive definite
-matrix, K_i = sigma2 I + S Z_i'Z_i S with S the symmetric square root of
-D, for any positive semidefinite D (no D^-1 is formed).  The same
-inverse and log determinant of K_i give the marginal log-likelihood, so
-e_step returns it with the moments.  K_i, its inverse and log
-determinant, and Cov[b_i | y_i] = sigma2 S K_i^-1 S depend on subject i
-only through Z_i'Z_i, so they are computed once per distinct block of
-the dataset (ds.distinct_ztz): once per member for a balanced design, n
-times in the worst case.  Each E-step eigendecomposes D once: the
-driver's guard (_guard_params) takes eigh(D) and hands it to e_step,
-which builds S from it.  Every iterate's D is exactly symmetric, so the
-guard does not symmetrize it; fit_em symmetrizes a start from outside
-the EM once.  This q x q algebra (S, K_i, its inverse and log
-determinant, S K_i^-1 S, and the M-step's sums of Lambda_i and
-tr(Lambda_i Z_i'Z_i)) takes one of two routes.  One member on one
-distinct block with q <= 2, as on a balanced design, runs it entrywise
-on Python floats (_entries; the block's own entries are cached as
-ds.ztz_entries), where numpy's dispatch on 2 x 2 arrays costs more than
-the arithmetic; a stack, several blocks or q >= 3 run matrix products
-(_psd_sqrt, _sandwich) and LAPACK.
-
-Each iteration reads the N rows once, and an extrapolation once more.
-The M-step (_m_step, which the public m_step runs too) forms X beta, the
-one product with X, for the residual of the sigma2 update, and the driver
-carries it into the next E-step's r'r; an E-step at an extrapolated
-iterate forms its own.  Everything else per subject comes from the q x q, q x p
-and q cross products cached on the dataset (ds.block_moments): the
-E-step's Z_i'r_i = Z_i'y_i - Z_i'X_i beta, and the M-step's right-hand
-side X'y_tilde = X'y - sum_i (Z_i'X_i)' b_hat_i from the cached X'y
-(ds.xty), with Z'X read as (n q, p) rows (ds.ztx_rows).  The M-step takes
-the sums over subjects of Lambda_i and of tr(Lambda_i Z_i'Z_i) as
-count-weighted sums over the blocks, and EStepMoments forms y_tilde only
-when it is read.
-
-Every beta M-step, the pooled start included, is penalized_ls's one lasso
-solver, _solve_gram, called on the dataset's X'X (ds.gram), X'y_tilde and
-the dataset's cached factor (ds.gram_factor, whose one slot holds the
-eigendecomposition of the last block X_A'X_A asked for and the columns
-X'X_A of its support): linear solves on the eigenpairs of X_A'X_A +
-shift * I for a support A, an active-set loop from the previous beta's
-support and signs when there is an l1 term.  An M-step whose warm
-support is the last one factored computes no eigendecomposition and
-copies no column of X'X: its optimality test reads them from the slot.
-Where a solve drops eigenpairs (X_A'X_A + shift * I is not numerically
-positive definite) its beta is the minimum-norm one, which has the X
-beta, EM path and log-likelihood of any least-squares solution, and the
-fit records a note.
-
-fit_em and fit_em_supports run one EM driver (_run_em) over members
-whose parameters sit on a leading axis of one LmmParams: fit_em one
-member, and fit_em_supports, the package's one refit entry point, the
-unpenalized fits of many checked supports (a sweep's refits) on the
-parent dataset.  Each iteration takes one _guard_params, one e_step
-and one M-step for all members, on the same cached moments; only the
-beta solve is per member, and each member takes or refuses its own
-extrapolation (a stack whose members part takes one more E-step, each
-member at its own iterate).  At 30 subjects an iteration costs mostly
-numpy dispatch, so R fits in lock-step cost far less than R fits one by
-one.  A member leaves the stack with its report or its error, all
-through one block of the loop; the last one left drops the member axis.
-An E-step holds the params it was taken at, where the M-step reads its
-level and warm start; a fit started from an earlier fit's report (as
-sweep does) reuses its last E-step if that holds the report's params on
-the same dataset.
+- e_step: the moments and the marginal log-likelihood, with the q x q
+  algebra once per distinct Z_i'Z_i block (_conditioned_blocks), on
+  Python floats for one member on one block with q <= 2, else by matrix
+  products and LAPACK; observed_loglik is its log-likelihood.
+- _m_step (public as m_step): beta by penalized_ls's one lasso solver,
+  _solve_gram, on the dataset's cached X'X and factor, then sigma2 and D.
+- _guard_params: the clamp of D's eigenvalues and sigma2 before an
+  E-step, and the one eigh of D that the E-step uses.
+- _run_em: the one EM driver, SQUAREM-accelerated (_squarem_e_step), for
+  members on a leading axis of one LmmParams: one for fit_em, one per
+  support for fit_em_supports (a sweep's refits, in lock-step).
 """
 
 from __future__ import annotations
@@ -153,9 +93,7 @@ class LmmParams:
     def _check_finite(self):
         """Raise NumericalError naming the first of beta, sigma2, D with a NaN or inf."""
         for name in ("beta", "sigma2", "D"):
-            value = getattr(self, name)
-            # math.isfinite for one member's float, on which np.isfinite is slow
-            if not (math.isfinite(value) if type(value) is float else np.isfinite(value).all()):
+            if not np.isfinite(getattr(self, name)).all():
                 raise NumericalError(f"{name} must be finite")
 
     def to_dict(self) -> dict:
@@ -190,7 +128,7 @@ class EStepMoments:
         axis, for one member or a stack.
         """
         ds = self.ds
-        b_rows = self.b_hat.swapaxes(-1, -2).repeat(ds.repeats, axis=-1)
+        b_rows = self.b_hat.swapaxes(-1, -2).repeat(ds.counts, axis=-1)
         return ds.y - np.einsum("qn,...qn->...n", ds.zt, b_rows)
 
 
@@ -235,9 +173,13 @@ class FitReport:
     iterations counts M-steps.  penalized_loglik_trace holds one entry per
     E-step the fit took as an iterate: the start, then one per iteration,
     each the penalized log-likelihood of a guarded iterate, plain or
-    extrapolated (an extrapolation the driver refused leaves no entry), so
-    it does not fall.  params and final_loglik are the last of them, and
-    moments holds its E-step.
+    extrapolated (an extrapolation the driver refused leaves no entry).  In
+    exact arithmetic the trace does not fall; rounding can lower an entry
+    (by up to 1.4e-12 over ten scenario-3 and eight select-chol sweeps),
+    and worst_trace_decrease reports the drop.  params and final_loglik
+    are the last of them, and moments holds its E-step.  A fit started
+    from this report reuses that E-step, so params' beta and D are
+    read-only, and no field of params may be rebound.
     """
 
     params: LmmParams
@@ -637,12 +579,13 @@ def _squarem_e_step(ds: LongitudinalDataset, theta0: LmmParams, theta1: LmmParam
     """The E-step that closes a SQUAREM cycle (Varadhan & Roland 2008, step SqS3).
 
     theta0 and theta1 = F(theta0) are the guarded iterates of the cycle's
-    first two maps, lp1 theta1's penalized log-likelihood (per member), and
-    theta2 = F(theta1) the M-step's output, with X beta = xbeta.  Per
-    member, with r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0 on
-    the vector (beta, sigma2, D), the step a = -|r| / |v| (_squared_norms)
-    is rounded towards -1 to an integer in [-_MAX_STEP, -1] and gives the
-    trial theta' = theta0 - 2 a r + a^2 v, whose beta is zero where
+    first two maps (the driver's cycle record), lp1 theta1's penalized
+    log-likelihood (per member), and theta2 = F(theta1) the M-step's
+    output, with X beta = xbeta.  Per member, with r = theta1 - theta0 and
+    v = theta2 - 2 theta1 + theta0 on the vector (beta, sigma2, D), the
+    step a = -|r| / |v| (_squared_norms) is rounded towards -1 to an
+    integer in [-_MAX_STEP, -1] and gives the trial
+    theta' = theta0 - 2 a r + a^2 v, whose beta is zero where
     theta2's is (the lasso's zeros).  A member with a < -1 takes its trial
     when the guard and E-step at theta' do not raise and the penalized
     log-likelihood there is at least lp1; every other member takes theta2
@@ -712,14 +655,20 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
     theta0 = F(the last cycle's end, or the start) and theta1 = F(theta0),
     and that of iteration 3k + 3 at the extrapolation of theta0, theta1 and
     theta2 = F(theta1) or, when that raises or does not reach theta1's
-    penalized log-likelihood, at theta2 itself (_squarem_e_step).  So
-    every trace entry is that of a guarded iterate the fit can stop at, the
-    trace does not fall, and the fixed points are EM's.  A start that is a lone
-    member's EStepMoments, the E-step at a guarded iterate, stands in for
-    the first guard and E-step.  A member leaves with a FitReport, on the
-    stopping rule or at ctrl.max_iter M-steps, holding its last E-step and
-    so its guarded iterate; or with a NumericalError when its guard or
-    E-step raises at an iterate it must take (_e_steps).  Every member
+    penalized log-likelihood, at theta2 itself (_squarem_e_step).  The
+    list cycle records the open cycle's guarded iterates, stacked as the
+    members are: once the E-step of iteration 3k + 1 is taken it holds
+    theta0, once that of 3k + 2 is taken theta0 and theta1, and the E-step
+    of 3k + 3 reads both and closes it; a member that leaves is taken out
+    of each entry with the stack.  So every trace entry is that of a
+    guarded iterate the fit can stop at, the fixed points are EM's, and the
+    trace does not fall in exact arithmetic (FitReport).  A start that is a
+    lone member's EStepMoments, the E-step at a guarded iterate, stands in
+    for the first guard and E-step.  A member leaves with a FitReport, on
+    the stopping rule or at ctrl.max_iter M-steps, holding its last E-step
+    and so its guarded iterate, whose beta and D it sets read-only; or
+    with a NumericalError when its guard or E-step raises at an iterate it
+    must take (_e_steps).  Every member
     leaves through one block, which drops it from the stack (_take).
     Returns a FitReport (at lam 0) or a NumericalError per member.  A
     DataError refuses the designs that cannot identify D
@@ -751,15 +700,14 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
         sigma2 = _sum_of_squares(ds.y - xbeta) / ds.N
         start = LmmParams(beta, sigma2, np.broadcast_to(np.eye(ds.q), (*lead, ds.q, ds.q)))
     params, moments = (None, start) if isinstance(start, EStepMoments) else (start, None)
-    theta0 = theta1 = None  # the guarded iterates that open the cycle, and its first map
+    cycle = []  # the open SQUAREM cycle's guarded iterates: theta0, then theta1
     iteration = 0
     while True:
         left = {}  # stack position: the FitReport or NumericalError of a member leaving
         if moments is None:
-            if iteration % 3 == 0 and iteration:
+            if len(cycle) == 2:
                 lp1 = [traces[k][-1] for k in live]
-                moments, left = _squarem_e_step(ds, theta0, theta1, params, xbeta, lp1, lam,
-                                                alpha)
+                moments, left = _squarem_e_step(ds, *cycle, params, xbeta, lp1, lam, alpha)
             else:
                 moments, left = _e_steps(ds, params, xbeta)
             if iteration:
@@ -777,6 +725,8 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
                     converged = _converged(traces[k], eps, abs_eps)
                     if converged or iteration >= max_iter:
                         last = _take(moments, [j]) if len(have) > 1 else moments
+                        last.params.beta.setflags(write=False)  # a warm start reuses `last`
+                        last.params.D.setflags(write=False)
                         left[r] = FitReport(last.params, iteration, converged,
                                             np.asarray(traces[k]), float(last.loglik), 0.0,
                                             warnings=[_MIN_NORM_NOTE] if k in cut else [],
@@ -789,14 +739,10 @@ def _run_em(ds: LongitudinalDataset, members: int, solve_beta, ctrl: EmControl |
             keep = [r for r in range(len(live)) if r not in left]
             if len(keep) < len(have):
                 moments = _take(moments, [have.index(r) for r in keep])
-            if theta0 is not None:
-                theta0 = _take(theta0, keep)
+            cycle = [_take(theta, keep) for theta in cycle]
             live = [live[r] for r in keep]
         iteration += 1
-        if iteration % 3 == 2:
-            theta0 = moments.params
-        elif iteration % 3 == 0:
-            theta1 = moments.params
+        cycle = [] if iteration % 3 == 1 else [*cycle, moments.params]
         params, xbeta = _m_step(ds, moments, lam, solve)
         moments = None  # not held through the next E-step
     return out

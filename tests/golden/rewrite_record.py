@@ -1,4 +1,5 @@
-"""Run the benchmark's 34 pass seeds in process and write their record.
+"""Run the benchmark's 34 pass seeds and the library's other routes in
+process, and write their two records.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/golden/rewrite_record.py
 
@@ -15,6 +16,14 @@ run with it.  A change that moves numbers on purpose reruns this script and
 lists every changed entry; before it writes, the script prints per workload
 what changed against the committed record (summarize).  The record names
 the numpy version, BLAS build and BLAS thread setting it was taken under.
+
+The workloads take one route only: one distinct Z'Z block, q = 2,
+p <= 50 < N, standardized y and alpha = 1.  The second record (routes.json)
+holds the same facts for seeded library calls on datasets built in code
+(ROUTES), one per route the workloads do not take: many Z'Z blocks, q = 1
+and q = 3, p > N with failed entries, raw units, the elastic net and
+ridge, kfold_cv, remove_linear_combos and a refit stack with a truncated
+factor.  tests/test_golden_routes.py compares a fresh run of each with it.
 """
 
 from __future__ import annotations
@@ -31,8 +40,14 @@ import tempfile
 
 import numpy as np
 
+from lmmlasso import selector, simkit
+from lmmlasso.dataset import LongitudinalDataset, remove_linear_combos, standardize
+from lmmlasso.em_engine import fit_em, fit_em_supports
+from lmmlasso.simkit import ScenarioConfig, generate_scenario, kfold_cv
+
 HERE = pathlib.Path(__file__).resolve().parent
 RECORD = HERE / "workloads.json"
+ROUTES_RECORD = HERE / "routes.json"
 WORKLOADS = HERE.parent.parent / "bench" / "workloads.py"
 SEED = 1
 
@@ -78,8 +93,6 @@ def _path_facts(path) -> dict:
 @contextlib.contextmanager
 def _recorded_sweeps(paths: list):
     """Append every path that selector.sweep returns, as select and simkit call it."""
-    from lmmlasso import selector, simkit
-
     sweep = selector.sweep
 
     def recorded(*args, **kwargs):
@@ -128,6 +141,136 @@ def run_passes(workdir) -> dict:
                 "artifacts": artifacts,
             }
     return out
+
+
+def _fit_record(rep) -> dict:
+    """A FitReport's to_dict() with every float a 17-digit string, or the
+    message of the NumericalError a refit stack returned in its place."""
+    return {"error": str(rep)} if isinstance(rep, Exception) else _fmt17(rep.to_dict())
+
+
+def _path_record(path) -> dict:
+    """A RegularizationPath's selection facts (_path_facts), errors and
+    criteria, and every grid fit's and refit's record."""
+    return {**_path_facts(path), "errors": path.errors, "df": path.df.tolist(),
+            "bic": _fmt17(path.bic.tolist()), "aic": _fmt17(path.aic.tolist()),
+            "fit_records": [None if f is None else _fit_record(f) for f in path.fits],
+            "refit_records": [None if f is None else _fit_record(f) for f in path.refit_fits]}
+
+
+def _visit_design(kind, q, seed=0, n=12, p=3):
+    """12 subjects with random y and X and Z_i the first q columns of
+    [1, t, t^2] at their visit times t: balanced at t = 1..4 (one Z'Z
+    block), unbalanced at 1-4 times of their own (n blocks for q >= 2), or
+    missing, where every third subject misses one of t = 1..4."""
+    rng = np.random.default_rng(seed)
+    ys, Xs, Zs = [], [], []
+    for i in range(n):
+        t = np.arange(1.0, 5.0)
+        if kind == "unbalanced":
+            t = np.sort(rng.uniform(0.0, 5.0, size=1 + i % 4))
+        elif kind == "missing" and i % 3 == 0:
+            t = np.delete(t, i // 3 % 4)
+        ys.append(rng.normal(size=t.size))
+        Xs.append(rng.normal(size=(t.size, p)))
+        Zs.append(np.column_stack([np.ones(t.size), t, t * t])[:, :q])
+    return LongitudinalDataset(np.arange(n), [y.size for y in ys], np.concatenate(ys),
+                               np.vstack(Xs), np.vstack(Zs))
+
+
+def _scenario(number, **settings):
+    return generate_scenario(ScenarioConfig(number, **settings))[0]
+
+
+def _with_columns(ds, *columns):
+    """ds with columns appended to X."""
+    return ds._derive(X=np.column_stack([ds.X, *columns]), x_names=None)
+
+
+def _route_many_blocks():
+    # scenario 3 with each visit time jittered: every subject its own Z'Z block (G = n),
+    # so grid fits and the refit stack run the matrix route
+    ds = _scenario(3, seed=2)
+    Z = ds.Z.copy()
+    Z[:, 1] += np.random.default_rng(20).uniform(-0.3, 0.3, ds.N)
+    ds = standardize(ds._derive(Z=Z))
+    assert ds.distinct_ztz.counts.size == ds.n
+    return _path_record(selector.sweep(ds, selector.default_grid(8), lambda_scale="per_obs"))
+
+
+def _route_visits(kind, q):
+    ds = _visit_design(kind, q)
+    return _path_record(selector.sweep(ds, selector.default_grid(6), lambda_scale="per_obs"))
+
+
+def _route_p_over_n():
+    # p = 40 > N = 24: the sweep's last entry finds no optimum in its active-set
+    # passes; a cold fit at that level takes null steps on truncated factors
+    ds = standardize(_scenario(3, n=8, n_i=3, p=40, seed=0))
+    grid = selector.default_grid(12)
+    return {"sweep": _path_record(selector.sweep(ds, grid, lambda_scale="per_obs")),
+            "cold_fit": _fit_record(fit_em(ds, float(grid.min()), lambda_scale="per_obs"))}
+
+
+def _route_raw_units():
+    # y 40 times scenario 1's, unstandardized, on a raw grid that hits max_iter twice
+    ds = _scenario(1, seed=5)
+    ds = ds._derive(y=40.0 * ds.y)
+    return _path_record(selector.sweep(ds, [0.3, 0.25, 0.2, 0.15, 0.12, 0.0]))
+
+
+def _route_elastic_net():
+    ds = standardize(_scenario(1, seed=6))
+    return _path_record(selector.sweep(ds, selector.default_grid(8), alpha=0.5,
+                                       lambda_scale="per_obs"))
+
+
+def _route_ridge():
+    return _fit_record(fit_em(standardize(_scenario(1, seed=7)), 0.3, alpha=0.0,
+                              lambda_scale="per_obs"))
+
+
+def _route_kfold_cv():
+    folds = kfold_cv(standardize(_scenario(1, n=15, seed=8)), 3, selector.default_grid(6),
+                     seed=4)
+    return [_fmt17({"fold": f.fold, "test_subjects": np.asarray(f.test_subjects).tolist(),
+                    "n_test_obs": f.n_test_obs, "sse": f.sse, "mse_per_obs": f.mse_per_obs,
+                    "selected_lambda": f.selected_lambda, "support": list(f.support)})
+            for f in folds]
+
+
+def _route_linear_combos():
+    # three appended columns that earlier ones reproduce, then a fit on the kept columns
+    ds = _scenario(1, seed=9)
+    X = ds.X
+    ds, report = remove_linear_combos(_with_columns(ds, X[:, 0] + X[:, 1], 2.0 * X[:, 2],
+                                                    X[:, 3] - 0.5 * X[:, 4]))
+    return {"kept": list(report.kept), "dropped": list(report.dropped),
+            "dependency_sets": {str(j): cols for j, cols in report.dependency_sets.items()},
+            "fit": _fit_record(fit_em(standardize(ds), 0.02, lambda_scale="per_obs"))}
+
+
+def _route_truncated_refit():
+    # column 9 copies column 0, so the support (0, 9) has a singular factor, truncated
+    ds = _scenario(1, seed=10)
+    ds = _with_columns(ds, ds.X[:, 0])
+    supports = [(0, 1), (0, 9), (0, 1, 9), (), (2, 3, 4)]
+    return [_fit_record(rep) for rep in fit_em_supports(ds, supports)]
+
+
+ROUTES = {
+    "many-blocks": _route_many_blocks,
+    "unbalanced": lambda: _route_visits("unbalanced", 2),
+    "q1": lambda: _route_visits("balanced", 1),
+    "q3": lambda: _route_visits("missing", 3),
+    "p-over-n": _route_p_over_n,
+    "raw-units": _route_raw_units,
+    "elastic-net": _route_elastic_net,
+    "ridge": _route_ridge,
+    "kfold-cv": _route_kfold_cv,
+    "linear-combos": _route_linear_combos,
+    "truncated-refit": _route_truncated_refit,
+}
 
 
 def _numbers(obj, where="") -> dict:
@@ -253,6 +396,13 @@ def main() -> int:
     record = {"build": build(), "bench_seed": SEED, "passes": passes}
     RECORD.write_text(_dumps(record) + "\n")
     print(f"wrote {len(passes)} passes to {RECORD}")
+    routes = {name: case() for name, case in ROUTES.items()}
+    if ROUTES_RECORD.exists():
+        old = json.loads(ROUTES_RECORD.read_text())["routes"]
+        print(f"against {ROUTES_RECORD}: changed "
+              f"{[name for name in routes if old.get(name) != routes[name]] or 'nothing'}")
+    ROUTES_RECORD.write_text(_dumps({"build": build(), "routes": routes}) + "\n")
+    print(f"wrote {len(routes)} routes to {ROUTES_RECORD}")
     return 0
 
 
