@@ -15,7 +15,9 @@ loglik(beta, sigma2, D) - lam * penalty(beta).  A map of the module:
 - e_step: the moments and the marginal log-likelihood, with the q x q
   algebra once per distinct Z_i'Z_i block (_conditioned_blocks), on
   Python floats for one member on one block with q <= 2, else by matrix
-  products and LAPACK; observed_loglik is its log-likelihood.
+  products and LAPACK; observed_loglik is its log-likelihood.  It checks
+  its params; the driver calls its core, _e_step, with the guard's eigh
+  of D and the M-step's X beta.
 - _m_step (public as m_step): beta by penalized_ls's one lasso solver,
   _solve_gram, on the dataset's cached X'X and factor, then sigma2 and D.
 - _guard_params: the clamp of D's eigenvalues and sigma2 before an
@@ -231,8 +233,8 @@ def _take(stack, keep: list):
 def _guard_params(params: LmmParams):
     """Clamp D's eigenvalues and sigma2 away from zero before an E-step.
 
-    Returns the guarded params and np.linalg.eigh of their D, which e_step
-    takes in place of its own checks: the guarded D has eigenvalues above
+    Returns the guarded params and np.linalg.eigh of their D, which _e_step
+    takes in place of e_step's checks: the guarded D has eigenvalues above
     -1e-10 and sigma2 is positive, so after the shared finiteness check
     nothing _checked_params refuses can get through.  D must be exactly
     symmetric, as every iterate's is: the pooled start's identity, the
@@ -273,10 +275,10 @@ def _spd_inv_logdet(K):
     """
     if isinstance(K, np.ndarray):
         try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
+            L, Kinv = np.linalg.cholesky(K), np.linalg.inv(K)
+        except np.linalg.LinAlgError:  # inv raises on a factored K that is singular in floats
             raise NumericalError("subject covariance is not positive definite") from None
-        return np.linalg.inv(K), 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+        return Kinv, 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
     det = K[0] if len(K) == 1 else K[0] * K[2] - K[1] * K[1]
     if not (K[0] > 0.0 and det > 0.0):
         raise NumericalError("subject covariance is not positive definite")
@@ -386,8 +388,7 @@ def _sum_of_squares(r: np.ndarray):
     return np.dot(r, r) if r.ndim == 1 else (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
-           xbeta=None) -> EStepMoments:
+def e_step(ds: LongitudinalDataset, params: LmmParams) -> EStepMoments:
     """Conditional random-effect moments and the marginal log-likelihood.
 
     With S the symmetric square root of D, r_i = y_i - X_i beta and the
@@ -411,17 +412,18 @@ def e_step(ds: LongitudinalDataset, params: LmmParams, *, eig=None,
     member axis first: b_hat (R, n, q), Lambda_blocks (R, G, q, q) and
     loglik (R,).  The moments hold params themselves (EStepMoments.params).
     Raises NumericalError when any member's K_i is not positive definite.
-
-    eig, when given, is np.linalg.eigh(params.D) from the EM driver's
-    _guard_params; otherwise params go through _checked_params (params
-    that are not an LmmParams or whose shapes do not fit ds are a
-    ConfigurationError, values it refuses a NumericalError), which
-    decomposes D.  xbeta, when given, is params.beta @ ds.X.T, which the
-    EM driver carries from its M-step; otherwise it is formed here.
+    params go through _checked_params first: params that are not an
+    LmmParams or whose shapes do not fit ds are a ConfigurationError,
+    values it refuses a NumericalError.
     """
-    if eig is None:
-        _checked_type(ds, LongitudinalDataset, "e_step: ds must be a LongitudinalDataset")
-        eig = _checked_params(params, ds, "e_step: params")
+    _checked_type(ds, LongitudinalDataset, "e_step: ds must be a LongitudinalDataset")
+    return _e_step(ds, params, _checked_params(params, ds, "e_step: params"))
+
+
+def _e_step(ds: LongitudinalDataset, params: LmmParams, eig, xbeta=None) -> EStepMoments:
+    """e_step on params already checked or guarded (_guard_params), given
+    eig = np.linalg.eigh(params.D) and, from the EM driver's M-step, xbeta =
+    params.beta @ ds.X.T (formed here when None)."""
     n, q = ds.n, ds.q
     lead = params.beta.shape[:-1]
     sigma2 = params.sigma2
@@ -539,14 +541,12 @@ def _e_steps(ds: LongitudinalDataset, params: LmmParams, xbeta=None):
     errors = {}
     while True:
         try:
-            guarded, eig = _guard_params(params)
-            return e_step(ds, guarded, eig=eig, xbeta=xbeta), errors
+            return _e_step(ds, *_guard_params(params), xbeta), errors
         except NumericalError as e:
             failed = {}
             for r in (range(len(live)) if len(live) > 1 else ()):
                 try:
-                    one, eig = _guard_params(_take(params, [r]))
-                    e_step(ds, one, eig=eig)
+                    _e_step(ds, *_guard_params(_take(params, [r])))
                 except NumericalError as e_r:
                     failed[r] = e_r
             failed = failed or dict.fromkeys(range(len(live)), e)

@@ -232,10 +232,17 @@ def _solve_gram(c: np.ndarray, l1: float, shift: float, warm_start: np.ndarray, 
     def terms(points):
         """The terms x'Mx, 2 c'x and l1 |x|_1 of the objective x'Mx - 2 c'x
         + l1 |x|_1 (M = G_AA + shift * I) at each row x of points, a point on
-        the current A."""
+        the current A, each scaled by 4^-k: points, c and l1 are scaled by
+        2^-k, 2^k the power of two above max |x| when that is at least 1.  A
+        power of two scales every term and sum exactly (short of subnormal
+        results), so the terms compare as the unscaled ones do, and x'Mx
+        stays finite for an x near the root of the largest double (a y cell
+        near 1e154)."""
         M = G_A[active] + shift * np.eye(active.size)
-        return (np.einsum("ij,ij->i", points @ M, points), 2.0 * points @ c[active],
-                l1 * np.abs(points).sum(axis=1))
+        s = np.ldexp(1.0, -max(int(np.frexp(np.abs(points).max())[1]), 0))
+        points = s * points
+        return (np.einsum("ij,ij->i", points @ M, points), 2.0 * points @ (s * c[active]),
+                s * l1 * np.abs(points).sum(axis=1))
 
     max_passes = _MAX_PIVOTS + 2 * c.size
     for passes in range(1, max_passes + 1):

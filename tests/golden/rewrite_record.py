@@ -22,8 +22,9 @@ p <= 50 < N, standardized y and alpha = 1.  The second record (routes.json)
 holds the same facts for seeded library calls on datasets built in code
 (ROUTES), one per route the workloads do not take: many Z'Z blocks, q = 1
 and q = 3, p > N with failed entries, raw units, the elastic net and
-ridge, kfold_cv, remove_linear_combos and a refit stack with a truncated
-factor.  tests/test_golden_routes.py compares a fresh run of each with it.
+ridge, kfold_cv, remove_linear_combos, a refit stack with a truncated
+factor and two supports on either side of the truncation threshold.
+tests/test_golden_routes.py compares a fresh run of each with it.
 """
 
 from __future__ import annotations
@@ -258,6 +259,16 @@ def _route_truncated_refit():
     return [_fit_record(rep) for rep in fit_em_supports(ds, supports)]
 
 
+def _route_truncation_threshold():
+    # columns 9 and 10 nearly copy column 0: lambda_min / lambda_max of X_A'X_A is
+    # about 2e-12 on (0, 9), solved exactly, and 4e-13 on (0, 10), truncated, on
+    # either side of penalized_ls._GRAM_COND_LIMIT's 1e-12
+    ds = _scenario(1, seed=11)
+    w = np.random.default_rng(11).normal(size=ds.N)
+    ds = _with_columns(ds, ds.X[:, 0] + 3.2e-6 * w, ds.X[:, 0] + 1.4e-6 * w)
+    return [_fit_record(rep) for rep in fit_em_supports(ds, [(0, 9), (0, 10)])]
+
+
 ROUTES = {
     "many-blocks": _route_many_blocks,
     "unbalanced": lambda: _route_visits("unbalanced", 2),
@@ -270,6 +281,7 @@ ROUTES = {
     "kfold-cv": _route_kfold_cv,
     "linear-combos": _route_linear_combos,
     "truncated-refit": _route_truncated_refit,
+    "truncation-threshold": _route_truncation_threshold,
 }
 
 

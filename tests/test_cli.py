@@ -477,8 +477,11 @@ def test_duplicate_role_column_is_data_error(tmp_path, capsys):
     ("id", "y", "x1,x1", "1,t"),
     ("id", "y", "x1,x2", "1,1"),
     ("id", "y", "x1,x2", "t,t"),
+    ("id", "y", "x1,zz", "1,t"),
+    ("id", "y", "x1,x2", "intercept+zz"),
 ], ids=["response_fixed", "response_random", "subject_fixed", "subject_random",
-        "subject_response", "fixed_twice", "intercept_twice", "random_twice"])
+        "subject_response", "fixed_twice", "intercept_twice", "random_twice",
+        "fixed_missing", "random_missing"])
 def test_conflicting_column_roles_are_usage_error(tmp_path, small_csv, capsys, subject,
                                                   response, fixed, random):
     f, _ = small_csv
@@ -737,6 +740,7 @@ def test_non_finite_cell_is_data_error_naming_the_subject(tmp_path, capsys, colu
     ("select", ["--grid", "a:b:c"]),
     ("select", ["--grid", "0.1,x"]),
     ("fit", ["--lambda", "0", "--standardize", "--categorical", "zz"]),
+    ("fit", ["--lambda", "0", "--standardize", "--categorical", "t"]),  # not in --fixed
 ], ids=lambda v: v if isinstance(v, str) else "=".join(v[-2:]).lstrip("-"))
 def test_non_finite_or_out_of_range_option_is_usage_error(tmp_path, capsys, command,
                                                           flags):

@@ -274,9 +274,9 @@ def test_a_report_whose_params_were_replaced_starts_from_them(monkeypatch):
 
     # the report itself, or with other fields replaced, still lends its E-step
     calls = []
-    public_e_step = em_engine.e_step
-    monkeypatch.setattr(em_engine, "e_step",
-                        lambda *a, **kw: calls.append(None) or public_e_step(*a, **kw))
+    core = em_engine._e_step
+    monkeypatch.setattr(em_engine, "_e_step",
+                        lambda *a, **kw: calls.append(None) or core(*a, **kw))
     cold = fit_em(ds, 0.05, init=rep.params, lambda_scale="per_obs")
     for init in (rep, replace(rep, iterations=0)):
         calls.clear()
@@ -372,7 +372,7 @@ def test_e_step_on_a_stack_equals_one_call_per_member(problem, R):
     bad = LmmParams(np.stack([params.beta] * 2), np.array([params.sigma2, -1.0]),
                     np.stack([params.D, np.zeros_like(params.D)]))
     with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
-        e_step(ds, bad, eig=np.linalg.eigh(bad.D))
+        em_engine._e_step(ds, bad, np.linalg.eigh(bad.D))
 
 
 def _visit_design(kind, seed=0, n=12, p=3, q=2):
@@ -475,9 +475,9 @@ def test_a_stack_with_one_indefinite_member_fails_only_that_member(design, n_blo
     bad = LmmParams(np.zeros(3), -1.0, np.zeros((2, 2)))  # K_i = -I
     stack = _stack([good[0], bad, good[1]])
     with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
-        e_step(ds, stack, eig=np.linalg.eigh(stack.D))
+        em_engine._e_step(ds, stack, np.linalg.eigh(stack.D))
     with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
-        e_step(ds, bad, eig=np.linalg.eigh(bad.D))
+        em_engine._e_step(ds, bad, np.linalg.eigh(bad.D))
 
     # the driver reruns the stack member by member, and only the indefinite
     # member leaves it; without the guard, which would repair its sigma2,
@@ -511,7 +511,7 @@ def test_the_lapack_route_refuses_an_indefinite_block_with_a_positive_determinan
                          for i in range(6)])
     bad = LmmParams(np.zeros(ds.p), -1.0, np.zeros((4, 4)))  # K_i = -I, det(K_i) = 1
     with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
-        e_step(ds, bad, eig=np.linalg.eigh(bad.D))
+        em_engine._e_step(ds, bad, np.linalg.eigh(bad.D))
 
     # on positive definite blocks the log determinant is LAPACK's
     good = np.stack([np.eye(4) + K @ K, 2.0 * np.eye(4)])
@@ -592,7 +592,7 @@ def test_one_member_closed_forms_agree_with_the_matrix_route(case):
     bad = LmmParams(params.beta, -1.0, np.zeros((ds.q, ds.q)))  # K_i = -I
     for member in (bad, _stack([bad, bad])):
         with pytest.raises(NumericalError, match="subject covariance is not positive definite"):
-            e_step(ds, member, eig=np.linalg.eigh(member.D))
+            em_engine._e_step(ds, member, np.linalg.eigh(member.D))
 
 
 def test_a_penalized_stack_traces_each_member_as_its_lone_run():
@@ -699,17 +699,17 @@ def test_an_extrapolation_whose_e_step_raises_keeps_the_plain_step(monkeypatch):
     assert accelerated.penalized_loglik_trace[-1] > plain.penalized_loglik_trace[-1]
 
     trials = []
-    public_e_step = em_engine.e_step
+    core = em_engine._e_step
 
-    def failing(ds, params, *, eig=None, xbeta=None):
+    def failing(ds, params, eig, xbeta=None):
         """Raise at an extrapolated iterate: in a lone fit from the pooled
         start, the one E-step that forms its own X beta."""
         if xbeta is None:
             trials.append(None)
             raise NumericalError("injected failure")
-        return public_e_step(ds, params, eig=eig, xbeta=xbeta)
+        return core(ds, params, eig, xbeta)
 
-    monkeypatch.setattr(em_engine, "e_step", failing)
+    monkeypatch.setattr(em_engine, "_e_step", failing)
     refused = fit_em(ds, 5.0, ctrl=ctrl)
     assert trials and refused.iterations == ctrl.max_iter
     assert refused.penalized_loglik_trace.tobytes() == plain.penalized_loglik_trace.tobytes()
@@ -969,8 +969,9 @@ def test_fit_em_from_singular_D_returns_the_guarded_iterate():
 
 
 def _e_step_failing_from(monkeypatch, call):
-    """Make every e_step from the call-th one on raise NumericalError."""
-    step, calls = em_engine.e_step, []
+    """Make every E-step of the EM driver (_e_step) from the call-th one on
+    raise NumericalError."""
+    step, calls = em_engine._e_step, []
 
     def failing(*args, **kwargs):
         calls.append(None)
@@ -978,7 +979,7 @@ def _e_step_failing_from(monkeypatch, call):
             raise NumericalError("injected failure")
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(em_engine, "e_step", failing)
+    monkeypatch.setattr(em_engine, "_e_step", failing)
 
 
 def test_fit_em_names_the_iteration_of_an_e_step_error(monkeypatch):
@@ -1028,7 +1029,7 @@ def test_guarded_e_step_agrees_with_public_path_bit_for_bit(lam):
     assert np.linalg.eigvalsh(rep.params.D).min() > 1e-10  # the guard did not clamp
     assert rep.final_loglik == observed_loglik(ds, rep.params)
     assert type(rep.final_loglik) is float and type(rep.converged) is bool
-    guarded = e_step(ds, rep.params, eig=np.linalg.eigh(rep.params.D))
+    guarded = em_engine._e_step(ds, rep.params, np.linalg.eigh(rep.params.D))
     public = e_step(ds, rep.params)
     for a, b in ((guarded.b_hat, public.b_hat),
                  (subject_lambda(guarded), subject_lambda(public)),
@@ -1084,9 +1085,9 @@ def test_a_warm_start_from_a_report_reuses_its_last_e_step(monkeypatch):
     first = fit_em(ds, 5.0)
     assert first.moments.ds is ds
     calls = []
-    public_e_step = em_engine.e_step
-    monkeypatch.setattr(em_engine, "e_step",
-                        lambda *a, **kw: calls.append(None) or public_e_step(*a, **kw))
+    core = em_engine._e_step
+    monkeypatch.setattr(em_engine, "_e_step",
+                        lambda *a, **kw: calls.append(None) or core(*a, **kw))
     from_params = fit_em(ds, 2.0, init=first.params)
     cold_calls = len(calls)
     from_report = fit_em(ds, 2.0, init=first)

@@ -3,8 +3,9 @@
 tests/golden/rewrite_record.py's ROUTES are seeded library calls on
 datasets built in code: many Z'Z blocks, q = 1 and q = 3, p > N with a
 failed entry, raw units, the elastic net and ridge, kfold_cv,
-remove_linear_combos and a refit stack with a truncated factor.  Each case
-runs again here and is compared with tests/golden/routes.json: iteration
+remove_linear_combos, a refit stack with a truncated factor and two
+supports on either side of the truncation threshold.  Each case runs
+again here and is compared with tests/golden/routes.json: iteration
 counts, supports, converged flags, errors and warnings, and every float of
 the params, traces, log-likelihoods and criteria as a 17-digit string.
 The first difference is named.  As in test_golden.py, the test skips

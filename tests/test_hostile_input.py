@@ -2,11 +2,10 @@
 
 The package's public callables are its re-exports (tests/test_exports.py),
 less the exception classes.  Each is called on small valid arguments (the
-cases fixture, which names every parameter but those in NOT_PROBED), then
-with each argument replaced in turn by each of HOSTILE; every call must
-return or raise an LmmLassoError, never a bare Python or numpy error.  A
-public callable without an entry in cases fails, so that a new one cannot
-go unprobed.
+cases fixture, which names every parameter), then with each argument
+replaced in turn by each of HOSTILE; every call must return or raise an
+LmmLassoError, never a bare Python or numpy error.  A public callable
+without an entry in cases fails, so that a new one cannot go unprobed.
 """
 
 import inspect
@@ -27,10 +26,6 @@ HOSTILE = {"None": None, "str": "x", "list": [], "dict": {}, "zeros": np.zeros(9
 PUBLIC = sorted(n for n, v in vars(lmmlasso).items()
                 if not n.startswith("_") and not isinstance(v, types.ModuleType)
                 and not (isinstance(v, type) and issubclass(v, LmmLassoError)))
-
-# parameters that are _run_em's hand-over of what it has computed, not
-# settings a caller chooses: e_step's docstring names them as such
-NOT_PROBED = {"e_step": {"eig", "xbeta"}}
 
 CTRL = EmControl(max_iter=3)
 GRID = [0.1]
@@ -110,7 +105,7 @@ def cases(tmp_path_factory):
 def test_a_public_callable_answers_hostile_arguments_with_a_typed_error(cases, name):
     assert name in cases, f"{name} has no valid-argument entry"
     call, kwargs = getattr(lmmlasso, name), cases[name]
-    assert set(kwargs) == set(inspect.signature(call).parameters) - NOT_PROBED.get(name, set())
+    assert set(kwargs) == set(inspect.signature(call).parameters)
     call(**kwargs)
     bare = []
     for argument in kwargs:

@@ -481,7 +481,7 @@ def test_refit_supports_match_restricted_fits():
 
 def _fail_in_refits(monkeypatch, target, call, where):
     """Make the lock-step refit of support target raise on its call-th pass
-    through where, "_guard_params" or "e_step"; grid fits are untouched."""
+    through where, "_guard_params" or "_e_step"; grid fits are untouched."""
     refitting, calls = [], []
     lockstep, step = selector_mod.fit_em_supports, getattr(em_engine, where)
 
@@ -538,7 +538,7 @@ def test_refit_supports_isolates_a_failing_e_step(monkeypatch):
     ds = _scenario3(1)
     supports = [(0,), (0, 1, 2), (0, 1, 2, 3, 4), ()]
     clean = selector_mod.fit_em_supports(ds, supports)
-    _fail_in_refits(monkeypatch, (0, 1, 2), 4, "e_step")
+    _fail_in_refits(monkeypatch, (0, 1, 2), 4, "_e_step")
     reps = selector_mod.fit_em_supports(ds, supports)
     assert isinstance(reps[1], NumericalError)
     assert str(reps[1]) == "fit_em: iteration 3: injected failure"

@@ -379,6 +379,11 @@ WRONG_ARRAYS = {
                         "lambda_max: X must have shape (*, *), got (24,)"),
     "solve_pls-X-str-cell": (lambda ds: solve_pls([["a"]], [1.0], 0.1),
                              "solve_pls: X must hold real numbers, got dtype <U1"),
+    "solve_pls-X-ragged": (lambda ds: solve_pls([[1.0, 2.0], [3.0]], [1.0, 2.0], 0.1),
+                           "solve_pls: X must hold real numbers that a float holds: setting an "
+                           "array element with a sequence. The requested array has an "
+                           "inhomogeneous shape after 1 dimensions. The detected shape was "
+                           "(2,) + inhomogeneous part."),
     "penalty_value-beta-0d": (lambda ds: penalty_value(np.float64(1.0)),
                               "penalty_value: beta must have shape (*,), got ()"),
     "penalty_value-beta-str": (lambda ds: penalty_value("x"),
@@ -427,6 +432,8 @@ def test_an_array_argument_of_the_wrong_kind_is_a_data_error(ds, argument):
 DOMAIN_REFUSALS = {
     "D_true-3x3": (lambda ds: ScenarioConfig.scenario1(D_true=np.eye(3)),
                    ConfigurationError, "D_true must have shape (2, 2), got (3, 3)"),
+    "D_true-asymmetric": (lambda ds: ScenarioConfig.scenario1(D_true=[[1, 0.5], [0.4, 1]]),
+                          ConfigurationError, "D_true must be a symmetric 2x2 matrix"),
     "sigma2_true-negative": (lambda ds: ScenarioConfig.scenario1(sigma2_true=-1),
                              ConfigurationError, "sigma2_true must be finite and >= 0, got -1"),
     "beta_true-length": (lambda ds: ScenarioConfig.scenario1(beta_true=np.ones(3)),
